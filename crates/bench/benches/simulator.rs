@@ -50,5 +50,29 @@ fn bench_graph_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_build_and_simulate, bench_graph_scaling);
+/// Simulation alone on the finest point of the search space: MAS-Attention
+/// on BERT-Small at `N_Q = N_KV = 16`. Its long DMA ready queues are where
+/// a linear-scan ready queue goes quadratic, so a regression of the
+/// scheduler's per-event cost shows here first.
+fn bench_fine_tiling(c: &mut Criterion) {
+    let hw = HardwareConfig::edge_default();
+    let exec = Executor::new(hw.clone(), EnergyModel::edge_16nm()).without_trace();
+    let w = AttentionWorkload::new("BERT-Small", 1, 8, 512, 64);
+    let t = Tiling::new(1, 1, 16, 16, &w);
+    let schedule = build_dataflow(DataflowKind::MasAttention, &w, &t, &hw).unwrap();
+    let tasks = schedule.graph().len();
+    let mut g = c.benchmark_group("simulate_fine_tiling");
+    g.sample_size(10);
+    g.bench_function(format!("bert_small_q16_kv16_{tasks}_tasks"), |b| {
+        b.iter(|| exec.run(schedule.graph()).unwrap().total_cycles)
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_build_and_simulate,
+    bench_graph_scaling,
+    bench_fine_tiling
+);
 criterion_main!(benches);

@@ -11,6 +11,40 @@
 //! The result is a [`SimReport`] containing the makespan, energy breakdown,
 //! DRAM traffic, per-resource busy time and MAC/VEC overlap.
 //!
+//! # Scheduling contract
+//!
+//! [`Executor::run`] keeps each of these, and every simulated cycle, energy
+//! figure and trace in the repository depends on them:
+//!
+//! - **Start passes.** At each instant the executor visits the resources
+//!   the graph uses in display-name order (`DMA-in`, `DMA-out`, `MAC0`, …,
+//!   `VEC0`, …), starts at most one task per idle resource per pass, and
+//!   repeats the pass until none starts. A zero-cycle task therefore frees
+//!   its resource for the next pass at the same instant.
+//! - **Ready order.** Each resource serves its ready tasks in ascending
+//!   `(priority, program index)` order. A compute task's priority is its
+//!   program index.
+//! - **Demand-driven DMA.** A DMA task's priority is the program index of
+//!   its earliest consumer, so transfers follow the compute streams. A
+//!   transfer nothing depends on ranks after every consumed one, in program
+//!   order.
+//! - **Completions.** All tasks ending at the next completion instant are
+//!   retired together, in `(end, program index)` order, before the next
+//!   start pass.
+//! - **Accounting.** Energy accumulates, and trace entries are recorded, in
+//!   start order.
+//!
+//! The per-run state is dense: resources become slots numbered once, each
+//! slot has a binary-heap ready queue, dependents are one CSR array, and
+//! busy time is a `u64` per slot. Each start and each completion costs
+//! `O(log n)` heap work for `n` tasks, and each start pass costs `O(r)` for
+//! the `r` resources in use (at most `2 + 2·cores`), so a run costs
+//! `O((n + e) + n log n + passes · r)` for `e` dependency edges. Dependency
+//! ids are checked while the CSR table is built, and a cycle is found when
+//! the schedule stalls, so the graph is not validated a second time; the
+//! errors are still those of [`TaskGraph::validate`], reported before an
+//! unknown core.
+//!
 //! # Track scheduling (continuous time)
 //!
 //! Alongside the cycle-level list scheduler, this module hosts the
@@ -40,7 +74,8 @@
 //!   candidate wins), so track-scheduled makespans are never worse than the
 //!   scalar model's on any launch sequence.
 
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::config::HardwareConfig;
 use crate::energy::{EnergyBreakdown, EnergyModel};
@@ -95,12 +130,14 @@ impl Executor {
         &self.timing
     }
 
-    /// Runs a task graph to completion.
+    /// Runs a task graph to completion under the scheduling contract in the
+    /// module docs.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::EmptyGraph`] for an empty graph, graph validation
-    /// errors ([`SimError::UnknownDependency`], [`SimError::CyclicGraph`]),
+    /// errors ([`SimError::UnknownDependency`], [`SimError::CyclicGraph`])
+    /// exactly as [`TaskGraph::validate`] reports them,
     /// [`SimError::UnknownResource`] if a task names a core the device does
     /// not have, or [`SimError::InvalidConfig`] for a bad configuration.
     pub fn run(&self, graph: &TaskGraph) -> Result<SimReport> {
@@ -109,27 +146,84 @@ impl Executor {
         if graph.is_empty() {
             return Err(SimError::EmptyGraph);
         }
-        graph.validate()?;
+        let n = graph.len();
+
+        // Dependents in CSR form: `dependents[offsets[i]..offsets[i + 1]]`
+        // lists the tasks waiting on task `i` in program order, once per
+        // dependency edge (a repeated dependency is counted twice on both
+        // sides). Dependency ids are checked while counting.
+        let mut offsets = vec![0usize; n + 1];
+        let mut unknown_core = None;
+        let mut max_core = 0;
         for task in graph.iter() {
-            if let Some(core) = task.resource.core() {
-                if core >= hw.cores {
-                    return Err(SimError::UnknownResource {
-                        resource: task.resource,
-                        cores: hw.cores,
+            for dep in &task.deps {
+                if dep.index() >= n {
+                    return Err(SimError::UnknownDependency {
+                        task: task.id,
+                        dependency: *dep,
                     });
                 }
+                offsets[dep.index() + 1] += 1;
+            }
+            if let Some(core) = task.resource.core() {
+                if core >= hw.cores {
+                    unknown_core.get_or_insert(task.resource);
+                }
+                max_core = max_core.max(core);
             }
         }
-
-        let n = graph.len();
+        if let Some(resource) = unknown_core {
+            // A cycle is reported before an unknown core; only this error
+            // path pays for a separate validation pass.
+            graph.validate()?;
+            return Err(SimError::UnknownResource {
+                resource,
+                cores: hw.cores,
+            });
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut dependents = vec![0usize; offsets[n]];
+        let mut cursor = offsets.clone();
         let mut remaining_deps = vec![0usize; n];
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
         for task in graph.iter() {
-            remaining_deps[task.id.index()] = task.deps.len();
+            let i = task.id.index();
+            remaining_deps[i] = task.deps.len();
             for dep in &task.deps {
-                dependents[dep.index()].push(task.id.index());
+                dependents[cursor[dep.index()]] = i;
+                cursor[dep.index()] += 1;
             }
         }
+        let dependents_of = |i: usize| &dependents[offsets[i]..offsets[i + 1]];
+
+        // Resources become dense slots in display-name order, the order
+        // every start pass visits them. `dense` numbers every resource a
+        // checked graph can name: DMA-in, DMA-out, then MAC and VEC per core.
+        let dense = |resource: Resource| match resource {
+            Resource::DmaIn => 0,
+            Resource::DmaOut => 1,
+            Resource::Mac { core } => 2 + 2 * core,
+            Resource::Vec { core } => 3 + 2 * core,
+        };
+        let mut seen = vec![false; 4 + 2 * max_core];
+        let mut resources = Vec::new();
+        for task in graph.iter() {
+            let d = dense(task.resource);
+            if !seen[d] {
+                seen[d] = true;
+                resources.push(task.resource);
+            }
+        }
+        resources.sort_by_cached_key(Resource::to_string);
+        let mut slot_of = vec![0; seen.len()];
+        for (slot, &resource) in resources.iter().enumerate() {
+            slot_of[dense(resource)] = slot;
+        }
+        let slot: Vec<usize> = graph
+            .iter()
+            .map(|task| slot_of[dense(task.resource)])
+            .collect();
 
         // Scheduling priority. Compute units issue their stream in program
         // order (the order the dataflow intends). DMA channels are
@@ -137,62 +231,33 @@ impl Executor {
         // order are served first, which models double-buffered prefetching
         // that follows the compute streams instead of blindly following the
         // order requests were queued.
-        let mut priority = vec![0usize; n];
-        for task in graph.iter() {
-            let i = task.id.index();
-            priority[i] = match task.resource {
-                Resource::DmaIn | Resource::DmaOut => dependents[i]
-                    .iter()
-                    .copied()
-                    .min()
-                    .unwrap_or(usize::MAX - n + i),
-                _ => i,
-            };
-        }
+        let priority: Vec<usize> = graph
+            .iter()
+            .map(|task| {
+                let i = task.id.index();
+                match task.resource {
+                    Resource::DmaIn | Resource::DmaOut => dependents_of(i)
+                        .iter()
+                        .copied()
+                        .min()
+                        .unwrap_or(usize::MAX - n + i),
+                    _ => i,
+                }
+            })
+            .collect();
 
-        // Ready queues per resource, ordered by (priority, program order).
-        let mut ready: HashMap<Resource, VecDeque<usize>> = HashMap::new();
-        for task in graph.iter() {
-            ready.entry(task.resource).or_default();
-        }
-        let enqueue = |queue: &mut VecDeque<usize>, priority: &[usize], index: usize| {
-            let key = (priority[index], index);
-            let pos = queue
-                .iter()
-                .position(|&other| (priority[other], other) > key)
-                .unwrap_or(queue.len());
-            queue.insert(pos, index);
-        };
-        // Seed initially-ready tasks.
-        for task in graph.iter() {
-            if remaining_deps[task.id.index()] == 0 {
-                let queue = ready
-                    .get_mut(&task.resource)
-                    .expect("queue exists for every resource");
-                enqueue(queue, &priority, task.id.index());
+        // Min-heaps: ready tasks per slot by (priority, program index), and
+        // running tasks by (end cycle, program index).
+        let mut ready: Vec<BinaryHeap<Reverse<(usize, usize)>>> =
+            vec![BinaryHeap::new(); resources.len()];
+        for (i, &deps) in remaining_deps.iter().enumerate() {
+            if deps == 0 {
+                ready[slot[i]].push(Reverse((priority[i], i)));
             }
         }
-
-        // Min-heap of running tasks by end cycle (reverse ordering on a max-heap).
-        #[derive(PartialEq, Eq)]
-        struct Running {
-            end: u64,
-            index: usize,
-        }
-        impl Ord for Running {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                other.end.cmp(&self.end).then(other.index.cmp(&self.index))
-            }
-        }
-        impl PartialOrd for Running {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-
-        let mut running: BinaryHeap<Running> = BinaryHeap::new();
-        let mut resource_busy_until: HashMap<Resource, u64> = HashMap::new();
-        let mut busy_cycles: BTreeMap<String, u64> = BTreeMap::new();
+        let mut running: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
+        let mut busy_until = vec![0u64; resources.len()];
+        let mut busy_cycles = vec![0u64; resources.len()];
         let mut trace = Trace::new();
         let mut energy = EnergyBreakdown::zero();
         let mut completed = 0usize;
@@ -201,92 +266,81 @@ impl Executor {
         let mut vec_intervals: Vec<(u64, u64)> = Vec::new();
 
         while completed < n {
-            // Start every task that can start at the current time.
+            // Start every task that can start at the current time: one per
+            // idle slot per pass, until a pass starts nothing.
             let mut started_any = true;
             while started_any {
                 started_any = false;
-                // Iterate resources deterministically (sorted by display name).
-                let mut resources: Vec<Resource> = ready.keys().copied().collect();
-                resources.sort_by_key(|r| r.to_string());
-                for resource in resources {
-                    let busy_until = resource_busy_until.get(&resource).copied().unwrap_or(0);
-                    if busy_until > now {
+                for (s, queue) in ready.iter_mut().enumerate() {
+                    if busy_until[s] > now {
                         continue;
                     }
-                    let queue = ready.get_mut(&resource).expect("resource queue exists");
-                    if let Some(&index) = queue.front() {
-                        queue.pop_front();
-                        let task = graph.get(TaskId(index)).expect("task exists");
-                        let duration = self.timing.task_cycles(&task.kind);
-                        let start = now;
-                        let end = start + duration;
-                        resource_busy_until.insert(resource, end);
-                        running.push(Running { end, index });
-                        *busy_cycles.entry(resource.to_string()).or_insert(0) += duration;
-                        energy.accumulate(&self.energy.task_energy(
-                            &task.kind,
-                            hw.element_bytes,
-                            hw.softmax_ops_per_element,
-                        ));
-                        if duration > 0 {
-                            match resource {
-                                Resource::Mac { .. } => mac_intervals.push((start, end)),
-                                Resource::Vec { .. } => vec_intervals.push((start, end)),
-                                _ => {}
-                            }
+                    let Some(Reverse((_, index))) = queue.pop() else {
+                        continue;
+                    };
+                    let task = graph.get(TaskId(index)).expect("task exists");
+                    let duration = self.timing.task_cycles(&task.kind);
+                    let end = now + duration;
+                    busy_until[s] = end;
+                    busy_cycles[s] += duration;
+                    running.push(Reverse((end, index)));
+                    energy.accumulate(&self.energy.task_energy(
+                        &task.kind,
+                        hw.element_bytes,
+                        hw.softmax_ops_per_element,
+                    ));
+                    if duration > 0 {
+                        match task.resource {
+                            Resource::Mac { .. } => mac_intervals.push((now, end)),
+                            Resource::Vec { .. } => vec_intervals.push((now, end)),
+                            _ => {}
                         }
-                        if self.record_trace {
-                            trace.push(TraceEntry {
-                                task: task.id,
-                                label: task.label.clone(),
-                                resource,
-                                start_cycle: start,
-                                end_cycle: end,
-                            });
-                        }
-                        started_any = true;
                     }
+                    if self.record_trace {
+                        trace.push(TraceEntry {
+                            task: task.id,
+                            label: task.label.clone(),
+                            resource: task.resource,
+                            start_cycle: now,
+                            end_cycle: end,
+                        });
+                    }
+                    started_any = true;
                 }
             }
 
-            // Advance time to the next completion.
-            match running.pop() {
-                Some(first) => {
-                    now = now.max(first.end);
-                    let mut finished = vec![first.index];
-                    while let Some(next) = running.peek() {
-                        if next.end <= now {
-                            finished.push(running.pop().expect("peeked element exists").index);
-                        } else {
-                            break;
-                        }
-                    }
-                    for index in finished {
-                        completed += 1;
-                        for &dep_index in &dependents[index] {
-                            remaining_deps[dep_index] -= 1;
-                            if remaining_deps[dep_index] == 0 {
-                                let task = graph.get(TaskId(dep_index)).expect("task exists");
-                                let queue = ready
-                                    .get_mut(&task.resource)
-                                    .expect("resource queue exists");
-                                enqueue(queue, &priority, dep_index);
-                            }
-                        }
-                    }
+            // Advance time to the next completion and retire every task
+            // ending then before the next start pass.
+            let Some(&Reverse((next_end, _))) = running.peek() else {
+                // Nothing runs and nothing could start: every remaining
+                // task waits, directly or not, on a dependency cycle.
+                return Err(SimError::CyclicGraph {
+                    unscheduled: n - completed,
+                });
+            };
+            now = next_end;
+            while let Some(&Reverse((end, index))) = running.peek() {
+                if end > now {
+                    break;
                 }
-                None => {
-                    // No running tasks and nothing could start: the graph was
-                    // validated acyclic, so this indicates an internal error.
-                    return Err(SimError::CyclicGraph {
-                        unscheduled: n - completed,
-                    });
+                running.pop();
+                completed += 1;
+                for &waiting in dependents_of(index) {
+                    remaining_deps[waiting] -= 1;
+                    if remaining_deps[waiting] == 0 {
+                        ready[slot[waiting]].push(Reverse((priority[waiting], waiting)));
+                    }
                 }
             }
         }
 
-        let total_cycles = resource_busy_until.values().copied().max().unwrap_or(0);
+        let total_cycles = busy_until.iter().copied().max().unwrap_or(0);
         let overlap = interval_overlap(&mut mac_intervals, &mut vec_intervals);
+        let busy_cycles = resources
+            .iter()
+            .zip(busy_cycles)
+            .map(|(resource, cycles)| (resource.to_string(), cycles))
+            .collect();
 
         Ok(SimReport {
             total_cycles,
@@ -686,6 +740,94 @@ mod tests {
             executor().run(&g),
             Err(SimError::UnknownResource { .. })
         ));
+    }
+
+    #[test]
+    fn unknown_dependency_is_rejected() {
+        let mut g = TaskGraph::new();
+        g.add_task(
+            "a",
+            Resource::Mac { core: 0 },
+            TaskKind::MatMul { m: 1, k: 1, n: 1 },
+            &[],
+        );
+        g.add_task(
+            "b",
+            Resource::Vec { core: 0 },
+            TaskKind::Barrier,
+            &[TaskId(5)],
+        );
+        assert_eq!(
+            executor().run(&g).unwrap_err(),
+            SimError::UnknownDependency {
+                task: TaskId(1),
+                dependency: TaskId(5),
+            }
+        );
+    }
+
+    #[test]
+    fn cycle_reports_every_task_it_blocks() {
+        // `a` and `e` run; `b` and `c` wait on each other and `d` on `c`.
+        let mut g = TaskGraph::new();
+        let mm = TaskKind::MatMul { m: 4, k: 4, n: 4 };
+        let a = g.add_task("a", Resource::Mac { core: 0 }, mm, &[]);
+        g.add_task("b", Resource::Mac { core: 0 }, mm, &[TaskId(2)]);
+        g.add_task(
+            "c",
+            Resource::Vec { core: 0 },
+            TaskKind::Barrier,
+            &[TaskId(1)],
+        );
+        g.add_task(
+            "d",
+            Resource::DmaOut,
+            TaskKind::DramStore { bytes: 64 },
+            &[TaskId(2)],
+        );
+        g.add_task("e", Resource::DmaIn, TaskKind::DramLoad { bytes: 64 }, &[a]);
+        let err = executor().run(&g).unwrap_err();
+        assert_eq!(err, SimError::CyclicGraph { unscheduled: 3 });
+        assert_eq!(g.validate().unwrap_err(), err);
+    }
+
+    #[test]
+    fn graph_errors_precede_an_unknown_core() {
+        let far = Resource::Mac { core: 9 };
+        let mm = TaskKind::MatMul { m: 1, k: 1, n: 1 };
+        let mut dangling = TaskGraph::new();
+        dangling.add_task("far", far, mm, &[]);
+        dangling.add_task(
+            "x",
+            Resource::Vec { core: 0 },
+            TaskKind::Barrier,
+            &[TaskId(7)],
+        );
+        assert_eq!(
+            executor().run(&dangling).unwrap_err(),
+            SimError::UnknownDependency {
+                task: TaskId(1),
+                dependency: TaskId(7),
+            }
+        );
+        let mut cyclic = TaskGraph::new();
+        cyclic.add_task("far", far, mm, &[]);
+        cyclic.add_task(
+            "x",
+            Resource::Vec { core: 0 },
+            TaskKind::Barrier,
+            &[TaskId(2)],
+        );
+        cyclic.add_task(
+            "y",
+            Resource::Vec { core: 0 },
+            TaskKind::Barrier,
+            &[TaskId(1)],
+        );
+        assert_eq!(
+            executor().run(&cyclic).unwrap_err(),
+            SimError::CyclicGraph { unscheduled: 2 }
+        );
     }
 
     #[test]

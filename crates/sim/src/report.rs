@@ -13,7 +13,7 @@ use crate::task::Resource;
 use crate::trace::Trace;
 
 /// Aggregated results of simulating one task graph on one device.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimReport {
     /// Total execution time in cycles (makespan of the schedule).
     pub total_cycles: u64,

@@ -39,7 +39,7 @@ impl TraceEntry {
 }
 
 /// A full execution trace.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Trace {
     entries: Vec<TraceEntry>,
 }
