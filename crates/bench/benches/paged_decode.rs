@@ -11,13 +11,15 @@
 //! 2. **Sessions per GB** — the point of paged allocation: under the same
 //!    KV budget, block-granular charging at actual context must admit ≥ 2×
 //!    the sessions of worst-case max-context reservation
-//!    (`pin_sessions_per_gb`, replayed through `DecodeRuntime` on a
-//!    long-max-context/short-actual-context trace).
+//!    (`pin_sessions_per_gb`: a long-max-context/short-actual-context trace
+//!    replayed through `ServeEngine`, against the closed-form reservation
+//!    count `budget / kv_cache_bytes(max_context)`).
 
 use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use mas_serve::{DecodePolicy, DecodeRuntime, KvDtype};
+use mas_dataflow::decode::DecodeStep;
+use mas_serve::{DecodePolicy, DecodeReport, EngineConfig, KvDtype, ServeEngine};
 use mas_sim::HardwareConfig;
 use mas_tensor::decode::{decode_attention, KvCache};
 use mas_tensor::init::random_qkv;
@@ -162,48 +164,62 @@ fn admission_trace(sessions: u64, prompt: usize, declared: usize, actual: usize)
     }
 }
 
-/// Replays a long-max-context/short-actual-context trace under both
-/// charging policies at the same budget and pins the sessions-per-GB win.
+/// Replays a decode-only trace through the engine under `policy`.
+fn replay(policy: DecodePolicy, trace: &DecodeTrace) -> DecodeReport {
+    let config = EngineConfig {
+        decode: policy,
+        ..EngineConfig::default()
+    };
+    ServeEngine::new(config).run(&[], trace).unwrap().decode
+}
+
+/// Replays a long-max-context/short-actual-context trace under paged
+/// charging and pins its sessions-per-GB win over reserving every session's
+/// max-context KV up front, whose admission count at the same budget is
+/// the closed form `budget / kv_cache_bytes(max_context)`.
 fn pin_sessions_per_gb(_c: &mut Criterion) {
     let hw = HardwareConfig::edge_default();
     let budget: u64 = 1 << 30; // 1 GiB of KV
     let (prompt, declared, actual) = (32usize, 480usize, 8usize);
     let trace = admission_trace(4096, prompt, declared, actual);
 
-    let run = |kv_block_tokens: Option<usize>| {
-        let policy = DecodePolicy {
+    let max_context = prompt + declared;
+    let reservation =
+        DecodeStep::new("max", 1, HEADS, max_context, EMBED).kv_cache_bytes(hw.element_bytes);
+    let reserved_sessions = budget / reservation;
+    let paged = replay(
+        DecodePolicy {
             kv_budget_bytes: Some(budget),
-            kv_block_tokens,
+            kv_block_tokens: BLOCK_TOKENS,
             ..DecodePolicy::default()
-        };
-        DecodeRuntime::new(hw.clone(), policy).run_trace(&trace)
-    };
-    let legacy = run(None);
-    let paged = run(Some(BLOCK_TOKENS));
+        },
+        &trace,
+    );
 
     println!(
-        "\nsessions per GiB of KV budget (prompt {prompt}, declared max context {}):",
-        prompt + declared
+        "\nsessions per GiB of KV budget (prompt {prompt}, declared max context {max_context}):"
     );
     println!("| charging | sessions admitted | peak KV MB | frag at peak | pool overflows |");
     println!("|---|---|---|---|---|");
-    for (name, r) in [("max-context", &legacy), ("paged block16", &paged)] {
-        println!(
-            "| {name} | {} | {:.1} | {:.1}% | {} |",
-            r.sessions_admitted,
-            r.kv_peak_bytes as f64 / 1e6,
-            r.kv_frag_at_peak * 100.0,
-            r.pool_overflows(),
-        );
-    }
+    println!(
+        "| max-context (closed form) | {reserved_sessions} | {:.1} | {:.1}% | 0 |",
+        (reserved_sessions * reservation) as f64 / 1e6,
+        (1.0 - (prompt + actual) as f64 / max_context as f64) * 100.0,
+    );
+    println!(
+        "| paged block16 | {} | {:.1} | {:.1}% | {} |",
+        paged.sessions_admitted,
+        paged.kv_peak_bytes as f64 / 1e6,
+        paged.kv_frag_at_peak * 100.0,
+        paged.pool_overflows(),
+    );
     assert_eq!(paged.pool_overflows(), 0, "the paged run must not overflow");
     assert!(paged.kv_peak_bytes <= budget);
     assert!(
-        paged.sessions_admitted >= 2 * legacy.sessions_admitted,
+        paged.sessions_admitted as u64 >= 2 * reserved_sessions,
         "block-granular charging must admit >= 2x the sessions of \
-         max-context reservation at the same budget: {} vs {}",
+         max-context reservation at the same budget: {} vs {reserved_sessions}",
         paged.sessions_admitted,
-        legacy.sessions_admitted
     );
 }
 
@@ -211,7 +227,6 @@ fn pin_sessions_per_gb(_c: &mut Criterion) {
 /// the stored bytes per element must admit ≥ 1.8× the sessions with no
 /// budget violations and no pool overflows.
 fn pin_f16_sessions_per_gb(_c: &mut Criterion) {
-    let hw = HardwareConfig::edge_default();
     let budget: u64 = 1 << 30; // 1 GiB of KV
     let (prompt, declared, actual) = (32usize, 480usize, 8usize);
     // More offered sessions than even the f16 run can hold, so admission is
@@ -224,7 +239,7 @@ fn pin_f16_sessions_per_gb(_c: &mut Criterion) {
             kv_dtype: Some(kv_dtype),
             ..DecodePolicy::default()
         };
-        DecodeRuntime::new(hw.clone(), policy).run_trace(&trace)
+        replay(policy, &trace)
     };
     let f32_run = run(KvDtype::F32);
     let f16_run = run(KvDtype::F16);

@@ -12,8 +12,7 @@
 //! clear of the 2× assertion.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mas_serve::{DecodePolicy, DecodeRuntime, KvDtype};
-use mas_sim::HardwareConfig;
+use mas_serve::{DecodePolicy, EngineConfig, KvDtype, ServeEngine};
 use mas_workloads::{DecodeSessionSpec, DecodeStepEvent, DecodeTrace, Network};
 
 const HEADS: usize = 32;
@@ -60,7 +59,6 @@ fn shared_prompt_trace(sessions: u64) -> DecodeTrace {
 /// Replays the shared-system-prompt trace with prefix sharing off and on
 /// at the same 1 GiB budget and pins the sessions-per-GiB win.
 fn pin_shared_prefix_sessions_per_gb(_c: &mut Criterion) {
-    let hw = HardwareConfig::edge_default();
     let budget: u64 = 1 << 30; // 1 GiB of KV
 
     // More offered sessions than even the sharing run can hold, so both
@@ -68,14 +66,18 @@ fn pin_shared_prefix_sessions_per_gb(_c: &mut Criterion) {
     let trace = shared_prompt_trace(16384);
 
     let run = |prefix_share: bool| {
-        let policy = DecodePolicy {
+        let decode = DecodePolicy {
             kv_budget_bytes: Some(budget),
-            kv_block_tokens: Some(BLOCK_TOKENS),
+            kv_block_tokens: BLOCK_TOKENS,
             kv_dtype: Some(KvDtype::F16),
             prefix_share,
             ..DecodePolicy::default()
         };
-        DecodeRuntime::new(hw.clone(), policy).run_trace(&trace)
+        let config = EngineConfig {
+            decode,
+            ..EngineConfig::default()
+        };
+        ServeEngine::new(config).run(&[], &trace).unwrap().decode
     };
     let private = run(false);
     let shared = run(true);

@@ -1,4 +1,4 @@
-//! Benchmarks of the `mas-serve` streaming runtime.
+//! Benchmarks of prefill serving through the `mas-serve` engine.
 //!
 //! The headline measurement backs the schedule-cache acceptance criterion:
 //! on a replayed 200-request trace over three Table 1 networks, steady-state
@@ -11,8 +11,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mas_dataflow::DataflowKind;
-use mas_serve::{ScheduleCache, ServeConfig, ServeRequest, ServeRuntime};
-use mas_workloads::{request_trace, Network, TraceConfig};
+use mas_serve::{EngineConfig, ScheduleCache, ServeEngine, ServeRequest};
+use mas_workloads::{request_trace, DecodeTrace, Network, TraceConfig};
 
 fn trace_200() -> Vec<ServeRequest> {
     let trace = request_trace(&TraceConfig::poisson(
@@ -33,24 +33,25 @@ fn bench_serve_trace(c: &mut Criterion) {
     // plans (tiling + simulation) from scratch.
     g.bench_function("cold_plan_every_batch", |b| {
         b.iter(|| {
-            let mut rt = ServeRuntime::new(ServeConfig::default());
-            rt.run_trace(&requests).unwrap()
+            ServeEngine::new(EngineConfig::default())
+                .run(&requests, &DecodeTrace::empty())
+                .unwrap()
         })
     });
 
-    // Warm: one runtime keeps its cache across iterations; after the first,
+    // Warm: one engine keeps its cache across iterations; after the first,
     // every batch key is a hit and replay skips planning entirely.
-    let mut warm_rt = ServeRuntime::new(ServeConfig::default());
-    warm_rt.run_trace(&requests).unwrap(); // prime
+    let mut warm = ServeEngine::new(EngineConfig::default());
+    warm.run(&requests, &DecodeTrace::empty()).unwrap(); // prime
     g.bench_function("warm_cache_replay", |b| {
-        b.iter(|| warm_rt.run_trace(&requests).unwrap())
+        b.iter(|| warm.run(&requests, &DecodeTrace::empty()).unwrap())
     });
     g.finish();
 }
 
 fn bench_cache_ops(c: &mut Criterion) {
     // Build a realistic cache once (all six methods × three networks).
-    let mut rt = ServeRuntime::new(ServeConfig::default());
+    let mut engine = ServeEngine::new(EngineConfig::default());
     for method in DataflowKind::all() {
         let trace = request_trace(&TraceConfig::poisson(
             vec![Network::BertSmall, Network::VitB16, Network::T5Mini],
@@ -59,9 +60,9 @@ fn bench_cache_ops(c: &mut Criterion) {
             7,
         ));
         let stream = ServeRequest::stream_from_trace(&trace, method, None);
-        rt.run_trace(&stream).unwrap();
+        engine.run(&stream, &DecodeTrace::empty()).unwrap();
     }
-    let cache = rt.into_cache();
+    let cache = engine.into_cache();
     let text = cache.to_text();
 
     let mut g = c.benchmark_group("schedule_cache");

@@ -1,9 +1,9 @@
-//! Replays a generated request trace through the `mas-serve` streaming
-//! runtime and reports per-network and aggregate serving metrics.
+//! Replays a generated request trace through the `mas-serve` engine and
+//! reports per-network and aggregate serving metrics.
 //!
 //! ```text
 //! serve_trace [--requests N] [--rate RPS] [--seed S] [--burst LEN]
-//!             [--deadline-ms MS] [--devices N] [--search] [--serial]
+//!             [--deadline-ms MS] [--devices N] [--search]
 //!             [--mixed] [--sessions N] [--session-rate RPS]
 //!             [--policy decode|prefill|fair] [--kv-dtype f32|f16]
 //!             [--prefix-share] [--chunked-prefill TOKENS]
@@ -21,25 +21,25 @@
 //! JSON (open in Perfetto / `chrome://tracing`) and a Prometheus text
 //! snapshot respectively. The Chrome trace is validated before writing.
 //!
-//! `--mixed` interleaves `--sessions` autoregressive decode sessions with
-//! the prefill trace and replays both classes through the unified
-//! `ServeEngine` on one device timeline (`--policy` selects the
-//! iteration-level scheduling policy), reporting per-class latency plus the
-//! shared-budget peak.
+//! Every replay runs through `ServeEngine` with its default shared memory
+//! budget. `--mixed` interleaves `--sessions` autoregressive decode sessions
+//! with the prefill trace on the same device timeline (`--policy` selects
+//! the iteration-level scheduling policy), reporting per-class latency plus
+//! the shared-budget peak.
 //!
 //! `--prefix-share` (with `--mixed`) prepends a 64-token shared system
 //! prompt to every session of a network and enables cross-session KV
 //! prefix sharing: the shared prefix blocks are charged against the budget
 //! once per group, and the report's decode detail shows the sharing peak.
 //!
-//! `--chunked-prefill TOKENS` (with `--mixed`) lowers long prefill batches
+//! `--chunked-prefill TOKENS` lowers long prefill batches
 //! into chains of TOKENS-sized chunk launches, and `--preempt` enables
 //! iteration-level preemption (`hold` keeps an evicted session's KV
 //! swap-resident, `recompute` re-prices it on resume); together they bound
 //! decode tail latency under prefill overload, with preemption counters in
 //! the `--json` report.
 //!
-//! `--tracks` (with `--mixed`) enables the overlap-aware track executor:
+//! `--tracks` enables the overlap-aware track executor:
 //! each launch lowers into per-stage DMA-in/MAC/VEC/writeback demands
 //! flow-shop scheduled on four per-device queues, committing the overlapped
 //! placement whenever it strictly beats the scalar span. With `--trace-out`
@@ -51,12 +51,13 @@ use mas_attention::planner::{PlannerConfig, TilingStrategy};
 use mas_dataflow::DataflowKind;
 use mas_search::tuner::TunerConfig;
 use mas_serve::{
-    validate_chrome_trace, ChunkPolicy, EngineConfig, KvDtype, PreemptMode, ScheduleCache,
-    SchedulePolicy, ServeConfig, ServeEngine, ServeReport, ServeRequest, ServeRuntime, Telemetry,
+    validate_chrome_trace, ChunkPolicy, EngineConfig, EngineReport, KvDtype, PreemptMode,
+    ScheduleCache, SchedulePolicy, ServeEngine, ServeReport, ServeRequest, Telemetry,
     TelemetryConfig, TrackConfig,
 };
 use mas_workloads::{
-    decode_trace, request_trace, DecodeTraceConfig, Network, TraceConfig, MIXED_DECODE_SEED_SALT,
+    decode_trace, request_trace, DecodeTrace, DecodeTraceConfig, Network, TraceConfig,
+    MIXED_DECODE_SEED_SALT,
 };
 
 struct Args {
@@ -67,7 +68,6 @@ struct Args {
     deadline_ms: Option<f64>,
     devices: usize,
     search: bool,
-    serial: bool,
     mixed: bool,
     sessions: usize,
     session_rate_rps: f64,
@@ -129,7 +129,6 @@ fn parse_args() -> Args {
         deadline_ms: parsed("--deadline-ms", value("--deadline-ms")),
         devices: parsed("--devices", value("--devices")).unwrap_or(1),
         search: argv.iter().any(|a| a == "--search"),
-        serial: argv.iter().any(|a| a == "--serial"),
         mixed: argv.iter().any(|a| a == "--mixed"),
         sessions: parsed("--sessions", value("--sessions")).unwrap_or(16),
         session_rate_rps: parsed("--session-rate", value("--session-rate")).unwrap_or(200.0),
@@ -205,12 +204,17 @@ fn main() {
         args.deadline_ms.map(|ms| ms / 1e3),
     );
 
-    let mut config = ServeConfig {
+    let mut config = EngineConfig {
         devices: args.devices,
-        parallel_planning: !args.serial,
+        policy: args.policy,
         telemetry: args.telemetry(),
-        ..ServeConfig::default()
+        chunked_prefill: args.chunked_prefill.map(ChunkPolicy::new),
+        preempt: args.preempt,
+        tracks: args.tracks.then(TrackConfig::default),
+        ..EngineConfig::default()
     };
+    config.decode.kv_dtype = args.kv_dtype;
+    config.decode.prefix_share = args.prefix_share;
     if args.search {
         config.planner = PlannerConfig {
             tiling: TilingStrategy::Search,
@@ -228,87 +232,78 @@ fn main() {
     }
     let warm_entries = cache.len();
 
-    if args.mixed {
-        run_mixed(&args, config, cache, &stream, networks, warm_entries);
-        return;
-    }
+    let dtrace = if args.mixed {
+        let mut dconfig = DecodeTraceConfig::poisson(
+            networks,
+            args.sessions,
+            args.session_rate_rps,
+            args.seed ^ MIXED_DECODE_SEED_SALT,
+        );
+        if args.prefix_share {
+            // A 64-token shared system prompt per network, with pool-level
+            // prefix sharing enabled above. Arrival times and shapes are
+            // identical to the unshared trace at the same seed.
+            dconfig = dconfig.with_system_prompt(64);
+        }
+        decode_trace(&dconfig)
+    } else {
+        DecodeTrace::empty()
+    };
 
-    let mut runtime = ServeRuntime::with_cache(config, cache);
+    let mut engine = ServeEngine::with_cache(config, cache);
     let wall_start = std::time::Instant::now();
-    let report = runtime
-        .run_trace(&stream)
+    let report = engine
+        .run(&stream, &dtrace)
         .unwrap_or_else(|e| panic!("replaying the trace failed: {e}"));
     let wall = wall_start.elapsed();
+    let final_entries = engine.cache().len();
 
-    print_report(
-        &args,
-        &trace_cfg,
-        &report,
-        warm_entries,
-        runtime.cache().len(),
-    );
-    println!(
-        "host planning wall-clock: {:.1} ms for {} requests ({:.1} req/s offered)",
-        wall.as_secs_f64() * 1e3,
-        args.requests,
-        args.rate_rps
-    );
-
-    if args.json {
-        println!("{}", report_json(&report));
+    if args.mixed {
+        print_mixed(&args, &dtrace, &report, warm_entries, final_entries);
+        println!(
+            "host planning wall-clock: {:.1} ms for {} mixed events",
+            wall.as_secs_f64() * 1e3,
+            stream.len() + dtrace.total_steps(),
+        );
+        if args.json {
+            println!("{}", mixed_report_json(&report));
+        }
+    } else {
+        print_report(
+            &args,
+            &trace_cfg,
+            &report.prefill,
+            warm_entries,
+            final_entries,
+        );
+        println!(
+            "host planning wall-clock: {:.1} ms for {} requests ({:.1} req/s offered)",
+            wall.as_secs_f64() * 1e3,
+            args.requests,
+            args.rate_rps
+        );
+        if args.json {
+            println!("{}", report_json(&report.prefill));
+        }
     }
-    export_telemetry(runtime.telemetry(), &args);
+    export_telemetry(engine.telemetry(), &args);
     if let Some(path) = &args.save_cache {
-        runtime
+        engine
             .cache()
             .save(path)
             .unwrap_or_else(|e| panic!("saving cache {path}: {e}"));
-        println!("saved cache to {path} ({} entries)", runtime.cache().len());
+        println!("saved cache to {path} ({final_entries} entries)");
     }
 }
 
-/// The `--mixed` path: interleave generated decode sessions with the
-/// prefill stream and replay both classes through the unified engine.
-fn run_mixed(
+/// The `--mixed` human-readable report: both classes on one timeline.
+fn print_mixed(
     args: &Args,
-    config: ServeConfig,
-    cache: ScheduleCache,
-    stream: &[ServeRequest],
-    networks: Vec<Network>,
+    dtrace: &DecodeTrace,
+    report: &EngineReport,
     warm_entries: usize,
+    final_entries: usize,
 ) {
-    let mut dconfig = DecodeTraceConfig::poisson(
-        networks,
-        args.sessions,
-        args.session_rate_rps,
-        args.seed ^ MIXED_DECODE_SEED_SALT,
-    );
-    if args.prefix_share {
-        // A 64-token shared system prompt per network, with pool-level
-        // prefix sharing enabled below. Arrival times and shapes are
-        // identical to the unshared trace at the same seed.
-        dconfig = dconfig.with_system_prompt(64);
-    }
-    let dtrace = decode_trace(&dconfig);
-    let mut engine_config: EngineConfig = config.into();
-    engine_config.policy = args.policy;
-    engine_config.decode.kv_dtype = args.kv_dtype;
-    engine_config.decode.prefix_share = args.prefix_share;
-    engine_config.chunked_prefill = args.chunked_prefill.map(ChunkPolicy::new);
-    engine_config.preempt = args.preempt;
-    engine_config.tracks = args.tracks.then(TrackConfig::default);
-    // The From<ServeConfig> lifting disables the shared budget for legacy
-    // prefill-shim compatibility; a mixed replay wants the engine's real
-    // default (the decode policy's half-DRAM KV budget) so the cross-class
-    // memory coupling is live.
-    engine_config.shared_budget_bytes = None;
-    let mut engine = ServeEngine::with_cache(engine_config, cache);
-    let wall_start = std::time::Instant::now();
-    let report = engine
-        .run(stream, &dtrace)
-        .unwrap_or_else(|e| panic!("replaying the mixed trace failed: {e}"));
-    let wall = wall_start.elapsed();
-
     println!("# mas-serve mixed trace replay (unified engine)");
     println!(
         "trace: {} prefill requests + {} decode sessions ({} steps), seed {}",
@@ -331,52 +326,41 @@ fn run_mixed(
         args.preempt.map_or("off".to_string(), |m| m.to_string()),
         if args.tracks { "on" } else { "off" },
         warm_entries,
-        engine.cache().len(),
+        final_entries,
     );
     println!("{}", report.summary());
     println!("  prefill detail: {}", report.prefill.summary());
     println!("  decode detail:  {}", report.decode.summary());
-    println!(
-        "host planning wall-clock: {:.1} ms for {} mixed events",
-        wall.as_secs_f64() * 1e3,
-        stream.len() + dtrace.total_steps(),
-    );
-    if args.json {
-        let fmt_ms = |s: Option<mas_serve::LatencyStats>| {
-            s.map_or((0.0, 0.0), |s| (s.p50_s * 1e3, s.p99_s * 1e3))
-        };
-        let (pf_p50, pf_p99) = fmt_ms(report.prefill_latency());
-        let (dc_p50, dc_p99) = fmt_ms(report.decode_latency());
-        println!(
-            "{{\"policy\":\"{}\",\"prefill_completed\":{},\"decode_completed\":{},\
-             \"rejected\":{},\"launches\":{},\"makespan_s\":{:.9},\
-             \"prefill_p50_ms\":{pf_p50:.6},\"prefill_p99_ms\":{pf_p99:.6},\
-             \"decode_p50_ms\":{dc_p50:.6},\"decode_p99_ms\":{dc_p99:.6},\
-             \"mem_budget_bytes\":{},\"mem_peak_bytes\":{},\
-             \"shared_sessions\":{},\"kv_shared_peak_bytes\":{},\
-             \"preempted_prefill\":{},\"preempted_decode\":{}}}",
-            report.policy,
-            report.prefill.completed(),
-            report.decode.completed(),
-            report.rejected(),
-            report.launches,
-            report.makespan_s,
-            report.mem_budget_bytes,
-            report.mem_peak_bytes,
-            report.decode.shared_sessions,
-            report.decode.kv_shared_peak_bytes,
-            report.preemptions_prefill,
-            report.preemptions_decode,
-        );
-    }
-    export_telemetry(engine.telemetry(), args);
-    if let Some(path) = &args.save_cache {
-        engine
-            .cache()
-            .save(path)
-            .unwrap_or_else(|e| panic!("saving cache {path}: {e}"));
-        println!("saved cache to {path} ({} entries)", engine.cache().len());
-    }
+}
+
+/// The `--mixed --json` record: per-class latency plus shared figures.
+fn mixed_report_json(report: &EngineReport) -> String {
+    let fmt_ms = |s: Option<mas_serve::LatencyStats>| {
+        s.map_or((0.0, 0.0), |s| (s.p50_s * 1e3, s.p99_s * 1e3))
+    };
+    let (pf_p50, pf_p99) = fmt_ms(report.prefill_latency());
+    let (dc_p50, dc_p99) = fmt_ms(report.decode_latency());
+    format!(
+        "{{\"policy\":\"{}\",\"prefill_completed\":{},\"decode_completed\":{},\
+         \"rejected\":{},\"launches\":{},\"makespan_s\":{:.9},\
+         \"prefill_p50_ms\":{pf_p50:.6},\"prefill_p99_ms\":{pf_p99:.6},\
+         \"decode_p50_ms\":{dc_p50:.6},\"decode_p99_ms\":{dc_p99:.6},\
+         \"mem_budget_bytes\":{},\"mem_peak_bytes\":{},\
+         \"shared_sessions\":{},\"kv_shared_peak_bytes\":{},\
+         \"preempted_prefill\":{},\"preempted_decode\":{}}}",
+        report.policy,
+        report.prefill.completed(),
+        report.decode.completed(),
+        report.rejected(),
+        report.launches,
+        report.makespan_s,
+        report.mem_budget_bytes,
+        report.mem_peak_bytes,
+        report.decode.shared_sessions,
+        report.decode.kv_shared_peak_bytes,
+        report.preemptions_prefill,
+        report.preemptions_decode,
+    )
 }
 
 fn print_report(
@@ -392,9 +376,8 @@ fn print_report(
         args.requests, trace_cfg.arrivals, args.seed
     );
     println!(
-        "runtime: {} device(s), {} planning, {} tiling, cache warm entries {} -> final {}",
+        "runtime: {} device(s), {} tiling, cache warm entries {} -> final {}",
         args.devices.max(1),
-        if args.serial { "serial" } else { "pooled" },
         if args.search { "search" } else { "heuristic" },
         warm_entries,
         final_entries,

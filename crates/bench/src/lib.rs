@@ -1,8 +1,8 @@
 //! Shared harness code for the experiment binaries.
 //!
 //! Every table and figure of the paper has a binary in `src/bin/` that
-//! regenerates it (see `DESIGN.md` §5 for the index). The binaries share the
-//! table-formatting and experiment-running helpers in this module.
+//! regenerates it. The binaries share the table-formatting and
+//! experiment-running helpers in this module.
 //!
 //! All binaries accept:
 //!
@@ -13,6 +13,7 @@
 use mas_attention::{report::ComparisonReport, Method, Planner};
 use mas_dataflow::AttentionWorkload;
 use mas_search::tuner::TunerConfig;
+use mas_serve::telemetry::escape_json;
 use mas_workloads::Network;
 
 /// Command-line options shared by the experiment binaries.
@@ -108,23 +109,6 @@ pub fn print_row(cells: &[String], widths: &[usize]) {
     println!("| {} |", row.join(" | "));
 }
 
-/// Escapes a string for use inside a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Formats one network's comparison report as a single-line JSON record
 /// (hand-rolled: the offline build vendors a marker-only serde shim, so
 /// machine-readable output is emitted directly from the typed report).
@@ -134,14 +118,14 @@ pub fn report_json(network: &str, report: &ComparisonReport) -> String {
     let mut energy = Vec::new();
     for method in report.methods() {
         if let (Some(c), Some(e)) = (report.cycles(method), report.energy_pj(method)) {
-            let name = json_escape(&method.to_string());
-            cycles.push(format!("\"{name}\":{c}"));
-            energy.push(format!("\"{name}\":{e:.3}"));
+            let name = escape_json(&method.to_string());
+            cycles.push(format!("{name}:{c}"));
+            energy.push(format!("{name}:{e:.3}"));
         }
     }
     format!(
-        "{{\"network\":\"{}\",\"cycles\":{{{}}},\"energy_pj\":{{{}}}}}",
-        json_escape(network),
+        "{{\"network\":{},\"cycles\":{{{}}},\"energy_pj\":{{{}}}}}",
+        escape_json(network),
         cycles.join(","),
         energy.join(",")
     )
@@ -173,10 +157,11 @@ mod tests {
 
     #[test]
     fn json_escape_handles_quotes_and_control_chars() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("line\nbreak\ttab"), "line\\nbreak\\ttab");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        // The comparison JSON writer quotes names through `escape_json`.
+        assert_eq!(escape_json("plain"), "\"plain\"");
+        assert_eq!(escape_json("a\"b\\c"), "\"a\\\"b\\\\c\"");
+        assert_eq!(escape_json("line\nbreak\ttab"), "\"line\\nbreak\\ttab\"");
+        assert_eq!(escape_json("\u{1}"), "\"\\u0001\"");
     }
 
     #[test]

@@ -53,17 +53,12 @@ impl StreamDemand {
     }
 
     /// The demand of one decode step: linear-in-context MAC and softmax
-    /// work plus the KV-cache stream and new-token rows.
-    #[must_use]
-    pub fn of_decode_step(step: &DecodeStep, hw: &HardwareConfig) -> Self {
-        Self::of_decode_step_with_kv(step, hw, hw.element_bytes)
-    }
-
-    /// [`StreamDemand::of_decode_step`] with the KV terms of the DRAM
-    /// traffic priced at `kv_element_bytes`
-    /// ([`DecodeStep::min_dram_traffic_bytes_split`]): a narrower KV dtype
-    /// shrinks the cache stream — and so the DRAM-bound service time — but
-    /// leaves MAC and softmax work untouched (compute widens to f32).
+    /// work plus the KV-cache stream and new-token rows, with the KV terms
+    /// of the DRAM traffic priced at `kv_element_bytes`
+    /// ([`DecodeStep::min_dram_traffic_bytes_split`]; pass
+    /// `hw.element_bytes` for KV stored at the compute width): a narrower KV
+    /// dtype shrinks the cache stream — and so the DRAM-bound service time —
+    /// but leaves MAC and softmax work untouched (compute widens to f32).
     #[must_use]
     pub fn of_decode_step_with_kv(
         step: &DecodeStep,
@@ -290,8 +285,16 @@ mod tests {
     #[test]
     fn decode_demand_is_linear_in_context() {
         let hw = hw();
-        let short = StreamDemand::of_decode_step(&DecodeStep::new("s", 1, 8, 128, 64), &hw);
-        let long = StreamDemand::of_decode_step(&DecodeStep::new("s", 1, 8, 256, 64), &hw);
+        let short = StreamDemand::of_decode_step_with_kv(
+            &DecodeStep::new("s", 1, 8, 128, 64),
+            &hw,
+            hw.element_bytes,
+        );
+        let long = StreamDemand::of_decode_step_with_kv(
+            &DecodeStep::new("s", 1, 8, 256, 64),
+            &hw,
+            hw.element_bytes,
+        );
         assert_eq!(long.mac_ops, 2.0 * short.mac_ops);
         assert_eq!(long.vec_ops, 2.0 * short.vec_ops);
         assert!(long.bound_seconds(&hw) > short.bound_seconds(&hw));
@@ -301,23 +304,31 @@ mod tests {
     fn kv_priced_demand_shrinks_only_dram_bytes() {
         let hw = hw();
         let step = DecodeStep::new("d", 1, 8, 4096, 64);
-        let full = StreamDemand::of_decode_step(&step, &hw);
+        let full = StreamDemand::of_decode_step_with_kv(&step, &hw, hw.element_bytes);
         let half = StreamDemand::of_decode_step_with_kv(&step, &hw, hw.element_bytes / 2);
         assert_eq!(half.mac_ops, full.mac_ops);
         assert_eq!(half.vec_ops, full.vec_ops);
         assert!(half.dram_bytes < full.dram_bytes);
-        // Equal pricing is exactly the unsplit demand.
+        // Equal pricing is exactly the unsplit traffic.
         assert_eq!(
-            StreamDemand::of_decode_step_with_kv(&step, &hw, hw.element_bytes),
-            full
+            full.dram_bytes,
+            step.min_dram_traffic_bytes(hw.element_bytes) as f64
         );
     }
 
     #[test]
     fn accumulation_sums_components_in_order() {
         let hw = hw();
-        let a = StreamDemand::of_decode_step(&DecodeStep::new("a", 1, 8, 100, 64), &hw);
-        let b = StreamDemand::of_decode_step(&DecodeStep::new("b", 1, 8, 200, 64), &hw);
+        let a = StreamDemand::of_decode_step_with_kv(
+            &DecodeStep::new("a", 1, 8, 100, 64),
+            &hw,
+            hw.element_bytes,
+        );
+        let b = StreamDemand::of_decode_step_with_kv(
+            &DecodeStep::new("b", 1, 8, 200, 64),
+            &hw,
+            hw.element_bytes,
+        );
         let mut sum = StreamDemand::default();
         sum.accumulate(&a);
         sum.accumulate(&b);
@@ -465,7 +476,11 @@ mod tests {
         // can be costed on one timeline.
         let hw = hw();
         let prefill = StreamDemand::of_prefill(&AttentionWorkload::new("p", 1, 8, 256, 64), &hw);
-        let step = StreamDemand::of_decode_step(&DecodeStep::new("d", 1, 8, 256, 64), &hw);
+        let step = StreamDemand::of_decode_step_with_kv(
+            &DecodeStep::new("d", 1, 8, 256, 64),
+            &hw,
+            hw.element_bytes,
+        );
         // One decode step is one query row of the prefill's 256: strictly
         // less work on every component.
         assert!(step.mac_ops < prefill.mac_ops);

@@ -534,18 +534,11 @@ pub fn decode_footprint(step: &DecodeStep, kv_tile_rows: usize, element_bytes: u
 
 /// Whether one decode step can run on the device: the streaming working set
 /// fits L1 and the step's DRAM-resident bytes (the KV cache plus the
-/// new-token operand rows, i.e. [`DecodeStep::min_dram_traffic_bytes`]) fit
-/// device DRAM.
-#[must_use]
-pub fn decode_step_fits(step: &DecodeStep, kv_tile_rows: usize, hw: &HardwareConfig) -> bool {
-    decode_step_fits_with_kv(step, kv_tile_rows, hw, hw.element_bytes)
-}
-
-/// [`decode_step_fits`] with the DRAM-resident KV terms priced at
-/// `kv_element_bytes` (see [`DecodeStep::min_dram_traffic_bytes_split`]).
-/// The L1 working set is unchanged: the kernel widens KV tiles to the
-/// compute dtype before streaming them, so scratch tiles stay at
-/// `hw.element_bytes`.
+/// new-token operand rows, with the KV terms priced at `kv_element_bytes`;
+/// see [`DecodeStep::min_dram_traffic_bytes_split`]) fit device DRAM. The
+/// L1 working set does not depend on the KV dtype: the kernel widens KV
+/// tiles to the compute dtype before streaming them, so scratch tiles stay
+/// at `hw.element_bytes`.
 #[must_use]
 pub fn decode_step_fits_with_kv(
     step: &DecodeStep,
@@ -651,7 +644,7 @@ mod tests {
         let short = decode_footprint(&step(), 64, hw.element_bytes);
         let long = decode_footprint(&step().with_context(1 << 20), 64, hw.element_bytes);
         assert_eq!(short.total_bytes(), long.total_bytes());
-        assert!(decode_step_fits(&step(), 64, &hw));
+        assert!(decode_step_fits_with_kv(&step(), 64, &hw, hw.element_bytes));
     }
 
     #[test]
@@ -659,7 +652,7 @@ mod tests {
         let hw = HardwareConfig::edge_default();
         // ~2 TB of KV cache at this context: over any edge DRAM.
         let huge = DecodeStep::new("huge", 1, 32, 1 << 28, 128);
-        assert!(!decode_step_fits(&huge, 64, &hw));
+        assert!(!decode_step_fits_with_kv(&huge, 64, &hw, hw.element_bytes));
     }
 
     #[test]
@@ -759,14 +752,12 @@ mod tests {
         let per_token_kv = 2u64 * 32 * 128 * eb as u64;
         let t = (hw.dram_bytes as u64 / per_token_kv * 3 / 4) as usize;
         let s = DecodeStep::new("edge-of-dram", 1, 32, 2 * t, 128);
-        assert!(!decode_step_fits(&s, 64, &hw));
+        assert!(!decode_step_fits_with_kv(&s, 64, &hw, eb));
         assert!(decode_step_fits_with_kv(&s, 64, &hw, eb / 2));
-        // Equal pricing matches the plain check on a feasible step.
+        // A feasible step stays feasible under narrower KV pricing.
         let small = step();
-        assert_eq!(
-            decode_step_fits(&small, 64, &hw),
-            decode_step_fits_with_kv(&small, 64, &hw, eb)
-        );
+        assert!(decode_step_fits_with_kv(&small, 64, &hw, eb));
+        assert!(decode_step_fits_with_kv(&small, 64, &hw, eb / 2));
     }
 
     #[test]

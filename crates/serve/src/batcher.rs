@@ -1,26 +1,21 @@
-//! Request coalescing and micro-batching.
+//! Prefill micro-batching policy.
 //!
-//! Admitted requests are grouped by *batch key* — the `(method, heads,
-//! seq_len, embed)` shape of the attention they ask for. Requests sharing a
-//! key within a batching window are merged into one device launch whose
-//! workload has the summed batch dimension: identical requests coalesce
-//! outright, and compatible shapes micro-batch (the `(batch, head)` slices
-//! of the merged workload are independent, so the dataflows execute them in
-//! one schedule). A batch is dispatched when it fills
-//! ([`BatchPolicy::max_batch`] member requests) or when its window
+//! The engine groups admitted prefill requests by *batch key* — the
+//! `(method, heads, seq_len, embed)` shape of the attention they ask for.
+//! Requests sharing a key within a batching window are merged into one
+//! device launch whose workload has the summed batch dimension: identical
+//! requests coalesce outright, and compatible shapes micro-batch (the
+//! `(batch, head)` slices of the merged workload are independent, so the
+//! dataflows execute them in one schedule). A batch is dispatched when it
+//! fills ([`BatchPolicy::max_batch`] member requests), when its window
 //! ([`BatchPolicy::window_s`] seconds after its first member's arrival)
-//! expires, whichever comes first.
-
-use std::collections::HashMap;
+//! expires, or when growing further would outrun the device's memory,
+//! whichever comes first. [`ServeEngine`](crate::ServeEngine)'s event loop
+//! is the one place this policy is applied.
 
 use serde::{Deserialize, Serialize};
 
-use mas_dataflow::AttentionWorkload;
-use mas_sim::HardwareConfig;
-
 pub use crate::key::BatchKey;
-use crate::queue::{AdmissionPolicy, BacklogEstimator, RejectReason};
-use crate::request::ServeRequest;
 
 /// Micro-batching configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -57,222 +52,18 @@ impl Default for BatchPolicy {
     }
 }
 
-/// One dispatched micro-batch.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct Batch {
-    /// Creation-order id (deterministic for a given request stream).
-    pub id: u64,
-    /// The coalescing key shared by every member.
-    pub key: BatchKey,
-    /// Virtual time at which the batch became ready to launch: the arrival
-    /// of the member that filled it, or the end of its batching window.
-    pub ready_s: f64,
-    /// Member requests in arrival order.
-    pub requests: Vec<ServeRequest>,
-}
-
-impl Batch {
-    /// Total batch dimension of the merged workload (sum of member batches).
-    #[must_use]
-    pub fn total_batch(&self) -> usize {
-        self.requests.iter().map(|r| r.workload.batch).sum()
-    }
-
-    /// The merged workload this batch launches as one schedule.
-    #[must_use]
-    pub fn merged_workload(&self) -> AttentionWorkload {
-        AttentionWorkload::new(
-            format!(
-                "serve-batch-{}x{}h{}n{}e{}",
-                self.requests.len(),
-                self.total_batch(),
-                self.key.heads,
-                self.key.seq_len,
-                self.key.embed
-            ),
-            self.total_batch(),
-            self.key.heads,
-            self.key.seq_len,
-            self.key.embed,
-        )
-    }
-}
-
-/// Result of the admission + batching pass over one request stream.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct CoalesceOutcome {
-    /// Dispatched batches, sorted by `(ready_s, id)` — device launch order.
-    pub batches: Vec<Batch>,
-    /// Rejected requests with their reasons, in arrival order.
-    pub rejected: Vec<(ServeRequest, RejectReason)>,
-}
-
-struct OpenBatch {
-    id: u64,
-    first_arrival_s: f64,
-    requests: Vec<ServeRequest>,
-}
-
-/// Screens a request stream through admission control and groups the
-/// admitted requests into micro-batches.
-///
-/// `devices` is the number of virtual devices batches will replay across
-/// (used to estimate the launch-queue delay that backs
-/// [`AdmissionPolicy::max_est_queue_s`]). Requests are processed in
-/// `(arrival_s, id)` order regardless of input order; the result is a pure
-/// function of the inputs.
-#[must_use]
-pub fn coalesce(
-    requests: &[ServeRequest],
-    policy: BatchPolicy,
-    admission: &AdmissionPolicy,
-    hw: &HardwareConfig,
-    devices: usize,
-) -> CoalesceOutcome {
-    let mut stream: Vec<&ServeRequest> = requests.iter().collect();
-    stream.sort_by(|a, b| {
-        a.arrival_s
-            .partial_cmp(&b.arrival_s)
-            .expect("arrival times are finite")
-            .then(a.id.cmp(&b.id))
-    });
-
-    let max_batch = policy.max_batch.max(1);
-    let mut open: HashMap<BatchKey, OpenBatch> = HashMap::new();
-    let mut closed: Vec<Batch> = Vec::new();
-    let mut rejected: Vec<(ServeRequest, RejectReason)> = Vec::new();
-    let mut next_id: u64 = 0;
-    let mut backlog_est = BacklogEstimator::new(devices);
-
-    let dispatch = |batch: Batch, closed: &mut Vec<Batch>, backlog_est: &mut BacklogEstimator| {
-        backlog_est.feed(
-            batch.ready_s,
-            crate::queue::service_time_lower_bound_s(&batch.merged_workload(), hw),
-        );
-        closed.push(batch);
-    };
-
-    for &request in &stream {
-        let now_s = request.arrival_s;
-
-        // Dispatch every open batch whose window ended at or before `now`,
-        // in creation (= window-expiry) order: map discovery order is
-        // arbitrary, but the backlog estimator consumes dispatches, so the
-        // order must be deterministic. Launch order is additionally fixed by
-        // the final `(ready_s, id)` sort.
-        let mut expired: Vec<(u64, BatchKey)> = open
-            .iter()
-            .filter(|(_, b)| now_s >= b.first_arrival_s + policy.window_s)
-            .map(|(k, b)| (b.id, *k))
-            .collect();
-        expired.sort_unstable_by_key(|(id, _)| *id);
-        for (_, key) in expired {
-            let b = open.remove(&key).expect("key collected from the map");
-            dispatch(
-                Batch {
-                    id: b.id,
-                    key,
-                    ready_s: b.first_arrival_s + policy.window_s,
-                    requests: b.requests,
-                },
-                &mut closed,
-                &mut backlog_est,
-            );
-        }
-
-        // Admission against the post-expiry backlog: open members plus the
-        // estimated delay of the already-dispatched launch queue.
-        let backlog: usize = open.values().map(|b| b.requests.len()).sum();
-        if let Err(reason) = admission.admit(
-            request.method,
-            &request.workload,
-            request.deadline_s,
-            backlog,
-            backlog_est.queue_delay_s(now_s),
-            hw,
-        ) {
-            rejected.push((request.clone(), reason));
-            continue;
-        }
-
-        // Join (or open) the batch for this key. If the merged workload
-        // would outgrow the device (operands over DRAM, or even the naive
-        // tiling over L1), dispatch the current batch first — per-request
-        // feasibility is preserved under merging.
-        let key = BatchKey::of(request);
-        if let Some(b) = open.get(&key) {
-            let prospective = AttentionWorkload::new(
-                "prospective",
-                b.requests.iter().map(|r| r.workload.batch).sum::<usize>() + request.workload.batch,
-                key.heads,
-                key.seq_len,
-                key.embed,
-            );
-            if !crate::queue::workload_is_feasible(key.method, &prospective, hw) {
-                let b = open.remove(&key).expect("present");
-                dispatch(
-                    Batch {
-                        id: b.id,
-                        key,
-                        ready_s: now_s,
-                        requests: b.requests,
-                    },
-                    &mut closed,
-                    &mut backlog_est,
-                );
-            }
-        }
-        let batch = open.entry(key).or_insert_with(|| {
-            let b = OpenBatch {
-                id: next_id,
-                first_arrival_s: now_s,
-                requests: Vec::new(),
-            };
-            next_id += 1;
-            b
-        });
-        batch.requests.push(request.clone());
-        if batch.requests.len() >= max_batch {
-            let b = open.remove(&key).expect("just inserted");
-            dispatch(
-                Batch {
-                    id: b.id,
-                    key,
-                    ready_s: now_s,
-                    requests: b.requests,
-                },
-                &mut closed,
-                &mut backlog_est,
-            );
-        }
-    }
-
-    // Dispatch the stragglers at their window ends.
-    for (key, b) in open.drain() {
-        closed.push(Batch {
-            id: b.id,
-            key,
-            ready_s: b.first_arrival_s + policy.window_s,
-            requests: b.requests,
-        });
-    }
-
-    closed.sort_by(|a, b| {
-        a.ready_s
-            .partial_cmp(&b.ready_s)
-            .expect("ready times are finite")
-            .then(a.id.cmp(&b.id))
-    });
-    CoalesceOutcome {
-        batches: closed,
-        rejected,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mas_dataflow::DataflowKind;
+    use crate::cache::{CacheKey, CachedPlan, ScheduleCache};
+    use crate::engine::{EngineConfig, ServeEngine};
+    use crate::metrics::{RequestOutcome, ServeReport};
+    use crate::queue::{AdmissionPolicy, RejectReason};
+    use crate::request::ServeRequest;
+    use mas_dataflow::{AttentionWorkload, DataflowKind, Tiling};
+    use mas_sim::HardwareConfig;
+    use mas_workloads::DecodeTrace;
+    use std::collections::BTreeMap;
 
     #[test]
     fn fill_fraction_is_clamped_and_zero_safe() {
@@ -289,10 +80,6 @@ mod tests {
             window_s: 0.0,
         };
         assert_eq!(degenerate.fill_fraction(3), 0.0);
-    }
-
-    fn hw() -> HardwareConfig {
-        HardwareConfig::edge_default()
     }
 
     fn req(id: u64, arrival_s: f64, heads: usize, seq: usize) -> ServeRequest {
@@ -312,6 +99,40 @@ mod tests {
         }
     }
 
+    /// Replays a prefill-only stream with the given batching and admission
+    /// policies and the shared budget disabled, so batching alone decides
+    /// the launches.
+    fn replay(
+        requests: &[ServeRequest],
+        batching: BatchPolicy,
+        admission: AdmissionPolicy,
+    ) -> ServeReport {
+        let config = EngineConfig {
+            batching,
+            admission,
+            shared_budget_bytes: Some(u64::MAX),
+            ..EngineConfig::default()
+        };
+        ServeEngine::new(config)
+            .run(requests, &DecodeTrace::empty())
+            .unwrap()
+            .prefill
+    }
+
+    /// The launches of a report: member outcomes grouped by batch id, in
+    /// launch-id order.
+    fn launches(report: &ServeReport) -> Vec<Vec<&RequestOutcome>> {
+        let mut by_id: BTreeMap<u64, Vec<&RequestOutcome>> = BTreeMap::new();
+        for o in &report.outcomes {
+            by_id.entry(o.batch_id).or_default().push(o);
+        }
+        by_id.into_values().collect()
+    }
+
+    fn member_ids(launch: &[&RequestOutcome]) -> Vec<u64> {
+        launch.iter().map(|o| o.id).collect()
+    }
+
     #[test]
     fn identical_shapes_coalesce_within_the_window() {
         let reqs = vec![
@@ -319,19 +140,17 @@ mod tests {
             req(1, 0.0005, 8, 256),
             req(2, 0.001, 8, 256),
         ];
-        let out = coalesce(
-            &reqs,
-            policy(8, 0.002),
-            &AdmissionPolicy::admit_all(),
-            &hw(),
-            1,
-        );
-        assert_eq!(out.batches.len(), 1);
-        assert_eq!(out.batches[0].requests.len(), 3);
-        assert_eq!(out.batches[0].total_batch(), 3);
-        let merged = out.batches[0].merged_workload();
-        assert_eq!((merged.batch, merged.heads, merged.seq_len), (3, 8, 256));
-        assert!(out.rejected.is_empty());
+        let report = replay(&reqs, policy(8, 0.002), AdmissionPolicy::admit_all());
+        let launches = launches(&report);
+        assert_eq!(launches.len(), 1);
+        assert_eq!(member_ids(&launches[0]), vec![0, 1, 2]);
+        // One merged launch: one plan, shared start and completion.
+        assert_eq!((report.batches, report.cache_misses), (1, 1));
+        assert!(launches[0]
+            .iter()
+            .all(|o| o.start_s == launches[0][0].start_s
+                && o.completion_s == launches[0][0].completion_s));
+        assert!(report.rejected.is_empty());
     }
 
     #[test]
@@ -341,61 +160,42 @@ mod tests {
             req(1, 0.0, 12, 256),
             req(2, 0.0, 8, 512),
         ];
-        let out = coalesce(
-            &reqs,
-            policy(8, 0.01),
-            &AdmissionPolicy::admit_all(),
-            &hw(),
-            1,
-        );
-        assert_eq!(out.batches.len(), 3);
-        assert!(out.batches.iter().all(|b| b.requests.len() == 1));
+        let report = replay(&reqs, policy(8, 0.01), AdmissionPolicy::admit_all());
+        let launches = launches(&report);
+        assert_eq!(launches.len(), 3);
+        assert!(launches.iter().all(|l| l.len() == 1));
     }
 
     #[test]
     fn a_full_batch_dispatches_at_the_filling_arrival() {
         let reqs: Vec<ServeRequest> = (0..5).map(|i| req(i, i as f64 * 1e-4, 8, 256)).collect();
-        let out = coalesce(
-            &reqs,
-            policy(4, 1.0),
-            &AdmissionPolicy::admit_all(),
-            &hw(),
-            1,
-        );
-        assert_eq!(out.batches.len(), 2);
-        // First four fill a batch at the fourth arrival.
-        assert_eq!(out.batches[0].requests.len(), 4);
-        assert!((out.batches[0].ready_s - 3e-4).abs() < 1e-12);
+        let report = replay(&reqs, policy(4, 1.0), AdmissionPolicy::admit_all());
+        let launches = launches(&report);
+        assert_eq!(launches.len(), 2);
+        // The first four fill a batch at the fourth arrival and start on the
+        // idle device right then.
+        assert_eq!(member_ids(&launches[0]), vec![0, 1, 2, 3]);
+        assert!((launches[0][0].start_s - 3e-4).abs() < 1e-12);
         // The fifth waits out its own window.
-        assert_eq!(out.batches[1].requests.len(), 1);
-        assert!((out.batches[1].ready_s - (4e-4 + 1.0)).abs() < 1e-12);
+        assert_eq!(member_ids(&launches[1]), vec![4]);
+        assert!((launches[1][0].start_s - (4e-4 + 1.0)).abs() < 1e-12);
     }
 
     #[test]
     fn window_expiry_dispatches_before_a_late_arrival_joins() {
         let reqs = vec![req(0, 0.0, 8, 256), req(1, 0.5, 8, 256)];
-        let out = coalesce(
-            &reqs,
-            policy(8, 0.001),
-            &AdmissionPolicy::admit_all(),
-            &hw(),
-            1,
-        );
-        assert_eq!(out.batches.len(), 2, "the late request starts a new batch");
-        assert!((out.batches[0].ready_s - 0.001).abs() < 1e-12);
+        let report = replay(&reqs, policy(8, 0.001), AdmissionPolicy::admit_all());
+        let launches = launches(&report);
+        assert_eq!(launches.len(), 2, "the late request starts a new batch");
+        assert!((launches[0][0].start_s - 0.001).abs() < 1e-12);
     }
 
     #[test]
     fn zero_window_disables_coalescing() {
         let reqs = vec![req(0, 0.0, 8, 256), req(1, 0.0, 8, 256)];
-        let out = coalesce(
-            &reqs,
-            policy(8, 0.0),
-            &AdmissionPolicy::admit_all(),
-            &hw(),
-            1,
-        );
-        assert_eq!(out.batches.len(), 2);
+        let report = replay(&reqs, policy(8, 0.0), AdmissionPolicy::admit_all());
+        assert_eq!(report.batches, 2);
+        assert!(launches(&report).iter().all(|l| l.len() == 1));
     }
 
     #[test]
@@ -404,54 +204,67 @@ mod tests {
             max_queue_depth: Some(2),
             ..AdmissionPolicy::default()
         };
-        // Three simultaneous arrivals, depth 2: the third is shed.
-        let reqs = vec![
-            req(0, 0.0, 8, 256),
-            req(1, 0.0, 8, 256),
-            req(2, 0.0, 8, 256),
-        ];
-        let out = coalesce(&reqs, policy(8, 1.0), &admission, &hw(), 1);
+        // Four simultaneous arrivals, depth 2: the last two are shed, in
+        // arrival order.
+        let reqs: Vec<ServeRequest> = (0..4).map(|i| req(i, 0.0, 8, 256)).collect();
+        let report = replay(&reqs, policy(8, 1.0), admission);
+        assert_eq!(report.completed(), 2);
+        let rejected: Vec<(u64, RejectReason)> =
+            report.rejected.iter().map(|r| (r.id, r.reason)).collect();
         assert_eq!(
-            out.batches.iter().map(|b| b.requests.len()).sum::<usize>(),
-            2
+            rejected,
+            vec![(2, RejectReason::QueueFull), (3, RejectReason::QueueFull)]
         );
-        assert_eq!(out.rejected.len(), 1);
-        assert_eq!(out.rejected[0].0.id, 2);
-        assert_eq!(out.rejected[0].1, RejectReason::QueueFull);
     }
 
     #[test]
     fn merging_never_outgrows_the_device() {
-        // Each request alone fits DRAM (~0.94 GB of operands), but eight
-        // merged copies (~7.5 GB) would not: the batcher must split instead
-        // of building an infeasible launch.
-        let hw = hw();
-        let big = AttentionWorkload::new("big", 1, 32, 28672, 128);
-        assert!(crate::queue::workload_is_feasible(
-            DataflowKind::MasAttention,
-            &big,
-            &hw
-        ));
+        // Each request alone fits DRAM, but eight merged copies would not:
+        // the engine must split instead of building an infeasible launch.
+        let hw = HardwareConfig::edge_default();
+        let big = |batch: usize| AttentionWorkload::new("big", batch, 32, 28672, 128);
+        let method = DataflowKind::MasAttention;
+        assert!(crate::queue::workload_is_feasible(method, &big(1), &hw));
+        assert!(!crate::queue::workload_is_feasible(method, &big(8), &hw));
+        // Stub plans for every merged size keep the test about batching:
+        // simulating workloads this large would dominate the suite.
+        let config = EngineConfig {
+            batching: policy(8, 1.0),
+            admission: AdmissionPolicy::admit_all(),
+            shared_budget_bytes: Some(u64::MAX),
+            ..EngineConfig::default()
+        };
+        let mut cache = ScheduleCache::new();
+        for batch in 1..=8 {
+            let workload = big(batch);
+            let plan = CachedPlan {
+                tiling: Tiling::naive(&workload),
+                cycles: 1_000_000,
+                seconds: 1e-3,
+                energy_pj: 1.0,
+                dram_read_bytes: 0,
+                dram_write_bytes: 0,
+                tuned: false,
+            };
+            cache.insert(CacheKey::of(method, &workload, &config.planner), plan);
+        }
         let reqs: Vec<ServeRequest> = (0..8)
-            .map(|i| ServeRequest::new(i, 0.0, DataflowKind::MasAttention, big.clone(), None))
+            .map(|i| ServeRequest::new(i, 0.0, method, big(1), None))
             .collect();
-        let out = coalesce(&reqs, policy(8, 1.0), &AdmissionPolicy::admit_all(), &hw, 1);
+        let report = ServeEngine::with_cache(config, cache)
+            .run(&reqs, &DecodeTrace::empty())
+            .unwrap()
+            .prefill;
+        assert_eq!(report.cache_misses, 0, "every merged size was stubbed");
+        let launches = launches(&report);
         assert!(
-            out.batches.len() > 1,
+            launches.len() > 1,
             "an infeasible 8-way merge must split into several batches"
         );
-        assert_eq!(
-            out.batches.iter().map(|b| b.requests.len()).sum::<usize>(),
-            8,
-            "splitting must not drop requests"
-        );
-        for b in &out.batches {
+        assert_eq!(report.completed(), 8, "splitting must not drop requests");
+        for launch in &launches {
             assert!(
-                crate::queue::workload_is_feasible(
-                    DataflowKind::MasAttention,
-                    &b.merged_workload(),
-                    &hw
-                ),
+                crate::queue::workload_is_feasible(method, &big(launch.len()), &hw),
                 "every dispatched batch must fit the device"
             );
         }
@@ -464,21 +277,10 @@ mod tests {
             req(1, 0.01, 12, 256),
             req(2, 0.02, 8, 256),
         ];
-        let a = coalesce(
-            &reqs,
-            policy(8, 0.05),
-            &AdmissionPolicy::admit_all(),
-            &hw(),
-            1,
-        );
+        let a = replay(&reqs, policy(8, 0.05), AdmissionPolicy::admit_all());
         reqs.reverse();
-        let b = coalesce(
-            &reqs,
-            policy(8, 0.05),
-            &AdmissionPolicy::admit_all(),
-            &hw(),
-            1,
-        );
+        let b = replay(&reqs, policy(8, 0.05), AdmissionPolicy::admit_all());
         assert_eq!(a, b);
+        assert_eq!(a.batches, 2);
     }
 }

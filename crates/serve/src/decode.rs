@@ -1,26 +1,22 @@
 //! Autoregressive decode serving: KV-resident sessions and batched steps.
 //!
-//! The prefill path ([`crate::runtime`]) serves independent fixed-shape
-//! requests. Decode traffic is different in kind: a *session* opens with a
-//! prompt already in its KV cache, then issues one step request per generated
-//! token, and every step depends on the session's cached `K`/`V` rows staying
-//! resident on the device. This module adapts the serving pipeline to that
-//! shape:
+//! Prefill requests are independent fixed-shape launches. Decode traffic is
+//! different in kind: a *session* opens with a prompt already in its KV
+//! cache, then issues one step request per generated token, and every step
+//! depends on the session's cached `K`/`V` rows staying resident on the
+//! device. This module holds the decode policy, cost functions and report
+//! that [`ServeEngine`](crate::ServeEngine) applies to that shape:
 //!
-//! * **Block-granular KV residency** — by default
-//!   ([`DecodePolicy::kv_block_tokens`]) sessions charge the shared device
+//! * **Block-granular KV residency** — sessions charge the shared device
 //!   KV budget ([`DecodePolicy::kv_budget_bytes`], defaulting to half of
-//!   device DRAM) *as they actually grow*, in fixed-size token blocks
-//!   (vLLM-style paged allocation, modeling
-//!   `mas_tensor::paged::PagedKvCache` over a `KvBlockPool`). Admission
-//!   screens only the first step's blocks; a later step that cannot get a
-//!   new block is shed as a *pool overflow*
+//!   device DRAM) *as they actually grow*, in fixed-size token blocks of
+//!   [`DecodePolicy::kv_block_tokens`] (vLLM-style paged allocation,
+//!   modeling `mas_tensor::paged::PagedKvCache` over a `KvBlockPool`).
+//!   Admission screens only the first step's blocks; a later step that
+//!   cannot get a new block is shed as a *pool overflow*
 //!   ([`DecodeRejectReason::KvPoolExhausted`]) while its session keeps
-//!   decoding at its old residency. The legacy policy
-//!   (`kv_block_tokens: None`) reserves worst-case *max-context* bytes per
-//!   session up front — the over-reservation that caps concurrency, kept
-//!   for comparison and pinned by the paged-admission tests. Either way,
-//!   charged bytes release when the session's last step completes.
+//!   decoding at its old residency. Charged bytes release when the
+//!   session's last step completes.
 //! * **Grouped-query head sharing** — sessions carry
 //!   `kv_heads ≤ heads` shared K/V heads
 //!   ([`mas_workloads::DecodeSessionSpec::kv_heads`]); residency and
@@ -51,11 +47,7 @@ use serde::{Deserialize, Serialize};
 use mas_dataflow::decode::{DecodeStep, PrefillChunk};
 use mas_dataflow::{KvDtype, StreamDemand};
 use mas_sim::HardwareConfig;
-use mas_workloads::DecodeTrace;
 
-use mas_attention::PlannerConfig;
-
-use crate::engine::{EngineConfig, ServeEngine};
 use crate::metrics::{percentile, LatencyStats};
 
 /// Why a decode session or step was refused.
@@ -65,9 +57,8 @@ pub enum DecodeRejectReason {
     /// (streaming footprint over L1, KV cache over device DRAM, or an
     /// invalid grouped-query head configuration).
     InfeasibleSession,
-    /// Admitting the session's *initial* KV residency (max context under
-    /// legacy charging, the first step's blocks under paged charging) would
-    /// exceed the device KV budget.
+    /// Admitting the session's *initial* KV residency (the blocks of its
+    /// first step's context) would exceed the device KV budget.
     KvBudgetExceeded,
     /// The concurrent-session limit was reached.
     SessionLimit,
@@ -77,9 +68,9 @@ pub enum DecodeRejectReason {
     /// The step references a session id absent from the trace's session
     /// table (a malformed or partially assembled trace).
     UnknownSession,
-    /// Under paged charging: the step needed a new KV block but the shared
-    /// block pool is exhausted — a pool overflow. The session keeps its
-    /// existing blocks; only this step is shed.
+    /// The step needed a new KV block but the shared block pool is
+    /// exhausted — a pool overflow. The session keeps its existing blocks;
+    /// only this step is shed.
     KvPoolExhausted,
 }
 
@@ -139,15 +130,15 @@ pub struct DecodePolicy {
     /// KV-cache streaming granularity (rows per sub-tile) used for the L1
     /// footprint feasibility screen.
     pub kv_tile_rows: usize,
-    /// KV residency charging granularity. `Some(block_tokens)` charges the
-    /// shared block pool on *actual growth*: a session pays for the blocks
-    /// its current context occupies (`DecodeStep::paged_kv_bytes`), admission
-    /// screens only the first step's blocks, and a step that cannot get a
-    /// new block is shed with [`DecodeRejectReason::KvPoolExhausted`] (a
-    /// *pool overflow*) while the session keeps decoding at its old
-    /// residency. `None` is the legacy contiguous policy: reserve worst-case
-    /// max-context bytes for the whole session lifetime.
-    pub kv_block_tokens: Option<usize>,
+    /// KV residency charging granularity in tokens per block. Sessions
+    /// charge the shared block pool on *actual growth*: a session pays for
+    /// the blocks its current context occupies (`DecodeStep::paged_kv_bytes`),
+    /// admission screens only the first step's blocks, and a step that
+    /// cannot get a new block is shed with
+    /// [`DecodeRejectReason::KvPoolExhausted`] (a *pool overflow*) while the
+    /// session keeps decoding at its old residency. `0` clamps to one-token
+    /// blocks.
+    pub kv_block_tokens: usize,
     /// KV storage dtype used to price residency charges and the cache-stream
     /// term of launch costing. `None` inherits the device element size
     /// (`hw.element_bytes`); `Some(KvDtype::F16)` prices KV at 2 bytes per
@@ -161,9 +152,7 @@ pub struct DecodePolicy {
     /// its shared prefix ([`DecodeStep::shared_kv_bytes`]) are charged
     /// against the budget *once per group* instead of once per session —
     /// modeling the pool-level radix index + copy-on-write block tables of
-    /// `mas_tensor::paged`. Requires paged charging (`kv_block_tokens`);
-    /// ignored (fully private residency) under legacy contiguous charging.
-    /// Default `false` keeps every existing replay bit-identical.
+    /// `mas_tensor::paged`. Default `false`: fully private residency.
     #[serde(default)]
     pub prefix_share: bool,
 }
@@ -177,7 +166,7 @@ impl Default for DecodePolicy {
             max_steps_per_launch: 16,
             step_deadline_s: None,
             kv_tile_rows: 64,
-            kv_block_tokens: Some(16),
+            kv_block_tokens: 16,
             kv_dtype: None,
             prefix_share: false,
         }
@@ -212,19 +201,12 @@ impl DecodePolicy {
 }
 
 /// Physical lower bound on the service time of one decode step on an idle
-/// device: a solo [`launch_service_s`] — the largest of peak-throughput MAC
-/// time, peak-throughput VEC (softmax) time and minimum DRAM traffic time,
+/// device: a solo [`launch_service_s_with_kv`] — the largest of
+/// peak-throughput MAC time, peak-throughput VEC (softmax) time and minimum
+/// DRAM traffic time (the KV cache stream priced at `kv_element_bytes`),
 /// plus one launch overhead. Queueing and batching delay only add to this,
 /// so admission screening against it can never disagree with dispatch
 /// costing.
-#[must_use]
-pub fn decode_step_lower_bound_s(step: &DecodeStep, hw: &HardwareConfig) -> f64 {
-    launch_service_s(std::slice::from_ref(step), hw)
-}
-
-/// [`decode_step_lower_bound_s`] with the KV cache-stream term priced at
-/// `kv_element_bytes` ([`StreamDemand::of_decode_step_with_kv`]): narrower
-/// KV storage lowers the DRAM-bound floor of long-context steps.
 #[must_use]
 pub fn decode_step_lower_bound_s_with_kv(
     step: &DecodeStep,
@@ -235,16 +217,10 @@ pub fn decode_step_lower_bound_s_with_kv(
 }
 
 /// Service time of one batched launch: member step work is summed per bound
-/// component (each member streams its own KV cache and computes its own
-/// query row), the binding component sets the time, and the launch pays one
-/// issue overhead — which is what batching amortizes.
-#[must_use]
-pub fn launch_service_s(steps: &[DecodeStep], hw: &HardwareConfig) -> f64 {
-    launch_service_s_with_kv(steps, hw, hw.element_bytes)
-}
-
-/// [`launch_service_s`] with every member's KV cache-stream term priced at
-/// `kv_element_bytes` (see [`StreamDemand::of_decode_step_with_kv`]).
+/// component (each member streams its own KV cache, priced at
+/// `kv_element_bytes`, and computes its own query row), the binding
+/// component sets the time, and the launch pays one issue overhead — which
+/// is what batching amortizes.
 #[must_use]
 pub fn launch_service_s_with_kv(
     steps: &[DecodeStep],
@@ -345,21 +321,17 @@ pub struct DecodeReport {
     pub launches: usize,
     /// Virtual time at which the last launch completed.
     pub makespan_s: f64,
-    /// Peak bytes charged against the KV budget at once — allocated-block
-    /// bytes under paged charging, worst-case reservations under legacy
-    /// charging.
+    /// Peak allocated-block bytes charged against the KV budget at once.
     pub kv_peak_bytes: u64,
-    /// Peak KV blocks allocated at once across all sessions (zero under
-    /// legacy charging, which has no block granularity).
+    /// Peak KV blocks allocated at once across all sessions.
     pub kv_peak_blocks: u64,
     /// Internal fragmentation at the charge peak: the fraction of charged
-    /// bytes not holding an actual context token — partial-tail-block waste
-    /// under paged charging, the full over-reservation under legacy
-    /// charging.
+    /// bytes not holding an actual context token (partial-tail-block
+    /// waste).
     pub kv_frag_at_peak: f64,
     /// Seconds each virtual device spent busy with decode launches, indexed
     /// by device. Empty when no decode launch dispatched (so prefill-only
-    /// engine runs keep this report equal to its default, as pinned).
+    /// runs keep this report equal to its default).
     #[serde(default)]
     pub device_busy_s: Vec<f64>,
     /// Peak bytes of group-shared prefix blocks resident at once (charged
@@ -430,8 +402,7 @@ impl DecodeReport {
     }
 
     /// Steps shed because the shared KV block pool was exhausted (pool
-    /// overflows). Always zero under legacy max-context charging, which
-    /// over-reserves instead.
+    /// overflows).
     #[must_use]
     pub fn pool_overflows(&self) -> usize {
         self.rejected
@@ -490,77 +461,33 @@ impl DecodeReport {
     }
 }
 
-/// The decode serving runtime: replays a [`DecodeTrace`] with sticky KV
-/// residency, cross-session step batching and the closed-form decode cost
-/// model, on `devices` virtual devices.
-///
-/// Since the prefill/decode unification this is a thin shim over
-/// [`ServeEngine`]: it runs the engine with an empty prefill stream and
-/// returns the decode-class breakdown, which is bit-identical to the
-/// pre-unification runtime (the engine's event loop performs the same
-/// checks in the same order, and this module's behavioral tests pin it).
-/// Use the engine directly to co-schedule decode with prefill traffic on
-/// one timeline.
-#[derive(Debug, Clone)]
-pub struct DecodeRuntime {
-    hw: HardwareConfig,
-    policy: DecodePolicy,
-    devices: usize,
-}
-
-impl DecodeRuntime {
-    /// Creates a runtime for `hw` with the given policy on one device.
-    #[must_use]
-    pub fn new(hw: HardwareConfig, policy: DecodePolicy) -> Self {
-        Self {
-            hw,
-            policy,
-            devices: 1,
-        }
-    }
-
-    /// Sets the number of virtual devices launches replay across.
-    #[must_use]
-    pub fn with_devices(mut self, devices: usize) -> Self {
-        self.devices = devices.max(1);
-        self
-    }
-
-    /// The runtime's policy.
-    #[must_use]
-    pub fn policy(&self) -> &DecodePolicy {
-        &self.policy
-    }
-
-    /// Replays a decode trace and returns the aggregate report. The report
-    /// is a pure function of the trace, the policy and the hardware.
-    #[must_use]
-    pub fn run_trace(&self, trace: &DecodeTrace) -> DecodeReport {
-        let config = EngineConfig {
-            planner: PlannerConfig {
-                hardware: self.hw.clone(),
-                ..PlannerConfig::default()
-            },
-            decode: self.policy,
-            devices: self.devices,
-            ..EngineConfig::default()
-        };
-        ServeEngine::new(config)
-            .run(&[], trace)
-            .expect("decode-only streams never plan and so never fail")
-            .decode
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{EngineConfig, ServeEngine};
     use mas_workloads::{
-        decode_trace, DecodeSessionSpec, DecodeStepEvent, DecodeTraceConfig, Network,
+        decode_trace, DecodeSessionSpec, DecodeStepEvent, DecodeTrace, DecodeTraceConfig, Network,
     };
 
     fn hw() -> HardwareConfig {
         HardwareConfig::edge_default()
+    }
+
+    /// Replays a decode-only trace through the engine on `devices` devices.
+    fn replay_on(policy: DecodePolicy, devices: usize, trace: &DecodeTrace) -> DecodeReport {
+        let config = EngineConfig {
+            decode: policy,
+            devices,
+            ..EngineConfig::default()
+        };
+        ServeEngine::new(config)
+            .run(&[], trace)
+            .expect("decode-only streams never plan")
+            .decode
+    }
+
+    fn replay(policy: DecodePolicy, trace: &DecodeTrace) -> DecodeReport {
+        replay_on(policy, 1, trace)
     }
 
     /// A hand-built trace: `sessions` sessions of `steps` steps each, step i
@@ -601,8 +528,8 @@ mod tests {
         let hw = hw();
         let short = DecodeStep::new("s", 1, 8, 128, 64);
         let long = short.with_context(1024);
-        let lb_short = decode_step_lower_bound_s(&short, &hw);
-        let lb_long = decode_step_lower_bound_s(&long, &hw);
+        let lb_short = decode_step_lower_bound_s_with_kv(&short, &hw, hw.element_bytes);
+        let lb_long = decode_step_lower_bound_s_with_kv(&long, &hw, hw.element_bytes);
         assert!(lb_long > lb_short);
         // Linear in context up to the fixed launch overhead.
         let overhead = hw.issue_overhead_cycles as f64 / hw.frequency_hz;
@@ -616,10 +543,10 @@ mod tests {
         let steps: Vec<DecodeStep> = (0..8)
             .map(|i| DecodeStep::new("s", 1, 8, 128 + i, 64))
             .collect();
-        let batched = launch_service_s(&steps, &hw);
+        let batched = launch_service_s_with_kv(&steps, &hw, hw.element_bytes);
         let solo: f64 = steps
             .iter()
-            .map(|s| launch_service_s(std::slice::from_ref(s), &hw))
+            .map(|s| launch_service_s_with_kv(std::slice::from_ref(s), &hw, hw.element_bytes))
             .sum();
         assert!(
             batched < solo,
@@ -630,7 +557,7 @@ mod tests {
     #[test]
     fn lockstep_sessions_batch_into_shared_launches() {
         let trace = lockstep_trace(4, 6, 32, 0.01);
-        let report = DecodeRuntime::new(hw(), DecodePolicy::default()).run_trace(&trace);
+        let report = replay(DecodePolicy::default(), &trace);
         assert_eq!(report.completed(), 24);
         assert_eq!(report.sessions_admitted, 4);
         assert!(report.rejected.is_empty());
@@ -646,17 +573,15 @@ mod tests {
 
     #[test]
     fn kv_budget_sheds_whole_sessions() {
-        // Each session: 2 * 8 heads * 64 embed * 38 tokens * 2 B = ~77.8 kB.
-        let per_session = DecodeStep::new("s", 1, 8, 38, 64).kv_cache_bytes(hw().element_bytes);
+        // Each session opens at context 33 and ends at 38: three 16-token
+        // blocks (48 tokens of KV) for its whole life.
+        let per_session = DecodeStep::new("s", 1, 8, 48, 64).kv_cache_bytes(hw().element_bytes);
         let policy = DecodePolicy {
             kv_budget_bytes: Some(2 * per_session + per_session / 2),
-            // Legacy contiguous charging: this test pins whole-session
-            // max-context shedding.
-            kv_block_tokens: None,
             ..DecodePolicy::default()
         };
         let trace = lockstep_trace(4, 6, 32, 0.01);
-        let report = DecodeRuntime::new(hw(), policy).run_trace(&trace);
+        let report = replay(policy, &trace);
         assert_eq!(report.sessions_admitted, 2);
         assert_eq!(report.rejected_sessions.len(), 2);
         assert!(report
@@ -672,12 +597,11 @@ mod tests {
     #[test]
     fn f16_kv_policy_charges_half_and_admits_double() {
         // Same trace, same budget: pricing KV at f16 (2 B) instead of f32
-        // (4 B) halves each session's worst-case reservation, so twice the
-        // sessions fit. The budget is sized for exactly two f32 sessions.
-        let per_session_f32 = DecodeStep::new("s", 1, 8, 38, 64).kv_cache_bytes(4);
+        // (4 B) halves each session's three-block charge, so twice the
+        // sessions fit. The budget is sized for two and a half f32 sessions.
+        let per_session_f32 = DecodeStep::new("s", 1, 8, 48, 64).kv_cache_bytes(4);
         let base = DecodePolicy {
             kv_budget_bytes: Some(2 * per_session_f32 + per_session_f32 / 2),
-            kv_block_tokens: None,
             kv_dtype: Some(KvDtype::F32),
             ..DecodePolicy::default()
         };
@@ -688,8 +612,8 @@ mod tests {
         assert_eq!(base.kv_element_bytes(&hw()), 4);
         assert_eq!(half.kv_element_bytes(&hw()), 2);
         let trace = lockstep_trace(4, 6, 32, 0.01);
-        let f32_report = DecodeRuntime::new(hw(), base).run_trace(&trace);
-        let f16_report = DecodeRuntime::new(hw(), half).run_trace(&trace);
+        let f32_report = replay(base, &trace);
+        let f16_report = replay(half, &trace);
         assert_eq!(f32_report.sessions_admitted, 2);
         assert_eq!(f16_report.sessions_admitted, 4);
         assert!(f16_report.rejected.is_empty());
@@ -743,13 +667,13 @@ mod tests {
             sessions: specs,
             steps: events,
         };
-        let per_session = DecodeStep::new("s", 1, 8, 34, 64).kv_cache_bytes(hw().element_bytes);
+        // Contexts 33..=34: three 16-token blocks per session.
+        let per_session = DecodeStep::new("s", 1, 8, 48, 64).kv_cache_bytes(hw().element_bytes);
         let policy = DecodePolicy {
             kv_budget_bytes: Some(per_session), // room for exactly one at a time
-            kv_block_tokens: None,              // legacy max-context charging
             ..DecodePolicy::default()
         };
-        let report = DecodeRuntime::new(hw(), policy).run_trace(&trace);
+        let report = replay(policy, &trace);
         assert_eq!(report.sessions_admitted, 2, "{}", report.summary());
         assert!(report.rejected_sessions.is_empty());
         assert_eq!(report.completed(), 4);
@@ -763,7 +687,7 @@ mod tests {
             ..DecodePolicy::default()
         };
         let trace = lockstep_trace(5, 2, 16, 0.01);
-        let report = DecodeRuntime::new(hw(), policy).run_trace(&trace);
+        let report = replay(policy, &trace);
         assert_eq!(report.sessions_admitted, 3);
         assert!(report
             .rejected_sessions
@@ -778,7 +702,7 @@ mod tests {
             ..DecodePolicy::default()
         };
         let trace = lockstep_trace(1, 3, 16, 0.01);
-        let report = DecodeRuntime::new(hw(), policy).run_trace(&trace);
+        let report = replay(policy, &trace);
         assert_eq!(report.completed(), 0);
         assert_eq!(report.rejected.len(), 3);
         assert!(report
@@ -794,7 +718,7 @@ mod tests {
             ..DecodePolicy::default()
         };
         let trace = lockstep_trace(2, 4, 16, 0.05);
-        let report = DecodeRuntime::new(hw(), policy).run_trace(&trace);
+        let report = replay(policy, &trace);
         assert_eq!(report.completed(), 8);
         assert_eq!(report.deadline_missed(), 0);
     }
@@ -821,7 +745,7 @@ mod tests {
                 arrival_s: 0.0,
             }],
         };
-        let report = DecodeRuntime::new(hw(), DecodePolicy::default()).run_trace(&trace);
+        let report = replay(DecodePolicy::default(), &trace);
         assert_eq!(
             report.rejected_sessions,
             vec![(0, DecodeRejectReason::InfeasibleSession)]
@@ -874,17 +798,17 @@ mod tests {
             sessions: specs,
             steps: events,
         };
-        let per_session = DecodeStep::new("s", 1, 8, 34, 64).kv_cache_bytes(hw().element_bytes);
+        // Admission charges three 16-token blocks (context 33).
+        let per_session = DecodeStep::new("s", 1, 8, 48, 64).kv_cache_bytes(hw().element_bytes);
         // A deadline only the *short-context* session-1 steps could meet is
         // hard to construct; instead make every step impossible and assert
         // session 1 is admitted (KV freed) even though all steps reject.
         let policy = DecodePolicy {
             kv_budget_bytes: Some(per_session),
             step_deadline_s: Some(1e-12),
-            kv_block_tokens: None, // legacy max-context charging
             ..DecodePolicy::default()
         };
-        let report = DecodeRuntime::new(hw(), policy).run_trace(&trace);
+        let report = replay(policy, &trace);
         assert_eq!(
             report.sessions_admitted,
             2,
@@ -925,7 +849,7 @@ mod tests {
                 },
             ],
         };
-        let report = DecodeRuntime::new(hw(), DecodePolicy::default()).run_trace(&trace);
+        let report = replay(DecodePolicy::default(), &trace);
         assert_eq!(report.rejected.len(), 1);
         assert_eq!(
             report.rejected[0].reason,
@@ -956,8 +880,8 @@ mod tests {
             DecodePolicy::default().max_steps_per_launch
         );
         let trace = lockstep_trace(3, 4, 16, 0.01);
-        let with_zero = DecodeRuntime::new(hw(), zero).run_trace(&trace);
-        let with_one = DecodeRuntime::new(hw(), one).run_trace(&trace);
+        let with_zero = replay(zero, &trace);
+        let with_one = replay(one, &trace);
         assert_eq!(with_zero, with_one);
         // Size-1 launches: nothing ever coalesces.
         assert_eq!(with_zero.launches, with_zero.completed());
@@ -998,10 +922,12 @@ mod tests {
     fn lower_bound_is_a_solo_launch() {
         let hw = hw();
         let step = DecodeStep::new("s", 1, 8, 333, 64);
-        assert_eq!(
-            decode_step_lower_bound_s(&step, &hw),
-            launch_service_s(std::slice::from_ref(&step), &hw)
-        );
+        for kv_eb in [hw.element_bytes, hw.element_bytes / 2] {
+            assert_eq!(
+                decode_step_lower_bound_s_with_kv(&step, &hw, kv_eb),
+                launch_service_s_with_kv(std::slice::from_ref(&step), &hw, kv_eb)
+            );
+        }
     }
 
     #[test]
@@ -1009,9 +935,8 @@ mod tests {
         let cfg =
             DecodeTraceConfig::poisson(vec![Network::BertSmall, Network::T5Mini], 20, 200.0, 9);
         let trace = decode_trace(&cfg);
-        let runtime = DecodeRuntime::new(hw(), DecodePolicy::default());
-        let a = runtime.run_trace(&trace);
-        let b = runtime.run_trace(&trace);
+        let a = replay(DecodePolicy::default(), &trace);
+        let b = replay(DecodePolicy::default(), &trace);
         assert_eq!(a, b);
         assert_eq!(a.completed() + a.rejected.len(), trace.total_steps());
         assert!(a.steps_per_s() > 0.0);
@@ -1027,7 +952,7 @@ mod tests {
             ..DecodePolicy::default()
         };
         let trace = lockstep_trace(3, 2, 16, 0.01);
-        let report = DecodeRuntime::new(hw(), policy).run_trace(&trace);
+        let report = replay(policy, &trace);
         assert_eq!(report.launches, 6, "every step launches alone");
         assert!((report.mean_launch_size() - 1.0).abs() < 1e-12);
     }
@@ -1039,24 +964,19 @@ mod tests {
             ..DecodePolicy::default()
         };
         let trace = lockstep_trace(6, 4, 512, 0.0);
-        let one = DecodeRuntime::new(hw(), policy)
-            .run_trace(&trace)
-            .makespan_s;
-        let two = DecodeRuntime::new(hw(), policy)
-            .with_devices(2)
-            .run_trace(&trace)
-            .makespan_s;
+        let one = replay_on(policy, 1, &trace).makespan_s;
+        let two = replay_on(policy, 2, &trace).makespan_s;
         assert!(two < one, "two devices ({two} s) must beat one ({one} s)");
     }
 
     #[test]
     fn paged_charging_grows_with_actual_context_not_max() {
         // One session, prompt 8, 4 steps, 16-token blocks: the charge starts
-        // at one block (context 9) and never reaches the max-context
-        // worst case the legacy policy would reserve.
+        // at one block (context 9) and never reaches the max-context worst
+        // case.
         let trace = lockstep_trace(1, 4, 8, 0.01);
         let step_at = |t: usize| DecodeStep::new("s", 1, 8, t, 64);
-        let report = DecodeRuntime::new(hw(), DecodePolicy::default()).run_trace(&trace);
+        let report = replay(DecodePolicy::default(), &trace);
         assert_eq!(report.completed(), 4);
         assert_eq!(report.pool_overflows(), 0);
         // Context ends at 12 tokens: still one 16-token block.
@@ -1065,8 +985,8 @@ mod tests {
             report.kv_peak_bytes,
             step_at(12).kv_block_bytes(16, hw().element_bytes)
         );
-        let legacy = step_at(12).kv_cache_bytes(hw().element_bytes);
-        assert!(report.kv_peak_bytes <= 2 * legacy);
+        let max_context = step_at(12).kv_cache_bytes(hw().element_bytes);
+        assert!(report.kv_peak_bytes <= 2 * max_context);
         // Fragmentation at peak: 12 of 16 slots used.
         assert!((report.kv_frag_at_peak - 4.0 / 16.0).abs() < 1e-9);
     }
@@ -1083,7 +1003,7 @@ mod tests {
             ..DecodePolicy::default()
         };
         let trace = lockstep_trace(1, 30, 8, 0.01); // context 9..=38
-        let report = DecodeRuntime::new(hw(), policy).run_trace(&trace);
+        let report = replay(policy, &trace);
         assert_eq!(report.sessions_admitted, 1);
         assert!(report.rejected_sessions.is_empty(), "sessions are kept");
         // Steps up to context 32 run: contexts 9..=32 are steps 0..=23.
@@ -1108,7 +1028,7 @@ mod tests {
             ..DecodePolicy::default()
         };
         let trace = lockstep_trace(1, 40, 8, 0.01); // context would reach 48
-        let report = DecodeRuntime::new(hw(), policy).run_trace(&trace);
+        let report = replay(policy, &trace);
         assert_eq!(report.completed(), 0);
         assert_eq!(report.rejected.len(), 40);
         // Admission charged ceil(9 / 16) = 1 block; screened steps added
@@ -1127,9 +1047,8 @@ mod tests {
             }
             t
         };
-        let runtime = DecodeRuntime::new(hw(), DecodePolicy::default());
-        let mha = runtime.run_trace(&mk_trace(8));
-        let gqa = runtime.run_trace(&mk_trace(2));
+        let mha = replay(DecodePolicy::default(), &mk_trace(8));
+        let gqa = replay(DecodePolicy::default(), &mk_trace(2));
         assert_eq!(mha.completed(), gqa.completed());
         assert_eq!(gqa.kv_peak_bytes * 4, mha.kv_peak_bytes);
         // GQA steps stream less DRAM, so they can only be faster.
@@ -1138,26 +1057,26 @@ mod tests {
 
     #[test]
     fn zero_block_tokens_degrades_to_per_token_charging_not_a_free_pass() {
-        // A degenerate Some(0) policy must not zero out block bytes and
+        // A degenerate zero-token-block policy must not zero out block bytes and
         // bypass the budget: it clamps to one-token blocks, so a budget
         // sized for one session still sheds the rest.
         let per_session = DecodeStep::new("s", 1, 8, 38, 64).kv_cache_bytes(hw().element_bytes);
         let policy = DecodePolicy {
             kv_budget_bytes: Some(per_session),
-            kv_block_tokens: Some(0),
+            kv_block_tokens: 0,
             ..DecodePolicy::default()
         };
         let trace = lockstep_trace(4, 6, 32, 0.01);
-        let report = DecodeRuntime::new(hw(), policy).run_trace(&trace);
+        let report = replay(policy, &trace);
         assert!(report.sessions_admitted < 4, "{}", report.summary());
         assert!(report.kv_peak_bytes > 0);
         assert!(report.kv_peak_bytes <= per_session);
         // Behaves exactly like one-token blocks.
         let one = DecodePolicy {
-            kv_block_tokens: Some(1),
+            kv_block_tokens: 1,
             ..policy
         };
-        let with_one = DecodeRuntime::new(hw(), one).run_trace(&trace);
+        let with_one = replay(one, &trace);
         assert_eq!(report.outcomes, with_one.outcomes);
         assert_eq!(report.kv_peak_bytes, with_one.kv_peak_bytes);
     }
@@ -1166,38 +1085,11 @@ mod tests {
     fn invalid_head_grouping_rejects_the_session_not_panics() {
         let mut trace = lockstep_trace(1, 2, 16, 0.01);
         trace.sessions[0].kv_heads = 3; // 8 % 3 != 0
-        let report = DecodeRuntime::new(hw(), DecodePolicy::default()).run_trace(&trace);
+        let report = replay(DecodePolicy::default(), &trace);
         assert_eq!(
             report.rejected_sessions,
             vec![(0, DecodeRejectReason::InfeasibleSession)]
         );
         assert_eq!(report.completed(), 0);
-    }
-
-    #[test]
-    fn paged_and_legacy_charging_complete_the_same_steps_without_pressure() {
-        // With an unconstrained budget the charging policy must not change
-        // scheduling: identical outcomes, only the residency accounting
-        // differs.
-        let mut trace = lockstep_trace(3, 5, 40, 0.01);
-        // Sessions *declare* a long generation budget but the trace only
-        // replays 5 steps — legacy charging reserves the declared worst
-        // case, paged charging only the blocks actually grown into.
-        for s in &mut trace.sessions {
-            s.steps = 100;
-        }
-        let paged = DecodeRuntime::new(hw(), DecodePolicy::default()).run_trace(&trace);
-        let legacy_policy = DecodePolicy {
-            kv_block_tokens: None,
-            ..DecodePolicy::default()
-        };
-        let legacy = DecodeRuntime::new(hw(), legacy_policy).run_trace(&trace);
-        assert_eq!(paged.outcomes, legacy.outcomes);
-        assert_eq!(paged.launches, legacy.launches);
-        assert!(paged.kv_peak_bytes < legacy.kv_peak_bytes);
-        assert_eq!(legacy.kv_peak_blocks, 0, "legacy charging has no blocks");
-        // Legacy fragmentation exposes the over-reservation: most of the
-        // worst-case charge is not yet actual context.
-        assert!(legacy.kv_frag_at_peak > paged.kv_frag_at_peak);
     }
 }

@@ -1,21 +1,16 @@
-//! The unified prefill+decode serve engine: one mixed request stream, one
+//! The serve engine: one mixed prefill+decode request stream, one
 //! earliest-free device timeline, one shared memory budget.
 //!
-//! Historically `mas-serve` replayed prefill requests ([`ServeRuntime`])
-//! and decode sessions ([`DecodeRuntime`]) on two disjoint virtual-device
-//! timelines, so the two traffic classes could never contend — a prefill
-//! burst could not delay a decode step, and decode KV residency could not
-//! squeeze prefill admission. [`ServeEngine`] merges both classes into one
-//! interleaved work stream:
+//! [`ServeEngine::run`] is the crate's only serving entry point. Prefill
+//! requests and decode steps flow through one interleaved work stream:
 //!
 //! * **One work item type.** Every unit of schedulable work is a
 //!   [`WorkItem`] — a prefill request or a decode step — and coalesces in
 //!   one launch map keyed by the typed [`LaunchKey`], with one launch-id
 //!   space. Prefill items micro-batch under [`BatchPolicy`]
 //!   (window / fill / feasibility dispatch) and decode items batch
-//!   cross-session under [`DecodePolicy`] (window / fill), exactly as the
-//!   legacy runtimes did — the mechanism is shared, the per-class policies
-//!   are preserved.
+//!   cross-session under [`DecodePolicy`] (window / fill): the mechanism is
+//!   shared, the per-class policies differ.
 //! * **One device timeline.** Every dispatched launch — either class —
 //!   starts on the earliest-free virtual device at
 //!   `max(device_free, ready)`, so the classes genuinely contend for
@@ -26,10 +21,10 @@
 //!   bursts), [`SchedulePolicy::PrefillPriority`] the reverse, and
 //!   [`SchedulePolicy::FairShare`] interleaves strictly by launch creation
 //!   (arrival) order.
-//! * **One memory budget.** Decode sessions charge KV residency (paged
-//!   block growth or legacy max-context reservation, per [`DecodePolicy`])
-//!   and prefill requests charge their activation footprint (the four
-//!   Q/K/V/O operands) against the *same* budget
+//! * **One memory budget.** Decode sessions charge paged KV residency (the
+//!   blocks their context occupies, per [`DecodePolicy`]) and prefill
+//!   requests charge their activation footprint (the four Q/K/V/O
+//!   operands) against the *same* budget
 //!   ([`EngineConfig::shared_budget_bytes`], defaulting to the decode
 //!   policy's KV budget — half of device DRAM). A prefill burst can
 //!   therefore exhaust the pool and shed decode block growth
@@ -46,11 +41,10 @@
 //!    (it is rejected with [`RejectReason::MemoryPressure`] instead if the
 //!    charge would exceed the budget) and its batch releases the summed
 //!    member charge when the batch's launch *completes* on the timeline.
-//! 2. A decode session charges its initial residency at admission (first
-//!    step's blocks under paged charging, worst-case max context under
-//!    legacy charging), grows block-by-block as it decodes (a growth that
-//!    would exceed the budget sheds that step as a pool overflow, never the
-//!    session), and releases everything when its last step completes.
+//! 2. A decode session charges the blocks of its first step at admission,
+//!    grows block-by-block as it decodes (a growth that would exceed the
+//!    budget sheds that step as a pool overflow, never the session), and
+//!    releases everything when its last step completes.
 //! 3. Charges never go negative (releases are saturating), every charge is
 //!    checked against the budget *before* it is applied, and the recorded
 //!    peak ([`EngineReport::mem_peak_bytes`]) therefore never exceeds the
@@ -90,43 +84,25 @@
 //!    step's launch ([`PreemptMode::Recompute`]). Steps are shed only
 //!    through the pre-existing screening and overflow paths.
 //!
-//! ## Backward equivalence
+//! ## Single-class streams and planning
 //!
-//! A prefill-only stream through the engine reproduces the legacy
-//! [`ServeReport`] bit-identically, and a decode-only trace reproduces the
-//! legacy [`DecodeReport`] bit-identically: the event loop performs the
-//! same checks in the same order as the two legacy runtimes, launch-id
-//! assignment and device selection are unchanged, and with a single class
-//! present the scheduling policy degenerates to launch-creation order.
-//! [`ServeRuntime`] and [`DecodeRuntime`] are thin shims over this engine
-//! — the prefill shim additionally *disables* the shared budget (the
-//! legacy runtime had none), so its replays match the pre-unification
-//! behavior in every regime; a prefill-only stream through a
-//! default-budget engine matches too except in memory-bound corners where
-//! the budget sheds load the legacy path would have queued. The legacy
-//! runtimes' extensive behavioral suites (which pin absolute latencies,
-//! counts and orderings, not engine-vs-engine consistency) run through the
-//! shims on every build and are the substantive equivalence pin; the
-//! `engine_equivalence` suite adds shim/engine consistency, policy
-//! invariance on single-class streams, and the per-class report collapse.
+//! With only one class present the scheduling policy degenerates to
+//! launch-creation order, so every [`SchedulePolicy`] replays a
+//! prefill-only or decode-only stream bit-identically (pinned by the
+//! `engine_equivalence` suite), and the absent class's report stays at its
+//! default.
 //!
-//! Planning: prefill launches are planned through the shared
-//! [`ScheduleCache`] exactly as before. For prefill-only runs the engine
-//! pre-plans the unique uncached batch keys — concurrently when
-//! [`EngineConfig::parallel_planning`] is set — before replaying, which
-//! preserves the legacy pooled-planning speedup; mixed runs plan misses
-//! on demand at dispatch (batch composition can depend on cross-class
-//! contention there). Either way the cache changes wall-clock planning
-//! cost only, never results.
+//! Prefill batches are planned at dispatch through the shared
+//! [`ScheduleCache`]: a launch whose key is missing plans it (tiling plus
+//! one simulation) and memoizes it, and a launch counts as a cache hit when
+//! its key predates the run or an earlier launch of the run planned it. The
+//! cache therefore changes wall-clock planning cost only, never results.
 //!
-//! [`ServeRuntime`]: crate::runtime::ServeRuntime
-//! [`DecodeRuntime`]: crate::decode::DecodeRuntime
 //! [`DecodeRejectReason::KvPoolExhausted`]: crate::decode::DecodeRejectReason::KvPoolExhausted
 //! [`RejectReason::MemoryPressure`]: crate::queue::RejectReason::MemoryPressure
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use mas_attention::planner::TilingStrategy;
@@ -134,12 +110,12 @@ use mas_attention::{Planner, PlannerConfig};
 use mas_dataflow::decode::{decode_step_fits_with_kv, DecodeStep, PrefillChunk};
 use mas_dataflow::{AttentionWorkload, StreamDemand, TrackDemand};
 use mas_sim::{
-    DeviceTracks, HardwareConfig, Result, StageSpan, TrackConfig, TrackKind, TrackPlacement,
-    TRACK_COUNT,
+    DeviceTracks, HardwareConfig, Result, SimError, StageSpan, TrackConfig, TrackKind,
+    TrackPlacement, TRACK_COUNT,
 };
 use mas_workloads::{DecodeSessionSpec, DecodeStepEvent, DecodeTrace, MixedTrace};
 
-use crate::batcher::{coalesce, BatchPolicy};
+use crate::batcher::BatchPolicy;
 use crate::cache::{CacheKey, CachedPlan, ScheduleCache};
 use crate::decode::{
     decode_step_lower_bound_s_with_kv, launch_service_s_with_kv, prefill_chunk_service_s_with_kv,
@@ -167,8 +143,7 @@ pub enum SchedulePolicy {
     /// protects time-to-first-token / prefill throughput under decode load.
     PrefillPriority,
     /// Launches dispatch strictly in creation (arrival) order regardless of
-    /// class — the default, and the order both legacy single-class runtimes
-    /// used.
+    /// class — the default.
     #[default]
     FairShare,
 }
@@ -315,10 +290,6 @@ pub struct EngineConfig {
     pub decode: DecodePolicy,
     /// Number of virtual devices both classes' launches share.
     pub devices: usize,
-    /// Whether uncached prefill plans are computed concurrently on the
-    /// worker pool (prefill-only runs pre-plan; reports are bit-identical
-    /// either way).
-    pub parallel_planning: bool,
     /// Iteration-level scheduling policy for mixed launch queues.
     pub policy: SchedulePolicy,
     /// The shared device memory budget both classes charge against. `None`
@@ -362,7 +333,6 @@ impl Default for EngineConfig {
             batching: BatchPolicy::default(),
             decode: DecodePolicy::default(),
             devices: 1,
-            parallel_planning: true,
             policy: SchedulePolicy::default(),
             shared_budget_bytes: None,
             telemetry: None,
@@ -384,8 +354,7 @@ impl EngineConfig {
 }
 
 /// Aggregate result of replaying one mixed trace: the per-class breakdowns
-/// (each bit-identical to the corresponding legacy report when the other
-/// class is absent) plus the shared-timeline and shared-budget figures.
+/// plus the shared-timeline and shared-budget figures.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EngineReport {
     /// The scheduling policy the replay ran under.
@@ -626,61 +595,13 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// Returns a [`mas_sim::SimError`] if a prefill batch that passed
-    /// admission fails to plan or simulate. Decode-only streams never plan
-    /// and so never fail.
+    /// Returns [`SimError::InvalidConfig`], before any state changes, if a
+    /// prefill request or decode step has a non-finite or negative arrival
+    /// time; otherwise a [`SimError`] if a prefill batch that passed
+    /// admission fails to plan or simulate. Decode-only streams never plan.
     pub fn run(&mut self, prefill: &[ServeRequest], decode: &DecodeTrace) -> Result<EngineReport> {
+        validate_arrivals(prefill, decode)?;
         let hw = self.planner.hardware().clone();
-
-        // Pre-plan prefill-only runs: the batch composition of a pure
-        // prefill stream is independent of the timeline, so the legacy
-        // coalesce pass predicts it exactly and the unique uncached keys
-        // can plan up front — concurrently when configured — just as the
-        // legacy runtime did. The prediction is only a planning warm-up:
-        // the event loop below is authoritative, and if a binding shared
-        // budget sheds prefill load (something `coalesce` does not model),
-        // the drifted batches simply plan on demand at dispatch. Mixed
-        // runs skip the warm-up entirely (composition there can depend on
-        // cross-class contention) and plan misses at dispatch.
-        let mut inserted_this_run: BTreeSet<CacheKey> = BTreeSet::new();
-        if decode.steps.is_empty() && !prefill.is_empty() {
-            let coalesced = coalesce(
-                prefill,
-                self.config.batching,
-                &self.config.admission,
-                &hw,
-                self.config.devices,
-            );
-            let mut missing: BTreeMap<CacheKey, AttentionWorkload> = BTreeMap::new();
-            for batch in &coalesced.batches {
-                let merged = batch.merged_workload();
-                let key = CacheKey::of(batch.key.method, &merged, &self.config.planner);
-                if !self.cache.contains(&key) {
-                    missing.entry(key).or_insert(merged);
-                }
-            }
-            let missing: Vec<(CacheKey, AttentionWorkload)> = missing.into_iter().collect();
-            let tuned = self.config.planner.tiling == TilingStrategy::Search;
-            let planner = &self.planner;
-            let planned: Vec<(CacheKey, Result<CachedPlan>)> = if self.config.parallel_planning
-                && missing.len() > 1
-            {
-                missing
-                    .par_iter()
-                    .map(|(key, workload)| (*key, plan_one(planner, key.method, workload, tuned)))
-                    .collect()
-            } else {
-                missing
-                    .iter()
-                    .map(|(key, workload)| (*key, plan_one(planner, key.method, workload, tuned)))
-                    .collect()
-            };
-            for (key, plan) in planned {
-                self.cache.insert(key, plan?);
-                inserted_this_run.insert(key);
-            }
-        }
-
         let budget = self.config.budget(&hw);
         let recycled = self.telemetry.take().map(Telemetry::into_event_buffer);
         let recorder = self.config.telemetry.map(|telemetry_config| {
@@ -766,7 +687,7 @@ impl ServeEngine {
             prefix_groups: BTreeMap::new(),
             active_sessions: 0,
             prefill_charged: 0,
-            inserted_this_run,
+            inserted_this_run: BTreeSet::new(),
             used_keys: BTreeSet::new(),
             prefill_report: ServeReport::default(),
             decode_report: DecodeReport::default(),
@@ -775,16 +696,11 @@ impl ServeEngine {
             recorder,
         };
 
-        // Merge the two arrival streams: prefill sorted by (arrival, id) —
-        // the order the legacy coalesce pass imposed — and decode steps in
-        // trace order, a prefill request winning exact-arrival ties.
+        // Merge the two arrival streams: prefill sorted by (arrival, id) and
+        // decode steps in trace order, a prefill request winning
+        // exact-arrival ties.
         let mut prefill_sorted: Vec<&ServeRequest> = prefill.iter().collect();
-        prefill_sorted.sort_by(|a, b| {
-            a.arrival_s
-                .partial_cmp(&b.arrival_s)
-                .expect("arrival times are finite")
-                .then(a.id.cmp(&b.id))
-        });
+        prefill_sorted.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s).then(a.id.cmp(&b.id)));
         let mut pi = 0usize;
         let mut di = 0usize;
         while pi < prefill_sorted.len() || di < decode.steps.len() {
@@ -867,9 +783,35 @@ impl ServeEngine {
     }
 }
 
+/// Rejects a non-finite or negative arrival time anywhere in either stream,
+/// naming the offending request or session. The event loop orders, windows
+/// and expires work by arrival, so such a timestamp has no meaningful
+/// place on the timeline.
+fn validate_arrivals(prefill: &[ServeRequest], decode: &DecodeTrace) -> Result<()> {
+    let valid = |t: f64| t.is_finite() && t >= 0.0;
+    if let Some(r) = prefill.iter().find(|r| !valid(r.arrival_s)) {
+        return Err(SimError::InvalidConfig {
+            reason: format!(
+                "prefill request {} arrives at {} s; arrival times must be finite and >= 0",
+                r.id, r.arrival_s
+            ),
+        });
+    }
+    if let Some(e) = decode.steps.iter().find(|e| !valid(e.arrival_s)) {
+        return Err(SimError::InvalidConfig {
+            reason: format!(
+                "decode step {} of session {} arrives at {} s; arrival times must be finite \
+                 and >= 0",
+                e.step_index, e.session_id, e.arrival_s
+            ),
+        });
+    }
+    Ok(())
+}
+
 /// Plans one uncached prefill key: tiling via the plan-only entry point,
 /// then one simulated execution. Pure function of its arguments.
-pub(crate) fn plan_one(
+fn plan_one(
     planner: &Planner,
     method: mas_dataflow::DataflowKind,
     workload: &AttentionWorkload,
@@ -1013,8 +955,8 @@ struct StagedSpan {
     cache_hit: bool,
     cause: SealCause,
     /// What the backlog estimator is fed at harden (the merged workload's
-    /// service lower bound for monolithic batches — the legacy feed — and
-    /// the chunk's own service time for chunks). Always the *scalar*
+    /// service lower bound for monolithic batches and the chunk's own
+    /// service time for chunks). Always the *scalar*
     /// estimate, even when the track executor commits a shorter span, so
     /// admission stays identical across modes.
     est_service_s: f64,
@@ -1037,7 +979,7 @@ struct StagedSpan {
 /// What a prefill-class span completes into at harden.
 enum StagedPayload {
     /// A monolithic prefill batch: member outcomes close on the span.
-    Batch {
+    Monolithic {
         requests: Vec<ServeRequest>,
         charged_bytes: u64,
     },
@@ -1078,11 +1020,10 @@ struct SessionState {
     rejected_steps: usize,
     /// Steps joined to a not-yet-dispatched launch.
     pending_steps: usize,
-    /// Bytes currently charged against the shared budget: the max-context
-    /// reservation under legacy charging, the allocated-block bytes under
-    /// paged charging (grows as the session decodes).
+    /// Bytes of the session's allocated KV blocks currently charged against
+    /// the shared budget (grows as the session decodes).
     charged_bytes: u64,
-    /// KV blocks currently allocated (paged charging only).
+    /// KV blocks currently allocated.
     charged_blocks: u64,
     /// Bytes of actual resident context tokens (prompt plus generated),
     /// used for fragmentation reporting.
@@ -1132,8 +1073,8 @@ impl SessionState {
     /// `K` plus `V` bytes of one KV block at the session's shape
     /// (`DecodeStep::kv_block_bytes` without the step allocation). Clamps a
     /// zero block size to one token, like [`SessionState::blocks_at`], so a
-    /// degenerate `kv_block_tokens: Some(0)` policy charges per token
-    /// instead of silently disabling the budget.
+    /// degenerate `kv_block_tokens: 0` policy charges per token instead of
+    /// silently disabling the budget.
     fn block_bytes(&self, block_tokens: usize, element_bytes: usize) -> u64 {
         block_tokens.max(1) as u64 * self.token_bytes(element_bytes)
     }
@@ -1179,10 +1120,9 @@ pub(crate) fn note_kv_peak(
     report.kv_shared_peak_bytes = report.kv_shared_peak_bytes.max(shared);
 }
 
-/// All mutable state of one engine replay. Methods mirror the legacy
-/// runtimes' event-loop stages check for check; the comments note the few
-/// places where the unified path adds shared-budget or cross-class
-/// behavior (all of which are no-ops for single-class streams).
+/// All mutable state of one engine replay: the event loop's stages are its
+/// methods, and the comments note where shared-budget or cross-class
+/// behavior enters (all of which are no-ops for single-class streams).
 struct EngineRun<'a> {
     config: &'a EngineConfig,
     planner: &'a Planner,
@@ -1351,8 +1291,7 @@ impl EngineRun<'_> {
         None
     }
 
-    /// The earliest-free virtual device (first index on ties — the same
-    /// selection both legacy runtimes used).
+    /// The earliest-free virtual device (first index on ties).
     fn earliest_free_device(&self) -> usize {
         self.free_at
             .iter()
@@ -1372,8 +1311,8 @@ impl EngineRun<'_> {
 
     /// Dispatches every open launch whose window ended at or before `now`,
     /// ordered by the scheduling policy's class rank and then by launch
-    /// creation order (pure creation order for a single class — the legacy
-    /// order). Ready chunk-chain chunks place first: they continue work
+    /// creation order (pure creation order for a single class). Ready
+    /// chunk-chain chunks place first: they continue work
     /// already committed to the timeline.
     fn dispatch_expired(&mut self, now_s: f64) -> Result<()> {
         // Staged spans that have started are no longer displaceable: pin
@@ -1504,9 +1443,8 @@ impl EngineRun<'_> {
     }
 
     /// Places one prefill-class span on the earliest-free device and either
-    /// hardens it immediately (the legacy path, bit-identical with
-    /// preemption off) or stages it for possible displacement. Returns the
-    /// span's completion instant.
+    /// hardens it immediately (always, with preemption off) or stages it
+    /// for possible displacement. Returns the span's completion instant.
     #[allow(clippy::too_many_arguments)]
     fn place_prefill_span(
         &mut self,
@@ -1611,9 +1549,8 @@ impl EngineRun<'_> {
     }
 
     /// Applies a placed span's deferred effects: utilization tallies,
-    /// makespans, the launch event, and the payload's completions. The
-    /// effect order matches the legacy dispatch path exactly, so the
-    /// immediate (preemption-off) path is bit-identical to it.
+    /// makespans, the launch event, and the payload's completions, in the
+    /// same order for staged and immediately hardened spans.
     fn harden_span(&mut self, span: StagedSpan) {
         let device = span.device;
         if span.gap {
@@ -1660,7 +1597,7 @@ impl EngineRun<'_> {
             }
         }
         match span.payload {
-            StagedPayload::Batch {
+            StagedPayload::Monolithic {
                 requests,
                 charged_bytes,
             } => {
@@ -2064,15 +2001,16 @@ impl EngineRun<'_> {
             let grouping_valid =
                 spec.kv_heads > 0 && spec.kv_heads <= spec.heads && spec.heads % spec.kv_heads == 0;
             // Cross-session prefix sharing needs the policy switch, a
-            // declared group, paged charging, and a group whose block shape
-            // matches (a mismatched shape falls back to private residency
-            // rather than mixing block geometries in one group).
-            let sharing = match (self.config.decode.kv_block_tokens, spec.prefix_group) {
-                (Some(bt), Some(g)) if self.config.decode.prefix_share && grouping_valid => {
+            // declared group, and a group whose block shape matches (a
+            // mismatched shape falls back to private residency rather than
+            // mixing block geometries in one group).
+            let bt = self.config.decode.kv_block_tokens;
+            let sharing = match spec.prefix_group {
+                Some(g) if self.config.decode.prefix_share && grouping_valid => {
                     let block_bytes = session.block_bytes(bt, self.kv_element_bytes);
                     match self.prefix_groups.get(&g) {
                         Some(gs) if gs.block_bytes != block_bytes => None,
-                        _ => Some((bt, g, block_bytes)),
+                        _ => Some((g, block_bytes)),
                     }
                 }
                 _ => None,
@@ -2081,34 +2019,24 @@ impl EngineRun<'_> {
             // this session; only the group's growth plus the private tail
             // hit the budget.
             let (shared_blocks, group_delta_blocks) = match sharing {
-                Some((bt, g, _)) => {
+                Some((g, _)) => {
                     let shared = (spec.shared_prefix_len.min(spec.prompt_len) / bt.max(1)) as u64;
                     let already = self.prefix_groups.get(&g).map_or(0, |gs| gs.charged_blocks);
                     (shared, shared.saturating_sub(already))
                 }
                 None => (0, 0),
             };
-            // Initial charge: worst-case max context under legacy charging,
-            // the first step's blocks under paged charging (minus the
-            // blocks the prefix group already holds).
-            let (initial_bytes, initial_blocks) = if !grouping_valid {
-                (0, 0)
+            // Initial charge: the first step's blocks, minus the blocks the
+            // prefix group already holds.
+            let (initial_bytes, initial_blocks) = if grouping_valid {
+                let blocks = SessionState::blocks_at(context_len, bt).saturating_sub(shared_blocks)
+                    + group_delta_blocks;
+                (
+                    blocks * session.block_bytes(bt, self.kv_element_bytes),
+                    blocks,
+                )
             } else {
-                match self.config.decode.kv_block_tokens {
-                    None => (
-                        spec.max_context() as u64 * session.token_bytes(self.kv_element_bytes),
-                        0,
-                    ),
-                    Some(bt) => {
-                        let blocks = SessionState::blocks_at(context_len, bt)
-                            .saturating_sub(shared_blocks)
-                            + group_delta_blocks;
-                        (
-                            blocks * session.block_bytes(bt, self.kv_element_bytes),
-                            blocks,
-                        )
-                    }
-                }
+                (0, 0)
             };
             // `step_at` requires a valid grouping; `||` short-circuits past
             // it for malformed specs. The budget check sees resident
@@ -2162,7 +2090,7 @@ impl EngineRun<'_> {
                     let private_blocks = initial_blocks - group_delta_blocks;
                     let token_bytes = session.token_bytes(self.kv_element_bytes);
                     let (private_bytes, delta_bytes) = match sharing {
-                        Some((_, _, block_bytes)) => (
+                        Some((_, block_bytes)) => (
                             private_blocks * block_bytes,
                             group_delta_blocks * block_bytes,
                         ),
@@ -2174,7 +2102,7 @@ impl EngineRun<'_> {
                     // step adds one token below. Shared-prefix tokens are
                     // resident on the group, not the session.
                     let shared_tokens = match sharing {
-                        Some((bt, _, _)) => shared_blocks * bt as u64,
+                        Some(_) => shared_blocks * bt as u64,
                         None => 0,
                     };
                     session.used_bytes =
@@ -2184,7 +2112,7 @@ impl EngineRun<'_> {
                     self.blocks_in_use += private_blocks + group_delta_blocks;
                     self.active_sessions += 1;
                     let mut group_refs = 0u32;
-                    if let Some((_, g, block_bytes)) = sharing {
+                    if let Some((g, block_bytes)) = sharing {
                         session.shared_blocks = shared_blocks;
                         session.prefix_group = Some(g);
                         self.ledger.charge(MemOwner::PrefixGroup(g));
@@ -2224,7 +2152,7 @@ impl EngineRun<'_> {
                                 blocks: private_blocks,
                             },
                         );
-                        if let Some((_, g, _)) = sharing {
+                        if let Some((g, _)) = sharing {
                             recorder.record(
                                 now_s,
                                 EventKind::PrefixShared {
@@ -2326,81 +2254,79 @@ impl EngineRun<'_> {
                 );
             }
         }
-        // Paged charging: grow the session's block allocation to cover this
-        // step's context. Growth runs *after* the deadline screen — a
-        // screened step generates no token, so it must not keep a block. A
-        // step that cannot get its block from the shared pool (now also
-        // drained by prefill activations) is shed as a pool overflow while
-        // the session keeps its residency.
-        if let Some(bt) = self.config.decode.kv_block_tokens {
-            // A sharing session grows only its private tail: the group's
-            // shared prefix blocks stay charged once, group-wide.
-            let needed =
-                SessionState::blocks_at(context_len, bt).saturating_sub(session.shared_blocks);
-            if needed > session.charged_blocks {
-                let delta_blocks = needed - session.charged_blocks;
-                let delta_bytes = delta_blocks * session.block_bytes(bt, self.kv_element_bytes);
-                let over_budget = |engine: &Self| {
-                    engine
-                        .kv_in_use
-                        .saturating_add(engine.prefill_charged)
-                        .saturating_add(delta_bytes)
-                        > engine.budget
-                };
-                let mut over = over_budget(self);
-                // KV preemption: before shedding the step, try evicting
-                // idle sessions' residency to make room for the growth.
-                if over && self.config.preempt.is_some() {
-                    self.try_evict_for(delta_bytes, event.session_id, now_s);
-                    over = over_budget(self);
+        // Grow the session's block allocation to cover this step's
+        // context. Growth runs *after* the deadline screen — a screened step
+        // generates no token, so it must not keep a block. A step that
+        // cannot get its block from the shared pool (also drained by prefill
+        // activations) is shed as a pool overflow while the session keeps
+        // its residency.
+        let bt = self.config.decode.kv_block_tokens;
+        // A sharing session grows only its private tail: the group's
+        // shared prefix blocks stay charged once, group-wide.
+        let needed = SessionState::blocks_at(context_len, bt).saturating_sub(session.shared_blocks);
+        if needed > session.charged_blocks {
+            let delta_blocks = needed - session.charged_blocks;
+            let delta_bytes = delta_blocks * session.block_bytes(bt, self.kv_element_bytes);
+            let over_budget = |engine: &Self| {
+                engine
+                    .kv_in_use
+                    .saturating_add(engine.prefill_charged)
+                    .saturating_add(delta_bytes)
+                    > engine.budget
+            };
+            let mut over = over_budget(self);
+            // KV preemption: before shedding the step, try evicting
+            // idle sessions' residency to make room for the growth.
+            if over && self.config.preempt.is_some() {
+                self.try_evict_for(delta_bytes, event.session_id, now_s);
+                over = over_budget(self);
+            }
+            let session = self.sessions.get_mut(&event.session_id).expect("present");
+            if over {
+                session.rejected_steps += 1;
+                if session.finished() {
+                    self.releases
+                        .push((now_s, Release::Session(event.session_id)));
                 }
-                let session = self.sessions.get_mut(&event.session_id).expect("present");
-                if over {
-                    session.rejected_steps += 1;
-                    if session.finished() {
-                        self.releases
-                            .push((now_s, Release::Session(event.session_id)));
-                    }
-                    self.decode_report.rejected.push(RejectedDecodeStep {
-                        session_id: event.session_id,
-                        step_index: event.step_index,
-                        arrival_s: now_s,
-                        reason: DecodeRejectReason::KvPoolExhausted,
-                    });
-                    if let Some(recorder) = self.recorder.as_mut() {
-                        recorder.record(
-                            now_s,
-                            EventKind::DecodeStepRejected {
-                                session_id: event.session_id,
-                                step_index: event.step_index as u32,
-                                reason: DecodeRejectReason::KvPoolExhausted,
-                            },
-                        );
-                    }
-                    return;
-                }
-                session.charged_bytes += delta_bytes;
-                session.charged_blocks = needed;
-                self.kv_in_use += delta_bytes;
-                self.blocks_in_use += delta_blocks;
-                note_kv_peak(
-                    &mut self.decode_report,
-                    self.kv_in_use,
-                    self.kv_used,
-                    self.blocks_in_use,
-                    self.kv_shared_in_use,
-                );
-                self.mem_peak.note(self.prefill_charged, self.kv_in_use);
+                self.decode_report.rejected.push(RejectedDecodeStep {
+                    session_id: event.session_id,
+                    step_index: event.step_index,
+                    arrival_s: now_s,
+                    reason: DecodeRejectReason::KvPoolExhausted,
+                });
                 if let Some(recorder) = self.recorder.as_mut() {
                     recorder.record(
                         now_s,
-                        EventKind::KvGrow {
+                        EventKind::DecodeStepRejected {
                             session_id: event.session_id,
-                            delta_bytes,
-                            delta_blocks,
+                            step_index: event.step_index as u32,
+                            reason: DecodeRejectReason::KvPoolExhausted,
                         },
                     );
                 }
+                return;
+            }
+            session.charged_bytes += delta_bytes;
+            session.charged_blocks = needed;
+            self.kv_in_use += delta_bytes;
+            self.blocks_in_use += delta_blocks;
+            note_kv_peak(
+                &mut self.decode_report,
+                self.kv_in_use,
+                self.kv_used,
+                self.blocks_in_use,
+                self.kv_shared_in_use,
+            );
+            self.mem_peak.note(self.prefill_charged, self.kv_in_use);
+            if let Some(recorder) = self.recorder.as_mut() {
+                recorder.record(
+                    now_s,
+                    EventKind::KvGrow {
+                        session_id: event.session_id,
+                        delta_bytes,
+                        delta_blocks,
+                    },
+                );
             }
         }
         let session = self.sessions.get_mut(&event.session_id).expect("present");
@@ -2547,8 +2473,7 @@ impl EngineRun<'_> {
         }
         let plan = *self.cache.lookup(&cache_key).expect("planned above");
         // A launch is a cache hit when its key predates this run or an
-        // earlier launch of this run already planned it — the legacy
-        // accounting.
+        // earlier launch of this run already planned it.
         let hit =
             self.used_keys.contains(&cache_key) || !self.inserted_this_run.contains(&cache_key);
         if hit {
@@ -2655,7 +2580,7 @@ impl EngineRun<'_> {
             cause,
             est_service_s,
             profile,
-            StagedPayload::Batch {
+            StagedPayload::Monolithic {
                 requests,
                 charged_bytes,
             },
@@ -2703,8 +2628,8 @@ impl EngineRun<'_> {
             })
             .collect();
         // Recompute-priced resumes fold their evicted context back in as a
-        // prefill-chunk demand on the same launch; without any, the legacy
-        // closed form applies verbatim (bit-identical).
+        // prefill-chunk demand on the same launch; without any, the plain
+        // decode closed form applies verbatim.
         let service_s = if pending.iter().any(|p| p.recompute_tokens > 0) {
             let mut demand = StreamDemand::default();
             for step in &steps {
@@ -2941,7 +2866,7 @@ impl EngineRun<'_> {
         // the chain re-places it with the same identity.
         if let Some(victim) = requeue {
             match victim.payload {
-                StagedPayload::Batch {
+                StagedPayload::Monolithic {
                     requests,
                     charged_bytes,
                 } => {
@@ -2957,7 +2882,7 @@ impl EngineRun<'_> {
                         victim.cause,
                         victim.est_service_s,
                         victim.profile,
-                        StagedPayload::Batch {
+                        StagedPayload::Monolithic {
                             requests,
                             charged_bytes,
                         },
@@ -3040,7 +2965,7 @@ impl EngineRun<'_> {
 
     /// Flushes the straggler launches at their window ends, ordered by
     /// `(ready, policy class rank, creation order)` — for a single class
-    /// this is exactly the legacy flush order. Chunk chains opened by
+    /// this is plain `(ready, creation order)`. Chunk chains opened by
     /// flushed batches drain to completion afterwards, then every still-
     /// staged span hardens.
     fn flush(&mut self) -> Result<()> {
@@ -3073,6 +2998,211 @@ impl EngineRun<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mas_dataflow::DataflowKind;
+    use mas_workloads::{DecodeSessionSpec, Network};
+
+    /// The default engine with the shared budget disabled, so prefill
+    /// admission is decided by the admission policy alone.
+    fn unbudgeted() -> EngineConfig {
+        EngineConfig {
+            shared_budget_bytes: Some(u64::MAX),
+            ..EngineConfig::default()
+        }
+    }
+
+    fn prefill_report(engine: &mut ServeEngine, requests: &[ServeRequest]) -> ServeReport {
+        engine.run(requests, &DecodeTrace::empty()).unwrap().prefill
+    }
+
+    fn reqs(n: usize, gap_s: f64) -> Vec<ServeRequest> {
+        (0..n)
+            .map(|i| {
+                ServeRequest::new(
+                    i as u64,
+                    i as f64 * gap_s,
+                    DataflowKind::MasAttention,
+                    AttentionWorkload::new("toy", 1, 2, 128, 64),
+                    None,
+                )
+            })
+            .collect()
+    }
+
+    fn burst(n: u64, method: DataflowKind, workload: &AttentionWorkload) -> Vec<ServeRequest> {
+        (0..n)
+            .map(|i| ServeRequest::new(i, 0.0, method, workload.clone(), None))
+            .collect()
+    }
+
+    #[test]
+    fn identical_requests_share_one_plan() {
+        let mut engine = ServeEngine::new(unbudgeted());
+        let report = prefill_report(&mut engine, &reqs(6, 1e-5));
+        assert_eq!(report.completed(), 6);
+        assert_eq!(report.cache_misses, 1, "one shape → one planning run");
+        assert_eq!(engine.cache().len(), 1);
+        assert!(report.makespan_s > 0.0);
+        assert!(report.total_energy_pj > 0.0);
+    }
+
+    #[test]
+    fn a_second_replay_is_all_hits_and_identical() {
+        let mut engine = ServeEngine::new(unbudgeted());
+        let stream = reqs(5, 1e-4);
+        let cold = prefill_report(&mut engine, &stream);
+        let warm = prefill_report(&mut engine, &stream);
+        assert_eq!(warm.cache_misses, 0);
+        assert_eq!(warm.cache_hits, warm.batches);
+        // The cache changes planning cost (and the hit flags), never results.
+        let strip = |r: &ServeReport| -> Vec<RequestOutcome> {
+            r.outcomes
+                .iter()
+                .cloned()
+                .map(|mut o| {
+                    o.cache_hit = false;
+                    o
+                })
+                .collect()
+        };
+        assert_eq!(strip(&warm), strip(&cold));
+        assert_eq!(warm.makespan_s, cold.makespan_s);
+        assert_eq!(warm.total_energy_pj, cold.total_energy_pj);
+    }
+
+    #[test]
+    fn queueing_latency_grows_under_a_burst() {
+        let mut config = unbudgeted();
+        config.batching.window_s = 0.0; // no coalescing: requests serialize
+        let workload = AttentionWorkload::new("toy", 1, 2, 128, 64);
+        let report = prefill_report(
+            &mut ServeEngine::new(config),
+            &burst(4, DataflowKind::Flat, &workload),
+        );
+        assert_eq!(report.batches, 4);
+        let mut latencies: Vec<f64> = report
+            .outcomes
+            .iter()
+            .map(RequestOutcome::latency_s)
+            .collect();
+        latencies.sort_by(f64::total_cmp);
+        // Head-of-line service vs. tail: 4 serialized identical services.
+        let service = report.outcomes[0].service_s;
+        assert!((latencies[0] - service).abs() < 1e-9);
+        assert!((latencies[3] - 4.0 * service).abs() < 1e-9);
+    }
+
+    #[test]
+    fn extra_devices_cut_the_makespan() {
+        let mk = |devices: usize| {
+            let mut config = unbudgeted();
+            config.batching.window_s = 0.0;
+            config.devices = devices;
+            prefill_report(&mut ServeEngine::new(config), &reqs(4, 0.0)).makespan_s
+        };
+        let one = mk(1);
+        let two = mk(2);
+        assert!(
+            two < one,
+            "two devices ({two} s) must beat one ({one} s) on a 4-burst"
+        );
+    }
+
+    #[test]
+    fn sustained_overload_sheds_load_at_the_estimated_backlog_bound() {
+        // Offered load far above device capacity: a tight estimated-backlog
+        // bound must start rejecting once the launch queue falls behind,
+        // instead of growing latency without bound.
+        let mut config = unbudgeted();
+        config.batching.window_s = 0.0; // no coalescing: pure queueing
+        config.admission.max_est_queue_s = Some(2e-4);
+        // 50 simultaneous BERT-Small requests; each takes ~100 µs+, so the
+        // estimated queue blows through 200 µs after a handful of launches.
+        let workload = AttentionWorkload::new("BERT-Small", 1, 8, 512, 64);
+        let report = prefill_report(
+            &mut ServeEngine::new(config),
+            &burst(50, DataflowKind::MasAttention, &workload),
+        );
+        assert!(
+            !report.rejected.is_empty(),
+            "overload must shed load: {}",
+            report.summary()
+        );
+        assert!(report.completed() > 0, "head of the queue is still served");
+        assert!(report
+            .rejected
+            .iter()
+            .all(|r| r.reason == RejectReason::QueueFull));
+        // The head of the line was admitted, the tail shed.
+        let max_completed_id = report.outcomes.iter().map(|o| o.id).max().unwrap();
+        let min_rejected_id = report.rejected.iter().map(|r| r.id).min().unwrap();
+        assert!(min_rejected_id > 0);
+        assert_eq!(
+            max_completed_id + u64::try_from(report.rejected.len()).unwrap(),
+            49
+        );
+    }
+
+    #[test]
+    fn rejected_requests_never_reach_planning() {
+        let mut config = unbudgeted();
+        config.admission.max_queue_depth = Some(1);
+        config.batching.window_s = 1.0;
+        config.batching.max_batch = 100;
+        let mut stream = reqs(3, 0.0);
+        // The shed requests ask for a shape of their own: planning it would
+        // leave a second cache entry.
+        for r in &mut stream[1..] {
+            r.workload = AttentionWorkload::new("other", 1, 2, 96, 64);
+        }
+        let mut engine = ServeEngine::new(config);
+        let report = prefill_report(&mut engine, &stream);
+        assert_eq!(report.completed(), 1);
+        assert_eq!(report.rejected.len(), 2);
+        assert_eq!(report.cache_misses, 1, "only the admitted batch plans");
+        assert_eq!(engine.cache().len(), 1);
+    }
+
+    #[test]
+    fn hostile_arrival_times_are_rejected_before_any_state_changes() {
+        let session = DecodeSessionSpec {
+            id: 7,
+            network: Network::BertSmall,
+            start_s: 0.0,
+            heads: 8,
+            kv_heads: 8,
+            embed: 64,
+            prompt_len: 16,
+            steps: 1,
+            prefix_group: None,
+            shared_prefix_len: 0,
+        };
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            let mut engine = ServeEngine::new(EngineConfig::default());
+            let mut prefill = reqs(2, 1e-4);
+            prefill[1].arrival_s = bad;
+            let err = engine.run(&prefill, &DecodeTrace::empty()).unwrap_err();
+            assert!(
+                matches!(&err, SimError::InvalidConfig { reason } if reason.contains("request 1")),
+                "{err}"
+            );
+
+            let decode = DecodeTrace {
+                sessions: vec![session.clone()],
+                steps: vec![DecodeStepEvent {
+                    session_id: 7,
+                    step_index: 0,
+                    arrival_s: bad,
+                }],
+            };
+            let err = engine.run(&[], &decode).unwrap_err();
+            assert!(
+                matches!(&err, SimError::InvalidConfig { reason } if reason.contains("session 7")),
+                "{err}"
+            );
+            // Nothing was planned or recorded before the rejection.
+            assert!(engine.cache().is_empty());
+        }
+    }
 
     #[test]
     fn chunk_policy_covers_every_token_exactly_once() {

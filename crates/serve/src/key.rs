@@ -1,12 +1,10 @@
 //! Typed launch-coalescing keys shared by both traffic classes.
 //!
 //! Work items merge into one device launch only when they share a kernel
-//! shape. Historically the prefill batcher keyed on a `(method, heads,
-//! seq_len, embed)` struct and the decode runtime on a private `(heads,
-//! kv_heads, embed)` tuple-struct; the unified engine coalesces both
-//! classes with one mechanism, so the two identities live here as the two
-//! variants of [`LaunchKey`]: [`BatchKey`] for prefill batches and
-//! [`DecodeKey`] for batched decode steps. The key is `Hash`/`Eq`/`Ord`
+//! shape. The engine coalesces both classes with one mechanism, and the
+//! two shape identities are variants of [`LaunchKey`]: [`BatchKey`]
+//! (`(method, heads, seq_len, embed)`) for prefill batches and
+//! [`DecodeKey`] (`(heads, kv_heads, embed)`) for batched decode steps. The key is `Hash`/`Eq`/`Ord`
 //! (launch maps and deterministic dispatch ordering) and `Display` (report
 //! readability).
 

@@ -9,80 +9,78 @@
 //!
 //! ## Request lifecycle
 //!
+//! [`ServeEngine::run`] is the one serving entry point: it admits, batches,
+//! plans and replays a **mixed** stream — prefill requests plus a decode
+//! trace — on one earliest-free device timeline with one shared memory
+//! budget. A prefill-only or decode-only replay is the same call with the
+//! other stream empty.
+//!
 //! ```text
 //!        ┌────────┐   ┌─────────┐   ┌──────────────┐   ┌──────────┐   ┌────────┐
 //! req ──▶│ admit  │──▶│  batch  │──▶│ plan / cache │──▶│ simulate │──▶│ report │
 //!        └────────┘   └─────────┘   └──────────────┘   └──────────┘   └────────┘
-//!         shed load    coalesce +     tune once,         mas-sim        per-request
-//!         (queue.rs)   micro-batch    replay forever     executor       latency/energy/
-//!                      (batcher.rs)   (cache.rs)         (runtime.rs)   deadline (metrics.rs)
+//!         shed load    coalesce +     tune once,         one device     per-request
+//!         (queue.rs,   micro-batch    replay forever     timeline       latency/energy/
+//!          decode.rs)  (batcher.rs)   (cache.rs)         (engine.rs)    deadline (metrics.rs)
 //! ```
 //!
-//! 1. **Admit** ([`queue`]) — each arrival is screened: infeasible
-//!    workloads (operands over DRAM, no valid tiling) and deadlines below
-//!    the device's physical service-time lower bound are rejected up front;
-//!    load is shed at a batcher depth bound and — the bound that engages
-//!    under sustained overload — at an estimated launch-queue delay bound.
-//! 2. **Batch** ([`batcher`]) — admitted requests coalesce by `(method,
-//!    heads, seq_len, embed)` key: identical requests merge outright and
-//!    compatible shapes micro-batch into one merged workload (summed batch
-//!    dimension), dispatched when full, when the batching window expires,
-//!    or when growing further would outrun the device's memory (per-request
-//!    feasibility is preserved under merging).
-//! 3. **Plan / cache** ([`cache`]) — each batch key is looked up in the
-//!    shared [`ScheduleCache`]; misses run the planner (heuristic tiling or
-//!    MCTS + GA search) plus one simulation and are memoized. Distinct
-//!    misses plan concurrently on the persistent worker pool. Caches
-//!    serialize to a versioned text format and merge commutatively and
-//!    associatively, so sharded tuning sweeps combine into one cache equal
-//!    to the jointly built one.
-//! 4. **Simulate** ([`runtime`]) — batches launch in ready order across
-//!    virtual devices; the deterministic timeline yields per-request start,
-//!    completion and queueing delay.
-//! 5. **Report** ([`metrics`]) — a [`ServeReport`] with per-request
-//!    latency, energy share and deadline verdicts, plus aggregate
-//!    throughput, p50/p99 latency, deadline-miss rate and cache hit rate.
+//! 1. **Admit** ([`queue`], [`decode`]) — each prefill arrival is
+//!    screened: infeasible workloads (operands over DRAM, no valid tiling)
+//!    and deadlines below the device's physical service-time lower bound
+//!    are rejected up front; load is shed at a batcher depth bound, at an
+//!    estimated launch-queue delay bound, and when its activation footprint
+//!    would overrun the shared budget. Decode sessions are admitted at
+//!    their first step against the same budget.
+//! 2. **Batch** ([`batcher`]) — admitted prefill requests coalesce by
+//!    `(method, heads, seq_len, embed)` key: identical requests merge
+//!    outright and compatible shapes micro-batch into one merged workload
+//!    (summed batch dimension), dispatched when full, when the batching
+//!    window expires, or when growing further would outrun the device's
+//!    memory (per-request feasibility is preserved under merging). Decode
+//!    steps sharing a `(heads, kv_heads, embed)` shape batch across
+//!    sessions the same way.
+//! 3. **Plan / cache** ([`cache`]) — at dispatch, each prefill batch key is
+//!    looked up in the shared [`ScheduleCache`]; misses run the planner
+//!    (heuristic tiling or MCTS + GA search) plus one simulation and are
+//!    memoized. Caches serialize to a versioned text format and merge
+//!    commutatively and associatively, so sharded tuning sweeps combine
+//!    into one cache equal to the jointly built one.
+//! 4. **Simulate** ([`engine`]) — launches of both classes start on the
+//!    earliest-free virtual device; the deterministic timeline yields
+//!    per-request start, completion and queueing delay.
+//! 5. **Report** ([`metrics`]) — an [`EngineReport`] with a per-class
+//!    breakdown: a [`ServeReport`] (per-request latency, energy share and
+//!    deadline verdicts, throughput, p50/p99 latency, cache hit rate) and
+//!    a [`DecodeReport`], plus the shared-timeline and shared-budget
+//!    figures.
 //! 6. **Observe** ([`telemetry`], opt-in) — with
 //!    [`EngineConfig::telemetry`](engine::EngineConfig::telemetry) set,
 //!    every lifecycle transition (arrival, admission verdict, batch join,
 //!    dispatch, completion, budget charge/release) is appended to a typed
-//!    [`EngineEvent`](telemetry::EngineEvent) timeline alongside streaming
-//!    log-bucketed latency histograms; post-hoc analysis reconstructs the
-//!    engine report bit-for-bit from events alone, attributes memory peaks
+//!    [`EngineEvent`] timeline alongside streaming log-bucketed latency
+//!    histograms; post-hoc analysis reconstructs the engine report
+//!    bit-for-bit from events alone, attributes memory peaks
 //!    and device utilization, and exports Chrome trace-event JSON
 //!    (Perfetto) and Prometheus text snapshots.
 //!
-//! Reports are a pure function of the trace and the configuration: pooled
-//! and serial planning produce bit-identical [`ServeReport`]s (pinned by
-//! test), and a warm cache changes wall-clock planning cost only, never
-//! results.
+//! Reports are a pure function of the streams and the configuration: a warm
+//! cache changes wall-clock planning cost only, never results.
 //!
 //! ## Autoregressive decode ([`decode`])
 //!
-//! The pipeline above serves *prefill* requests — independent fixed-shape
-//! attention layers. Decode traffic (one generated token per step, the
-//! dominant shape in LLM serving) flows through the decode-aware variant
-//! instead:
+//! Decode traffic (one generated token per step, the dominant shape in LLM
+//! serving) differs from prefill in kind:
 //!
-//! ```text
-//!          ┌───────────────┐   ┌──────────────────┐   ┌───────────────┐
-//! session ─▶ admit session │──▶│ batch steps      │──▶│ launch + report│
-//!  + steps │ (KV budget)   │   │ (cross-session)  │   │ (decode cost)  │
-//!          └───────────────┘   └──────────────────┘   └───────────────┘
-//! ```
-//!
-//! * Sessions hold *block-granular KV residency* by default: they charge
-//!   the shared budget for the fixed-size token blocks their context
-//!   actually occupies (vLLM-style paged allocation), growing one block at
-//!   a time as they decode; a step that cannot get a block is shed as a
-//!   pool overflow while its session keeps decoding. Grouped-query
-//!   sessions (`kv_heads < heads`) charge proportionally less. The legacy
-//!   max-context reservation policy remains available for comparison
-//!   ([`DecodePolicy`]).
+//! * Sessions hold *block-granular KV residency*: they charge the shared
+//!   budget for the fixed-size token blocks their context actually
+//!   occupies (vLLM-style paged allocation), growing one block at a time
+//!   as they decode; a step that cannot get a block is shed as a pool
+//!   overflow while its session keeps decoding. Grouped-query sessions
+//!   (`kv_heads < heads`) charge proportionally less ([`DecodePolicy`]).
 //! * Step requests from different sessions sharing a
-//!   `(heads, kv_heads, embed)` shape
-//!   coalesce into one batched launch within a window, amortizing the
-//!   per-launch issue overhead that dominates single-token kernels.
+//!   `(heads, kv_heads, embed)` shape coalesce into one batched launch
+//!   within a window, amortizing the per-launch issue overhead that
+//!   dominates single-token kernels.
 //! * Launch cost comes from the closed-form decode model
 //!   ([`mas_dataflow::decode::DecodeStep`]): per-step work linear in the
 //!   context length, DRAM traffic of the cache stream plus only the
@@ -92,16 +90,7 @@
 //!   full-prefill oracle by the differential `decode_vs_prefill` test
 //!   harness.
 //!
-//! [`DecodeRuntime::run_trace`] replays a deterministic
-//! [`mas_workloads::DecodeTrace`] and yields a [`DecodeReport`] with
-//! per-step latency, batching factor, deadline verdicts and peak KV
-//! residency.
-//!
-//! ## The unified engine ([`engine`])
-//!
-//! Both pipelines above are thin shims over [`ServeEngine`], which admits,
-//! batches and replays a **mixed** prefill+decode stream on one
-//! earliest-free device timeline with one shared memory budget:
+//! ## Mixed scheduling ([`engine`])
 //!
 //! ```text
 //! prefill ──┐   ┌───────────────────────┐   ┌──────────────────────────┐
@@ -118,10 +107,9 @@
 //! footprints plus decode KV residency charge one budget, so a prefill
 //! burst can shed decode block growth (pool overflows) and a heavy decode
 //! residency can shed prefill arrivals
-//! ([`RejectReason::MemoryPressure`]). Single-class streams through the
-//! engine are bit-identical to the legacy reports (pinned by test), and an
-//! [`EngineReport`] breaks a mixed replay down per class with shared
-//! [`LatencyStats`].
+//! ([`RejectReason::MemoryPressure`]). On a single-class stream every
+//! policy replays bit-identically, and the report breaks a mixed replay
+//! down per class with shared [`LatencyStats`].
 //!
 //! With [`EngineConfig::tracks`](engine::EngineConfig::tracks) set, the
 //! scalar one-number-per-launch device model gives way to the
@@ -138,8 +126,8 @@
 //!
 //! ```
 //! use mas_dataflow::DataflowKind;
-//! use mas_serve::{ServeConfig, ServeRequest, ServeRuntime};
-//! use mas_workloads::{request_trace, Network, TraceConfig};
+//! use mas_serve::{EngineConfig, ServeEngine, ServeRequest};
+//! use mas_workloads::{request_trace, DecodeTrace, Network, TraceConfig};
 //!
 //! let trace = request_trace(&TraceConfig::poisson(
 //!     vec![Network::BertSmall, Network::VitB16],
@@ -148,10 +136,10 @@
 //!     42,   // seed
 //! ));
 //! let stream = ServeRequest::stream_from_trace(&trace, DataflowKind::MasAttention, Some(0.05));
-//! let mut runtime = ServeRuntime::new(ServeConfig::default());
-//! let report = runtime.run_trace(&stream).unwrap();
-//! assert_eq!(report.completed() + report.rejected.len(), 16);
-//! assert!(report.throughput_rps() > 0.0);
+//! let mut engine = ServeEngine::new(EngineConfig::default());
+//! let report = engine.run(&stream, &DecodeTrace::empty()).unwrap();
+//! assert_eq!(report.prefill.completed() + report.prefill.rejected.len(), 16);
+//! assert!(report.prefill.throughput_rps() > 0.0);
 //! ```
 
 #![deny(missing_docs)]
@@ -165,17 +153,15 @@ pub mod key;
 pub mod metrics;
 pub mod queue;
 pub mod request;
-pub mod runtime;
 pub mod telemetry;
 
-pub use batcher::{Batch, BatchPolicy};
+pub use batcher::BatchPolicy;
 pub use cache::{
     hardware_fingerprint, planning_fingerprint, CacheError, CacheKey, CachedPlan, ScheduleCache,
 };
 pub use decode::{
-    decode_step_lower_bound_s, decode_step_lower_bound_s_with_kv, launch_service_s,
-    launch_service_s_with_kv, prefill_chunk_service_s_with_kv, DecodePolicy, DecodeRejectReason,
-    DecodeReport, DecodeRuntime, DecodeStepOutcome, RejectedDecodeStep,
+    decode_step_lower_bound_s_with_kv, launch_service_s_with_kv, prefill_chunk_service_s_with_kv,
+    DecodePolicy, DecodeRejectReason, DecodeReport, DecodeStepOutcome, RejectedDecodeStep,
 };
 pub use engine::{
     ChunkPolicy, DecodeStepItem, DeviceUtil, EngineConfig, EngineReport, PreemptMode,
@@ -189,7 +175,6 @@ pub use metrics::{
 };
 pub use queue::{AdmissionPolicy, RejectReason};
 pub use request::ServeRequest;
-pub use runtime::{ServeConfig, ServeRuntime};
 pub use telemetry::{
     chrome_trace_from_sim, validate_chrome_trace, ChromeTraceStats, ConservationStats, EngineEvent,
     EventKind, LogHistogram, MemOwner, PeakAttribution, PreemptVictim, SealCause, Telemetry,

@@ -42,8 +42,7 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> Option<f64> {
 /// mean and the p50/p99 nearest-rank percentiles, computed by the one
 /// [`percentile`] definition. Built once from a latency set
 /// ([`LatencyStats::of`]) instead of re-deriving each figure ad hoc — the
-/// legacy prefill and decode reports and the engine's per-class breakdowns
-/// all share this type.
+/// prefill and decode reports and the engine report all share this type.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LatencyStats {
     /// Number of latency samples.
@@ -147,9 +146,8 @@ pub struct RejectedRequest {
 
 /// Aggregate result of replaying one request trace.
 ///
-/// Every field is a deterministic function of the trace and the runtime
-/// configuration — pooled and serial planning produce bit-identical reports
-/// (pinned by test) — so reports can be compared exactly across runs.
+/// Every field is a deterministic function of the trace and the engine
+/// configuration, so reports can be compared exactly across runs.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct ServeReport {
     /// Completed requests in device launch order (batch order, members in
@@ -168,9 +166,8 @@ pub struct ServeReport {
     /// Total energy across all completed requests, in picojoules.
     pub total_energy_pj: f64,
     /// Seconds each virtual device spent busy with *this class* of launches,
-    /// indexed by device. Empty when the class never dispatched (legacy
-    /// single-class replays through the standalone runtime leave it empty on
-    /// the unused class so default-equality pins hold).
+    /// indexed by device. Empty when the class never dispatched, so a
+    /// single-class replay leaves the absent class's report at its default.
     #[serde(default)]
     pub device_busy_s: Vec<f64>,
 }

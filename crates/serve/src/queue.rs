@@ -42,9 +42,7 @@ pub enum RejectReason {
     /// Admitting the request's activation footprint would overrun the
     /// shared device memory budget — prefill activations and resident
     /// decode KV caches are charged against one pool, so a heavy decode
-    /// residency can shed prefill load (and vice versa). Only the unified
-    /// engine raises this; the budget-free legacy admission path never
-    /// does.
+    /// residency can shed prefill load (and vice versa).
     MemoryPressure,
 }
 

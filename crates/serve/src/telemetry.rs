@@ -270,7 +270,7 @@ pub enum EventKind {
         charged_bytes: u64,
         /// Bytes of actual resident context tokens at admission.
         used_bytes: u64,
-        /// Initial KV blocks allocated (zero under legacy charging).
+        /// Initial KV blocks allocated.
         blocks: u64,
     },
     /// A session was refused at first sight.
@@ -2507,7 +2507,12 @@ mod tests {
     fn escape_json_quotes_specials() {
         assert_eq!(escape_json("plain"), "\"plain\"");
         assert_eq!(escape_json("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(
+            escape_json("line\nbreak\ttab\r"),
+            "\"line\\nbreak\\ttab\\r\""
+        );
         assert_eq!(escape_json("\u{1}"), "\"\\u0001\"");
+        assert_eq!(escape_json("\u{1f}"), "\"\\u001f\"");
         // Escaped output parses back to the original.
         let original = "span \"x\" \\ with\nnewline";
         let parsed = parse_json(&escape_json(original)).unwrap();

@@ -1,15 +1,15 @@
-//! End-to-end tests of the serving runtime: determinism (serial vs. pooled
-//! planning), shard-merge equality through serialized caches, and
+//! End-to-end tests of prefill serving through the engine: determinism
+//! under search tuning, shard-merge equality through serialized caches, and
 //! deadline-miss accounting.
 
 use mas_attention::planner::{PlannerConfig, TilingStrategy};
 use mas_dataflow::DataflowKind;
 use mas_search::tuner::TunerConfig;
 use mas_serve::{
-    AdmissionPolicy, BatchPolicy, ScheduleCache, ServeConfig, ServeReport, ServeRequest,
-    ServeRuntime,
+    AdmissionPolicy, BatchPolicy, EngineConfig, ScheduleCache, ServeEngine, ServeReport,
+    ServeRequest,
 };
-use mas_workloads::{request_trace, Network, TraceConfig};
+use mas_workloads::{request_trace, DecodeTrace, Network, TraceConfig};
 
 fn nets() -> Vec<Network> {
     vec![Network::BertSmall, Network::VitB16, Network::T5Mini]
@@ -20,30 +20,14 @@ fn stream(count: usize, seed: u64) -> Vec<ServeRequest> {
     ServeRequest::stream_from_trace(&trace, DataflowKind::MasAttention, Some(0.05))
 }
 
-fn config(parallel_planning: bool) -> ServeConfig {
-    ServeConfig {
-        parallel_planning,
-        ..ServeConfig::default()
-    }
+/// Replays a prefill-only stream and returns its report.
+fn replay(engine: &mut ServeEngine, requests: &[ServeRequest]) -> ServeReport {
+    engine.run(requests, &DecodeTrace::empty()).unwrap().prefill
 }
 
-/// The headline determinism pin: replaying the same trace with pooled
-/// planning and with serial planning produces bit-identical reports.
-#[test]
-fn pooled_and_serial_replay_produce_bit_identical_reports() {
-    let requests = stream(60, 11);
-    let pooled = ServeRuntime::new(config(true))
-        .run_trace(&requests)
-        .unwrap();
-    let serial = ServeRuntime::new(config(false))
-        .run_trace(&requests)
-        .unwrap();
-    assert_eq!(pooled, serial);
-    assert!(pooled.completed() > 0);
-}
-
-/// Determinism also holds with search-based tuning (the expensive planning
-/// path the cache amortizes), including tuner-internal parallelism on/off.
+/// Replays are deterministic under search-based tuning (the expensive
+/// planning path the cache amortizes), with tuner-internal parallelism on
+/// or off.
 #[test]
 fn pooled_and_serial_replay_agree_under_search_tuning() {
     use mas_dataflow::AttentionWorkload;
@@ -62,7 +46,7 @@ fn pooled_and_serial_replay_agree_under_search_tuning() {
         })
         .collect();
     let mk = |parallel: bool| {
-        let mut cfg = config(parallel);
+        let mut cfg = EngineConfig::default();
         cfg.batching.max_batch = 2;
         cfg.planner = PlannerConfig {
             tiling: TilingStrategy::Search,
@@ -73,7 +57,7 @@ fn pooled_and_serial_replay_agree_under_search_tuning() {
             },
             ..PlannerConfig::default()
         };
-        ServeRuntime::new(cfg).run_trace(&requests).unwrap()
+        replay(&mut ServeEngine::new(cfg), &requests)
     };
     let pooled = mk(true);
     assert_eq!(pooled, mk(false));
@@ -88,9 +72,9 @@ fn serialized_shard_caches_merge_into_the_jointly_built_cache() {
     // Decouple admission across keys so shard batching matches joint
     // batching exactly (the backlog bound couples otherwise-independent
     // shapes).
-    let mk_config = || ServeConfig {
+    let mk_config = || EngineConfig {
         admission: AdmissionPolicy::admit_all(),
-        ..config(true)
+        ..EngineConfig::default()
     };
     let trace = request_trace(&TraceConfig::poisson(nets(), 90, 3000.0, 23));
     let all = ServeRequest::stream_from_trace(&trace, DataflowKind::MasAttention, None);
@@ -108,9 +92,9 @@ fn serialized_shard_caches_merge_into_the_jointly_built_cache() {
     assert_eq!(shard_a.len() + shard_b.len(), all.len());
 
     // Joint build.
-    let mut joint_rt = ServeRuntime::new(mk_config());
-    joint_rt.run_trace(&all).unwrap();
-    let joint = joint_rt.into_cache();
+    let mut joint_engine = ServeEngine::new(mk_config());
+    replay(&mut joint_engine, &all);
+    let joint = joint_engine.into_cache();
 
     // Sharded build, round-tripped through the serialized format.
     // Per-process file names so concurrent test runs on one machine don't
@@ -120,9 +104,9 @@ fn serialized_shard_caches_merge_into_the_jointly_built_cache() {
     let path_a = dir.join(format!("mas-serve-shard-a-{pid}.cache"));
     let path_b = dir.join(format!("mas-serve-shard-b-{pid}.cache"));
     for (path, shard) in [(&path_a, &shard_a), (&path_b, &shard_b)] {
-        let mut rt = ServeRuntime::new(mk_config());
-        rt.run_trace(shard).unwrap();
-        rt.cache().save(path).unwrap();
+        let mut engine = ServeEngine::new(mk_config());
+        replay(&mut engine, shard);
+        engine.cache().save(path).unwrap();
     }
     let loaded_a = ScheduleCache::load(&path_a).unwrap();
     let loaded_b = ScheduleCache::load(&path_b).unwrap();
@@ -135,8 +119,7 @@ fn serialized_shard_caches_merge_into_the_jointly_built_cache() {
     assert_eq!(ab, joint, "merged shards == jointly built cache");
 
     // The merged cache replays the full trace with zero planning.
-    let mut warm_rt = ServeRuntime::with_cache(mk_config(), ab);
-    let warm = warm_rt.run_trace(&all).unwrap();
+    let warm = replay(&mut ServeEngine::with_cache(mk_config(), ab), &all);
     assert_eq!(warm.cache_misses, 0);
     assert_eq!(warm.cache_hits, warm.batches);
 }
@@ -149,18 +132,18 @@ fn deadline_misses_are_accounted_exactly() {
     let workload = Network::BertSmall.attention_workload(1);
 
     // Learn the per-request service time with a deadline-free probe.
-    let mut probe_cfg = config(true);
+    let mut probe_cfg = EngineConfig::default();
     probe_cfg.batching.window_s = 0.0;
-    let mut probe_rt = ServeRuntime::new(probe_cfg.clone());
-    let probe = probe_rt
-        .run_trace(&[ServeRequest::new(
+    let probe = replay(
+        &mut ServeEngine::new(probe_cfg.clone()),
+        &[ServeRequest::new(
             0,
             0.0,
             DataflowKind::MasAttention,
             workload.clone(),
             None,
-        )])
-        .unwrap();
+        )],
+    );
     let service_s = probe.outcomes[0].service_s;
     assert!(service_s > 0.0);
 
@@ -184,8 +167,7 @@ fn deadline_misses_are_accounted_exactly() {
         max_batch: 1,
         window_s: 0.0,
     };
-    let mut rt = ServeRuntime::new(cfg);
-    let report: ServeReport = rt.run_trace(&burst).unwrap();
+    let report = replay(&mut ServeEngine::new(cfg), &burst);
     assert_eq!(report.completed(), 5);
     assert_eq!(report.deadline_met(), 2, "{}", report.summary());
     assert_eq!(report.deadline_missed(), 3);
@@ -206,8 +188,8 @@ fn deadline_misses_are_accounted_exactly() {
 #[test]
 fn mixed_traffic_accounting_is_consistent() {
     let requests = stream(120, 31);
-    let mut rt = ServeRuntime::new(config(true));
-    let report = rt.run_trace(&requests).unwrap();
+    let mut engine = ServeEngine::new(EngineConfig::default());
+    let report = replay(&mut engine, &requests);
     assert_eq!(report.completed() + report.rejected.len(), 120);
     assert_eq!(report.cache_hits + report.cache_misses, report.batches);
     assert_eq!(
@@ -219,5 +201,5 @@ fn mixed_traffic_accounting_is_consistent() {
     assert!(report.makespan_s >= report.outcomes.iter().fold(0.0, |m, o| m.max(o.service_s)));
     // Three networks, one method → at most three distinct merged shapes per
     // batch size; the cache stays compact.
-    assert!(rt.cache().len() <= report.batches);
+    assert!(engine.cache().len() <= report.batches);
 }

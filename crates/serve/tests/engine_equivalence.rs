@@ -1,154 +1,113 @@
-//! Backward equivalence of the unified engine on single-class streams.
+//! Policy invariance of the engine on single-class streams.
 //!
-//! What this suite pins — precisely, since the legacy runtimes are now
-//! shims over the engine and an engine-vs-shim comparison alone would be
-//! circular:
-//!
-//! * **Shim/engine consistency**: the `ServeConfig` → `EngineConfig`
-//!   lifting and the per-class report extraction lose nothing (reports,
-//!   launch counts, makespans and budget figures all collapse correctly).
-//! * **Policy invariance**: every `SchedulePolicy` produces bit-identical
-//!   reports on single-class streams (the policy only reorders *mixed*
-//!   launch queues), under both decode charging policies, deadline
-//!   screening and multiple devices.
-//! * The **absolute** pre-refactor behavior is pinned by the legacy
-//!   runtimes' own behavioral suites (exact latencies, orderings, shed
-//!   counts in `runtime.rs`, `decode.rs`, `e2e.rs`, `paged_admission.rs`),
-//!   which now execute through the shims on every build — on both rayon
-//!   CI legs.
+//! The scheduling policy only reorders *mixed* launch queues: with one class
+//! present every `SchedulePolicy` must replay bit-identically, across both
+//! classes, deadline screening and multiple devices, and the shared figures
+//! must collapse onto the one class present.
 
 use mas_dataflow::DataflowKind;
 use mas_serve::{
-    DecodePolicy, DecodeReport, DecodeRuntime, EngineConfig, SchedulePolicy, ServeConfig,
-    ServeEngine, ServeRequest, ServeRuntime,
+    DecodePolicy, DecodeReport, EngineConfig, SchedulePolicy, ServeEngine, ServeRequest,
 };
-use mas_sim::HardwareConfig;
 use mas_workloads::{
     decode_trace, request_trace, DecodeTrace, DecodeTraceConfig, Network, TraceConfig,
 };
 
-fn nets() -> Vec<Network> {
-    vec![Network::BertSmall, Network::VitB16, Network::T5Mini]
-}
+const POLICIES: [SchedulePolicy; 3] = [
+    SchedulePolicy::FairShare,
+    SchedulePolicy::DecodePriority,
+    SchedulePolicy::PrefillPriority,
+];
 
 fn prefill_stream(count: usize, seed: u64) -> Vec<ServeRequest> {
-    let trace = request_trace(&TraceConfig::poisson(nets(), count, 2000.0, seed));
+    let trace = request_trace(&TraceConfig::poisson(
+        vec![Network::BertSmall, Network::VitB16, Network::T5Mini],
+        count,
+        2000.0,
+        seed,
+    ));
     ServeRequest::stream_from_trace(&trace, DataflowKind::MasAttention, Some(0.05))
 }
 
 #[test]
-fn prefill_only_stream_reproduces_the_legacy_serve_report_bit_identically() {
+fn prefill_only_stream_is_policy_invariant() {
     let requests = prefill_stream(60, 11);
-    let legacy = ServeRuntime::new(ServeConfig::default())
-        .run_trace(&requests)
-        .unwrap();
-    assert!(legacy.completed() > 0);
-
-    for policy in [
-        SchedulePolicy::FairShare,
-        SchedulePolicy::DecodePriority,
-        SchedulePolicy::PrefillPriority,
-    ] {
-        // The shim-lifted configuration (budget disabled, as the legacy
-        // runtime had none) with only the policy overridden.
-        let mut engine = ServeEngine::new(EngineConfig {
-            policy,
-            ..ServeConfig::default().into()
-        });
-        let report = engine.run(&requests, &DecodeTrace::empty()).unwrap();
-        assert_eq!(
-            report.prefill, legacy,
-            "prefill-only engine run under {policy} must be bit-identical to the legacy report"
-        );
-        // The decode side of a prefill-only run is empty, and the shared
-        // figures collapse onto the prefill class.
-        assert_eq!(report.decode, DecodeReport::default());
-        assert_eq!(report.launches, legacy.batches);
-        assert_eq!(report.makespan_s, legacy.makespan_s);
-        assert_eq!(report.mem_peak_decode_bytes, 0);
-        assert!(report.mem_peak_bytes <= report.mem_budget_bytes);
-        assert_eq!(report.mem_peak_bytes, report.mem_peak_prefill_bytes);
+    for devices in [1usize, 3] {
+        let run = |policy: SchedulePolicy| {
+            ServeEngine::new(EngineConfig {
+                policy,
+                devices,
+                ..EngineConfig::default()
+            })
+            .run(&requests, &DecodeTrace::empty())
+            .unwrap()
+        };
+        let baseline = run(SchedulePolicy::FairShare);
+        assert!(baseline.prefill.completed() > 0);
+        for policy in POLICIES {
+            let report = run(policy);
+            assert_eq!(
+                report.prefill, baseline.prefill,
+                "prefill-only run under {policy} ({devices} devices) must match fair-share"
+            );
+            // The decode side of a prefill-only run is empty, and the shared
+            // figures collapse onto the prefill class.
+            assert_eq!(report.decode, DecodeReport::default());
+            assert_eq!(report.launches, report.prefill.batches);
+            assert_eq!(report.makespan_s, report.prefill.makespan_s);
+            assert_eq!(report.mem_peak_decode_bytes, 0);
+            assert!(report.mem_peak_bytes <= report.mem_budget_bytes);
+            assert_eq!(report.mem_peak_bytes, report.mem_peak_prefill_bytes);
+        }
     }
-
-    // A default-budget engine (half of DRAM) matches too whenever the
-    // budget does not bind — the regime every realistic prefill queue is
-    // in. (In memory-bound corners the budget sheds load the budget-free
-    // legacy path would have queued; the shim disables it for that reason.)
-    let mut engine = ServeEngine::new(EngineConfig::default());
-    let report = engine.run(&requests, &DecodeTrace::empty()).unwrap();
-    assert_eq!(report.prefill, legacy);
 }
 
 #[test]
-fn prefill_equivalence_holds_with_serial_planning_and_extra_devices() {
-    let requests = prefill_stream(40, 29);
-    let serve_config = ServeConfig {
-        devices: 3,
-        parallel_planning: false,
-        ..ServeConfig::default()
-    };
-    let legacy = ServeRuntime::new(serve_config.clone())
-        .run_trace(&requests)
-        .unwrap();
-    let mut engine = ServeEngine::new(serve_config.into());
-    let report = engine.run(&requests, &DecodeTrace::empty()).unwrap();
-    assert_eq!(report.prefill, legacy);
-}
-
-#[test]
-fn decode_only_trace_reproduces_the_legacy_decode_report_bit_identically() {
-    let hw = HardwareConfig::edge_default();
+fn decode_only_trace_is_policy_invariant() {
     let trace = decode_trace(&DecodeTraceConfig::poisson(
         vec![Network::BertSmall, Network::T5Mini, Network::Llama3_8B],
         20,
         200.0,
         9,
     ));
-    // Paged (default), legacy max-context charging, and a deadline-screened
-    // variant, on one and two devices.
-    let policies = [
+    // Default paged charging and a deadline-screened variant, on one and
+    // two devices.
+    let decode_policies = [
         DecodePolicy::default(),
-        DecodePolicy {
-            kv_block_tokens: None,
-            ..DecodePolicy::default()
-        },
         DecodePolicy {
             step_deadline_s: Some(5e-4),
             ..DecodePolicy::default()
         },
     ];
-    for decode_policy in policies {
+    for decode_policy in decode_policies {
         for devices in [1usize, 2] {
-            let legacy = DecodeRuntime::new(hw.clone(), decode_policy)
-                .with_devices(devices)
-                .run_trace(&trace);
-            assert_eq!(
-                legacy.completed() + legacy.rejected.len(),
-                trace.total_steps()
-            );
-            for policy in [
-                SchedulePolicy::FairShare,
-                SchedulePolicy::DecodePriority,
-                SchedulePolicy::PrefillPriority,
-            ] {
-                let mut engine = ServeEngine::new(EngineConfig {
+            let run = |policy: SchedulePolicy| {
+                ServeEngine::new(EngineConfig {
                     decode: decode_policy,
                     devices,
                     policy,
                     ..EngineConfig::default()
-                });
-                let report = engine.run(&[], &trace).unwrap();
+                })
+                .run(&[], &trace)
+                .unwrap()
+            };
+            let baseline = run(SchedulePolicy::FairShare).decode;
+            assert_eq!(
+                baseline.completed() + baseline.rejected.len(),
+                trace.total_steps()
+            );
+            for policy in POLICIES {
+                let report = run(policy);
                 assert_eq!(
-                    report.decode, legacy,
-                    "decode-only engine run under {policy} ({devices} devices) must be \
-                     bit-identical to the legacy report"
+                    report.decode, baseline,
+                    "decode-only run under {policy} ({devices} devices) must match fair-share"
                 );
                 assert_eq!(report.prefill.completed(), 0);
-                assert_eq!(report.launches, legacy.launches);
-                assert_eq!(report.makespan_s, legacy.makespan_s);
+                assert_eq!(report.launches, baseline.launches);
+                assert_eq!(report.makespan_s, baseline.makespan_s);
                 // The shared-budget peak of a decode-only run is exactly the
                 // decode KV peak.
-                assert_eq!(report.mem_peak_bytes, legacy.kv_peak_bytes);
+                assert_eq!(report.mem_peak_bytes, baseline.kv_peak_bytes);
                 assert_eq!(report.mem_peak_prefill_bytes, 0);
             }
         }

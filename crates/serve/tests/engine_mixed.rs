@@ -168,7 +168,7 @@ fn decode_residency_sheds_prefill_under_a_shared_budget() {
     let hw = hw();
     let prefill_workload = Network::BertSmall.attention_workload(1);
     let prefill_charge = 4 * prefill_workload.operand_bytes(hw.element_bytes);
-    // One decode session whose legacy max-context reservation fills the
+    // One decode session whose 128 allocated blocks (2048 tokens) fill the
     // budget to within half a prefill charge.
     let session_tokens = 2048usize;
     let session_bytes =
@@ -185,10 +185,6 @@ fn decode_residency_sheds_prefill_under_a_shared_budget() {
         None,
     )];
     let config = EngineConfig {
-        decode: DecodePolicy {
-            kv_block_tokens: None, // legacy charging: whole reservation up front
-            ..DecodePolicy::default()
-        },
         shared_budget_bytes: Some(budget),
         ..EngineConfig::default()
     };
@@ -232,10 +228,6 @@ fn prefill_pressure_sheds_decode_under_a_shared_budget() {
         event.arrival_s += 0.001;
     }
     let config = EngineConfig {
-        decode: DecodePolicy {
-            kv_block_tokens: None,
-            ..DecodePolicy::default()
-        },
         shared_budget_bytes: Some(budget),
         ..EngineConfig::default()
     };
@@ -271,7 +263,6 @@ proptest! {
         seed in 0u64..1000,
         budget_pick in 0usize..4,
         policy_pick in 0usize..3,
-        paged_pick in 0usize..2,
     ) {
         let budget_mb = [1u64, 4, 16, 3072][budget_pick];
         let policy = [
@@ -279,7 +270,6 @@ proptest! {
             SchedulePolicy::DecodePriority,
             SchedulePolicy::PrefillPriority,
         ][policy_pick];
-        let paged = paged_pick == 1;
         let trace = mixed_trace(&MixedTraceConfig::poisson(
             vec![Network::BertSmall, Network::T5Mini],
             prefill_count,
@@ -289,10 +279,6 @@ proptest! {
             seed,
         ));
         let config = EngineConfig {
-            decode: DecodePolicy {
-                kv_block_tokens: if paged { Some(16) } else { None },
-                ..DecodePolicy::default()
-            },
             policy,
             shared_budget_bytes: Some(budget_mb * 1_000_000),
             ..EngineConfig::default()

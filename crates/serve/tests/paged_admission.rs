@@ -1,10 +1,10 @@
-//! The PR-3 over-reservation fix, pinned end to end: legacy admission
-//! charges every session's KV at *declared maximum context* for its whole
-//! lifetime, so a device budget admits only `budget / max_context_bytes`
-//! concurrent sessions — even when actual contexts stay tiny. Block-granular
-//! charging bills only the blocks a session has actually grown into, so the
-//! same budget admits strictly more (here 4×) concurrent sessions with zero
-//! pool overflows during replay.
+//! Block-granular KV admission, pinned end to end: reserving every
+//! session's KV at its *declared maximum context* for its whole lifetime
+//! would admit only `budget / max_context_bytes` concurrent sessions — even
+//! when actual contexts stay tiny. Block-granular charging bills only the
+//! blocks a session has actually grown into, so the same budget admits
+//! strictly more (here 4×) concurrent sessions with zero pool overflows
+//! during replay.
 //!
 //! Plus the cross-session prefix-sharing extension: under
 //! [`DecodePolicy::prefix_share`], sessions declaring the same
@@ -14,14 +14,23 @@
 //! are released exactly once, with its last member.
 
 use mas_dataflow::decode::DecodeStep;
-use mas_serve::{DecodePolicy, DecodeRuntime};
+use mas_serve::{DecodePolicy, DecodeReport, EngineConfig, ServeEngine};
 use mas_sim::HardwareConfig;
 use mas_workloads::{DecodeSessionSpec, DecodeStepEvent, DecodeTrace, Network};
 
+/// Replays a decode-only trace through the engine under `policy`.
+fn replay(policy: DecodePolicy, trace: &DecodeTrace) -> DecodeReport {
+    let config = EngineConfig {
+        decode: policy,
+        ..EngineConfig::default()
+    };
+    ServeEngine::new(config).run(&[], trace).unwrap().decode
+}
+
 /// A long-max-context / short-actual-context trace: `n` simultaneous
 /// sessions each *declare* a generation budget of `declared_steps` (the
-/// worst case legacy admission reserves) but the trace replays only
-/// `actual_steps` of each.
+/// worst case a max-context reservation would hold) but the trace replays
+/// only `actual_steps` of each.
 fn overcommit_trace(
     n: u64,
     prompt: usize,
@@ -65,57 +74,45 @@ fn paged_charging_admits_at_least_twice_the_sessions_of_max_context_reservation(
     // actually replayed (actual context ≤ 40 tokens).
     let trace = overcommit_trace(16, 32, 480, 8);
 
-    // Budget: exactly four sessions' worth of max-context KV.
+    // Budget: exactly four sessions' worth of max-context KV, so a
+    // max-context reservation would admit four sessions.
     let max_context_bytes = DecodeStep::new("max", 1, 8, 512, 64).kv_cache_bytes(hw.element_bytes);
     let budget = 4 * max_context_bytes;
+    let max_context_sessions = (budget / max_context_bytes) as usize;
 
-    let legacy_policy = DecodePolicy {
-        kv_budget_bytes: Some(budget),
-        kv_block_tokens: None,
-        ..DecodePolicy::default()
-    };
-    let paged_policy = DecodePolicy {
-        kv_budget_bytes: Some(budget),
-        kv_block_tokens: Some(block_tokens),
-        ..DecodePolicy::default()
-    };
+    let paged = replay(
+        DecodePolicy {
+            kv_budget_bytes: Some(budget),
+            kv_block_tokens: block_tokens,
+            ..DecodePolicy::default()
+        },
+        &trace,
+    );
 
-    let legacy = DecodeRuntime::new(hw.clone(), legacy_policy).run_trace(&trace);
-    let paged = DecodeRuntime::new(hw.clone(), paged_policy).run_trace(&trace);
-
-    // Legacy over-reservation caps concurrency at the worst case.
-    assert_eq!(legacy.sessions_admitted, 4, "{}", legacy.summary());
-    assert_eq!(legacy.rejected_sessions.len(), 12);
-
-    // Block-granular charging admits every session — strictly more, and at
-    // least the 2x the acceptance criterion demands — with zero pool
-    // overflows during replay.
+    // Block-granular charging admits every session — at least twice the
+    // max-context count — with zero pool overflows during replay.
     assert_eq!(paged.sessions_admitted, 16, "{}", paged.summary());
-    assert!(paged.sessions_admitted >= 2 * legacy.sessions_admitted);
+    assert!(paged.sessions_admitted >= 2 * max_context_sessions);
     assert!(paged.rejected_sessions.is_empty());
     assert_eq!(paged.pool_overflows(), 0, "no step may be shed for blocks");
     assert!(paged.rejected.is_empty());
 
-    // Every admitted session's steps completed, so paged throughput is 4x.
+    // Every admitted session's steps completed.
     assert_eq!(paged.completed(), 16 * 8);
-    assert_eq!(legacy.completed(), 4 * 8);
 
-    // Both stayed within the budget; the paged peak is the actual working
-    // set (3 blocks of 16 tokens per session), far under the reservation.
-    assert!(legacy.kv_peak_bytes <= budget);
+    // The peak is the actual working set (3 blocks of 16 tokens per
+    // session), far under the reservation.
     assert!(paged.kv_peak_bytes <= budget);
     let block_bytes = DecodeStep::new("b", 1, 8, 1, 64).kv_block_bytes(16, hw.element_bytes);
     assert_eq!(paged.kv_peak_blocks, 16 * 3, "3 blocks cover 40 tokens");
     assert_eq!(paged.kv_peak_bytes, 16 * 3 * block_bytes);
-    // Aggregate peak: 4x the sessions at under half the charge. Per
-    // session, the 48-token working set is ~10x under the 512-token
+    // Aggregate peak: 4x the sessions at under half the reserved budget.
+    // Per session, the 48-token working set is ~10x under the 512-token
     // reservation.
-    assert!(paged.kv_peak_bytes < legacy.kv_peak_bytes / 2);
+    assert!(paged.kv_peak_bytes < budget / 2);
     assert!(paged.kv_peak_bytes / 16 < max_context_bytes / 10);
 
-    // Legacy fragmentation at peak exposes the over-reservation (> 90% of
-    // the charge is unused); paged waste is only the partial tail block.
-    assert!(legacy.kv_frag_at_peak > 0.9, "{}", legacy.kv_frag_at_peak);
+    // Waste at peak is only the partial tail block.
     assert!(paged.kv_frag_at_peak < 0.5, "{}", paged.kv_frag_at_peak);
 }
 
@@ -129,13 +126,13 @@ fn paged_charging_still_bounds_the_budget_under_real_pressure() {
     let budget = 20 * block_bytes;
     let policy = DecodePolicy {
         kv_budget_bytes: Some(budget),
-        kv_block_tokens: Some(16),
+        kv_block_tokens: 16,
         ..DecodePolicy::default()
     };
     // 4 sessions that genuinely decode 96 steps each (context up to 128
     // tokens = 8 blocks per session, 32 blocks demanded > 20 budgeted).
     let trace = overcommit_trace(4, 32, 96, 96);
-    let report = DecodeRuntime::new(hw, policy).run_trace(&trace);
+    let report = replay(policy, &trace);
     assert_eq!(report.sessions_admitted, 4, "{}", report.summary());
     assert!(
         report.pool_overflows() > 0,
@@ -202,7 +199,7 @@ fn prefix_sharing_charges_the_shared_prompt_once_and_admits_twice_the_sessions()
 
     let private_policy = DecodePolicy {
         kv_budget_bytes: Some(budget),
-        kv_block_tokens: Some(block_tokens),
+        kv_block_tokens: block_tokens,
         ..DecodePolicy::default()
     };
     let shared_policy = DecodePolicy {
@@ -212,7 +209,7 @@ fn prefix_sharing_charges_the_shared_prompt_once_and_admits_twice_the_sessions()
 
     // Private paged charging: each session charges 5 blocks at open
     // (context 65 tokens), so 16 blocks admit only 3 sessions.
-    let private = DecodeRuntime::new(hw.clone(), private_policy).run_trace(&trace);
+    let private = replay(private_policy, &trace);
     assert_eq!(private.sessions_admitted, 3, "{}", private.summary());
     assert_eq!(private.shared_sessions, 0);
     assert_eq!(private.kv_shared_peak_bytes, 0);
@@ -220,7 +217,7 @@ fn prefix_sharing_charges_the_shared_prompt_once_and_admits_twice_the_sessions()
     // Prefix sharing: the 4 prefix blocks are charged once group-wide;
     // each session privately holds only its 1-block decode tail, so all 8
     // sessions fit (4 + 8 = 12 blocks) — ≥2x the private admissions.
-    let shared = DecodeRuntime::new(hw, shared_policy).run_trace(&trace);
+    let shared = replay(shared_policy, &trace);
     assert_eq!(shared.sessions_admitted, 8, "{}", shared.summary());
     assert!(shared.sessions_admitted >= 2 * private.sessions_admitted);
     assert!(shared.rejected_sessions.is_empty());
@@ -258,11 +255,11 @@ fn sharing_with_a_partial_tail_charges_only_whole_prefix_blocks_group_wide() {
     let trace = shared_prompt_trace(4, 64, 40, 4);
     let policy = DecodePolicy {
         kv_budget_bytes: Some(64 * block_bytes),
-        kv_block_tokens: Some(block_tokens),
+        kv_block_tokens: block_tokens,
         prefix_share: true,
         ..DecodePolicy::default()
     };
-    let report = DecodeRuntime::new(hw, policy).run_trace(&trace);
+    let report = replay(policy, &trace);
     assert_eq!(report.sessions_admitted, 4, "{}", report.summary());
     assert_eq!(report.shared_sessions, 4);
     assert_eq!(report.kv_shared_peak_bytes, 2 * block_bytes);

@@ -288,7 +288,6 @@ fn prefix_sharing_events_rebuild_the_report_and_release_the_group_last() {
     });
     let config = EngineConfig {
         decode: DecodePolicy {
-            kv_block_tokens: Some(16),
             prefix_share: true,
             ..DecodePolicy::default()
         },
@@ -414,7 +413,6 @@ proptest! {
         seed in 0u64..1000,
         budget_pick in 0usize..4,
         policy_pick in 0usize..3,
-        paged_pick in 0usize..2,
         share_pick in 0usize..2,
         devices in 1usize..3,
     ) {
@@ -424,7 +422,6 @@ proptest! {
             SchedulePolicy::DecodePriority,
             SchedulePolicy::PrefillPriority,
         ][policy_pick];
-        let paged = paged_pick == 1;
         let share = share_pick == 1;
         let mut trace_config = MixedTraceConfig::poisson(
             vec![Network::BertSmall, Network::T5Mini],
@@ -440,7 +437,6 @@ proptest! {
         let trace = mixed_trace(&trace_config);
         let config = EngineConfig {
             decode: DecodePolicy {
-                kv_block_tokens: if paged { Some(16) } else { None },
                 prefix_share: share,
                 ..DecodePolicy::default()
             },

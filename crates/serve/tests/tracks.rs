@@ -2,8 +2,8 @@
 //!
 //! * **Bit-identity** — `tracks: None` (the default) and the degenerate
 //!   single-queue `TrackConfig` replay every report bitwise-equal to the
-//!   scalar device model, across policies × budgets × paged/legacy KV ×
-//!   1–2 devices (proptest).
+//!   scalar device model, across policies × budgets × chunking × 1–2
+//!   devices (proptest).
 //! * **Never worse** — with the real four-track config the engine's
 //!   makespan is ≤ the scalar model's on every workload of a
 //!   deterministic differential suite (decode-heavy, prefill-heavy,
@@ -22,8 +22,8 @@ use proptest::prelude::*;
 
 use mas_dataflow::DataflowKind;
 use mas_serve::{
-    ChunkPolicy, DecodePolicy, EngineConfig, EngineReport, EventKind, SchedulePolicy, ServeEngine,
-    ServeRequest, TelemetryConfig, TrackConfig, TrackKind,
+    ChunkPolicy, EngineConfig, EngineReport, EventKind, SchedulePolicy, ServeEngine, ServeRequest,
+    TelemetryConfig, TrackConfig, TrackKind,
 };
 use mas_workloads::{
     mixed_trace, DecodeSessionSpec, DecodeStepEvent, DecodeTrace, MixedTraceConfig, Network,
@@ -135,7 +135,6 @@ proptest! {
         seed in 0u64..1000,
         budget_pick in 0usize..3,
         policy_pick in 0usize..3,
-        paged_pick in 0usize..2,
         devices in 1usize..3,
         chunk_pick in 0usize..2,
     ) {
@@ -159,10 +158,6 @@ proptest! {
             Some(0.05),
         );
         let config = EngineConfig {
-            decode: DecodePolicy {
-                kv_block_tokens: if paged_pick == 1 { Some(16) } else { None },
-                ..DecodePolicy::default()
-            },
             policy,
             devices,
             shared_budget_bytes: Some(budget_mb * 1_000_000),

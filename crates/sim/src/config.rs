@@ -33,7 +33,7 @@ pub struct HardwareConfig {
     /// VEC-lane operations needed per softmax element (max, subtract,
     /// exponential via polynomial, sum and normalize passes). This constant
     /// calibrates the relative weight of the softmax stream versus the MatMul
-    /// stream; see `DESIGN.md` §4.
+    /// stream.
     pub softmax_ops_per_element: usize,
     /// Extra cycles to fill/drain the MAC systolic pipeline per tile launch.
     pub mac_fill_drain_cycles: u64,
