@@ -69,10 +69,36 @@ fn bench_fine_tiling(c: &mut Criterion) {
     g.finish();
 }
 
+/// Graph construction alone (build and drop, no simulation) of the first
+/// candidate every tuning run evaluates: MAS-Attention on BERT-Small at the
+/// naive single-row tiling, 77,840 tasks. Per-task allocation or label
+/// formatting in the builders shows here first.
+fn bench_build_naive_tiling(c: &mut Criterion) {
+    let hw = HardwareConfig::edge_default();
+    let w = AttentionWorkload::new("BERT-Small", 1, 8, 512, 64);
+    let t = Tiling::naive(&w);
+    let tasks = build_dataflow(DataflowKind::MasAttention, &w, &t, &hw)
+        .unwrap()
+        .graph()
+        .len();
+    let mut g = c.benchmark_group("build_naive_tiling");
+    g.sample_size(10);
+    g.bench_function(format!("bert_small_mas_{tasks}_tasks"), |b| {
+        b.iter(|| {
+            build_dataflow(DataflowKind::MasAttention, &w, &t, &hw)
+                .unwrap()
+                .graph()
+                .len()
+        })
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_build_and_simulate,
     bench_graph_scaling,
-    bench_fine_tiling
+    bench_fine_tiling,
+    bench_build_naive_tiling
 );
 criterion_main!(benches);

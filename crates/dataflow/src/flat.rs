@@ -8,7 +8,7 @@
 //! vice versa. This is the strongest published baseline in the paper and the
 //! main comparison point of Tables 2–3.
 
-use mas_sim::task::TaskId;
+use mas_sim::task::{Label, TaskId};
 use mas_sim::HardwareConfig;
 
 use crate::kind::DataflowKind;
@@ -49,36 +49,42 @@ pub(crate) fn build(
             let q_rows = plan.q_rows(workload, tiling, i);
             let rows = q_rows * plan.slices;
             let q_bytes = plan.slices * q_rows * embed * eb;
-            let load_q = em.load(format!("c{chunk} r{i}: load Q_{i}"), q_bytes, &[]);
+            let load_q = em.load(
+                Label::new("c{0} r{1}: load Q_{1}", [chunk, i]),
+                q_bytes,
+                &[],
+            );
 
             // Algorithm-2-style sweep over K sub-tiles.
             let mut qk_tasks = Vec::with_capacity(plan.kv_tiles);
             for j in 0..plan.kv_tiles {
                 let kv_cols = plan.kv_cols(workload, tiling, j);
-                let mut deps = vec![load_q];
-                if let Some(k) = k_resident {
-                    deps.push(k);
-                } else {
+                let k = k_resident.unwrap_or_else(|| {
                     let bytes = plan.slices * kv_cols * embed * eb;
-                    deps.push(em.load(format!("c{chunk} r{i}: load K_{j}"), bytes, &[]));
-                }
-                if let Some(gate) = round_gate {
-                    deps.push(gate);
-                }
+                    em.load(
+                        Label::new("c{0} r{1}: load K_{2}", [chunk, i, j]),
+                        bytes,
+                        &[],
+                    )
+                });
+                let deps: &[TaskId] = match round_gate {
+                    Some(gate) => &[load_q, k, gate],
+                    None => &[load_q, k],
+                };
                 qk_tasks.push(em.matmul(
-                    format!("c{chunk} r{i}: C_{i},{j} = Q_{i} K_{j}^T"),
+                    Label::new("c{0} r{1}: C_{1},{2} = Q_{1} K_{2}^T", [chunk, i, j]),
                     core,
                     rows,
                     embed,
                     kv_cols,
-                    &deps,
+                    deps,
                 ));
             }
 
             // Softmax over the full row block (Algorithm 3), strictly after
             // the first MatMul.
             let sm = em.softmax(
-                format!("c{chunk} r{i}: P_{i} = softmax(C_{i})"),
+                Label::new("c{0} r{1}: P_{1} = softmax(C_{1})", [chunk, i]),
                 core,
                 rows,
                 workload.seq_len,
@@ -89,24 +95,29 @@ pub(crate) fn build(
             let mut pv_tasks = Vec::with_capacity(plan.kv_tiles);
             for j in 0..plan.kv_tiles {
                 let kv_cols = plan.kv_cols(workload, tiling, j);
-                let mut deps = vec![sm];
-                if let Some(v) = v_resident {
-                    deps.push(v);
-                } else {
+                let v = v_resident.unwrap_or_else(|| {
                     let bytes = plan.slices * kv_cols * embed * eb;
-                    deps.push(em.load(format!("c{chunk} r{i}: load V_{j}"), bytes, &[]));
-                }
+                    em.load(
+                        Label::new("c{0} r{1}: load V_{2}", [chunk, i, j]),
+                        bytes,
+                        &[],
+                    )
+                });
                 pv_tasks.push(em.matmul(
-                    format!("c{chunk} r{i}: O_{i} += P_{i},{j} V_{j}"),
+                    Label::new("c{0} r{1}: O_{1} += P_{1},{2} V_{2}", [chunk, i, j]),
                     core,
                     rows,
                     kv_cols,
                     embed,
-                    &deps,
+                    &[sm, v],
                 ));
             }
             let o_bytes = plan.slices * q_rows * embed * eb;
-            em.store(format!("c{chunk} r{i}: store O_{i}"), o_bytes, &pv_tasks);
+            em.store(
+                Label::new("c{0} r{1}: store O_{1}", [chunk, i]),
+                o_bytes,
+                &pv_tasks,
+            );
             round_gate = pv_tasks.last().copied();
         }
         core_gate[core] = round_gate;

@@ -14,7 +14,7 @@
 //! than the search; the comparison harness in `mas-attention` passes it a
 //! fixed heuristic tiling.
 
-use mas_sim::task::TaskId;
+use mas_sim::task::{Label, TaskId};
 use mas_sim::HardwareConfig;
 
 use crate::kind::DataflowKind;
@@ -52,7 +52,11 @@ pub(crate) fn build(
             let q_rows = plan.q_rows(workload, tiling, i);
             let rows = q_rows * plan.slices;
             let q_bytes = plan.slices * q_rows * embed * eb;
-            let load_q = em.load(format!("c{chunk} r{i}: load Q_{i}"), q_bytes, &[]);
+            let load_q = em.load(
+                Label::new("c{0} r{1}: load Q_{1}", [chunk, i]),
+                q_bytes,
+                &[],
+            );
 
             // The online accumulator state is updated sequentially over the
             // K/V sub-tiles; score MatMuls for later sub-tiles may run ahead
@@ -62,38 +66,39 @@ pub(crate) fn build(
             for j in 0..plan.kv_tiles {
                 let kv_cols = plan.kv_cols(workload, tiling, j);
                 // Score sub-tile S_j = Q_i K_j^T.
-                let mut deps = vec![load_q];
-                if let Some(k) = k_resident {
-                    deps.push(k);
-                } else {
+                let k = k_resident.unwrap_or_else(|| {
                     let bytes = plan.slices * kv_cols * embed * eb;
-                    deps.push(em.load(format!("c{chunk} r{i}: load K_{j}"), bytes, &[]));
-                }
+                    em.load(
+                        Label::new("c{0} r{1}: load K_{2}", [chunk, i, j]),
+                        bytes,
+                        &[],
+                    )
+                });
                 let score = em.matmul(
-                    format!("c{chunk} r{i}: S_{i},{j} = Q_{i} K_{j}^T"),
+                    Label::new("c{0} r{1}: S_{1},{2} = Q_{1} K_{2}^T", [chunk, i, j]),
                     core,
                     rows,
                     embed,
                     kv_cols,
-                    &deps,
+                    &[load_q, k],
                 );
 
                 // Online softmax update for the sub-tile: exponentials plus
                 // running max/denominator merges, then the rescale of the
                 // output accumulator (rows × E elements).
-                let mut update_deps = vec![score];
-                if let Some(p) = prev_update {
-                    update_deps.push(p);
-                }
+                let update_deps: &[TaskId] = match prev_update {
+                    Some(p) => &[score, p],
+                    None => &[score],
+                };
                 let exp = em.softmax(
-                    format!("c{chunk} r{i}: online exp/max S_{i},{j}"),
+                    Label::new("c{0} r{1}: online exp/max S_{1},{2}", [chunk, i, j]),
                     core,
                     rows,
                     kv_cols,
-                    &update_deps,
+                    update_deps,
                 );
                 let correction = em.vec_op(
-                    format!("c{chunk} r{i}: online corrections {j}"),
+                    Label::new("c{0} r{1}: online corrections {2}", [chunk, i, j]),
                     core,
                     rows * kv_cols * ONLINE_EXTRA_PASSES + rows * embed,
                     1,
@@ -102,44 +107,48 @@ pub(crate) fn build(
                 prev_update = Some(correction);
 
                 // Accumulate O_i += P_{i,j} V_j on the MAC.
-                let mut pv_deps = vec![correction];
-                if let Some(v) = v_resident {
-                    pv_deps.push(v);
-                } else {
+                let v = v_resident.unwrap_or_else(|| {
                     let bytes = plan.slices * kv_cols * embed * eb;
-                    pv_deps.push(em.load(format!("c{chunk} r{i}: load V_{j}"), bytes, &[]));
-                }
-                if let Some(a) = prev_accum {
-                    pv_deps.push(a);
-                }
+                    em.load(
+                        Label::new("c{0} r{1}: load V_{2}", [chunk, i, j]),
+                        bytes,
+                        &[],
+                    )
+                });
+                let pv_deps: &[TaskId] = match prev_accum {
+                    Some(a) => &[correction, v, a],
+                    None => &[correction, v],
+                };
                 let accum = em.matmul(
-                    format!("c{chunk} r{i}: O_{i} += P_{i},{j} V_{j}"),
+                    Label::new("c{0} r{1}: O_{1} += P_{1},{2} V_{2}", [chunk, i, j]),
                     core,
                     rows,
                     kv_cols,
                     embed,
-                    &pv_deps,
+                    pv_deps,
                 );
                 prev_accum = Some(accum);
             }
 
             // Final normalization by the accumulated denominator.
-            let mut final_deps: Vec<TaskId> = Vec::new();
-            if let Some(u) = prev_update {
-                final_deps.push(u);
-            }
-            if let Some(a) = prev_accum {
-                final_deps.push(a);
-            }
+            let final_deps: &[TaskId] = match (prev_update, prev_accum) {
+                (Some(u), Some(a)) => &[u, a],
+                (Some(only), None) | (None, Some(only)) => &[only],
+                (None, None) => &[],
+            };
             let normalize = em.vec_op(
-                format!("c{chunk} r{i}: normalize O_{i}"),
+                Label::new("c{0} r{1}: normalize O_{1}", [chunk, i]),
                 core,
                 rows * embed,
                 1,
-                &final_deps,
+                final_deps,
             );
             let o_bytes = plan.slices * q_rows * embed * eb;
-            em.store(format!("c{chunk} r{i}: store O_{i}"), o_bytes, &[normalize]);
+            em.store(
+                Label::new("c{0} r{1}: store O_{1}", [chunk, i]),
+                o_bytes,
+                &[normalize],
+            );
         }
     }
 

@@ -7,7 +7,7 @@
 //! makes the workflow memory-bound on edge devices (paper §2, "Sequential
 //! Attention Execution").
 
-use mas_sim::task::TaskId;
+use mas_sim::task::{Label, TaskId};
 use mas_sim::HardwareConfig;
 
 use crate::kind::DataflowKind;
@@ -35,7 +35,7 @@ pub(crate) fn build(
         let chunk = plan.index;
         let k_resident = if kv_resident {
             let bytes = plan.slices * workload.seq_len * embed * eb;
-            Some(em.load(format!("c{chunk}: load K"), bytes, &[]))
+            Some(em.load(Label::new("c{0}: load K", [chunk]), bytes, &[]))
         } else {
             None
         };
@@ -44,19 +44,25 @@ pub(crate) fn build(
             let q_rows = plan.q_rows(workload, tiling, i);
             let rows = q_rows * plan.slices;
             let q_bytes = plan.slices * q_rows * embed * eb;
-            let load_q = em.load(format!("c{chunk} r{i}: load Q_{i}"), q_bytes, &[]);
+            let load_q = em.load(
+                Label::new("c{0} r{1}: load Q_{1}", [chunk, i]),
+                q_bytes,
+                &[],
+            );
             let mut qk = Vec::new();
             for j in 0..plan.kv_tiles {
                 let kv_cols = plan.kv_cols(workload, tiling, j);
-                let mut deps = vec![load_q];
-                if let Some(k) = k_resident {
-                    deps.push(k);
-                } else {
+                let k = k_resident.unwrap_or_else(|| {
                     let bytes = plan.slices * kv_cols * embed * eb;
-                    deps.push(em.load(format!("c{chunk} r{i}: load K_{j}"), bytes, &[]));
-                }
+                    em.load(
+                        Label::new("c{0} r{1}: load K_{2}", [chunk, i, j]),
+                        bytes,
+                        &[],
+                    )
+                });
+                let deps = [load_q, k];
                 qk.push(em.matmul(
-                    format!("c{chunk} r{i}: C_{i},{j} = Q_{i} K_{j}^T"),
+                    Label::new("c{0} r{1}: C_{1},{2} = Q_{1} K_{2}^T", [chunk, i, j]),
                     core,
                     rows,
                     embed,
@@ -65,7 +71,11 @@ pub(crate) fn build(
                 ));
             }
             let c_bytes = plan.slices * q_rows * workload.seq_len * eb;
-            phase1_last.push(em.store(format!("c{chunk} r{i}: store C_{i}"), c_bytes, &qk));
+            phase1_last.push(em.store(
+                Label::new("c{0} r{1}: store C_{1}", [chunk, i]),
+                c_bytes,
+                &qk,
+            ));
         }
     }
     let phase1_done = em.barrier("operator boundary: C complete", 0, &phase1_last);
@@ -80,18 +90,22 @@ pub(crate) fn build(
             let rows = q_rows * plan.slices;
             let c_bytes = plan.slices * q_rows * workload.seq_len * eb;
             let load_c = em.load(
-                format!("c{chunk} r{i}: load C_{i}"),
+                Label::new("c{0} r{1}: load C_{1}", [chunk, i]),
                 c_bytes,
                 &[phase1_done],
             );
             let sm = em.softmax(
-                format!("c{chunk} r{i}: P_{i} = softmax(C_{i})"),
+                Label::new("c{0} r{1}: P_{1} = softmax(C_{1})", [chunk, i]),
                 core,
                 rows,
                 workload.seq_len,
                 &[load_c],
             );
-            phase2_last.push(em.store(format!("c{chunk} r{i}: store P_{i}"), c_bytes, &[sm]));
+            phase2_last.push(em.store(
+                Label::new("c{0} r{1}: store P_{1}", [chunk, i]),
+                c_bytes,
+                &[sm],
+            ));
         }
     }
     let phase2_done = em.barrier("operator boundary: P complete", 0, &phase2_last);
@@ -102,7 +116,7 @@ pub(crate) fn build(
         let chunk = plan.index;
         let v_resident = if kv_resident {
             let bytes = plan.slices * workload.seq_len * embed * eb;
-            Some(em.load(format!("c{chunk}: load V"), bytes, &[phase2_done]))
+            Some(em.load(Label::new("c{0}: load V", [chunk]), bytes, &[phase2_done]))
         } else {
             None
         };
@@ -111,22 +125,24 @@ pub(crate) fn build(
             let rows = q_rows * plan.slices;
             let p_bytes = plan.slices * q_rows * workload.seq_len * eb;
             let load_p = em.load(
-                format!("c{chunk} r{i}: load P_{i}"),
+                Label::new("c{0} r{1}: load P_{1}", [chunk, i]),
                 p_bytes,
                 &[phase2_done],
             );
             let mut pv = Vec::new();
             for j in 0..plan.kv_tiles {
                 let kv_cols = plan.kv_cols(workload, tiling, j);
-                let mut deps = vec![load_p];
-                if let Some(v) = v_resident {
-                    deps.push(v);
-                } else {
+                let v = v_resident.unwrap_or_else(|| {
                     let bytes = plan.slices * kv_cols * embed * eb;
-                    deps.push(em.load(format!("c{chunk} r{i}: load V_{j}"), bytes, &[phase2_done]));
-                }
+                    em.load(
+                        Label::new("c{0} r{1}: load V_{2}", [chunk, i, j]),
+                        bytes,
+                        &[phase2_done],
+                    )
+                });
+                let deps = [load_p, v];
                 pv.push(em.matmul(
-                    format!("c{chunk} r{i}: O_{i} += P_{i},{j} V_{j}"),
+                    Label::new("c{0} r{1}: O_{1} += P_{1},{2} V_{2}", [chunk, i, j]),
                     core,
                     rows,
                     kv_cols,
@@ -135,7 +151,11 @@ pub(crate) fn build(
                 ));
             }
             let o_bytes = plan.slices * q_rows * embed * eb;
-            em.store(format!("c{chunk} r{i}: store O_{i}"), o_bytes, &pv);
+            em.store(
+                Label::new("c{0} r{1}: store O_{1}", [chunk, i]),
+                o_bytes,
+                &pv,
+            );
         }
     }
 

@@ -19,7 +19,7 @@
 //! DRAM afterwards and redoes the interrupted MatMul sub-tile. The builder
 //! records every such event in [`BuildStats`].
 
-use mas_sim::task::TaskId;
+use mas_sim::task::{Label, TaskId};
 use mas_sim::HardwareConfig;
 
 use crate::kind::DataflowKind;
@@ -189,32 +189,33 @@ impl ChunkBuilder<'_> {
         let q_rows = self.plan.q_rows(self.workload, self.tiling, i);
         let rows = q_rows * self.plan.slices;
         let q_bytes = self.plan.slices * q_rows * self.embed * self.eb;
-        let load_q = self
-            .em
-            .load(format!("c{chunk} r{i}: load Q_{i}"), q_bytes, &[]);
+        let load_q = self.em.load(
+            Label::new("c{0} r{1}: load Q_{1}", [chunk, i]),
+            q_bytes,
+            &[],
+        );
         let mut tasks = Vec::with_capacity(self.plan.kv_tiles);
         for j in 0..self.plan.kv_tiles {
             let kv_cols = self.plan.kv_cols(self.workload, self.tiling, j);
-            let mut deps = vec![load_q];
-            if let Some(k) = k_resident {
-                deps.push(k);
-            } else {
+            let k = k_resident.unwrap_or_else(|| {
                 let bytes = self.plan.slices * kv_cols * self.embed * self.eb;
-                deps.push(
-                    self.em
-                        .load(format!("c{chunk} r{i}: load K_{j}"), bytes, &[]),
-                );
-            }
-            if let Some(g) = gate {
-                deps.push(g);
-            }
+                self.em.load(
+                    Label::new("c{0} r{1}: load K_{2}", [chunk, i, j]),
+                    bytes,
+                    &[],
+                )
+            });
+            let deps: &[TaskId] = match gate {
+                Some(g) => &[load_q, k, g],
+                None => &[load_q, k],
+            };
             tasks.push(self.em.matmul(
-                format!("c{chunk} r{i}: C_{i},{j} = Q_{i} K_{j}^T"),
+                Label::new("c{0} r{1}: C_{1},{2} = Q_{1} K_{2}^T", [chunk, i, j]),
                 core,
                 rows,
                 self.embed,
                 kv_cols,
-                &deps,
+                deps,
             ));
         }
         tasks
@@ -227,7 +228,7 @@ impl ChunkBuilder<'_> {
         let q_rows = self.plan.q_rows(self.workload, self.tiling, i);
         let rows = q_rows * self.plan.slices;
         self.em.softmax(
-            format!("c{chunk} r{i}: P_{i} = softmax(C_{i})"),
+            Label::new("c{0} r{1}: P_{1} = softmax(C_{1})", [chunk, i]),
             core,
             rows,
             self.workload.seq_len,
@@ -250,29 +251,27 @@ impl ChunkBuilder<'_> {
         let mut tasks = Vec::with_capacity(self.plan.kv_tiles);
         for j in 0..self.plan.kv_tiles {
             let kv_cols = self.plan.kv_cols(self.workload, self.tiling, j);
-            let mut deps = Vec::new();
-            if let Some(s) = sm {
-                deps.push(s);
-            }
-            if let Some(v) = v_resident {
-                deps.push(v);
-            } else {
+            let v = v_resident.unwrap_or_else(|| {
                 let bytes = self.plan.slices * kv_cols * self.embed * self.eb;
-                deps.push(
-                    self.em
-                        .load(format!("c{chunk} r{i}: load V_{j}"), bytes, &[]),
-                );
-            }
-            if let Some(g) = extra_gate {
-                deps.push(g);
-            }
+                self.em.load(
+                    Label::new("c{0} r{1}: load V_{2}", [chunk, i, j]),
+                    bytes,
+                    &[],
+                )
+            });
+            let deps: &[TaskId] = match (sm, extra_gate) {
+                (Some(s), Some(g)) => &[s, v, g],
+                (Some(s), None) => &[s, v],
+                (None, Some(g)) => &[v, g],
+                (None, None) => &[v],
+            };
             tasks.push(self.em.matmul(
-                format!("c{chunk} r{i}: O_{i} += P_{i},{j} V_{j}"),
+                Label::new("c{0} r{1}: O_{1} += P_{1},{2} V_{2}", [chunk, i, j]),
                 core,
                 rows,
                 kv_cols,
                 self.embed,
-                &deps,
+                deps,
             ));
         }
         tasks
@@ -283,8 +282,11 @@ impl ChunkBuilder<'_> {
         let chunk = self.plan.index;
         let q_rows = self.plan.q_rows(self.workload, self.tiling, i);
         let o_bytes = self.plan.slices * q_rows * self.embed * self.eb;
-        self.em
-            .store(format!("c{chunk} r{i}: store O_{i}"), o_bytes, pv);
+        self.em.store(
+            Label::new("c{0} r{1}: store O_{1}", [chunk, i]),
+            o_bytes,
+            pv,
+        );
     }
 
     /// Emits one proactive-overwrite event for round `i`: the victim tile is
@@ -301,15 +303,19 @@ impl ChunkBuilder<'_> {
         let core = self.plan.core;
         let kv_cols = self.plan.kv_cols(self.workload, self.tiling, 0);
         let bytes = self.plan.slices * kv_cols * self.embed * self.eb;
-        let deps: Vec<TaskId> = sm.into_iter().collect();
-        let reload = self.em.load(
-            format!(
-                "c{chunk} r{i}: reload {} tile after overwrite",
-                victim.name()
+        let (reload_label, redo_label) = match victim {
+            OverwriteVictim::V => (
+                "c{0} r{1}: reload V tile after overwrite",
+                "c{0} r{1}: redo interrupted MatMul (V)",
             ),
-            bytes,
-            &deps,
-        );
+            OverwriteVictim::K => (
+                "c{0} r{1}: reload K tile after overwrite",
+                "c{0} r{1}: redo interrupted MatMul (K)",
+            ),
+        };
+        let reload = self
+            .em
+            .load(Label::new(reload_label, [chunk, i]), bytes, sm.as_slice());
         // The interrupted MatMul sub-tile is redone once the operand is back.
         let q_rows = self.plan.q_rows(self.workload, self.tiling, i);
         let rows = q_rows * self.plan.slices;
@@ -319,14 +325,9 @@ impl ChunkBuilder<'_> {
             // Interrupted C = Q K^T sub-tile.
             OverwriteVictim::K => (rows, self.embed, kv_cols),
         };
-        let redo = self.em.matmul(
-            format!("c{chunk} r{i}: redo interrupted MatMul ({})", victim.name()),
-            core,
-            m,
-            k,
-            n,
-            &[reload],
-        );
+        let redo = self
+            .em
+            .matmul(Label::new(redo_label, [chunk, i]), core, m, k, n, &[reload]);
         (redo, bytes as u64, (m * k * n) as u64)
     }
 }

@@ -46,17 +46,6 @@ pub enum OverwriteVictim {
     K,
 }
 
-impl OverwriteVictim {
-    /// Short name for labels and reports.
-    #[must_use]
-    pub const fn name(self) -> &'static str {
-        match self {
-            OverwriteVictim::V => "V",
-            OverwriteVictim::K => "K",
-        }
-    }
-}
-
 /// Chooses the residency plan for MAS-Attention on one chunk.
 ///
 /// The decision compares three working sets against the L1 capacity:
@@ -173,7 +162,5 @@ mod tests {
         assert_eq!(victim_for_round(0), OverwriteVictim::V);
         assert_eq!(victim_for_round(1), OverwriteVictim::K);
         assert_eq!(victim_for_round(2), OverwriteVictim::V);
-        assert_eq!(OverwriteVictim::V.name(), "V");
-        assert_eq!(OverwriteVictim::K.name(), "K");
     }
 }

@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use mas_sim::task::{Resource, TaskId, TaskKind};
+use mas_sim::task::{Label, Resource, TaskId, TaskKind};
 use mas_sim::{HardwareConfig, Result, TaskGraph};
 
 use crate::footprint::{footprint, resident_kv_bytes};
@@ -118,7 +118,7 @@ impl Emitter {
     /// DRAM → L1 load on the inbound DMA channel.
     pub(crate) fn load(
         &mut self,
-        label: impl Into<String>,
+        label: impl Into<Label>,
         bytes: usize,
         deps: &[TaskId],
     ) -> TaskId {
@@ -129,7 +129,7 @@ impl Emitter {
     /// L1 → DRAM store on the outbound DMA channel.
     pub(crate) fn store(
         &mut self,
-        label: impl Into<String>,
+        label: impl Into<Label>,
         bytes: usize,
         deps: &[TaskId],
     ) -> TaskId {
@@ -140,7 +140,7 @@ impl Emitter {
     /// Tiled MatMul on a core's MAC unit.
     pub(crate) fn matmul(
         &mut self,
-        label: impl Into<String>,
+        label: impl Into<Label>,
         core: usize,
         m: usize,
         k: usize,
@@ -158,7 +158,7 @@ impl Emitter {
     /// Row-wise softmax tile on a core's VEC unit.
     pub(crate) fn softmax(
         &mut self,
-        label: impl Into<String>,
+        label: impl Into<Label>,
         core: usize,
         rows: usize,
         cols: usize,
@@ -175,7 +175,7 @@ impl Emitter {
     /// Generic element-wise pass on a core's VEC unit.
     pub(crate) fn vec_op(
         &mut self,
-        label: impl Into<String>,
+        label: impl Into<Label>,
         core: usize,
         elements: usize,
         passes: usize,
@@ -192,7 +192,7 @@ impl Emitter {
     /// Zero-duration synchronization point on a core's MAC unit.
     pub(crate) fn barrier(
         &mut self,
-        label: impl Into<String>,
+        label: impl Into<Label>,
         core: usize,
         deps: &[TaskId],
     ) -> TaskId {
@@ -220,8 +220,16 @@ pub(crate) fn preload_resident_kv(
         .iter()
         .map(|plan| {
             let bytes = plan.slices * workload.seq_len * workload.embed * eb;
-            let k = em.load(format!("c{}: load K (resident)", plan.index), bytes, &[]);
-            let v = em.load(format!("c{}: load V (resident)", plan.index), bytes, &[]);
+            let k = em.load(
+                Label::new("c{0}: load K (resident)", [plan.index]),
+                bytes,
+                &[],
+            );
+            let v = em.load(
+                Label::new("c{0}: load V (resident)", [plan.index]),
+                bytes,
+                &[],
+            );
             (Some(k), Some(v))
         })
         .collect()
@@ -390,6 +398,6 @@ mod tests {
         let g = e.into_graph();
         assert_eq!(g.len(), 6);
         g.validate().unwrap();
-        assert_eq!(g.get(st).unwrap().deps, vec![bar]);
+        assert_eq!(g.get(st).unwrap().deps(), [bar]);
     }
 }

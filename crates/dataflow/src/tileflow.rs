@@ -17,7 +17,7 @@
 //!    [`crate::footprint`]), so under L1 pressure the tiling search must
 //!    choose smaller tiles than MAS-Attention, paying more per-tile overhead.
 
-use mas_sim::task::TaskId;
+use mas_sim::task::{Label, TaskId};
 use mas_sim::HardwareConfig;
 
 use crate::kind::DataflowKind;
@@ -67,27 +67,33 @@ pub(crate) fn build(
                 let q_bytes = plan.slices * q_rows * embed * eb;
                 // Stage-synchronous: even the DMA prefetch for step s waits
                 // for the previous barrier.
-                let load_deps: Vec<TaskId> = barrier.into_iter().collect();
-                let load_q = em.load(format!("c{chunk} s{s}: load Q_{s}"), q_bytes, &load_deps);
+                let load_deps = barrier.as_slice();
+                let load_q = em.load(
+                    Label::new("c{0} s{1}: load Q_{1}", [chunk, s]),
+                    q_bytes,
+                    load_deps,
+                );
                 for j in 0..plan.kv_tiles {
                     let kv_cols = plan.kv_cols(workload, tiling, j);
-                    let mut deps = vec![load_q];
-                    if let Some(k) = k_resident {
-                        deps.push(k);
-                    } else {
+                    let k = k_resident.unwrap_or_else(|| {
                         let bytes = plan.slices * kv_cols * embed * eb;
-                        deps.push(em.load(format!("c{chunk} s{s}: load K_{j}"), bytes, &load_deps));
-                    }
-                    if let Some(b) = barrier {
-                        deps.push(b);
-                    }
+                        em.load(
+                            Label::new("c{0} s{1}: load K_{2}", [chunk, s, j]),
+                            bytes,
+                            load_deps,
+                        )
+                    });
+                    let deps: &[TaskId] = match barrier {
+                        Some(b) => &[load_q, k, b],
+                        None => &[load_q, k],
+                    };
                     let id = em.matmul(
-                        format!("c{chunk} s{s}: C_{s},{j} = Q_{s} K_{j}^T"),
+                        Label::new("c{0} s{1}: C_{1},{2} = Q_{1} K_{2}^T", [chunk, s, j]),
                         core,
                         rows,
                         embed,
                         kv_cols,
-                        &deps,
+                        deps,
                     );
                     qk_tasks[s].push(id);
                     step_tasks.push(id);
@@ -99,12 +105,12 @@ pub(crate) fn build(
                 let i = s - 1;
                 let q_rows = plan.q_rows(workload, tiling, i);
                 let rows = q_rows * plan.slices;
-                let mut deps = qk_tasks[i].clone();
+                let mut deps = std::mem::take(&mut qk_tasks[i]);
                 if let Some(b) = barrier {
                     deps.push(b);
                 }
                 let sm = em.softmax(
-                    format!("c{chunk} s{s}: P_{i} = softmax(C_{i})"),
+                    Label::new("c{0} s{1}: P_{2} = softmax(C_{2})", [chunk, s, i]),
                     core,
                     rows,
                     workload.seq_len,
@@ -122,40 +128,47 @@ pub(crate) fn build(
                 let mut pv = Vec::with_capacity(plan.kv_tiles);
                 for j in 0..plan.kv_tiles {
                     let kv_cols = plan.kv_cols(workload, tiling, j);
-                    let mut deps = Vec::new();
-                    if let Some(sm) = sm_tasks[i] {
-                        deps.push(sm);
-                    }
-                    if let Some(v) = v_resident {
-                        deps.push(v);
-                    } else {
+                    let v = v_resident.unwrap_or_else(|| {
                         let bytes = plan.slices * kv_cols * embed * eb;
-                        let load_deps: Vec<TaskId> = barrier.into_iter().collect();
-                        deps.push(em.load(format!("c{chunk} s{s}: load V_{j}"), bytes, &load_deps));
-                    }
-                    if let Some(b) = barrier {
-                        deps.push(b);
-                    }
+                        em.load(
+                            Label::new("c{0} s{1}: load V_{2}", [chunk, s, j]),
+                            bytes,
+                            barrier.as_slice(),
+                        )
+                    });
+                    let deps: &[TaskId] = match (sm_tasks[i], barrier) {
+                        (Some(sm), Some(b)) => &[sm, v, b],
+                        (Some(sm), None) => &[sm, v],
+                        (None, Some(b)) => &[v, b],
+                        (None, None) => &[v],
+                    };
                     let id = em.matmul(
-                        format!("c{chunk} s{s}: O_{i} += P_{i},{j} V_{j}"),
+                        Label::new("c{0} s{1}: O_{2} += P_{2},{3} V_{3}", [chunk, s, i, j]),
                         core,
                         rows,
                         kv_cols,
                         embed,
-                        &deps,
+                        deps,
                     );
                     pv.push(id);
                     step_tasks.push(id);
                 }
                 let o_bytes = plan.slices * q_rows * embed * eb;
-                em.store(format!("c{chunk} s{s}: store O_{i}"), o_bytes, &pv);
+                em.store(
+                    Label::new("c{0} s{1}: store O_{2}", [chunk, s, i]),
+                    o_bytes,
+                    &pv,
+                );
             }
 
             // Stage barrier: every stage of this step must finish before the
             // next step starts.
             if !step_tasks.is_empty() {
-                barrier =
-                    Some(em.barrier(format!("c{chunk} s{s}: stage barrier"), core, &step_tasks));
+                barrier = Some(em.barrier(
+                    Label::new("c{0} s{1}: stage barrier", [chunk, s]),
+                    core,
+                    &step_tasks,
+                ));
             }
         }
         core_barrier[core] = barrier;

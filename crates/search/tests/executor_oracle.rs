@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use mas_dataflow::footprint::tiling_fits;
 use mas_dataflow::{build_dataflow, AttentionWorkload, DataflowKind, Tiling};
 use mas_search::SearchSpace;
-use mas_sim::task::Task;
+use mas_sim::task::{Label, Task};
 use mas_sim::timing::TimingModel;
 use mas_sim::trace::{Trace, TraceEntry};
 use mas_sim::{
@@ -53,14 +53,14 @@ fn reference_run(
         }
     }
     // Tasks by program index (`TaskId` cannot be built outside `mas_sim`).
-    let tasks: Vec<&Task> = graph.iter().collect();
+    let tasks: Vec<Task<'_>> = graph.iter().collect();
 
     let n = graph.len();
     let mut remaining_deps = vec![0usize; n];
     let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
     for task in graph.iter() {
-        remaining_deps[task.id.index()] = task.deps.len();
-        for dep in &task.deps {
+        remaining_deps[task.id.index()] = task.deps().len();
+        for dep in task.deps() {
             dependents[dep.index()].push(task.id.index());
         }
     }
@@ -373,7 +373,7 @@ fn random_graph(rng: &mut StdRng, cores: usize, faults: bool) -> TaskGraph {
         if faults && rng.gen_range(0..25u32) == 0 {
             deps.push(ids[rng.gen_range(i..n + 2)]);
         }
-        g.add_task(format!("t{i}"), resource, kind, &deps);
+        g.add_task(Label::new("t{0}", [i]), resource, kind, &deps);
     }
     g
 }

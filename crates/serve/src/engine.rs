@@ -597,10 +597,11 @@ impl ServeEngine {
     ///
     /// Returns [`SimError::InvalidConfig`], before any state changes, if a
     /// prefill request or decode step has a non-finite or negative arrival
-    /// time; otherwise a [`SimError`] if a prefill batch that passed
+    /// time, or a prefill deadline or [`DecodePolicy::step_deadline_s`] is
+    /// NaN or negative; otherwise a [`SimError`] if a prefill batch that passed
     /// admission fails to plan or simulate. Decode-only streams never plan.
     pub fn run(&mut self, prefill: &[ServeRequest], decode: &DecodeTrace) -> Result<EngineReport> {
-        validate_arrivals(prefill, decode)?;
+        validate_inputs(prefill, decode, self.config.decode.step_deadline_s)?;
         let hw = self.planner.hardware().clone();
         let budget = self.config.budget(&hw);
         let recycled = self.telemetry.take().map(Telemetry::into_event_buffer);
@@ -787,17 +788,40 @@ impl ServeEngine {
 /// naming the offending request or session. The event loop orders, windows
 /// and expires work by arrival, so such a timestamp has no meaningful
 /// place on the timeline.
-fn validate_arrivals(prefill: &[ServeRequest], decode: &DecodeTrace) -> Result<()> {
-    let valid = |t: f64| t.is_finite() && t >= 0.0;
-    if let Some(r) = prefill.iter().find(|r| !valid(r.arrival_s)) {
+fn validate_inputs(
+    prefill: &[ServeRequest],
+    decode: &DecodeTrace,
+    step_deadline_s: Option<f64>,
+) -> Result<()> {
+    let valid_arrival = |t: f64| t.is_finite() && t >= 0.0;
+    // An infinite deadline is valid (it is never missed).
+    let invalid_deadline = |d: Option<f64>| d.filter(|d| d.is_nan() || *d < 0.0);
+    for r in prefill {
+        if !valid_arrival(r.arrival_s) {
+            return Err(SimError::InvalidConfig {
+                reason: format!(
+                    "prefill request {} arrives at {} s; arrival times must be finite and >= 0",
+                    r.id, r.arrival_s
+                ),
+            });
+        }
+        if let Some(deadline) = invalid_deadline(r.deadline_s) {
+            return Err(SimError::InvalidConfig {
+                reason: format!(
+                    "prefill request {} has a deadline of {deadline} s; deadlines must be >= 0",
+                    r.id
+                ),
+            });
+        }
+    }
+    if let Some(deadline) = invalid_deadline(step_deadline_s) {
         return Err(SimError::InvalidConfig {
             reason: format!(
-                "prefill request {} arrives at {} s; arrival times must be finite and >= 0",
-                r.id, r.arrival_s
+                "DecodePolicy::step_deadline_s is {deadline} s; deadlines must be >= 0"
             ),
         });
     }
-    if let Some(e) = decode.steps.iter().find(|e| !valid(e.arrival_s)) {
+    if let Some(e) = decode.steps.iter().find(|e| !valid_arrival(e.arrival_s)) {
         return Err(SimError::InvalidConfig {
             reason: format!(
                 "decode step {} of session {} arrives at {} s; arrival times must be finite \
@@ -3201,6 +3225,71 @@ mod tests {
             );
             // Nothing was planned or recorded before the rejection.
             assert!(engine.cache().is_empty());
+        }
+    }
+
+    #[test]
+    fn hostile_deadlines_are_rejected_before_any_state_changes() {
+        let session = DecodeSessionSpec {
+            id: 7,
+            network: Network::BertSmall,
+            start_s: 0.0,
+            heads: 8,
+            kv_heads: 8,
+            embed: 64,
+            prompt_len: 16,
+            steps: 1,
+            prefix_group: None,
+            shared_prefix_len: 0,
+        };
+        let decode = DecodeTrace {
+            sessions: vec![session],
+            steps: vec![DecodeStepEvent {
+                session_id: 7,
+                step_index: 0,
+                arrival_s: 0.0,
+            }],
+        };
+        for bad in [f64::NAN, -1.0, f64::NEG_INFINITY] {
+            let mut engine = ServeEngine::new(EngineConfig::default());
+            let mut prefill = reqs(2, 1e-4);
+            prefill[1].deadline_s = Some(bad);
+            let err = engine.run(&prefill, &decode).unwrap_err();
+            assert!(
+                matches!(&err, SimError::InvalidConfig { reason }
+                    if reason.contains("request 1") && reason.contains("deadline")),
+                "{err}"
+            );
+
+            let mut engine = ServeEngine::new(EngineConfig {
+                decode: DecodePolicy {
+                    step_deadline_s: Some(bad),
+                    ..DecodePolicy::default()
+                },
+                ..EngineConfig::default()
+            });
+            let err = engine.run(&reqs(2, 1e-4), &decode).unwrap_err();
+            assert!(
+                matches!(&err, SimError::InvalidConfig { reason }
+                    if reason.contains("step_deadline_s")),
+                "{err}"
+            );
+            // Nothing was planned or recorded before the rejection.
+            assert!(engine.cache().is_empty());
+        }
+        // Zero and infinite deadlines are valid: the first is missed, the
+        // second never.
+        for ok in [0.0, f64::INFINITY] {
+            let mut prefill = reqs(2, 1e-4);
+            prefill[1].deadline_s = Some(ok);
+            let mut engine = ServeEngine::new(EngineConfig {
+                decode: DecodePolicy {
+                    step_deadline_s: Some(ok),
+                    ..DecodePolicy::default()
+                },
+                ..EngineConfig::default()
+            });
+            engine.run(&prefill, &decode).unwrap();
         }
     }
 

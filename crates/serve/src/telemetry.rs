@@ -2384,7 +2384,7 @@ pub fn chrome_trace_from_sim(trace: &mas_sim::trace::Trace, clock_hz: f64) -> St
             &mut first,
             format!(
                 r#"{{"name":{},"cat":{},"ph":"X","pid":0,"tid":{},"ts":{ts},"dur":{dur}}}"#,
-                escape_json(&entry.label),
+                escape_json(&entry.label.to_string()),
                 escape_json(&format!("{:?}", entry.task)),
                 tid_of(&entry.resource),
             ),

@@ -35,15 +35,17 @@
 //!   start order.
 //!
 //! The per-run state is dense: resources become slots numbered once, each
-//! slot has a binary-heap ready queue, dependents are one CSR array, and
+//! slot has a binary-heap ready queue, dependents are one CSR array
+//! inverted from the graph's own CSR dependency array ([`TaskGraph`]), and
 //! busy time is a `u64` per slot. Each start and each completion costs
 //! `O(log n)` heap work for `n` tasks, and each start pass costs `O(r)` for
 //! the `r` resources in use (at most `2 + 2·cores`), so a run costs
-//! `O((n + e) + n log n + passes · r)` for `e` dependency edges. Dependency
-//! ids are checked while the CSR table is built, and a cycle is found when
-//! the schedule stalls, so the graph is not validated a second time; the
-//! errors are still those of [`TaskGraph::validate`], reported before an
-//! unknown core.
+//! `O((n + e) + n log n + passes · r)` for `e` dependency edges. The
+//! executor does not call [`TaskGraph::validate`]: dependency ids are
+//! checked while the dependents table is built, and a cycle is found when
+//! the schedule stalls. The errors are still exactly those `validate`
+//! reports, and come before an unknown core; only a graph naming an
+//! unknown core pays for a `validate` call, to rank a cycle first.
 //!
 //! # Track scheduling (continuous time)
 //!
@@ -156,7 +158,7 @@ impl Executor {
         let mut unknown_core = None;
         let mut max_core = 0;
         for task in graph.iter() {
-            for dep in &task.deps {
+            for dep in task.deps() {
                 if dep.index() >= n {
                     return Err(SimError::UnknownDependency {
                         task: task.id,
@@ -189,8 +191,8 @@ impl Executor {
         let mut remaining_deps = vec![0usize; n];
         for task in graph.iter() {
             let i = task.id.index();
-            remaining_deps[i] = task.deps.len();
-            for dep in &task.deps {
+            remaining_deps[i] = task.deps().len();
+            for dep in task.deps() {
                 dependents[cursor[dep.index()]] = i;
                 cursor[dep.index()] += 1;
             }

@@ -5,16 +5,46 @@
 //! `mas-dataflow` lower Algorithm 1's rounds into MAC-stream and VEC-stream
 //! work items. The executor schedules a graph without mutating it, so one
 //! graph can be simulated under several hardware configurations.
+//!
+//! Adding a task allocates nothing of its own: the task's label is stored
+//! unrendered ([`Label`]) and its dependencies are appended to one flat
+//! array shared by the whole graph (compressed sparse rows). Tasks are read
+//! back as borrowed [`Task`] views.
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::{Result, SimError};
-use crate::task::{Resource, Task, TaskId, TaskKind, TrackKind, TRACK_COUNT};
+use crate::task::{Label, Resource, Task, TaskId, TaskKind, TrackKind, TRACK_COUNT};
 
-/// An append-only directed acyclic graph of [`Task`]s.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// What the graph stores per task besides its dependencies.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Node {
+    label: Label,
+    resource: Resource,
+    kind: TaskKind,
+}
+
+/// An append-only directed acyclic graph of tasks.
+///
+/// Dependencies are stored in compressed sparse rows: task `i` depends on
+/// `deps[offsets[i]..offsets[i + 1]]`, in the order they were given, where
+/// `deps` holds every task's dependencies back to back and `offsets[0]` is
+/// 0.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TaskGraph {
-    tasks: Vec<Task>,
+    nodes: Vec<Node>,
+    deps: Vec<TaskId>,
+    offsets: Vec<usize>,
+}
+
+impl Default for TaskGraph {
+    fn default() -> Self {
+        Self {
+            nodes: Vec::new(),
+            deps: Vec::new(),
+            offsets: vec![0],
+        }
+    }
 }
 
 impl TaskGraph {
@@ -26,25 +56,27 @@ impl TaskGraph {
 
     /// Adds a task and returns its id.
     ///
-    /// Dependencies on ids not yet in the graph are allowed at insertion time
-    /// (they are validated by [`TaskGraph::validate`] and by the executor),
-    /// but by construction the dataflow builders only reference earlier
-    /// tasks, which also guarantees acyclicity.
+    /// `label` is a [`Label`], a `&'static str` or an owned `String`; a
+    /// [`Label`] template is not rendered here. Dependencies on ids not yet
+    /// in the graph are allowed at insertion time (they are validated by
+    /// [`TaskGraph::validate`] and by the executor), but by construction the
+    /// dataflow builders only reference earlier tasks, which also
+    /// guarantees acyclicity.
     pub fn add_task(
         &mut self,
-        label: impl Into<String>,
+        label: impl Into<Label>,
         resource: Resource,
         kind: TaskKind,
         deps: &[TaskId],
     ) -> TaskId {
-        let id = TaskId(self.tasks.len());
-        self.tasks.push(Task {
-            id,
+        let id = TaskId(self.nodes.len());
+        self.nodes.push(Node {
             label: label.into(),
             resource,
             kind,
-            deps: deps.to_vec(),
         });
+        self.deps.extend_from_slice(deps);
+        self.offsets.push(self.deps.len());
         id
     }
 
@@ -70,12 +102,11 @@ impl TaskGraph {
             for (t, kind) in stage.iter().enumerate() {
                 let Some(kind) = kind else { continue };
                 let track = TrackKind::ALL[t];
-                let deps: Vec<TaskId> = prev.into_iter().collect();
                 let id = self.add_task(
                     format!("{label_prefix}/s{k}-{track}"),
                     track.resource(),
                     *kind,
-                    &deps,
+                    prev.as_slice(),
                 );
                 prev = Some(id);
                 ids.push(id);
@@ -87,48 +118,67 @@ impl TaskGraph {
     /// Number of tasks in the graph.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.tasks.len()
+        self.nodes.len()
     }
 
     /// Whether the graph has no tasks.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+        self.nodes.is_empty()
     }
 
     /// Iterates over tasks in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &Task> {
-        self.tasks.iter()
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Task<'_>> {
+        self.nodes
+            .iter()
+            .zip(self.offsets.windows(2))
+            .enumerate()
+            .map(|(i, (node, range))| {
+                Task::new(
+                    TaskId(i),
+                    &node.label,
+                    node.resource,
+                    node.kind,
+                    &self.deps[range[0]..range[1]],
+                )
+            })
     }
 
     /// Returns the task with the given id, if present.
     #[must_use]
-    pub fn get(&self, id: TaskId) -> Option<&Task> {
-        self.tasks.get(id.0)
+    pub fn get(&self, id: TaskId) -> Option<Task<'_>> {
+        let node = self.nodes.get(id.0)?;
+        Some(Task::new(
+            id,
+            &node.label,
+            node.resource,
+            node.kind,
+            &self.deps[self.offsets[id.0]..self.offsets[id.0 + 1]],
+        ))
     }
 
     /// Total bytes read from DRAM across all tasks.
     #[must_use]
     pub fn dram_read_bytes(&self) -> u64 {
-        self.tasks.iter().map(|t| t.kind.dram_read_bytes()).sum()
+        self.nodes.iter().map(|t| t.kind.dram_read_bytes()).sum()
     }
 
     /// Total bytes written to DRAM across all tasks.
     #[must_use]
     pub fn dram_write_bytes(&self) -> u64 {
-        self.tasks.iter().map(|t| t.kind.dram_write_bytes()).sum()
+        self.nodes.iter().map(|t| t.kind.dram_write_bytes()).sum()
     }
 
     /// Total multiply-accumulate operations across all tasks.
     #[must_use]
     pub fn total_mac_ops(&self) -> u64 {
-        self.tasks.iter().map(|t| t.kind.mac_ops()).sum()
+        self.nodes.iter().map(|t| t.kind.mac_ops()).sum()
     }
 
     /// Total VEC-lane operations across all tasks for a given softmax cost.
     #[must_use]
     pub fn total_vec_ops(&self, softmax_ops_per_element: usize) -> u64 {
-        self.tasks
+        self.nodes
             .iter()
             .map(|t| t.kind.vec_ops(softmax_ops_per_element))
             .sum()
@@ -137,13 +187,29 @@ impl TaskGraph {
     /// Validates that every dependency refers to an existing task and that
     /// the graph is acyclic.
     ///
+    /// When every dependency points to an earlier task — always the case
+    /// for the dataflow builders' graphs — each names an existing task and
+    /// no cycle can close, so this returns `Ok` after one pass over the
+    /// dependency array that allocates nothing. Any other graph is checked
+    /// in full with Kahn's algorithm.
+    ///
     /// # Errors
     ///
-    /// Returns [`SimError::UnknownDependency`] or [`SimError::CyclicGraph`].
+    /// Returns [`SimError::UnknownDependency`] for the first dependency, in
+    /// insertion order, that names no task, or else [`SimError::CyclicGraph`]
+    /// if some tasks lie on or behind a cycle.
     pub fn validate(&self) -> Result<()> {
-        for task in &self.tasks {
-            for dep in &task.deps {
-                if dep.0 >= self.tasks.len() {
+        let backward = self
+            .offsets
+            .windows(2)
+            .enumerate()
+            .all(|(i, range)| self.deps[range[0]..range[1]].iter().all(|dep| dep.0 < i));
+        if backward {
+            return Ok(());
+        }
+        for task in self.iter() {
+            for dep in task.deps() {
+                if dep.0 >= self.len() {
                     return Err(SimError::UnknownDependency {
                         task: task.id,
                         dependency: *dep,
@@ -152,11 +218,11 @@ impl TaskGraph {
             }
         }
         // Kahn's algorithm to detect cycles.
-        let n = self.tasks.len();
+        let n = self.len();
         let mut indegree = vec![0usize; n];
         let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for task in &self.tasks {
-            for dep in &task.deps {
+        for task in self.iter() {
+            for dep in task.deps() {
                 indegree[task.id.0] += 1;
                 dependents[dep.0].push(task.id.0);
             }
@@ -185,11 +251,10 @@ impl TaskGraph {
     /// not a timing quantity.
     #[must_use]
     pub fn critical_path_len(&self) -> usize {
-        let n = self.tasks.len();
-        let mut depth = vec![0usize; n];
-        for task in &self.tasks {
+        let mut depth = vec![0usize; self.len()];
+        for task in self.iter() {
             let d = task
-                .deps
+                .deps()
                 .iter()
                 .filter_map(|dep| depth.get(dep.0))
                 .copied()
@@ -198,15 +263,6 @@ impl TaskGraph {
             depth[task.id.0] = d + 1;
         }
         depth.into_iter().max().unwrap_or(0)
-    }
-}
-
-impl<'a> IntoIterator for &'a TaskGraph {
-    type Item = &'a Task;
-    type IntoIter = std::slice::Iter<'a, Task>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.tasks.iter()
     }
 }
 
@@ -233,8 +289,8 @@ mod tests {
         let a = g.add_task("a", Resource::Mac { core: 0 }, mm(4), &[]);
         let b = g.add_task("b", Resource::Vec { core: 0 }, TaskKind::Barrier, &[a]);
         assert_eq!(g.len(), 2);
-        assert_eq!(g.get(a).unwrap().label, "a");
-        assert_eq!(g.get(b).unwrap().deps, vec![a]);
+        assert_eq!(*g.get(a).unwrap().label, "a");
+        assert_eq!(g.get(b).unwrap().deps(), [a]);
         assert!(g.get(TaskId(5)).is_none());
     }
 
@@ -286,6 +342,21 @@ mod tests {
     }
 
     #[test]
+    fn validate_accepts_acyclic_forward_dependencies() {
+        // Task 0 waits on the later task 1: not the builders' shape, but a
+        // valid DAG, checked by the full algorithm.
+        let mut g = TaskGraph::new();
+        g.add_task("a", Resource::Mac { core: 0 }, mm(1), &[TaskId(1)]);
+        g.add_task("b", Resource::Mac { core: 0 }, mm(1), &[]);
+        g.validate().unwrap();
+        g.add_task("c", Resource::Mac { core: 0 }, mm(1), &[TaskId(2)]);
+        assert!(matches!(
+            g.validate(),
+            Err(SimError::CyclicGraph { unscheduled: 1 })
+        ));
+    }
+
+    #[test]
     fn critical_path_counts_longest_chain() {
         let mut g = TaskGraph::new();
         let a = g.add_task("a", Resource::Mac { core: 0 }, mm(1), &[]);
@@ -301,7 +372,7 @@ mod tests {
         for i in 0..5 {
             g.add_task(format!("t{i}"), Resource::Mac { core: 0 }, mm(1), &[]);
         }
-        let labels: Vec<_> = g.iter().map(|t| t.label.clone()).collect();
+        let labels: Vec<_> = g.iter().map(|t| t.label.to_string()).collect();
         assert_eq!(labels, vec!["t0", "t1", "t2", "t3", "t4"]);
     }
 }

@@ -24,13 +24,34 @@
 //! cycles and seconds, per-resource busy/idle time, energy broken down by
 //! component (Figure 6), and DRAM read/write traffic (§5.4).
 //!
+//! ## Graph construction
+//!
+//! A search simulates thousands of candidate graphs, so building one must
+//! cost little per task:
+//!
+//! - **Labels are rendered only when read.** A [`task::Label`] keeps a
+//!   `&'static str` template and up to four integers; its `Display`
+//!   renders the text. Building and simulating a graph formats nothing;
+//!   only printing or exporting a trace ([`trace::TraceEntry`] keeps the
+//!   label unrendered too) does. Plain `&'static str` and `String` labels
+//!   are accepted as they are.
+//! - **Dependencies are stored in CSR form.** The graph keeps every task's
+//!   dependencies back to back in one array, with one offset per task, and
+//!   hands out borrowed [`task::Task`] views whose `deps()` slice points
+//!   into it. Adding a task allocates nothing of its own.
+//! - **Validation is a single pass for builder graphs.**
+//!   [`graph::TaskGraph::validate`] returns `Ok` after one allocation-free
+//!   pass when every dependency points to an earlier task, which the
+//!   dataflow builders guarantee. Other graphs get the full check (unknown
+//!   ids, then Kahn's algorithm), with the same errors.
+//!
 //! ## Example
 //!
 //! ```
 //! use mas_sim::config::HardwareConfig;
 //! use mas_sim::energy::EnergyModel;
 //! use mas_sim::graph::TaskGraph;
-//! use mas_sim::task::{TaskKind, Resource};
+//! use mas_sim::task::{Label, TaskKind, Resource};
 //! use mas_sim::executor::Executor;
 //!
 //! let hw = HardwareConfig::edge_default();
@@ -38,15 +59,19 @@
 //! // Load a 1 KiB tile, multiply, then store the result.
 //! let load = graph.add_task("load K tile", Resource::DmaIn, TaskKind::DramLoad { bytes: 1024 }, &[]);
 //! let mm = graph.add_task(
-//!     "C = Q K^T",
+//!     Label::new("C_{0} = Q_{0} K^T", [3]),
 //!     Resource::Mac { core: 0 },
 //!     TaskKind::MatMul { m: 16, k: 64, n: 16 },
 //!     &[load],
 //! );
 //! graph.add_task("store C tile", Resource::DmaOut, TaskKind::DramStore { bytes: 512 }, &[mm]);
+//! graph.validate().unwrap();
 //!
 //! let report = Executor::new(hw, EnergyModel::edge_16nm()).run(&graph).unwrap();
 //! assert!(report.total_cycles > 0);
+//! // The label is rendered here, when the trace is read.
+//! let trace = report.trace.unwrap();
+//! assert_eq!(trace.entries()[1].label.to_string(), "C_3 = Q_3 K^T");
 //! ```
 
 #![deny(missing_docs)]
@@ -69,4 +94,4 @@ pub use error::{Result, SimError};
 pub use executor::{DeviceTracks, Executor, StageSpan, TrackConfig, TrackPlacement};
 pub use graph::TaskGraph;
 pub use report::SimReport;
-pub use task::{Resource, TaskId, TaskKind, TrackKind, TRACK_COUNT};
+pub use task::{Label, Resource, TaskId, TaskKind, TrackKind, TRACK_COUNT};

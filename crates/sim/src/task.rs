@@ -239,19 +239,142 @@ impl TaskKind {
     }
 }
 
-/// A node of the task graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Task {
+/// A task's human-readable label, e.g. `"c0 r3: C_3,1 = Q_3 K_1^T"`.
+///
+/// Only traced runs ever read a label, so building a graph renders none:
+/// a label keeps its template and up to four integer arguments, and its
+/// [`fmt::Display`] renders the text when a trace is printed or exported.
+/// In a template, `{0}` to `{3}` stand for the arguments; any other text,
+/// braces included, renders as written. Plain text (a `&'static str` or an
+/// owned `String`) converts into a label unchanged. Two labels are equal
+/// when they render the same text, whatever their form.
+#[derive(Clone, Serialize, Deserialize)]
+pub struct Label(LabelRepr);
+
+#[derive(Clone, Serialize, Deserialize)]
+enum LabelRepr {
+    Text(&'static str),
+    Owned(Box<str>),
+    Template(&'static str, [usize; 4]),
+}
+
+impl Label {
+    /// A label rendering `template` with `{k}` replaced by `args[k]`.
+    #[must_use]
+    pub fn new<const N: usize>(template: &'static str, args: [usize; N]) -> Self {
+        const { assert!(N <= 4, "a label template takes at most four arguments") };
+        let mut all = [0; 4];
+        all[..N].copy_from_slice(&args);
+        Self(LabelRepr::Template(template, all))
+    }
+
+    /// Whether the label renders exactly `text`, compared as it renders.
+    fn renders(&self, text: &str) -> bool {
+        /// Consumes the expected text as the label writes it.
+        struct Expect<'a>(&'a str);
+        impl fmt::Write for Expect<'_> {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0 = self.0.strip_prefix(s).ok_or(fmt::Error)?;
+                Ok(())
+            }
+        }
+        let mut expect = Expect(text);
+        fmt::write(&mut expect, format_args!("{self}")).is_ok() && expect.0.is_empty()
+    }
+}
+
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (mut rest, args) = match &self.0 {
+            LabelRepr::Text(text) => return f.write_str(text),
+            LabelRepr::Owned(text) => return f.write_str(text),
+            LabelRepr::Template(template, args) => (*template, args),
+        };
+        while let Some(at) = rest.find('{') {
+            f.write_str(&rest[..at])?;
+            rest = &rest[at..];
+            if let [b'{', digit @ b'0'..=b'3', b'}', ..] = rest.as_bytes() {
+                write!(f, "{}", args[usize::from(digit - b'0')])?;
+                rest = &rest[3..];
+            } else {
+                f.write_str("{")?;
+                rest = &rest[1..];
+            }
+        }
+        f.write_str(rest)
+    }
+}
+
+impl fmt::Debug for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.to_string(), f)
+    }
+}
+
+impl From<&'static str> for Label {
+    fn from(text: &'static str) -> Self {
+        Self(LabelRepr::Text(text))
+    }
+}
+
+impl From<String> for Label {
+    fn from(text: String) -> Self {
+        Self(LabelRepr::Owned(text.into_boxed_str()))
+    }
+}
+
+impl PartialEq for Label {
+    fn eq(&self, other: &Self) -> bool {
+        self.renders(&other.to_string())
+    }
+}
+
+impl Eq for Label {}
+
+impl PartialEq<&str> for Label {
+    fn eq(&self, other: &&str) -> bool {
+        self.renders(other)
+    }
+}
+
+/// A task of a [`crate::graph::TaskGraph`], borrowed from the graph
+/// ([`crate::graph::TaskGraph::iter`], [`crate::graph::TaskGraph::get`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Task<'g> {
     /// Identifier (index in insertion order).
     pub id: TaskId,
-    /// Human-readable label, e.g. `"C_3 = Q_3 K^T (round 3)"`.
-    pub label: String,
+    /// Human-readable label, rendered only when displayed.
+    pub label: &'g Label,
     /// The resource this task occupies.
     pub resource: Resource,
     /// What the task does.
     pub kind: TaskKind,
-    /// Tasks that must complete before this one starts.
-    pub deps: Vec<TaskId>,
+    deps: &'g [TaskId],
+}
+
+impl<'g> Task<'g> {
+    pub(crate) fn new(
+        id: TaskId,
+        label: &'g Label,
+        resource: Resource,
+        kind: TaskKind,
+        deps: &'g [TaskId],
+    ) -> Self {
+        Self {
+            id,
+            label,
+            resource,
+            kind,
+            deps,
+        }
+    }
+
+    /// Tasks that must complete before this one starts, in the order they
+    /// were given (repeats kept).
+    #[must_use]
+    pub fn deps(&self) -> &'g [TaskId] {
+        self.deps
+    }
 }
 
 #[cfg(test)]
@@ -314,6 +437,27 @@ mod tests {
         assert_eq!(TrackKind::Vec.resource(), Resource::Vec { core: 0 });
         assert_eq!(TrackKind::Writeback.resource(), Resource::DmaOut);
         assert_eq!(format!("{}", TrackKind::Writeback), "writeback");
+    }
+
+    #[test]
+    fn labels_render_their_template_on_demand() {
+        let label = Label::new("c{0} r{1}: C_{1},{2} = Q_{1} K_{2}^T", [3, 12, 0]);
+        assert_eq!(label.to_string(), "c3 r12: C_12,0 = Q_12 K_0^T");
+        assert_eq!(Label::new("{x} {4} {0", [7]).to_string(), "{x} {4} {0");
+        assert_eq!(Label::new("no arguments", []).to_string(), "no arguments");
+        assert_eq!(format!("{:?}", Label::new("t{0}", [1])), "\"t1\"");
+    }
+
+    #[test]
+    fn label_equality_compares_rendered_text() {
+        let template = Label::new("t{0}", [12]);
+        assert_eq!(template, "t12");
+        assert_eq!(template, Label::from("t12"));
+        assert_eq!(Label::from(String::from("t12")), template);
+        assert_eq!(template, Label::new("t1{0}", [2]));
+        assert_ne!(template, Label::new("t{0}", [1]));
+        assert_ne!(template, "t1");
+        assert_ne!(template, "t123");
     }
 
     #[test]

@@ -7,15 +7,16 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::task::{Resource, TaskId};
+use crate::task::{Label, Resource, TaskId};
 
 /// One scheduled task occurrence.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceEntry {
     /// The task that ran.
     pub task: TaskId,
-    /// Label copied from the task for readability.
-    pub label: String,
+    /// The task's label, copied unrendered; it is rendered when the trace
+    /// is printed ([`Trace::summary`]) or exported.
+    pub label: Label,
     /// Resource the task occupied.
     pub resource: Resource,
     /// Cycle at which the task started.
@@ -160,7 +161,7 @@ mod tests {
     fn entry(task: usize, resource: Resource, start: u64, end: u64) -> TraceEntry {
         TraceEntry {
             task: TaskId(task),
-            label: format!("t{task}"),
+            label: format!("t{task}").into(),
             resource,
             start_cycle: start,
             end_cycle: end,
