@@ -51,6 +51,13 @@
 //!    budget. These invariants are pinned by a proptest over random mixed
 //!    interleavings (`tests/engine_mixed.rs`).
 //!
+//! Every charge, release and report figure is one [`EventKind`] folded by
+//! the crate's ledger (`ledger.rs`): the engine emits each event into it
+//! and reads admission and eviction headroom back from it, and
+//! [`Telemetry::report`] folds a recorded log through the same ledger. The
+//! ledger is also the double-release guard: a release for an owner with no
+//! live charge is dropped and counted ([`Telemetry::release_drops`]).
+//!
 //! ## Chunked prefill and preemption invariants
 //!
 //! Two opt-in features bound decode tail latency under overload; both
@@ -95,13 +102,15 @@
 //! Prefill batches are planned at dispatch through the shared
 //! [`ScheduleCache`]: a launch whose key is missing plans it (tiling plus
 //! one simulation) and memoizes it, and a launch counts as a cache hit when
-//! its key predates the run or an earlier launch of the run planned it. The
+//! its key was cached before its dispatch (the cache never evicts). The
 //! cache therefore changes wall-clock planning cost only, never results.
 //!
+//! [`Telemetry::report`]: crate::telemetry::Telemetry::report
+//! [`Telemetry::release_drops`]: crate::telemetry::Telemetry::release_drops
 //! [`DecodeRejectReason::KvPoolExhausted`]: crate::decode::DecodeRejectReason::KvPoolExhausted
 //! [`RejectReason::MemoryPressure`]: crate::queue::RejectReason::MemoryPressure
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
@@ -119,9 +128,10 @@ use crate::batcher::BatchPolicy;
 use crate::cache::{CacheKey, CachedPlan, ScheduleCache};
 use crate::decode::{
     decode_step_lower_bound_s_with_kv, launch_service_s_with_kv, prefill_chunk_service_s_with_kv,
-    DecodePolicy, DecodeRejectReason, DecodeReport, DecodeStepOutcome, RejectedDecodeStep,
+    DecodePolicy, DecodeRejectReason, DecodeReport, DecodeStepOutcome,
 };
 use crate::key::{BatchKey, ChunkKey, DecodeKey, LaunchKey, WorkClass};
+use crate::ledger::Ledger;
 use crate::metrics::{LatencyStats, RejectedRequest, RequestOutcome, ServeReport};
 use crate::queue::{
     service_time_lower_bound_s, workload_is_feasible, AdmissionPolicy, BacklogEstimator,
@@ -296,9 +306,10 @@ pub struct EngineConfig {
     /// defaults to the decode policy's KV budget (half of device DRAM).
     pub shared_budget_bytes: Option<u64>,
     /// Opt-in structured telemetry ([`crate::telemetry`]). `None` (the
-    /// default) records nothing and leaves every replay bit-identical to
-    /// the pre-telemetry engine; `Some` records a typed [`EventKind`]
-    /// stream retrievable via [`ServeEngine::telemetry`] after a run.
+    /// default) keeps no log; `Some` also appends every [`EventKind`] the
+    /// engine folds into its report to a log retrievable via
+    /// [`ServeEngine::telemetry`] after a run. Recording never changes the
+    /// report: the engine builds it from the same events either way.
     pub telemetry: Option<TelemetryConfig>,
     /// Opt-in chunked prefill. `None` (the default) keeps every replay
     /// bit-identical to the pre-chunking engine; `Some` lowers long
@@ -639,7 +650,6 @@ impl ServeEngine {
                         completed_steps: 0,
                         rejected_steps: 0,
                         pending_steps: 0,
-                        charged_bytes: 0,
                         charged_blocks: 0,
                         used_bytes: 0,
                         shared_blocks: 0,
@@ -657,44 +667,28 @@ impl ServeEngine {
             hw,
             element_bytes,
             kv_element_bytes,
-            budget,
             tuned: self.config.planner.tiling == TilingStrategy::Search,
             max_batch: self.config.batching.max_batch.max(1),
             max_steps_per_launch: self.config.decode.effective_max_steps_per_launch(),
             free_at: vec![0.0f64; self.config.devices.max(1)],
-            busy_prefill: vec![0.0f64; self.config.devices.max(1)],
-            busy_decode: vec![0.0f64; self.config.devices.max(1)],
-            idle_gaps: vec![0usize; self.config.devices.max(1)],
-            launch_counts: vec![0usize; self.config.devices.max(1)],
             open: BTreeMap::new(),
             open_prefill_members: 0,
             next_launch_id: 0,
             sessions,
             releases: Vec::new(),
-            ledger: ReleaseLedger::default(),
             chunk_chains: BTreeMap::new(),
             staged: (0..self.config.devices.max(1)).map(|_| None).collect(),
-            preemptions_prefill: 0,
-            preemptions_decode: 0,
             tracks: self
                 .config
                 .tracks
                 .map(|_| vec![DeviceTracks::new(); self.config.devices.max(1)]),
             estimator: BacklogEstimator::new(self.config.devices),
-            kv_in_use: 0,
-            kv_used: 0,
-            blocks_in_use: 0,
-            kv_shared_in_use: 0,
             prefix_groups: BTreeMap::new(),
             active_sessions: 0,
-            prefill_charged: 0,
-            inserted_this_run: BTreeSet::new(),
-            used_keys: BTreeSet::new(),
-            prefill_report: ServeReport::default(),
-            decode_report: DecodeReport::default(),
-            makespan_s: 0.0,
-            mem_peak: MemPeak::default(),
-            recorder,
+            events: EventSink {
+                ledger: Ledger::new(self.config.policy, self.config.devices, budget),
+                recorder,
+            },
         };
 
         // Merge the two arrival streams: prefill sorted by (arrival, id) and
@@ -728,59 +722,10 @@ impl ServeEngine {
 
         // Destructure the pass to end its borrows of the engine before
         // storing the sealed telemetry back on `self`.
-        let EngineRun {
-            mut prefill_report,
-            mut decode_report,
-            makespan_s,
-            mem_peak,
-            busy_prefill,
-            busy_decode,
-            idle_gaps,
-            launch_counts,
-            recorder,
-            preemptions_prefill,
-            preemptions_decode,
-            tracks,
-            ..
-        } = pass;
-        // A class's per-device busy vector is populated only when the class
-        // dispatched at least one launch, so single-class runs keep the
-        // other class's report exactly at its default.
-        prefill_report.device_busy_s = if prefill_report.batches > 0 {
-            busy_prefill.clone()
-        } else {
-            Vec::new()
-        };
-        decode_report.device_busy_s = if decode_report.launches > 0 {
-            busy_decode.clone()
-        } else {
-            Vec::new()
-        };
-        let device_util: Vec<DeviceUtil> = (0..busy_prefill.len())
-            .map(|d| DeviceUtil {
-                busy_s: busy_prefill[d] + busy_decode[d],
-                idle_gaps: idle_gaps[d],
-                launches: launch_counts[d],
-            })
-            .collect();
-        self.telemetry = recorder.map(TelemetryRecorder::finish);
+        let EngineRun { events, tracks, .. } = pass;
+        self.telemetry = events.recorder.map(TelemetryRecorder::finish);
         self.track_stats = tracks;
-
-        let launches = prefill_report.batches + decode_report.launches;
-        Ok(EngineReport {
-            policy: self.config.policy,
-            prefill: prefill_report,
-            decode: decode_report,
-            launches,
-            makespan_s,
-            mem_budget_bytes: budget,
-            mem_peak_bytes: mem_peak.total,
-            mem_peak_prefill_bytes: mem_peak.prefill,
-            mem_peak_decode_bytes: mem_peak.decode,
-            device_util,
-            preemptions_prefill,
-            preemptions_decode,
-        })
+        Ok(events.ledger.into_report())
     }
 }
 
@@ -860,57 +805,81 @@ struct OpenLaunch {
     id: u64,
     first_arrival_s: f64,
     items: Vec<WorkItem>,
-    /// Shared-budget bytes charged by the members (prefill activation
-    /// charges; decode items charge through their session instead).
-    charged_bytes: u64,
 }
 
-/// A deferred shared-budget release, applied once virtual time passes its
-/// completion instant.
-enum Release {
-    /// A decode session's last step completed: release its KV residency.
-    Session(u64),
-    /// A prefill batch completed: release its activation charge.
-    PrefillBytes {
-        /// The completed launch (telemetry attribution).
-        launch_id: u64,
-        /// Its summed member activation charge.
-        bytes: u64,
-    },
+/// Where the engine's events go: always into the ledger, which builds the
+/// report and tracks the shared budget, and into the telemetry log when
+/// recording.
+struct EventSink {
+    ledger: Ledger,
+    /// The opt-in telemetry recorder (`None` keeps no log).
+    recorder: Option<TelemetryRecorder>,
 }
 
-/// Live-charge ledger for shared-budget owners. Releases are saturating,
-/// so a duplicated release for the same owner would silently under-report
-/// occupancy instead of failing; the ledger detects the hazard — a release
-/// for an owner with no live charge — so the caller can drop it (and count
-/// the drop) rather than absorb it.
-#[derive(Debug, Default)]
-struct ReleaseLedger {
-    live: BTreeSet<MemOwner>,
-    drops: u64,
-}
-
-impl ReleaseLedger {
-    /// Marks `owner` as holding a live charge (idempotent: growing an
-    /// existing charge needs no second mark).
-    fn charge(&mut self, owner: MemOwner) {
-        self.live.insert(owner);
-    }
-
-    /// Consumes `owner`'s live charge. Returns `false` — counting a drop —
-    /// when the owner holds none: the double-release hazard.
-    fn release(&mut self, owner: MemOwner) -> bool {
-        let live = self.live.remove(&owner);
-        if !live {
-            self.drops += 1;
+impl EventSink {
+    /// Folds one event into the ledger and logs it when recording.
+    #[inline]
+    fn emit(&mut self, t_s: f64, kind: EventKind) {
+        self.ledger.apply(t_s, &kind);
+        if let Some(recorder) = self.recorder.as_mut() {
+            recorder.record(t_s, kind);
         }
-        live
     }
 
-    /// Releases dropped because their owner held no live charge.
-    #[cfg(test)]
-    fn drops(&self) -> u64 {
-        self.drops
+    /// Logs an event the ledger has no use for (the run header, arrivals,
+    /// stage spans and the id-only rejection and completions), building it
+    /// only when recording.
+    fn log(&mut self, t_s: f64, kind: impl FnOnce() -> EventKind) {
+        if let Some(recorder) = self.recorder.as_mut() {
+            recorder.record(t_s, kind());
+        }
+    }
+
+    /// Logs a prefill rejection and hands the ledger its whole record.
+    fn reject_prefill(&mut self, request: &ServeRequest, reason: RejectReason) {
+        self.log(request.arrival_s, || EventKind::PrefillRejected {
+            id: request.id,
+            reason,
+        });
+        self.ledger.reject_prefill(RejectedRequest {
+            id: request.id,
+            workload: request.workload.name.clone(),
+            arrival_s: request.arrival_s,
+            reason,
+        });
+    }
+
+    /// Logs a prefill completion carried by `launch_id` and hands the
+    /// ledger its outcome.
+    fn complete_prefill(&mut self, launch_id: u64, outcome: RequestOutcome) {
+        if let Some(recorder) = self.recorder.as_mut() {
+            recorder.record(
+                outcome.completion_s,
+                EventKind::PrefillCompleted {
+                    id: outcome.id,
+                    launch_id,
+                },
+            );
+            recorder.observe_latency(WorkClass::Prefill, outcome.latency_s());
+        }
+        self.ledger.complete_prefill(outcome);
+    }
+
+    /// Logs a decode step completion and hands the ledger its outcome.
+    fn complete_decode(&mut self, outcome: DecodeStepOutcome) {
+        if let Some(recorder) = self.recorder.as_mut() {
+            recorder.record(
+                outcome.completion_s,
+                EventKind::DecodeCompleted {
+                    session_id: outcome.session_id,
+                    step_index: outcome.step_index as u32,
+                    context_len: outcome.context_len as u32,
+                    launch_id: outcome.launch_id,
+                },
+            );
+            recorder.observe_latency(WorkClass::Decode, outcome.latency_s());
+        }
+        self.ledger.complete_decode(outcome);
     }
 }
 
@@ -919,8 +888,6 @@ impl ReleaseLedger {
 /// chain id is the launch id of the chain's first chunk.
 struct ChunkChain {
     requests: Vec<ServeRequest>,
-    /// Summed member activation charge, released once at chain completion.
-    charged_bytes: u64,
     total_batch: usize,
     /// The monolithic plan's energy, attributed to the last chunk's launch
     /// (earlier chunks carry zero) and split across members at completion.
@@ -970,9 +937,6 @@ struct StagedSpan {
     /// `free_at[device]` before this span was placed (displacement rolls
     /// back to it).
     prev_free_s: f64,
-    /// The idle-gap verdict captured at placement (against the device's
-    /// pre-placement completion), applied at harden.
-    gap: bool,
     members: u32,
     total_batch: u32,
     energy_pj: f64,
@@ -1003,33 +967,10 @@ struct StagedSpan {
 /// What a prefill-class span completes into at harden.
 enum StagedPayload {
     /// A monolithic prefill batch: member outcomes close on the span.
-    Monolithic {
-        requests: Vec<ServeRequest>,
-        charged_bytes: u64,
-    },
+    Monolithic { requests: Vec<ServeRequest> },
     /// One chunk of a chain: the chain aggregates, and finalizes when all
     /// its chunks have hardened.
     Chunk { chain: u64, index: usize },
-}
-
-/// Tracks the shared-budget high-water mark with its per-class split.
-/// `pub(crate)` so telemetry replay reuses the engine's exact peak rule.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct MemPeak {
-    pub(crate) total: u64,
-    pub(crate) prefill: u64,
-    pub(crate) decode: u64,
-}
-
-impl MemPeak {
-    pub(crate) fn note(&mut self, prefill: u64, decode: u64) {
-        let total = prefill.saturating_add(decode);
-        if total >= self.total && total > 0 {
-            self.total = total;
-            self.prefill = prefill;
-            self.decode = decode;
-        }
-    }
 }
 
 /// Per-session decode bookkeeping (admission verdict, step progress, KV
@@ -1044,17 +985,15 @@ struct SessionState {
     rejected_steps: usize,
     /// Steps joined to a not-yet-dispatched launch.
     pending_steps: usize,
-    /// Bytes of the session's allocated KV blocks currently charged against
-    /// the shared budget (grows as the session decodes).
-    charged_bytes: u64,
-    /// KV blocks currently allocated.
+    /// KV blocks currently allocated (their bytes are the session's charge
+    /// in the ledger).
     charged_blocks: u64,
     /// Bytes of actual resident context tokens (prompt plus generated),
     /// used for fragmentation reporting.
     used_bytes: u64,
     /// Whole KV blocks of the session's shared prefix charged group-wide
     /// instead of privately (zero without prefix sharing). The session's
-    /// own `charged_blocks`/`charged_bytes` cover only its private tail.
+    /// own `charged_blocks` and ledger charge cover only its private tail.
     shared_blocks: u64,
     /// The prefix group the session joined at admission (`None` = fully
     /// private residency).
@@ -1112,36 +1051,12 @@ struct PrefixGroupState {
     /// Member sessions currently holding the group's blocks.
     refs: usize,
     /// Shared prefix blocks charged group-wide (the longest member prefix
-    /// seen so far).
+    /// seen so far). Their bytes are the group's charge in the ledger, and
+    /// all of them hold resident tokens (shared blocks are always full).
     charged_blocks: u64,
-    /// Budget bytes those blocks occupy.
-    charged_bytes: u64,
-    /// Resident-token bytes of the shared region (shared blocks are always
-    /// full, so this equals `charged_bytes`; kept separate for the release
-    /// event's accounting).
-    used_bytes: u64,
     /// `K`+`V` bytes of one block at the group's shape — sessions whose
     /// block bytes differ cannot share and fall back to private residency.
     block_bytes: u64,
-}
-
-/// Records the decode-class charge high-water mark with its block count and
-/// fragmentation snapshot, plus the high-water mark of group-shared prefix
-/// bytes. `pub(crate)` so telemetry replay reuses the engine's exact peak
-/// rule.
-pub(crate) fn note_kv_peak(
-    report: &mut DecodeReport,
-    charged: u64,
-    used: u64,
-    blocks: u64,
-    shared: u64,
-) {
-    if charged >= report.kv_peak_bytes && charged > 0 {
-        report.kv_peak_bytes = charged;
-        report.kv_peak_blocks = blocks;
-        report.kv_frag_at_peak = 1.0 - used as f64 / charged as f64;
-    }
-    report.kv_shared_peak_bytes = report.kv_shared_peak_bytes.max(shared);
 }
 
 /// All mutable state of one engine replay: the event loop's stages are its
@@ -1157,28 +1072,18 @@ struct EngineRun<'a> {
     /// prices every KV residency charge and the cache-stream term of launch
     /// costing, while `element_bytes` keeps pricing activations.
     kv_element_bytes: usize,
-    budget: u64,
     tuned: bool,
     max_batch: usize,
     max_steps_per_launch: usize,
     free_at: Vec<f64>,
-    /// Per-device busy seconds by class. Always accounted (cheap adds);
-    /// the report builder sums them into [`DeviceUtil`] and populates the
-    /// per-class `device_busy_s` vectors only for classes that launched.
-    busy_prefill: Vec<f64>,
-    busy_decode: Vec<f64>,
-    /// Per-device launch-to-launch idle-gap counts.
-    idle_gaps: Vec<usize>,
-    /// Per-device launch counts.
-    launch_counts: Vec<usize>,
     open: BTreeMap<LaunchKey, OpenLaunch>,
     open_prefill_members: usize,
     next_launch_id: u64,
     sessions: BTreeMap<u64, SessionState>,
-    releases: Vec<(f64, Release)>,
-    /// Live-charge ledger guarding against double releases (see
-    /// [`ReleaseLedger`]).
-    ledger: ReleaseLedger,
+    /// Deferred shared-budget releases with their due instants: a
+    /// completed prefill launch's activation charge, or a finished
+    /// session's KV residency.
+    releases: Vec<(f64, MemOwner)>,
     /// In-flight chunked-prefill chains by chain id
     /// ([`EngineConfig::chunked_prefill`]).
     chunk_chains: BTreeMap<u64, ChunkChain>,
@@ -1187,36 +1092,17 @@ struct EngineRun<'a> {
     /// is active ([`EngineConfig::preempt`] under
     /// [`SchedulePolicy::DecodePriority`]).
     staged: Vec<Option<StagedSpan>>,
-    /// Prefill-class launches displaced by decode launches.
-    preemptions_prefill: usize,
-    /// Sessions whose KV charge was evicted under pool pressure.
-    preemptions_decode: usize,
     /// Per-device continuous-time track clocks, `Some` only under
     /// [`EngineConfig::tracks`]. Every launch placement either commits a
     /// flow-shop schedule here or barriers the clocks behind its scalar
     /// span, so the clocks always cover everything committed to `free_at`.
     tracks: Option<Vec<DeviceTracks>>,
     estimator: BacklogEstimator,
-    kv_in_use: u64,
-    kv_used: u64,
-    blocks_in_use: u64,
-    /// Of `kv_in_use`, the bytes charged group-wide for shared prefixes
-    /// (each group's blocks counted once, no matter how many members).
-    kv_shared_in_use: u64,
     /// Live prefix groups under [`DecodePolicy::prefix_share`].
     prefix_groups: BTreeMap<u64, PrefixGroupState>,
     active_sessions: usize,
-    prefill_charged: u64,
-    inserted_this_run: BTreeSet<CacheKey>,
-    used_keys: BTreeSet<CacheKey>,
-    prefill_report: ServeReport,
-    decode_report: DecodeReport,
-    makespan_s: f64,
-    mem_peak: MemPeak,
-    /// The opt-in telemetry recorder. `None` (the default) keeps every
-    /// recording site to a single branch, preserving the pre-telemetry
-    /// replay bit for bit.
-    recorder: Option<TelemetryRecorder>,
+    /// The ledger (report and shared-budget occupancy) and the log.
+    events: EventSink,
 }
 
 impl EngineRun<'_> {
@@ -1225,20 +1111,6 @@ impl EngineRun<'_> {
         match class {
             WorkClass::Prefill => self.config.batching.window_s,
             WorkClass::Decode => self.config.decode.window_s,
-        }
-    }
-
-    /// Accounts one launch on a device's utilization tallies. Must run
-    /// *before* `free_at[device]` advances to the launch's completion: the
-    /// idle-gap test compares the start against the previous completion.
-    fn note_device_span(&mut self, device: usize, class: WorkClass, start_s: f64, service_s: f64) {
-        if self.launch_counts[device] > 0 && start_s > self.free_at[device] {
-            self.idle_gaps[device] += 1;
-        }
-        self.launch_counts[device] += 1;
-        match class {
-            WorkClass::Prefill => self.busy_prefill[device] += service_s,
-            WorkClass::Decode => self.busy_decode[device] += service_s,
         }
     }
 
@@ -1518,7 +1390,6 @@ impl EngineRun<'_> {
                 stages = Some(p.stages);
             }
         }
-        let gap = self.launch_counts[device] > 0 && start_s > prev_free_s;
         self.free_at[device] = completion_s;
         let span = StagedSpan {
             launch_id,
@@ -1529,7 +1400,6 @@ impl EngineRun<'_> {
             service_s: span_service_s,
             completion_s,
             prev_free_s,
-            gap,
             members,
             total_batch,
             energy_pj,
@@ -1572,101 +1442,56 @@ impl EngineRun<'_> {
         }
     }
 
-    /// Applies a placed span's deferred effects: utilization tallies,
-    /// makespans, the launch event, and the payload's completions, in the
-    /// same order for staged and immediately hardened spans.
+    /// Applies a placed span's deferred effects: the launch event (which
+    /// carries its utilization and makespan into the ledger), the backlog
+    /// estimate, and the payload's completions, in the same order for
+    /// staged and immediately hardened spans.
     fn harden_span(&mut self, span: StagedSpan) {
         let device = span.device;
-        if span.gap {
-            self.idle_gaps[device] += 1;
-        }
-        self.launch_counts[device] += 1;
-        self.busy_prefill[device] += span.service_s;
-        self.prefill_report.makespan_s = self.prefill_report.makespan_s.max(span.completion_s);
-        self.makespan_s = self.makespan_s.max(span.completion_s);
-        self.prefill_report.batches += 1;
         self.estimator.feed(span.ready_s, span.est_service_s);
-        if let Some(recorder) = self.recorder.as_mut() {
-            recorder.record(
-                span.start_s,
-                EventKind::LaunchDispatched {
-                    launch_id: span.launch_id,
-                    key: span.key,
-                    device: device as u32,
-                    ready_s: span.ready_s,
-                    start_s: span.start_s,
-                    completion_s: span.completion_s,
-                    service_s: span.service_s,
-                    members: span.members,
-                    total_batch: span.total_batch,
-                    energy_pj: span.energy_pj,
-                    cache_hit: span.cache_hit,
-                    cause: span.cause,
-                },
-            );
-            if let Some(stages) = span.stages.as_ref() {
-                for s in stages {
-                    recorder.record(
-                        s.start_s,
-                        EventKind::LaunchStage {
-                            launch_id: span.launch_id,
-                            device: device as u32,
-                            track: s.track,
-                            stage: s.stage as u32,
-                            start_s: s.start_s,
-                            end_s: s.end_s,
-                        },
-                    );
-                }
-            }
-        }
+        self.events.emit(
+            span.start_s,
+            EventKind::LaunchDispatched {
+                launch_id: span.launch_id,
+                key: span.key,
+                device: device as u32,
+                ready_s: span.ready_s,
+                start_s: span.start_s,
+                completion_s: span.completion_s,
+                service_s: span.service_s,
+                members: span.members,
+                total_batch: span.total_batch,
+                energy_pj: span.energy_pj,
+                cache_hit: span.cache_hit,
+                cause: span.cause,
+            },
+        );
+        self.log_stages(span.launch_id, device, span.stages.as_deref());
         match span.payload {
-            StagedPayload::Monolithic {
-                requests,
-                charged_bytes,
-            } => {
+            StagedPayload::Monolithic { requests } => {
                 let total = f64::from(span.total_batch);
                 for request in &requests {
                     let latency_s = span.completion_s - request.arrival_s;
-                    let deadline_met = request.deadline_s.is_none_or(|d| latency_s <= d);
-                    let energy_pj = span.energy_pj * request.workload.batch as f64 / total;
-                    self.prefill_report.total_energy_pj += energy_pj;
-                    self.prefill_report.outcomes.push(RequestOutcome {
-                        id: request.id,
-                        workload: request.workload.name.clone(),
-                        method: request.method,
-                        arrival_s: request.arrival_s,
-                        start_s: span.start_s,
-                        completion_s: span.completion_s,
-                        service_s: span.service_s,
-                        deadline_s: request.deadline_s,
-                        deadline_met,
-                        energy_pj,
-                        cache_hit: span.cache_hit,
-                        batch_id: span.launch_id,
-                        device,
-                    });
-                    if let Some(recorder) = self.recorder.as_mut() {
-                        recorder.record(
-                            span.completion_s,
-                            EventKind::PrefillCompleted {
-                                id: request.id,
-                                launch_id: span.launch_id,
-                            },
-                        );
-                        recorder.observe_latency(WorkClass::Prefill, latency_s);
-                    }
-                }
-                if charged_bytes > 0 {
-                    self.ledger.charge(MemOwner::PrefillLaunch(span.launch_id));
-                    self.releases.push((
-                        span.completion_s,
-                        Release::PrefillBytes {
-                            launch_id: span.launch_id,
-                            bytes: charged_bytes,
+                    self.events.complete_prefill(
+                        span.launch_id,
+                        RequestOutcome {
+                            id: request.id,
+                            workload: request.workload.name.clone(),
+                            method: request.method,
+                            arrival_s: request.arrival_s,
+                            start_s: span.start_s,
+                            completion_s: span.completion_s,
+                            service_s: span.service_s,
+                            deadline_s: request.deadline_s,
+                            deadline_met: request.deadline_s.is_none_or(|d| latency_s <= d),
+                            energy_pj: span.energy_pj * request.workload.batch as f64 / total,
+                            cache_hit: span.cache_hit,
+                            batch_id: span.launch_id,
+                            device,
                         },
-                    ));
+                    );
                 }
+                self.schedule_prefill_release(span.launch_id, span.completion_s);
             }
             StagedPayload::Chunk { chain, index } => {
                 let c = self.chunk_chains.get_mut(&chain).expect("chain exists");
@@ -1685,6 +1510,35 @@ impl EngineRun<'_> {
         }
     }
 
+    /// Logs the track executor's stage spans of one launch (`None` for a
+    /// scalar commit).
+    fn log_stages(&mut self, launch_id: u64, device: usize, stages: Option<&[StageSpan]>) {
+        for s in stages.unwrap_or_default() {
+            self.events.log(s.start_s, || EventKind::LaunchStage {
+                launch_id,
+                device: device as u32,
+                track: s.track,
+                stage: s.stage as u32,
+                start_s: s.start_s,
+                end_s: s.end_s,
+            });
+        }
+    }
+
+    /// Schedules the release of a completed prefill launch's activation
+    /// charge (launches whose members charged nothing hold none).
+    fn schedule_prefill_release(&mut self, launch_id: u64, completion_s: f64) {
+        let owner = MemOwner::PrefillLaunch(launch_id);
+        if self
+            .events
+            .ledger
+            .held(owner)
+            .is_some_and(|bytes| bytes > 0)
+        {
+            self.releases.push((completion_s, owner));
+        }
+    }
+
     /// Completes a chunked-prefill chain once every chunk has hardened:
     /// member outcomes span the whole chain (queueing ends at the first
     /// chunk's start, service sums over every chunk, the last chunk's
@@ -1698,48 +1552,29 @@ impl EngineRun<'_> {
         let total = chain.total_batch as f64;
         for request in &chain.requests {
             let latency_s = completion_s - request.arrival_s;
-            let deadline_met = request.deadline_s.is_none_or(|d| latency_s <= d);
-            let energy_pj = chain.energy_pj * request.workload.batch as f64 / total;
-            self.prefill_report.total_energy_pj += energy_pj;
-            self.prefill_report.outcomes.push(RequestOutcome {
-                id: request.id,
-                workload: request.workload.name.clone(),
-                method: request.method,
-                arrival_s: request.arrival_s,
-                start_s: chain.first_start_s,
-                completion_s,
-                service_s: chain.service_sum_s,
-                deadline_s: request.deadline_s,
-                deadline_met,
-                energy_pj,
-                cache_hit: chain.cache_hit,
-                batch_id: chain_id,
-                device,
-            });
-            if let Some(recorder) = self.recorder.as_mut() {
-                // The completion event references the last chunk's launch
-                // (the one whose completion closes the outcome); replay
-                // re-derives the chain id from its chunk key.
-                recorder.record(
+            // The completion event references the last chunk's launch (the
+            // one whose completion closes the outcome); replay re-derives
+            // the chain id from its chunk key.
+            self.events.complete_prefill(
+                last_launch_id,
+                RequestOutcome {
+                    id: request.id,
+                    workload: request.workload.name.clone(),
+                    method: request.method,
+                    arrival_s: request.arrival_s,
+                    start_s: chain.first_start_s,
                     completion_s,
-                    EventKind::PrefillCompleted {
-                        id: request.id,
-                        launch_id: last_launch_id,
-                    },
-                );
-                recorder.observe_latency(WorkClass::Prefill, latency_s);
-            }
-        }
-        if chain.charged_bytes > 0 {
-            self.ledger.charge(MemOwner::PrefillLaunch(chain_id));
-            self.releases.push((
-                completion_s,
-                Release::PrefillBytes {
-                    launch_id: chain_id,
-                    bytes: chain.charged_bytes,
+                    service_s: chain.service_sum_s,
+                    deadline_s: request.deadline_s,
+                    deadline_met: request.deadline_s.is_none_or(|d| latency_s <= d),
+                    energy_pj: chain.energy_pj * request.workload.batch as f64 / total,
+                    cache_hit: chain.cache_hit,
+                    batch_id: chain_id,
+                    device,
                 },
-            ));
+            );
         }
+        self.schedule_prefill_release(chain_id, completion_s);
     }
 
     /// Applies every deferred release whose completion instant has passed,
@@ -1747,43 +1582,35 @@ impl EngineRun<'_> {
     fn apply_releases(&mut self, now_s: f64) {
         let releases = std::mem::take(&mut self.releases);
         let mut kept = Vec::with_capacity(releases.len());
-        for (release_s, release) in releases {
+        for (release_s, owner) in releases {
             if release_s > now_s {
-                kept.push((release_s, release));
+                kept.push((release_s, owner));
                 continue;
             }
-            match release {
-                Release::Session(session_id) => {
-                    // Double-release guard: a session with no live charge
-                    // has already released — applying the duplicate would
-                    // silently under-report through the saturating
-                    // subtractions below, so it is dropped and counted.
-                    if !self.ledger.release(MemOwner::Session(session_id)) {
-                        debug_assert!(false, "duplicate release for session {session_id}");
-                        if let Some(recorder) = self.recorder.as_mut() {
-                            recorder.note_release_drop();
-                        }
-                        continue;
-                    }
+            // Double-release guard: an owner with no live charge has
+            // already released. Applying the duplicate would silently
+            // under-report through the ledger's saturating subtractions,
+            // so it is dropped and counted.
+            let Some(bytes) = self.events.ledger.held(owner) else {
+                debug_assert!(false, "duplicate release for {owner}");
+                if let Some(recorder) = self.events.recorder.as_mut() {
+                    recorder.note_release_drop();
+                }
+                continue;
+            };
+            match owner {
+                MemOwner::Session(session_id) => {
                     let s = self.sessions.get_mut(&session_id).expect("session exists");
-                    if let Some(recorder) = self.recorder.as_mut() {
-                        // Recorded before zeroing so the event carries the
-                        // exact released deltas.
-                        recorder.record(
-                            now_s,
-                            EventKind::BudgetRelease {
-                                owner: MemOwner::Session(session_id),
-                                bytes: s.charged_bytes,
-                                used_bytes: s.used_bytes,
-                                blocks: s.charged_blocks,
-                                scheduled_s: release_s,
-                            },
-                        );
-                    }
-                    self.kv_in_use = self.kv_in_use.saturating_sub(s.charged_bytes);
-                    self.kv_used = self.kv_used.saturating_sub(s.used_bytes);
-                    self.blocks_in_use = self.blocks_in_use.saturating_sub(s.charged_blocks);
-                    s.charged_bytes = 0;
+                    self.events.emit(
+                        now_s,
+                        EventKind::BudgetRelease {
+                            owner,
+                            bytes,
+                            used_bytes: s.used_bytes,
+                            blocks: s.charged_blocks,
+                            scheduled_s: release_s,
+                        },
+                    );
                     s.charged_blocks = 0;
                     s.used_bytes = 0;
                     self.active_sessions = self.active_sessions.saturating_sub(1);
@@ -1795,71 +1622,60 @@ impl EngineRun<'_> {
                         gs.refs -= 1;
                         if gs.refs == 0 {
                             let gs = self.prefix_groups.remove(&g).expect("present");
-                            let live = self.ledger.release(MemOwner::PrefixGroup(g));
-                            debug_assert!(live, "duplicate release for prefix group {g}");
-                            if let Some(recorder) = self.recorder.as_mut() {
-                                recorder.record(
-                                    now_s,
-                                    EventKind::BudgetRelease {
-                                        owner: MemOwner::PrefixGroup(g),
-                                        bytes: gs.charged_bytes,
-                                        used_bytes: gs.used_bytes,
-                                        blocks: gs.charged_blocks,
-                                        scheduled_s: release_s,
-                                    },
-                                );
-                            }
-                            self.kv_in_use = self.kv_in_use.saturating_sub(gs.charged_bytes);
-                            self.kv_used = self.kv_used.saturating_sub(gs.used_bytes);
-                            self.blocks_in_use =
-                                self.blocks_in_use.saturating_sub(gs.charged_blocks);
-                            self.kv_shared_in_use =
-                                self.kv_shared_in_use.saturating_sub(gs.charged_bytes);
+                            let group = MemOwner::PrefixGroup(g);
+                            let held = self.events.ledger.held(group);
+                            debug_assert!(held.is_some(), "duplicate release for {group}");
+                            // Shared blocks hold only full prompt tokens.
+                            let bytes = held.unwrap_or(0);
+                            self.events.emit(
+                                now_s,
+                                EventKind::BudgetRelease {
+                                    owner: group,
+                                    bytes,
+                                    used_bytes: bytes,
+                                    blocks: gs.charged_blocks,
+                                    scheduled_s: release_s,
+                                },
+                            );
                         }
                     }
                 }
-                Release::PrefillBytes { launch_id, bytes } => {
-                    if !self.ledger.release(MemOwner::PrefillLaunch(launch_id)) {
-                        debug_assert!(false, "duplicate release for prefill launch {launch_id}");
-                        if let Some(recorder) = self.recorder.as_mut() {
-                            recorder.note_release_drop();
-                        }
-                        continue;
-                    }
-                    if let Some(recorder) = self.recorder.as_mut() {
-                        recorder.record(
-                            now_s,
-                            EventKind::BudgetRelease {
-                                owner: MemOwner::PrefillLaunch(launch_id),
-                                bytes,
-                                used_bytes: 0,
-                                blocks: 0,
-                                scheduled_s: release_s,
-                            },
-                        );
-                    }
-                    self.prefill_charged = self.prefill_charged.saturating_sub(bytes);
-                }
+                MemOwner::PrefillLaunch(_) => self.events.emit(
+                    now_s,
+                    EventKind::BudgetRelease {
+                        owner,
+                        bytes,
+                        used_bytes: 0,
+                        blocks: 0,
+                        scheduled_s: release_s,
+                    },
+                ),
+                MemOwner::PrefixGroup(_) => unreachable!("groups release with their last member"),
             }
         }
         self.releases = kept;
     }
 
-    /// Handles one prefill arrival: admission (backlog, estimated queue
-    /// delay, shared budget), feasibility-preserving join, fill dispatch.
+    /// Handles one prefill arrival: shape screening, admission (backlog,
+    /// estimated queue delay, shared budget), feasibility-preserving join,
+    /// fill dispatch.
     fn on_prefill(&mut self, request: &ServeRequest) -> Result<()> {
         let now_s = request.arrival_s;
-        if let Some(recorder) = self.recorder.as_mut() {
-            recorder.record(
-                now_s,
-                EventKind::PrefillArrival {
-                    id: request.id,
-                    workload: request.workload.name.clone(),
-                    method: request.method,
-                    batch: request.workload.batch as u32,
-                    deadline_s: request.deadline_s,
-                },
-            );
+        self.events.log(now_s, || EventKind::PrefillArrival {
+            id: request.id,
+            workload: request.workload.name.clone(),
+            method: request.method,
+            batch: request.workload.batch as u32,
+            deadline_s: request.deadline_s,
+        });
+
+        // A zero dimension leaves nothing to compute and no valid tiling:
+        // screen it before any cost model or workload constructor sees it.
+        let w = &request.workload;
+        if w.batch == 0 || w.heads == 0 || w.seq_len == 0 || w.embed == 0 {
+            self.events
+                .reject_prefill(request, RejectReason::InfeasibleWorkload);
+            return Ok(());
         }
 
         // Admission against the post-expiry backlog: open prefill members
@@ -1873,48 +1689,16 @@ impl EngineRun<'_> {
             self.estimator.queue_delay_s(now_s),
             &self.hw,
         ) {
-            self.prefill_report.rejected.push(RejectedRequest {
-                id: request.id,
-                workload: request.workload.name.clone(),
-                arrival_s: now_s,
-                reason,
-            });
-            if let Some(recorder) = self.recorder.as_mut() {
-                recorder.record(
-                    now_s,
-                    EventKind::PrefillRejected {
-                        id: request.id,
-                        reason,
-                    },
-                );
-            }
+            self.events.reject_prefill(request, reason);
             return Ok(());
         }
 
         // Shared-budget admission: the request's activation footprint (its
         // four Q/K/V/O operands) must fit beside the resident decode KV.
         let charge = 4 * request.workload.operand_bytes(self.element_bytes);
-        if self
-            .prefill_charged
-            .saturating_add(self.kv_in_use)
-            .saturating_add(charge)
-            > self.budget
-        {
-            self.prefill_report.rejected.push(RejectedRequest {
-                id: request.id,
-                workload: request.workload.name.clone(),
-                arrival_s: now_s,
-                reason: RejectReason::MemoryPressure,
-            });
-            if let Some(recorder) = self.recorder.as_mut() {
-                recorder.record(
-                    now_s,
-                    EventKind::PrefillRejected {
-                        id: request.id,
-                        reason: RejectReason::MemoryPressure,
-                    },
-                );
-            }
+        if !self.events.ledger.fits(charge) {
+            self.events
+                .reject_prefill(request, RejectReason::MemoryPressure);
             return Ok(());
         }
 
@@ -1952,29 +1736,23 @@ impl EngineRun<'_> {
                 id: next_id,
                 first_arrival_s: now_s,
                 items: Vec::new(),
-                charged_bytes: 0,
             }
         });
         launch.items.push(WorkItem::Prefill(request.clone()));
-        launch.charged_bytes += charge;
         let full = launch.items.len() >= self.max_batch;
         let (launch_id, members) = (launch.id, launch.items.len());
         if created {
             self.next_launch_id += 1;
         }
         self.open_prefill_members += 1;
-        self.prefill_charged += charge;
-        self.mem_peak.note(self.prefill_charged, self.kv_in_use);
-        if let Some(recorder) = self.recorder.as_mut() {
-            recorder.record(
-                now_s,
-                EventKind::PrefillJoin {
-                    launch_id,
-                    members: members as u32,
-                    charged_bytes: charge,
-                },
-            );
-        }
+        self.events.emit(
+            now_s,
+            EventKind::PrefillJoin {
+                launch_id,
+                members: members as u32,
+                charged_bytes: charge,
+            },
+        );
         if full {
             let launch = self.open.remove(&key).expect("just inserted");
             self.dispatch(key, launch, now_s, SealCause::Fill, now_s)?;
@@ -1988,49 +1766,41 @@ impl EngineRun<'_> {
     #[allow(clippy::too_many_lines)]
     fn on_decode(&mut self, event: &DecodeStepEvent) {
         let now_s = event.arrival_s;
-        if let Some(recorder) = self.recorder.as_mut() {
-            recorder.record(
-                now_s,
-                EventKind::DecodeArrival {
-                    session_id: event.session_id,
-                    step_index: event.step_index as u32,
-                },
-            );
-        }
+        let (session_id, step_index) = (event.session_id, event.step_index);
+        self.events.log(now_s, || EventKind::DecodeArrival {
+            session_id,
+            step_index: step_index as u32,
+        });
 
         // Admit the session at its first seen step (steps of malformed
         // traces referencing unknown sessions are rejected, not a panic).
-        let Some(session) = self.sessions.get_mut(&event.session_id) else {
-            self.decode_report.rejected.push(RejectedDecodeStep {
-                session_id: event.session_id,
-                step_index: event.step_index,
-                arrival_s: now_s,
-                reason: DecodeRejectReason::UnknownSession,
-            });
-            if let Some(recorder) = self.recorder.as_mut() {
-                recorder.record(
-                    now_s,
-                    EventKind::DecodeStepRejected {
-                        session_id: event.session_id,
-                        step_index: event.step_index as u32,
-                        reason: DecodeRejectReason::UnknownSession,
-                    },
-                );
-            }
+        let Some(session) = self.sessions.get_mut(&session_id) else {
+            self.events.emit(
+                now_s,
+                EventKind::DecodeStepRejected {
+                    session_id,
+                    step_index: step_index as u32,
+                    reason: DecodeRejectReason::UnknownSession,
+                },
+            );
             return;
         };
-        let context_len = session.spec.prompt_len + event.step_index + 1;
+        let context_len = session.spec.prompt_len + step_index + 1;
         if !session.admitted && session.reject_reason.is_none() {
             let spec = &session.spec;
-            let grouping_valid =
-                spec.kv_heads > 0 && spec.kv_heads <= spec.heads && spec.heads % spec.kv_heads == 0;
+            // A zero dimension (a `heads` of 0 fails the grouping too)
+            // leaves no step to build: the session is infeasible.
+            let shape_valid = spec.kv_heads > 0
+                && spec.kv_heads <= spec.heads
+                && spec.heads % spec.kv_heads == 0
+                && spec.embed > 0;
             // Cross-session prefix sharing needs the policy switch, a
             // declared group, and a group whose block shape matches (a
             // mismatched shape falls back to private residency rather than
             // mixing block geometries in one group).
             let bt = self.config.decode.kv_block_tokens;
             let sharing = match spec.prefix_group {
-                Some(g) if self.config.decode.prefix_share && grouping_valid => {
+                Some(g) if self.config.decode.prefix_share && shape_valid => {
                     let block_bytes = session.block_bytes(bt, self.kv_element_bytes);
                     match self.prefix_groups.get(&g) {
                         Some(gs) if gs.block_bytes != block_bytes => None,
@@ -2052,7 +1822,7 @@ impl EngineRun<'_> {
             };
             // Initial charge: the first step's blocks, minus the blocks the
             // prefix group already holds.
-            let (initial_bytes, initial_blocks) = if grouping_valid {
+            let (initial_bytes, initial_blocks) = if shape_valid {
                 let blocks = SessionState::blocks_at(context_len, bt).saturating_sub(shared_blocks)
                     + group_delta_blocks;
                 (
@@ -2062,10 +1832,10 @@ impl EngineRun<'_> {
             } else {
                 (0, 0)
             };
-            // `step_at` requires a valid grouping; `||` short-circuits past
+            // `step_at` requires a valid shape; `||` short-circuits past
             // it for malformed specs. The budget check sees resident
             // prefill activations too — the cross-class squeeze.
-            let verdict = if !grouping_valid
+            let verdict = if !shape_valid
                 || !decode_step_fits_with_kv(
                     &session.step_at(session.spec.max_context()),
                     self.config.decode.kv_tile_rows,
@@ -2073,12 +1843,7 @@ impl EngineRun<'_> {
                     self.kv_element_bytes,
                 ) {
                 Some(DecodeRejectReason::InfeasibleSession)
-            } else if self
-                .kv_in_use
-                .saturating_add(self.prefill_charged)
-                .saturating_add(initial_bytes)
-                > self.budget
-            {
+            } else if !self.events.ledger.fits(initial_bytes) {
                 Some(DecodeRejectReason::KvBudgetExceeded)
             } else if self
                 .config
@@ -2093,22 +1858,11 @@ impl EngineRun<'_> {
             match verdict {
                 Some(reason) => {
                     session.reject_reason = Some(reason);
-                    self.decode_report
-                        .rejected_sessions
-                        .push((event.session_id, reason));
-                    if let Some(recorder) = self.recorder.as_mut() {
-                        recorder.record(
-                            now_s,
-                            EventKind::SessionRejected {
-                                session_id: event.session_id,
-                                reason,
-                            },
-                        );
-                    }
+                    self.events
+                        .emit(now_s, EventKind::SessionRejected { session_id, reason });
                 }
                 None => {
                     session.admitted = true;
-                    self.ledger.charge(MemOwner::Session(event.session_id));
                     // The session itself is charged only its private tail;
                     // the group's growth is charged on the group entry.
                     let private_blocks = initial_blocks - group_delta_blocks;
@@ -2120,7 +1874,6 @@ impl EngineRun<'_> {
                         ),
                         None => (initial_bytes, 0),
                     };
-                    session.charged_bytes = private_bytes;
                     session.charged_blocks = private_blocks;
                     // The prompt is resident from admission; each joined
                     // step adds one token below. Shared-prefix tokens are
@@ -2131,89 +1884,56 @@ impl EngineRun<'_> {
                     };
                     session.used_bytes =
                         (session.spec.prompt_len as u64 - shared_tokens) * token_bytes;
-                    self.kv_in_use += private_bytes + delta_bytes;
-                    self.kv_used += session.used_bytes + delta_bytes;
-                    self.blocks_in_use += private_blocks + group_delta_blocks;
                     self.active_sessions += 1;
-                    let mut group_refs = 0u32;
+                    self.events.emit(
+                        now_s,
+                        EventKind::SessionOpen {
+                            session_id,
+                            prompt_len: session.spec.prompt_len as u32,
+                            charged_bytes: private_bytes,
+                            used_bytes: session.used_bytes,
+                            blocks: private_blocks,
+                        },
+                    );
                     if let Some((g, block_bytes)) = sharing {
                         session.shared_blocks = shared_blocks;
                         session.prefix_group = Some(g);
-                        self.ledger.charge(MemOwner::PrefixGroup(g));
                         let gs = self.prefix_groups.entry(g).or_insert(PrefixGroupState {
                             refs: 0,
                             charged_blocks: 0,
-                            charged_bytes: 0,
-                            used_bytes: 0,
                             block_bytes,
                         });
                         gs.refs += 1;
                         gs.charged_blocks += group_delta_blocks;
-                        gs.charged_bytes += delta_bytes;
                         // Shared blocks hold only full prompt tokens.
-                        gs.used_bytes += delta_bytes;
-                        group_refs = gs.refs as u32;
-                        self.kv_shared_in_use += delta_bytes;
-                        self.decode_report.shared_sessions += 1;
-                    }
-                    note_kv_peak(
-                        &mut self.decode_report,
-                        self.kv_in_use,
-                        self.kv_used,
-                        self.blocks_in_use,
-                        self.kv_shared_in_use,
-                    );
-                    self.mem_peak.note(self.prefill_charged, self.kv_in_use);
-                    self.decode_report.sessions_admitted += 1;
-                    if let Some(recorder) = self.recorder.as_mut() {
-                        recorder.record(
+                        self.events.emit(
                             now_s,
-                            EventKind::SessionOpen {
-                                session_id: event.session_id,
-                                prompt_len: session.spec.prompt_len as u32,
-                                charged_bytes: private_bytes,
-                                used_bytes: session.used_bytes,
-                                blocks: private_blocks,
+                            EventKind::PrefixShared {
+                                group: g,
+                                session_id,
+                                delta_bytes,
+                                delta_blocks: group_delta_blocks,
+                                used_delta_bytes: delta_bytes,
+                                refs: gs.refs as u32,
                             },
                         );
-                        if let Some((g, _)) = sharing {
-                            recorder.record(
-                                now_s,
-                                EventKind::PrefixShared {
-                                    group: g,
-                                    session_id: event.session_id,
-                                    delta_bytes,
-                                    delta_blocks: group_delta_blocks,
-                                    used_delta_bytes: delta_bytes,
-                                    refs: group_refs,
-                                },
-                            );
-                        }
                     }
                 }
             }
         }
-        let session = self.sessions.get_mut(&event.session_id).expect("present");
+        let session = self.sessions.get_mut(&session_id).expect("present");
         if !session.admitted {
             let reason = session
                 .reject_reason
                 .expect("unadmitted sessions carry a reason");
-            self.decode_report.rejected.push(RejectedDecodeStep {
-                session_id: event.session_id,
-                step_index: event.step_index,
-                arrival_s: now_s,
-                reason,
-            });
-            if let Some(recorder) = self.recorder.as_mut() {
-                recorder.record(
-                    now_s,
-                    EventKind::DecodeStepRejected {
-                        session_id: event.session_id,
-                        step_index: event.step_index as u32,
-                        reason,
-                    },
-                );
-            }
+            self.events.emit(
+                now_s,
+                EventKind::DecodeStepRejected {
+                    session_id,
+                    step_index: step_index as u32,
+                    reason,
+                },
+            );
             return;
         }
 
@@ -2231,25 +1951,16 @@ impl EngineRun<'_> {
                 // A session whose every remaining step is screened out
                 // must still release its KV residency.
                 if session.finished() {
-                    self.releases
-                        .push((now_s, Release::Session(event.session_id)));
+                    self.releases.push((now_s, MemOwner::Session(session_id)));
                 }
-                self.decode_report.rejected.push(RejectedDecodeStep {
-                    session_id: event.session_id,
-                    step_index: event.step_index,
-                    arrival_s: now_s,
-                    reason: DecodeRejectReason::DeadlineImpossible,
-                });
-                if let Some(recorder) = self.recorder.as_mut() {
-                    recorder.record(
-                        now_s,
-                        EventKind::DecodeStepRejected {
-                            session_id: event.session_id,
-                            step_index: event.step_index as u32,
-                            reason: DecodeRejectReason::DeadlineImpossible,
-                        },
-                    );
-                }
+                self.events.emit(
+                    now_s,
+                    EventKind::DecodeStepRejected {
+                        session_id,
+                        step_index: step_index as u32,
+                        reason: DecodeRejectReason::DeadlineImpossible,
+                    },
+                );
                 return;
             }
         }
@@ -2258,25 +1969,21 @@ impl EngineRun<'_> {
         // device timeline; `Recompute` additionally re-prices the evicted
         // context as prefill-chunk work folded into this step's launch.
         // Charged blocks re-grow through the normal paged path below.
-        // (`note_kv_peak` is deliberately not called here: restoring cannot
-        // exceed the pre-eviction peak.)
+        // (Restoring cannot exceed the pre-eviction KV peak.)
         let mut recompute_tokens = 0usize;
         if let Some((stashed_used, mode)) = session.swapped.take() {
             session.used_bytes = stashed_used;
-            self.kv_used += stashed_used;
             if mode == PreemptMode::Recompute {
                 recompute_tokens = context_len.saturating_sub(1);
             }
-            if let Some(recorder) = self.recorder.as_mut() {
-                recorder.record(
-                    now_s,
-                    EventKind::SessionResumed {
-                        session_id: event.session_id,
-                        restored_used_bytes: stashed_used,
-                        recompute_tokens: recompute_tokens as u32,
-                    },
-                );
-            }
+            self.events.emit(
+                now_s,
+                EventKind::SessionResumed {
+                    session_id,
+                    restored_used_bytes: stashed_used,
+                    recompute_tokens: recompute_tokens as u32,
+                },
+            );
         }
         // Grow the session's block allocation to cover this step's
         // context. Growth runs *after* the deadline screen — a screened step
@@ -2291,88 +1998,50 @@ impl EngineRun<'_> {
         if needed > session.charged_blocks {
             let delta_blocks = needed - session.charged_blocks;
             let delta_bytes = delta_blocks * session.block_bytes(bt, self.kv_element_bytes);
-            let over_budget = |engine: &Self| {
-                engine
-                    .kv_in_use
-                    .saturating_add(engine.prefill_charged)
-                    .saturating_add(delta_bytes)
-                    > engine.budget
-            };
-            let mut over = over_budget(self);
-            // KV preemption: before shedding the step, try evicting
-            // idle sessions' residency to make room for the growth.
-            if over && self.config.preempt.is_some() {
-                self.try_evict_for(delta_bytes, event.session_id, now_s);
-                over = over_budget(self);
+            // KV preemption: before shedding the step, try evicting idle
+            // sessions' residency to make room for the growth.
+            if !self.events.ledger.fits(delta_bytes) && self.config.preempt.is_some() {
+                self.try_evict_for(delta_bytes, session_id, now_s);
             }
-            let session = self.sessions.get_mut(&event.session_id).expect("present");
-            if over {
+            let session = self.sessions.get_mut(&session_id).expect("present");
+            if !self.events.ledger.fits(delta_bytes) {
                 session.rejected_steps += 1;
                 if session.finished() {
-                    self.releases
-                        .push((now_s, Release::Session(event.session_id)));
+                    self.releases.push((now_s, MemOwner::Session(session_id)));
                 }
-                self.decode_report.rejected.push(RejectedDecodeStep {
-                    session_id: event.session_id,
-                    step_index: event.step_index,
-                    arrival_s: now_s,
-                    reason: DecodeRejectReason::KvPoolExhausted,
-                });
-                if let Some(recorder) = self.recorder.as_mut() {
-                    recorder.record(
-                        now_s,
-                        EventKind::DecodeStepRejected {
-                            session_id: event.session_id,
-                            step_index: event.step_index as u32,
-                            reason: DecodeRejectReason::KvPoolExhausted,
-                        },
-                    );
-                }
-                return;
-            }
-            session.charged_bytes += delta_bytes;
-            session.charged_blocks = needed;
-            self.kv_in_use += delta_bytes;
-            self.blocks_in_use += delta_blocks;
-            note_kv_peak(
-                &mut self.decode_report,
-                self.kv_in_use,
-                self.kv_used,
-                self.blocks_in_use,
-                self.kv_shared_in_use,
-            );
-            self.mem_peak.note(self.prefill_charged, self.kv_in_use);
-            if let Some(recorder) = self.recorder.as_mut() {
-                recorder.record(
+                self.events.emit(
                     now_s,
-                    EventKind::KvGrow {
-                        session_id: event.session_id,
-                        delta_bytes,
-                        delta_blocks,
+                    EventKind::DecodeStepRejected {
+                        session_id,
+                        step_index: step_index as u32,
+                        reason: DecodeRejectReason::KvPoolExhausted,
                     },
                 );
+                return;
             }
+            session.charged_blocks = needed;
+            self.events.emit(
+                now_s,
+                EventKind::KvGrow {
+                    session_id,
+                    delta_bytes,
+                    delta_blocks,
+                },
+            );
         }
-        let session = self.sessions.get_mut(&event.session_id).expect("present");
+        let session = self.sessions.get_mut(&session_id).expect("present");
         session.pending_steps += 1;
         // The step's token becomes resident context.
         let token = session.token_bytes(self.kv_element_bytes);
         session.used_bytes += token;
-        self.kv_used += token;
-        note_kv_peak(
-            &mut self.decode_report,
-            self.kv_in_use,
-            self.kv_used,
-            self.blocks_in_use,
-            self.kv_shared_in_use,
-        );
 
         // Join (or open) the launch for this shape key.
-        let key = LaunchKey::Decode(DecodeKey {
+        let decode_key = DecodeKey {
             heads,
             kv_heads,
             embed,
-        });
+        };
+        let key = LaunchKey::Decode(decode_key);
         let next_id = self.next_launch_id;
         let mut created = false;
         let launch = self.open.entry(key).or_insert_with(|| {
@@ -2381,12 +2050,11 @@ impl EngineRun<'_> {
                 id: next_id,
                 first_arrival_s: now_s,
                 items: Vec::new(),
-                charged_bytes: 0,
             }
         });
         launch.items.push(WorkItem::Decode(DecodeStepItem {
-            session_id: event.session_id,
-            step_index: event.step_index,
+            session_id,
+            step_index,
             context_len,
             arrival_s: now_s,
             recompute_tokens,
@@ -2397,32 +2065,20 @@ impl EngineRun<'_> {
         if created {
             self.next_launch_id += 1;
         }
-        if let Some(recorder) = self.recorder.as_mut() {
-            recorder.record(
-                now_s,
-                EventKind::DecodeJoin {
-                    launch_id,
-                    session_id: event.session_id,
-                    step_index: event.step_index as u32,
-                    context_len: context_len as u32,
-                    members: members as u32,
-                    token_bytes: token,
-                },
-            );
-        }
+        self.events.emit(
+            now_s,
+            EventKind::DecodeJoin {
+                launch_id,
+                session_id,
+                step_index: step_index as u32,
+                context_len: context_len as u32,
+                members: members as u32,
+                token_bytes: token,
+            },
+        );
         if full {
             let launch = self.open.remove(&key).expect("just inserted");
-            self.dispatch_decode(
-                DecodeKey {
-                    heads,
-                    kv_heads,
-                    embed,
-                },
-                launch,
-                now_s,
-                SealCause::Fill,
-                now_s,
-            );
+            self.dispatch_decode(decode_key, launch, now_s, SealCause::Fill, now_s);
         }
     }
 
@@ -2464,7 +2120,6 @@ impl EngineRun<'_> {
         let OpenLaunch {
             id: launch_id,
             items,
-            charged_bytes,
             ..
         } = launch;
         let requests: Vec<ServeRequest> = items
@@ -2490,22 +2145,14 @@ impl EngineRun<'_> {
             batch_key.embed,
         );
         let cache_key = CacheKey::of(batch_key.method, &merged, &self.config.planner);
-        if !self.cache.contains(&cache_key) {
+        // The cache never evicts, so a launch is a hit exactly when its key
+        // was cached before this dispatch.
+        let hit = self.cache.contains(&cache_key);
+        if !hit {
             let plan = plan_one(self.planner, batch_key.method, &merged, self.tuned)?;
             self.cache.insert(cache_key, plan);
-            self.inserted_this_run.insert(cache_key);
         }
         let plan = *self.cache.lookup(&cache_key).expect("planned above");
-        // A launch is a cache hit when its key predates this run or an
-        // earlier launch of this run already planned it.
-        let hit =
-            self.used_keys.contains(&cache_key) || !self.inserted_this_run.contains(&cache_key);
-        if hit {
-            self.prefill_report.cache_hits += 1;
-        } else {
-            self.prefill_report.cache_misses += 1;
-            self.used_keys.insert(cache_key);
-        }
 
         self.open_prefill_members -= requests.len();
 
@@ -2563,7 +2210,6 @@ impl EngineRun<'_> {
                     chain_id,
                     ChunkChain {
                         requests,
-                        charged_bytes,
                         total_batch,
                         energy_pj: plan.energy_pj,
                         cache_hit: hit,
@@ -2604,10 +2250,7 @@ impl EngineRun<'_> {
             cause,
             est_service_s,
             profile,
-            StagedPayload::Monolithic {
-                requests,
-                charged_bytes,
-            },
+            StagedPayload::Monolithic { requests },
         );
         Ok(())
     }
@@ -2757,20 +2400,17 @@ impl EngineRun<'_> {
                             {
                                 tracks[d] = prev;
                             }
-                            self.preemptions_prefill += 1;
-                            if let Some(recorder) = self.recorder.as_mut() {
-                                recorder.record(
-                                    now_s,
-                                    EventKind::Preempted {
-                                        victim: PreemptVictim::Launch {
-                                            launch_id: victim.launch_id,
-                                            key: victim.key,
-                                            device: d as u32,
-                                            start_s: victim.start_s,
-                                        },
+                            self.events.emit(
+                                now_s,
+                                EventKind::Preempted {
+                                    victim: PreemptVictim::Launch {
+                                        launch_id: victim.launch_id,
+                                        key: victim.key,
+                                        device: d as u32,
+                                        start_s: victim.start_s,
                                     },
-                                );
-                            }
+                                },
+                            );
                             requeue = Some(victim);
                             device = self.earliest_free_device();
                             start_s = self.free_at[device].max(ready_s);
@@ -2803,52 +2443,31 @@ impl EngineRun<'_> {
                 stage_spans = Some(p.stages);
             }
         }
-        self.note_device_span(device, WorkClass::Decode, start_s, span_service_s);
         self.free_at[device] = completion_s;
-        self.decode_report.makespan_s = self.decode_report.makespan_s.max(completion_s);
-        self.makespan_s = self.makespan_s.max(completion_s);
-        self.decode_report.launches += 1;
         // Decode launches occupy the shared timeline too: account them in
         // the backlog estimate prefill admission sees. Always the scalar
         // service, so admission decisions match across executor modes.
         self.estimator.feed(ready_s, service_s);
-        if let Some(recorder) = self.recorder.as_mut() {
-            recorder.record(
+        self.events.emit(
+            start_s,
+            EventKind::LaunchDispatched {
+                launch_id,
+                key: LaunchKey::Decode(decode_key),
+                device: device as u32,
+                ready_s,
                 start_s,
-                EventKind::LaunchDispatched {
-                    launch_id,
-                    key: LaunchKey::Decode(decode_key),
-                    device: device as u32,
-                    ready_s,
-                    start_s,
-                    completion_s,
-                    service_s: span_service_s,
-                    members: pending.len() as u32,
-                    total_batch: pending.len() as u32,
-                    energy_pj: 0.0,
-                    cache_hit: false,
-                    cause,
-                },
-            );
-            if let Some(stages) = stage_spans.as_ref() {
-                for s in stages {
-                    recorder.record(
-                        s.start_s,
-                        EventKind::LaunchStage {
-                            launch_id,
-                            device: device as u32,
-                            track: s.track,
-                            stage: s.stage as u32,
-                            start_s: s.start_s,
-                            end_s: s.end_s,
-                        },
-                    );
-                }
-            }
-        }
+                completion_s,
+                service_s: span_service_s,
+                members: pending.len() as u32,
+                total_batch: pending.len() as u32,
+                energy_pj: 0.0,
+                cache_hit: false,
+                cause,
+            },
+        );
+        self.log_stages(launch_id, device, stage_spans.as_deref());
+        let deadline_s = self.config.decode.step_deadline_s;
         for p in pending {
-            let deadline_s = self.config.decode.step_deadline_s;
-            let latency_s = completion_s - p.arrival_s;
             let session = self
                 .sessions
                 .get_mut(&p.session_id)
@@ -2857,9 +2476,10 @@ impl EngineRun<'_> {
             session.pending_steps -= 1;
             if session.finished() {
                 self.releases
-                    .push((completion_s, Release::Session(p.session_id)));
+                    .push((completion_s, MemOwner::Session(p.session_id)));
             }
-            self.decode_report.outcomes.push(DecodeStepOutcome {
+            let latency_s = completion_s - p.arrival_s;
+            self.events.complete_decode(DecodeStepOutcome {
                 session_id: p.session_id,
                 step_index: p.step_index,
                 context_len: p.context_len,
@@ -2872,28 +2492,13 @@ impl EngineRun<'_> {
                 launch_id,
                 device,
             });
-            if let Some(recorder) = self.recorder.as_mut() {
-                recorder.record(
-                    completion_s,
-                    EventKind::DecodeCompleted {
-                        session_id: p.session_id,
-                        step_index: p.step_index as u32,
-                        context_len: p.context_len as u32,
-                        launch_id,
-                    },
-                );
-                recorder.observe_latency(WorkClass::Decode, latency_s);
-            }
         }
         // The displaced span re-places now — behind the decode launch, never
         // dropped. A chunk victim rewinds its chain to the displaced index;
         // the chain re-places it with the same identity.
         if let Some(victim) = requeue {
             match victim.payload {
-                StagedPayload::Monolithic {
-                    requests,
-                    charged_bytes,
-                } => {
+                StagedPayload::Monolithic { requests } => {
                     self.place_prefill_span(
                         victim.launch_id,
                         victim.key,
@@ -2906,10 +2511,7 @@ impl EngineRun<'_> {
                         victim.cause,
                         victim.est_service_s,
                         victim.profile,
-                        StagedPayload::Monolithic {
-                            requests,
-                            charged_bytes,
-                        },
+                        StagedPayload::Monolithic { requests },
                     );
                 }
                 StagedPayload::Chunk { chain, index } => {
@@ -2931,59 +2533,45 @@ impl EngineRun<'_> {
     /// admitted: its tokens swap out and come back at its next step.
     fn try_evict_for(&mut self, delta_bytes: u64, keep: u64, now_s: f64) {
         let mode = self.config.preempt.expect("caller gates on preempt");
-        loop {
-            if self
-                .kv_in_use
-                .saturating_add(self.prefill_charged)
-                .saturating_add(delta_bytes)
-                <= self.budget
-            {
-                return;
-            }
+        while !self.events.ledger.fits(delta_bytes) {
+            let ledger = &self.events.ledger;
             let victim = self
                 .sessions
                 .iter()
-                .filter(|(id, s)| {
-                    **id != keep
+                .filter(|(&id, s)| {
+                    id != keep
                         && s.admitted
                         && !s.finished()
                         && s.swapped.is_none()
                         && s.pending_steps == 0
-                        && s.charged_bytes > 0
                         && s.prefix_group.is_none()
+                        && ledger.held(MemOwner::Session(id)).is_some_and(|b| b > 0)
                 })
                 .map(|(id, _)| *id)
                 .next_back();
             let Some(vid) = victim else { return };
+            let bytes = self.events.ledger.held(MemOwner::Session(vid)).unwrap_or(0);
             let s = self.sessions.get_mut(&vid).expect("present");
-            let bytes = s.charged_bytes;
             let blocks = s.charged_blocks;
             let used = s.used_bytes;
             s.swapped = Some((used, mode));
-            s.charged_bytes = 0;
             s.charged_blocks = 0;
             s.used_bytes = 0;
-            self.kv_in_use = self.kv_in_use.saturating_sub(bytes);
-            self.kv_used = self.kv_used.saturating_sub(used);
-            self.blocks_in_use = self.blocks_in_use.saturating_sub(blocks);
-            self.preemptions_decode += 1;
-            // The ledger entry stays live: the session is still admitted
-            // and its one finish-release is still owed. No `note_kv_peak`:
-            // eviction only lowers the gauges.
-            if let Some(recorder) = self.recorder.as_mut() {
-                recorder.record(
-                    now_s,
-                    EventKind::Preempted {
-                        victim: PreemptVictim::Session {
-                            session_id: vid,
-                            mode,
-                            bytes,
-                            used_bytes: used,
-                            blocks,
-                        },
+            // The ledger keeps the owner live at zero bytes: the session is
+            // still admitted and its one finish-release is still owed.
+            // Eviction only lowers the gauges, so no peak can move.
+            self.events.emit(
+                now_s,
+                EventKind::Preempted {
+                    victim: PreemptVictim::Session {
+                        session_id: vid,
+                        mode,
+                        bytes,
+                        used_bytes: used,
+                        blocks,
                     },
-                );
-            }
+                },
+            );
         }
     }
 
@@ -3228,6 +2816,100 @@ mod tests {
         }
     }
 
+    /// Zero-dimension inputs are accounted rejections, never panics: a
+    /// prefill request with any zero dimension is an infeasible workload
+    /// and a session with a zero head, KV-head or embedding count an
+    /// infeasible session, under every policy with chunking and both
+    /// preemption mechanisms on.
+    #[test]
+    fn zero_dimension_inputs_are_rejected_not_panicked() {
+        let shape = [1usize, 2, 128, 64];
+        let mut prefill: Vec<ServeRequest> = reqs(6, 1e-4);
+        for (dim, request) in prefill.iter_mut().take(4).enumerate() {
+            let mut dims = shape;
+            dims[dim] = 0;
+            request.workload = AttentionWorkload {
+                name: format!("zero-dim-{dim}"),
+                batch: dims[0],
+                heads: dims[1],
+                seq_len: dims[2],
+                embed: dims[3],
+            };
+        }
+        let session = |id: u64, heads: usize, kv_heads: usize, embed: usize| DecodeSessionSpec {
+            id,
+            network: Network::BertSmall,
+            start_s: 0.0,
+            heads,
+            kv_heads,
+            embed,
+            prompt_len: 16,
+            steps: 2,
+            prefix_group: None,
+            shared_prefix_len: 0,
+        };
+        let sessions = vec![
+            session(0, 0, 0, 64),
+            session(1, 0, 8, 64),
+            session(2, 8, 0, 64),
+            session(3, 8, 8, 0),
+            session(4, 8, 8, 64),
+        ];
+        let steps = (0..2)
+            .flat_map(|step_index| {
+                sessions.iter().map(move |s| DecodeStepEvent {
+                    session_id: s.id,
+                    step_index,
+                    arrival_s: 1e-4 * step_index as f64,
+                })
+            })
+            .collect();
+        let decode = DecodeTrace { sessions, steps };
+        for policy in [
+            SchedulePolicy::FairShare,
+            SchedulePolicy::DecodePriority,
+            SchedulePolicy::PrefillPriority,
+        ] {
+            let mut engine = ServeEngine::new(EngineConfig {
+                policy,
+                chunked_prefill: Some(ChunkPolicy::new(32)),
+                preempt: Some(PreemptMode::Recompute),
+                decode: DecodePolicy {
+                    step_deadline_s: Some(0.004),
+                    ..DecodePolicy::default()
+                },
+                ..EngineConfig::default()
+            });
+            let report = engine.run(&prefill, &decode).unwrap();
+            assert_eq!(
+                report.prefill.completed() + report.prefill.rejected.len(),
+                prefill.len()
+            );
+            assert_eq!(
+                report.decode.completed() + report.decode.rejected.len(),
+                decode.total_steps()
+            );
+            let mut infeasible: Vec<u64> = report
+                .prefill
+                .rejected
+                .iter()
+                .filter(|r| r.reason == RejectReason::InfeasibleWorkload)
+                .map(|r| r.id)
+                .collect();
+            infeasible.sort_unstable();
+            assert_eq!(infeasible, [0, 1, 2, 3], "{policy}");
+            assert_eq!(report.prefill.completed(), 2, "{policy}");
+            assert_eq!(
+                report.decode.rejected_sessions,
+                (0..4)
+                    .map(|id| (id, DecodeRejectReason::InfeasibleSession))
+                    .collect::<Vec<_>>(),
+                "{policy}"
+            );
+            assert_eq!(report.decode.completed(), 2, "{policy}");
+        }
+    }
+
     #[test]
     fn hostile_deadlines_are_rejected_before_any_state_changes() {
         let session = DecodeSessionSpec {
@@ -3316,30 +2998,81 @@ mod tests {
         assert_eq!(PreemptMode::default(), PreemptMode::Hold);
     }
 
-    /// The double-release hazard (satellite of the chunked-prefill PR): a
-    /// second release for the same owner must be rejected and counted, not
-    /// silently absorbed by saturating arithmetic.
+    /// The double-release hazard: the ledger must tell a second release
+    /// for the same owner from a live one, so the engine drops and counts
+    /// it instead of letting saturating arithmetic absorb it.
     #[test]
     fn release_ledger_rejects_duplicate_releases() {
-        let mut ledger = ReleaseLedger::default();
-        ledger.charge(MemOwner::Session(7));
-        assert!(
-            ledger.release(MemOwner::Session(7)),
-            "first release is live"
+        let mut ledger = Ledger::new(SchedulePolicy::default(), 1, u64::MAX);
+        let release = |owner, bytes| EventKind::BudgetRelease {
+            owner,
+            bytes,
+            used_bytes: 0,
+            blocks: 0,
+            scheduled_s: 0.0,
+        };
+        let session = MemOwner::Session(7);
+        ledger.apply(
+            0.0,
+            &EventKind::SessionOpen {
+                session_id: 7,
+                prompt_len: 16,
+                charged_bytes: 64,
+                used_bytes: 32,
+                blocks: 1,
+            },
         );
-        assert!(
-            !ledger.release(MemOwner::Session(7)),
-            "second release of the same owner is a duplicate"
+        assert_eq!(
+            ledger.held(session),
+            Some(64),
+            "an admitted session is live"
         );
-        assert_eq!(ledger.drops(), 1);
+        ledger.apply(1.0, &release(session, 64));
+        assert!(
+            ledger.held(session).is_none(),
+            "a second release of the same owner is a duplicate"
+        );
         // A release for an owner never charged is also a duplicate.
-        assert!(!ledger.release(MemOwner::PrefillLaunch(3)));
-        assert_eq!(ledger.drops(), 2);
-        // Charging is idempotent: re-charging a live owner keeps one entry.
-        ledger.charge(MemOwner::PrefixGroup(1));
-        ledger.charge(MemOwner::PrefixGroup(1));
-        assert!(ledger.release(MemOwner::PrefixGroup(1)));
-        assert!(!ledger.release(MemOwner::PrefixGroup(1)));
-        assert_eq!(ledger.drops(), 3);
+        assert!(ledger.held(MemOwner::PrefillLaunch(3)).is_none());
+        // An evicted session holds nothing but still owes its release.
+        ledger.apply(
+            2.0,
+            &EventKind::KvGrow {
+                session_id: 8,
+                delta_bytes: 64,
+                delta_blocks: 1,
+            },
+        );
+        ledger.apply(
+            3.0,
+            &EventKind::Preempted {
+                victim: PreemptVictim::Session {
+                    session_id: 8,
+                    mode: PreemptMode::Hold,
+                    bytes: 64,
+                    used_bytes: 0,
+                    blocks: 1,
+                },
+            },
+        );
+        assert_eq!(ledger.held(MemOwner::Session(8)), Some(0));
+        // Repeated charges keep one entry, and one release clears it.
+        let group = MemOwner::PrefixGroup(1);
+        for delta_bytes in [128, 0] {
+            ledger.apply(
+                4.0,
+                &EventKind::PrefixShared {
+                    group: 1,
+                    session_id: 9,
+                    delta_bytes,
+                    delta_blocks: delta_bytes / 64,
+                    used_delta_bytes: delta_bytes,
+                    refs: 1,
+                },
+            );
+        }
+        assert_eq!(ledger.held(group), Some(128));
+        ledger.apply(5.0, &release(group, 128));
+        assert!(ledger.held(group).is_none());
     }
 }

@@ -1,0 +1,419 @@
+//! The one accounting implementation behind [`EngineReport`].
+//!
+//! A [`Ledger`] folds [`EventKind`] values into the report and the shared
+//! memory budget's occupancy. [`ServeEngine::run`] drives it live, one
+//! event per state transition, and reads admission and eviction headroom
+//! back from it; [`Telemetry::report`] drives a fresh one over a recorded
+//! log. Both therefore apply the same rules in the same order, which is
+//! why a log rebuilds the engine's report bit for bit, and why recording a
+//! run never changes its report.
+//!
+//! Three facts reach the report through events that carry only ids (a
+//! prefill rejection, a prefill completion and a decode completion); the
+//! caller hands those in whole through [`Ledger::reject_prefill`],
+//! [`Ledger::complete_prefill`] and [`Ledger::complete_decode`].
+//!
+//! [`ServeEngine::run`]: crate::engine::ServeEngine::run
+//! [`Telemetry::report`]: crate::telemetry::Telemetry::report
+
+use std::collections::HashMap;
+
+use crate::decode::{DecodeReport, DecodeStepOutcome, RejectedDecodeStep};
+use crate::engine::{DeviceUtil, EngineReport, SchedulePolicy};
+use crate::key::{LaunchKey, WorkClass};
+use crate::metrics::{RejectedRequest, RequestOutcome, ServeReport};
+use crate::telemetry::{EventKind, MemOwner, PeakAttribution, PreemptVictim};
+
+/// One device's launch tallies over a run.
+#[derive(Debug, Clone, Copy, Default)]
+struct DeviceTally {
+    busy_prefill_s: f64,
+    busy_decode_s: f64,
+    idle_gaps: usize,
+    launches: usize,
+    /// Completion of the device's latest launch: a launch starting after
+    /// it opens an idle gap.
+    last_completion_s: f64,
+}
+
+/// The shared-budget high-water mark with its per-class split.
+#[derive(Debug, Default, Clone, Copy)]
+struct MemPeak {
+    total: u64,
+    prefill: u64,
+    decode: u64,
+}
+
+impl MemPeak {
+    /// Records the occupancy if it reaches the peak; returns whether it
+    /// did (ties move the per-class split to the latest instant).
+    fn note(&mut self, prefill: u64, decode: u64) -> bool {
+        let total = prefill.saturating_add(decode);
+        let moved = total >= self.total && total > 0;
+        if moved {
+            *self = MemPeak {
+                total,
+                prefill,
+                decode,
+            };
+        }
+        moved
+    }
+}
+
+/// The report under construction plus the shared budget's occupancy.
+#[derive(Debug, Clone)]
+pub(crate) struct Ledger {
+    policy: SchedulePolicy,
+    budget: u64,
+    prefill: ServeReport,
+    decode: DecodeReport,
+    makespan_s: f64,
+    devices: Vec<DeviceTally>,
+    /// Prefill activation bytes charged.
+    prefill_charged: u64,
+    /// Decode KV block bytes charged (private tails plus shared prefixes).
+    kv_in_use: u64,
+    /// Bytes of resident context tokens within `kv_in_use`.
+    kv_used: u64,
+    blocks_in_use: u64,
+    /// Of `kv_in_use`, the bytes charged group-wide for shared prefixes.
+    kv_shared_in_use: u64,
+    peak: MemPeak,
+    /// Every owner with a live charge and its bytes. An owner stays live
+    /// from its first charge to its release, also while a KV eviction
+    /// holds its bytes at zero, so a release for an owner missing here is
+    /// a duplicate. Hashed, not ordered: it is read per charge and release
+    /// on the engine's hot path, and only peak snapshots list it (sorted).
+    owners: HashMap<MemOwner, u64>,
+    preemptions_prefill: usize,
+    preemptions_decode: usize,
+}
+
+impl Ledger {
+    /// An empty ledger for a run on `devices` devices under `budget` bytes.
+    pub(crate) fn new(policy: SchedulePolicy, devices: usize, budget: u64) -> Self {
+        Self {
+            policy,
+            budget,
+            prefill: ServeReport::default(),
+            decode: DecodeReport::default(),
+            makespan_s: 0.0,
+            devices: vec![DeviceTally::default(); devices.max(1)],
+            prefill_charged: 0,
+            kv_in_use: 0,
+            kv_used: 0,
+            blocks_in_use: 0,
+            kv_shared_in_use: 0,
+            peak: MemPeak::default(),
+            owners: HashMap::new(),
+            preemptions_prefill: 0,
+            preemptions_decode: 0,
+        }
+    }
+
+    /// Whether `bytes` more fit the shared budget beside everything charged.
+    pub(crate) fn fits(&self, bytes: u64) -> bool {
+        self.prefill_charged
+            .saturating_add(self.kv_in_use)
+            .saturating_add(bytes)
+            <= self.budget
+    }
+
+    /// The bytes `owner` holds, or `None` when it holds no live charge
+    /// (see [`Ledger::owners`]).
+    pub(crate) fn held(&self, owner: MemOwner) -> Option<u64> {
+        self.owners.get(&owner).copied()
+    }
+
+    /// Folds one event stamped `t_s` into the report and the occupancy.
+    /// Returns whether it moved the shared-budget peak.
+    pub(crate) fn apply(&mut self, t_s: f64, kind: &EventKind) -> bool {
+        match *kind {
+            EventKind::PrefillJoin {
+                launch_id,
+                charged_bytes,
+                ..
+            } => {
+                self.prefill_charged += charged_bytes;
+                return self.charge(MemOwner::PrefillLaunch(launch_id), charged_bytes);
+            }
+            EventKind::SessionOpen {
+                session_id,
+                charged_bytes,
+                used_bytes,
+                blocks,
+                ..
+            } => {
+                self.decode.sessions_admitted += 1;
+                self.kv_in_use += charged_bytes;
+                self.kv_used += used_bytes;
+                self.blocks_in_use += blocks;
+                self.note_kv_peak();
+                return self.charge(MemOwner::Session(session_id), charged_bytes);
+            }
+            EventKind::PrefixShared {
+                group,
+                delta_bytes,
+                delta_blocks,
+                used_delta_bytes,
+                ..
+            } => {
+                self.decode.shared_sessions += 1;
+                self.kv_in_use += delta_bytes;
+                self.kv_used += used_delta_bytes;
+                self.blocks_in_use += delta_blocks;
+                self.kv_shared_in_use += delta_bytes;
+                self.note_kv_peak();
+                return self.charge(MemOwner::PrefixGroup(group), delta_bytes);
+            }
+            EventKind::KvGrow {
+                session_id,
+                delta_bytes,
+                delta_blocks,
+            } => {
+                self.kv_in_use += delta_bytes;
+                self.blocks_in_use += delta_blocks;
+                self.note_kv_peak();
+                return self.charge(MemOwner::Session(session_id), delta_bytes);
+            }
+            EventKind::DecodeJoin { token_bytes, .. } => {
+                self.kv_used += token_bytes;
+                self.note_kv_peak();
+            }
+            EventKind::SessionResumed {
+                restored_used_bytes,
+                ..
+            } => self.kv_used += restored_used_bytes,
+            EventKind::SessionRejected { session_id, reason } => {
+                self.decode.rejected_sessions.push((session_id, reason));
+            }
+            EventKind::DecodeStepRejected {
+                session_id,
+                step_index,
+                reason,
+            } => self.decode.rejected.push(RejectedDecodeStep {
+                session_id,
+                step_index: step_index as usize,
+                arrival_s: t_s,
+                reason,
+            }),
+            EventKind::LaunchDispatched {
+                key,
+                device,
+                start_s,
+                completion_s,
+                service_s,
+                cache_hit,
+                ..
+            } => self.dispatched(
+                key,
+                device as usize,
+                start_s,
+                completion_s,
+                service_s,
+                cache_hit,
+            ),
+            EventKind::BudgetRelease {
+                owner,
+                bytes,
+                used_bytes,
+                blocks,
+                ..
+            } => {
+                match owner {
+                    MemOwner::PrefillLaunch(_) => {
+                        self.prefill_charged = self.prefill_charged.saturating_sub(bytes);
+                    }
+                    MemOwner::Session(_) => self.release_kv(bytes, used_bytes, blocks),
+                    MemOwner::PrefixGroup(_) => {
+                        self.release_kv(bytes, used_bytes, blocks);
+                        self.kv_shared_in_use = self.kv_shared_in_use.saturating_sub(bytes);
+                    }
+                }
+                self.owners.remove(&owner);
+            }
+            EventKind::Preempted {
+                victim: PreemptVictim::Launch { .. },
+            } => self.preemptions_prefill += 1,
+            EventKind::Preempted {
+                victim:
+                    PreemptVictim::Session {
+                        session_id,
+                        bytes,
+                        used_bytes,
+                        blocks,
+                        ..
+                    },
+            } => {
+                self.preemptions_decode += 1;
+                self.release_kv(bytes, used_bytes, blocks);
+                // Still live: the evicted session stays admitted and owes
+                // its one release.
+                if let Some(held) = self.owners.get_mut(&MemOwner::Session(session_id)) {
+                    *held = 0;
+                }
+            }
+            // Arrivals, stage spans and the run header only feed the log.
+            // The id-only events carry nothing the ledger needs: their
+            // facts arrive whole through `reject_prefill` and `complete_*`.
+            EventKind::RunStart { .. }
+            | EventKind::PrefillArrival { .. }
+            | EventKind::DecodeArrival { .. }
+            | EventKind::LaunchStage { .. }
+            | EventKind::PrefillRejected { .. }
+            | EventKind::PrefillCompleted { .. }
+            | EventKind::DecodeCompleted { .. } => {}
+        }
+        false
+    }
+
+    /// A prefill request refused at arrival.
+    pub(crate) fn reject_prefill(&mut self, rejected: RejectedRequest) {
+        self.prefill.rejected.push(rejected);
+    }
+
+    /// A prefill request completed with its share of its launch's energy.
+    pub(crate) fn complete_prefill(&mut self, outcome: RequestOutcome) {
+        self.prefill.total_energy_pj += outcome.energy_pj;
+        self.prefill.outcomes.push(outcome);
+    }
+
+    /// A decode step completed.
+    pub(crate) fn complete_decode(&mut self, outcome: DecodeStepOutcome) {
+        self.decode.outcomes.push(outcome);
+    }
+
+    /// The shared-budget peak so far with every holder's nonzero charge at
+    /// that instant, largest first (ties by owner). Meaningful right after
+    /// [`Ledger::apply`] reports that the peak moved.
+    pub(crate) fn peak_attribution(&self, t_s: f64) -> PeakAttribution {
+        let mut holders: Vec<(MemOwner, u64)> = self
+            .owners
+            .iter()
+            .filter(|(_, &bytes)| bytes > 0)
+            .map(|(&owner, &bytes)| (owner, bytes))
+            .collect();
+        holders.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        PeakAttribution {
+            peak_bytes: self.peak.total,
+            prefill_bytes: self.peak.prefill,
+            decode_bytes: self.peak.decode,
+            t_s,
+            holders,
+        }
+    }
+
+    /// The finished report. A class's `device_busy_s` stays empty unless
+    /// the class launched, so a single-class run leaves the other class's
+    /// report at its default.
+    pub(crate) fn into_report(self) -> EngineReport {
+        let Self {
+            policy,
+            budget,
+            mut prefill,
+            mut decode,
+            makespan_s,
+            devices,
+            peak,
+            preemptions_prefill,
+            preemptions_decode,
+            ..
+        } = self;
+        if prefill.batches > 0 {
+            prefill.device_busy_s = devices.iter().map(|d| d.busy_prefill_s).collect();
+        }
+        if decode.launches > 0 {
+            decode.device_busy_s = devices.iter().map(|d| d.busy_decode_s).collect();
+        }
+        let device_util = devices
+            .iter()
+            .map(|d| DeviceUtil {
+                busy_s: d.busy_prefill_s + d.busy_decode_s,
+                idle_gaps: d.idle_gaps,
+                launches: d.launches,
+            })
+            .collect();
+        EngineReport {
+            policy,
+            launches: prefill.batches + decode.launches,
+            prefill,
+            decode,
+            makespan_s,
+            mem_budget_bytes: budget,
+            mem_peak_bytes: peak.total,
+            mem_peak_prefill_bytes: peak.prefill,
+            mem_peak_decode_bytes: peak.decode,
+            device_util,
+            preemptions_prefill,
+            preemptions_decode,
+        }
+    }
+
+    /// Accounts one launch that started on `device`.
+    fn dispatched(
+        &mut self,
+        key: LaunchKey,
+        device: usize,
+        start_s: f64,
+        completion_s: f64,
+        service_s: f64,
+        cache_hit: bool,
+    ) {
+        let tally = &mut self.devices[device];
+        if tally.launches > 0 && start_s > tally.last_completion_s {
+            tally.idle_gaps += 1;
+        }
+        tally.launches += 1;
+        tally.last_completion_s = completion_s;
+        match key.class() {
+            WorkClass::Prefill => {
+                tally.busy_prefill_s += service_s;
+                self.prefill.batches += 1;
+                // A chunk chain looks its plan up once, on its first chunk;
+                // later chunks repeat the chain's flag.
+                if !matches!(key, LaunchKey::PrefillChunk(ck) if ck.index > 0) {
+                    if cache_hit {
+                        self.prefill.cache_hits += 1;
+                    } else {
+                        self.prefill.cache_misses += 1;
+                    }
+                }
+                self.prefill.makespan_s = self.prefill.makespan_s.max(completion_s);
+            }
+            WorkClass::Decode => {
+                tally.busy_decode_s += service_s;
+                self.decode.launches += 1;
+                self.decode.makespan_s = self.decode.makespan_s.max(completion_s);
+            }
+        }
+        self.makespan_s = self.makespan_s.max(completion_s);
+    }
+
+    /// Adds `bytes` to `owner`'s live charge and notes the shared peak.
+    fn charge(&mut self, owner: MemOwner, bytes: u64) -> bool {
+        *self.owners.entry(owner).or_insert(0) += bytes;
+        self.peak.note(self.prefill_charged, self.kv_in_use)
+    }
+
+    /// Returns KV bytes, resident-token bytes and blocks to the pool
+    /// (saturating: a release never drives occupancy negative).
+    fn release_kv(&mut self, bytes: u64, used_bytes: u64, blocks: u64) {
+        self.kv_in_use = self.kv_in_use.saturating_sub(bytes);
+        self.kv_used = self.kv_used.saturating_sub(used_bytes);
+        self.blocks_in_use = self.blocks_in_use.saturating_sub(blocks);
+    }
+
+    /// Records the decode-class charge high-water mark with its block
+    /// count and fragmentation, plus the shared-prefix high-water mark.
+    fn note_kv_peak(&mut self) {
+        let charged = self.kv_in_use;
+        if charged >= self.decode.kv_peak_bytes && charged > 0 {
+            self.decode.kv_peak_bytes = charged;
+            self.decode.kv_peak_blocks = self.blocks_in_use;
+            self.decode.kv_frag_at_peak = 1.0 - self.kv_used as f64 / charged as f64;
+        }
+        self.decode.kv_shared_peak_bytes =
+            self.decode.kv_shared_peak_bytes.max(self.kv_shared_in_use);
+    }
+}

@@ -53,14 +53,17 @@
 //!    deadline verdicts, throughput, p50/p99 latency, cache hit rate) and
 //!    a [`DecodeReport`], plus the shared-timeline and shared-budget
 //!    figures.
-//! 6. **Observe** ([`telemetry`], opt-in) — with
-//!    [`EngineConfig::telemetry`](engine::EngineConfig::telemetry) set,
-//!    every lifecycle transition (arrival, admission verdict, batch join,
-//!    dispatch, completion, budget charge/release) is appended to a typed
-//!    [`EngineEvent`] timeline alongside streaming log-bucketed latency
-//!    histograms; post-hoc analysis reconstructs the engine report
-//!    bit-for-bit from events alone, attributes memory peaks
-//!    and device utilization, and exports Chrome trace-event JSON
+//! 6. **Observe** ([`telemetry`], opt-in) — the engine describes every
+//!    lifecycle transition (arrival, admission verdict, batch join,
+//!    dispatch, completion, budget charge/release) as a typed
+//!    [`EventKind`] and builds its report by folding those events through
+//!    one internal ledger, which also tracks the shared budget. With
+//!    [`EngineConfig::telemetry`](engine::EngineConfig::telemetry) set the
+//!    events are also appended to an [`EngineEvent`] timeline alongside
+//!    streaming log-bucketed latency histograms, so recording never
+//!    changes the report; post-hoc analysis folds the log through the same
+//!    ledger to reconstruct the report bit-for-bit, attributes memory
+//!    peaks and device utilization, and exports Chrome trace-event JSON
 //!    (Perfetto) and Prometheus text snapshots.
 //!
 //! Reports are a pure function of the streams and the configuration: a warm
@@ -150,6 +153,7 @@ pub mod cache;
 pub mod decode;
 pub mod engine;
 pub mod key;
+mod ledger;
 pub mod metrics;
 pub mod queue;
 pub mod request;

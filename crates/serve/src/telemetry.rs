@@ -42,12 +42,15 @@
 //!
 //! ## Overhead contract
 //!
-//! Recording is **off by default** and every recording site is behind one
-//! `Option` check, so disabled runs execute the exact pre-telemetry code
-//! path — all pinned bit-identical replays are untouched. Enabled, the
-//! recorder only appends compact plain-data events to a pre-reserved (and
-//! across-runs recycled) `Vec` and updates two fixed-size histograms —
-//! tens of nanoseconds per event. The `telemetry` bench pins the contract
+//! Recording is **off by default**, and recording never changes the
+//! report: the engine emits the same [`EventKind`] values either way and
+//! builds its report by folding them through the crate's one accounting
+//! implementation (the ledger); recording only appends them to the log.
+//! Events that only the log needs (the run header, arrivals and track
+//! stages) are built only when recording. Enabled, the recorder appends
+//! compact plain-data events to a pre-reserved (and across-runs recycled)
+//! `Vec` and updates two fixed-size histograms — tens of nanoseconds per
+//! event. The `telemetry` bench pins the contract
 //! from both ends: end-to-end `serve_mixed` replay (engine construction,
 //! planning, replay — the serving cost a user pays) stays within **5%**,
 //! and the marginal recording cost on a warm pure-replay loop stays under
@@ -62,8 +65,15 @@
 //! The event stream is *complete*: [`Telemetry::report`] reconstructs the
 //! full [`EngineReport`] — outcomes, rejects, peaks, fragmentation, energy,
 //! makespans, per-device utilization — purely from events, bit-for-bit
-//! equal to the engine's own report (pinned by `tests/telemetry.rs` over
-//! random mixed traces × policies × budgets). Conservation (every arrival
+//! equal to the engine's own report. It folds the log through the same
+//! ledger the engine folded the events through live, in recording order;
+//! the replay only rebuilds the three facts whose events carry ids (a
+//! prefill rejection and the two completions) from the arrival and launch
+//! events, and snapshots the peak's holders for
+//! [`Telemetry::peak_attribution`]. Equality is pinned by
+//! `tests/telemetry.rs` over random mixed traces × policies × budgets ×
+//! chunking, preemption, track and KV-dtype modes, and by the golden
+//! digests of `tests/golden_reports.rs`. Conservation (every arrival
 //! resolves exactly once) and per-track monotonicity are checkable with
 //! [`Telemetry::conservation_check`] / [`Telemetry::tracks_monotone`].
 //!
@@ -100,10 +110,11 @@ use serde::Serialize;
 use mas_dataflow::DataflowKind;
 use mas_sim::{TrackKind, TRACK_COUNT};
 
-use crate::decode::{DecodeRejectReason, DecodeReport, DecodeStepOutcome, RejectedDecodeStep};
-use crate::engine::{note_kv_peak, DeviceUtil, EngineReport, MemPeak, SchedulePolicy};
+use crate::decode::{DecodeRejectReason, DecodeStepOutcome};
+use crate::engine::{DeviceUtil, EngineReport, SchedulePolicy};
 use crate::key::{ChunkKey, LaunchKey, WorkClass};
-use crate::metrics::{RejectedRequest, RequestOutcome, ServeReport};
+use crate::ledger::Ledger;
+use crate::metrics::{RejectedRequest, RequestOutcome};
 use crate::queue::RejectReason;
 
 /// Opt-in telemetry configuration ([`crate::engine::EngineConfig::telemetry`]).
@@ -117,7 +128,7 @@ pub struct TelemetryConfig {
 }
 
 /// Which memory-budget holder a charge or release belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum MemOwner {
     /// A prefill launch's summed activation charge, by launch id.
     PrefillLaunch(u64),
@@ -608,31 +619,29 @@ impl Telemetry {
     }
 
     /// Reconstructs the full [`EngineReport`] purely from the event log —
-    /// bit-for-bit equal to the report the engine produced (pinned by
-    /// test). `None` when the log is incomplete (dropped events) or has no
-    /// [`EventKind::RunStart`].
+    /// bit-for-bit equal to the report the engine produced, because both
+    /// fold the same events through the same ledger. `None` when the log is
+    /// incomplete (dropped events) or has no [`EventKind::RunStart`].
     #[must_use]
     pub fn report(&self) -> Option<EngineReport> {
         if !self.is_complete() {
             return None;
         }
-        let replay = Replay::run(&self.events)?;
-        Some(replay.into_report())
+        Some(Replay::run(&self.events)?.ledger.into_report())
     }
 
     /// Per-device utilization replayed from the event log. Empty when the
     /// log is incomplete or never started.
     #[must_use]
     pub fn device_utilization(&self) -> Vec<DeviceUtil> {
-        if !self.is_complete() {
-            return Vec::new();
-        }
-        Replay::run(&self.events).map_or_else(Vec::new, |r| r.device_util())
+        self.report()
+            .map_or_else(Vec::new, |report| report.device_util)
     }
 
     /// Shared-budget occupancy peak with attribution: which holders
-    /// (prefill launches / sessions) held bytes at the peak instant. `None`
-    /// when the log is incomplete or the budget was never charged.
+    /// (prefill launches, sessions, prefix groups) held bytes at the peak
+    /// instant. `None` when the log is incomplete or the budget was never
+    /// charged.
     #[must_use]
     pub fn peak_attribution(&self) -> Option<PeakAttribution> {
         if !self.is_complete() {
@@ -1138,11 +1147,7 @@ impl Telemetry {
                 _ => {}
             }
         }
-        let replay = if self.is_complete() {
-            Replay::run(&self.events)
-        } else {
-            None
-        };
+        let report = self.report();
         let mut out = String::with_capacity(4096);
         let metric = |out: &mut String, name: &str, help: &str, kind: &str| {
             out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
@@ -1241,14 +1246,17 @@ impl Telemetry {
             "mas_engine_release_drops_total {}\n",
             self.release_drops
         ));
-        if let Some(replay) = &replay {
+        if let Some(report) = &report {
             metric(
                 &mut out,
                 "mas_engine_mem_budget_bytes",
                 "Shared memory budget.",
                 "gauge",
             );
-            out.push_str(&format!("mas_engine_mem_budget_bytes {}\n", replay.budget));
+            out.push_str(&format!(
+                "mas_engine_mem_budget_bytes {}\n",
+                report.mem_budget_bytes
+            ));
             metric(
                 &mut out,
                 "mas_engine_mem_peak_bytes",
@@ -1257,7 +1265,7 @@ impl Telemetry {
             );
             out.push_str(&format!(
                 "mas_engine_mem_peak_bytes{{class=\"total\"}} {}\nmas_engine_mem_peak_bytes{{class=\"prefill\"}} {}\nmas_engine_mem_peak_bytes{{class=\"decode\"}} {}\n",
-                replay.mem_peak.total, replay.mem_peak.prefill, replay.mem_peak.decode
+                report.mem_peak_bytes, report.mem_peak_prefill_bytes, report.mem_peak_decode_bytes
             ));
             metric(
                 &mut out,
@@ -1267,7 +1275,7 @@ impl Telemetry {
             );
             out.push_str(&format!(
                 "mas_engine_makespan_seconds {}\n",
-                replay.makespan_s
+                report.makespan_s
             ));
             metric(
                 &mut out,
@@ -1275,7 +1283,7 @@ impl Telemetry {
                 "Busy time per device.",
                 "gauge",
             );
-            for (d, util) in replay.device_util().iter().enumerate() {
+            for (d, util) in report.device_util.iter().enumerate() {
                 out.push_str(&format!(
                     "mas_engine_device_busy_seconds{{device=\"{d}\"}} {}\n",
                     util.busy_s
@@ -1287,7 +1295,7 @@ impl Telemetry {
                 "Idle gaps between launches per device.",
                 "counter",
             );
-            for (d, util) in replay.device_util().iter().enumerate() {
+            for (d, util) in report.device_util.iter().enumerate() {
                 out.push_str(&format!(
                     "mas_engine_device_idle_gaps_total{{device=\"{d}\"}} {}\n",
                     util.idle_gaps
@@ -1524,9 +1532,10 @@ impl LogHistogram {
 }
 
 // ---------------------------------------------------------------------------
-// Report reconstruction: replay the event stream in the exact order the
-// engine mutated its state, so every f64 accumulation chain matches
-// bit-for-bit.
+// Report reconstruction: fold the log through the engine's own ledger, in
+// recording order (the order the engine applied the events), so every f64
+// accumulation chain matches bit-for-bit. The replay itself only rebuilds
+// the facts whose events carry ids, and snapshots the peak's holders.
 // ---------------------------------------------------------------------------
 
 struct ArrivalInfo {
@@ -1557,34 +1566,15 @@ struct ChainAgg {
     service_sum_s: f64,
 }
 
+/// A folded log: the ledger (the report) and the latest peak snapshot.
 struct Replay {
-    policy: SchedulePolicy,
-    devices: usize,
-    budget: u64,
-    step_deadline_s: Option<f64>,
-    prefill_report: ServeReport,
-    decode_report: DecodeReport,
-    makespan_s: f64,
-    mem_peak: MemPeak,
-    kv_in_use: u64,
-    kv_used: u64,
-    blocks_in_use: u64,
-    shared_in_use: u64,
-    prefill_charged: u64,
-    free_at: Vec<f64>,
-    busy_prefill: Vec<f64>,
-    busy_decode: Vec<f64>,
-    idle_gaps: Vec<usize>,
-    launch_counts: Vec<usize>,
-    holders: BTreeMap<MemOwner, u64>,
+    ledger: Ledger,
     peak: Option<PeakAttribution>,
-    preemptions_prefill: usize,
-    preemptions_decode: usize,
 }
 
 impl Replay {
-    /// Replays the full event stream; `None` without a leading `RunStart`.
-    #[allow(clippy::too_many_lines)]
+    /// Replays the full event stream; `None` without a `RunStart`, or when
+    /// an event references a device, arrival or launch the log lacks.
     fn run(events: &[EngineEvent]) -> Option<Self> {
         let (policy, devices, budget, step_deadline_s) =
             events.iter().find_map(|e| match e.kind {
@@ -1594,43 +1584,18 @@ impl Replay {
                     budget_bytes,
                     step_deadline_s,
                     ..
-                } => Some((policy, devices as usize, budget_bytes, step_deadline_s)),
+                } => Some((policy, devices.max(1), budget_bytes, step_deadline_s)),
                 _ => None,
             })?;
-        let devices = devices.max(1);
-        let mut replay = Self {
-            policy,
-            devices,
-            budget,
-            step_deadline_s,
-            prefill_report: ServeReport::default(),
-            decode_report: DecodeReport::default(),
-            makespan_s: 0.0,
-            mem_peak: MemPeak::default(),
-            kv_in_use: 0,
-            kv_used: 0,
-            blocks_in_use: 0,
-            shared_in_use: 0,
-            prefill_charged: 0,
-            free_at: vec![0.0; devices],
-            busy_prefill: vec![0.0; devices],
-            busy_decode: vec![0.0; devices],
-            idle_gaps: vec![0; devices],
-            launch_counts: vec![0; devices],
-            holders: BTreeMap::new(),
-            peak: None,
-            preemptions_prefill: 0,
-            preemptions_decode: 0,
-        };
+        let mut ledger = Ledger::new(policy, devices as usize, budget);
+        let mut peak = None;
         let mut arrivals: BTreeMap<u64, ArrivalInfo> = BTreeMap::new();
         let mut decode_arrivals: BTreeMap<(u64, u32), f64> = BTreeMap::new();
         let mut launches: BTreeMap<u64, LaunchInfo> = BTreeMap::new();
         let mut chains: BTreeMap<u64, ChainAgg> = BTreeMap::new();
-        let mut open_charges: BTreeMap<u64, u64> = BTreeMap::new();
         for event in events {
             let t = event.t_s;
             match &event.kind {
-                EventKind::RunStart { .. } => {}
                 EventKind::PrefillArrival {
                     id,
                     workload,
@@ -1651,114 +1616,18 @@ impl Replay {
                 }
                 EventKind::PrefillRejected { id, reason } => {
                     let info = arrivals.get(id)?;
-                    replay.prefill_report.rejected.push(RejectedRequest {
+                    ledger.reject_prefill(RejectedRequest {
                         id: *id,
                         workload: info.workload.clone(),
                         arrival_s: t,
                         reason: *reason,
                     });
                 }
-                EventKind::PrefillJoin {
-                    launch_id,
-                    charged_bytes,
-                    ..
-                } => {
-                    *open_charges.entry(*launch_id).or_insert(0) += charged_bytes;
-                    replay.prefill_charged += charged_bytes;
-                    replay.charge(MemOwner::PrefillLaunch(*launch_id), *charged_bytes, t);
-                }
                 EventKind::DecodeArrival {
                     session_id,
                     step_index,
                 } => {
                     decode_arrivals.insert((*session_id, *step_index), t);
-                }
-                EventKind::SessionOpen {
-                    session_id,
-                    charged_bytes,
-                    used_bytes,
-                    blocks,
-                    ..
-                } => {
-                    replay.kv_in_use += charged_bytes;
-                    replay.kv_used += used_bytes;
-                    replay.blocks_in_use += blocks;
-                    note_kv_peak(
-                        &mut replay.decode_report,
-                        replay.kv_in_use,
-                        replay.kv_used,
-                        replay.blocks_in_use,
-                        replay.shared_in_use,
-                    );
-                    replay.charge(MemOwner::Session(*session_id), *charged_bytes, t);
-                    replay.decode_report.sessions_admitted += 1;
-                }
-                EventKind::PrefixShared {
-                    group,
-                    delta_bytes,
-                    delta_blocks,
-                    used_delta_bytes,
-                    ..
-                } => {
-                    replay.kv_in_use += delta_bytes;
-                    replay.kv_used += used_delta_bytes;
-                    replay.blocks_in_use += delta_blocks;
-                    replay.shared_in_use += delta_bytes;
-                    replay.decode_report.shared_sessions += 1;
-                    note_kv_peak(
-                        &mut replay.decode_report,
-                        replay.kv_in_use,
-                        replay.kv_used,
-                        replay.blocks_in_use,
-                        replay.shared_in_use,
-                    );
-                    if *delta_bytes > 0 {
-                        replay.charge(MemOwner::PrefixGroup(*group), *delta_bytes, t);
-                    }
-                }
-                EventKind::SessionRejected { session_id, reason } => {
-                    replay
-                        .decode_report
-                        .rejected_sessions
-                        .push((*session_id, *reason));
-                }
-                EventKind::DecodeStepRejected {
-                    session_id,
-                    step_index,
-                    reason,
-                } => {
-                    replay.decode_report.rejected.push(RejectedDecodeStep {
-                        session_id: *session_id,
-                        step_index: *step_index as usize,
-                        arrival_s: t,
-                        reason: *reason,
-                    });
-                }
-                EventKind::KvGrow {
-                    session_id,
-                    delta_bytes,
-                    delta_blocks,
-                } => {
-                    replay.kv_in_use += delta_bytes;
-                    replay.blocks_in_use += delta_blocks;
-                    note_kv_peak(
-                        &mut replay.decode_report,
-                        replay.kv_in_use,
-                        replay.kv_used,
-                        replay.blocks_in_use,
-                        replay.shared_in_use,
-                    );
-                    replay.charge(MemOwner::Session(*session_id), *delta_bytes, t);
-                }
-                EventKind::DecodeJoin { token_bytes, .. } => {
-                    replay.kv_used += token_bytes;
-                    note_kv_peak(
-                        &mut replay.decode_report,
-                        replay.kv_in_use,
-                        replay.kv_used,
-                        replay.blocks_in_use,
-                        replay.shared_in_use,
-                    );
                 }
                 EventKind::LaunchDispatched {
                     launch_id,
@@ -1772,6 +1641,9 @@ impl Replay {
                     cache_hit,
                     ..
                 } => {
+                    if *device >= devices {
+                        return None;
+                    }
                     let chunk = match key {
                         LaunchKey::PrefillChunk(ck) => Some(*ck),
                         _ => None,
@@ -1796,53 +1668,11 @@ impl Replay {
                         });
                         agg.service_sum_s += service_s;
                     }
-                    let d = *device as usize;
-                    if d >= replay.devices {
-                        return None;
-                    }
-                    // Mirrors `EngineRun::note_device_span`: gap check
-                    // against the device's previous completion, then busy
-                    // accumulation in dispatch order.
-                    if replay.launch_counts[d] > 0 && *start_s > replay.free_at[d] {
-                        replay.idle_gaps[d] += 1;
-                    }
-                    replay.launch_counts[d] += 1;
-                    replay.free_at[d] = *completion_s;
-                    match key.class() {
-                        WorkClass::Prefill => {
-                            replay.busy_prefill[d] += service_s;
-                            replay.prefill_report.batches += 1;
-                            // A chunk chain does one plan-cache lookup, on
-                            // its first chunk; later chunks repeat the
-                            // chain's flag without a lookup of their own.
-                            if chunk.is_none_or(|ck| ck.index == 0) {
-                                if *cache_hit {
-                                    replay.prefill_report.cache_hits += 1;
-                                } else {
-                                    replay.prefill_report.cache_misses += 1;
-                                }
-                            }
-                            replay.prefill_report.makespan_s =
-                                replay.prefill_report.makespan_s.max(*completion_s);
-                        }
-                        WorkClass::Decode => {
-                            replay.busy_decode[d] += service_s;
-                            replay.decode_report.launches += 1;
-                            replay.decode_report.makespan_s =
-                                replay.decode_report.makespan_s.max(*completion_s);
-                        }
-                    }
-                    replay.makespan_s = replay.makespan_s.max(*completion_s);
                 }
                 EventKind::PrefillCompleted { id, launch_id } => {
                     let info = arrivals.get(id)?;
                     let launch = launches.get(launch_id)?;
                     let latency_s = launch.completion_s - info.arrival_s;
-                    let deadline_met = info.deadline_s.is_none_or(|d| latency_s <= d);
-                    // The engine's exact energy-share expression.
-                    let energy_pj =
-                        launch.energy_pj * f64::from(info.batch) / f64::from(launch.total_batch);
-                    replay.prefill_report.total_energy_pj += energy_pj;
                     // A chunked request's outcome spans its whole chain:
                     // queueing ends at the first chunk's start, service sums
                     // over every chunk, and the chain id identifies the
@@ -1855,7 +1685,7 @@ impl Replay {
                         }
                         None => (launch.start_s, launch.service_s, *launch_id),
                     };
-                    replay.prefill_report.outcomes.push(RequestOutcome {
+                    ledger.complete_prefill(RequestOutcome {
                         id: *id,
                         workload: info.workload.clone(),
                         method: info.method,
@@ -1864,8 +1694,10 @@ impl Replay {
                         completion_s: launch.completion_s,
                         service_s,
                         deadline_s: info.deadline_s,
-                        deadline_met,
-                        energy_pj,
+                        deadline_met: info.deadline_s.is_none_or(|d| latency_s <= d),
+                        // The engine's exact energy-share expression.
+                        energy_pj: launch.energy_pj * f64::from(info.batch)
+                            / f64::from(launch.total_batch),
                         cache_hit: launch.cache_hit,
                         batch_id,
                         device: launch.device as usize,
@@ -1880,7 +1712,7 @@ impl Replay {
                     let arrival_s = *decode_arrivals.get(&(*session_id, *step_index))?;
                     let launch = launches.get(launch_id)?;
                     let latency_s = launch.completion_s - arrival_s;
-                    replay.decode_report.outcomes.push(DecodeStepOutcome {
+                    ledger.complete_decode(DecodeStepOutcome {
                         session_id: *session_id,
                         step_index: *step_index as usize,
                         context_len: *context_len as usize,
@@ -1888,134 +1720,19 @@ impl Replay {
                         start_s: launch.start_s,
                         completion_s: launch.completion_s,
                         service_s: launch.service_s,
-                        deadline_s: replay.step_deadline_s,
-                        deadline_met: replay.step_deadline_s.is_none_or(|d| latency_s <= d),
+                        deadline_s: step_deadline_s,
+                        deadline_met: step_deadline_s.is_none_or(|d| latency_s <= d),
                         launch_id: *launch_id,
                         device: launch.device as usize,
                     });
                 }
-                EventKind::BudgetRelease {
-                    owner,
-                    bytes,
-                    used_bytes,
-                    blocks,
-                    ..
-                } => {
-                    match owner {
-                        MemOwner::PrefillLaunch(_) => {
-                            replay.prefill_charged = replay.prefill_charged.saturating_sub(*bytes);
-                        }
-                        MemOwner::Session(_) => {
-                            replay.kv_in_use = replay.kv_in_use.saturating_sub(*bytes);
-                            replay.kv_used = replay.kv_used.saturating_sub(*used_bytes);
-                            replay.blocks_in_use = replay.blocks_in_use.saturating_sub(*blocks);
-                        }
-                        MemOwner::PrefixGroup(_) => {
-                            replay.kv_in_use = replay.kv_in_use.saturating_sub(*bytes);
-                            replay.kv_used = replay.kv_used.saturating_sub(*used_bytes);
-                            replay.blocks_in_use = replay.blocks_in_use.saturating_sub(*blocks);
-                            replay.shared_in_use = replay.shared_in_use.saturating_sub(*bytes);
-                        }
-                    }
-                    replay.holders.remove(owner);
-                }
-                EventKind::Preempted { victim } => match victim {
-                    PreemptVictim::Launch { .. } => replay.preemptions_prefill += 1,
-                    PreemptVictim::Session {
-                        session_id,
-                        bytes,
-                        used_bytes,
-                        blocks,
-                        ..
-                    } => {
-                        replay.preemptions_decode += 1;
-                        replay.kv_in_use = replay.kv_in_use.saturating_sub(*bytes);
-                        replay.kv_used = replay.kv_used.saturating_sub(*used_bytes);
-                        replay.blocks_in_use = replay.blocks_in_use.saturating_sub(*blocks);
-                        replay.holders.remove(&MemOwner::Session(*session_id));
-                    }
-                },
-                EventKind::SessionResumed {
-                    restored_used_bytes,
-                    ..
-                } => {
-                    replay.kv_used += restored_used_bytes;
-                }
-                // Stage spans refine a launch's device occupancy; every
-                // report quantity already flows from its LaunchDispatched.
-                EventKind::LaunchStage { .. } => {}
+                _ => {}
+            }
+            if ledger.apply(t, &event.kind) {
+                peak = Some(ledger.peak_attribution(t));
             }
         }
-        Some(replay)
-    }
-
-    /// Applies a charge: updates the shared peak (`MemPeak::note`, the
-    /// engine's own logic) and snapshots holder attribution when the peak
-    /// moves.
-    fn charge(&mut self, owner: MemOwner, bytes: u64, t_s: f64) {
-        *self.holders.entry(owner).or_insert(0) += bytes;
-        let before = self.mem_peak.total;
-        self.mem_peak.note(self.prefill_charged, self.kv_in_use);
-        let total = self.prefill_charged.saturating_add(self.kv_in_use);
-        if self.mem_peak.total == total && (total > before || (total == before && total > 0)) {
-            let mut holders: Vec<(MemOwner, u64)> = self
-                .holders
-                .iter()
-                .map(|(&owner, &bytes)| (owner, bytes))
-                .collect();
-            holders.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-            self.peak = Some(PeakAttribution {
-                peak_bytes: self.mem_peak.total,
-                prefill_bytes: self.mem_peak.prefill,
-                decode_bytes: self.mem_peak.decode,
-                t_s,
-                holders,
-            });
-        }
-    }
-
-    /// Combined per-device utilization (prefill + decode busy time, summed
-    /// at read-out like the engine's report builder).
-    fn device_util(&self) -> Vec<DeviceUtil> {
-        (0..self.devices)
-            .map(|d| DeviceUtil {
-                busy_s: self.busy_prefill[d] + self.busy_decode[d],
-                idle_gaps: self.idle_gaps[d],
-                launches: self.launch_counts[d],
-            })
-            .collect()
-    }
-
-    /// Assembles the [`EngineReport`], mirroring the engine's report
-    /// builder (including the rule that a class's `device_busy_s` stays
-    /// empty unless the class dispatched at least one launch).
-    fn into_report(mut self) -> EngineReport {
-        self.prefill_report.device_busy_s = if self.prefill_report.batches > 0 {
-            self.busy_prefill.clone()
-        } else {
-            Vec::new()
-        };
-        self.decode_report.device_busy_s = if self.decode_report.launches > 0 {
-            self.busy_decode.clone()
-        } else {
-            Vec::new()
-        };
-        let launches = self.prefill_report.batches + self.decode_report.launches;
-        let device_util = self.device_util();
-        EngineReport {
-            policy: self.policy,
-            prefill: self.prefill_report,
-            decode: self.decode_report,
-            launches,
-            makespan_s: self.makespan_s,
-            mem_budget_bytes: self.budget,
-            mem_peak_bytes: self.mem_peak.total,
-            mem_peak_prefill_bytes: self.mem_peak.prefill,
-            mem_peak_decode_bytes: self.mem_peak.decode,
-            device_util,
-            preemptions_prefill: self.preemptions_prefill,
-            preemptions_decode: self.preemptions_decode,
-        }
+        Some(Self { ledger, peak })
     }
 }
 

@@ -8,8 +8,9 @@ use proptest::prelude::*;
 
 use mas_dataflow::{AttentionWorkload, DataflowKind};
 use mas_serve::{
-    validate_chrome_trace, DecodePolicy, EngineConfig, EventKind, MemOwner, SchedulePolicy,
-    ServeEngine, ServeRequest, TelemetryConfig, WorkClass,
+    validate_chrome_trace, ChunkPolicy, DecodePolicy, EngineConfig, EventKind, KvDtype, MemOwner,
+    PreemptMode, SchedulePolicy, ServeEngine, ServeRequest, TelemetryConfig, TrackConfig,
+    WorkClass,
 };
 use mas_workloads::{
     mixed_trace, DecodeSessionSpec, DecodeStepEvent, DecodeTrace, MixedTraceConfig, Network,
@@ -401,11 +402,13 @@ fn queue_depth_and_batch_fill_gauges_reflect_the_replay() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     // The reconstruction contract under random mixed traces: whatever the
-    // interleaving, policy, budget and charging mode, the event log alone
-    // rebuilds the engine report bit-for-bit and stays conserved/monotone.
+    // interleaving, policy, budget, charging mode, chunking, preemption,
+    // device model and KV dtype, the event log alone rebuilds the engine
+    // report bit-for-bit and stays conserved/monotone, and recording does
+    // not change the report.
     #[test]
     fn event_log_rebuilds_the_report_under_random_mixed_interleavings(
         prefill_count in 0usize..10,
@@ -415,6 +418,10 @@ proptest! {
         policy_pick in 0usize..3,
         share_pick in 0usize..2,
         devices in 1usize..3,
+        chunk_pick in 0usize..3,
+        preempt_pick in 0usize..3,
+        tracks_pick in 0usize..2,
+        f16_pick in 0usize..2,
     ) {
         let budget_mb = [1u64, 4, 16, 3072][budget_pick];
         let policy = [
@@ -435,15 +442,24 @@ proptest! {
             trace_config = trace_config.with_shared_system_prompt(64);
         }
         let trace = mixed_trace(&trace_config);
+        let preempt = [None, Some(PreemptMode::Hold), Some(PreemptMode::Recompute)][preempt_pick];
         let config = EngineConfig {
             decode: DecodePolicy {
                 prefix_share: share,
+                kv_dtype: (f16_pick == 1).then_some(KvDtype::F16),
+                // Slot preemption displaces prefill only for decode
+                // launches that would miss a step deadline.
+                step_deadline_s: preempt.map(|_| 0.004),
                 ..DecodePolicy::default()
             },
             policy,
             devices,
             shared_budget_bytes: Some(budget_mb * 1_000_000),
             telemetry: Some(TelemetryConfig::default()),
+            chunked_prefill: [None, Some(ChunkPolicy::new(64)), Some(ChunkPolicy::new(200))]
+                [chunk_pick],
+            preempt,
+            tracks: (tracks_pick == 1).then(TrackConfig::default),
             ..EngineConfig::default()
         };
         let stream = ServeRequest::stream_from_trace(
@@ -451,7 +467,7 @@ proptest! {
             DataflowKind::MasAttention,
             Some(0.05),
         );
-        let mut engine = ServeEngine::new(config);
+        let mut engine = ServeEngine::new(config.clone());
         let report = engine.run(&stream, &trace.decode).unwrap();
         let telemetry = engine.telemetry().unwrap();
 
@@ -462,9 +478,19 @@ proptest! {
 
         let rebuilt = telemetry.report().expect("complete event log");
         prop_assert_eq!(rebuilt, report.clone());
+        let unrecorded = ServeEngine::new(EngineConfig { telemetry: None, ..config })
+            .run(&stream, &trace.decode)
+            .unwrap();
+        prop_assert_eq!(&unrecorded, &report);
 
         let json = telemetry.chrome_trace_json();
         let chrome = validate_chrome_trace(&json).expect("valid Chrome trace");
-        prop_assert_eq!(chrome.spans, report.prefill.batches + report.decode.launches);
+        let launches = report.prefill.batches + report.decode.launches;
+        if config.tracks.is_none() {
+            prop_assert_eq!(chrome.spans, launches);
+        } else {
+            // An overlap-committed launch renders one span per stage.
+            prop_assert!(chrome.spans >= launches);
+        }
     }
 }
