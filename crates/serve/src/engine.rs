@@ -91,6 +91,38 @@
 //!    step's launch ([`PreemptMode::Recompute`]). Steps are shed only
 //!    through the pre-existing screening and overflow paths.
 //!
+//! ## Dispatch-order contract
+//!
+//! A replay is a pure function of its inputs, configuration and cache
+//! because [`ServeEngine::run`] visits work in one fixed order:
+//!
+//! 1. **Arrival merge.** Prefill requests sorted by `(arrival, id)` merge
+//!    with decode steps in trace order; a prefill request wins an
+//!    exact-arrival tie.
+//! 2. **Per-event stages.** At each arrival's instant `now`, in order:
+//!    staged spans that started by `now` harden, in start order; ready
+//!    chunk-chain chunks place, in `(ready, chain id)` order; launches
+//!    whose window ended by `now` dispatch, in `(class rank, launch id)`
+//!    order under the [`SchedulePolicy`]; budget releases due by `now`
+//!    apply, in the order they were scheduled; then the arrival itself is
+//!    screened, admitted and joined, and a fill or feasibility dispatch
+//!    runs at once.
+//! 3. **Flush.** After the last arrival the open launches dispatch in
+//!    `(ready, class rank, launch id)` order, chains drain, and every
+//!    staged span hardens.
+//! 4. **Eviction.** KV preemption picks victims in descending session id.
+//!
+//! Per-run state is dense. Sessions sit in a slab sorted by id: a step
+//! finds its slot once, through an id → slot table (a binary search when
+//! ids are sparse), and its launch carries the slot to completion. Open
+//! launches sit in slots indexed by an interned launch key, and a session
+//! caches its decode key's slot at admission. The chunk, window and
+//! release stages keep a lower bound on their next due instant and scan
+//! only when `now` reaches it. An event therefore costs O(1) plus the work
+//! it triggers and a pass over the devices; a due chunk scans the chains, a
+//! window end the open launches, a due release the pending releases, and
+//! an eviction the sessions.
+//!
 //! ## Single-class streams and planning
 //!
 //! With only one class present the scheduling policy degenerates to
@@ -125,10 +157,10 @@ use mas_sim::{
 use mas_workloads::{DecodeSessionSpec, DecodeStepEvent, DecodeTrace, MixedTrace};
 
 use crate::batcher::BatchPolicy;
-use crate::cache::{CacheKey, CachedPlan, ScheduleCache};
+use crate::cache::{planning_fingerprint, CacheKey, CachedPlan, ScheduleCache};
 use crate::decode::{
-    decode_step_lower_bound_s_with_kv, launch_service_s_with_kv, prefill_chunk_service_s_with_kv,
-    DecodePolicy, DecodeRejectReason, DecodeReport, DecodeStepOutcome,
+    decode_step_lower_bound_s_with_kv, prefill_chunk_service_s_with_kv, DecodePolicy,
+    DecodeRejectReason, DecodeReport, DecodeStepOutcome,
 };
 use crate::key::{BatchKey, ChunkKey, DecodeKey, LaunchKey, WorkClass};
 use crate::ledger::Ledger;
@@ -612,7 +644,7 @@ impl ServeEngine {
     /// NaN or negative; otherwise a [`SimError`] if a prefill batch that passed
     /// admission fails to plan or simulate. Decode-only streams never plan.
     pub fn run(&mut self, prefill: &[ServeRequest], decode: &DecodeTrace) -> Result<EngineReport> {
-        validate_inputs(prefill, decode, self.config.decode.step_deadline_s)?;
+        let sessions = validate_inputs(prefill, decode, self.config.decode.step_deadline_s)?;
         let hw = self.planner.hardware().clone();
         let budget = self.config.budget(&hw);
         let recycled = self.telemetry.take().map(Telemetry::into_event_buffer);
@@ -635,30 +667,10 @@ impl ServeEngine {
             );
             recorder
         });
+        let mut ledger = Ledger::new(self.config.policy, self.config.devices, budget);
+        ledger.reserve_outcomes(prefill.len(), decode.steps.len());
         let element_bytes = hw.element_bytes;
         let kv_element_bytes = self.config.decode.kv_element_bytes(&hw);
-        let sessions: BTreeMap<u64, SessionState> = decode
-            .sessions
-            .iter()
-            .map(|spec| {
-                (
-                    spec.id,
-                    SessionState {
-                        spec: spec.clone(),
-                        admitted: false,
-                        reject_reason: None,
-                        completed_steps: 0,
-                        rejected_steps: 0,
-                        pending_steps: 0,
-                        charged_blocks: 0,
-                        used_bytes: 0,
-                        shared_blocks: 0,
-                        prefix_group: None,
-                        swapped: None,
-                    },
-                )
-            })
-            .collect();
 
         let mut pass = EngineRun {
             config: &self.config,
@@ -668,15 +680,18 @@ impl ServeEngine {
             element_bytes,
             kv_element_bytes,
             tuned: self.config.planner.tiling == TilingStrategy::Search,
+            fingerprint: planning_fingerprint(&self.config.planner),
             max_batch: self.config.batching.max_batch.max(1),
             max_steps_per_launch: self.config.decode.effective_max_steps_per_launch(),
             free_at: vec![0.0f64; self.config.devices.max(1)],
-            open: BTreeMap::new(),
+            launches: Launches::default(),
+            expired: Vec::new(),
             open_prefill_members: 0,
             next_launch_id: 0,
             sessions,
-            releases: Vec::new(),
+            releases: Releases::default(),
             chunk_chains: BTreeMap::new(),
+            next_chunk_s: f64::INFINITY,
             staged: (0..self.config.devices.max(1)).map(|_| None).collect(),
             tracks: self
                 .config
@@ -685,10 +700,7 @@ impl ServeEngine {
             estimator: BacklogEstimator::new(self.config.devices),
             prefix_groups: BTreeMap::new(),
             active_sessions: 0,
-            events: EventSink {
-                ledger: Ledger::new(self.config.policy, self.config.devices, budget),
-                recorder,
-            },
+            events: EventSink { ledger, recorder },
         };
 
         // Merge the two arrival streams: prefill sorted by (arrival, id) and
@@ -730,14 +742,16 @@ impl ServeEngine {
 }
 
 /// Rejects a non-finite or negative arrival time anywhere in either stream,
-/// naming the offending request or session. The event loop orders, windows
-/// and expires work by arrival, so such a timestamp has no meaningful
-/// place on the timeline.
-fn validate_inputs(
+/// naming the offending request or session, and a session id that two
+/// specs share. The event loop orders, windows and expires work by arrival,
+/// so such a timestamp has no meaningful place on the timeline, and a
+/// shared id would leave a step's session ambiguous. Returns the run's
+/// session slab, which the duplicate check sorts.
+fn validate_inputs<'a>(
     prefill: &[ServeRequest],
-    decode: &DecodeTrace,
+    decode: &'a DecodeTrace,
     step_deadline_s: Option<f64>,
-) -> Result<()> {
+) -> Result<Sessions<'a>> {
     let valid_arrival = |t: f64| t.is_finite() && t >= 0.0;
     // An infinite deadline is valid (it is never missed).
     let invalid_deadline = |d: Option<f64>| d.filter(|d| d.is_nan() || *d < 0.0);
@@ -775,7 +789,7 @@ fn validate_inputs(
             ),
         });
     }
-    Ok(())
+    Sessions::new(&decode.sessions)
 }
 
 /// Plans one uncached prefill key: tiling via the plan-only entry point,
@@ -799,12 +813,78 @@ fn plan_one(
     })
 }
 
-/// One not-yet-dispatched launch: same-key work items accumulating toward
-/// a window, fill or feasibility dispatch.
-struct OpenLaunch {
+/// The launch slot of one interned [`LaunchKey`]: the not-yet-dispatched
+/// launch accumulating same-key work toward a window, fill or feasibility
+/// dispatch, open while it has members. A key keeps its slot, and so its
+/// member buffers, for the whole run.
+struct OpenLaunch<'a> {
+    key: LaunchKey,
+    /// The open launch's id (stale while closed).
     id: u64,
     first_arrival_s: f64,
-    items: Vec<WorkItem>,
+    /// Prefill members, for a prefill key.
+    requests: Vec<&'a ServeRequest>,
+    /// Decode members with their session slots, for a decode key.
+    steps: Vec<(DecodeStepItem, usize)>,
+}
+
+/// The run's launch slots, indexed by interned key.
+#[derive(Default)]
+struct Launches<'a> {
+    slots: Vec<OpenLaunch<'a>>,
+    ids: BTreeMap<LaunchKey, usize>,
+    /// Slots of the open launches, in no particular order.
+    open: Vec<usize>,
+    /// A lower bound on the earliest window end among open launches:
+    /// expiry scans only once `now` reaches it.
+    next_expiry_s: f64,
+}
+
+impl<'a> Launches<'a> {
+    /// The slot of `key`, interned on first use.
+    fn intern(&mut self, key: LaunchKey) -> usize {
+        let next = self.slots.len();
+        let slot = *self.ids.entry(key).or_insert(next);
+        if slot == next {
+            self.slots.push(OpenLaunch {
+                key,
+                id: 0,
+                first_arrival_s: 0.0,
+                requests: Vec::new(),
+                steps: Vec::new(),
+            });
+        }
+        slot
+    }
+
+    /// Unlists slot `k` as it dispatches.
+    fn close(&mut self, k: usize) {
+        self.open.retain(|&open| open != k);
+    }
+}
+
+/// Deferred shared-budget releases with their due instants, in scheduling
+/// order.
+#[derive(Default)]
+struct Releases {
+    due: Vec<(f64, Release)>,
+    /// A lower bound on the earliest due instant.
+    next_s: f64,
+}
+
+impl Releases {
+    fn push(&mut self, due_s: f64, release: Release) {
+        self.due.push((due_s, release));
+        self.next_s = self.next_s.min(due_s);
+    }
+}
+
+/// The holder of a deferred release: a completed prefill launch's
+/// activation charge, or a finished session's KV residency (by slot).
+#[derive(Clone, Copy)]
+enum Release {
+    Launch(u64),
+    Session(usize),
 }
 
 /// Where the engine's events go: always into the ledger, which builds the
@@ -833,6 +913,25 @@ impl EventSink {
         if let Some(recorder) = self.recorder.as_mut() {
             recorder.record(t_s, kind());
         }
+    }
+
+    /// Rejects one decode step.
+    fn reject_step(
+        &mut self,
+        t_s: f64,
+        session_id: u64,
+        step_index: usize,
+        reason: DecodeRejectReason,
+    ) {
+        let step_index = step_index as u32;
+        self.emit(
+            t_s,
+            EventKind::DecodeStepRejected {
+                session_id,
+                step_index,
+                reason,
+            },
+        );
     }
 
     /// Logs a prefill rejection and hands the ledger its whole record.
@@ -886,8 +985,8 @@ impl EventSink {
 /// One in-flight chunked-prefill chain: the sealed batch's members and
 /// launch payload, the chunk layout, and the lazy-dispatch cursor. The
 /// chain id is the launch id of the chain's first chunk.
-struct ChunkChain {
-    requests: Vec<ServeRequest>,
+struct ChunkChain<'a> {
+    requests: Vec<&'a ServeRequest>,
     total_batch: usize,
     /// The monolithic plan's energy, attributed to the last chunk's launch
     /// (earlier chunks carry zero) and split across members at completion.
@@ -921,22 +1020,14 @@ struct ChunkChain {
     last_span: Option<(u64, f64, usize)>,
 }
 
-/// A placed prefill-class launch whose effects (events, outcomes, budget
-/// release, utilization tallies) are deferred until it *starts*: while
-/// staged, a deadline-pressed decode launch may displace it back to the
-/// queue. Device `free_at` is already advanced past the span —
-/// `prev_free_s` is what displacement rolls back to.
-struct StagedSpan {
+/// A prefill-class launch to place: a monolithic batch or one chunk of a
+/// chain, with the figures its launch event records.
+struct PrefillLaunch<'a> {
     launch_id: u64,
     key: LaunchKey,
-    device: usize,
     ready_s: f64,
-    start_s: f64,
+    /// The scalar-model service time; a displaced span re-places with it.
     service_s: f64,
-    completion_s: f64,
-    /// `free_at[device]` before this span was placed (displacement rolls
-    /// back to it).
-    prev_free_s: f64,
     members: u32,
     total_batch: u32,
     energy_pj: f64,
@@ -948,26 +1039,41 @@ struct StagedSpan {
     /// estimate, even when the track executor commits a shorter span, so
     /// admission stays identical across modes.
     est_service_s: f64,
-    /// The scalar-model service time the span was placed with (equals
-    /// `service_s` on scalar commits); a displaced span re-places with it.
-    scalar_service_s: f64,
     /// The launch's four-track demand and issue overhead (`None` with the
     /// track executor off), kept so a displaced span re-places with the
     /// same profile.
     profile: Option<(TrackDemand, f64)>,
+    payload: StagedPayload<'a>,
+}
+
+/// A placed prefill-class launch whose effects (events, outcomes, budget
+/// release, utilization tallies) are deferred until it *starts*: while
+/// staged, a deadline-pressed decode launch may displace it back to the
+/// queue. Device `free_at` is already advanced past the span —
+/// `prev_free_s` is what displacement rolls back to.
+struct StagedSpan<'a> {
+    launch: PrefillLaunch<'a>,
+    device: usize,
+    start_s: f64,
+    /// The placed span's service time (the launch's scalar one on scalar
+    /// commits).
+    service_s: f64,
+    completion_s: f64,
+    /// `free_at[device]` before this span was placed (displacement rolls
+    /// back to it).
+    prev_free_s: f64,
     /// The flow-shop stage spans when the track executor committed this
     /// span (`None` = scalar commit); emitted as telemetry at harden.
     stages: Option<Vec<StageSpan>>,
     /// The device's track state before this placement; displacement rolls
     /// back to it (`None` with the track executor off).
     prev_tracks: Option<DeviceTracks>,
-    payload: StagedPayload,
 }
 
 /// What a prefill-class span completes into at harden.
-enum StagedPayload {
+enum StagedPayload<'a> {
     /// A monolithic prefill batch: member outcomes close on the span.
-    Monolithic { requests: Vec<ServeRequest> },
+    Monolithic { requests: Vec<&'a ServeRequest> },
     /// One chunk of a chain: the chain aggregates, and finalizes when all
     /// its chunks have hardened.
     Chunk { chain: u64, index: usize },
@@ -975,8 +1081,10 @@ enum StagedPayload {
 
 /// Per-session decode bookkeeping (admission verdict, step progress, KV
 /// charge).
-struct SessionState {
-    spec: DecodeSessionSpec,
+struct SessionState<'a> {
+    spec: &'a DecodeSessionSpec,
+    /// The slot of the session's decode launch key, interned at admission.
+    launch: usize,
     admitted: bool,
     reject_reason: Option<DecodeRejectReason>,
     /// Steps that completed on a device.
@@ -1004,21 +1112,12 @@ struct SessionState {
     swapped: Option<(u64, PreemptMode)>,
 }
 
-impl SessionState {
+impl SessionState<'_> {
     /// Whether every step the session will ever request has been accounted
     /// for (completed or rejected) with nothing still waiting in a launch —
     /// the point at which its KV residency can be released.
     fn finished(&self) -> bool {
         self.completed_steps + self.rejected_steps == self.spec.steps && self.pending_steps == 0
-    }
-
-    /// The session's decode step at a given context length.
-    ///
-    /// Callers must have validated the spec's head grouping (admission
-    /// rejects invalid groupings as infeasible before building steps).
-    fn step_at(&self, context_len: usize) -> DecodeStep {
-        DecodeStep::new("decode", 1, self.spec.heads, context_len, self.spec.embed)
-            .with_kv_heads(self.spec.kv_heads)
     }
 
     /// `K` plus `V` bytes of one context token at the session's shape.
@@ -1040,6 +1139,86 @@ impl SessionState {
     /// silently disabling the budget.
     fn block_bytes(&self, block_tokens: usize, element_bytes: usize) -> u64 {
         block_tokens.max(1) as u64 * self.token_bytes(element_bytes)
+    }
+}
+
+/// One decode step of `key`'s shape at `context_len`, unnamed so pricing
+/// it allocates nothing. Callers must have validated the head grouping
+/// (admission rejects invalid groupings as infeasible before any step is
+/// priced).
+fn decode_step(key: DecodeKey, context_len: usize) -> DecodeStep {
+    DecodeStep {
+        name: String::new(),
+        batch: 1,
+        heads: key.heads,
+        kv_heads: key.kv_heads,
+        context_len,
+        embed: key.embed,
+    }
+}
+
+/// The run's sessions in ascending id order, so a reverse walk visits the
+/// largest id first, with an id → slot table when the ids are dense.
+struct Sessions<'a> {
+    slots: Vec<SessionState<'a>>,
+    /// `table[id]` is the slot of session `id` (`u32::MAX` for none);
+    /// `None` when the largest id is 4 × sessions + 64 or more, and a
+    /// lookup binary searches the slots instead.
+    table: Option<Vec<u32>>,
+}
+
+impl<'a> Sessions<'a> {
+    /// Builds the slab, or names a session id that two specs share.
+    fn new(specs: &'a [DecodeSessionSpec]) -> Result<Self> {
+        let mut slots: Vec<SessionState<'a>> = specs
+            .iter()
+            .map(|spec| SessionState {
+                spec,
+                launch: 0,
+                admitted: false,
+                reject_reason: None,
+                completed_steps: 0,
+                rejected_steps: 0,
+                pending_steps: 0,
+                charged_blocks: 0,
+                used_bytes: 0,
+                shared_blocks: 0,
+                prefix_group: None,
+                swapped: None,
+            })
+            .collect();
+        slots.sort_unstable_by_key(|s| s.spec.id);
+        if let Some(pair) = slots.windows(2).find(|w| w[0].spec.id == w[1].spec.id) {
+            return Err(SimError::InvalidConfig {
+                reason: format!(
+                    "decode session id {} is used by more than one session spec",
+                    pair[0].spec.id
+                ),
+            });
+        }
+        let dense = slots
+            .last()
+            .is_none_or(|s| s.spec.id < 4 * slots.len() as u64 + 64);
+        let table = dense.then(|| {
+            let mut table = vec![u32::MAX; slots.last().map_or(0, |s| s.spec.id as usize + 1)];
+            for (slot, s) in slots.iter().enumerate() {
+                table[s.spec.id as usize] = slot as u32;
+            }
+            table
+        });
+        Ok(Self { slots, table })
+    }
+
+    /// The slot of session `id`, if the trace declares it.
+    fn slot(&self, id: u64) -> Option<usize> {
+        match &self.table {
+            Some(table) => usize::try_from(id)
+                .ok()
+                .and_then(|id| table.get(id))
+                .filter(|&&slot| slot != u32::MAX)
+                .map(|&slot| slot as usize),
+            None => self.slots.binary_search_by_key(&id, |s| s.spec.id).ok(),
+        }
     }
 }
 
@@ -1073,25 +1252,31 @@ struct EngineRun<'a> {
     /// costing, while `element_bytes` keeps pricing activations.
     kv_element_bytes: usize,
     tuned: bool,
+    /// [`planning_fingerprint`] of the planner configuration, for the
+    /// schedule-cache keys of prefill dispatches.
+    fingerprint: u64,
     max_batch: usize,
     max_steps_per_launch: usize,
     free_at: Vec<f64>,
-    open: BTreeMap<LaunchKey, OpenLaunch>,
+    launches: Launches<'a>,
+    /// Scratch for the expired launches of one event, as
+    /// `(class rank, launch id, slot)`.
+    expired: Vec<(u8, u64, usize)>,
     open_prefill_members: usize,
     next_launch_id: u64,
-    sessions: BTreeMap<u64, SessionState>,
-    /// Deferred shared-budget releases with their due instants: a
-    /// completed prefill launch's activation charge, or a finished
-    /// session's KV residency.
-    releases: Vec<(f64, MemOwner)>,
+    sessions: Sessions<'a>,
+    releases: Releases,
     /// In-flight chunked-prefill chains by chain id
     /// ([`EngineConfig::chunked_prefill`]).
-    chunk_chains: BTreeMap<u64, ChunkChain>,
+    chunk_chains: BTreeMap<u64, ChunkChain<'a>>,
+    /// A lower bound on the earliest ready instant of a chain with chunks
+    /// left to place: ready-chunk scans run only once `now` reaches it.
+    next_chunk_s: f64,
     /// At most one staged (placed, effects-deferred, displaceable)
     /// prefill-class span per device. Always empty unless slot preemption
     /// is active ([`EngineConfig::preempt`] under
     /// [`SchedulePolicy::DecodePriority`]).
-    staged: Vec<Option<StagedSpan>>,
+    staged: Vec<Option<StagedSpan<'a>>>,
     /// Per-device continuous-time track clocks, `Some` only under
     /// [`EngineConfig::tracks`]. Every launch placement either commits a
     /// flow-shop schedule here or barriers the clocks behind its scalar
@@ -1105,7 +1290,7 @@ struct EngineRun<'a> {
     events: EventSink,
 }
 
-impl EngineRun<'_> {
+impl<'a> EngineRun<'a> {
     /// The batching window of a class.
     fn window_s(&self, class: WorkClass) -> f64 {
         match class {
@@ -1215,18 +1400,31 @@ impl EngineRun<'_> {
         // their effects before anything new dispatches at `now`.
         self.harden_through(now_s);
         self.dispatch_ready_chunks(now_s);
-        let mut expired: Vec<(u8, u64, LaunchKey)> = self
-            .open
-            .iter()
-            .filter(|(key, launch)| now_s >= launch.first_arrival_s + self.window_s(key.class()))
-            .map(|(key, launch)| (self.config.policy.class_rank(key.class()), launch.id, *key))
-            .collect();
-        expired.sort_unstable();
-        for (_, _, key) in expired {
-            let launch = self.open.remove(&key).expect("key collected from the map");
-            let ready_s = launch.first_arrival_s + self.window_s(key.class());
-            self.dispatch(key, launch, ready_s, SealCause::Window, now_s)?;
+        if now_s < self.launches.next_expiry_s {
+            return Ok(());
         }
+        let mut expired = std::mem::take(&mut self.expired);
+        let mut next_expiry_s = f64::INFINITY;
+        for &k in &self.launches.open {
+            let launch = &self.launches.slots[k];
+            let class = launch.key.class();
+            let end_s = launch.first_arrival_s + self.window_s(class);
+            if now_s >= end_s {
+                expired.push((self.config.policy.class_rank(class), launch.id, k));
+            } else {
+                next_expiry_s = next_expiry_s.min(end_s);
+            }
+        }
+        // Dispatching never opens a launch, so the bound holds afterwards.
+        self.launches.next_expiry_s = next_expiry_s;
+        expired.sort_unstable();
+        for &(_, _, k) in &expired {
+            let launch = &self.launches.slots[k];
+            let ready_s = launch.first_arrival_s + self.window_s(launch.key.class());
+            self.dispatch(k, ready_s, SealCause::Window, now_s)?;
+        }
+        expired.clear();
+        self.expired = expired;
         Ok(())
     }
 
@@ -1236,31 +1434,33 @@ impl EngineRun<'_> {
     /// completion at a time — the lazy dispatch that lets decode launches
     /// slot between chunks.
     fn dispatch_ready_chunks(&mut self, now_s: f64) {
-        loop {
-            let next = self
-                .chunk_chains
-                .iter()
-                .filter(|(_, chain)| {
-                    chain.next_index < chain.chunk_sizes.len() && chain.next_ready_s <= now_s
-                })
-                .map(|(id, chain)| (chain.next_ready_s, *id))
-                .min_by(|a, b| a.partial_cmp(b).expect("ready times are finite"));
-            let Some((_, chain_id)) = next else { return };
+        while now_s >= self.next_chunk_s {
             if self.staging_active() {
                 // With preemption on, keep the committed horizon to one
                 // running span plus one displaceable staged span per
                 // device: placing another chunk would harden the
                 // incumbent while it is still displaceable, walling
                 // decode launches behind committed prefill work. Defer —
-                // the chain stays ready and places once the incumbent
+                // ready chains stay ready and place once the incumbent
                 // starts (hardens) or is displaced.
-                let device = self.earliest_free_device();
-                if let Some(span) = self.staged[device].as_ref() {
-                    if span.start_s > now_s {
-                        return;
-                    }
+                let incumbent = self.staged[self.earliest_free_device()].as_ref();
+                if incumbent.is_some_and(|span| span.start_s > now_s) {
+                    return;
                 }
             }
+            let next = (self.chunk_chains.iter())
+                .filter(|(_, chain)| {
+                    chain.next_index < chain.chunk_sizes.len() && chain.next_ready_s <= now_s
+                })
+                .map(|(id, chain)| (chain.next_ready_s, *id))
+                .min_by(|a, b| a.partial_cmp(b).expect("ready times are finite"));
+            let Some((_, chain_id)) = next else {
+                // Nothing is ready: raise the bound to the earliest chunk left.
+                self.next_chunk_s = (self.chunk_chains.values())
+                    .filter(|chain| chain.next_index < chain.chunk_sizes.len())
+                    .fold(f64::INFINITY, |bound, chain| bound.min(chain.next_ready_s));
+                return;
+            };
             self.place_chunk(chain_id, SealCause::Chain);
         }
     }
@@ -1269,149 +1469,103 @@ impl EngineRun<'_> {
     /// the batch's real seal cause for chunk 0 and [`SealCause::Chain`]
     /// for every later chunk.
     fn place_chunk(&mut self, chain_id: u64, cause: SealCause) {
-        let chain = self.chunk_chains.get(&chain_id).expect("chain exists");
+        let chain = self.chunk_chains.get_mut(&chain_id).expect("chain exists");
         let index = chain.next_index;
         let of = chain.chunk_sizes.len();
-        let service_s = chain.chunk_service_s[index];
-        let ready_s = chain.next_ready_s;
-        let members = chain.requests.len() as u32;
-        let total_batch = chain.total_batch as u32;
-        // Member outcomes split the plan's energy via the *last* chunk's
-        // launch record; earlier chunks carry zero.
-        let energy_pj = if index + 1 == of {
-            chain.energy_pj
-        } else {
-            0.0
-        };
-        let cache_hit = chain.cache_hit;
-        // The chunk's track profile (empty with the executor off). Chunks
-        // after the first carry the one launch-issue overhead their service
-        // time was charged with.
-        let profile = chain.chunk_demands.get(index).map(|d| {
-            let issue_s = if index > 0 {
-                self.hw.issue_overhead_cycles as f64 / self.hw.frequency_hz
-            } else {
-                0.0
-            };
-            (*d, issue_s)
-        });
-        let key = LaunchKey::PrefillChunk(ChunkKey {
-            chain: chain_id,
-            index: index as u32,
-            of: of as u32,
-        });
+        chain.next_index = index + 1;
         // Chunk 0 reuses the chain id (it *is* the sealed batch's launch);
         // later chunks draw fresh ids from the shared launch-id space.
         let launch_id = if index == 0 {
             chain_id
         } else {
-            let id = self.next_launch_id;
             self.next_launch_id += 1;
-            id
+            self.next_launch_id - 1
         };
-        self.chunk_chains
-            .get_mut(&chain_id)
-            .expect("chain exists")
-            .next_index = index + 1;
-        let completion_s = self.place_prefill_span(
+        let issue_s = self.hw.issue_overhead_cycles as f64 / self.hw.frequency_hz;
+        let launch = PrefillLaunch {
             launch_id,
-            key,
-            ready_s,
-            service_s,
-            members,
-            total_batch,
-            energy_pj,
-            cache_hit,
+            key: LaunchKey::PrefillChunk(ChunkKey {
+                chain: chain_id,
+                index: index as u32,
+                of: of as u32,
+            }),
+            ready_s: chain.next_ready_s,
+            service_s: chain.chunk_service_s[index],
+            members: chain.requests.len() as u32,
+            total_batch: chain.total_batch as u32,
+            // Member outcomes split the plan's energy via the *last*
+            // chunk's launch record; earlier chunks carry zero.
+            energy_pj: if index + 1 == of {
+                chain.energy_pj
+            } else {
+                0.0
+            },
+            cache_hit: chain.cache_hit,
             cause,
-            service_s,
-            profile,
-            StagedPayload::Chunk {
+            est_service_s: chain.chunk_service_s[index],
+            // The chunk's track profile (empty with the executor off).
+            // Chunks after the first carry the one launch-issue overhead
+            // their service time was charged with.
+            profile: (chain.chunk_demands.get(index))
+                .map(|d| (*d, if index > 0 { issue_s } else { 0.0 })),
+            payload: StagedPayload::Chunk {
                 chain: chain_id,
                 index,
             },
-        );
+        };
+        let completion_s = self.place_prefill_span(launch);
         // On the immediate (non-staging) path the last chunk hardens inside
         // `place_prefill_span`, finalizing and removing the chain — the
         // cursor update is moot then.
         if let Some(chain) = self.chunk_chains.get_mut(&chain_id) {
             chain.next_ready_s = completion_s;
+            self.next_chunk_s = self.next_chunk_s.min(completion_s);
         }
     }
 
-    /// Places one prefill-class span on the earliest-free device and either
-    /// hardens it immediately (always, with preemption off) or stages it
-    /// for possible displacement. Returns the span's completion instant.
-    #[allow(clippy::too_many_arguments)]
-    fn place_prefill_span(
-        &mut self,
-        launch_id: u64,
-        key: LaunchKey,
-        ready_s: f64,
-        service_s: f64,
-        members: u32,
-        total_batch: u32,
-        energy_pj: f64,
-        cache_hit: bool,
-        cause: SealCause,
-        est_service_s: f64,
-        profile: Option<(TrackDemand, f64)>,
-        payload: StagedPayload,
-    ) -> f64 {
+    /// Places one prefill-class launch on the earliest-free device and
+    /// either hardens it immediately (always, with preemption off) or
+    /// stages it for possible displacement. Returns the span's completion
+    /// instant.
+    fn place_prefill_span(&mut self, launch: PrefillLaunch<'a>) -> f64 {
         let staging = self.staging_active();
         let device = self.earliest_free_device();
-        if staging {
-            if let Some(span) = self.staged[device].as_ref() {
-                // One staged span per device: pin the incumbent (its slot
-                // is committed — the new span starts after it) in global
-                // start order.
-                let limit = span.start_s;
-                self.harden_through(limit);
-            }
+        // One staged span per device (none without staging): pin the
+        // incumbent (its slot is committed — the new span starts after it)
+        // in global start order.
+        if let Some(limit) = self.staged[device].as_ref().map(|span| span.start_s) {
+            self.harden_through(limit);
         }
         let prev_free_s = self.free_at[device];
-        let scalar_start_s = prev_free_s.max(ready_s);
-        let scalar_completion_s = scalar_start_s + service_s;
-        let mut start_s = scalar_start_s;
-        let mut completion_s = scalar_completion_s;
-        let mut span_service_s = service_s;
-        let mut stages = None;
-        let prev_tracks = self.tracks.as_ref().map(|t| t[device]);
+        let scalar_start_s = prev_free_s.max(launch.ready_s);
+        let scalar_completion_s = scalar_start_s + launch.service_s;
+        let mut span = StagedSpan {
+            device,
+            start_s: scalar_start_s,
+            service_s: launch.service_s,
+            completion_s: scalar_completion_s,
+            prev_free_s,
+            stages: None,
+            prev_tracks: self.tracks.as_ref().map(|t| t[device]),
+            launch,
+        };
         if self.tracks.is_some() {
+            let launch = &span.launch;
             if let Some(p) = self.try_track_placement(
                 device,
-                ready_s,
-                service_s,
+                launch.ready_s,
+                launch.service_s,
                 scalar_completion_s,
-                profile.as_ref(),
+                launch.profile.as_ref(),
             ) {
-                start_s = p.start_s;
-                completion_s = p.completion_s;
-                span_service_s = completion_s - start_s;
-                stages = Some(p.stages);
+                span.start_s = p.start_s;
+                span.completion_s = p.completion_s;
+                span.service_s = p.completion_s - p.start_s;
+                span.stages = Some(p.stages);
             }
         }
+        let completion_s = span.completion_s;
         self.free_at[device] = completion_s;
-        let span = StagedSpan {
-            launch_id,
-            key,
-            device,
-            ready_s,
-            start_s,
-            service_s: span_service_s,
-            completion_s,
-            prev_free_s,
-            members,
-            total_batch,
-            energy_pj,
-            cache_hit,
-            cause,
-            est_service_s,
-            scalar_service_s: service_s,
-            profile,
-            stages,
-            prev_tracks,
-            payload,
-        };
         if staging {
             self.staged[device] = Some(span);
         } else {
@@ -1446,34 +1600,35 @@ impl EngineRun<'_> {
     /// carries its utilization and makespan into the ledger), the backlog
     /// estimate, and the payload's completions, in the same order for
     /// staged and immediately hardened spans.
-    fn harden_span(&mut self, span: StagedSpan) {
+    fn harden_span(&mut self, span: StagedSpan<'a>) {
         let device = span.device;
-        self.estimator.feed(span.ready_s, span.est_service_s);
+        self.estimator
+            .feed(span.launch.ready_s, span.launch.est_service_s);
         self.events.emit(
             span.start_s,
             EventKind::LaunchDispatched {
-                launch_id: span.launch_id,
-                key: span.key,
+                launch_id: span.launch.launch_id,
+                key: span.launch.key,
                 device: device as u32,
-                ready_s: span.ready_s,
+                ready_s: span.launch.ready_s,
                 start_s: span.start_s,
                 completion_s: span.completion_s,
                 service_s: span.service_s,
-                members: span.members,
-                total_batch: span.total_batch,
-                energy_pj: span.energy_pj,
-                cache_hit: span.cache_hit,
-                cause: span.cause,
+                members: span.launch.members,
+                total_batch: span.launch.total_batch,
+                energy_pj: span.launch.energy_pj,
+                cache_hit: span.launch.cache_hit,
+                cause: span.launch.cause,
             },
         );
-        self.log_stages(span.launch_id, device, span.stages.as_deref());
-        match span.payload {
+        self.log_stages(span.launch.launch_id, device, span.stages.as_deref());
+        match span.launch.payload {
             StagedPayload::Monolithic { requests } => {
-                let total = f64::from(span.total_batch);
+                let total = f64::from(span.launch.total_batch);
                 for request in &requests {
                     let latency_s = span.completion_s - request.arrival_s;
                     self.events.complete_prefill(
-                        span.launch_id,
+                        span.launch.launch_id,
                         RequestOutcome {
                             id: request.id,
                             workload: request.workload.name.clone(),
@@ -1484,14 +1639,15 @@ impl EngineRun<'_> {
                             service_s: span.service_s,
                             deadline_s: request.deadline_s,
                             deadline_met: request.deadline_s.is_none_or(|d| latency_s <= d),
-                            energy_pj: span.energy_pj * request.workload.batch as f64 / total,
-                            cache_hit: span.cache_hit,
-                            batch_id: span.launch_id,
+                            energy_pj: span.launch.energy_pj * request.workload.batch as f64
+                                / total,
+                            cache_hit: span.launch.cache_hit,
+                            batch_id: span.launch.launch_id,
                             device,
                         },
                     );
                 }
-                self.schedule_prefill_release(span.launch_id, span.completion_s);
+                self.schedule_prefill_release(span.launch.launch_id, span.completion_s);
             }
             StagedPayload::Chunk { chain, index } => {
                 let c = self.chunk_chains.get_mut(&chain).expect("chain exists");
@@ -1501,7 +1657,7 @@ impl EngineRun<'_> {
                 c.service_sum_s += span.service_s;
                 c.done_chunks += 1;
                 if index + 1 == c.chunk_sizes.len() {
-                    c.last_span = Some((span.launch_id, span.completion_s, device));
+                    c.last_span = Some((span.launch.launch_id, span.completion_s, device));
                 }
                 if c.done_chunks == c.chunk_sizes.len() {
                     self.finalize_chain(chain);
@@ -1535,7 +1691,7 @@ impl EngineRun<'_> {
             .held(owner)
             .is_some_and(|bytes| bytes > 0)
         {
-            self.releases.push((completion_s, owner));
+            self.releases.push(completion_s, Release::Launch(launch_id));
         }
     }
 
@@ -1580,86 +1736,95 @@ impl EngineRun<'_> {
     /// Applies every deferred release whose completion instant has passed,
     /// in the order the releases were scheduled.
     fn apply_releases(&mut self, now_s: f64) {
-        let releases = std::mem::take(&mut self.releases);
-        let mut kept = Vec::with_capacity(releases.len());
-        for (release_s, owner) in releases {
-            if release_s > now_s {
-                kept.push((release_s, owner));
-                continue;
-            }
-            // Double-release guard: an owner with no live charge has
-            // already released. Applying the duplicate would silently
-            // under-report through the ledger's saturating subtractions,
-            // so it is dropped and counted.
-            let Some(bytes) = self.events.ledger.held(owner) else {
-                debug_assert!(false, "duplicate release for {owner}");
-                if let Some(recorder) = self.events.recorder.as_mut() {
-                    recorder.note_release_drop();
-                }
-                continue;
-            };
-            match owner {
-                MemOwner::Session(session_id) => {
-                    let s = self.sessions.get_mut(&session_id).expect("session exists");
-                    self.events.emit(
-                        now_s,
-                        EventKind::BudgetRelease {
-                            owner,
-                            bytes,
-                            used_bytes: s.used_bytes,
-                            blocks: s.charged_blocks,
-                            scheduled_s: release_s,
-                        },
-                    );
-                    s.charged_blocks = 0;
-                    s.used_bytes = 0;
-                    self.active_sessions = self.active_sessions.saturating_sub(1);
-                    // Refcount semantics for the shared prefix: the group's
-                    // blocks are released only with its last member.
-                    if let Some(g) = s.prefix_group.take() {
-                        s.shared_blocks = 0;
-                        let gs = self.prefix_groups.get_mut(&g).expect("group exists");
-                        gs.refs -= 1;
-                        if gs.refs == 0 {
-                            let gs = self.prefix_groups.remove(&g).expect("present");
-                            let group = MemOwner::PrefixGroup(g);
-                            let held = self.events.ledger.held(group);
-                            debug_assert!(held.is_some(), "duplicate release for {group}");
-                            // Shared blocks hold only full prompt tokens.
-                            let bytes = held.unwrap_or(0);
-                            self.events.emit(
-                                now_s,
-                                EventKind::BudgetRelease {
-                                    owner: group,
-                                    bytes,
-                                    used_bytes: bytes,
-                                    blocks: gs.charged_blocks,
-                                    scheduled_s: release_s,
-                                },
-                            );
-                        }
-                    }
-                }
-                MemOwner::PrefillLaunch(_) => self.events.emit(
-                    now_s,
-                    EventKind::BudgetRelease {
-                        owner,
-                        bytes,
-                        used_bytes: 0,
-                        blocks: 0,
-                        scheduled_s: release_s,
-                    },
-                ),
-                MemOwner::PrefixGroup(_) => unreachable!("groups release with their last member"),
-            }
+        if now_s < self.releases.next_s {
+            return;
         }
-        self.releases = kept;
+        // Applying a release never schedules one, so the list can leave
+        // `self` while it is filtered in place.
+        let mut due = std::mem::take(&mut self.releases.due);
+        let mut next_s = f64::INFINITY;
+        due.retain(|&(release_s, release)| {
+            if release_s > now_s {
+                next_s = next_s.min(release_s);
+                return true;
+            }
+            self.release(release, release_s, now_s);
+            false
+        });
+        self.releases = Releases { due, next_s };
+    }
+
+    /// Applies one due release scheduled for `release_s`.
+    fn release(&mut self, release: Release, release_s: f64, now_s: f64) {
+        // A launch returns only its activation bytes; a session also its
+        // resident tokens and blocks.
+        let (owner, used_bytes, blocks) = match release {
+            Release::Launch(launch_id) => (MemOwner::PrefillLaunch(launch_id), 0, 0),
+            Release::Session(slot) => {
+                let s = &self.sessions.slots[slot];
+                (MemOwner::Session(s.spec.id), s.used_bytes, s.charged_blocks)
+            }
+        };
+        // Double-release guard: an owner with no live charge has already
+        // released. Applying the duplicate would silently under-report
+        // through the ledger's saturating subtractions, so it is dropped
+        // and counted.
+        let Some(bytes) = self.events.ledger.held(owner) else {
+            debug_assert!(false, "duplicate release for {owner}");
+            if let Some(recorder) = self.events.recorder.as_mut() {
+                recorder.note_release_drop();
+            }
+            return;
+        };
+        self.events.emit(
+            now_s,
+            EventKind::BudgetRelease {
+                owner,
+                bytes,
+                used_bytes,
+                blocks,
+                scheduled_s: release_s,
+            },
+        );
+        let Release::Session(slot) = release else {
+            return;
+        };
+        let s = &mut self.sessions.slots[slot];
+        s.charged_blocks = 0;
+        s.used_bytes = 0;
+        self.active_sessions = self.active_sessions.saturating_sub(1);
+        // Refcount semantics for the shared prefix: the group's blocks are
+        // released only with its last member.
+        let Some(g) = s.prefix_group.take() else {
+            return;
+        };
+        s.shared_blocks = 0;
+        let gs = self.prefix_groups.get_mut(&g).expect("group exists");
+        gs.refs -= 1;
+        if gs.refs == 0 {
+            let gs = self.prefix_groups.remove(&g).expect("present");
+            let group = MemOwner::PrefixGroup(g);
+            let held = self.events.ledger.held(group);
+            debug_assert!(held.is_some(), "duplicate release for {group}");
+            // Shared blocks hold only full prompt tokens.
+            let bytes = held.unwrap_or(0);
+            self.events.emit(
+                now_s,
+                EventKind::BudgetRelease {
+                    owner: group,
+                    bytes,
+                    used_bytes: bytes,
+                    blocks: gs.charged_blocks,
+                    scheduled_s: release_s,
+                },
+            );
+        }
     }
 
     /// Handles one prefill arrival: shape screening, admission (backlog,
     /// estimated queue delay, shared budget), feasibility-preserving join,
     /// fill dispatch.
-    fn on_prefill(&mut self, request: &ServeRequest) -> Result<()> {
+    fn on_prefill(&mut self, request: &'a ServeRequest) -> Result<()> {
         let now_s = request.arrival_s;
         self.events.log(now_s, || EventKind::PrefillArrival {
             id: request.id,
@@ -1706,44 +1871,24 @@ impl EngineRun<'_> {
         // would outgrow the device, dispatch the current batch first —
         // per-request feasibility is preserved under merging.
         let batch_key = BatchKey::of(request);
-        let key = LaunchKey::Prefill(batch_key);
-        if let Some(launch) = self.open.get(&key) {
-            let existing: usize = launch
-                .items
-                .iter()
-                .map(|item| match item {
-                    WorkItem::Prefill(r) => r.workload.batch,
-                    WorkItem::Decode(_) => unreachable!("prefill launches hold prefill items"),
-                })
-                .sum();
-            let prospective = AttentionWorkload::new(
-                "prospective",
-                existing + request.workload.batch,
-                batch_key.heads,
-                batch_key.seq_len,
-                batch_key.embed,
-            );
+        let k = self.launches.intern(LaunchKey::Prefill(batch_key));
+        let members = &self.launches.slots[k].requests;
+        if !members.is_empty() {
+            let existing: usize = members.iter().map(|r| r.workload.batch).sum();
+            let prospective = AttentionWorkload {
+                name: String::new(),
+                batch: existing + request.workload.batch,
+                heads: batch_key.heads,
+                seq_len: batch_key.seq_len,
+                embed: batch_key.embed,
+            };
             if !workload_is_feasible(batch_key.method, &prospective, &self.hw) {
-                let launch = self.open.remove(&key).expect("present");
-                self.dispatch(key, launch, now_s, SealCause::Feasibility, now_s)?;
+                self.dispatch_prefill(batch_key, k, now_s, SealCause::Feasibility)?;
             }
         }
-        let next_id = self.next_launch_id;
-        let mut created = false;
-        let launch = self.open.entry(key).or_insert_with(|| {
-            created = true;
-            OpenLaunch {
-                id: next_id,
-                first_arrival_s: now_s,
-                items: Vec::new(),
-            }
-        });
-        launch.items.push(WorkItem::Prefill(request.clone()));
-        let full = launch.items.len() >= self.max_batch;
-        let (launch_id, members) = (launch.id, launch.items.len());
-        if created {
-            self.next_launch_id += 1;
-        }
+        let launch = self.open_launch(k, now_s);
+        launch.requests.push(request);
+        let (launch_id, members) = (launch.id, launch.requests.len());
         self.open_prefill_members += 1;
         self.events.emit(
             now_s,
@@ -1753,17 +1898,32 @@ impl EngineRun<'_> {
                 charged_bytes: charge,
             },
         );
-        if full {
-            let launch = self.open.remove(&key).expect("just inserted");
-            self.dispatch(key, launch, now_s, SealCause::Fill, now_s)?;
+        if members >= self.max_batch {
+            self.dispatch_prefill(batch_key, k, now_s, SealCause::Fill)?;
         }
         Ok(())
+    }
+
+    /// The launch of slot `k`, opened at `now_s` (a fresh launch id, its
+    /// window starting now) when it has no members yet.
+    fn open_launch(&mut self, k: usize, now_s: f64) -> &mut OpenLaunch<'a> {
+        let launch = &self.launches.slots[k];
+        if launch.requests.is_empty() && launch.steps.is_empty() {
+            let end_s = now_s + self.window_s(launch.key.class());
+            let launches = &mut self.launches;
+            launches.open.push(k);
+            launches.next_expiry_s = launches.next_expiry_s.min(end_s);
+            let launch = &mut launches.slots[k];
+            launch.id = self.next_launch_id;
+            launch.first_arrival_s = now_s;
+            self.next_launch_id += 1;
+        }
+        &mut self.launches.slots[k]
     }
 
     /// Handles one decode-step arrival: session admission at first sight
     /// (against the shared budget), deadline screening, paged block growth,
     /// launch join, fill dispatch.
-    #[allow(clippy::too_many_lines)]
     fn on_decode(&mut self, event: &DecodeStepEvent) {
         let now_s = event.arrival_s;
         let (session_id, step_index) = (event.session_id, event.step_index);
@@ -1772,194 +1932,50 @@ impl EngineRun<'_> {
             step_index: step_index as u32,
         });
 
-        // Admit the session at its first seen step (steps of malformed
-        // traces referencing unknown sessions are rejected, not a panic).
-        let Some(session) = self.sessions.get_mut(&session_id) else {
-            self.events.emit(
+        // Steps of malformed traces referencing unknown sessions are
+        // rejected, not a panic.
+        let Some(slot) = self.sessions.slot(session_id) else {
+            self.events.reject_step(
                 now_s,
-                EventKind::DecodeStepRejected {
-                    session_id,
-                    step_index: step_index as u32,
-                    reason: DecodeRejectReason::UnknownSession,
-                },
+                session_id,
+                step_index,
+                DecodeRejectReason::UnknownSession,
             );
             return;
         };
+        let session = &self.sessions.slots[slot];
         let context_len = session.spec.prompt_len + step_index + 1;
+        // Admit the session at its first seen step.
         if !session.admitted && session.reject_reason.is_none() {
-            let spec = &session.spec;
-            // A zero dimension (a `heads` of 0 fails the grouping too)
-            // leaves no step to build: the session is infeasible.
-            let shape_valid = spec.kv_heads > 0
-                && spec.kv_heads <= spec.heads
-                && spec.heads % spec.kv_heads == 0
-                && spec.embed > 0;
-            // Cross-session prefix sharing needs the policy switch, a
-            // declared group, and a group whose block shape matches (a
-            // mismatched shape falls back to private residency rather than
-            // mixing block geometries in one group).
-            let bt = self.config.decode.kv_block_tokens;
-            let sharing = match spec.prefix_group {
-                Some(g) if self.config.decode.prefix_share && shape_valid => {
-                    let block_bytes = session.block_bytes(bt, self.kv_element_bytes);
-                    match self.prefix_groups.get(&g) {
-                        Some(gs) if gs.block_bytes != block_bytes => None,
-                        _ => Some((g, block_bytes)),
-                    }
-                }
-                _ => None,
-            };
-            // Shared prefix blocks already charged group-wide are free for
-            // this session; only the group's growth plus the private tail
-            // hit the budget.
-            let (shared_blocks, group_delta_blocks) = match sharing {
-                Some((g, _)) => {
-                    let shared = (spec.shared_prefix_len.min(spec.prompt_len) / bt.max(1)) as u64;
-                    let already = self.prefix_groups.get(&g).map_or(0, |gs| gs.charged_blocks);
-                    (shared, shared.saturating_sub(already))
-                }
-                None => (0, 0),
-            };
-            // Initial charge: the first step's blocks, minus the blocks the
-            // prefix group already holds.
-            let (initial_bytes, initial_blocks) = if shape_valid {
-                let blocks = SessionState::blocks_at(context_len, bt).saturating_sub(shared_blocks)
-                    + group_delta_blocks;
-                (
-                    blocks * session.block_bytes(bt, self.kv_element_bytes),
-                    blocks,
-                )
-            } else {
-                (0, 0)
-            };
-            // `step_at` requires a valid shape; `||` short-circuits past
-            // it for malformed specs. The budget check sees resident
-            // prefill activations too — the cross-class squeeze.
-            let verdict = if !shape_valid
-                || !decode_step_fits_with_kv(
-                    &session.step_at(session.spec.max_context()),
-                    self.config.decode.kv_tile_rows,
-                    &self.hw,
-                    self.kv_element_bytes,
-                ) {
-                Some(DecodeRejectReason::InfeasibleSession)
-            } else if !self.events.ledger.fits(initial_bytes) {
-                Some(DecodeRejectReason::KvBudgetExceeded)
-            } else if self
-                .config
-                .decode
-                .max_sessions
-                .is_some_and(|limit| self.active_sessions >= limit)
-            {
-                Some(DecodeRejectReason::SessionLimit)
-            } else {
-                None
-            };
-            match verdict {
-                Some(reason) => {
-                    session.reject_reason = Some(reason);
-                    self.events
-                        .emit(now_s, EventKind::SessionRejected { session_id, reason });
-                }
-                None => {
-                    session.admitted = true;
-                    // The session itself is charged only its private tail;
-                    // the group's growth is charged on the group entry.
-                    let private_blocks = initial_blocks - group_delta_blocks;
-                    let token_bytes = session.token_bytes(self.kv_element_bytes);
-                    let (private_bytes, delta_bytes) = match sharing {
-                        Some((_, block_bytes)) => (
-                            private_blocks * block_bytes,
-                            group_delta_blocks * block_bytes,
-                        ),
-                        None => (initial_bytes, 0),
-                    };
-                    session.charged_blocks = private_blocks;
-                    // The prompt is resident from admission; each joined
-                    // step adds one token below. Shared-prefix tokens are
-                    // resident on the group, not the session.
-                    let shared_tokens = match sharing {
-                        Some(_) => shared_blocks * bt as u64,
-                        None => 0,
-                    };
-                    session.used_bytes =
-                        (session.spec.prompt_len as u64 - shared_tokens) * token_bytes;
-                    self.active_sessions += 1;
-                    self.events.emit(
-                        now_s,
-                        EventKind::SessionOpen {
-                            session_id,
-                            prompt_len: session.spec.prompt_len as u32,
-                            charged_bytes: private_bytes,
-                            used_bytes: session.used_bytes,
-                            blocks: private_blocks,
-                        },
-                    );
-                    if let Some((g, block_bytes)) = sharing {
-                        session.shared_blocks = shared_blocks;
-                        session.prefix_group = Some(g);
-                        let gs = self.prefix_groups.entry(g).or_insert(PrefixGroupState {
-                            refs: 0,
-                            charged_blocks: 0,
-                            block_bytes,
-                        });
-                        gs.refs += 1;
-                        gs.charged_blocks += group_delta_blocks;
-                        // Shared blocks hold only full prompt tokens.
-                        self.events.emit(
-                            now_s,
-                            EventKind::PrefixShared {
-                                group: g,
-                                session_id,
-                                delta_bytes,
-                                delta_blocks: group_delta_blocks,
-                                used_delta_bytes: delta_bytes,
-                                refs: gs.refs as u32,
-                            },
-                        );
-                    }
-                }
-            }
+            self.admit(slot, context_len, now_s);
         }
-        let session = self.sessions.get_mut(&session_id).expect("present");
+        let session = &mut self.sessions.slots[slot];
         if !session.admitted {
             let reason = session
                 .reject_reason
                 .expect("unadmitted sessions carry a reason");
-            self.events.emit(
-                now_s,
-                EventKind::DecodeStepRejected {
-                    session_id,
-                    step_index: step_index as u32,
-                    reason,
-                },
-            );
+            self.events
+                .reject_step(now_s, session_id, step_index, reason);
             return;
         }
 
         // Per-step deadline screening at this step's context length.
-        let (heads, kv_heads, embed) = (
-            session.spec.heads,
-            session.spec.kv_heads,
-            session.spec.embed,
-        );
+        let decode_key = DecodeKey::of(session.spec);
         if let Some(deadline) = self.config.decode.step_deadline_s {
-            let step = session.step_at(context_len);
+            let step = decode_step(decode_key, context_len);
             if deadline < decode_step_lower_bound_s_with_kv(&step, &self.hw, self.kv_element_bytes)
             {
                 session.rejected_steps += 1;
                 // A session whose every remaining step is screened out
                 // must still release its KV residency.
                 if session.finished() {
-                    self.releases.push((now_s, MemOwner::Session(session_id)));
+                    self.releases.push(now_s, Release::Session(slot));
                 }
-                self.events.emit(
+                self.events.reject_step(
                     now_s,
-                    EventKind::DecodeStepRejected {
-                        session_id,
-                        step_index: step_index as u32,
-                        reason: DecodeRejectReason::DeadlineImpossible,
-                    },
+                    session_id,
+                    step_index,
+                    DecodeRejectReason::DeadlineImpossible,
                 );
                 return;
             }
@@ -2001,21 +2017,19 @@ impl EngineRun<'_> {
             // KV preemption: before shedding the step, try evicting idle
             // sessions' residency to make room for the growth.
             if !self.events.ledger.fits(delta_bytes) && self.config.preempt.is_some() {
-                self.try_evict_for(delta_bytes, session_id, now_s);
+                self.try_evict_for(delta_bytes, slot, now_s);
             }
-            let session = self.sessions.get_mut(&session_id).expect("present");
+            let session = &mut self.sessions.slots[slot];
             if !self.events.ledger.fits(delta_bytes) {
                 session.rejected_steps += 1;
                 if session.finished() {
-                    self.releases.push((now_s, MemOwner::Session(session_id)));
+                    self.releases.push(now_s, Release::Session(slot));
                 }
-                self.events.emit(
+                self.events.reject_step(
                     now_s,
-                    EventKind::DecodeStepRejected {
-                        session_id,
-                        step_index: step_index as u32,
-                        reason: DecodeRejectReason::KvPoolExhausted,
-                    },
+                    session_id,
+                    step_index,
+                    DecodeRejectReason::KvPoolExhausted,
                 );
                 return;
             }
@@ -2029,42 +2043,24 @@ impl EngineRun<'_> {
                 },
             );
         }
-        let session = self.sessions.get_mut(&session_id).expect("present");
+        let session = &mut self.sessions.slots[slot];
         session.pending_steps += 1;
         // The step's token becomes resident context.
         let token = session.token_bytes(self.kv_element_bytes);
         session.used_bytes += token;
 
         // Join (or open) the launch for this shape key.
-        let decode_key = DecodeKey {
-            heads,
-            kv_heads,
-            embed,
-        };
-        let key = LaunchKey::Decode(decode_key);
-        let next_id = self.next_launch_id;
-        let mut created = false;
-        let launch = self.open.entry(key).or_insert_with(|| {
-            created = true;
-            OpenLaunch {
-                id: next_id,
-                first_arrival_s: now_s,
-                items: Vec::new(),
-            }
-        });
-        launch.items.push(WorkItem::Decode(DecodeStepItem {
+        let k = session.launch;
+        let launch = self.open_launch(k, now_s);
+        let item = DecodeStepItem {
             session_id,
             step_index,
             context_len,
             arrival_s: now_s,
             recompute_tokens,
-        }));
-        let full =
-            launch.items.len() >= self.max_steps_per_launch || self.config.decode.window_s == 0.0;
-        let (launch_id, members) = (launch.id, launch.items.len());
-        if created {
-            self.next_launch_id += 1;
-        }
+        };
+        launch.steps.push((item, slot));
+        let (launch_id, members) = (launch.id, launch.steps.len());
         self.events.emit(
             now_s,
             EventKind::DecodeJoin {
@@ -2076,29 +2072,158 @@ impl EngineRun<'_> {
                 token_bytes: token,
             },
         );
-        if full {
-            let launch = self.open.remove(&key).expect("just inserted");
-            self.dispatch_decode(decode_key, launch, now_s, SealCause::Fill, now_s);
+        if members >= self.max_steps_per_launch || self.config.decode.window_s == 0.0 {
+            self.dispatch_decode(decode_key, k, now_s, SealCause::Fill, now_s);
         }
     }
 
-    /// Dispatches one launch of either class. `now_s` is the stream
-    /// instant of the dispatch ([`f64::INFINITY`] at flush): decode
-    /// launches use it to judge whether a staged span has started yet.
-    fn dispatch(
-        &mut self,
-        key: LaunchKey,
-        launch: OpenLaunch,
-        ready_s: f64,
-        cause: SealCause,
-        now_s: f64,
-    ) -> Result<()> {
-        match key {
-            LaunchKey::Prefill(batch_key) => {
-                self.dispatch_prefill(batch_key, launch, ready_s, cause)
+    /// Decides a session's admission at its first seen step (`context_len`
+    /// attended): shape and device feasibility, the shared budget beside
+    /// resident prefill activations (the cross-class squeeze) and the
+    /// session limit. An admitted session is charged its first step's
+    /// blocks, joins its prefix group and interns its decode launch key.
+    fn admit(&mut self, slot: usize, context_len: usize, now_s: f64) {
+        let session = &mut self.sessions.slots[slot];
+        let spec = session.spec;
+        let session_id = spec.id;
+        // A zero dimension (a `heads` of 0 fails the grouping too)
+        // leaves no step to build: the session is infeasible.
+        let shape_valid = spec.kv_heads > 0
+            && spec.kv_heads <= spec.heads
+            && spec.heads.is_multiple_of(spec.kv_heads)
+            && spec.embed > 0;
+        // Cross-session prefix sharing needs the policy switch, a
+        // declared group, and a group whose block shape matches (a
+        // mismatched shape falls back to private residency rather than
+        // mixing block geometries in one group).
+        let bt = self.config.decode.kv_block_tokens;
+        let sharing = match spec.prefix_group {
+            Some(g) if self.config.decode.prefix_share && shape_valid => {
+                let block_bytes = session.block_bytes(bt, self.kv_element_bytes);
+                match self.prefix_groups.get(&g) {
+                    Some(gs) if gs.block_bytes != block_bytes => None,
+                    _ => Some((g, block_bytes)),
+                }
             }
+            _ => None,
+        };
+        // Shared prefix blocks already charged group-wide are free for
+        // this session; only the group's growth plus the private tail
+        // hit the budget.
+        let (shared_blocks, group_delta_blocks) = match sharing {
+            Some((g, _)) => {
+                let shared = (spec.shared_prefix_len.min(spec.prompt_len) / bt.max(1)) as u64;
+                let already = self.prefix_groups.get(&g).map_or(0, |gs| gs.charged_blocks);
+                (shared, shared.saturating_sub(already))
+            }
+            None => (0, 0),
+        };
+        // Initial charge: the first step's blocks, minus the blocks the
+        // prefix group already holds.
+        let (initial_bytes, initial_blocks) = if shape_valid {
+            let blocks = SessionState::blocks_at(context_len, bt).saturating_sub(shared_blocks)
+                + group_delta_blocks;
+            (
+                blocks * session.block_bytes(bt, self.kv_element_bytes),
+                blocks,
+            )
+        } else {
+            (0, 0)
+        };
+        // `decode_step` requires a valid shape; `||` short-circuits past
+        // it for malformed specs.
+        let verdict = if !shape_valid
+            || !decode_step_fits_with_kv(
+                &decode_step(DecodeKey::of(spec), spec.max_context()),
+                self.config.decode.kv_tile_rows,
+                &self.hw,
+                self.kv_element_bytes,
+            ) {
+            Some(DecodeRejectReason::InfeasibleSession)
+        } else if !self.events.ledger.fits(initial_bytes) {
+            Some(DecodeRejectReason::KvBudgetExceeded)
+        } else if self
+            .config
+            .decode
+            .max_sessions
+            .is_some_and(|limit| self.active_sessions >= limit)
+        {
+            Some(DecodeRejectReason::SessionLimit)
+        } else {
+            None
+        };
+        if let Some(reason) = verdict {
+            session.reject_reason = Some(reason);
+            self.events
+                .emit(now_s, EventKind::SessionRejected { session_id, reason });
+            return;
+        }
+        session.admitted = true;
+        session.launch = self.launches.intern(LaunchKey::Decode(DecodeKey::of(spec)));
+        // The session itself is charged only its private tail; the group's
+        // growth is charged on the group entry.
+        let private_blocks = initial_blocks - group_delta_blocks;
+        let token_bytes = session.token_bytes(self.kv_element_bytes);
+        let (private_bytes, delta_bytes) = match sharing {
+            Some((_, block_bytes)) => (
+                private_blocks * block_bytes,
+                group_delta_blocks * block_bytes,
+            ),
+            None => (initial_bytes, 0),
+        };
+        session.charged_blocks = private_blocks;
+        // The prompt is resident from admission; each joined step adds one
+        // token. Shared-prefix tokens are resident on the group, not the
+        // session.
+        let shared_tokens = match sharing {
+            Some(_) => shared_blocks * bt as u64,
+            None => 0,
+        };
+        session.used_bytes = (spec.prompt_len as u64 - shared_tokens) * token_bytes;
+        self.active_sessions += 1;
+        self.events.emit(
+            now_s,
+            EventKind::SessionOpen {
+                session_id,
+                prompt_len: spec.prompt_len as u32,
+                charged_bytes: private_bytes,
+                used_bytes: session.used_bytes,
+                blocks: private_blocks,
+            },
+        );
+        if let Some((g, block_bytes)) = sharing {
+            session.shared_blocks = shared_blocks;
+            session.prefix_group = Some(g);
+            let gs = self.prefix_groups.entry(g).or_insert(PrefixGroupState {
+                refs: 0,
+                charged_blocks: 0,
+                block_bytes,
+            });
+            gs.refs += 1;
+            gs.charged_blocks += group_delta_blocks;
+            // Shared blocks hold only full prompt tokens.
+            self.events.emit(
+                now_s,
+                EventKind::PrefixShared {
+                    group: g,
+                    session_id,
+                    delta_bytes,
+                    delta_blocks: group_delta_blocks,
+                    used_delta_bytes: delta_bytes,
+                    refs: gs.refs as u32,
+                },
+            );
+        }
+    }
+
+    /// Dispatches the launch of slot `k`, of either class. `now_s` is the
+    /// stream instant of the dispatch ([`f64::INFINITY`] at flush): decode
+    /// launches use it to judge whether a staged span has started yet.
+    fn dispatch(&mut self, k: usize, ready_s: f64, cause: SealCause, now_s: f64) -> Result<()> {
+        match self.launches.slots[k].key {
+            LaunchKey::Prefill(batch_key) => self.dispatch_prefill(batch_key, k, ready_s, cause),
             LaunchKey::Decode(decode_key) => {
-                self.dispatch_decode(decode_key, launch, ready_s, cause, now_s);
+                self.dispatch_decode(decode_key, k, ready_s, cause, now_s);
                 Ok(())
             }
             LaunchKey::PrefillChunk(_) => {
@@ -2107,52 +2232,56 @@ impl EngineRun<'_> {
         }
     }
 
-    /// Dispatches one prefill micro-batch: plan (cached), launch on the
-    /// earliest-free device, record per-request outcomes, schedule the
-    /// activation-charge release at completion.
+    /// Dispatches the prefill micro-batch of slot `k`: plan (cached), launch
+    /// on the earliest-free device, record per-request outcomes, schedule
+    /// the activation-charge release at completion.
     fn dispatch_prefill(
         &mut self,
         batch_key: BatchKey,
-        launch: OpenLaunch,
+        k: usize,
         ready_s: f64,
         cause: SealCause,
     ) -> Result<()> {
-        let OpenLaunch {
-            id: launch_id,
-            items,
-            ..
-        } = launch;
-        let requests: Vec<ServeRequest> = items
-            .into_iter()
-            .map(|item| match item {
-                WorkItem::Prefill(request) => request,
-                WorkItem::Decode(_) => unreachable!("prefill launches hold prefill items"),
-            })
-            .collect();
+        self.launches.close(k);
+        let launch_id = self.launches.slots[k].id;
+        let requests = std::mem::take(&mut self.launches.slots[k].requests);
         let total_batch: usize = requests.iter().map(|r| r.workload.batch).sum();
-        let merged = AttentionWorkload::new(
-            format!(
-                "serve-batch-{}x{}h{}n{}e{}",
-                requests.len(),
-                total_batch,
-                batch_key.heads,
-                batch_key.seq_len,
-                batch_key.embed
-            ),
-            total_batch,
-            batch_key.heads,
-            batch_key.seq_len,
-            batch_key.embed,
-        );
-        let cache_key = CacheKey::of(batch_key.method, &merged, &self.config.planner);
+        let mut merged = AttentionWorkload {
+            name: String::new(),
+            batch: total_batch,
+            heads: batch_key.heads,
+            seq_len: batch_key.seq_len,
+            embed: batch_key.embed,
+        };
+        let cache_key = CacheKey {
+            method: batch_key.method,
+            batch: total_batch,
+            heads: batch_key.heads,
+            seq_len: batch_key.seq_len,
+            embed: batch_key.embed,
+            config_fingerprint: self.fingerprint,
+        };
         // The cache never evicts, so a launch is a hit exactly when its key
         // was cached before this dispatch.
-        let hit = self.cache.contains(&cache_key);
-        if !hit {
-            let plan = plan_one(self.planner, batch_key.method, &merged, self.tuned)?;
-            self.cache.insert(cache_key, plan);
-        }
-        let plan = *self.cache.lookup(&cache_key).expect("planned above");
+        let cached = self.cache.lookup(&cache_key).copied();
+        let hit = cached.is_some();
+        let plan = match cached {
+            Some(plan) => plan,
+            None => {
+                // Only planning sees the batch's name.
+                merged.name = format!(
+                    "serve-batch-{}x{}h{}n{}e{}",
+                    requests.len(),
+                    total_batch,
+                    batch_key.heads,
+                    batch_key.seq_len,
+                    batch_key.embed
+                );
+                let plan = plan_one(self.planner, batch_key.method, &merged, self.tuned)?;
+                self.cache.insert(cache_key, plan);
+                plan
+            }
+        };
 
         self.open_prefill_members -= requests.len();
 
@@ -2173,12 +2302,7 @@ impl EngineRun<'_> {
                 // launch-issue overhead.
                 let issue_s = self.hw.issue_overhead_cycles as f64 / self.hw.frequency_hz;
                 let mut prefilled = 0usize;
-                let mut chunk_demands: Vec<TrackDemand> =
-                    Vec::with_capacity(if self.tracks.is_some() {
-                        chunk_sizes.len()
-                    } else {
-                        0
-                    });
+                let mut chunk_demands = Vec::new();
                 let raw: Vec<f64> = chunk_sizes
                     .iter()
                     .map(|&tokens| {
@@ -2238,129 +2362,74 @@ impl EngineRun<'_> {
             .tracks
             .is_some()
             .then(|| (TrackDemand::of_prefill(&merged, &self.hw), 0.0));
-        self.place_prefill_span(
+        self.place_prefill_span(PrefillLaunch {
             launch_id,
-            LaunchKey::Prefill(batch_key),
+            key: LaunchKey::Prefill(batch_key),
             ready_s,
-            plan.seconds,
+            service_s: plan.seconds,
             members,
-            total_batch as u32,
-            plan.energy_pj,
-            hit,
+            total_batch: total_batch as u32,
+            energy_pj: plan.energy_pj,
+            cache_hit: hit,
             cause,
             est_service_s,
             profile,
-            StagedPayload::Monolithic { requests },
-        );
+            payload: StagedPayload::Monolithic { requests },
+        });
         Ok(())
     }
 
-    /// Dispatches one batched decode launch: closed-form service time,
-    /// earliest-free device, per-step outcomes, session-finish releases.
-    /// With slot preemption active, a launch whose members would miss the
-    /// step deadline may first displace a staged (not-yet-started)
-    /// prefill-class span; `now_s` judges "started" ([`f64::INFINITY`] at
-    /// flush disables displacement — everything has started by then).
+    /// Dispatches the batched decode launch of slot `k`: closed-form
+    /// service time, earliest-free device, per-step outcomes,
+    /// session-finish releases. With slot preemption active, a launch whose
+    /// members would miss the step deadline may first displace a staged
+    /// (not-yet-started) prefill-class span; `now_s` judges "started"
+    /// ([`f64::INFINITY`] at flush disables displacement — everything has
+    /// started by then).
     fn dispatch_decode(
         &mut self,
         decode_key: DecodeKey,
-        launch: OpenLaunch,
+        k: usize,
         ready_s: f64,
         cause: SealCause,
         now_s: f64,
     ) {
-        let OpenLaunch {
-            id: launch_id,
-            items,
-            ..
-        } = launch;
-        let pending: Vec<DecodeStepItem> = items
-            .into_iter()
-            .map(|item| match item {
-                WorkItem::Decode(step) => step,
-                WorkItem::Prefill(_) => unreachable!("decode launches hold decode items"),
-            })
-            .collect();
-        let steps: Vec<DecodeStep> = pending
-            .iter()
-            .map(|p| {
-                DecodeStep::new(
-                    "decode",
-                    1,
-                    decode_key.heads,
-                    p.context_len,
-                    decode_key.embed,
-                )
-                .with_kv_heads(decode_key.kv_heads)
-            })
-            .collect();
-        // Recompute-priced resumes fold their evicted context back in as a
-        // prefill-chunk demand on the same launch; without any, the plain
-        // decode closed form applies verbatim.
-        let service_s = if pending.iter().any(|p| p.recompute_tokens > 0) {
-            let mut demand = StreamDemand::default();
-            for step in &steps {
-                demand.accumulate(&StreamDemand::of_decode_step_with_kv(
-                    step,
-                    &self.hw,
-                    self.kv_element_bytes,
-                ));
+        self.launches.close(k);
+        let launch_id = self.launches.slots[k].id;
+        // Borrowed out of the slot and handed back, cleared, at the end:
+        // dispatching never joins a launch.
+        let mut pending = std::mem::take(&mut self.launches.slots[k].steps);
+        // Member steps sum per bound component, then recompute-priced
+        // resumes fold their evicted context back in as prefill-chunk
+        // demands, and the launch pays one issue overhead — the decode
+        // closed form of `launch_service_s_with_kv`. The four-track demand
+        // sums the same terms split by direction; its issue overhead stays
+        // a separate term the flow-shop can hide under the KV stream.
+        let (hw, kv_bytes) = (&self.hw, self.kv_element_bytes);
+        let mut demand = StreamDemand::default();
+        let mut track_demand = self.tracks.is_some().then(TrackDemand::default);
+        let mut step = decode_step(decode_key, 1);
+        for (p, _) in &pending {
+            step.context_len = p.context_len;
+            demand.accumulate(&StreamDemand::of_decode_step_with_kv(&step, hw, kv_bytes));
+            if let Some(t) = track_demand.as_mut() {
+                t.accumulate(&TrackDemand::of_decode_step_with_kv(&step, hw, kv_bytes));
             }
-            for p in &pending {
-                if p.recompute_tokens > 0 {
-                    let chunk = PrefillChunk::new(
-                        1,
-                        decode_key.heads,
-                        0,
-                        p.recompute_tokens,
-                        decode_key.embed,
-                    )
+        }
+        for (p, _) in pending.iter().filter(|(p, _)| p.recompute_tokens > 0) {
+            let chunk =
+                PrefillChunk::new(1, decode_key.heads, 0, p.recompute_tokens, decode_key.embed)
                     .with_kv_heads(decode_key.kv_heads);
-                    demand.accumulate(&StreamDemand::of_prefill_chunk_with_kv(
-                        &chunk,
-                        &self.hw,
-                        self.kv_element_bytes,
-                    ));
-                }
+            demand.accumulate(&StreamDemand::of_prefill_chunk_with_kv(
+                &chunk, hw, kv_bytes,
+            ));
+            if let Some(t) = track_demand.as_mut() {
+                t.accumulate(&TrackDemand::of_prefill_chunk_with_kv(&chunk, hw, kv_bytes));
             }
-            demand.bound_seconds(&self.hw)
-                + self.hw.issue_overhead_cycles as f64 / self.hw.frequency_hz
-        } else {
-            launch_service_s_with_kv(&steps, &self.hw, self.kv_element_bytes)
-        };
-        // The launch's four-track demand (same step + recompute-chunk sum
-        // as the scalar service, split by direction); the decode issue
-        // overhead is explicit in the scalar closed form, so it stays a
-        // separate term the flow-shop can hide under the KV stream.
-        let profile = self.tracks.is_some().then(|| {
-            let mut demand = TrackDemand::default();
-            for step in &steps {
-                demand.accumulate(&TrackDemand::of_decode_step_with_kv(
-                    step,
-                    &self.hw,
-                    self.kv_element_bytes,
-                ));
-            }
-            for p in &pending {
-                if p.recompute_tokens > 0 {
-                    let chunk = PrefillChunk::new(
-                        1,
-                        decode_key.heads,
-                        0,
-                        p.recompute_tokens,
-                        decode_key.embed,
-                    )
-                    .with_kv_heads(decode_key.kv_heads);
-                    demand.accumulate(&TrackDemand::of_prefill_chunk_with_kv(
-                        &chunk,
-                        &self.hw,
-                        self.kv_element_bytes,
-                    ));
-                }
-            }
-            let issue_s = self.hw.issue_overhead_cycles as f64 / self.hw.frequency_hz;
-            (demand, issue_s)
-        });
+        }
+        let issue_s = hw.issue_overhead_cycles as f64 / hw.frequency_hz;
+        let service_s = demand.bound_seconds(hw) + issue_s;
+        let profile = track_demand.map(|t| (t, issue_s));
         let mut device = self.earliest_free_device();
         let mut start_s = self.free_at[device].max(ready_s);
         let mut requeue: Option<StagedSpan> = None;
@@ -2369,7 +2438,7 @@ impl EngineRun<'_> {
                 let misses = |start: f64| {
                     pending
                         .iter()
-                        .filter(|p| start + service_s - p.arrival_s > deadline)
+                        .filter(|(p, _)| start + service_s - p.arrival_s > deadline)
                         .count()
                 };
                 if misses(start_s) > 0 {
@@ -2404,8 +2473,8 @@ impl EngineRun<'_> {
                                 now_s,
                                 EventKind::Preempted {
                                     victim: PreemptVictim::Launch {
-                                        launch_id: victim.launch_id,
-                                        key: victim.key,
+                                        launch_id: victim.launch.launch_id,
+                                        key: victim.launch.key,
                                         device: d as u32,
                                         start_s: victim.start_s,
                                     },
@@ -2419,10 +2488,9 @@ impl EngineRun<'_> {
                 }
             }
         }
-        if self.staged[device].is_some() {
-            // Pin the incumbent staged span (the decode launch starts after
-            // it) so per-device event order stays start order.
-            let limit = self.staged[device].as_ref().expect("present").start_s;
+        // Pin the incumbent staged span (the decode launch starts after it)
+        // so per-device event order stays start order.
+        if let Some(limit) = self.staged[device].as_ref().map(|span| span.start_s) {
             self.harden_through(limit);
         }
         let scalar_completion_s = start_s + service_s;
@@ -2467,16 +2535,12 @@ impl EngineRun<'_> {
         );
         self.log_stages(launch_id, device, stage_spans.as_deref());
         let deadline_s = self.config.decode.step_deadline_s;
-        for p in pending {
-            let session = self
-                .sessions
-                .get_mut(&p.session_id)
-                .expect("session exists");
+        for &(p, slot) in &pending {
+            let session = &mut self.sessions.slots[slot];
             session.completed_steps += 1;
             session.pending_steps -= 1;
             if session.finished() {
-                self.releases
-                    .push((completion_s, MemOwner::Session(p.session_id)));
+                self.releases.push(completion_s, Release::Session(slot));
             }
             let latency_s = completion_s - p.arrival_s;
             self.events.complete_decode(DecodeStepOutcome {
@@ -2493,65 +2557,59 @@ impl EngineRun<'_> {
                 device,
             });
         }
+        pending.clear();
+        self.launches.slots[k].steps = pending;
         // The displaced span re-places now — behind the decode launch, never
         // dropped. A chunk victim rewinds its chain to the displaced index;
         // the chain re-places it with the same identity.
         if let Some(victim) = requeue {
-            match victim.payload {
-                StagedPayload::Monolithic { requests } => {
-                    self.place_prefill_span(
-                        victim.launch_id,
-                        victim.key,
-                        victim.ready_s,
-                        victim.scalar_service_s,
-                        victim.members,
-                        victim.total_batch,
-                        victim.energy_pj,
-                        victim.cache_hit,
-                        victim.cause,
-                        victim.est_service_s,
-                        victim.profile,
-                        StagedPayload::Monolithic { requests },
-                    );
+            let launch = victim.launch;
+            match launch.payload {
+                StagedPayload::Monolithic { .. } => {
+                    self.place_prefill_span(launch);
                 }
                 StagedPayload::Chunk { chain, index } => {
                     let state = self.chunk_chains.get_mut(&chain).expect("chain is live");
                     state.next_index = index;
-                    state.next_ready_s = victim.ready_s;
-                    self.place_chunk(chain, victim.cause);
+                    state.next_ready_s = launch.ready_s;
+                    self.place_chunk(chain, launch.cause);
                 }
             }
         }
     }
 
-    /// Evicts idle sessions' KV residency (largest session id first) until
-    /// the pending growth `delta_bytes` would fit the budget, or no victim
-    /// remains. A victim must be admitted, unfinished, not already swapped,
-    /// have no step riding an open launch, hold a nonzero charge, and not
-    /// share a prefix group (group blocks are held collectively — evicting
-    /// one member cannot reclaim them). The victim's session stays
-    /// admitted: its tokens swap out and come back at its next step.
-    fn try_evict_for(&mut self, delta_bytes: u64, keep: u64, now_s: f64) {
+    /// Evicts idle sessions' KV residency (largest session id first, a
+    /// reverse walk of the slab) until the pending growth `delta_bytes`
+    /// would fit the budget, or no victim remains. A victim must not be
+    /// the growing session in slot `keep`, and must be admitted,
+    /// unfinished, not already swapped, have no step riding an open launch,
+    /// hold a nonzero charge, and not share a prefix group (group blocks
+    /// are held collectively — evicting one member cannot reclaim them).
+    /// The victim's session stays admitted: its tokens swap out and come
+    /// back at its next step.
+    fn try_evict_for(&mut self, delta_bytes: u64, keep: usize, now_s: f64) {
         let mode = self.config.preempt.expect("caller gates on preempt");
         while !self.events.ledger.fits(delta_bytes) {
             let ledger = &self.events.ledger;
             let victim = self
                 .sessions
+                .slots
                 .iter()
-                .filter(|(&id, s)| {
-                    id != keep
+                .enumerate()
+                .rev()
+                .find_map(|(slot, s)| {
+                    let bytes = ledger.held(MemOwner::Session(s.spec.id)).unwrap_or(0);
+                    (slot != keep
                         && s.admitted
                         && !s.finished()
                         && s.swapped.is_none()
                         && s.pending_steps == 0
                         && s.prefix_group.is_none()
-                        && ledger.held(MemOwner::Session(id)).is_some_and(|b| b > 0)
-                })
-                .map(|(id, _)| *id)
-                .next_back();
-            let Some(vid) = victim else { return };
-            let bytes = self.events.ledger.held(MemOwner::Session(vid)).unwrap_or(0);
-            let s = self.sessions.get_mut(&vid).expect("present");
+                        && bytes > 0)
+                        .then_some((slot, bytes))
+                });
+            let Some((slot, bytes)) = victim else { return };
+            let s = &mut self.sessions.slots[slot];
             let blocks = s.charged_blocks;
             let used = s.used_bytes;
             s.swapped = Some((used, mode));
@@ -2564,7 +2622,7 @@ impl EngineRun<'_> {
                 now_s,
                 EventKind::Preempted {
                     victim: PreemptVictim::Session {
-                        session_id: vid,
+                        session_id: s.spec.id,
                         mode,
                         bytes,
                         used_bytes: used,
@@ -2581,25 +2639,24 @@ impl EngineRun<'_> {
     /// flushed batches drain to completion afterwards, then every still-
     /// staged span hardens.
     fn flush(&mut self) -> Result<()> {
-        let mut rest: Vec<(LaunchKey, OpenLaunch)> =
-            std::mem::take(&mut self.open).into_iter().collect();
-        rest.sort_by(|(key_a, a), (key_b, b)| {
-            let ready_a = a.first_arrival_s + self.window_s(key_a.class());
-            let ready_b = b.first_arrival_s + self.window_s(key_b.class());
-            ready_a
-                .partial_cmp(&ready_b)
+        let mut rest: Vec<(f64, u8, u64, usize)> = self
+            .launches
+            .open
+            .iter()
+            .map(|&k| {
+                let launch = &self.launches.slots[k];
+                let class = launch.key.class();
+                let ready_s = launch.first_arrival_s + self.window_s(class);
+                (ready_s, self.config.policy.class_rank(class), launch.id, k)
+            })
+            .collect();
+        rest.sort_by(|a, b| {
+            a.0.partial_cmp(&b.0)
                 .expect("ready times are finite")
-                .then(
-                    self.config
-                        .policy
-                        .class_rank(key_a.class())
-                        .cmp(&self.config.policy.class_rank(key_b.class())),
-                )
-                .then(a.id.cmp(&b.id))
+                .then((a.1, a.2).cmp(&(b.1, b.2)))
         });
-        for (key, launch) in rest {
-            let ready_s = launch.first_arrival_s + self.window_s(key.class());
-            self.dispatch(key, launch, ready_s, SealCause::Flush, f64::INFINITY)?;
+        for (ready_s, _, _, k) in rest {
+            self.dispatch(k, ready_s, SealCause::Flush, f64::INFINITY)?;
         }
         self.dispatch_ready_chunks(f64::INFINITY);
         self.harden_through(f64::INFINITY);
@@ -2774,10 +2831,10 @@ mod tests {
         assert_eq!(engine.cache().len(), 1);
     }
 
-    #[test]
-    fn hostile_arrival_times_are_rejected_before_any_state_changes() {
-        let session = DecodeSessionSpec {
-            id: 7,
+    /// A one-step BERT-Small decode session.
+    fn one_step_session(id: u64) -> DecodeSessionSpec {
+        DecodeSessionSpec {
+            id,
             network: Network::BertSmall,
             start_s: 0.0,
             heads: 8,
@@ -2787,7 +2844,12 @@ mod tests {
             steps: 1,
             prefix_group: None,
             shared_prefix_len: 0,
-        };
+        }
+    }
+
+    #[test]
+    fn hostile_arrival_times_are_rejected_before_any_state_changes() {
+        let session = one_step_session(7);
         for bad in [f64::NAN, f64::INFINITY, -1.0] {
             let mut engine = ServeEngine::new(EngineConfig::default());
             let mut prefill = reqs(2, 1e-4);
@@ -2814,6 +2876,32 @@ mod tests {
             // Nothing was planned or recorded before the rejection.
             assert!(engine.cache().is_empty());
         }
+    }
+
+    /// Two specs sharing a session id would leave the session of a step
+    /// ambiguous: the run refuses them, naming the id, before it plans,
+    /// records or overwrites the previous run's telemetry.
+    #[test]
+    fn duplicate_session_ids_are_rejected_before_any_state_changes() {
+        let mut engine = ServeEngine::new(EngineConfig {
+            telemetry: Some(TelemetryConfig::default()),
+            ..EngineConfig::default()
+        });
+        engine.run(&[], &DecodeTrace::empty()).unwrap();
+        let sessions = [3, 9, 3].map(one_step_session).to_vec();
+        let steps = vec![DecodeStepEvent {
+            session_id: 3,
+            step_index: 0,
+            arrival_s: 0.0,
+        }];
+        let decode = DecodeTrace { sessions, steps };
+        let err = engine.run(&reqs(2, 1e-4), &decode).unwrap_err();
+        assert!(
+            matches!(&err, SimError::InvalidConfig { reason } if reason.contains("session id 3")),
+            "{err}"
+        );
+        assert!(engine.cache().is_empty());
+        assert_eq!(engine.telemetry().map(|t| t.events().len()), Some(1));
     }
 
     /// Zero-dimension inputs are accounted rejections, never panics: a
@@ -2912,18 +3000,7 @@ mod tests {
 
     #[test]
     fn hostile_deadlines_are_rejected_before_any_state_changes() {
-        let session = DecodeSessionSpec {
-            id: 7,
-            network: Network::BertSmall,
-            start_s: 0.0,
-            heads: 8,
-            kv_heads: 8,
-            embed: 64,
-            prompt_len: 16,
-            steps: 1,
-            prefix_group: None,
-            shared_prefix_len: 0,
-        };
+        let session = one_step_session(7);
         let decode = DecodeTrace {
             sessions: vec![session],
             steps: vec![DecodeStepEvent {
@@ -2996,83 +3073,5 @@ mod tests {
         }
         assert!("swap".parse::<PreemptMode>().is_err());
         assert_eq!(PreemptMode::default(), PreemptMode::Hold);
-    }
-
-    /// The double-release hazard: the ledger must tell a second release
-    /// for the same owner from a live one, so the engine drops and counts
-    /// it instead of letting saturating arithmetic absorb it.
-    #[test]
-    fn release_ledger_rejects_duplicate_releases() {
-        let mut ledger = Ledger::new(SchedulePolicy::default(), 1, u64::MAX);
-        let release = |owner, bytes| EventKind::BudgetRelease {
-            owner,
-            bytes,
-            used_bytes: 0,
-            blocks: 0,
-            scheduled_s: 0.0,
-        };
-        let session = MemOwner::Session(7);
-        ledger.apply(
-            0.0,
-            &EventKind::SessionOpen {
-                session_id: 7,
-                prompt_len: 16,
-                charged_bytes: 64,
-                used_bytes: 32,
-                blocks: 1,
-            },
-        );
-        assert_eq!(
-            ledger.held(session),
-            Some(64),
-            "an admitted session is live"
-        );
-        ledger.apply(1.0, &release(session, 64));
-        assert!(
-            ledger.held(session).is_none(),
-            "a second release of the same owner is a duplicate"
-        );
-        // A release for an owner never charged is also a duplicate.
-        assert!(ledger.held(MemOwner::PrefillLaunch(3)).is_none());
-        // An evicted session holds nothing but still owes its release.
-        ledger.apply(
-            2.0,
-            &EventKind::KvGrow {
-                session_id: 8,
-                delta_bytes: 64,
-                delta_blocks: 1,
-            },
-        );
-        ledger.apply(
-            3.0,
-            &EventKind::Preempted {
-                victim: PreemptVictim::Session {
-                    session_id: 8,
-                    mode: PreemptMode::Hold,
-                    bytes: 64,
-                    used_bytes: 0,
-                    blocks: 1,
-                },
-            },
-        );
-        assert_eq!(ledger.held(MemOwner::Session(8)), Some(0));
-        // Repeated charges keep one entry, and one release clears it.
-        let group = MemOwner::PrefixGroup(1);
-        for delta_bytes in [128, 0] {
-            ledger.apply(
-                4.0,
-                &EventKind::PrefixShared {
-                    group: 1,
-                    session_id: 9,
-                    delta_bytes,
-                    delta_blocks: delta_bytes / 64,
-                    used_delta_bytes: delta_bytes,
-                    refs: 1,
-                },
-            );
-        }
-        assert_eq!(ledger.held(group), Some(128));
-        ledger.apply(5.0, &release(group, 128));
-        assert!(ledger.held(group).is_none());
     }
 }

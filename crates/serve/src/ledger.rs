@@ -80,12 +80,21 @@ pub(crate) struct Ledger {
     /// Of `kv_in_use`, the bytes charged group-wide for shared prefixes.
     kv_shared_in_use: u64,
     peak: MemPeak,
-    /// Every owner with a live charge and its bytes. An owner stays live
-    /// from its first charge to its release, also while a KV eviction
-    /// holds its bytes at zero, so a release for an owner missing here is
-    /// a duplicate. Hashed, not ordered: it is read per charge and release
-    /// on the engine's hot path, and only peak snapshots list it (sorted).
+    /// Every session and prefix group with a live charge and its bytes.
+    /// An owner stays live from its first charge to its release, also
+    /// while a KV eviction holds its bytes at zero, so a release for an
+    /// owner missing here is a duplicate. Hashed, not ordered: it is read
+    /// per charge and release on the engine's hot path, and only peak
+    /// snapshots list it (sorted).
     owners: HashMap<MemOwner, u64>,
+    /// The live charges of prefill launches, indexed by launch id (`None`
+    /// = not live), under the same rules as `owners`. The engine numbers
+    /// launches from zero, so the ids are dense.
+    launch_charges: Vec<Option<u64>>,
+    /// Launch ids below this hold no live charge, so peak snapshots list
+    /// the launches from here on. A prefill launch is charged as it opens,
+    /// in id order, and releases free the oldest ones first.
+    launch_floor: usize,
     preemptions_prefill: usize,
     preemptions_decode: usize,
 }
@@ -107,9 +116,18 @@ impl Ledger {
             kv_shared_in_use: 0,
             peak: MemPeak::default(),
             owners: HashMap::new(),
+            launch_charges: Vec::new(),
+            launch_floor: 0,
             preemptions_prefill: 0,
             preemptions_decode: 0,
         }
+    }
+
+    /// Reserves room for the outcomes of `prefill` requests and `decode`
+    /// steps, so a run's report grows without reallocating.
+    pub(crate) fn reserve_outcomes(&mut self, prefill: usize, decode: usize) {
+        self.prefill.outcomes.reserve_exact(prefill);
+        self.decode.outcomes.reserve_exact(decode);
     }
 
     /// Whether `bytes` more fit the shared budget beside everything charged.
@@ -123,7 +141,10 @@ impl Ledger {
     /// The bytes `owner` holds, or `None` when it holds no live charge
     /// (see [`Ledger::owners`]).
     pub(crate) fn held(&self, owner: MemOwner) -> Option<u64> {
-        self.owners.get(&owner).copied()
+        match owner {
+            MemOwner::PrefillLaunch(id) => self.launch_charges.get(id as usize).copied().flatten(),
+            _ => self.owners.get(&owner).copied(),
+        }
     }
 
     /// Folds one event stamped `t_s` into the report and the occupancy.
@@ -231,7 +252,19 @@ impl Ledger {
                         self.kv_shared_in_use = self.kv_shared_in_use.saturating_sub(bytes);
                     }
                 }
-                self.owners.remove(&owner);
+                match owner {
+                    MemOwner::PrefillLaunch(id) => {
+                        if let Some(charge) = self.launch_charges.get_mut(id as usize) {
+                            *charge = None;
+                        }
+                        while self.launch_charges.get(self.launch_floor) == Some(&None) {
+                            self.launch_floor += 1;
+                        }
+                    }
+                    _ => {
+                        self.owners.remove(&owner);
+                    }
+                }
             }
             EventKind::Preempted {
                 victim: PreemptVictim::Launch { .. },
@@ -288,11 +321,13 @@ impl Ledger {
     /// that instant, largest first (ties by owner). Meaningful right after
     /// [`Ledger::apply`] reports that the peak moved.
     pub(crate) fn peak_attribution(&self, t_s: f64) -> PeakAttribution {
-        let mut holders: Vec<(MemOwner, u64)> = self
-            .owners
-            .iter()
-            .filter(|(_, &bytes)| bytes > 0)
+        let launches = (self.launch_charges.iter().enumerate())
+            .skip(self.launch_floor)
+            .filter_map(|(id, charge)| Some((MemOwner::PrefillLaunch(id as u64), (*charge)?)));
+        let mut holders: Vec<(MemOwner, u64)> = (self.owners.iter())
             .map(|(&owner, &bytes)| (owner, bytes))
+            .chain(launches)
+            .filter(|&(_, bytes)| bytes > 0)
             .collect();
         holders.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         PeakAttribution {
@@ -392,7 +427,18 @@ impl Ledger {
 
     /// Adds `bytes` to `owner`'s live charge and notes the shared peak.
     fn charge(&mut self, owner: MemOwner, bytes: u64) -> bool {
-        *self.owners.entry(owner).or_insert(0) += bytes;
+        let held = match owner {
+            MemOwner::PrefillLaunch(id) => {
+                let slot = id as usize;
+                if slot >= self.launch_charges.len() {
+                    self.launch_charges.resize(slot + 1, None);
+                }
+                self.launch_floor = self.launch_floor.min(slot);
+                self.launch_charges[slot].get_or_insert(0)
+            }
+            _ => self.owners.entry(owner).or_insert(0),
+        };
+        *held += bytes;
         self.peak.note(self.prefill_charged, self.kv_in_use)
     }
 
@@ -415,5 +461,105 @@ impl Ledger {
         }
         self.decode.kv_shared_peak_bytes =
             self.decode.kv_shared_peak_bytes.max(self.kv_shared_in_use);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::PreemptMode;
+
+    /// The double-release hazard: the ledger must tell a second release
+    /// for the same owner from a live one, so the engine drops and counts
+    /// it instead of letting saturating arithmetic absorb it.
+    #[test]
+    fn release_ledger_rejects_duplicate_releases() {
+        let mut ledger = Ledger::new(SchedulePolicy::default(), 1, u64::MAX);
+        let release = |owner, bytes| EventKind::BudgetRelease {
+            owner,
+            bytes,
+            used_bytes: 0,
+            blocks: 0,
+            scheduled_s: 0.0,
+        };
+        let session = MemOwner::Session(7);
+        ledger.apply(
+            0.0,
+            &EventKind::SessionOpen {
+                session_id: 7,
+                prompt_len: 16,
+                charged_bytes: 64,
+                used_bytes: 32,
+                blocks: 1,
+            },
+        );
+        assert_eq!(
+            ledger.held(session),
+            Some(64),
+            "an admitted session is live"
+        );
+        ledger.apply(1.0, &release(session, 64));
+        assert!(
+            ledger.held(session).is_none(),
+            "a second release of the same owner is a duplicate"
+        );
+        // A release for an owner never charged is also a duplicate.
+        assert!(ledger.held(MemOwner::PrefillLaunch(3)).is_none());
+        // An evicted session holds nothing but still owes its release.
+        ledger.apply(
+            2.0,
+            &EventKind::KvGrow {
+                session_id: 8,
+                delta_bytes: 64,
+                delta_blocks: 1,
+            },
+        );
+        ledger.apply(
+            3.0,
+            &EventKind::Preempted {
+                victim: PreemptVictim::Session {
+                    session_id: 8,
+                    mode: PreemptMode::Hold,
+                    bytes: 64,
+                    used_bytes: 0,
+                    blocks: 1,
+                },
+            },
+        );
+        assert_eq!(ledger.held(MemOwner::Session(8)), Some(0));
+        // Repeated charges keep one entry, and one release clears it.
+        let group = MemOwner::PrefixGroup(1);
+        for delta_bytes in [128, 0] {
+            ledger.apply(
+                4.0,
+                &EventKind::PrefixShared {
+                    group: 1,
+                    session_id: 9,
+                    delta_bytes,
+                    delta_blocks: delta_bytes / 64,
+                    used_delta_bytes: delta_bytes,
+                    refs: 1,
+                },
+            );
+        }
+        assert_eq!(ledger.held(group), Some(128));
+        ledger.apply(5.0, &release(group, 128));
+        assert!(ledger.held(group).is_none());
+        // Prefill launches, kept by launch id, follow the same rules.
+        let launch = MemOwner::PrefillLaunch(5);
+        for charged_bytes in [256, 0] {
+            ledger.apply(
+                6.0,
+                &EventKind::PrefillJoin {
+                    launch_id: 5,
+                    members: 1,
+                    charged_bytes,
+                },
+            );
+        }
+        assert_eq!(ledger.held(launch), Some(256));
+        assert!(ledger.held(MemOwner::PrefillLaunch(3)).is_none());
+        ledger.apply(7.0, &release(launch, 256));
+        assert!(ledger.held(launch).is_none());
     }
 }

@@ -7,8 +7,9 @@ use proptest::prelude::*;
 
 use mas_dataflow::{AttentionWorkload, DataflowKind, DecodeStep};
 use mas_serve::{
-    BatchPolicy, ChunkPolicy, DecodePolicy, EngineConfig, EventKind, LaunchKey, PreemptMode,
-    PreemptVictim, RejectReason, SchedulePolicy, ServeEngine, ServeRequest, TelemetryConfig,
+    BatchPolicy, ChunkPolicy, DecodePolicy, EngineConfig, EventKind, KvDtype, LaunchKey,
+    PreemptMode, PreemptVictim, RejectReason, SchedulePolicy, ServeEngine, ServeRequest,
+    TelemetryConfig, TrackConfig,
 };
 use mas_sim::HardwareConfig;
 use mas_workloads::{
@@ -653,5 +654,69 @@ proptest! {
         .run(&stream, &trace.decode)
         .unwrap();
         prop_assert_eq!(monolithic, chunked);
+    }
+}
+
+/// Session ids are labels, not slab indices. A seeded mixed trace whose
+/// sessions are relabelled with sparse ids, and listed in reverse, replays
+/// to the dense-id report once the ids are mapped back: under the default
+/// configuration, and under the overload mechanisms with a budget tight
+/// enough that `Hold` preemption evicts sessions. The relabelling keeps the
+/// ids' order, so the largest-id-first victim order is unchanged.
+#[test]
+fn sparse_session_ids_replay_like_dense_ones() {
+    let trace = mixed_trace(&MixedTraceConfig::poisson(
+        vec![Network::BertSmall, Network::T5Mini],
+        30,
+        150.0,
+        10,
+        1000.0,
+        7919,
+    ));
+    let stream =
+        ServeRequest::stream_from_trace(&trace.prefill, DataflowKind::MasAttention, Some(0.05));
+    let sparse = |id: u64| id * 1_000_003 + 17;
+    let dense = |id: u64| (id - 17) / 1_000_003;
+    let mut relabelled = trace.decode.clone();
+    relabelled.sessions.reverse();
+    for spec in &mut relabelled.sessions {
+        spec.id = sparse(spec.id);
+    }
+    for step in &mut relabelled.steps {
+        step.session_id = sparse(step.session_id);
+    }
+    let overload = EngineConfig {
+        policy: SchedulePolicy::DecodePriority,
+        decode: DecodePolicy {
+            step_deadline_s: Some(0.003),
+            kv_dtype: Some(KvDtype::F16),
+            prefix_share: true,
+            ..DecodePolicy::default()
+        },
+        chunked_prefill: Some(ChunkPolicy::new(64)),
+        preempt: Some(PreemptMode::Hold),
+        tracks: Some(TrackConfig::default()),
+        shared_budget_bytes: Some(2_000_000),
+        ..EngineConfig::default()
+    };
+    for (label, config) in [("default", EngineConfig::default()), ("overload", overload)] {
+        let expected = ServeEngine::new(config.clone())
+            .run(&stream, &trace.decode)
+            .unwrap();
+        let mut report = ServeEngine::new(config).run(&stream, &relabelled).unwrap();
+        assert!(report.decode.completed() > 0, "{label}");
+        if label == "overload" {
+            assert!(expected.preemptions_decode > 1, "{}", expected.summary());
+        }
+        for outcome in &mut report.decode.outcomes {
+            outcome.session_id = dense(outcome.session_id);
+        }
+        for step in &mut report.decode.rejected {
+            step.session_id = dense(step.session_id);
+        }
+        for (id, _) in &mut report.decode.rejected_sessions {
+            *id = dense(*id);
+        }
+        assert_eq!(report, expected, "{label}");
     }
 }
