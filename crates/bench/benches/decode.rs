@@ -6,15 +6,15 @@
 //! [`KvCache`]) must be ≥ 5× faster than recomputing prefill attention over
 //! the whole sequence for every generated token — and per-step cost must
 //! grow ~linearly with the context for the cached path vs ~quadratically
-//! for recompute. `pin_kv_advantage` measures both paths across a context
-//! sweep with a plain wall-clock harness and *asserts* the 5× threshold and
-//! the growth-shape separation, so a regression fails the CI bench smoke.
+//! for recompute. The bench measures both paths across a context sweep
+//! with [`time_per_call`] and *asserts* the 5× threshold and
+//! the growth-shape separation, so a regression fails `cargo bench`.
 //!
 //! [`KvCache`]: mas_tensor::decode::KvCache
 
-use std::time::{Duration, Instant};
+use std::hint::black_box;
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use mas_bench::time_per_call;
 use mas_tensor::decode::{decode_attention, KvCache};
 use mas_tensor::init::random_qkv;
 use mas_tensor::tiled::{fused_online_attention, TileSizes};
@@ -37,47 +37,9 @@ fn cached_setup(context: usize) -> (KvCache, Vec<f32>) {
     (cache, gather(&q, context - 1))
 }
 
-fn bench_decode_step(c: &mut Criterion) {
-    let mut g = c.benchmark_group("decode_step_8h_64e");
-    for context in CONTEXTS {
-        let (cache, q_step) = cached_setup(context);
-        let mut out = vec![0.0f32; HEADS * EMBED];
-        g.bench_function(BenchmarkId::new("kv_cached", context), |b| {
-            b.iter(|| decode_attention(black_box(&cache), black_box(&q_step), &mut out).unwrap())
-        });
-
-        let (q, k, v) = random_qkv(1, HEADS, context, EMBED, 42);
-        let tiles = TileSizes::new(64, 64, context).unwrap();
-        g.bench_function(BenchmarkId::new("recompute_prefill", context), |b| {
-            b.iter(|| {
-                fused_online_attention(black_box(&q), black_box(&k), black_box(&v), tiles).unwrap()
-            })
-        });
-    }
-    g.finish();
-}
-
-/// Times `f` with a short warmup, returning the mean duration per call.
-fn time_per_call<F: FnMut()>(mut f: F) -> Duration {
-    let warmup = Instant::now();
-    let mut warm_iters: u32 = 0;
-    while warmup.elapsed() < Duration::from_millis(50) || warm_iters == 0 {
-        f();
-        warm_iters += 1;
-    }
-    let per_iter = warmup.elapsed() / warm_iters;
-    let iters = (Duration::from_millis(300).as_nanos() / per_iter.as_nanos().max(1))
-        .clamp(1, 1_000_000) as u32;
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed() / iters
-}
-
 /// Measures the context sweep and pins the acceptance criterion: a ≥ 5×
 /// KV-cache advantage at 256 tokens and linear-vs-quadratic growth shape.
-fn pin_kv_advantage(_c: &mut Criterion) {
+fn main() {
     let mut cached_s = Vec::new();
     let mut recompute_s = Vec::new();
     println!("\ndecode per-step cost (H={HEADS}, E={EMBED}):");
@@ -133,6 +95,3 @@ fn pin_kv_advantage(_c: &mut Criterion) {
          ~linear growth: cached {cached_growth:.1}x vs recompute {recompute_growth:.1}x"
     );
 }
-
-criterion_group!(benches, bench_decode_step, pin_kv_advantage);
-criterion_main!(benches);

@@ -12,9 +12,9 @@
 //! bar — the batched `dot_many` hides the add-latency chain that caps a
 //! single vectorized dot.
 
-use std::time::{Duration, Instant};
+use std::hint::black_box;
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use mas_bench::time_per_call;
 use mas_tensor::simd;
 
 /// Keys × embed of the score pass: a decode-like dot-dominated shape.
@@ -32,45 +32,9 @@ fn filled(len: usize, seed: u32) -> Vec<f32> {
         .collect()
 }
 
-/// Times `f` with a short warmup, returning the mean duration per call.
-fn time_per_call<F: FnMut()>(mut f: F) -> Duration {
-    let warmup = Instant::now();
-    let mut warm_iters: u32 = 0;
-    while warmup.elapsed() < Duration::from_millis(50) || warm_iters == 0 {
-        f();
-        warm_iters += 1;
-    }
-    let per_iter = warmup.elapsed() / warm_iters;
-    let iters = (Duration::from_millis(300).as_nanos() / per_iter.as_nanos().max(1))
-        .clamp(1, 10_000_000) as u32;
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed() / iters
-}
-
-fn bench_kernels(c: &mut Criterion) {
-    let q = filled(EMBED, 7);
-    let keys = filled(KEYS * EMBED, 11);
-    let mut scores = vec![0.0f32; KEYS];
-    let mut g = c.benchmark_group("simd_kernels");
-    g.bench_function("score_pass_dispatched", |b| {
-        b.iter(|| simd::dot_many(black_box(&q), black_box(&keys), &mut scores))
-    });
-    g.bench_function("score_pass_scalar", |b| {
-        b.iter(|| {
-            for (i, s) in scores.iter_mut().enumerate() {
-                *s = simd::scalar::dot(black_box(&q), &keys[i * EMBED..(i + 1) * EMBED]);
-            }
-        })
-    });
-    g.finish();
-}
-
 /// Prints the selected backend and the scalar-vs-dispatched speedup per
 /// kernel, asserting the dispatched path never loses to the reference.
-fn pin_dispatch_speedup(_c: &mut Criterion) {
+fn main() {
     let backend = simd::backend();
     let q = filled(EMBED, 7);
     let keys = filled(KEYS * EMBED, 11);
@@ -159,6 +123,3 @@ fn pin_dispatch_speedup(_c: &mut Criterion) {
         );
     }
 }
-
-criterion_group!(benches, bench_kernels, pin_dispatch_speedup);
-criterion_main!(benches);

@@ -3,7 +3,7 @@
 //! The observability acceptance criterion is pinned from both ends
 //! (mirroring the module-docs overhead contract in `mas_serve::telemetry`):
 //!
-//! * **End-to-end ≤ 5%** — a cold `serve_mixed` replay (engine
+//! * **End-to-end ≤ 5%** — a cold contention-scenario replay (engine
 //!   construction, planning, replay: the serving cost a user actually
 //!   pays) with recording on stays within 5% of recording off.
 //! * **Marginal per-event bound** — on a warm engine, where the schedule
@@ -17,16 +17,16 @@
 //! report must equal the engine report exactly and the Chrome trace export
 //! must validate.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use mas_dataflow::DataflowKind;
 use mas_serve::{
     validate_chrome_trace, EngineConfig, SchedulePolicy, ServeEngine, ServeRequest, TelemetryConfig,
 };
 use mas_workloads::{DecodeSessionSpec, DecodeStepEvent, DecodeTrace, Network};
 
-/// The deterministic contention scenario (mirrors `benches/serve_mixed.rs`):
-/// 12 lockstep long-context decode sessions and 6-request prefill bursts
-/// contending for one device at every tick.
+/// The deterministic contention scenario (the policy scenario of
+/// `crates/serve/tests/engine_mixed.rs`): 12 lockstep long-context decode
+/// sessions and 6-request prefill bursts contending for one device at
+/// every tick.
 fn contention_scenario() -> (Vec<ServeRequest>, DecodeTrace) {
     let sessions = 12u64;
     let steps = 30usize;
@@ -106,7 +106,7 @@ fn check_fidelity(prefill: &[ServeRequest], decode: &DecodeTrace) -> usize {
 /// Interleaved min-of-N measurement of both overhead bounds. Min-of-N is
 /// robust to scheduler noise: the minimum is the intrinsic cost, which is
 /// what the contract bounds.
-fn pin_telemetry_overhead(_c: &mut Criterion) {
+fn main() {
     let (prefill, decode) = contention_scenario();
     let events = check_fidelity(&prefill, &decode);
 
@@ -184,25 +184,3 @@ fn pin_telemetry_overhead(_c: &mut Criterion) {
         warm_on * 1e3,
     );
 }
-
-/// Criterion visibility of the recorded replay's wall-clock (the pin above
-/// is the gate; this group gives the usual statistical view).
-fn bench_recorded_replay(c: &mut Criterion) {
-    let (prefill, decode) = contention_scenario();
-    let mut g = c.benchmark_group("telemetry");
-    g.sample_size(10);
-    for (name, telemetry) in [
-        ("replay_plain", None),
-        ("replay_recorded", Some(TelemetryConfig::default())),
-    ] {
-        let mut eng = engine(telemetry);
-        eng.run(&prefill, &decode).expect("prime");
-        g.bench_function(name, |b| {
-            b.iter(|| eng.run(&prefill, &decode).expect("replay"))
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, pin_telemetry_overhead, bench_recorded_replay);
-criterion_main!(benches);

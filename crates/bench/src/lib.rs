@@ -1,14 +1,18 @@
-//! Shared harness code for the experiment binaries.
+//! Shared harness code for the experiment binaries and the bench gates.
 //!
 //! Every table and figure of the paper has a binary in `src/bin/` that
 //! regenerates it. The binaries share the table-formatting and
-//! experiment-running helpers in this module.
+//! experiment-running helpers in this module. The host-timed gates in
+//! `benches/` (plain `fn main()` targets run by `cargo bench -p mas-bench`)
+//! share [`time_per_call`]; gates on simulated time or counts are tests.
 //!
 //! All binaries accept:
 //!
 //! * `--search` — tune tilings with the MCTS + GA pipeline instead of the
 //!   heuristic tiling (slower, closer to the paper's methodology),
 //! * `--json`   — additionally print machine-readable JSON records.
+
+use std::time::{Duration, Instant};
 
 use mas_attention::{report::ComparisonReport, Method, Planner};
 use mas_dataflow::AttentionWorkload;
@@ -143,6 +147,25 @@ pub fn baseline_columns() -> [Method; 5] {
     ]
 }
 
+/// Times `f` after a 50 ms warmup and returns the mean duration per call
+/// over a ~300 ms measurement.
+pub fn time_per_call<F: FnMut()>(mut f: F) -> Duration {
+    let warmup = Instant::now();
+    let mut warm_iters: u32 = 0;
+    while warmup.elapsed() < Duration::from_millis(50) || warm_iters == 0 {
+        f();
+        warm_iters += 1;
+    }
+    let per_iter = warmup.elapsed() / warm_iters;
+    let iters = (Duration::from_millis(300).as_nanos() / per_iter.as_nanos().max(1))
+        .clamp(1, 10_000_000) as u32;
+    let start = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    start.elapsed() / iters
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,6 +185,17 @@ mod tests {
         assert_eq!(escape_json("a\"b\\c"), "\"a\\\"b\\\\c\"");
         assert_eq!(escape_json("line\nbreak\ttab"), "\"line\\nbreak\\ttab\"");
         assert_eq!(escape_json("\u{1}"), "\"\\u0001\"");
+    }
+
+    #[test]
+    fn time_per_call_measures_the_mean_of_many_calls() {
+        let mut calls = 0u64;
+        let mean = time_per_call(|| {
+            calls += 1;
+            std::thread::sleep(Duration::from_millis(1));
+        });
+        assert!(calls > 1, "warmup and measurement both call f");
+        assert!(mean >= Duration::from_millis(1), "{mean:?}");
     }
 
     #[test]

@@ -25,7 +25,7 @@ use mas_sim::{EnergyModel, Executor, HardwareConfig};
 ///
 /// The paper's search minimizes latency ("our objective in the search
 /// framework was to minimize latency rather than energy", §5.3); the other
-/// objectives are provided for the ablation benches.
+/// objectives are provided for ablations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum Objective {
     /// Minimize execution cycles.

@@ -2,7 +2,7 @@
 //!
 //! Uniform sampling from the search space. Not used by the paper itself, but
 //! a standard baseline for validating that MCTS and the genetic algorithm
-//! actually add value over blind sampling (used in the ablation benches).
+//! actually add value over blind sampling.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

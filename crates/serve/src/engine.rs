@@ -640,8 +640,9 @@ impl ServeEngine {
     ///
     /// Returns [`SimError::InvalidConfig`], before any state changes, if a
     /// prefill request or decode step has a non-finite or negative arrival
-    /// time, or a prefill deadline or [`DecodePolicy::step_deadline_s`] is
-    /// NaN or negative; otherwise a [`SimError`] if a prefill batch that passed
+    /// time, a prefill deadline or [`DecodePolicy::step_deadline_s`] is
+    /// NaN or negative, or two prefill requests or two session specs share
+    /// an id; otherwise a [`SimError`] if a prefill batch that passed
     /// admission fails to plan or simulate. Decode-only streams never plan.
     pub fn run(&mut self, prefill: &[ServeRequest], decode: &DecodeTrace) -> Result<EngineReport> {
         let sessions = validate_inputs(prefill, decode, self.config.decode.step_deadline_s)?;
@@ -742,11 +743,12 @@ impl ServeEngine {
 }
 
 /// Rejects a non-finite or negative arrival time anywhere in either stream,
-/// naming the offending request or session, and a session id that two
-/// specs share. The event loop orders, windows and expires work by arrival,
-/// so such a timestamp has no meaningful place on the timeline, and a
-/// shared id would leave a step's session ambiguous. Returns the run's
-/// session slab, which the duplicate check sorts.
+/// naming the offending request or session, and a prefill request id or
+/// session id used twice. The event loop orders, windows and expires work
+/// by arrival, so such a timestamp has no meaningful place on the
+/// timeline; a shared request id would make two requests one in the event
+/// log, and a shared session id would leave a step's session ambiguous.
+/// Returns the run's session slab, which the duplicate check sorts.
 fn validate_inputs<'a>(
     prefill: &[ServeRequest],
     decode: &'a DecodeTrace,
@@ -769,6 +771,20 @@ fn validate_inputs<'a>(
                 reason: format!(
                     "prefill request {} has a deadline of {deadline} s; deadlines must be >= 0",
                     r.id
+                ),
+            });
+        }
+    }
+    // Ids key the event log and the conservation check. One pass suffices
+    // for the strictly increasing ids of `ServeRequest::stream_from_trace`.
+    if prefill.windows(2).any(|w| w[0].id >= w[1].id) {
+        let mut ids: Vec<u64> = prefill.iter().map(|r| r.id).collect();
+        ids.sort_unstable();
+        if let Some(pair) = ids.windows(2).find(|w| w[0] == w[1]) {
+            return Err(SimError::InvalidConfig {
+                reason: format!(
+                    "prefill request id {} is used by more than one request",
+                    pair[0]
                 ),
             });
         }
@@ -2904,11 +2920,46 @@ mod tests {
         assert_eq!(engine.telemetry().map(|t| t.events().len()), Some(1));
     }
 
+    /// Two prefill requests sharing an id would fold into one request of
+    /// the event log: the run refuses them, naming the id, before it plans
+    /// or records. Unique ids out of order are valid.
+    #[test]
+    fn duplicate_prefill_ids_are_rejected_before_any_state_changes() {
+        let mut engine = ServeEngine::new(EngineConfig {
+            telemetry: Some(TelemetryConfig::default()),
+            ..EngineConfig::default()
+        });
+        engine.run(&[], &DecodeTrace::empty()).unwrap();
+        for (ids, dup) in [([7, 7, 7, 7], 7), ([5, 1, 9, 1], 1)] {
+            let mut prefill = reqs(4, 1e-4);
+            for (request, id) in prefill.iter_mut().zip(ids) {
+                request.id = id;
+            }
+            let err = engine.run(&prefill, &DecodeTrace::empty()).unwrap_err();
+            assert!(
+                matches!(&err, SimError::InvalidConfig { reason }
+                    if reason.contains(&format!("prefill request id {dup} "))),
+                "{err}"
+            );
+            assert!(engine.cache().is_empty());
+            assert_eq!(engine.telemetry().map(|t| t.events().len()), Some(1));
+        }
+
+        let mut prefill = reqs(4, 1e-4);
+        prefill.reverse();
+        let report = engine.run(&prefill, &DecodeTrace::empty()).unwrap();
+        assert_eq!(report.prefill.completed(), 4);
+        let telemetry = engine.telemetry().unwrap();
+        telemetry.conservation_check().unwrap();
+        assert_eq!(telemetry.report().as_ref(), Some(&report));
+    }
+
     /// Zero-dimension inputs are accounted rejections, never panics: a
     /// prefill request with any zero dimension is an infeasible workload
     /// and a session with a zero head, KV-head or embedding count an
     /// infeasible session, under every policy with chunking and both
-    /// preemption mechanisms on.
+    /// preemption mechanisms on, and under zero and `u64::MAX` shared
+    /// budgets. Every class conserves `completed + rejected == offered`.
     #[test]
     fn zero_dimension_inputs_are_rejected_not_panicked() {
         let shape = [1usize, 2, 128, 64];
@@ -2953,48 +3004,62 @@ mod tests {
             })
             .collect();
         let decode = DecodeTrace { sessions, steps };
-        for policy in [
-            SchedulePolicy::FairShare,
-            SchedulePolicy::DecodePriority,
-            SchedulePolicy::PrefillPriority,
-        ] {
-            let mut engine = ServeEngine::new(EngineConfig {
-                policy,
-                chunked_prefill: Some(ChunkPolicy::new(32)),
-                preempt: Some(PreemptMode::Recompute),
-                decode: DecodePolicy {
-                    step_deadline_s: Some(0.004),
-                    ..DecodePolicy::default()
-                },
-                ..EngineConfig::default()
-            });
-            let report = engine.run(&prefill, &decode).unwrap();
-            assert_eq!(
-                report.prefill.completed() + report.prefill.rejected.len(),
-                prefill.len()
-            );
-            assert_eq!(
-                report.decode.completed() + report.decode.rejected.len(),
-                decode.total_steps()
-            );
-            let mut infeasible: Vec<u64> = report
-                .prefill
-                .rejected
-                .iter()
-                .filter(|r| r.reason == RejectReason::InfeasibleWorkload)
-                .map(|r| r.id)
-                .collect();
-            infeasible.sort_unstable();
-            assert_eq!(infeasible, [0, 1, 2, 3], "{policy}");
-            assert_eq!(report.prefill.completed(), 2, "{policy}");
-            assert_eq!(
-                report.decode.rejected_sessions,
-                (0..4)
-                    .map(|id| (id, DecodeRejectReason::InfeasibleSession))
-                    .collect::<Vec<_>>(),
-                "{policy}"
-            );
-            assert_eq!(report.decode.completed(), 2, "{policy}");
+        // Hostile budgets ride along: a zero budget sheds every feasible
+        // item, and `u64::MAX` must not overflow the charge arithmetic.
+        for (budget, feasible) in [(None, 2), (Some(0), 0), (Some(u64::MAX), 2)] {
+            for policy in [
+                SchedulePolicy::FairShare,
+                SchedulePolicy::DecodePriority,
+                SchedulePolicy::PrefillPriority,
+            ] {
+                let label = format!("{policy} budget {budget:?}");
+                let mut engine = ServeEngine::new(EngineConfig {
+                    policy,
+                    shared_budget_bytes: budget,
+                    chunked_prefill: Some(ChunkPolicy::new(32)),
+                    preempt: Some(PreemptMode::Recompute),
+                    decode: DecodePolicy {
+                        step_deadline_s: Some(0.004),
+                        ..DecodePolicy::default()
+                    },
+                    ..EngineConfig::default()
+                });
+                let report = engine.run(&prefill, &decode).unwrap();
+                assert_eq!(
+                    report.prefill.completed() + report.prefill.rejected.len(),
+                    prefill.len(),
+                    "{label}"
+                );
+                assert_eq!(
+                    report.decode.completed() + report.decode.rejected.len(),
+                    decode.total_steps(),
+                    "{label}"
+                );
+                let mut infeasible: Vec<u64> = report
+                    .prefill
+                    .rejected
+                    .iter()
+                    .filter(|r| r.reason == RejectReason::InfeasibleWorkload)
+                    .map(|r| r.id)
+                    .collect();
+                infeasible.sort_unstable();
+                assert_eq!(infeasible, [0, 1, 2, 3], "{label}");
+                assert_eq!(report.prefill.completed(), feasible, "{label}");
+                let infeasible_sessions: Vec<u64> = report
+                    .decode
+                    .rejected_sessions
+                    .iter()
+                    .filter(|(_, reason)| *reason == DecodeRejectReason::InfeasibleSession)
+                    .map(|(id, _)| *id)
+                    .collect();
+                assert_eq!(infeasible_sessions, [0, 1, 2, 3], "{label}");
+                assert_eq!(
+                    report.decode.rejected_sessions.len(),
+                    4 + usize::from(feasible == 0),
+                    "{label}"
+                );
+                assert_eq!(report.decode.completed(), feasible, "{label}");
+            }
         }
     }
 

@@ -50,8 +50,8 @@
 //! stages) are built only when recording. Enabled, the recorder appends
 //! compact plain-data events to a pre-reserved (and across-runs recycled)
 //! `Vec` and updates two fixed-size histograms — tens of nanoseconds per
-//! event. The `telemetry` bench pins the contract
-//! from both ends: end-to-end `serve_mixed` replay (engine construction,
+//! event. The `telemetry` bench pins the contract from both ends: a cold
+//! replay of the mixed contention scenario (engine construction,
 //! planning, replay — the serving cost a user pays) stays within **5%**,
 //! and the marginal recording cost on a warm pure-replay loop stays under
 //! an absolute per-event bound, so neither a planning regression nor a
@@ -996,6 +996,12 @@ impl Telemetry {
                             decode_bytes = decode_bytes.saturating_sub(*bytes);
                         }
                     }
+                    budget_counter(&mut out, &mut first, t, prefill_bytes, decode_bytes);
+                }
+                EventKind::Preempted {
+                    victim: PreemptVictim::Session { bytes, .. },
+                } => {
+                    decode_bytes = decode_bytes.saturating_sub(*bytes);
                     budget_counter(&mut out, &mut first, t, prefill_bytes, decode_bytes);
                 }
                 EventKind::LaunchDispatched {

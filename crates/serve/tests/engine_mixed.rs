@@ -1,5 +1,6 @@
 //! Mixed prefill+decode behavior of the unified engine: the iteration-level
-//! scheduling policy observably moves per-class tail latency, the shared
+//! scheduling policy observably moves per-class tail latency, f16 KV
+//! storage never worsens DRAM-bound decode tail latency, the shared
 //! memory budget couples the two classes in both directions, and the budget
 //! accounting is violation-free under proptest-generated interleavings.
 
@@ -146,8 +147,7 @@ fn scheduling_policy_observably_moves_per_class_p99() {
     );
 
     // Decode-priority keeps decode p99 within 2x of the decode-only
-    // baseline (the co-scheduling acceptance bar, also asserted by the
-    // `serve_mixed` bench).
+    // baseline (the co-scheduling acceptance bar).
     let baseline = engine(SchedulePolicy::DecodePriority)
         .run(&[], &decode)
         .unwrap();
@@ -158,6 +158,32 @@ fn scheduling_policy_observably_moves_per_class_p99() {
          decode-only baseline ({:.3} ms)",
         d_dp.p99_s * 1e3,
         d_base.p99_s * 1e3,
+    );
+
+    // The decode-only leg's 2000-token contexts are DRAM-bound, so storing
+    // the KV cache at f16 (half the cache-stream bytes) must not worsen
+    // decode p99 over f32.
+    let decode_p99 = |kv_dtype: KvDtype| {
+        let decode_policy = DecodePolicy {
+            kv_dtype: Some(kv_dtype),
+            ..DecodePolicy::default()
+        };
+        ServeEngine::new(EngineConfig {
+            decode: decode_policy,
+            ..EngineConfig::default()
+        })
+        .run(&[], &decode)
+        .unwrap()
+        .decode_latency()
+        .unwrap()
+        .p99_s
+    };
+    let (f32_p99, f16_p99) = (decode_p99(KvDtype::F32), decode_p99(KvDtype::F16));
+    assert!(
+        f16_p99 <= f32_p99,
+        "f16 KV decode p99 ({:.3} ms) must not exceed f32's ({:.3} ms)",
+        f16_p99 * 1e3,
+        f32_p99 * 1e3,
     );
 
     // Determinism: the mixed replay is a pure function of its inputs.

@@ -8,7 +8,9 @@
 //! all three scheduling policies, chunked prefill, both preemption modes,
 //! the track executor, f16 KV, prefix sharing, 1 and 3 devices and a tight
 //! and an ample budget, over two seeded mixed traces and one overload
-//! burst. The file was generated once; an engine change meant to keep
+//! burst. The file was generated once, and the Chrome digests of the rows
+//! with KV evictions once more when the trace's `shared_budget_bytes`
+//! counter began subtracting evicted bytes. An engine change meant to keep
 //! behaviour must not touch it.
 //!
 //! The runs share one schedule cache in row order (each engine starts from

@@ -4,17 +4,19 @@
 //! when actual contexts stay tiny. Block-granular charging bills only the
 //! blocks a session has actually grown into, so the same budget admits
 //! strictly more (here 4×) concurrent sessions with zero pool overflows
-//! during replay.
+//! during replay, and at 1 GiB at least 2× (f16 KV: at least 1.8× the f32
+//! count).
 //!
 //! Plus the cross-session prefix-sharing extension: under
 //! [`DecodePolicy::prefix_share`], sessions declaring the same
 //! `prefix_group` charge the whole blocks of their shared prompt prefix
 //! once group-wide, so the same budget admits ≥2× the sessions of private
-//! paged charging on a shared-system-prompt trace — and the group's blocks
-//! are released exactly once, with its last member.
+//! paged charging on a shared-system-prompt trace, also at 1 GiB on a GQA
+//! f16 shape — and the group's blocks are released exactly once, with its
+//! last member.
 
 use mas_dataflow::decode::DecodeStep;
-use mas_serve::{DecodePolicy, DecodeReport, EngineConfig, ServeEngine};
+use mas_serve::{DecodePolicy, DecodeReport, EngineConfig, KvDtype, ServeEngine};
 use mas_sim::HardwareConfig;
 use mas_workloads::{DecodeSessionSpec, DecodeStepEvent, DecodeTrace, Network};
 
@@ -114,6 +116,52 @@ fn paged_charging_admits_at_least_twice_the_sessions_of_max_context_reservation(
 
     // Waste at peak is only the partial tail block.
     assert!(paged.kv_frag_at_peak < 0.5, "{}", paged.kv_frag_at_peak);
+
+    // The same trace shape at scale: 4,096 sessions against 1 GiB of KV,
+    // where max-context reservation admits 1 GiB / max_context_bytes.
+    let gib = 1u64 << 30;
+    let reserved_sessions = gib / max_context_bytes;
+    let at_scale = replay(
+        DecodePolicy {
+            kv_budget_bytes: Some(gib),
+            kv_block_tokens: block_tokens,
+            ..DecodePolicy::default()
+        },
+        &overcommit_trace(4096, 32, 480, 8),
+    );
+    assert_eq!(at_scale.pool_overflows(), 0, "{}", at_scale.summary());
+    assert!(at_scale.kv_peak_bytes <= gib);
+    assert!(
+        at_scale.sessions_admitted as u64 >= 2 * reserved_sessions,
+        "paged charging must admit >= 2x the sessions of max-context \
+         reservation at 1 GiB: {} vs {reserved_sessions}",
+        at_scale.sessions_admitted,
+    );
+
+    // f16 KV storage halves every block, so at the same budget it must
+    // admit >= 1.8x the f32 sessions. 16,384 sessions are offered, more
+    // than either dtype can hold, so both runs are budget-limited.
+    let trace = overcommit_trace(16384, 32, 480, 8);
+    let by_dtype = |kv_dtype: KvDtype| {
+        let policy = DecodePolicy {
+            kv_budget_bytes: Some(gib),
+            kv_dtype: Some(kv_dtype),
+            ..DecodePolicy::default()
+        };
+        replay(policy, &trace)
+    };
+    let (f32_run, f16_run) = (by_dtype(KvDtype::F32), by_dtype(KvDtype::F16));
+    for r in [&f32_run, &f16_run] {
+        assert!(r.kv_peak_bytes <= gib, "{}", r.summary());
+        assert_eq!(r.pool_overflows(), 0, "{}", r.summary());
+    }
+    let ratio = f16_run.sessions_admitted as f64 / f32_run.sessions_admitted.max(1) as f64;
+    assert!(
+        ratio >= 1.8,
+        "f16 KV must admit >= 1.8x the f32 sessions at 1 GiB: {} vs {} ({ratio:.2}x)",
+        f16_run.sessions_admitted,
+        f32_run.sessions_admitted,
+    );
 }
 
 #[test]
@@ -145,11 +193,13 @@ fn paged_charging_still_bounds_the_budget_under_real_pressure() {
     assert_eq!(report.completed() + report.pool_overflows(), 4 * 96);
 }
 
-/// `n` simultaneous sessions all declaring the same `prefix_group` whose
-/// first `shared_prefix_len` prompt tokens are a shared system prompt;
-/// every session replays `steps` decode steps.
+/// `n` simultaneous sessions of shape `(heads, kv_heads, embed)` all
+/// declaring the same `prefix_group` whose first `shared_prefix_len` prompt
+/// tokens are a shared system prompt; every session replays `steps` decode
+/// steps.
 fn shared_prompt_trace(
     n: u64,
+    (heads, kv_heads, embed): (usize, usize, usize),
     prompt: usize,
     shared_prefix_len: usize,
     steps: usize,
@@ -159,9 +209,9 @@ fn shared_prompt_trace(
             id,
             network: Network::BertSmall,
             start_s: 0.0,
-            heads: 8,
-            kv_heads: 8,
-            embed: 64,
+            heads,
+            kv_heads,
+            embed,
             prompt_len: prompt,
             steps,
             prefix_group: Some(7),
@@ -194,7 +244,7 @@ fn prefix_sharing_charges_the_shared_prompt_once_and_admits_twice_the_sessions()
     // 8 sessions, 64-token shared system prompt (exactly 4 blocks), 8
     // decode steps each (context 65..=72 tokens = 5 blocks). Budget: 16
     // blocks of KV.
-    let trace = shared_prompt_trace(8, 64, 64, 8);
+    let trace = shared_prompt_trace(8, (8, 8, 64), 64, 64, 8);
     let budget = 16 * block_bytes;
 
     let private_policy = DecodePolicy {
@@ -239,6 +289,38 @@ fn prefix_sharing_charges_the_shared_prompt_once_and_admits_twice_the_sessions()
         "{}",
         shared.summary()
     );
+
+    // At scale on an edge chat shape: GQA 32q/8kv heads 128 wide, f16 KV,
+    // a 72-token prompt whose first 64 tokens (4 blocks) are the system
+    // prompt, and 16,384 sessions offered against 1 GiB, so both runs are
+    // budget-limited.
+    let gib = 1u64 << 30;
+    let trace = shared_prompt_trace(16384, (32, 8, 128), 72, 64, 8);
+    let run = |prefix_share: bool| {
+        let policy = DecodePolicy {
+            kv_budget_bytes: Some(gib),
+            kv_block_tokens: block_tokens,
+            kv_dtype: Some(KvDtype::F16),
+            prefix_share,
+            ..DecodePolicy::default()
+        };
+        replay(policy, &trace)
+    };
+    let (private, shared) = (run(false), run(true));
+    for r in [&private, &shared] {
+        assert!(r.kv_peak_bytes <= gib, "{}", r.summary());
+        assert_eq!(r.pool_overflows(), 0, "{}", r.summary());
+    }
+    assert_eq!(private.shared_sessions, 0);
+    assert_eq!(shared.shared_sessions, shared.sessions_admitted);
+    assert!(shared.kv_shared_peak_bytes > 0);
+    assert!(
+        shared.sessions_admitted >= 2 * private.sessions_admitted,
+        "prefix sharing must admit >= 2x the sessions of private paged \
+         charging at 1 GiB: {} vs {}",
+        shared.sessions_admitted,
+        private.sessions_admitted,
+    );
 }
 
 #[test]
@@ -252,7 +334,7 @@ fn sharing_with_a_partial_tail_charges_only_whole_prefix_blocks_group_wide() {
     // 8-token tail of the prefix plus the 24 private prompt tokens live in
     // each session's private blocks (blocks 3 and 4 of the 64-token
     // prompt, plus the decode tail's block 5).
-    let trace = shared_prompt_trace(4, 64, 40, 4);
+    let trace = shared_prompt_trace(4, (8, 8, 64), 64, 40, 4);
     let policy = DecodePolicy {
         kv_budget_bytes: Some(64 * block_bytes),
         kv_block_tokens: block_tokens,

@@ -259,6 +259,76 @@ fn chrome_trace_validates_and_prometheus_mentions_the_key_series() {
     }
 }
 
+/// The Chrome trace's `shared_budget_bytes` counter follows KV evictions:
+/// on a run whose 2 MB budget makes `Hold` preemption evict sessions, no
+/// sample exceeds the budget, and once every charge is released the last
+/// sample reads zero for both classes. Releases apply at the next arrival
+/// past their completion, so a late infeasible request, rejected without a
+/// charge, closes the run.
+#[test]
+fn chrome_budget_counter_subtracts_kv_evictions() {
+    let trace = mixed_trace(&MixedTraceConfig::poisson(
+        vec![Network::BertSmall, Network::T5Mini],
+        30,
+        150.0,
+        10,
+        1000.0,
+        7919,
+    ));
+    let mut stream =
+        ServeRequest::stream_from_trace(&trace.prefill, DataflowKind::MasAttention, Some(0.05));
+    let late = AttentionWorkload {
+        batch: 0,
+        ..Network::BertSmall.attention_workload(1)
+    };
+    stream.push(ServeRequest::new(
+        stream.len() as u64,
+        3600.0,
+        DataflowKind::MasAttention,
+        late,
+        None,
+    ));
+    let mut engine = ServeEngine::new(EngineConfig {
+        policy: SchedulePolicy::DecodePriority,
+        decode: DecodePolicy {
+            step_deadline_s: Some(0.003),
+            kv_dtype: Some(KvDtype::F16),
+            prefix_share: true,
+            ..DecodePolicy::default()
+        },
+        chunked_prefill: Some(ChunkPolicy::new(64)),
+        preempt: Some(PreemptMode::Hold),
+        tracks: Some(TrackConfig::default()),
+        shared_budget_bytes: Some(2_000_000),
+        telemetry: Some(TelemetryConfig::default()),
+        ..EngineConfig::default()
+    });
+    let report = engine.run(&stream, &trace.decode).unwrap();
+    assert!(report.preemptions_decode > 0, "{}", report.summary());
+
+    let json = engine.telemetry().unwrap().chrome_trace_json();
+    let field = |line: &str, name: &str| -> u64 {
+        let key = format!("\"{name}\":");
+        let value = &line[line.find(&key).unwrap() + key.len()..];
+        let end = value.find(|c: char| !c.is_ascii_digit()).unwrap();
+        value[..end].parse().unwrap()
+    };
+    let samples: Vec<(u64, u64)> = json
+        .lines()
+        .filter(|line| line.contains("\"name\":\"shared_budget_bytes\""))
+        .map(|line| (field(line, "prefill"), field(line, "decode")))
+        .collect();
+    assert!(!samples.is_empty());
+    for &(prefill, decode) in &samples {
+        assert!(
+            prefill + decode <= report.mem_budget_bytes,
+            "sample {prefill} + {decode} exceeds the {} byte budget",
+            report.mem_budget_bytes
+        );
+    }
+    assert_eq!(samples.last(), Some(&(0, 0)));
+}
+
 #[test]
 fn prefix_sharing_events_rebuild_the_report_and_release_the_group_last() {
     // 6 sessions in one prefix group sharing a 64-token system prompt,

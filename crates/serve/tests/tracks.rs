@@ -8,7 +8,8 @@
 //!   makespan is ≤ the scalar model's on every workload of a
 //!   deterministic differential suite (decode-heavy, prefill-heavy,
 //!   mixed, chunked), completing exactly the same work, and strictly
-//!   better on the DRAM-bound fine-grained decode grid.
+//!   better on the DRAM-bound fine-grained decode grid (≥1.2× at a
+//!   one-token prompt).
 //! * **Per-queue crossover** — the paper's memory-bound/compute-bound
 //!   regimes reappear per track: a KV-streaming decode run keeps the
 //!   inbound-DMA track the busiest, a large-batch prefill run the MAC
@@ -233,8 +234,9 @@ fn overlap_makespan_never_exceeds_scalar_across_the_differential_suite() {
 /// appended-row writeback a fixed ~25% of each step's traffic, so routing
 /// the two DMA directions onto separate queues (plus pipelining launches
 /// on the track clocks) must beat the scalar sum-of-directions model
-/// strictly — this is the bench's ≥1.2× leg, pinned here at a
-/// conservative strict-improvement bar.
+/// strictly. On the 16-session × 8-step sweep the win decays toward 1.0×
+/// as the KV stream swamps the fixed writeback: overlap is never worse
+/// from prompt 1 to 1024, and wins ≥1.2× at prompt 1.
 #[test]
 fn overlap_strictly_beats_scalar_on_dram_bound_fine_grained_decode() {
     let config = EngineConfig {
@@ -243,7 +245,7 @@ fn overlap_strictly_beats_scalar_on_dram_bound_fine_grained_decode() {
         ..EngineConfig::default()
     };
     let decode = lockstep_decode(16, 24, 1, 1e-7);
-    let (scalar, overlap) = run_pair(config, TrackConfig::default(), &[], &decode);
+    let (scalar, overlap) = run_pair(config.clone(), TrackConfig::default(), &[], &decode);
     assert_never_worse(&scalar, &overlap, "dram-bound decode");
     assert!(
         overlap.makespan_s < 0.95 * scalar.makespan_s,
@@ -252,6 +254,17 @@ fn overlap_strictly_beats_scalar_on_dram_bound_fine_grained_decode() {
         overlap.makespan_s,
         scalar.makespan_s,
     );
+
+    for prompt in [1usize, 8, 64, 256, 1024] {
+        let decode = lockstep_decode(16, 8, prompt, 1e-7);
+        let (scalar, overlap) = run_pair(config.clone(), TrackConfig::default(), &[], &decode);
+        assert_never_worse(&scalar, &overlap, &format!("decode sweep prompt={prompt}"));
+        let win = scalar.makespan_s / overlap.makespan_s;
+        assert!(
+            prompt != 1 || win >= 1.2,
+            "the writeback-dominated prompt-1 leg must win >= 1.2x, got {win:.3}x"
+        );
+    }
 }
 
 /// The paper's memory-bound/compute-bound crossover, reproduced per
