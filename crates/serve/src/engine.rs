@@ -160,19 +160,17 @@ use crate::batcher::BatchPolicy;
 use crate::cache::{planning_fingerprint, CacheKey, CachedPlan, ScheduleCache};
 use crate::decode::{
     decode_step_lower_bound_s_with_kv, prefill_chunk_service_s_with_kv, DecodePolicy,
-    DecodeRejectReason, DecodeReport, DecodeStepOutcome,
+    DecodeRejectReason, DecodeReport,
 };
 use crate::key::{BatchKey, ChunkKey, DecodeKey, LaunchKey, WorkClass};
-use crate::ledger::Ledger;
-use crate::metrics::{LatencyStats, RejectedRequest, RequestOutcome, ServeReport};
+use crate::ledger::{Completion, Ledger};
+use crate::metrics::{LatencyStats, RejectedRequest, ServeReport};
 use crate::queue::{
     service_time_lower_bound_s, workload_is_feasible, AdmissionPolicy, BacklogEstimator,
     RejectReason,
 };
 use crate::request::ServeRequest;
-use crate::telemetry::{
-    EventKind, MemOwner, PreemptVictim, SealCause, Telemetry, TelemetryConfig, TelemetryRecorder,
-};
+use crate::telemetry::{EventKind, MemOwner, PreemptVictim, SealCause, Telemetry, TelemetryConfig};
 
 /// Which queue feeds the launch slots when launches of both classes are
 /// ready at the same stream instant (iteration-level scheduling).
@@ -340,8 +338,10 @@ pub struct EngineConfig {
     /// Opt-in structured telemetry ([`crate::telemetry`]). `None` (the
     /// default) keeps no log; `Some` also appends every [`EventKind`] the
     /// engine folds into its report to a log retrievable via
-    /// [`ServeEngine::telemetry`] after a run. Recording never changes the
-    /// report: the engine builds it from the same events either way.
+    /// [`ServeEngine::telemetry`] after a run. The log is uncapped and is
+    /// the run's only record: its report, histograms and exports are all
+    /// derived from it afterwards. Recording never changes the report: the
+    /// engine builds it from the same events either way.
     pub telemetry: Option<TelemetryConfig>,
     /// Opt-in chunked prefill. `None` (the default) keeps every replay
     /// bit-identical to the pre-chunking engine; `Some` lowers long
@@ -648,13 +648,13 @@ impl ServeEngine {
         let sessions = validate_inputs(prefill, decode, self.config.decode.step_deadline_s)?;
         let hw = self.planner.hardware().clone();
         let budget = self.config.budget(&hw);
-        let recycled = self.telemetry.take().map(Telemetry::into_event_buffer);
-        let recorder = self.config.telemetry.map(|telemetry_config| {
+        let recycled = self.telemetry.take();
+        let log = self.config.telemetry.map(|_| {
             // Capacity hint: every work item produces a handful of events
             // (arrival, join, dispatch share, completion) plus run overhead.
             let hint = prefill.len() * 4 + decode.steps.len() * 4 + 64;
-            let mut recorder = TelemetryRecorder::new(telemetry_config, hint, recycled);
-            recorder.record(
+            let mut log = Telemetry::recording(hint, recycled);
+            log.record(
                 0.0,
                 EventKind::RunStart {
                     policy: self.config.policy,
@@ -666,7 +666,7 @@ impl ServeEngine {
                     step_deadline_s: self.config.decode.step_deadline_s,
                 },
             );
-            recorder
+            log
         });
         let mut ledger = Ledger::new(self.config.policy, self.config.devices, budget);
         ledger.reserve_outcomes(prefill.len(), decode.steps.len());
@@ -701,7 +701,7 @@ impl ServeEngine {
             estimator: BacklogEstimator::new(self.config.devices),
             prefix_groups: BTreeMap::new(),
             active_sessions: 0,
-            events: EventSink { ledger, recorder },
+            events: EventSink { ledger, log },
         };
 
         // Merge the two arrival streams: prefill sorted by (arrival, id) and
@@ -736,19 +736,25 @@ impl ServeEngine {
         // Destructure the pass to end its borrows of the engine before
         // storing the sealed telemetry back on `self`.
         let EngineRun { events, tracks, .. } = pass;
-        self.telemetry = events.recorder.map(TelemetryRecorder::finish);
+        self.telemetry = events.log;
         self.track_stats = tracks;
         Ok(events.ledger.into_report())
     }
 }
 
 /// Rejects a non-finite or negative arrival time anywhere in either stream,
-/// naming the offending request or session, and a prefill request id or
-/// session id used twice. The event loop orders, windows and expires work
-/// by arrival, so such a timestamp has no meaningful place on the
-/// timeline; a shared request id would make two requests one in the event
-/// log, and a shared session id would leave a step's session ambiguous.
-/// Returns the run's session slab, which the duplicate check sorts.
+/// naming the offending request or session, a prefill request id or
+/// session id used twice, a session whose prompt plus steps exceed
+/// `u32::MAX` tokens, and a step of a declared session whose index is not
+/// below the session's step count or not above its previous step's. The
+/// event loop orders, windows and expires work by arrival, so such a
+/// timestamp has no meaningful place on the timeline; a shared request id
+/// would make two requests one in the event log, and a shared session id
+/// would leave a step's session ambiguous. The log stores step indices
+/// and context lengths as `u32`, a repeated step would complete twice, and
+/// a step past the session's count would keep it from ever finishing and
+/// releasing its KV charge. Returns the run's session slab, which the
+/// duplicate check sorts.
 fn validate_inputs<'a>(
     prefill: &[ServeRequest],
     decode: &'a DecodeTrace,
@@ -796,16 +802,55 @@ fn validate_inputs<'a>(
             ),
         });
     }
-    if let Some(e) = decode.steps.iter().find(|e| !valid_arrival(e.arrival_s)) {
+    let context_limit = u32::MAX as usize;
+    if let Some(spec) = (decode.sessions.iter()).find(|s| {
+        s.prompt_len
+            .checked_add(s.steps)
+            .is_none_or(|n| n > context_limit)
+    }) {
         return Err(SimError::InvalidConfig {
             reason: format!(
-                "decode step {} of session {} arrives at {} s; arrival times must be finite \
-                 and >= 0",
-                e.step_index, e.session_id, e.arrival_s
+                "decode session {} has a {}-token prompt and {} steps; their sum must not \
+                 exceed {context_limit} tokens",
+                spec.id, spec.prompt_len, spec.steps
             ),
         });
     }
-    Sessions::new(&decode.sessions)
+    let sessions = Sessions::new(&decode.sessions)?;
+    // Per session slot, the least index its next step may carry. Steps of
+    // undeclared sessions are rejected at run time.
+    let mut next_index = vec![0usize; sessions.slots.len()];
+    for e in &decode.steps {
+        let invalid = |why: String| SimError::InvalidConfig {
+            reason: format!(
+                "decode step {} of session {} {why}",
+                e.step_index, e.session_id
+            ),
+        };
+        if !valid_arrival(e.arrival_s) {
+            return Err(invalid(format!(
+                "arrives at {} s; arrival times must be finite and >= 0",
+                e.arrival_s
+            )));
+        }
+        let Some(slot) = sessions.slot(e.session_id) else {
+            continue;
+        };
+        let steps = sessions.slots[slot].spec.steps;
+        if e.step_index >= steps {
+            return Err(invalid(format!(
+                "is out of range: the session declares {steps} steps"
+            )));
+        }
+        if e.step_index < next_index[slot] {
+            return Err(invalid(format!(
+                "follows step {} of the same session; step indices must increase in trace order",
+                next_index[slot] - 1
+            )));
+        }
+        next_index[slot] = e.step_index + 1;
+    }
+    Ok(sessions)
 }
 
 /// Plans one uncached prefill key: tiling via the plan-only entry point,
@@ -908,8 +953,8 @@ enum Release {
 /// recording.
 struct EventSink {
     ledger: Ledger,
-    /// The opt-in telemetry recorder (`None` keeps no log).
-    recorder: Option<TelemetryRecorder>,
+    /// The opt-in event log (`None` keeps none).
+    log: Option<Telemetry>,
 }
 
 impl EventSink {
@@ -917,8 +962,8 @@ impl EventSink {
     #[inline]
     fn emit(&mut self, t_s: f64, kind: EventKind) {
         self.ledger.apply(t_s, &kind);
-        if let Some(recorder) = self.recorder.as_mut() {
-            recorder.record(t_s, kind);
+        if let Some(log) = self.log.as_mut() {
+            log.record(t_s, kind);
         }
     }
 
@@ -926,8 +971,8 @@ impl EventSink {
     /// stage spans and the id-only rejection and completions), building it
     /// only when recording.
     fn log(&mut self, t_s: f64, kind: impl FnOnce() -> EventKind) {
-        if let Some(recorder) = self.recorder.as_mut() {
-            recorder.record(t_s, kind());
+        if let Some(log) = self.log.as_mut() {
+            log.record(t_s, kind());
         }
     }
 
@@ -964,37 +1009,44 @@ impl EventSink {
         });
     }
 
-    /// Logs a prefill completion carried by `launch_id` and hands the
-    /// ledger its outcome.
-    fn complete_prefill(&mut self, launch_id: u64, outcome: RequestOutcome) {
-        if let Some(recorder) = self.recorder.as_mut() {
-            recorder.record(
-                outcome.completion_s,
-                EventKind::PrefillCompleted {
-                    id: outcome.id,
-                    launch_id,
-                },
-            );
-            recorder.observe_latency(WorkClass::Prefill, outcome.latency_s());
-        }
-        self.ledger.complete_prefill(outcome);
+    /// Logs the completion of `request` by `done` and hands the ledger
+    /// its outcome.
+    fn complete_prefill(&mut self, done: &Completion, request: &ServeRequest) {
+        self.log(done.completion_s, || EventKind::PrefillCompleted {
+            id: request.id,
+            launch_id: done.launch_id,
+        });
+        self.ledger.complete_prefill(done.prefill(
+            request.id,
+            &request.workload.name,
+            request.method,
+            request.workload.batch as f64,
+            request.arrival_s,
+            request.deadline_s,
+        ));
     }
 
-    /// Logs a decode step completion and hands the ledger its outcome.
-    fn complete_decode(&mut self, outcome: DecodeStepOutcome) {
-        if let Some(recorder) = self.recorder.as_mut() {
-            recorder.record(
-                outcome.completion_s,
-                EventKind::DecodeCompleted {
-                    session_id: outcome.session_id,
-                    step_index: outcome.step_index as u32,
-                    context_len: outcome.context_len as u32,
-                    launch_id: outcome.launch_id,
-                },
-            );
-            recorder.observe_latency(WorkClass::Decode, outcome.latency_s());
-        }
-        self.ledger.complete_decode(outcome);
+    /// Logs the completion of `step` by `done` and hands the ledger its
+    /// outcome.
+    fn complete_decode(
+        &mut self,
+        done: &Completion,
+        step: &DecodeStepItem,
+        deadline_s: Option<f64>,
+    ) {
+        self.log(done.completion_s, || EventKind::DecodeCompleted {
+            session_id: step.session_id,
+            step_index: step.step_index as u32,
+            context_len: step.context_len as u32,
+            launch_id: done.launch_id,
+        });
+        self.ledger.complete_decode(done.decode(
+            step.session_id,
+            step.step_index,
+            step.context_len,
+            step.arrival_s,
+            deadline_s,
+        ));
     }
 }
 
@@ -1024,16 +1076,12 @@ struct ChunkChain<'a> {
     /// Earliest instant the next chunk may start: the batch's ready time
     /// for chunk 0, then the previous chunk's completion.
     next_ready_s: f64,
-    /// First chunk's start (member queueing ends here); set at its harden.
-    first_start_s: f64,
-    /// Running sum of hardened chunk service times, accumulated in chunk
-    /// order (chunks harden in start order, and chain starts ascend).
-    service_sum_s: f64,
+    /// The hardened chunks folded into the chain's completion, in chunk
+    /// order (chunks harden in start order, and chain starts ascend);
+    /// member outcomes close on it.
+    done: Option<Completion>,
     /// Chunks hardened so far; the chain finalizes at `chunk_sizes.len()`.
     done_chunks: usize,
-    /// The last chunk's `(launch_id, completion_s, device)`, set at its
-    /// harden — member outcomes close on it.
-    last_span: Option<(u64, f64, usize)>,
 }
 
 /// A prefill-class launch to place: a monolithic batch or one chunk of a
@@ -1638,43 +1686,28 @@ impl<'a> EngineRun<'a> {
             },
         );
         self.log_stages(span.launch.launch_id, device, span.stages.as_deref());
+        let done = Completion {
+            launch_id: span.launch.launch_id,
+            batch_id: span.launch.launch_id,
+            device,
+            start_s: span.start_s,
+            completion_s: span.completion_s,
+            service_s: span.service_s,
+            energy_pj: span.launch.energy_pj,
+            total_batch: f64::from(span.launch.total_batch),
+            cache_hit: span.launch.cache_hit,
+        };
         match span.launch.payload {
             StagedPayload::Monolithic { requests } => {
-                let total = f64::from(span.launch.total_batch);
                 for request in &requests {
-                    let latency_s = span.completion_s - request.arrival_s;
-                    self.events.complete_prefill(
-                        span.launch.launch_id,
-                        RequestOutcome {
-                            id: request.id,
-                            workload: request.workload.name.clone(),
-                            method: request.method,
-                            arrival_s: request.arrival_s,
-                            start_s: span.start_s,
-                            completion_s: span.completion_s,
-                            service_s: span.service_s,
-                            deadline_s: request.deadline_s,
-                            deadline_met: request.deadline_s.is_none_or(|d| latency_s <= d),
-                            energy_pj: span.launch.energy_pj * request.workload.batch as f64
-                                / total,
-                            cache_hit: span.launch.cache_hit,
-                            batch_id: span.launch.launch_id,
-                            device,
-                        },
-                    );
+                    self.events.complete_prefill(&done, request);
                 }
-                self.schedule_prefill_release(span.launch.launch_id, span.completion_s);
+                self.schedule_prefill_release(done.launch_id, done.completion_s);
             }
-            StagedPayload::Chunk { chain, index } => {
+            StagedPayload::Chunk { chain, .. } => {
                 let c = self.chunk_chains.get_mut(&chain).expect("chain exists");
-                if index == 0 {
-                    c.first_start_s = span.start_s;
-                }
-                c.service_sum_s += span.service_s;
+                c.done = Some(c.done.map_or(done, |chain| chain.then(done)));
                 c.done_chunks += 1;
-                if index + 1 == c.chunk_sizes.len() {
-                    c.last_span = Some((span.launch.launch_id, span.completion_s, device));
-                }
                 if c.done_chunks == c.chunk_sizes.len() {
                     self.finalize_chain(chain);
                 }
@@ -1712,41 +1745,18 @@ impl<'a> EngineRun<'a> {
     }
 
     /// Completes a chunked-prefill chain once every chunk has hardened:
-    /// member outcomes span the whole chain (queueing ends at the first
-    /// chunk's start, service sums over every chunk, the last chunk's
-    /// completion and device close the outcome, the chain id is the batch
-    /// id) and the chain's activation charge releases exactly once.
+    /// member outcomes span the whole chain ([`Completion::then`]) and the
+    /// chain's activation charge releases exactly once.
     fn finalize_chain(&mut self, chain_id: u64) {
         let chain = self.chunk_chains.remove(&chain_id).expect("chain exists");
-        let (last_launch_id, completion_s, device) = chain
-            .last_span
-            .expect("last chunk hardened before finalize");
-        let total = chain.total_batch as f64;
+        let done = chain.done.expect("every chunk hardened before finalize");
+        // The completion events reference the last chunk's launch (the one
+        // whose completion closes the outcome); replay re-derives the chain
+        // id from its chunk key.
         for request in &chain.requests {
-            let latency_s = completion_s - request.arrival_s;
-            // The completion event references the last chunk's launch (the
-            // one whose completion closes the outcome); replay re-derives
-            // the chain id from its chunk key.
-            self.events.complete_prefill(
-                last_launch_id,
-                RequestOutcome {
-                    id: request.id,
-                    workload: request.workload.name.clone(),
-                    method: request.method,
-                    arrival_s: request.arrival_s,
-                    start_s: chain.first_start_s,
-                    completion_s,
-                    service_s: chain.service_sum_s,
-                    deadline_s: request.deadline_s,
-                    deadline_met: request.deadline_s.is_none_or(|d| latency_s <= d),
-                    energy_pj: chain.energy_pj * request.workload.batch as f64 / total,
-                    cache_hit: chain.cache_hit,
-                    batch_id: chain_id,
-                    device,
-                },
-            );
+            self.events.complete_prefill(&done, request);
         }
-        self.schedule_prefill_release(chain_id, completion_s);
+        self.schedule_prefill_release(chain_id, done.completion_s);
     }
 
     /// Applies every deferred release whose completion instant has passed,
@@ -1787,8 +1797,8 @@ impl<'a> EngineRun<'a> {
         // and counted.
         let Some(bytes) = self.events.ledger.held(owner) else {
             debug_assert!(false, "duplicate release for {owner}");
-            if let Some(recorder) = self.events.recorder.as_mut() {
-                recorder.note_release_drop();
+            if let Some(log) = self.events.log.as_mut() {
+                log.note_release_drop();
             }
             return;
         };
@@ -2358,10 +2368,8 @@ impl<'a> EngineRun<'a> {
                         chunk_demands,
                         next_index: 0,
                         next_ready_s: ready_s,
-                        first_start_s: 0.0,
-                        service_sum_s: 0.0,
+                        done: None,
                         done_chunks: 0,
-                        last_span: None,
                     },
                 );
                 self.place_chunk(chain_id, cause);
@@ -2550,28 +2558,26 @@ impl<'a> EngineRun<'a> {
             },
         );
         self.log_stages(launch_id, device, stage_spans.as_deref());
+        let done = Completion {
+            launch_id,
+            batch_id: launch_id,
+            device,
+            start_s,
+            completion_s,
+            service_s: span_service_s,
+            energy_pj: 0.0,
+            total_batch: pending.len() as f64,
+            cache_hit: false,
+        };
         let deadline_s = self.config.decode.step_deadline_s;
-        for &(p, slot) in &pending {
-            let session = &mut self.sessions.slots[slot];
+        for (p, slot) in &pending {
+            let session = &mut self.sessions.slots[*slot];
             session.completed_steps += 1;
             session.pending_steps -= 1;
             if session.finished() {
-                self.releases.push(completion_s, Release::Session(slot));
+                self.releases.push(completion_s, Release::Session(*slot));
             }
-            let latency_s = completion_s - p.arrival_s;
-            self.events.complete_decode(DecodeStepOutcome {
-                session_id: p.session_id,
-                step_index: p.step_index,
-                context_len: p.context_len,
-                arrival_s: p.arrival_s,
-                start_s,
-                completion_s,
-                service_s: span_service_s,
-                deadline_s,
-                deadline_met: deadline_s.is_none_or(|d| latency_s <= d),
-                launch_id,
-                device,
-            });
+            self.events.complete_decode(&done, p, deadline_s);
         }
         pending.clear();
         self.launches.slots[k].steps = pending;
@@ -2683,6 +2689,7 @@ impl<'a> EngineRun<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::RequestOutcome;
     use mas_dataflow::DataflowKind;
     use mas_workloads::{DecodeSessionSpec, Network};
 
@@ -2952,6 +2959,97 @@ mod tests {
         let telemetry = engine.telemetry().unwrap();
         telemetry.conservation_check().unwrap();
         assert_eq!(telemetry.report().as_ref(), Some(&report));
+    }
+
+    /// A decode step must name a step its session declares, after the
+    /// session's previous step: a repeated step would complete twice and
+    /// break conservation, and a step past the session's count (any step of
+    /// a zero-step session) would keep the session from ever releasing its
+    /// KV charge. The run refuses both, naming the step, before it plans or
+    /// records. Skipped indices are valid.
+    #[test]
+    fn decode_step_indices_are_validated_before_any_state_changes() {
+        let mut engine = ServeEngine::new(EngineConfig {
+            telemetry: Some(TelemetryConfig::default()),
+            ..EngineConfig::default()
+        });
+        engine.run(&[], &DecodeTrace::empty()).unwrap();
+        let trace = |steps: usize, indices: &[usize]| DecodeTrace {
+            sessions: vec![
+                one_step_session(3),
+                DecodeSessionSpec {
+                    steps,
+                    ..one_step_session(7)
+                },
+            ],
+            steps: (indices.iter().enumerate())
+                .map(|(k, &step_index)| DecodeStepEvent {
+                    session_id: 7,
+                    step_index,
+                    arrival_s: 1e-4 * k as f64,
+                })
+                .collect(),
+        };
+        for (steps, indices, bad, why) in [
+            (2, &[0, 0][..], 0, "follows step 0"),
+            (3, &[1, 2, 1], 1, "follows step 2"),
+            (2, &[0, 2], 2, "is out of range"),
+            (0, &[0], 0, "is out of range"),
+        ] {
+            let err = engine
+                .run(&reqs(2, 1e-4), &trace(steps, indices))
+                .unwrap_err();
+            assert!(
+                matches!(&err, SimError::InvalidConfig { reason }
+                    if reason.contains(&format!("decode step {bad} of session 7 {why}"))),
+                "{indices:?}: {err}"
+            );
+            assert!(engine.cache().is_empty());
+            assert_eq!(engine.telemetry().map(|t| t.events().len()), Some(1));
+        }
+
+        let decode = trace(4, &[1, 3]);
+        let report = engine.run(&[], &decode).unwrap();
+        assert_eq!(report.decode.completed(), 2);
+        let telemetry = engine.telemetry().unwrap();
+        telemetry.conservation_check().unwrap();
+        assert_eq!(telemetry.report().as_ref(), Some(&report));
+    }
+
+    /// The event log stores step indices and context lengths as `u32`, so
+    /// a session whose prompt plus steps exceed `u32::MAX` tokens is
+    /// refused, naming the session; one at the limit replays, and its log
+    /// rebuilds the report.
+    #[test]
+    fn context_beyond_the_event_log_field_width_is_rejected() {
+        let limit = u32::MAX as usize;
+        let decode = |prompt_len: usize, steps: usize| DecodeTrace {
+            sessions: vec![DecodeSessionSpec {
+                prompt_len,
+                steps,
+                ..one_step_session(7)
+            }],
+            steps: vec![DecodeStepEvent {
+                session_id: 7,
+                step_index: 0,
+                arrival_s: 0.0,
+            }],
+        };
+        let mut engine = ServeEngine::new(EngineConfig {
+            telemetry: Some(TelemetryConfig::default()),
+            ..EngineConfig::default()
+        });
+        for (prompt_len, steps) in [(usize::MAX / 2, 1), (16, usize::MAX), (limit, 1)] {
+            let err = engine.run(&[], &decode(prompt_len, steps)).unwrap_err();
+            assert!(
+                matches!(&err, SimError::InvalidConfig { reason }
+                    if reason.contains("decode session 7 ")),
+                "{prompt_len} + {steps}: {err}"
+            );
+        }
+        let report = engine.run(&[], &decode(limit - 1, 1)).unwrap();
+        assert_eq!(report.decode.completed() + report.decode.rejected.len(), 1);
+        assert_eq!(engine.telemetry().unwrap().report().as_ref(), Some(&report));
     }
 
     /// Zero-dimension inputs are accounted rejections, never panics: a

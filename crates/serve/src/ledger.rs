@@ -11,12 +11,16 @@
 //! Three facts reach the report through events that carry only ids (a
 //! prefill rejection, a prefill completion and a decode completion); the
 //! caller hands those in whole through [`Ledger::reject_prefill`],
-//! [`Ledger::complete_prefill`] and [`Ledger::complete_decode`].
+//! [`Ledger::complete_prefill`] and [`Ledger::complete_decode`]. Both
+//! callers build a completed item's outcome through [`Completion`], so the
+//! energy-share, deadline and chunk-chain rules also exist once.
 //!
 //! [`ServeEngine::run`]: crate::engine::ServeEngine::run
 //! [`Telemetry::report`]: crate::telemetry::Telemetry::report
 
 use std::collections::HashMap;
+
+use mas_dataflow::DataflowKind;
 
 use crate::decode::{DecodeReport, DecodeStepOutcome, RejectedDecodeStep};
 use crate::engine::{DeviceUtil, EngineReport, SchedulePolicy};
@@ -58,6 +62,103 @@ impl MemPeak {
             };
         }
         moved
+    }
+}
+
+/// The launch, or chunk chain, that completed a work item, as the item's
+/// outcome records it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Completion {
+    /// The launch whose completion closes the item: a chain's last chunk.
+    pub(crate) launch_id: u64,
+    /// The batch the item rode: the launch, or the chain (whose id is its
+    /// first chunk's launch id).
+    pub(crate) batch_id: u64,
+    pub(crate) device: usize,
+    /// The launch's start, or the chain's first chunk's.
+    pub(crate) start_s: f64,
+    pub(crate) completion_s: f64,
+    /// The launch's service, or the sum over the chain's chunks.
+    pub(crate) service_s: f64,
+    /// The plan's energy (zero for decode), shared by the members in
+    /// proportion to their batch dimension.
+    pub(crate) energy_pj: f64,
+    /// The members' summed batch dimension.
+    pub(crate) total_batch: f64,
+    pub(crate) cache_hit: bool,
+}
+
+impl Completion {
+    /// The chain completed so far followed by its next chunk, which ran as
+    /// `chunk`: the chain keeps its id and first start, sums service in
+    /// chunk order and takes the rest from its latest chunk (the last
+    /// chunk carries the plan's energy).
+    pub(crate) fn then(self, chunk: Completion) -> Completion {
+        Completion {
+            batch_id: self.batch_id,
+            start_s: self.start_s,
+            service_s: self.service_s + chunk.service_s,
+            ..chunk
+        }
+    }
+
+    /// The outcome of a prefill request of batch dimension `batch` that
+    /// arrived at `arrival_s` and completed here.
+    pub(crate) fn prefill(
+        &self,
+        id: u64,
+        workload: &str,
+        method: DataflowKind,
+        batch: f64,
+        arrival_s: f64,
+        deadline_s: Option<f64>,
+    ) -> RequestOutcome {
+        RequestOutcome {
+            id,
+            workload: workload.to_string(),
+            method,
+            arrival_s,
+            start_s: self.start_s,
+            completion_s: self.completion_s,
+            service_s: self.service_s,
+            deadline_s,
+            deadline_met: self.met(arrival_s, deadline_s),
+            energy_pj: self.energy_pj * batch / self.total_batch,
+            cache_hit: self.cache_hit,
+            batch_id: self.batch_id,
+            device: self.device,
+        }
+    }
+
+    /// The outcome of a decode step that arrived at `arrival_s` and
+    /// completed here.
+    pub(crate) fn decode(
+        &self,
+        session_id: u64,
+        step_index: usize,
+        context_len: usize,
+        arrival_s: f64,
+        deadline_s: Option<f64>,
+    ) -> DecodeStepOutcome {
+        DecodeStepOutcome {
+            session_id,
+            step_index,
+            context_len,
+            arrival_s,
+            start_s: self.start_s,
+            completion_s: self.completion_s,
+            service_s: self.service_s,
+            deadline_s,
+            deadline_met: self.met(arrival_s, deadline_s),
+            launch_id: self.launch_id,
+            device: self.device,
+        }
+    }
+
+    /// Whether an item that arrived at `arrival_s` met its relative
+    /// deadline (always, without one).
+    fn met(&self, arrival_s: f64, deadline_s: Option<f64>) -> bool {
+        deadline_s.is_none_or(|d| self.completion_s - arrival_s <= d)
     }
 }
 
@@ -136,6 +237,28 @@ impl Ledger {
             .saturating_add(self.kv_in_use)
             .saturating_add(bytes)
             <= self.budget
+    }
+
+    /// Whether `kind` charges or releases the shared budget, and so may
+    /// move [`Ledger::occupancy`].
+    pub(crate) fn moves_budget(kind: &EventKind) -> bool {
+        matches!(
+            kind,
+            EventKind::PrefillJoin { .. }
+                | EventKind::SessionOpen { .. }
+                | EventKind::PrefixShared { .. }
+                | EventKind::KvGrow { .. }
+                | EventKind::BudgetRelease { .. }
+                | EventKind::Preempted {
+                    victim: PreemptVictim::Session { .. }
+                }
+        )
+    }
+
+    /// The shared budget's occupancy: prefill activation bytes and decode
+    /// KV bytes charged.
+    pub(crate) fn occupancy(&self) -> (u64, u64) {
+        (self.prefill_charged, self.kv_in_use)
     }
 
     /// The bytes `owner` holds, or `None` when it holds no live charge

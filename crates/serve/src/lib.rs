@@ -59,12 +59,12 @@
 //!    [`EventKind`] and builds its report by folding those events through
 //!    one internal ledger, which also tracks the shared budget. With
 //!    [`EngineConfig::telemetry`](engine::EngineConfig::telemetry) set the
-//!    events are also appended to an [`EngineEvent`] timeline alongside
-//!    streaming log-bucketed latency histograms, so recording never
-//!    changes the report; post-hoc analysis folds the log through the same
-//!    ledger to reconstruct the report bit-for-bit, attributes memory
-//!    peaks and device utilization, and exports Chrome trace-event JSON
-//!    (Perfetto) and Prometheus text snapshots.
+//!    events are also appended to an [`EngineEvent`] timeline, the run's
+//!    only record, so recording never changes the report; post-hoc
+//!    analysis folds the log through the same ledger to reconstruct the
+//!    report bit-for-bit, attributes memory peaks and device utilization,
+//!    and exports Chrome trace-event JSON (Perfetto) and Prometheus text
+//!    snapshots with log-bucketed latency histograms, all from that fold.
 //!
 //! Reports are a pure function of the streams and the configuration: a warm
 //! cache changes wall-clock planning cost only, never results.

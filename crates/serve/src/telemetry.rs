@@ -47,18 +47,15 @@
 //! builds its report by folding them through the crate's one accounting
 //! implementation (the ledger); recording only appends them to the log.
 //! Events that only the log needs (the run header, arrivals and track
-//! stages) are built only when recording. Enabled, the recorder appends
+//! stages) are built only when recording. Enabled, the engine appends
 //! compact plain-data events to a pre-reserved (and across-runs recycled)
-//! `Vec` and updates two fixed-size histograms — tens of nanoseconds per
-//! event. The `telemetry` bench pins the contract from both ends: a cold
-//! replay of the mixed contention scenario (engine construction,
-//! planning, replay — the serving cost a user pays) stays within **5%**,
-//! and the marginal recording cost on a warm pure-replay loop stays under
-//! an absolute per-event bound, so neither a planning regression nor a
-//! bloated event can hide in the other's denominator.
-//! [`TelemetryConfig::max_events`] bounds memory: past the cap events are
-//! counted as dropped instead of recorded (and event-derived analyses
-//! report the log as incomplete).
+//! `Vec`, and does nothing else: the log is the run's only record, with no
+//! cap and no live aggregates. The `telemetry` bench pins the contract
+//! from both ends: a cold replay of the mixed contention scenario (engine
+//! construction, planning, replay — the serving cost a user pays) stays
+//! within **5%**, and the marginal recording cost on a warm pure-replay
+//! loop stays under an absolute per-event bound, so neither a planning
+//! regression nor a bloated event can hide in the other's denominator.
 //!
 //! ## Replay fidelity
 //!
@@ -69,13 +66,21 @@
 //! ledger the engine folded the events through live, in recording order;
 //! the replay only rebuilds the three facts whose events carry ids (a
 //! prefill rejection and the two completions) from the arrival and launch
-//! events, and snapshots the peak's holders for
-//! [`Telemetry::peak_attribution`]. Equality is pinned by
-//! `tests/telemetry.rs` over random mixed traces × policies × budgets ×
-//! chunking, preemption, track and KV-dtype modes, and by the golden
-//! digests of `tests/golden_reports.rs`. Conservation (every arrival
-//! resolves exactly once) and per-track monotonicity are checkable with
-//! [`Telemetry::conservation_check`] / [`Telemetry::tracks_monotone`].
+//! events, through the same outcome constructor the engine uses, and
+//! snapshots the peak's holders for [`Telemetry::peak_attribution`].
+//! Equality is pinned by `tests/telemetry.rs` over random mixed traces ×
+//! policies × budgets × chunking, preemption, track and KV-dtype modes,
+//! and by the golden digests of `tests/golden_reports.rs`. Conservation
+//! (every arrival resolves exactly once) and per-track monotonicity are
+//! checkable with [`Telemetry::conservation_check`] /
+//! [`Telemetry::tracks_monotone`].
+//!
+//! One fold is behind every view. The Prometheus counters, gauges and
+//! latency histograms, [`Telemetry::latency_histogram`] and
+//! [`Telemetry::device_utilization`] all read the rebuilt report; the
+//! Chrome trace's `shared_budget_bytes` counter reads the ledger's
+//! occupancy as it folds the log; and the Chrome `queue_depth` counter and
+//! [`Telemetry::queue_depth`] apply one join/dispatch rule.
 //!
 //! ## Exporter formats
 //!
@@ -110,22 +115,17 @@ use serde::Serialize;
 use mas_dataflow::DataflowKind;
 use mas_sim::{TrackKind, TRACK_COUNT};
 
-use crate::decode::{DecodeRejectReason, DecodeStepOutcome};
+use crate::decode::DecodeRejectReason;
 use crate::engine::{DeviceUtil, EngineReport, SchedulePolicy};
-use crate::key::{ChunkKey, LaunchKey, WorkClass};
-use crate::ledger::Ledger;
-use crate::metrics::{RejectedRequest, RequestOutcome};
+use crate::key::{LaunchKey, WorkClass};
+use crate::ledger::{Completion, Ledger};
+use crate::metrics::RejectedRequest;
 use crate::queue::RejectReason;
 
 /// Opt-in telemetry configuration ([`crate::engine::EngineConfig::telemetry`]).
+/// Setting it turns recording on; the log has no options.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
-pub struct TelemetryConfig {
-    /// Maximum events retained per run. `None` is unbounded; with a cap,
-    /// events past it are counted as dropped ([`Telemetry::dropped`]) and
-    /// event-derived analyses ([`Telemetry::report`]) decline rather than
-    /// return partial answers.
-    pub max_events: Option<usize>,
-}
+pub struct TelemetryConfig {}
 
 /// Which memory-budget holder a charge or release belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
@@ -482,114 +482,51 @@ pub enum PreemptVictim {
     },
 }
 
-/// The in-flight recorder owned by one engine replay. Append-only; all
-/// analysis lives on the finished [`Telemetry`].
+/// The event log of one engine replay, with analysis and exporters. The
+/// engine appends to it during the run; read it from
+/// [`crate::engine::ServeEngine::telemetry`] after a run with
+/// [`TelemetryConfig`] set.
 #[derive(Debug, Clone)]
-pub(crate) struct TelemetryRecorder {
+pub struct Telemetry {
     events: Vec<EngineEvent>,
-    max_events: usize,
-    dropped: u64,
     release_drops: u64,
-    prefill_hist: LogHistogram,
-    decode_hist: LogHistogram,
 }
 
-impl TelemetryRecorder {
-    /// Creates a recorder, pre-reserving capacity for `capacity_hint`
-    /// events (clamped to the configured cap). `recycle` donates the event
-    /// buffer of a previous run's [`Telemetry`] — reusing its allocation
+impl Telemetry {
+    /// An empty log with room for `capacity_hint` events. `recycle` donates
+    /// the event buffer of a previous run's log — reusing its allocation
     /// keeps repeated replays on one warm engine from re-faulting a fresh
     /// multi-hundred-KB buffer every run, which would dominate the
     /// recording overhead.
-    pub(crate) fn new(
-        config: TelemetryConfig,
-        capacity_hint: usize,
-        recycle: Option<Vec<EngineEvent>>,
-    ) -> Self {
-        let max_events = config.max_events.unwrap_or(usize::MAX);
-        let want = capacity_hint.min(max_events).min(1 << 20);
-        let mut events = recycle.unwrap_or_default();
+    pub(crate) fn recording(capacity_hint: usize, recycle: Option<Telemetry>) -> Self {
+        let want = capacity_hint.min(1 << 20);
+        let mut events = recycle.map(|log| log.events).unwrap_or_default();
         events.clear();
         if events.capacity() < want {
             events.reserve(want - events.capacity());
         }
         Self {
             events,
-            max_events,
-            dropped: 0,
             release_drops: 0,
-            prefill_hist: LogHistogram::new(),
-            decode_hist: LogHistogram::new(),
         }
+    }
+
+    /// Appends one event.
+    #[inline]
+    pub(crate) fn record(&mut self, t_s: f64, kind: EventKind) {
+        self.events.push(EngineEvent { t_s, kind });
     }
 
     /// Counts one rejected duplicate budget release (a release arriving for
     /// an owner with no live charge — the double-release hazard).
-    #[inline]
     pub(crate) fn note_release_drop(&mut self) {
         self.release_drops += 1;
-    }
-
-    /// Appends one event, or counts it dropped past the cap.
-    #[inline]
-    pub(crate) fn record(&mut self, t_s: f64, kind: EventKind) {
-        if self.events.len() < self.max_events {
-            self.events.push(EngineEvent { t_s, kind });
-        } else {
-            self.dropped += 1;
-        }
-    }
-
-    /// Streams one completion latency into the class's histogram.
-    #[inline]
-    pub(crate) fn observe_latency(&mut self, class: WorkClass, latency_s: f64) {
-        match class {
-            WorkClass::Prefill => self.prefill_hist.observe(latency_s),
-            WorkClass::Decode => self.decode_hist.observe(latency_s),
-        }
-    }
-
-    /// Seals the recorder into an analyzable [`Telemetry`].
-    pub(crate) fn finish(self) -> Telemetry {
-        Telemetry {
-            events: self.events,
-            dropped: self.dropped,
-            release_drops: self.release_drops,
-            prefill_hist: self.prefill_hist,
-            decode_hist: self.decode_hist,
-        }
-    }
-}
-
-/// The sealed event log of one engine replay, with analysis and exporters.
-/// Obtained from [`crate::engine::ServeEngine::telemetry`] after a run with
-/// [`TelemetryConfig`] set.
-#[derive(Debug, Clone)]
-pub struct Telemetry {
-    events: Vec<EngineEvent>,
-    dropped: u64,
-    release_drops: u64,
-    prefill_hist: LogHistogram,
-    decode_hist: LogHistogram,
-}
-
-impl Telemetry {
-    /// Consumes the telemetry, handing its event buffer back for
-    /// [`TelemetryRecorder::new`] to recycle on the next run.
-    pub(crate) fn into_event_buffer(self) -> Vec<EngineEvent> {
-        self.events
     }
 
     /// The recorded events, in recording order (index = sequence number).
     #[must_use]
     pub fn events(&self) -> &[EngineEvent] {
         &self.events
-    }
-
-    /// Events dropped past [`TelemetryConfig::max_events`].
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.dropped
     }
 
     /// Duplicate budget releases the engine detected and rejected (a
@@ -601,37 +538,27 @@ impl Telemetry {
         self.release_drops
     }
 
-    /// Whether the log captured every transition (nothing dropped).
+    /// The log-bucketed latency histogram of a class, built from the
+    /// rebuilt report's outcomes in completion order (empty without a
+    /// [`EventKind::RunStart`]). Histograms merge across engines
+    /// ([`LogHistogram::merge`]).
     #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.dropped == 0
-    }
-
-    /// The streaming log-bucketed latency histogram of a class. Unlike the
-    /// event log these are never truncated by `max_events`, and they merge
-    /// across engines ([`LogHistogram::merge`]).
-    #[must_use]
-    pub fn latency_histogram(&self, class: WorkClass) -> &LogHistogram {
-        match class {
-            WorkClass::Prefill => &self.prefill_hist,
-            WorkClass::Decode => &self.decode_hist,
-        }
+    pub fn latency_histogram(&self, class: WorkClass) -> LogHistogram {
+        self.report()
+            .map_or_else(LogHistogram::new, |report| class_histogram(&report, class))
     }
 
     /// Reconstructs the full [`EngineReport`] purely from the event log —
     /// bit-for-bit equal to the report the engine produced, because both
-    /// fold the same events through the same ledger. `None` when the log is
-    /// incomplete (dropped events) or has no [`EventKind::RunStart`].
+    /// fold the same events through the same ledger. `None` when the log
+    /// has no [`EventKind::RunStart`].
     #[must_use]
     pub fn report(&self) -> Option<EngineReport> {
-        if !self.is_complete() {
-            return None;
-        }
         Some(Replay::run(&self.events)?.ledger.into_report())
     }
 
     /// Per-device utilization replayed from the event log. Empty when the
-    /// log is incomplete or never started.
+    /// log never started.
     #[must_use]
     pub fn device_utilization(&self) -> Vec<DeviceUtil> {
         self.report()
@@ -640,13 +567,10 @@ impl Telemetry {
 
     /// Shared-budget occupancy peak with attribution: which holders
     /// (prefill launches, sessions, prefix groups) held bytes at the peak
-    /// instant. `None` when the log is incomplete or the budget was never
+    /// instant. `None` when the log never started or the budget was never
     /// charged.
     #[must_use]
     pub fn peak_attribution(&self) -> Option<PeakAttribution> {
-        if !self.is_complete() {
-            return None;
-        }
         Replay::run(&self.events)?.peak
     }
 
@@ -657,20 +581,9 @@ impl Telemetry {
         let mut series = TimeSeries::new();
         let mut depth = 0i64;
         for event in &self.events {
-            match &event.kind {
-                EventKind::PrefillJoin { .. } if class == WorkClass::Prefill => {
-                    depth += 1;
-                    series.push(event.t_s, depth);
-                }
-                EventKind::DecodeJoin { .. } if class == WorkClass::Decode => {
-                    depth += 1;
-                    series.push(event.t_s, depth);
-                }
-                EventKind::LaunchDispatched { key, members, .. } if key.class() == class => {
-                    depth -= i64::from(*members);
-                    series.push(event.t_s, depth);
-                }
-                _ => {}
+            if let Some((_, delta)) = queue_delta(&event.kind).filter(|&(c, _)| c == class) {
+                depth += delta;
+                series.push(event.t_s, depth);
             }
         }
         series
@@ -709,16 +622,12 @@ impl Telemetry {
     }
 
     /// Checks conservation: every arrival appears exactly once as completed
-    /// or rejected, and no completion/reject lacks an arrival. Requires a
-    /// complete log.
+    /// or rejected, and no completion/reject lacks an arrival.
     ///
     /// # Errors
     ///
     /// A description of the first violation found.
     pub fn conservation_check(&self) -> Result<ConservationStats, String> {
-        if !self.is_complete() {
-            return Err(format!("log incomplete: {} events dropped", self.dropped));
-        }
         // 0 = arrived, 1 = resolved once; anything else is a violation.
         let mut prefill: BTreeMap<u64, u32> = BTreeMap::new();
         let mut decode: BTreeMap<(u64, u32), u32> = BTreeMap::new();
@@ -939,71 +848,26 @@ impl Telemetry {
                 }
             }
         }
-        // Running counters.
-        let (mut prefill_bytes, mut decode_bytes) = (0u64, 0u64);
+        // The budget counter samples the occupancy of a ledger fed the
+        // log's charges and releases, the only events that move it (so the
+        // run's policy, devices and budget do not matter here).
+        let mut ledger = Ledger::new(SchedulePolicy::default(), 1, u64::MAX);
         let (mut prefill_depth, mut decode_depth) = (0i64, 0i64);
-        let budget_counter = |out: &mut String, first: &mut bool, t: f64, p: u64, d: u64| {
-            push(
-                out,
-                first,
-                format!(
-                    r#"{{"name":"shared_budget_bytes","ph":"C","pid":0,"tid":0,"ts":{},"args":{{"prefill":{p},"decode":{d}}}}}"#,
-                    us(t)
-                ),
-            );
-        };
-        let depth_counter = |out: &mut String, first: &mut bool, t: f64, p: i64, d: i64| {
-            push(
-                out,
-                first,
-                format!(
-                    r#"{{"name":"queue_depth","ph":"C","pid":0,"tid":0,"ts":{},"args":{{"prefill":{p},"decode":{d}}}}}"#,
-                    us(t)
-                ),
-            );
-        };
         for event in &self.events {
             let t = event.t_s;
+            if Ledger::moves_budget(&event.kind) {
+                ledger.apply(t, &event.kind);
+                let (p, d) = ledger.occupancy();
+                push(
+                    &mut out,
+                    &mut first,
+                    format!(
+                        r#"{{"name":"shared_budget_bytes","ph":"C","pid":0,"tid":0,"ts":{},"args":{{"prefill":{p},"decode":{d}}}}}"#,
+                        us(t)
+                    ),
+                );
+            }
             match &event.kind {
-                EventKind::PrefillJoin { charged_bytes, .. } => {
-                    prefill_bytes += charged_bytes;
-                    prefill_depth += 1;
-                    budget_counter(&mut out, &mut first, t, prefill_bytes, decode_bytes);
-                    depth_counter(&mut out, &mut first, t, prefill_depth, decode_depth);
-                }
-                EventKind::SessionOpen { charged_bytes, .. } => {
-                    decode_bytes += charged_bytes;
-                    budget_counter(&mut out, &mut first, t, prefill_bytes, decode_bytes);
-                }
-                EventKind::KvGrow { delta_bytes, .. } => {
-                    decode_bytes += delta_bytes;
-                    budget_counter(&mut out, &mut first, t, prefill_bytes, decode_bytes);
-                }
-                EventKind::PrefixShared { delta_bytes, .. } => {
-                    decode_bytes += delta_bytes;
-                    budget_counter(&mut out, &mut first, t, prefill_bytes, decode_bytes);
-                }
-                EventKind::DecodeJoin { .. } => {
-                    decode_depth += 1;
-                    depth_counter(&mut out, &mut first, t, prefill_depth, decode_depth);
-                }
-                EventKind::BudgetRelease { owner, bytes, .. } => {
-                    match owner {
-                        MemOwner::PrefillLaunch(_) => {
-                            prefill_bytes = prefill_bytes.saturating_sub(*bytes);
-                        }
-                        MemOwner::Session(_) | MemOwner::PrefixGroup(_) => {
-                            decode_bytes = decode_bytes.saturating_sub(*bytes);
-                        }
-                    }
-                    budget_counter(&mut out, &mut first, t, prefill_bytes, decode_bytes);
-                }
-                EventKind::Preempted {
-                    victim: PreemptVictim::Session { bytes, .. },
-                } => {
-                    decode_bytes = decode_bytes.saturating_sub(*bytes);
-                    budget_counter(&mut out, &mut first, t, prefill_bytes, decode_bytes);
-                }
                 EventKind::LaunchDispatched {
                     launch_id,
                     key,
@@ -1014,10 +878,6 @@ impl Telemetry {
                     cause,
                     ..
                 } => {
-                    match key.class() {
-                        WorkClass::Prefill => prefill_depth -= i64::from(*members),
-                        WorkClass::Decode => decode_depth -= i64::from(*members),
-                    }
                     if let Some(stages) = stage_spans.get(launch_id) {
                         // Overlap-committed launch: one span per stage on
                         // the per-track rows; the device row stays clear so
@@ -1051,7 +911,6 @@ impl Telemetry {
                             ),
                         );
                     }
-                    depth_counter(&mut out, &mut first, t, prefill_depth, decode_depth);
                 }
                 EventKind::PrefillRejected { id, reason } => {
                     push(
@@ -1090,70 +949,35 @@ impl Telemetry {
                 }
                 _ => {}
             }
+            if let Some((class, delta)) = queue_delta(&event.kind) {
+                match class {
+                    WorkClass::Prefill => prefill_depth += delta,
+                    WorkClass::Decode => decode_depth += delta,
+                }
+                let (p, d) = (prefill_depth, decode_depth);
+                push(
+                    &mut out,
+                    &mut first,
+                    format!(
+                        r#"{{"name":"queue_depth","ph":"C","pid":0,"tid":0,"ts":{},"args":{{"prefill":{p},"decode":{d}}}}}"#,
+                        us(t)
+                    ),
+                );
+            }
         }
         out.push_str("\n]\n");
         out
     }
 
     /// Exports a Prometheus text-exposition snapshot: `mas_engine_*`
-    /// counters, gauges and log-bucketed latency histograms.
+    /// counters, gauges and log-bucketed latency histograms, all read from
+    /// the rebuilt report (empty without a [`EventKind::RunStart`]).
     #[must_use]
     pub fn prometheus_text(&self) -> String {
-        let mut arrivals = [0u64; 2];
-        let mut completed = [0u64; 2];
-        let mut launches = [0u64; 2];
-        let mut prefill_rejects: BTreeMap<&'static str, u64> = BTreeMap::new();
-        let mut step_rejects: BTreeMap<&'static str, u64> = BTreeMap::new();
-        let mut session_rejects: BTreeMap<&'static str, u64> = BTreeMap::new();
-        let mut sessions_admitted = 0u64;
-        let (mut cache_hits, mut cache_misses) = (0u64, 0u64);
-        let (mut preempted_launches, mut preempted_sessions) = (0u64, 0u64);
-        for event in &self.events {
-            match &event.kind {
-                EventKind::PrefillArrival { .. } => arrivals[0] += 1,
-                EventKind::DecodeArrival { .. } => arrivals[1] += 1,
-                EventKind::PrefillCompleted { .. } => completed[0] += 1,
-                EventKind::DecodeCompleted { .. } => completed[1] += 1,
-                EventKind::PrefillRejected { reason, .. } => {
-                    *prefill_rejects.entry(reason.label()).or_insert(0) += 1;
-                }
-                EventKind::DecodeStepRejected { reason, .. } => {
-                    *step_rejects.entry(reason.label()).or_insert(0) += 1;
-                }
-                EventKind::SessionRejected { reason, .. } => {
-                    *session_rejects.entry(reason.label()).or_insert(0) += 1;
-                }
-                EventKind::SessionOpen { .. } => sessions_admitted += 1,
-                EventKind::LaunchDispatched { key, cache_hit, .. } => {
-                    match key.class() {
-                        WorkClass::Prefill => {
-                            launches[0] += 1;
-                            // One plan-cache lookup per chain, on its first
-                            // chunk (plain prefill launches are one-chunk
-                            // chains in this respect).
-                            let looked_up = match key {
-                                LaunchKey::PrefillChunk(ck) => ck.index == 0,
-                                _ => true,
-                            };
-                            if looked_up {
-                                if *cache_hit {
-                                    cache_hits += 1;
-                                } else {
-                                    cache_misses += 1;
-                                }
-                            }
-                        }
-                        WorkClass::Decode => launches[1] += 1,
-                    };
-                }
-                EventKind::Preempted { victim } => match victim {
-                    PreemptVictim::Launch { .. } => preempted_launches += 1,
-                    PreemptVictim::Session { .. } => preempted_sessions += 1,
-                },
-                _ => {}
-            }
-        }
-        let report = self.report();
+        let Some(report) = self.report() else {
+            return String::new();
+        };
+        let (prefill, decode) = (&report.prefill, &report.decode);
         let mut out = String::with_capacity(4096);
         let metric = |out: &mut String, name: &str, help: &str, kind: &str| {
             out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
@@ -1166,7 +990,8 @@ impl Telemetry {
         );
         out.push_str(&format!(
             "mas_engine_arrivals_total{{class=\"prefill\"}} {}\nmas_engine_arrivals_total{{class=\"decode\"}} {}\n",
-            arrivals[0], arrivals[1]
+            prefill.outcomes.len() + prefill.rejected.len(),
+            decode.outcomes.len() + decode.rejected.len()
         ));
         metric(
             &mut out,
@@ -1176,7 +1001,8 @@ impl Telemetry {
         );
         out.push_str(&format!(
             "mas_engine_completed_total{{class=\"prefill\"}} {}\nmas_engine_completed_total{{class=\"decode\"}} {}\n",
-            completed[0], completed[1]
+            prefill.outcomes.len(),
+            decode.outcomes.len()
         ));
         metric(
             &mut out,
@@ -1184,12 +1010,12 @@ impl Telemetry {
             "Rejected work items by class and reason.",
             "counter",
         );
-        for (reason, n) in &prefill_rejects {
+        for (reason, n) in tally(prefill.rejected.iter().map(|r| r.reason.label())) {
             out.push_str(&format!(
                 "mas_engine_rejected_total{{class=\"prefill\",reason=\"{reason}\"}} {n}\n"
             ));
         }
-        for (reason, n) in &step_rejects {
+        for (reason, n) in tally(decode.rejected.iter().map(|r| r.reason.label())) {
             out.push_str(&format!(
                 "mas_engine_rejected_total{{class=\"decode\",reason=\"{reason}\"}} {n}\n"
             ));
@@ -1200,7 +1026,7 @@ impl Telemetry {
             "Decode sessions rejected at open, by reason.",
             "counter",
         );
-        for (reason, n) in &session_rejects {
+        for (reason, n) in tally(decode.rejected_sessions.iter().map(|(_, r)| r.label())) {
             out.push_str(&format!(
                 "mas_engine_sessions_rejected_total{{reason=\"{reason}\"}} {n}\n"
             ));
@@ -1212,7 +1038,8 @@ impl Telemetry {
             "counter",
         );
         out.push_str(&format!(
-            "mas_engine_sessions_admitted_total {sessions_admitted}\n"
+            "mas_engine_sessions_admitted_total {}\n",
+            decode.sessions_admitted
         ));
         metric(
             &mut out,
@@ -1222,7 +1049,7 @@ impl Telemetry {
         );
         out.push_str(&format!(
             "mas_engine_launches_total{{class=\"prefill\"}} {}\nmas_engine_launches_total{{class=\"decode\"}} {}\n",
-            launches[0], launches[1]
+            prefill.batches, decode.launches
         ));
         metric(
             &mut out,
@@ -1231,7 +1058,8 @@ impl Telemetry {
             "counter",
         );
         out.push_str(&format!(
-            "mas_engine_cache_lookups_total{{result=\"hit\"}} {cache_hits}\nmas_engine_cache_lookups_total{{result=\"miss\"}} {cache_misses}\n"
+            "mas_engine_cache_lookups_total{{result=\"hit\"}} {}\nmas_engine_cache_lookups_total{{result=\"miss\"}} {}\n",
+            prefill.cache_hits, prefill.cache_misses
         ));
         metric(
             &mut out,
@@ -1240,7 +1068,8 @@ impl Telemetry {
             "counter",
         );
         out.push_str(&format!(
-            "mas_engine_preemptions_total{{victim=\"launch\"}} {preempted_launches}\nmas_engine_preemptions_total{{victim=\"session\"}} {preempted_sessions}\n"
+            "mas_engine_preemptions_total{{victim=\"launch\"}} {}\nmas_engine_preemptions_total{{victim=\"session\"}} {}\n",
+            report.preemptions_prefill, report.preemptions_decode
         ));
         metric(
             &mut out,
@@ -1252,61 +1081,59 @@ impl Telemetry {
             "mas_engine_release_drops_total {}\n",
             self.release_drops
         ));
-        if let Some(report) = &report {
-            metric(
-                &mut out,
-                "mas_engine_mem_budget_bytes",
-                "Shared memory budget.",
-                "gauge",
-            );
+        metric(
+            &mut out,
+            "mas_engine_mem_budget_bytes",
+            "Shared memory budget.",
+            "gauge",
+        );
+        out.push_str(&format!(
+            "mas_engine_mem_budget_bytes {}\n",
+            report.mem_budget_bytes
+        ));
+        metric(
+            &mut out,
+            "mas_engine_mem_peak_bytes",
+            "Peak shared-budget occupancy, total and by class.",
+            "gauge",
+        );
+        out.push_str(&format!(
+            "mas_engine_mem_peak_bytes{{class=\"total\"}} {}\nmas_engine_mem_peak_bytes{{class=\"prefill\"}} {}\nmas_engine_mem_peak_bytes{{class=\"decode\"}} {}\n",
+            report.mem_peak_bytes, report.mem_peak_prefill_bytes, report.mem_peak_decode_bytes
+        ));
+        metric(
+            &mut out,
+            "mas_engine_makespan_seconds",
+            "Virtual time of the last completion.",
+            "gauge",
+        );
+        out.push_str(&format!(
+            "mas_engine_makespan_seconds {}\n",
+            report.makespan_s
+        ));
+        metric(
+            &mut out,
+            "mas_engine_device_busy_seconds",
+            "Busy time per device.",
+            "gauge",
+        );
+        for (d, util) in report.device_util.iter().enumerate() {
             out.push_str(&format!(
-                "mas_engine_mem_budget_bytes {}\n",
-                report.mem_budget_bytes
+                "mas_engine_device_busy_seconds{{device=\"{d}\"}} {}\n",
+                util.busy_s
             ));
-            metric(
-                &mut out,
-                "mas_engine_mem_peak_bytes",
-                "Peak shared-budget occupancy, total and by class.",
-                "gauge",
-            );
+        }
+        metric(
+            &mut out,
+            "mas_engine_device_idle_gaps_total",
+            "Idle gaps between launches per device.",
+            "counter",
+        );
+        for (d, util) in report.device_util.iter().enumerate() {
             out.push_str(&format!(
-                "mas_engine_mem_peak_bytes{{class=\"total\"}} {}\nmas_engine_mem_peak_bytes{{class=\"prefill\"}} {}\nmas_engine_mem_peak_bytes{{class=\"decode\"}} {}\n",
-                report.mem_peak_bytes, report.mem_peak_prefill_bytes, report.mem_peak_decode_bytes
+                "mas_engine_device_idle_gaps_total{{device=\"{d}\"}} {}\n",
+                util.idle_gaps
             ));
-            metric(
-                &mut out,
-                "mas_engine_makespan_seconds",
-                "Virtual time of the last completion.",
-                "gauge",
-            );
-            out.push_str(&format!(
-                "mas_engine_makespan_seconds {}\n",
-                report.makespan_s
-            ));
-            metric(
-                &mut out,
-                "mas_engine_device_busy_seconds",
-                "Busy time per device.",
-                "gauge",
-            );
-            for (d, util) in report.device_util.iter().enumerate() {
-                out.push_str(&format!(
-                    "mas_engine_device_busy_seconds{{device=\"{d}\"}} {}\n",
-                    util.busy_s
-                ));
-            }
-            metric(
-                &mut out,
-                "mas_engine_device_idle_gaps_total",
-                "Idle gaps between launches per device.",
-                "counter",
-            );
-            for (d, util) in report.device_util.iter().enumerate() {
-                out.push_str(&format!(
-                    "mas_engine_device_idle_gaps_total{{device=\"{d}\"}} {}\n",
-                    util.idle_gaps
-                ));
-            }
         }
         metric(
             &mut out,
@@ -1314,10 +1141,8 @@ impl Telemetry {
             "End-to-end completion latency by class (log2 buckets).",
             "histogram",
         );
-        for (class, hist) in [
-            ("prefill", &self.prefill_hist),
-            ("decode", &self.decode_hist),
-        ] {
+        for class in [WorkClass::Prefill, WorkClass::Decode] {
+            let hist = class_histogram(&report, class);
             let mut cumulative = 0u64;
             for (i, &n) in hist.bucket_counts().iter().enumerate() {
                 cumulative += n;
@@ -1343,6 +1168,43 @@ impl Telemetry {
         }
         out
     }
+}
+
+/// The queue-depth change an event makes to its class: `+1` per join and
+/// `-members` per dispatch.
+fn queue_delta(kind: &EventKind) -> Option<(WorkClass, i64)> {
+    match kind {
+        EventKind::PrefillJoin { .. } => Some((WorkClass::Prefill, 1)),
+        EventKind::DecodeJoin { .. } => Some((WorkClass::Decode, 1)),
+        EventKind::LaunchDispatched { key, members, .. } => {
+            Some((key.class(), -i64::from(*members)))
+        }
+        _ => None,
+    }
+}
+
+/// The latency histogram of a class's outcomes, observed in completion
+/// order (the order the engine completed them, so the sum is bit-stable).
+fn class_histogram(report: &EngineReport, class: WorkClass) -> LogHistogram {
+    let mut hist = LogHistogram::new();
+    match class {
+        WorkClass::Prefill => {
+            (report.prefill.outcomes.iter()).for_each(|o| hist.observe(o.latency_s()))
+        }
+        WorkClass::Decode => {
+            (report.decode.outcomes.iter()).for_each(|o| hist.observe(o.latency_s()))
+        }
+    }
+    hist
+}
+
+/// Occurrences of each label, in label order.
+fn tally(labels: impl Iterator<Item = &'static str>) -> BTreeMap<&'static str, u64> {
+    let mut counts = BTreeMap::new();
+    for label in labels {
+        *counts.entry(label).or_insert(0) += 1;
+    }
+    counts
 }
 
 /// Conservation tallies returned by [`Telemetry::conservation_check`].
@@ -1552,26 +1414,6 @@ struct ArrivalInfo {
     arrival_s: f64,
 }
 
-#[derive(Clone, Copy)]
-struct LaunchInfo {
-    device: u32,
-    start_s: f64,
-    completion_s: f64,
-    service_s: f64,
-    total_batch: u32,
-    energy_pj: f64,
-    cache_hit: bool,
-    chunk: Option<ChunkKey>,
-}
-
-/// Per-chain accumulation for chunked-prefill member outcomes: the chain's
-/// first chunk start and the running service sum, folded in chunk-dispatch
-/// order so the f64 chain matches the engine's bit-for-bit.
-struct ChainAgg {
-    first_start_s: f64,
-    service_sum_s: f64,
-}
-
 /// A folded log: the ledger (the report) and the latest peak snapshot.
 struct Replay {
     ledger: Ledger,
@@ -1597,8 +1439,10 @@ impl Replay {
         let mut peak = None;
         let mut arrivals: BTreeMap<u64, ArrivalInfo> = BTreeMap::new();
         let mut decode_arrivals: BTreeMap<(u64, u32), f64> = BTreeMap::new();
-        let mut launches: BTreeMap<u64, LaunchInfo> = BTreeMap::new();
-        let mut chains: BTreeMap<u64, ChainAgg> = BTreeMap::new();
+        // Each launch's completion, with its chain for a chunk, and each
+        // chain's completion so far, folded in chunk-dispatch order.
+        let mut launches: BTreeMap<u64, (Completion, Option<u64>)> = BTreeMap::new();
+        let mut chains: BTreeMap<u64, Completion> = BTreeMap::new();
         for event in events {
             let t = event.t_s;
             match &event.kind {
@@ -1650,64 +1494,45 @@ impl Replay {
                     if *device >= devices {
                         return None;
                     }
-                    let chunk = match key {
-                        LaunchKey::PrefillChunk(ck) => Some(*ck),
+                    let done = Completion {
+                        launch_id: *launch_id,
+                        batch_id: *launch_id,
+                        device: *device as usize,
+                        start_s: *start_s,
+                        completion_s: *completion_s,
+                        service_s: *service_s,
+                        energy_pj: *energy_pj,
+                        total_batch: f64::from(*total_batch),
+                        cache_hit: *cache_hit,
+                    };
+                    let chain = match key {
+                        LaunchKey::PrefillChunk(ck) => Some(ck.chain),
                         _ => None,
                     };
-                    launches.insert(
-                        *launch_id,
-                        LaunchInfo {
-                            device: *device,
-                            start_s: *start_s,
-                            completion_s: *completion_s,
-                            service_s: *service_s,
-                            total_batch: *total_batch,
-                            energy_pj: *energy_pj,
-                            cache_hit: *cache_hit,
-                            chunk,
-                        },
-                    );
-                    if let Some(ck) = chunk {
-                        let agg = chains.entry(ck.chain).or_insert(ChainAgg {
-                            first_start_s: *start_s,
-                            service_sum_s: 0.0,
-                        });
-                        agg.service_sum_s += service_s;
+                    if let Some(chain) = chain {
+                        chains
+                            .entry(chain)
+                            .and_modify(|c| *c = c.then(done))
+                            .or_insert(done);
                     }
+                    launches.insert(*launch_id, (done, chain));
                 }
                 EventKind::PrefillCompleted { id, launch_id } => {
                     let info = arrivals.get(id)?;
-                    let launch = launches.get(launch_id)?;
-                    let latency_s = launch.completion_s - info.arrival_s;
-                    // A chunked request's outcome spans its whole chain:
-                    // queueing ends at the first chunk's start, service sums
-                    // over every chunk, and the chain id identifies the
-                    // batch (the completion event references the *last*
-                    // chunk, whose completion/device close the outcome).
-                    let (start_s, service_s, batch_id) = match launch.chunk {
-                        Some(ck) => {
-                            let agg = chains.get(&ck.chain)?;
-                            (agg.first_start_s, agg.service_sum_s, ck.chain)
-                        }
-                        None => (launch.start_s, launch.service_s, *launch_id),
+                    // A chunked request completes with its whole chain (the
+                    // event references the chain's last chunk).
+                    let done = match launches.get(launch_id)? {
+                        (_, Some(chain)) => chains.get(chain)?,
+                        (done, None) => done,
                     };
-                    ledger.complete_prefill(RequestOutcome {
-                        id: *id,
-                        workload: info.workload.clone(),
-                        method: info.method,
-                        arrival_s: info.arrival_s,
-                        start_s,
-                        completion_s: launch.completion_s,
-                        service_s,
-                        deadline_s: info.deadline_s,
-                        deadline_met: info.deadline_s.is_none_or(|d| latency_s <= d),
-                        // The engine's exact energy-share expression.
-                        energy_pj: launch.energy_pj * f64::from(info.batch)
-                            / f64::from(launch.total_batch),
-                        cache_hit: launch.cache_hit,
-                        batch_id,
-                        device: launch.device as usize,
-                    });
+                    ledger.complete_prefill(done.prefill(
+                        *id,
+                        &info.workload,
+                        info.method,
+                        f64::from(info.batch),
+                        info.arrival_s,
+                        info.deadline_s,
+                    ));
                 }
                 EventKind::DecodeCompleted {
                     session_id,
@@ -1716,21 +1541,14 @@ impl Replay {
                     launch_id,
                 } => {
                     let arrival_s = *decode_arrivals.get(&(*session_id, *step_index))?;
-                    let launch = launches.get(launch_id)?;
-                    let latency_s = launch.completion_s - arrival_s;
-                    ledger.complete_decode(DecodeStepOutcome {
-                        session_id: *session_id,
-                        step_index: *step_index as usize,
-                        context_len: *context_len as usize,
+                    let (done, _) = launches.get(launch_id)?;
+                    ledger.complete_decode(done.decode(
+                        *session_id,
+                        *step_index as usize,
+                        *context_len as usize,
                         arrival_s,
-                        start_s: launch.start_s,
-                        completion_s: launch.completion_s,
-                        service_s: launch.service_s,
-                        deadline_s: step_deadline_s,
-                        deadline_met: step_deadline_s.is_none_or(|d| latency_s <= d),
-                        launch_id: *launch_id,
-                        device: launch.device as usize,
-                    });
+                        step_deadline_s,
+                    ));
                 }
                 _ => {}
             }
@@ -1822,7 +1640,7 @@ pub fn validate_chrome_trace(json: &str) -> Result<ChromeTraceStats, String> {
     }
     stats.span_tracks = tracks.len();
     for ((pid, tid), mut spans) in tracks {
-        spans.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite timestamps"));
+        spans.sort_by(|a, b| a.0.total_cmp(&b.0));
         for pair in spans.windows(2) {
             let (prev_ts, prev_dur) = pair[0];
             let (next_ts, _) = pair[1];
@@ -1869,10 +1687,16 @@ enum JsonValue {
     Object(Vec<(String, JsonValue)>),
 }
 
+/// The deepest array/object nesting [`parse_json`] accepts. Exported
+/// traces nest 3 levels; the bound keeps the recursive parser's stack
+/// small on hostile input.
+const MAX_JSON_DEPTH: usize = 64;
+
 fn parse_json(input: &str) -> Result<JsonValue, String> {
     let mut parser = JsonParser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let value = parser.value()?;
     parser.skip_ws();
@@ -1885,6 +1709,8 @@ fn parse_json(input: &str) -> Result<JsonValue, String> {
 struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl JsonParser<'_> {
@@ -1917,8 +1743,22 @@ impl JsonParser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_JSON_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             b'"' => Ok(JsonValue::String(self.string()?)),
             b't' => self.literal("true", JsonValue::Bool(true)),
             b'f' => self.literal("false", JsonValue::Bool(false)),
@@ -2224,6 +2064,18 @@ mod tests {
         assert!(err.contains("overlaps"), "{err}");
         assert!(validate_chrome_trace("{}").is_err());
         assert!(validate_chrome_trace(r#"[{"ph":"X","pid":0,"tid":0,"ts":0}]"#).is_err());
+    }
+
+    /// Nesting past `MAX_JSON_DEPTH` is an error, not a stack overflow,
+    /// however deep the input goes.
+    #[test]
+    fn json_parser_bounds_nesting_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_json(&nested(MAX_JSON_DEPTH)).is_ok());
+        let err = parse_json(&nested(MAX_JSON_DEPTH + 1)).err().unwrap();
+        assert!(err.contains("nesting deeper"), "{err}");
+        assert!(validate_chrome_trace(&"[".repeat(200_000)).is_err());
+        assert!(validate_chrome_trace(&"[{\"a\":".repeat(100_000)).is_err());
     }
 
     #[test]

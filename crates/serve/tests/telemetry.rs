@@ -2,7 +2,10 @@
 //! recording on conserves every arrival, keeps each track monotone, and
 //! carries enough information to reconstruct the engine report exactly —
 //! pinned on a hand-built mixed scenario and under proptest-generated
-//! mixed traces across policies, budgets and charging modes.
+//! mixed traces across policies, budgets and charging modes. The Chrome
+//! trace validator also survives corrupted exports.
+
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
@@ -434,27 +437,6 @@ fn prefix_sharing_events_rebuild_the_report_and_release_the_group_last() {
 }
 
 #[test]
-fn an_event_cap_counts_drops_and_declines_reconstruction() {
-    let (prefill, decode) = mixed_scenario();
-    let config = EngineConfig {
-        telemetry: Some(TelemetryConfig {
-            max_events: Some(16),
-        }),
-        ..EngineConfig::default()
-    };
-    let mut engine = ServeEngine::new(config);
-    engine.run(&prefill, &decode).unwrap();
-    let telemetry = engine.telemetry().unwrap();
-    assert_eq!(telemetry.events().len(), 16);
-    assert!(telemetry.dropped() > 0);
-    assert!(!telemetry.is_complete());
-    assert!(
-        telemetry.report().is_none(),
-        "a truncated log must decline rather than reconstruct partially"
-    );
-}
-
-#[test]
 fn queue_depth_and_batch_fill_gauges_reflect_the_replay() {
     let (prefill, decode) = mixed_scenario();
     let mut engine = ServeEngine::new(telemetry_config(SchedulePolicy::FairShare, 1));
@@ -561,6 +543,49 @@ proptest! {
         } else {
             // An overlap-committed launch renders one span per stage.
             prop_assert!(chrome.spans >= launches);
+        }
+    }
+}
+
+/// The exported Chrome trace of the mixed scenario on two devices.
+fn exported_trace() -> &'static str {
+    static TRACE: OnceLock<String> = OnceLock::new();
+    TRACE.get_or_init(|| {
+        let (prefill, decode) = mixed_scenario();
+        let mut engine = ServeEngine::new(telemetry_config(SchedulePolicy::FairShare, 2));
+        engine.run(&prefill, &decode).unwrap();
+        engine.telemetry().unwrap().chrome_trace_json()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // `trace_check` feeds the validator files from disk: a corrupted
+    // export yields a verdict, never a panic.
+    #[test]
+    fn a_bit_flip_in_an_exported_trace_never_panics_the_validator(
+        flip_pos in 0usize..1_000_000,
+        flip_bit in 0u32..8,
+    ) {
+        let trace = exported_trace();
+        let mut bytes = trace.as_bytes().to_vec();
+        let pos = flip_pos % bytes.len();
+        bytes[pos] ^= 1u8 << flip_bit;
+        // Files are read as strings, so only valid UTF-8 reaches the parser.
+        if let Ok(corrupted) = String::from_utf8(bytes) {
+            let _ = validate_chrome_trace(&corrupted);
+        }
+    }
+
+    #[test]
+    fn a_truncated_exported_trace_is_rejected_without_panicking(cut in 0usize..1_000_000) {
+        let trace = exported_trace();
+        // Strictly shorter than the trace minus its final newline, so the
+        // top-level array is never closed.
+        let cut = cut % (trace.len() - 1);
+        if trace.is_char_boundary(cut) {
+            prop_assert!(validate_chrome_trace(&trace[..cut]).is_err(), "{}-byte prefix", cut);
         }
     }
 }
