@@ -3,10 +3,10 @@
 //! Every dataflow builder produces a [`Schedule`]: the [`TaskGraph`] to be
 //! simulated plus [`BuildStats`] describing structural properties of the
 //! schedule (rounds, proactive-overwrite events, reload traffic). The
-//! builders share the [`Emitter`] helper, which wraps task emission, and the
-//! [`ChunkPlan`], which captures the per-`(B_b, H_h)`-chunk decisions (which
-//! core runs the chunk, whether `K`/`V` stay resident in L1, whether the
-//! overwrite strategy engages).
+//! builders share the crate-private `Emitter` helper, which wraps task
+//! emission, and `ChunkPlan`, which captures the per-`(B_b, H_h)`-chunk
+//! decisions (which core runs the chunk, whether `K`/`V` stay resident in
+//! L1, whether the overwrite strategy engages).
 
 use serde::{Deserialize, Serialize};
 

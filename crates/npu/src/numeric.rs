@@ -2,10 +2,11 @@
 //!
 //! The analytical model in [`crate::model`] predicts *timing*; this module
 //! computes *values*, mirroring how the device executes attention: heads are
-//! partitioned across the heterogeneous cores ([`NpuDevice::partition_heads`])
-//! and each core accumulates its `P·V` partial products at the granularity
-//! of its grid-searched tile ([`NpuModel::grid_search_n_q`]), flushing one
-//! tile's partial block into the output at a time — so the blocking
+//! partitioned across the heterogeneous cores
+//! ([`crate::device::NpuDevice::partition_heads`]) and each core accumulates
+//! its `P·V` partial products at the granularity of its grid-searched tile
+//! ([`NpuModel::grid_search_n_q`]), flushing one tile's partial block into
+//! the output at a time — so the blocking
 //! structure shows up in the `f32` accumulation order and a wrong partition
 //! or tile choice is observable. The arithmetic runs on the `mas-tensor`
 //! slice kernels — [`dot`] row·row products for `QKᵀ`, [`softmax_row`] for

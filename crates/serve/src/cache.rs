@@ -26,9 +26,9 @@
 //! instead of panicking or silently dropping entries (pinned by property
 //! test, `tests/cache_robustness.rs`).
 //!
-//! The `#[derive(Serialize, Deserialize)]` markers keep the types ready for
-//! real serde (the vendored shim is marker-only; the hand-rolled text format
-//! is the working persistence path until a registry is available).
+//! The `#[derive(Serialize, Deserialize)]` markers are inert: the vendored
+//! serde shim is marker-only, and the text format above is the persistence
+//! path.
 //!
 //! [`to_text`]: ScheduleCache::to_text
 //! [`from_text`]: ScheduleCache::from_text
@@ -303,8 +303,9 @@ impl ScheduleCache {
         self.entries.contains_key(key)
     }
 
-    /// Inserts (or deterministically overrides, see [`CachedPlan::rank`]
-    /// order) a plan.
+    /// Inserts a plan, or overrides an existing one deterministically: the
+    /// lower-cost plan wins, ties breaking on exact bit patterns (the order
+    /// [`ScheduleCache::merge`] resolves conflicts by).
     pub fn insert(&mut self, key: CacheKey, plan: CachedPlan) {
         self.entries
             .entry(key)

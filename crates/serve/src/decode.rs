@@ -34,7 +34,8 @@
 //!   of its summed per-step work (MAC, VEC and DRAM components from
 //!   [`DecodeStep`], each linear in the member's context length) plus one
 //!   issue overhead, replayed on the earliest-free virtual device exactly
-//!   like prefill batches.
+//!   like prefill batches. One crate-private price prices the deadline
+//!   screen, every decode launch and the split of a chunked prefill batch.
 //!
 //! The numerical kernel this models is `mas_tensor::decode::decode_attention`
 //! over a `mas_tensor::decode::KvCache` (contiguous) or
@@ -45,7 +46,7 @@
 use serde::{Deserialize, Serialize};
 
 use mas_dataflow::decode::{DecodeStep, PrefillChunk};
-use mas_dataflow::{KvDtype, StreamDemand};
+use mas_dataflow::{KvDtype, StreamDemand, TrackDemand};
 use mas_sim::HardwareConfig;
 
 use crate::metrics::{percentile, LatencyStats};
@@ -200,58 +201,62 @@ impl DecodePolicy {
     }
 }
 
-/// Physical lower bound on the service time of one decode step on an idle
-/// device: a solo [`launch_service_s_with_kv`] — the largest of
-/// peak-throughput MAC time, peak-throughput VEC (softmax) time and minimum
-/// DRAM traffic time (the KV cache stream priced at `kv_element_bytes`),
-/// plus one launch overhead. Queueing and batching delay only add to this,
-/// so admission screening against it can never disagree with dispatch
-/// costing.
-#[must_use]
-pub fn decode_step_lower_bound_s_with_kv(
-    step: &DecodeStep,
-    hw: &HardwareConfig,
-    kv_element_bytes: usize,
-) -> f64 {
-    launch_service_s_with_kv(std::slice::from_ref(step), hw, kv_element_bytes)
+/// The launch-issue overhead in seconds: the fixed cost every launch pays
+/// once, whatever its size, and what batching and chunk fusion amortize.
+pub(crate) fn issue_s(hw: &HardwareConfig) -> f64 {
+    hw.issue_overhead_cycles as f64 / hw.frequency_hz
 }
 
-/// Service time of one batched launch: member step work is summed per bound
-/// component (each member streams its own KV cache, priced at
-/// `kv_element_bytes`, and computes its own query row), the binding
-/// component sets the time, and the launch pays one issue overhead — which
-/// is what batching amortizes.
-#[must_use]
-pub fn launch_service_s_with_kv(
-    steps: &[DecodeStep],
-    hw: &HardwareConfig,
-    kv_element_bytes: usize,
-) -> f64 {
-    let mut demand = StreamDemand::default();
-    for step in steps {
-        demand.accumulate(&StreamDemand::of_decode_step_with_kv(
-            step,
-            hw,
-            kv_element_bytes,
-        ));
+/// The closed-form demand of one launch: the summed work of its decode
+/// steps and prefill chunks, each streaming its own KV cache at the
+/// policy's KV element size. It prices the decode deadline screen, every
+/// decode launch (recompute resumes included) and the split of a chunked
+/// prefill batch, so those never disagree. Prefill admission keeps
+/// [`service_time_lower_bound_s`](crate::queue::service_time_lower_bound_s),
+/// which leaves the issue overhead out.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LaunchDemand {
+    stream: StreamDemand,
+    /// The same work split by direction, summed only for the track
+    /// executor.
+    pub(crate) tracks: Option<TrackDemand>,
+}
+
+impl LaunchDemand {
+    /// An empty launch; `tracks` also sums the four-track demand.
+    pub(crate) fn new(tracks: bool) -> Self {
+        Self {
+            stream: StreamDemand::default(),
+            tracks: tracks.then(TrackDemand::default),
+        }
     }
-    demand.bound_seconds(hw) + hw.issue_overhead_cycles as f64 / hw.frequency_hz
-}
 
-/// Service time of one chunked-prefill chunk launch: the chunk's summed
-/// causal-row demand ([`StreamDemand::of_prefill_chunk_with_kv`], the exact
-/// closed-form sum of the decode steps it fuses) bounded by the binding
-/// component, plus one issue overhead per chunk — which is the chunking
-/// trade: more chunks bound the per-launch occupancy that stalls decode,
-/// at one extra issue overhead each.
-#[must_use]
-pub fn prefill_chunk_service_s_with_kv(
-    chunk: &PrefillChunk,
-    hw: &HardwareConfig,
-    kv_element_bytes: usize,
-) -> f64 {
-    StreamDemand::of_prefill_chunk_with_kv(chunk, hw, kv_element_bytes).bound_seconds(hw)
-        + hw.issue_overhead_cycles as f64 / hw.frequency_hz
+    /// Adds one decode step.
+    pub(crate) fn add_step(&mut self, step: &DecodeStep, hw: &HardwareConfig, kv_bytes: usize) {
+        self.stream
+            .accumulate(&StreamDemand::of_decode_step_with_kv(step, hw, kv_bytes));
+        if let Some(t) = self.tracks.as_mut() {
+            t.accumulate(&TrackDemand::of_decode_step_with_kv(step, hw, kv_bytes));
+        }
+    }
+
+    /// Adds one prefill chunk: the exact closed-form sum of the decode
+    /// steps it fuses.
+    pub(crate) fn add_chunk(&mut self, chunk: &PrefillChunk, hw: &HardwareConfig, kv_bytes: usize) {
+        self.stream
+            .accumulate(&StreamDemand::of_prefill_chunk_with_kv(chunk, hw, kv_bytes));
+        if let Some(t) = self.tracks.as_mut() {
+            t.accumulate(&TrackDemand::of_prefill_chunk_with_kv(chunk, hw, kv_bytes));
+        }
+    }
+
+    /// The launch's service time on an idle device: the binding component
+    /// of the summed work (peak-throughput MAC or VEC time, or minimum DRAM
+    /// traffic time) plus one issue overhead. Queueing only adds to it, so
+    /// a step whose deadline is below its solo price can never meet it.
+    pub(crate) fn service_s(&self, hw: &HardwareConfig) -> f64 {
+        self.stream.bound_seconds(hw) + issue_s(hw)
+    }
 }
 
 /// The fate of one completed decode step.
@@ -523,30 +528,39 @@ mod tests {
         }
     }
 
+    /// The price of a launch of `steps` at `kv_bytes` per KV element.
+    fn price(steps: &[DecodeStep], kv_bytes: usize) -> f64 {
+        let hw = hw();
+        let mut demand = LaunchDemand::new(false);
+        for step in steps {
+            demand.add_step(step, &hw, kv_bytes);
+        }
+        demand.service_s(&hw)
+    }
+
     #[test]
     fn lower_bound_grows_linearly_with_context() {
         let hw = hw();
         let short = DecodeStep::new("s", 1, 8, 128, 64);
         let long = short.with_context(1024);
-        let lb_short = decode_step_lower_bound_s_with_kv(&short, &hw, hw.element_bytes);
-        let lb_long = decode_step_lower_bound_s_with_kv(&long, &hw, hw.element_bytes);
+        let lb_short = price(std::slice::from_ref(&short), hw.element_bytes);
+        let lb_long = price(std::slice::from_ref(&long), hw.element_bytes);
         assert!(lb_long > lb_short);
         // Linear in context up to the fixed launch overhead.
-        let overhead = hw.issue_overhead_cycles as f64 / hw.frequency_hz;
-        let ratio = (lb_long - overhead) / (lb_short - overhead);
+        let ratio = (lb_long - issue_s(&hw)) / (lb_short - issue_s(&hw));
         assert!((ratio - 8.0).abs() < 0.5, "ratio {ratio}");
     }
 
     #[test]
     fn batched_launch_beats_solo_launches() {
-        let hw = hw();
         let steps: Vec<DecodeStep> = (0..8)
             .map(|i| DecodeStep::new("s", 1, 8, 128 + i, 64))
             .collect();
-        let batched = launch_service_s_with_kv(&steps, &hw, hw.element_bytes);
+        let eb = hw().element_bytes;
+        let batched = price(&steps, eb);
         let solo: f64 = steps
             .iter()
-            .map(|s| launch_service_s_with_kv(std::slice::from_ref(s), &hw, hw.element_bytes))
+            .map(|s| price(std::slice::from_ref(s), eb))
             .sum();
         assert!(
             batched < solo,
@@ -889,43 +903,74 @@ mod tests {
 
     #[test]
     fn chunk_service_time_matches_its_fused_decode_steps() {
-        // A chunk's service time is the fused decode chain's demand bound
-        // plus ONE issue overhead (that is the fusion saving), priced under
-        // any KV dtype.
+        // A chunk's price is the fused decode chain's demand bound plus ONE
+        // issue overhead (that is the fusion saving), under any KV dtype.
         let hw = hw();
         let chunk = PrefillChunk::new(1, 8, 64, 16, 64);
         for kv_eb in [hw.element_bytes, hw.element_bytes / 2] {
-            let fused = prefill_chunk_service_s_with_kv(&chunk, &hw, kv_eb);
-            let chain = launch_service_s_with_kv(&chunk.decode_steps(), &hw, kv_eb);
+            let mut fused = LaunchDemand::new(false);
+            fused.add_chunk(&chunk, &hw, kv_eb);
+            let (fused, chain) = (fused.service_s(&hw), price(&chunk.decode_steps(), kv_eb));
             assert!((fused - chain).abs() < 1e-15, "fused {fused} chain {chain}");
         }
-        // More chunks over the same prompt slice can only add issue
-        // overheads.
-        let whole = prefill_chunk_service_s_with_kv(
-            &PrefillChunk::new(1, 8, 0, 128, 64),
-            &hw,
-            hw.element_bytes,
-        );
-        let halves = prefill_chunk_service_s_with_kv(
-            &PrefillChunk::new(1, 8, 0, 64, 64),
-            &hw,
-            hw.element_bytes,
-        ) + prefill_chunk_service_s_with_kv(
-            &PrefillChunk::new(1, 8, 64, 64, 64),
-            &hw,
-            hw.element_bytes,
-        );
-        assert!(halves > whole);
     }
 
     #[test]
-    fn lower_bound_is_a_solo_launch() {
+    fn more_chunks_only_add_issue_overheads() {
+        // Splitting a prompt slice into more chunks keeps its work and adds
+        // one issue overhead per extra chunk.
         let hw = hw();
-        let step = DecodeStep::new("s", 1, 8, 333, 64);
-        for kv_eb in [hw.element_bytes, hw.element_bytes / 2] {
+        let chunk_price = |prefilled: usize, tokens: usize| {
+            let mut demand = LaunchDemand::new(false);
+            let chunk = PrefillChunk::new(1, 8, prefilled, tokens, 64);
+            demand.add_chunk(&chunk, &hw, hw.element_bytes);
+            demand.service_s(&hw)
+        };
+        let whole = chunk_price(0, 128);
+        let halves = chunk_price(0, 64) + chunk_price(64, 64);
+        assert!(halves > whole);
+        let extra = halves - whole;
+        assert!(
+            (extra - issue_s(&hw)).abs() < 1e-9 * whole,
+            "two chunks cost {extra} s over one, against one issue overhead"
+        );
+    }
+
+    /// The deadline screen and a solo decode launch use one price: a step
+    /// whose deadline equals it to the last bit is admitted and served in
+    /// exactly that time, and one whose deadline is the next f64 down is
+    /// screened out.
+    #[test]
+    fn lower_bound_is_a_solo_launch() {
+        let trace = lockstep_trace(1, 1, 332, 0.0);
+        let trace = DecodeTrace {
+            steps: vec![DecodeStepEvent {
+                arrival_s: 0.0,
+                ..trace.steps[0]
+            }],
+            ..trace
+        };
+        for kv_dtype in [KvDtype::F32, KvDtype::F16] {
+            let step = DecodeStep::new("s", 1, 8, 333, 64);
+            let solo = price(&[step], kv_dtype.element_bytes());
+            let at = |deadline: f64| {
+                let policy = DecodePolicy {
+                    window_s: 0.0,
+                    step_deadline_s: Some(deadline),
+                    kv_dtype: Some(kv_dtype),
+                    ..DecodePolicy::default()
+                };
+                replay(policy, &trace)
+            };
+            let served = at(solo);
+            assert_eq!(served.outcomes.len(), 1, "{kv_dtype:?}");
+            assert_eq!(served.outcomes[0].service_s.to_bits(), solo.to_bits());
+            assert!(served.outcomes[0].deadline_met);
+            let screened = at(solo.next_down());
+            assert!(screened.outcomes.is_empty(), "{kv_dtype:?}");
             assert_eq!(
-                decode_step_lower_bound_s_with_kv(&step, &hw, kv_eb),
-                launch_service_s_with_kv(std::slice::from_ref(&step), &hw, kv_eb)
+                screened.rejected[0].reason,
+                DecodeRejectReason::DeadlineImpossible
             );
         }
     }

@@ -4,12 +4,13 @@
 //! [`ServeEngine::run`] is the crate's only serving entry point. Prefill
 //! requests and decode steps flow through one interleaved work stream:
 //!
-//! * **One work item type.** Every unit of schedulable work is a
-//!   [`WorkItem`] — a prefill request or a decode step — and coalesces in
-//!   one launch map keyed by the typed [`LaunchKey`], with one launch-id
-//!   space. Prefill items micro-batch under [`BatchPolicy`]
-//!   (window / fill / feasibility dispatch) and decode items batch
-//!   cross-session under [`DecodePolicy`] (window / fill): the mechanism is
+//! * **One launch path.** Prefill requests and decode steps coalesce in one
+//!   launch map keyed by the typed [`LaunchKey`], with one launch-id space.
+//!   Prefill requests micro-batch under [`BatchPolicy`] (window / fill /
+//!   feasibility dispatch) and decode steps batch cross-session under
+//!   [`DecodePolicy`] (window / fill). A sealed prefill batch, each chunk of
+//!   a chunked batch and each decode batch then become one launch record,
+//!   placed by one function and completed by another: the mechanism is
 //!   shared, the per-class policies differ.
 //! * **One device timeline.** Every dispatched launch — either class —
 //!   starts on the earliest-free virtual device at
@@ -60,9 +61,9 @@
 //!
 //! ## Chunked prefill and preemption invariants
 //!
-//! Two opt-in features bound decode tail latency under overload; both
-//! default off, and every replay with them off is bit-identical to the
-//! pre-feature engine:
+//! Two opt-in features bound decode tail latency under overload. Both
+//! default off: without chunking every prefill batch is one launch, and
+//! without preemption every placement is final and no session is evicted.
 //!
 //! 1. **Chunk-chain ordering.** Under [`EngineConfig::chunked_prefill`] a
 //!    prefill batch longer than the chunk token budget lowers into a chain
@@ -149,19 +150,16 @@ use serde::{Deserialize, Serialize};
 use mas_attention::planner::TilingStrategy;
 use mas_attention::{Planner, PlannerConfig};
 use mas_dataflow::decode::{decode_step_fits_with_kv, DecodeStep, PrefillChunk};
-use mas_dataflow::{AttentionWorkload, StreamDemand, TrackDemand};
+use mas_dataflow::{AttentionWorkload, TrackDemand};
 use mas_sim::{
     DeviceTracks, HardwareConfig, Result, SimError, StageSpan, TrackConfig, TrackKind,
     TrackPlacement, TRACK_COUNT,
 };
-use mas_workloads::{DecodeSessionSpec, DecodeStepEvent, DecodeTrace, MixedTrace};
+use mas_workloads::{DecodeSessionSpec, DecodeStepEvent, DecodeTrace};
 
 use crate::batcher::BatchPolicy;
 use crate::cache::{planning_fingerprint, CacheKey, CachedPlan, ScheduleCache};
-use crate::decode::{
-    decode_step_lower_bound_s_with_kv, prefill_chunk_service_s_with_kv, DecodePolicy,
-    DecodeRejectReason, DecodeReport,
-};
+use crate::decode::{issue_s, DecodePolicy, DecodeRejectReason, DecodeReport, LaunchDemand};
 use crate::key::{BatchKey, ChunkKey, DecodeKey, LaunchKey, WorkClass};
 use crate::ledger::{Completion, Ledger};
 use crate::metrics::{LatencyStats, RejectedRequest, ServeReport};
@@ -285,34 +283,24 @@ impl std::str::FromStr for PreemptMode {
     }
 }
 
-/// One unit of schedulable work in the engine's unified stream: a prefill
-/// attention request or a single decode step.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub enum WorkItem {
-    /// A fixed-shape prefill request.
-    Prefill(ServeRequest),
-    /// One decode step of an admitted session.
-    Decode(DecodeStepItem),
-}
-
 /// A decode step joined to a launch: the session, the step index, the
 /// context length attended and the arrival time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct DecodeStepItem {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DecodeStepItem {
     /// The session the step belongs to.
-    pub session_id: u64,
+    pub(crate) session_id: u64,
     /// Zero-based index of the step within its session.
-    pub step_index: usize,
+    pub(crate) step_index: usize,
     /// Context length attended (prompt plus generated tokens so far,
     /// including this step's).
-    pub context_len: usize,
+    pub(crate) context_len: usize,
     /// Arrival time in seconds.
-    pub arrival_s: f64,
+    pub(crate) arrival_s: f64,
     /// Context tokens whose KV must be recomputed before this step can run
     /// (nonzero only for the first step after a
     /// [`PreemptMode::Recompute`] eviction): priced into the step's launch
     /// as a [`PrefillChunk`] demand.
-    pub recompute_tokens: usize,
+    pub(crate) recompute_tokens: usize,
 }
 
 /// Configuration of the unified serve engine.
@@ -343,25 +331,25 @@ pub struct EngineConfig {
     /// derived from it afterwards. Recording never changes the report: the
     /// engine builds it from the same events either way.
     pub telemetry: Option<TelemetryConfig>,
-    /// Opt-in chunked prefill. `None` (the default) keeps every replay
-    /// bit-identical to the pre-chunking engine; `Some` lowers long
-    /// prefill batches into chunk chains (see the module docs'
+    /// Opt-in chunked prefill. `None` (the default) dispatches every
+    /// prefill batch as one launch; `Some` lowers batches longer than the
+    /// chunk budget into chunk chains (see the module docs'
     /// chunking/preemption invariants).
     pub chunked_prefill: Option<ChunkPolicy>,
-    /// Opt-in iteration-level preemption. `None` (the default) keeps every
-    /// replay bit-identical to the pre-preemption engine. `Some` enables
-    /// both mechanisms: deadline-pressed decode launches may displace
-    /// not-yet-started prefill-class launches (only under
-    /// [`SchedulePolicy::DecodePriority`], which expresses that decode
+    /// Opt-in iteration-level preemption. `None` (the default) makes every
+    /// placement final when it is made and never evicts a session's KV
+    /// charge. `Some` enables both mechanisms: deadline-pressed decode
+    /// launches may displace not-yet-started prefill-class launches (only
+    /// under [`SchedulePolicy::DecodePriority`], which expresses that decode
     /// latency outranks prefill), and KV-pool pressure may evict idle
     /// sessions' block charges with the chosen [`PreemptMode`].
     pub preempt: Option<PreemptMode>,
-    /// Opt-in overlap-aware track executor. `None` (the default) keeps the
-    /// scalar service-time device model and every replay bit-identical.
-    /// `Some` lowers each launch into per-tile stage demands flow-shop
-    /// scheduled over the device's DMA-in/MAC/VEC/writeback tracks
-    /// ([`mas_sim::DeviceTracks`]); a launch commits the earlier of the
-    /// scalar span and the track schedule, so makespans are never worse
+    /// Opt-in overlap-aware track executor. `None` (the default) uses the
+    /// scalar device model: a launch holds its whole device for its one
+    /// service time. `Some` lowers each launch into per-tile stage demands
+    /// flow-shop scheduled over the device's DMA-in/MAC/VEC/writeback
+    /// tracks ([`mas_sim::DeviceTracks`]); a launch commits the earlier of
+    /// the scalar span and the track schedule, so makespans are never worse
     /// than the scalar model's, and [`TrackConfig::degenerate`] reproduces
     /// the scalar model bit-for-bit. Admission, deadline screening and
     /// budget sizing keep using the scalar estimates in both modes.
@@ -597,33 +585,10 @@ impl ServeEngine {
         &self.cache
     }
 
-    /// Mutable access to the shared schedule cache (e.g. to merge a shard).
-    pub fn cache_mut(&mut self) -> &mut ScheduleCache {
-        &mut self.cache
-    }
-
     /// Consumes the engine, returning its cache (for persistence).
     #[must_use]
     pub fn into_cache(self) -> ScheduleCache {
         self.cache
-    }
-
-    /// Replays a generated [`MixedTrace`]: its prefill leg becomes a request
-    /// stream (ids in trace order, all asking for `method` with the same
-    /// relative `deadline_s`), interleaved with its decode leg by arrival
-    /// time.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ServeEngine::run`].
-    pub fn run_mixed(
-        &mut self,
-        trace: &MixedTrace,
-        method: mas_dataflow::DataflowKind,
-        deadline_s: Option<f64>,
-    ) -> Result<EngineReport> {
-        let stream = ServeRequest::stream_from_trace(&trace.prefill, method, deadline_s);
-        self.run(&stream, &trace.decode)
     }
 
     /// Replays a mixed stream — prefill requests plus a decode trace — on
@@ -641,9 +606,12 @@ impl ServeEngine {
     /// Returns [`SimError::InvalidConfig`], before any state changes, if a
     /// prefill request or decode step has a non-finite or negative arrival
     /// time, a prefill deadline or [`DecodePolicy::step_deadline_s`] is
-    /// NaN or negative, or two prefill requests or two session specs share
-    /// an id; otherwise a [`SimError`] if a prefill batch that passed
-    /// admission fails to plan or simulate. Decode-only streams never plan.
+    /// NaN or negative, two prefill requests or two session specs share an
+    /// id, a session's prompt plus steps exceed `u32::MAX` tokens, or a
+    /// decode step's index is out of range or not above its session's
+    /// previous step's; otherwise a [`SimError`] if a prefill batch that
+    /// passed admission fails to plan or simulate. Decode-only streams
+    /// never plan.
     pub fn run(&mut self, prefill: &[ServeRequest], decode: &DecodeTrace) -> Result<EngineReport> {
         let sessions = validate_inputs(prefill, decode, self.config.decode.step_deadline_s)?;
         let hw = self.planner.hardware().clone();
@@ -745,16 +713,17 @@ impl ServeEngine {
 /// Rejects a non-finite or negative arrival time anywhere in either stream,
 /// naming the offending request or session, a prefill request id or
 /// session id used twice, a session whose prompt plus steps exceed
-/// `u32::MAX` tokens, and a step of a declared session whose index is not
-/// below the session's step count or not above its previous step's. The
-/// event loop orders, windows and expires work by arrival, so such a
-/// timestamp has no meaningful place on the timeline; a shared request id
-/// would make two requests one in the event log, and a shared session id
-/// would leave a step's session ambiguous. The log stores step indices
-/// and context lengths as `u32`, a repeated step would complete twice, and
-/// a step past the session's count would keep it from ever finishing and
-/// releasing its KV charge. Returns the run's session slab, which the
-/// duplicate check sorts.
+/// `u32::MAX` tokens, a step of a declared session whose index is not below
+/// the session's step count, a step of an undeclared session whose index
+/// exceeds `u32::MAX`, and a step whose index is not above its session's
+/// previous step's. The event loop orders, windows and expires work by
+/// arrival, so such a timestamp has no meaningful place on the timeline; a
+/// shared request id would make two requests one in the event log, and a
+/// shared session id would leave a step's session ambiguous. The log stores
+/// step indices and context lengths as `u32`, a repeated step would
+/// complete or be rejected twice, and a step past the session's count would
+/// keep it from ever finishing and releasing its KV charge. Returns the
+/// run's session slab, which the duplicate check sorts.
 fn validate_inputs<'a>(
     prefill: &[ServeRequest],
     decode: &'a DecodeTrace,
@@ -817,9 +786,11 @@ fn validate_inputs<'a>(
         });
     }
     let sessions = Sessions::new(&decode.sessions)?;
-    // Per session slot, the least index its next step may carry. Steps of
-    // undeclared sessions are rejected at run time.
+    // The least index the next step of a session may carry: per slot for
+    // declared sessions, and by id for undeclared ones, whose steps are
+    // rejected at run time but still logged and counted by step.
     let mut next_index = vec![0usize; sessions.slots.len()];
+    let mut next_undeclared: BTreeMap<u64, usize> = BTreeMap::new();
     for e in &decode.steps {
         let invalid = |why: String| SimError::InvalidConfig {
             reason: format!(
@@ -833,7 +804,24 @@ fn validate_inputs<'a>(
                 e.arrival_s
             )));
         }
+        let follows = |next: usize| {
+            invalid(format!(
+                "follows step {} of the same session; step indices must increase in trace order",
+                next - 1
+            ))
+        };
         let Some(slot) = sessions.slot(e.session_id) else {
+            if e.step_index > context_limit {
+                return Err(invalid(format!(
+                    "is out of range: the session is undeclared, and step indices must not \
+                     exceed {context_limit}"
+                )));
+            }
+            let next = next_undeclared.entry(e.session_id).or_default();
+            if e.step_index < *next {
+                return Err(follows(*next));
+            }
+            *next = e.step_index + 1;
             continue;
         };
         let steps = sessions.slots[slot].spec.steps;
@@ -843,10 +831,7 @@ fn validate_inputs<'a>(
             )));
         }
         if e.step_index < next_index[slot] {
-            return Err(invalid(format!(
-                "follows step {} of the same session; step indices must increase in trace order",
-                next_index[slot] - 1
-            )));
+            return Err(follows(next_index[slot]));
         }
         next_index[slot] = e.step_index + 1;
     }
@@ -1060,33 +1045,34 @@ struct ChunkChain<'a> {
     /// (earlier chunks carry zero) and split across members at completion.
     energy_pj: f64,
     cache_hit: bool,
-    chunk_sizes: Vec<usize>,
-    /// Per-chunk service seconds: the monolithic plan's seconds split
-    /// proportionally to each chunk's closed-form stream demand, plus one
+    /// Per chunk, its service seconds and track profile, fixed at dispatch
+    /// while the chunk shapes are known. The service seconds split the
+    /// monolithic plan's in proportion to each chunk's price, plus one
     /// launch-issue overhead for every chunk after the first (the modeled
-    /// cost of chunking). The chain's total service is therefore the
-    /// monolithic service plus `(chunks - 1)` issue overheads.
-    chunk_service_s: Vec<f64>,
-    /// Per-chunk four-track demands for the overlap executor; empty with
-    /// the track executor off (the chunk shapes are gone by placement
-    /// time, so the demands are precomputed at dispatch).
-    chunk_demands: Vec<TrackDemand>,
-    /// Index of the next chunk to place (`chunk_sizes.len()` = all placed).
+    /// cost of chunking), which its profile carries too. The chain's total
+    /// service is therefore the monolithic service plus `(chunks - 1)`
+    /// issue overheads.
+    chunks: Vec<(f64, Profile)>,
+    /// Index of the next chunk to place (`chunks.len()` = all placed).
     next_index: usize,
     /// Earliest instant the next chunk may start: the batch's ready time
     /// for chunk 0, then the previous chunk's completion.
     next_ready_s: f64,
-    /// The hardened chunks folded into the chain's completion, in chunk
-    /// order (chunks harden in start order, and chain starts ascend);
+    /// The completed chunks folded into the chain's completion, in chunk
+    /// order (chunks complete in start order, and chain starts ascend);
     /// member outcomes close on it.
     done: Option<Completion>,
-    /// Chunks hardened so far; the chain finalizes at `chunk_sizes.len()`.
+    /// Chunks completed so far; the members complete at `chunks.len()`.
     done_chunks: usize,
 }
 
-/// A prefill-class launch to place: a monolithic batch or one chunk of a
-/// chain, with the figures its launch event records.
-struct PrefillLaunch<'a> {
+/// The record of one launch of any kind — a monolithic prefill batch, one
+/// chunk of a chain or a decode batch: the figures its launch event
+/// records. What it completes into rides beside it as a [`Payload`], and
+/// what the track executor places it by as a [`Profile`], so the record is
+/// plain `Copy` data the per-launch path can keep in registers.
+#[derive(Clone, Copy)]
+struct Launch {
     launch_id: u64,
     key: LaunchKey,
     ready_s: f64,
@@ -1097,17 +1083,46 @@ struct PrefillLaunch<'a> {
     energy_pj: f64,
     cache_hit: bool,
     cause: SealCause,
-    /// What the backlog estimator is fed at harden (the merged workload's
-    /// service lower bound for monolithic batches and the chunk's own
-    /// service time for chunks). Always the *scalar*
-    /// estimate, even when the track executor commits a shorter span, so
-    /// admission stays identical across modes.
+    /// What the backlog estimator is fed at completion: the merged
+    /// workload's service lower bound for monolithic batches and the
+    /// launch's own service time otherwise. Always the *scalar* estimate,
+    /// even when the track executor commits a shorter span, so admission
+    /// stays identical across modes.
     est_service_s: f64,
-    /// The launch's four-track demand and issue overhead (`None` with the
-    /// track executor off), kept so a displaced span re-places with the
-    /// same profile.
-    profile: Option<(TrackDemand, f64)>,
-    payload: StagedPayload<'a>,
+}
+
+/// What the track executor places a launch by: its four-track demand and
+/// the issue overhead its service time carries (`None` with the executor
+/// off).
+type Profile = Option<(TrackDemand, f64)>;
+
+/// What a launch completes into.
+enum Payload<'a> {
+    /// A monolithic prefill batch: member outcomes close on the span.
+    Monolithic { requests: Vec<&'a ServeRequest> },
+    /// One chunk of a chain: the chain aggregates, and its members
+    /// complete with its last chunk.
+    Chunk { chain: u64, index: usize },
+    /// A decode batch: the member steps with their session slots, borrowed
+    /// from launch slot `slot` and handed back to it, cleared, at
+    /// completion.
+    Decode {
+        slot: usize,
+        steps: Vec<(DecodeStepItem, usize)>,
+    },
+}
+
+/// Where and when a placed launch runs.
+struct Span {
+    device: usize,
+    start_s: f64,
+    /// The placed span's service time (the launch's scalar one on scalar
+    /// commits).
+    service_s: f64,
+    completion_s: f64,
+    /// The flow-shop stage spans when the track executor committed this
+    /// span (`None` = scalar commit); logged at completion.
+    stages: Option<Vec<StageSpan>>,
 }
 
 /// A placed prefill-class launch whose effects (events, outcomes, budget
@@ -1116,31 +1131,16 @@ struct PrefillLaunch<'a> {
 /// queue. Device `free_at` is already advanced past the span —
 /// `prev_free_s` is what displacement rolls back to.
 struct StagedSpan<'a> {
-    launch: PrefillLaunch<'a>,
-    device: usize,
-    start_s: f64,
-    /// The placed span's service time (the launch's scalar one on scalar
-    /// commits).
-    service_s: f64,
-    completion_s: f64,
-    /// `free_at[device]` before this span was placed (displacement rolls
-    /// back to it).
+    launch: Launch,
+    payload: Payload<'a>,
+    span: Span,
+    /// The profile it was placed by; a displaced span re-places with it.
+    profile: Profile,
+    /// `free_at[device]` before this span was placed.
     prev_free_s: f64,
-    /// The flow-shop stage spans when the track executor committed this
-    /// span (`None` = scalar commit); emitted as telemetry at harden.
-    stages: Option<Vec<StageSpan>>,
-    /// The device's track state before this placement; displacement rolls
-    /// back to it (`None` with the track executor off).
+    /// The device's track state before this placement (`None` with the
+    /// track executor off).
     prev_tracks: Option<DeviceTracks>,
-}
-
-/// What a prefill-class span completes into at harden.
-enum StagedPayload<'a> {
-    /// A monolithic prefill batch: member outcomes close on the span.
-    Monolithic { requests: Vec<&'a ServeRequest> },
-    /// One chunk of a chain: the chain aggregates, and finalizes when all
-    /// its chunks have hardened.
-    Chunk { chain: u64, index: usize },
 }
 
 /// Per-session decode bookkeeping (admission verdict, step progress, KV
@@ -1461,8 +1461,11 @@ impl<'a> EngineRun<'a> {
     /// already committed to the timeline.
     fn dispatch_expired(&mut self, now_s: f64) -> Result<()> {
         // Staged spans that have started are no longer displaceable: pin
-        // their effects before anything new dispatches at `now`.
-        self.harden_through(now_s);
+        // their effects before anything new dispatches at `now`. (Nothing
+        // stages without slot preemption.)
+        if self.staging_active() {
+            self.harden_through(now_s);
+        }
         self.dispatch_ready_chunks(now_s);
         if now_s < self.launches.next_expiry_s {
             return Ok(());
@@ -1508,20 +1511,20 @@ impl<'a> EngineRun<'a> {
                 // ready chains stay ready and place once the incumbent
                 // starts (hardens) or is displaced.
                 let incumbent = self.staged[self.earliest_free_device()].as_ref();
-                if incumbent.is_some_and(|span| span.start_s > now_s) {
+                if incumbent.is_some_and(|s| s.span.start_s > now_s) {
                     return;
                 }
             }
             let next = (self.chunk_chains.iter())
                 .filter(|(_, chain)| {
-                    chain.next_index < chain.chunk_sizes.len() && chain.next_ready_s <= now_s
+                    chain.next_index < chain.chunks.len() && chain.next_ready_s <= now_s
                 })
                 .map(|(id, chain)| (chain.next_ready_s, *id))
                 .min_by(|a, b| a.partial_cmp(b).expect("ready times are finite"));
             let Some((_, chain_id)) = next else {
                 // Nothing is ready: raise the bound to the earliest chunk left.
                 self.next_chunk_s = (self.chunk_chains.values())
-                    .filter(|chain| chain.next_index < chain.chunk_sizes.len())
+                    .filter(|chain| chain.next_index < chain.chunks.len())
                     .fold(f64::INFINITY, |bound, chain| bound.min(chain.next_ready_s));
                 return;
             };
@@ -1535,7 +1538,8 @@ impl<'a> EngineRun<'a> {
     fn place_chunk(&mut self, chain_id: u64, cause: SealCause) {
         let chain = self.chunk_chains.get_mut(&chain_id).expect("chain exists");
         let index = chain.next_index;
-        let of = chain.chunk_sizes.len();
+        let (service_s, profile) = chain.chunks[index];
+        let of = chain.chunks.len();
         chain.next_index = index + 1;
         // Chunk 0 reuses the chain id (it *is* the sealed batch's launch);
         // later chunks draw fresh ids from the shared launch-id space.
@@ -1545,8 +1549,7 @@ impl<'a> EngineRun<'a> {
             self.next_launch_id += 1;
             self.next_launch_id - 1
         };
-        let issue_s = self.hw.issue_overhead_cycles as f64 / self.hw.frequency_hz;
-        let launch = PrefillLaunch {
+        let launch = Launch {
             launch_id,
             key: LaunchKey::PrefillChunk(ChunkKey {
                 chain: chain_id,
@@ -1554,7 +1557,7 @@ impl<'a> EngineRun<'a> {
                 of: of as u32,
             }),
             ready_s: chain.next_ready_s,
-            service_s: chain.chunk_service_s[index],
+            service_s,
             members: chain.requests.len() as u32,
             total_batch: chain.total_batch as u32,
             // Member outcomes split the plan's energy via the *last*
@@ -1566,61 +1569,58 @@ impl<'a> EngineRun<'a> {
             },
             cache_hit: chain.cache_hit,
             cause,
-            est_service_s: chain.chunk_service_s[index],
-            // The chunk's track profile (empty with the executor off).
-            // Chunks after the first carry the one launch-issue overhead
-            // their service time was charged with.
-            profile: (chain.chunk_demands.get(index))
-                .map(|d| (*d, if index > 0 { issue_s } else { 0.0 })),
-            payload: StagedPayload::Chunk {
-                chain: chain_id,
-                index,
-            },
+            est_service_s: service_s,
         };
-        let completion_s = self.place_prefill_span(launch);
-        // On the immediate (non-staging) path the last chunk hardens inside
-        // `place_prefill_span`, finalizing and removing the chain — the
-        // cursor update is moot then.
+        let payload = Payload::Chunk {
+            chain: chain_id,
+            index,
+        };
+        let completion_s = self.place(launch, payload, profile);
+        // On the immediate (non-staging) path the last chunk completes
+        // inside `place`, finalizing and removing the chain — the cursor
+        // update is moot then.
         if let Some(chain) = self.chunk_chains.get_mut(&chain_id) {
             chain.next_ready_s = completion_s;
             self.next_chunk_s = self.next_chunk_s.min(completion_s);
         }
     }
 
-    /// Places one prefill-class launch on the earliest-free device and
-    /// either hardens it immediately (always, with preemption off) or
-    /// stages it for possible displacement. Returns the span's completion
-    /// instant.
-    fn place_prefill_span(&mut self, launch: PrefillLaunch<'a>) -> f64 {
-        let staging = self.staging_active();
+    /// Places one launch of any kind on the earliest-free device: pins that
+    /// device's staged incumbent, starts the launch at `max(free_at,
+    /// ready)`, commits the track executor's span for `profile` instead
+    /// when it completes earlier, and advances `free_at`. A prefill-class
+    /// launch stages for possible displacement while slot preemption is
+    /// active; every other launch completes at once. Returns the span's
+    /// completion instant. Inlined with [`EngineRun::complete`], so a decode
+    /// batch (most launches) pays no call and keeps its record in
+    /// registers.
+    #[inline(always)]
+    fn place(&mut self, launch: Launch, payload: Payload<'a>, profile: Profile) -> f64 {
         let device = self.earliest_free_device();
         // One staged span per device (none without staging): pin the
         // incumbent (its slot is committed — the new span starts after it)
         // in global start order.
-        if let Some(limit) = self.staged[device].as_ref().map(|span| span.start_s) {
+        if let Some(limit) = self.staged[device].as_ref().map(|s| s.span.start_s) {
             self.harden_through(limit);
         }
         let prev_free_s = self.free_at[device];
-        let scalar_start_s = prev_free_s.max(launch.ready_s);
-        let scalar_completion_s = scalar_start_s + launch.service_s;
-        let mut span = StagedSpan {
+        let start_s = prev_free_s.max(launch.ready_s);
+        let mut span = Span {
             device,
-            start_s: scalar_start_s,
+            start_s,
             service_s: launch.service_s,
-            completion_s: scalar_completion_s,
-            prev_free_s,
+            completion_s: start_s + launch.service_s,
             stages: None,
-            prev_tracks: self.tracks.as_ref().map(|t| t[device]),
-            launch,
         };
+        let stage = self.staging_active() && launch.key.class() == WorkClass::Prefill;
+        let prev_tracks = (self.tracks.as_ref()).filter(|_| stage).map(|t| t[device]);
         if self.tracks.is_some() {
-            let launch = &span.launch;
             if let Some(p) = self.try_track_placement(
                 device,
                 launch.ready_s,
                 launch.service_s,
-                scalar_completion_s,
-                launch.profile.as_ref(),
+                span.completion_s,
+                profile.as_ref(),
             ) {
                 span.start_s = p.start_s;
                 span.completion_s = p.completion_s;
@@ -1630,16 +1630,23 @@ impl<'a> EngineRun<'a> {
         }
         let completion_s = span.completion_s;
         self.free_at[device] = completion_s;
-        if staging {
-            self.staged[device] = Some(span);
+        if stage {
+            self.staged[device] = Some(StagedSpan {
+                launch,
+                payload,
+                span,
+                profile,
+                prev_free_s,
+                prev_tracks,
+            });
         } else {
-            self.harden_span(span);
+            self.complete(launch, payload, span);
         }
         completion_s
     }
 
-    /// Hardens every staged span whose start is at or before `limit_s`, in
-    /// ascending start order. Global start order keeps per-device event
+    /// Completes every staged span whose start is at or before `limit_s`,
+    /// in ascending start order. Global start order keeps per-device event
     /// order equal to start order and chunk events in chain order.
     fn harden_through(&mut self, limit_s: f64) {
         loop {
@@ -1647,7 +1654,7 @@ impl<'a> EngineRun<'a> {
                 .staged
                 .iter()
                 .enumerate()
-                .filter_map(|(d, slot)| slot.as_ref().map(|span| (span.start_s, d)))
+                .filter_map(|(d, slot)| slot.as_ref().map(|s| (s.span.start_s, d)))
                 .min_by(|a, b| a.partial_cmp(b).expect("start times are finite"));
             let Some((start_s, device)) = next else {
                 return;
@@ -1655,72 +1662,39 @@ impl<'a> EngineRun<'a> {
             if start_s > limit_s {
                 return;
             }
-            let span = self.staged[device].take().expect("selected above");
-            self.harden_span(span);
+            let staged = self.staged[device].take().expect("selected above");
+            self.complete(staged.launch, staged.payload, staged.span);
         }
     }
 
-    /// Applies a placed span's deferred effects: the launch event (which
-    /// carries its utilization and makespan into the ledger), the backlog
-    /// estimate, and the payload's completions, in the same order for
-    /// staged and immediately hardened spans.
-    fn harden_span(&mut self, span: StagedSpan<'a>) {
+    /// Applies a placed launch's effects, in one order for every kind of
+    /// launch, staged or not: the backlog estimate, the launch event (which
+    /// carries its utilization and makespan into the ledger), its stage
+    /// spans, then its members' outcomes and releases.
+    #[inline(always)]
+    fn complete(&mut self, launch: Launch, payload: Payload<'a>, span: Span) {
         let device = span.device;
-        self.estimator
-            .feed(span.launch.ready_s, span.launch.est_service_s);
+        self.estimator.feed(launch.ready_s, launch.est_service_s);
         self.events.emit(
             span.start_s,
             EventKind::LaunchDispatched {
-                launch_id: span.launch.launch_id,
-                key: span.launch.key,
+                launch_id: launch.launch_id,
+                key: launch.key,
                 device: device as u32,
-                ready_s: span.launch.ready_s,
+                ready_s: launch.ready_s,
                 start_s: span.start_s,
                 completion_s: span.completion_s,
                 service_s: span.service_s,
-                members: span.launch.members,
-                total_batch: span.launch.total_batch,
-                energy_pj: span.launch.energy_pj,
-                cache_hit: span.launch.cache_hit,
-                cause: span.launch.cause,
+                members: launch.members,
+                total_batch: launch.total_batch,
+                energy_pj: launch.energy_pj,
+                cache_hit: launch.cache_hit,
+                cause: launch.cause,
             },
         );
-        self.log_stages(span.launch.launch_id, device, span.stages.as_deref());
-        let done = Completion {
-            launch_id: span.launch.launch_id,
-            batch_id: span.launch.launch_id,
-            device,
-            start_s: span.start_s,
-            completion_s: span.completion_s,
-            service_s: span.service_s,
-            energy_pj: span.launch.energy_pj,
-            total_batch: f64::from(span.launch.total_batch),
-            cache_hit: span.launch.cache_hit,
-        };
-        match span.launch.payload {
-            StagedPayload::Monolithic { requests } => {
-                for request in &requests {
-                    self.events.complete_prefill(&done, request);
-                }
-                self.schedule_prefill_release(done.launch_id, done.completion_s);
-            }
-            StagedPayload::Chunk { chain, .. } => {
-                let c = self.chunk_chains.get_mut(&chain).expect("chain exists");
-                c.done = Some(c.done.map_or(done, |chain| chain.then(done)));
-                c.done_chunks += 1;
-                if c.done_chunks == c.chunk_sizes.len() {
-                    self.finalize_chain(chain);
-                }
-            }
-        }
-    }
-
-    /// Logs the track executor's stage spans of one launch (`None` for a
-    /// scalar commit).
-    fn log_stages(&mut self, launch_id: u64, device: usize, stages: Option<&[StageSpan]>) {
-        for s in stages.unwrap_or_default() {
+        for s in span.stages.unwrap_or_default() {
             self.events.log(s.start_s, || EventKind::LaunchStage {
-                launch_id,
+                launch_id: launch.launch_id,
                 device: device as u32,
                 track: s.track,
                 stage: s.stage as u32,
@@ -1728,35 +1702,77 @@ impl<'a> EngineRun<'a> {
                 end_s: s.end_s,
             });
         }
+        let done = Completion {
+            launch_id: launch.launch_id,
+            batch_id: launch.launch_id,
+            device,
+            start_s: span.start_s,
+            completion_s: span.completion_s,
+            service_s: span.service_s,
+            energy_pj: launch.energy_pj,
+            total_batch: f64::from(launch.total_batch),
+            cache_hit: launch.cache_hit,
+        };
+        match payload {
+            Payload::Monolithic { requests } => {
+                self.complete_requests(&requests, &done, done.launch_id);
+            }
+            Payload::Chunk { chain, .. } => self.complete_chunk(chain, done),
+            Payload::Decode { slot, mut steps } => {
+                let deadline_s = self.config.decode.step_deadline_s;
+                for (step, session_slot) in &steps {
+                    let session = &mut self.sessions.slots[*session_slot];
+                    session.completed_steps += 1;
+                    session.pending_steps -= 1;
+                    if session.finished() {
+                        self.releases
+                            .push(done.completion_s, Release::Session(*session_slot));
+                    }
+                    self.events.complete_decode(&done, step, deadline_s);
+                }
+                steps.clear();
+                self.launches.slots[slot].steps = steps;
+            }
+        }
     }
 
-    /// Schedules the release of a completed prefill launch's activation
-    /// charge (launches whose members charged nothing hold none).
-    fn schedule_prefill_release(&mut self, launch_id: u64, completion_s: f64) {
+    /// Closes the member outcomes of a prefill batch on `done` and
+    /// schedules the release of the activation charge it holds under
+    /// `launch_id` (its chain id, for a chunked batch). Out of line, like
+    /// [`EngineRun::complete_chunk`], so the inlined decode path stays
+    /// small.
+    #[inline(never)]
+    fn complete_requests(
+        &mut self,
+        requests: &[&'a ServeRequest],
+        done: &Completion,
+        launch_id: u64,
+    ) {
+        for request in requests {
+            self.events.complete_prefill(done, request);
+        }
+        // A batch whose members charged nothing holds no charge.
         let owner = MemOwner::PrefillLaunch(launch_id);
-        if self
-            .events
-            .ledger
-            .held(owner)
-            .is_some_and(|bytes| bytes > 0)
-        {
-            self.releases.push(completion_s, Release::Launch(launch_id));
+        if (self.events.ledger.held(owner)).is_some_and(|bytes| bytes > 0) {
+            self.releases
+                .push(done.completion_s, Release::Launch(launch_id));
         }
     }
 
-    /// Completes a chunked-prefill chain once every chunk has hardened:
-    /// member outcomes span the whole chain ([`Completion::then`]) and the
-    /// chain's activation charge releases exactly once.
-    fn finalize_chain(&mut self, chain_id: u64) {
-        let chain = self.chunk_chains.remove(&chain_id).expect("chain exists");
-        let done = chain.done.expect("every chunk hardened before finalize");
-        // The completion events reference the last chunk's launch (the one
-        // whose completion closes the outcome); replay re-derives the chain
-        // id from its chunk key.
-        for request in &chain.requests {
-            self.events.complete_prefill(&done, request);
+    /// Folds one completed chunk into its chain. With the last chunk the
+    /// members complete on the whole chain ([`Completion::then`]), their
+    /// events naming the last chunk's launch (replay re-derives the chain
+    /// id from its chunk key), and the chain's charge releases once.
+    #[inline(never)]
+    fn complete_chunk(&mut self, chain_id: u64, done: Completion) {
+        let chain = self.chunk_chains.get_mut(&chain_id).expect("chain exists");
+        let done = chain.done.map_or(done, |chain| chain.then(done));
+        chain.done = Some(done);
+        chain.done_chunks += 1;
+        if chain.done_chunks == chain.chunks.len() {
+            let chain = self.chunk_chains.remove(&chain_id).expect("chain exists");
+            self.complete_requests(&chain.requests, &done, chain_id);
         }
-        self.schedule_prefill_release(chain_id, done.completion_s);
     }
 
     /// Applies every deferred release whose completion instant has passed,
@@ -1985,12 +2001,14 @@ impl<'a> EngineRun<'a> {
             return;
         }
 
-        // Per-step deadline screening at this step's context length.
+        // Per-step deadline screening at this step's context length, against
+        // the step's price as a solo launch: queueing only adds to it.
         let decode_key = DecodeKey::of(session.spec);
         if let Some(deadline) = self.config.decode.step_deadline_s {
+            let mut solo = LaunchDemand::new(false);
             let step = decode_step(decode_key, context_len);
-            if deadline < decode_step_lower_bound_s_with_kv(&step, &self.hw, self.kv_element_bytes)
-            {
+            solo.add_step(&step, &self.hw, self.kv_element_bytes);
+            if deadline < solo.service_s(&self.hw) {
                 session.rejected_steps += 1;
                 // A session whose every remaining step is screened out
                 // must still release its KV residency.
@@ -2315,46 +2333,32 @@ impl<'a> EngineRun<'a> {
         // into a chain of chunk launches. Chunk 0 places now with the
         // batch's real seal cause; later chunks place lazily as virtual
         // time reaches each predecessor's completion. A single-chunk
-        // layout falls through to the monolithic path below (and so stays
-        // bit-identical to it).
+        // layout is a monolithic batch.
         if let Some(policy) = self.config.chunked_prefill {
             let chunk_sizes = policy.chunk_sizes(batch_key.seq_len);
             if chunk_sizes.len() > 1 {
                 let chain_id = launch_id;
                 // Split the monolithic plan's seconds across chunks in
-                // proportion to each chunk's closed-form stream demand
-                // (later chunks re-stream more prior KV, so they cost
-                // more per token); every chunk after the first adds one
-                // launch-issue overhead.
-                let issue_s = self.hw.issue_overhead_cycles as f64 / self.hw.frequency_hz;
+                // proportion to each chunk's price (later chunks re-stream
+                // more prior KV, so they cost more per token).
                 let mut prefilled = 0usize;
-                let mut chunk_demands = Vec::new();
-                let raw: Vec<f64> = chunk_sizes
-                    .iter()
+                let demands: Vec<LaunchDemand> = (chunk_sizes.iter())
                     .map(|&tokens| {
-                        let chunk = PrefillChunk::new(
-                            total_batch,
-                            batch_key.heads,
-                            prefilled,
-                            tokens,
-                            batch_key.embed,
-                        );
+                        let (heads, embed) = (batch_key.heads, batch_key.embed);
+                        let chunk = PrefillChunk::new(total_batch, heads, prefilled, tokens, embed);
                         prefilled += tokens;
-                        if self.tracks.is_some() {
-                            chunk_demands.push(TrackDemand::of_prefill_chunk_with_kv(
-                                &chunk,
-                                &self.hw,
-                                self.kv_element_bytes,
-                            ));
-                        }
-                        prefill_chunk_service_s_with_kv(&chunk, &self.hw, self.kv_element_bytes)
+                        let mut demand = LaunchDemand::new(self.tracks.is_some());
+                        demand.add_chunk(&chunk, &self.hw, self.kv_element_bytes);
+                        demand
                     })
                     .collect();
-                let raw_sum: f64 = raw.iter().sum();
-                let chunk_service_s: Vec<f64> = raw
-                    .iter()
-                    .enumerate()
-                    .map(|(k, r)| plan.seconds * r / raw_sum + if k > 0 { issue_s } else { 0.0 })
+                let raw_sum: f64 = demands.iter().map(|d| d.service_s(&self.hw)).sum();
+                let chunks = (demands.iter().enumerate())
+                    .map(|(k, d)| {
+                        let issue = if k > 0 { issue_s(&self.hw) } else { 0.0 };
+                        let share = plan.seconds * d.service_s(&self.hw) / raw_sum;
+                        (share + issue, d.tracks.map(|t| (t, issue)))
+                    })
                     .collect();
                 self.chunk_chains.insert(
                     chain_id,
@@ -2363,9 +2367,7 @@ impl<'a> EngineRun<'a> {
                         total_batch,
                         energy_pj: plan.energy_pj,
                         cache_hit: hit,
-                        chunk_sizes,
-                        chunk_service_s,
-                        chunk_demands,
+                        chunks,
                         next_index: 0,
                         next_ready_s: ready_s,
                         done: None,
@@ -2386,7 +2388,7 @@ impl<'a> EngineRun<'a> {
             .tracks
             .is_some()
             .then(|| (TrackDemand::of_prefill(&merged, &self.hw), 0.0));
-        self.place_prefill_span(PrefillLaunch {
+        let launch = Launch {
             launch_id,
             key: LaunchKey::Prefill(batch_key),
             ready_s,
@@ -2397,17 +2399,15 @@ impl<'a> EngineRun<'a> {
             cache_hit: hit,
             cause,
             est_service_s,
-            profile,
-            payload: StagedPayload::Monolithic { requests },
-        });
+        };
+        self.place(launch, Payload::Monolithic { requests }, profile);
         Ok(())
     }
 
-    /// Dispatches the batched decode launch of slot `k`: closed-form
-    /// service time, earliest-free device, per-step outcomes,
-    /// session-finish releases. With slot preemption active, a launch whose
-    /// members would miss the step deadline may first displace a staged
-    /// (not-yet-started) prefill-class span; `now_s` judges "started"
+    /// Dispatches the batched decode launch of slot `k`: prices it, lets it
+    /// displace a staged prefill-class span when slot preemption is active
+    /// and that fixes a step-deadline miss, and hands it to placement.
+    /// `now_s` judges whether a staged span has started
     /// ([`f64::INFINITY`] at flush disables displacement — everything has
     /// started by then).
     fn dispatch_decode(
@@ -2420,184 +2420,113 @@ impl<'a> EngineRun<'a> {
     ) {
         self.launches.close(k);
         let launch_id = self.launches.slots[k].id;
-        // Borrowed out of the slot and handed back, cleared, at the end:
+        // Borrowed out of the slot and handed back, cleared, at completion:
         // dispatching never joins a launch.
-        let mut pending = std::mem::take(&mut self.launches.slots[k].steps);
-        // Member steps sum per bound component, then recompute-priced
-        // resumes fold their evicted context back in as prefill-chunk
-        // demands, and the launch pays one issue overhead — the decode
-        // closed form of `launch_service_s_with_kv`. The four-track demand
-        // sums the same terms split by direction; its issue overhead stays
-        // a separate term the flow-shop can hide under the KV stream.
+        let steps = std::mem::take(&mut self.launches.slots[k].steps);
+        // Member steps, then the evicted context of recompute-priced
+        // resumes as prefill-chunk work. The track profile keeps the issue
+        // overhead a separate term the flow-shop can hide under the KV
+        // stream.
         let (hw, kv_bytes) = (&self.hw, self.kv_element_bytes);
-        let mut demand = StreamDemand::default();
-        let mut track_demand = self.tracks.is_some().then(TrackDemand::default);
+        let mut demand = LaunchDemand::new(self.tracks.is_some());
         let mut step = decode_step(decode_key, 1);
-        for (p, _) in &pending {
+        for (p, _) in &steps {
             step.context_len = p.context_len;
-            demand.accumulate(&StreamDemand::of_decode_step_with_kv(&step, hw, kv_bytes));
-            if let Some(t) = track_demand.as_mut() {
-                t.accumulate(&TrackDemand::of_decode_step_with_kv(&step, hw, kv_bytes));
-            }
+            demand.add_step(&step, hw, kv_bytes);
         }
-        for (p, _) in pending.iter().filter(|(p, _)| p.recompute_tokens > 0) {
+        for (p, _) in steps.iter().filter(|(p, _)| p.recompute_tokens > 0) {
             let chunk =
                 PrefillChunk::new(1, decode_key.heads, 0, p.recompute_tokens, decode_key.embed)
                     .with_kv_heads(decode_key.kv_heads);
-            demand.accumulate(&StreamDemand::of_prefill_chunk_with_kv(
-                &chunk, hw, kv_bytes,
-            ));
-            if let Some(t) = track_demand.as_mut() {
-                t.accumulate(&TrackDemand::of_prefill_chunk_with_kv(&chunk, hw, kv_bytes));
-            }
+            demand.add_chunk(&chunk, hw, kv_bytes);
         }
-        let issue_s = hw.issue_overhead_cycles as f64 / hw.frequency_hz;
-        let service_s = demand.bound_seconds(hw) + issue_s;
-        let profile = track_demand.map(|t| (t, issue_s));
-        let mut device = self.earliest_free_device();
-        let mut start_s = self.free_at[device].max(ready_s);
-        let mut requeue: Option<StagedSpan> = None;
-        if self.staging_active() && now_s.is_finite() {
-            if let Some(deadline) = self.config.decode.step_deadline_s {
-                let misses = |start: f64| {
-                    pending
-                        .iter()
-                        .filter(|(p, _)| start + service_s - p.arrival_s > deadline)
-                        .count()
-                };
-                if misses(start_s) > 0 {
-                    // Candidate victims: staged spans that have not started
-                    // yet. Pick the one whose rollback yields the earliest
-                    // decode start; displace only if that actually fixes a
-                    // deadline miss.
-                    let candidate = self
-                        .staged
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(d, slot)| {
-                            slot.as_ref().and_then(|span| {
-                                (span.start_s > now_s).then_some((span.prev_free_s.max(ready_s), d))
-                            })
-                        })
-                        .min_by(|a, b| a.partial_cmp(b).expect("times are finite"));
-                    if let Some((cand_start, d)) = candidate {
-                        if cand_start < start_s && misses(cand_start) < misses(start_s) {
-                            let victim = self.staged[d].take().expect("candidate");
-                            self.free_at[d] = victim.prev_free_s;
-                            // Roll the device's track clocks back too: the
-                            // victim is always the device's last placement
-                            // (a newer one would have hardened it), so its
-                            // pre-placement snapshot is current.
-                            if let (Some(tracks), Some(prev)) =
-                                (self.tracks.as_mut(), victim.prev_tracks)
-                            {
-                                tracks[d] = prev;
-                            }
-                            self.events.emit(
-                                now_s,
-                                EventKind::Preempted {
-                                    victim: PreemptVictim::Launch {
-                                        launch_id: victim.launch.launch_id,
-                                        key: victim.launch.key,
-                                        device: d as u32,
-                                        start_s: victim.start_s,
-                                    },
-                                },
-                            );
-                            requeue = Some(victim);
-                            device = self.earliest_free_device();
-                            start_s = self.free_at[device].max(ready_s);
-                        }
+        let service_s = demand.service_s(hw);
+        let profile = demand.tracks.map(|t| (t, issue_s(hw)));
+        let mut victim = None;
+        if let (true, Some(deadline)) = (
+            self.staging_active() && now_s.is_finite(),
+            self.config.decode.step_deadline_s,
+        ) {
+            let misses = |start: f64| {
+                (steps.iter())
+                    .filter(|(p, _)| start + service_s - p.arrival_s > deadline)
+                    .count()
+            };
+            let start_s = self.free_at[self.earliest_free_device()].max(ready_s);
+            if misses(start_s) > 0 {
+                // Candidate victims: staged spans that have not started
+                // yet. Pick the one whose rollback yields the earliest
+                // decode start; displace only if that fixes a miss.
+                let candidate = (self.staged.iter().enumerate())
+                    .filter_map(|(d, slot)| {
+                        let s = slot.as_ref().filter(|s| s.span.start_s > now_s)?;
+                        Some((s.prev_free_s.max(ready_s), d))
+                    })
+                    .min_by(|a, b| a.partial_cmp(b).expect("times are finite"));
+                if let Some((cand_start, d)) = candidate {
+                    if cand_start < start_s && misses(cand_start) < misses(start_s) {
+                        victim = Some(self.displace(d, now_s));
                     }
                 }
             }
         }
-        // Pin the incumbent staged span (the decode launch starts after it)
-        // so per-device event order stays start order.
-        if let Some(limit) = self.staged[device].as_ref().map(|span| span.start_s) {
-            self.harden_through(limit);
-        }
-        let scalar_completion_s = start_s + service_s;
-        let mut completion_s = scalar_completion_s;
-        let mut span_service_s = service_s;
-        let mut stage_spans: Option<Vec<StageSpan>> = None;
-        if self.tracks.is_some() {
-            if let Some(p) = self.try_track_placement(
-                device,
-                ready_s,
-                service_s,
-                scalar_completion_s,
-                profile.as_ref(),
-            ) {
-                start_s = p.start_s;
-                completion_s = p.completion_s;
-                span_service_s = completion_s - start_s;
-                stage_spans = Some(p.stages);
-            }
-        }
-        self.free_at[device] = completion_s;
-        // Decode launches occupy the shared timeline too: account them in
-        // the backlog estimate prefill admission sees. Always the scalar
-        // service, so admission decisions match across executor modes.
-        self.estimator.feed(ready_s, service_s);
-        self.events.emit(
-            start_s,
-            EventKind::LaunchDispatched {
-                launch_id,
-                key: LaunchKey::Decode(decode_key),
-                device: device as u32,
-                ready_s,
-                start_s,
-                completion_s,
-                service_s: span_service_s,
-                members: pending.len() as u32,
-                total_batch: pending.len() as u32,
-                energy_pj: 0.0,
-                cache_hit: false,
-                cause,
-            },
-        );
-        self.log_stages(launch_id, device, stage_spans.as_deref());
-        let done = Completion {
+        let members = steps.len() as u32;
+        let launch = Launch {
             launch_id,
-            batch_id: launch_id,
-            device,
-            start_s,
-            completion_s,
-            service_s: span_service_s,
+            key: LaunchKey::Decode(decode_key),
+            ready_s,
+            service_s,
+            members,
+            total_batch: members,
             energy_pj: 0.0,
-            total_batch: pending.len() as f64,
             cache_hit: false,
+            cause,
+            est_service_s: service_s,
         };
-        let deadline_s = self.config.decode.step_deadline_s;
-        for (p, slot) in &pending {
-            let session = &mut self.sessions.slots[*slot];
-            session.completed_steps += 1;
-            session.pending_steps -= 1;
-            if session.finished() {
-                self.releases.push(completion_s, Release::Session(*slot));
-            }
-            self.events.complete_decode(&done, p, deadline_s);
-        }
-        pending.clear();
-        self.launches.slots[k].steps = pending;
+        self.place(launch, Payload::Decode { slot: k, steps }, profile);
         // The displaced span re-places now — behind the decode launch, never
         // dropped. A chunk victim rewinds its chain to the displaced index;
         // the chain re-places it with the same identity.
-        if let Some(victim) = requeue {
-            let launch = victim.launch;
-            match launch.payload {
-                StagedPayload::Monolithic { .. } => {
-                    self.place_prefill_span(launch);
-                }
-                StagedPayload::Chunk { chain, index } => {
-                    let state = self.chunk_chains.get_mut(&chain).expect("chain is live");
-                    state.next_index = index;
-                    state.next_ready_s = launch.ready_s;
-                    self.place_chunk(chain, launch.cause);
-                }
+        if let Some(StagedSpan {
+            launch,
+            payload,
+            profile,
+            ..
+        }) = victim
+        {
+            if let Payload::Chunk { chain, index } = payload {
+                let state = self.chunk_chains.get_mut(&chain).expect("chain is live");
+                state.next_index = index;
+                state.next_ready_s = launch.ready_s;
+                self.place_chunk(chain, launch.cause);
+            } else {
+                self.place(launch, payload, profile);
             }
         }
+    }
+
+    /// Takes device `d`'s staged span off the timeline, rolling `free_at`
+    /// and the track clocks back to before its placement, and returns it.
+    fn displace(&mut self, d: usize, now_s: f64) -> StagedSpan<'a> {
+        let victim = self.staged[d].take().expect("a staged span");
+        self.free_at[d] = victim.prev_free_s;
+        // The victim is always the device's last placement (a newer one
+        // would have hardened it), so its pre-placement snapshot is current.
+        if let (Some(tracks), Some(prev)) = (self.tracks.as_mut(), victim.prev_tracks) {
+            tracks[d] = prev;
+        }
+        self.events.emit(
+            now_s,
+            EventKind::Preempted {
+                victim: PreemptVictim::Launch {
+                    launch_id: victim.launch.launch_id,
+                    key: victim.launch.key,
+                    device: d as u32,
+                    start_s: victim.span.start_s,
+                },
+            },
+        );
+        victim
     }
 
     /// Evicts idle sessions' KV residency (largest session id first, a
@@ -3014,6 +2943,75 @@ mod tests {
         let telemetry = engine.telemetry().unwrap();
         telemetry.conservation_check().unwrap();
         assert_eq!(telemetry.report().as_ref(), Some(&report));
+    }
+
+    /// A trace with steps of session 99, which it never declares.
+    fn undeclared_steps(indices: &[usize]) -> DecodeTrace {
+        DecodeTrace {
+            sessions: vec![one_step_session(3)],
+            steps: (indices.iter().enumerate())
+                .map(|(k, &step_index)| DecodeStepEvent {
+                    session_id: 99,
+                    step_index,
+                    arrival_s: 1e-4 * k as f64,
+                })
+                .collect(),
+        }
+    }
+
+    /// Steps of an undeclared session are rejected at run time, but the log
+    /// still records and counts them by `(session, step)`: a repeated one
+    /// would be rejected twice and fail the conservation check, so the run
+    /// refuses it, naming the step, before it plans or records. Increasing
+    /// indices stay counted rejections.
+    #[test]
+    fn repeated_steps_of_an_undeclared_session_are_rejected_before_any_state_changes() {
+        let mut engine = ServeEngine::new(EngineConfig {
+            telemetry: Some(TelemetryConfig::default()),
+            ..EngineConfig::default()
+        });
+        engine.run(&[], &DecodeTrace::empty()).unwrap();
+        for (indices, bad, prev) in [(&[0, 0][..], 0, 0), (&[1, 5, 2][..], 2, 5)] {
+            let err = engine
+                .run(&reqs(2, 1e-4), &undeclared_steps(indices))
+                .unwrap_err();
+            assert!(
+                matches!(&err, SimError::InvalidConfig { reason }
+                    if reason.contains(&format!("decode step {bad} of session 99 follows step {prev}"))),
+                "{indices:?}: {err}"
+            );
+            assert!(engine.cache().is_empty());
+            assert_eq!(engine.telemetry().map(|t| t.events().len()), Some(1));
+        }
+        let report = engine.run(&[], &undeclared_steps(&[0, 2])).unwrap();
+        assert_eq!(report.decode.rejected.len(), 2);
+        let telemetry = engine.telemetry().unwrap();
+        telemetry.conservation_check().unwrap();
+        assert_eq!(telemetry.report().as_ref(), Some(&report));
+    }
+
+    /// An undeclared session has no step count to bound its indices, but
+    /// the log stores them as `u32`: a larger index would be recorded as
+    /// another step, so the run refuses it, naming the step. The largest
+    /// index the log holds is a counted rejection.
+    #[test]
+    fn undeclared_step_indices_beyond_the_event_log_field_width_are_rejected() {
+        let mut engine = ServeEngine::new(EngineConfig {
+            telemetry: Some(TelemetryConfig::default()),
+            ..EngineConfig::default()
+        });
+        let beyond = (1usize << 32) + 4;
+        let err = engine.run(&[], &undeclared_steps(&[beyond])).unwrap_err();
+        assert!(
+            matches!(&err, SimError::InvalidConfig { reason }
+                if reason.contains(&format!("decode step {beyond} of session 99 is out of range"))),
+            "{err}"
+        );
+        assert!(engine.telemetry().is_none());
+        let limit = u32::MAX as usize;
+        let report = engine.run(&[], &undeclared_steps(&[limit])).unwrap();
+        assert_eq!(report.decode.rejected[0].step_index, limit);
+        assert_eq!(engine.telemetry().unwrap().report().as_ref(), Some(&report));
     }
 
     /// The event log stores step indices and context lengths as `u32`, so

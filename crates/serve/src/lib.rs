@@ -96,15 +96,18 @@
 //! ## Mixed scheduling ([`engine`])
 //!
 //! ```text
-//! prefill ──┐   ┌───────────────────────┐   ┌──────────────────────────┐
-//!           ├──▶│ unified WorkItem queue │──▶│ one device timeline      │
+//! prefill ──┐   ┌────────────────────────┐   ┌──────────────────────────┐
+//!           ├──▶│ one launch path        │──▶│ one device timeline      │
 //! decode  ──┘   │ (LaunchKey coalescing, │   │ (policy-ordered slots,   │
-//!               │  shared memory budget) │   │  shared schedule cache)  │
-//!               └───────────────────────┘   └──────────────────────────┘
+//!               │  one price, placement  │   │  shared schedule cache)  │
+//!               │  and completion)       │   │                          │
+//!               └────────────────────────┘   └──────────────────────────┘
 //! ```
 //!
-//! Every unit of work is a [`engine::WorkItem`] coalescing under a typed
-//! [`LaunchKey`]; a configurable iteration-level [`SchedulePolicy`]
+//! Prefill requests and decode steps coalesce under a typed [`LaunchKey`]
+//! into launches that share one placement and one completion path, and
+//! every decode launch and prefill chunk is priced by one closed-form
+//! function; a configurable iteration-level [`SchedulePolicy`]
 //! (decode-priority / prefill-priority / fair-share) decides which class
 //! feeds each launch slot when both are ready; and prefill activation
 //! footprints plus decode KV residency charge one budget, so a prefill
@@ -122,8 +125,9 @@
 //! per-device FIFO tracks ([`TrackKind`]), so stage `k+1`'s DMA streams
 //! under stage `k`'s compute — the paper's intra-kernel overlap, recovered
 //! at the serving layer. A launch commits the overlapped placement only
-//! when it strictly beats the scalar one (never-worse by construction),
-//! and the default `tracks: None` keeps every pinned replay bit-identical.
+//! when it strictly beats the scalar one (never-worse by construction).
+//! With the default `tracks: None` a launch holds its whole device for its
+//! one scalar service time.
 //!
 //! ## Example
 //!
@@ -164,12 +168,10 @@ pub use cache::{
     hardware_fingerprint, planning_fingerprint, CacheError, CacheKey, CachedPlan, ScheduleCache,
 };
 pub use decode::{
-    decode_step_lower_bound_s_with_kv, launch_service_s_with_kv, prefill_chunk_service_s_with_kv,
     DecodePolicy, DecodeRejectReason, DecodeReport, DecodeStepOutcome, RejectedDecodeStep,
 };
 pub use engine::{
-    ChunkPolicy, DecodeStepItem, DeviceUtil, EngineConfig, EngineReport, PreemptMode,
-    SchedulePolicy, ServeEngine, WorkItem,
+    ChunkPolicy, DeviceUtil, EngineConfig, EngineReport, PreemptMode, SchedulePolicy, ServeEngine,
 };
 pub use key::{BatchKey, ChunkKey, DecodeKey, LaunchKey, WorkClass};
 pub use mas_dataflow::KvDtype;
@@ -180,7 +182,7 @@ pub use metrics::{
 pub use queue::{AdmissionPolicy, RejectReason};
 pub use request::ServeRequest;
 pub use telemetry::{
-    chrome_trace_from_sim, validate_chrome_trace, ChromeTraceStats, ConservationStats, EngineEvent,
-    EventKind, LogHistogram, MemOwner, PeakAttribution, PreemptVictim, SealCause, Telemetry,
-    TelemetryConfig, TimeSeries, Track,
+    validate_chrome_trace, ChromeTraceStats, ConservationStats, EngineEvent, EventKind,
+    LogHistogram, MemOwner, PeakAttribution, PreemptVictim, SealCause, Telemetry, TelemetryConfig,
+    TimeSeries, Track,
 };

@@ -225,12 +225,6 @@ impl ServeReport {
         self.latency_stats().map(|s| s.p99_s)
     }
 
-    /// Mean end-to-end latency.
-    #[must_use]
-    pub fn mean_latency_s(&self) -> Option<f64> {
-        self.latency_stats().map(|s| s.mean_s)
-    }
-
     /// Completed requests that met their deadline (requests without a
     /// deadline count as met).
     #[must_use]

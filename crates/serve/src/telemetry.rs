@@ -100,9 +100,6 @@
 //!   ([`LogHistogram`], power-of-two buckets, mergeable across engines by
 //!   bucket-wise addition — the hook for the future multi-engine cluster
 //!   layer) alongside the exact [`LatencyStats`] figures in the report.
-//! * [`chrome_trace_from_sim`] — bridges a cycle-level
-//!   [`mas_sim::trace::Trace`] (per-resource spans) into the same Chrome
-//!   JSON, so kernel-level and engine-level timelines open in one viewer.
 //!
 //! [`ServeEngine`]: crate::engine::ServeEngine
 //! [`EngineConfig::telemetry`]: crate::engine::EngineConfig::telemetry
@@ -1896,65 +1893,6 @@ impl JsonParser<'_> {
             }
         }
     }
-}
-
-/// Bridges a cycle-level [`mas_sim::trace::Trace`] into Chrome trace-event
-/// JSON: one thread per resource (first-appearance order), one `"X"` span
-/// per trace entry, cycles converted to microseconds at `clock_hz`. The
-/// output validates under [`validate_chrome_trace`] whenever the source
-/// trace's per-resource spans are non-overlapping (which
-/// `mas_sim::trace::Trace::overlap_cycles` can confirm).
-#[must_use]
-pub fn chrome_trace_from_sim(trace: &mas_sim::trace::Trace, clock_hz: f64) -> String {
-    let clock_hz = if clock_hz > 0.0 { clock_hz } else { 1.0 };
-    let us_per_cycle = 1e6 / clock_hz;
-    let resources = trace.resources();
-    let tid_of = |r: &mas_sim::Resource| {
-        resources
-            .iter()
-            .position(|x| x == r)
-            .expect("resource listed")
-    };
-    let mut out = String::from("[\n");
-    let mut first = true;
-    let push = |out: &mut String, first: &mut bool, event: String| {
-        if !*first {
-            out.push_str(",\n");
-        }
-        *first = false;
-        out.push_str(&event);
-    };
-    push(
-        &mut out,
-        &mut first,
-        r#"{"name":"process_name","ph":"M","pid":0,"tid":0,"args":{"name":"mas-sim"}}"#.to_string(),
-    );
-    for (tid, resource) in resources.iter().enumerate() {
-        push(
-            &mut out,
-            &mut first,
-            format!(
-                r#"{{"name":"thread_name","ph":"M","pid":0,"tid":{tid},"args":{{"name":{}}}}}"#,
-                escape_json(&resource.to_string())
-            ),
-        );
-    }
-    for entry in trace.entries() {
-        let ts = entry.start_cycle as f64 * us_per_cycle;
-        let dur = entry.end_cycle.saturating_sub(entry.start_cycle) as f64 * us_per_cycle;
-        push(
-            &mut out,
-            &mut first,
-            format!(
-                r#"{{"name":{},"cat":{},"ph":"X","pid":0,"tid":{},"ts":{ts},"dur":{dur}}}"#,
-                escape_json(&entry.label.to_string()),
-                escape_json(&format!("{:?}", entry.task)),
-                tid_of(&entry.resource),
-            ),
-        );
-    }
-    out.push_str("\n]\n");
-    out
 }
 
 #[cfg(test)]

@@ -12,8 +12,7 @@
 //!
 //! * [`KvCache`] — appendable per-head `K`/`V` row storage with optional
 //!   sliding-window capacity and eviction accounting. Rows are contiguous
-//!   per head, so the decode kernel runs on the same
-//!   [`dot`](crate::matmul::dot)/[`axpy`](crate::matmul::axpy) slice
+//!   per head, so the decode kernel runs on the same [`dot`]/[`axpy`] slice
 //!   primitives as the prefill executors in [`crate::tiled`].
 //! * [`decode_attention`] — one decode step: for each head, an
 //!   online-softmax sweep of the single query row over the cached rows.

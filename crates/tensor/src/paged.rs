@@ -24,8 +24,8 @@
 //!   divergence and LRU eviction of index-only blocks under pool pressure.
 //! * [`decode_attention_paged`] — the decode kernel generalized to sweep a
 //!   block table. It drives the same per-row online-softmax recurrence
-//!   ([`OnlineDecodeState`](crate::decode::OnlineDecodeState)) as the
-//!   contiguous [`decode_attention`](crate::decode::decode_attention) over
+//!   ([`OnlineDecodeState`]) as the contiguous
+//!   [`decode_attention`](crate::decode::decode_attention) over
 //!   the same rows in the same order, so the two paths are **bit-identical**
 //!   (pinned by `tests/paged_vs_contiguous.rs`).
 //!
@@ -204,9 +204,8 @@ impl KvBlockPool {
 
     /// Selects the storage dtype of the pool's arenas. Under
     /// [`KvDtype::F16`] each written element is converted with the
-    /// saturating f16 store
-    /// ([`f32_to_f16_bits_saturating`](crate::half::f32_to_f16_bits_saturating))
-    /// and blocks charge half the bytes of f32 blocks.
+    /// saturating f16 store ([`f32_to_f16_bits_saturating`]) and blocks
+    /// charge half the bytes of f32 blocks.
     ///
     /// # Panics
     ///

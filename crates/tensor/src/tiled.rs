@@ -18,10 +18,9 @@
 //! `N_Q`/`N_{K,V}` parameters that the tiling search optimizes.
 //!
 //! The inner loops work exclusively on contiguous row slices: tile logits are
-//! row·row [`dot`](crate::matmul::dot) products, probability×value
-//! accumulation is an [`axpy`](crate::matmul::axpy) over the output row, and
-//! softmax runs in place on the on-chip `C_i` rows. Independent
-//! `(batch, head)` slices are processed in parallel.
+//! row·row [`dot`] products, probability×value accumulation is an [`axpy`]
+//! over the output row, and softmax runs in place on the on-chip `C_i` rows.
+//! Independent `(batch, head)` slices are processed in parallel.
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
