@@ -77,7 +77,12 @@ impl Tiling {
         // Keep a K sub-tile at or below ~1/16 of L1.
         let budget = hw.l1_bytes / 16;
         let bytes_per_kv_row = workload.embed * hw.element_bytes;
-        let n_kv = (budget / bytes_per_kv_row.max(1)).clamp(hw.mac_array_cols, workload.seq_len);
+        // At least one MAC-array width, but never past the sequence (nor
+        // below one row, for sequences shorter than the array).
+        let n_kv = (budget / bytes_per_kv_row.max(1))
+            .max(hw.mac_array_cols)
+            .min(workload.seq_len)
+            .max(1);
         Self::new(1, 1, n_q, n_kv, workload)
     }
 
@@ -166,6 +171,26 @@ mod tests {
 
     fn bert() -> AttentionWorkload {
         AttentionWorkload::new("BERT-Base", 1, 12, 512, 64)
+    }
+
+    #[test]
+    fn heuristic_fits_sequences_shorter_than_the_mac_array() {
+        let hw = HardwareConfig::edge_default();
+        assert_eq!(hw.mac_array_cols, 16);
+        for seq_len in 1..=16 {
+            let w = AttentionWorkload::new("short", 1, 8, seq_len, 64);
+            let t = Tiling::heuristic(&w, &hw);
+            assert_eq!((t.b_b, t.h_h), (1, 1), "seq_len {seq_len}");
+            assert_eq!(t.n_q, seq_len, "seq_len {seq_len}");
+            assert_eq!(t.n_kv, seq_len, "seq_len {seq_len}");
+        }
+        // From one MAC-array width up, the sub-tile keeps its L1 budget.
+        let w = AttentionWorkload::new("long", 1, 8, 4096, 64);
+        let t = Tiling::heuristic(&w, &hw);
+        assert_eq!(
+            t.n_kv,
+            (hw.l1_bytes / 16 / (64 * hw.element_bytes)).min(4096)
+        );
     }
 
     #[test]

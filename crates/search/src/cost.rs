@@ -6,6 +6,14 @@
 //! the search algorithms can revisit points for free, and invalid tilings
 //! (working set exceeding L1) are rejected up front.
 //!
+//! The simulator replays the repeating rounds of a schedule instead of
+//! simulating them event by event (the "Steady-state fast-forward" of
+//! `mas_sim::executor`), with identical results. A candidate's simulation
+//! therefore costs one pass over its graph plus event-by-event work only
+//! for the part of its schedule that does not repeat: its warm-up, its
+//! chunk boundaries and its epilogue. Many-round tilings such as
+//! [`Tiling::naive`] gain the most.
+//!
 //! Simulating one candidate is a pure function of `(method, workload,
 //! hardware, tiling)`, so a batch of uncached candidates — a GA generation, a
 //! grid-sweep chunk, an MCTS rollout batch — fans out across threads through

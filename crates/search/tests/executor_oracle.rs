@@ -400,6 +400,175 @@ proptest! {
     }
 }
 
+/// Zero-cycle tasks ahead of every periodic graph's rounds.
+const WARMUP: usize = 4_200;
+
+/// A random periodic graph, the shape the steady-state fast-forward
+/// skips over: a zero-cycle warm-up and a prologue of 0–3 transfers, then
+/// a random round template of 2–10 tasks repeated 8–300 times per chunk,
+/// one chunk per core, laid out chunk after chunk or round by round. A template task runs on a DMA
+/// channel or on its chunk's MAC or VEC unit, may take zero cycles, and
+/// waits on earlier tasks of its round, on tasks one or two rounds back
+/// and on prologue tasks; DMA tasks may or may not have consumers. One
+/// task of one round, at a random place, does different work, so a repeat
+/// must stop there and may resume after it.
+fn periodic_graph(rng: &mut StdRng, cores: usize) -> TaskGraph {
+    let pick = |rng: &mut StdRng, menu: &[usize]| menu[rng.gen_range(0..menu.len())];
+    let kind = |rng: &mut StdRng| match rng.gen_range(0..7u32) {
+        0 => TaskKind::Barrier,
+        1 => TaskKind::DramLoad {
+            bytes: pick(rng, &[0, 64, 512, 4096]),
+        },
+        2 => TaskKind::DramStore {
+            bytes: pick(rng, &[0, 64, 512]),
+        },
+        3 | 4 => TaskKind::MatMul {
+            m: pick(rng, &[1, 16, 32]),
+            k: pick(rng, &[8, 64]),
+            n: pick(rng, &[16, 32]),
+        },
+        5 => TaskKind::Softmax {
+            rows: pick(rng, &[1, 16]),
+            cols: pick(rng, &[16, 64]),
+        },
+        _ => TaskKind::VecOp {
+            elements: pick(rng, &[0, 256, 1024]),
+            passes: rng.gen_range(1..3usize),
+        },
+    };
+    let mut g = TaskGraph::new();
+    // Zero-cycle barriers on every compute unit all start at cycle 0, ahead
+    // of the rounds: the executor looks for repeats only once 4,096 tasks
+    // have started.
+    for i in 0..WARMUP {
+        let core = i / 2 % cores;
+        let resource = if i % 2 == 0 {
+            Resource::Mac { core }
+        } else {
+            Resource::Vec { core }
+        };
+        g.add_task(
+            Label::new("warm-up {0}", [i]),
+            resource,
+            TaskKind::Barrier,
+            &[],
+        );
+    }
+    let prologue: Vec<TaskId> = (0..rng.gen_range(0..4usize))
+        .map(|i| {
+            g.add_task(
+                Label::new("prologue {0}", [i]),
+                Resource::DmaIn,
+                TaskKind::DramLoad {
+                    bytes: pick(rng, &[64, 4096]),
+                },
+                &[],
+            )
+        })
+        .collect();
+    // Per template task: resource class, kind, and what it waits on.
+    struct Step {
+        unit: u32,
+        kind: TaskKind,
+        same_round: Vec<usize>,
+        back: Vec<(usize, usize)>,
+        fixed: Vec<TaskId>,
+    }
+    let size = rng.gen_range(2..11usize);
+    let template: Vec<Step> = (0..size)
+        .map(|pos| Step {
+            unit: rng.gen_range(0..4u32),
+            kind: kind(rng),
+            same_round: (0..rng.gen_range(0..3u32))
+                .filter(|_| pos > 0)
+                .map(|_| rng.gen_range(0..pos.max(1)))
+                .collect(),
+            back: (0..rng.gen_range(0..3u32))
+                .map(|_| (rng.gen_range(1..3usize), rng.gen_range(0..size)))
+                .collect(),
+            fixed: (0..rng.gen_range(0..2u32))
+                .filter(|_| !prologue.is_empty())
+                .map(|_| prologue[rng.gen_range(0..prologue.len())])
+                .collect(),
+        })
+        .collect();
+    let rounds = rng.gen_range(8..301usize);
+    let odd = (
+        rng.gen_range(0..cores),
+        rng.gen_range(0..rounds),
+        rng.gen_range(0..size),
+    );
+    let odd_kind = TaskKind::VecOp {
+        elements: 777,
+        passes: 3,
+    };
+    let mut ids = vec![vec![Vec::with_capacity(size); rounds]; cores];
+    let chunk_major = rng.gen_range(0..2u32) == 0;
+    let order: Vec<(usize, usize)> = if chunk_major {
+        (0..cores)
+            .flat_map(|c| (0..rounds).map(move |r| (c, r)))
+            .collect()
+    } else {
+        (0..rounds)
+            .flat_map(|r| (0..cores).map(move |c| (c, r)))
+            .collect()
+    };
+    for (c, r) in order {
+        for (pos, step) in template.iter().enumerate() {
+            let resource = match step.unit {
+                0 => Resource::DmaIn,
+                1 => Resource::DmaOut,
+                2 => Resource::Mac { core: c },
+                _ => Resource::Vec { core: c },
+            };
+            let mut deps: Vec<TaskId> = step.fixed.clone();
+            deps.extend(step.same_round.iter().map(|&p| ids[c][r][p]));
+            deps.extend(
+                step.back
+                    .iter()
+                    .filter(|&&(lag, _)| r >= lag)
+                    .map(|&(lag, p)| ids[c][r - lag][p]),
+            );
+            let kind = if (c, r, pos) == odd {
+                odd_kind
+            } else {
+                step.kind
+            };
+            let id = g.add_task(
+                Label::new("c{0} r{1} t{2}", [c, r, pos]),
+                resource,
+                kind,
+                &deps,
+            );
+            ids[c][r].push(id);
+        }
+    }
+    g
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn periodic_graphs_schedule_exactly_as_the_reference(
+        seed in 0u64..u64::MAX,
+        cores in 1usize..4,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let graph = periodic_graph(&mut rng, cores);
+        // One traced reference run pins both executor runs: an untraced
+        // report is the traced one without its trace.
+        let hw = device(cores);
+        let energy = EnergyModel::edge_16nm();
+        let traced = Executor::new(hw, energy);
+        let want = reference_run(traced.timing(), &energy, true, &graph).expect("simulates");
+        let what = format!("periodic seed {seed}, {cores} cores");
+        assert_identical(&traced.run(&graph).expect("simulates"), &want, &what);
+        let untraced = traced.without_trace().run(&graph).expect("simulates");
+        assert_identical(&untraced, &SimReport { trace: None, ..want }, &what);
+    }
+}
+
 /// The random graphs reach every outcome the oracle must pin: successful
 /// runs with zero-cycle tasks and equal-end ties, and each graph error.
 #[test]
@@ -481,3 +650,92 @@ fn searched_tilings_schedule_exactly_as_the_reference() {
 /// Search-space points sampled per network; bounded so the quadratic
 /// reference stays within a few seconds in the debug test profile.
 const SAMPLES_PER_NETWORK: usize = 6;
+
+/// Golden digests of the naive-tiling reports, one row per network, method
+/// and trace setting (`golden/naive_reports.tsv`).
+const NAIVE_REPORTS: &str = include_str!("golden/naive_reports.tsv");
+
+/// 64-bit FNV-1a of `bytes`, continuing from `hash`.
+fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
+    for &b in bytes {
+        hash ^= u64::from(b);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    hash
+}
+
+/// An FNV-1a digest of every `SimReport` field: integers as written, floats
+/// by `to_bits`, the busy map in key order and the rendered trace.
+fn report_digest(report: &SimReport) -> u64 {
+    let mut text = format!(
+        "{} {:016x} {} {} {} {} {} {}\n",
+        report.total_cycles,
+        report.total_seconds.to_bits(),
+        report.dram_read_bytes,
+        report.dram_write_bytes,
+        report.mac_ops,
+        report.vec_ops,
+        report.tasks_executed,
+        report.mac_vec_overlap_cycles,
+    );
+    for (name, pj) in report.energy.components() {
+        text.push_str(&format!("{name} {:016x}\n", pj.to_bits()));
+    }
+    for (resource, cycles) in &report.busy_cycles {
+        text.push_str(&format!("{resource} {cycles}\n"));
+    }
+    let mut hash = fnv1a(text.as_bytes(), 0xcbf2_9ce4_8422_2325);
+    match &report.trace {
+        Some(trace) => {
+            for e in trace.entries() {
+                let line = format!(
+                    "{}\t{}\t{}\t{}\t{}\n",
+                    e.task, e.resource, e.start_cycle, e.end_cycle, e.label
+                );
+                hash = fnv1a(line.as_bytes(), hash);
+            }
+        }
+        None => hash = fnv1a(b"untraced", hash),
+    }
+    hash
+}
+
+/// The naive single-row tiling is the first candidate every tuning run
+/// simulates and the largest graph the search builds. Its reports for the
+/// two tuned networks under every method, traced and untraced, must keep
+/// the digests recorded before the executor learned to fast-forward over
+/// repeating rounds. On a row-count mismatch the computed rows are printed.
+#[test]
+fn naive_reports_keep_their_golden_digests() {
+    let hw = HardwareConfig::edge_default();
+    let traced = Executor::new(hw.clone(), EnergyModel::edge_16nm());
+    let untraced = traced.clone().without_trace();
+    let mut rows = Vec::new();
+    for network in [Network::BertSmall, Network::T5Mini] {
+        let w = network.attention_workload(1);
+        for kind in DataflowKind::all() {
+            let schedule =
+                build_dataflow(kind, &w, &Tiling::naive(&w), &hw).expect("dataflow builds");
+            for (mode, exec) in [("untraced", &untraced), ("traced", &traced)] {
+                let report = exec.run(schedule.graph()).expect("simulates");
+                rows.push(format!(
+                    "{network}\t{kind:?}\t{mode}\t{}\t{}\t{:016x}",
+                    schedule.graph().len(),
+                    report.total_cycles,
+                    report_digest(&report)
+                ));
+            }
+        }
+    }
+    let golden: Vec<&str> = NAIVE_REPORTS.lines().collect();
+    if rows.len() != golden.len() {
+        panic!(
+            "golden row count {}; computed:\n{}",
+            golden.len(),
+            rows.join("\n")
+        );
+    }
+    for (got, want) in rows.iter().zip(golden) {
+        assert_eq!(got, want);
+    }
+}

@@ -3050,6 +3050,28 @@ mod tests {
         assert_eq!(engine.telemetry().unwrap().report().as_ref(), Some(&report));
     }
 
+    /// A prefill request shorter than the MAC array is width (8 tokens on a
+    /// 16-column array) plans, simulates and completes under the default
+    /// configuration, and the prefill class conserves
+    /// `completed + rejected == offered`.
+    #[test]
+    fn sequences_shorter_than_the_mac_array_are_served() {
+        let request = ServeRequest::new(
+            0,
+            0.0,
+            DataflowKind::MasAttention,
+            AttentionWorkload::new("short", 1, 8, 8, 64),
+            None,
+        );
+        let mut engine = ServeEngine::new(EngineConfig::default());
+        let report = engine.run(&[request], &DecodeTrace::empty()).unwrap();
+        assert_eq!(report.prefill.completed(), 1);
+        assert_eq!(
+            report.prefill.completed() + report.prefill.rejected.len(),
+            1
+        );
+    }
+
     /// Zero-dimension inputs are accounted rejections, never panics: a
     /// prefill request with any zero dimension is an infeasible workload
     /// and a session with a zero head, KV-head or embedding count an

@@ -35,17 +35,71 @@
 //!   start order.
 //!
 //! The per-run state is dense: resources become slots numbered once, each
-//! slot has a binary-heap ready queue, dependents are one CSR array
-//! inverted from the graph's own CSR dependency array ([`TaskGraph`]), and
-//! busy time is a `u64` per slot. Each start and each completion costs
-//! `O(log n)` heap work for `n` tasks, and each start pass costs `O(r)` for
-//! the `r` resources in use (at most `2 + 2·cores`), so a run costs
+//! slot has a binary-heap ready queue keyed by one word (priority, then
+//! program index), dependents are one CSR array inverted from the graph's
+//! own CSR dependency array ([`TaskGraph`]), and busy time is a `u64` per
+//! slot. The graph stores each distinct resource and kind once, so a run
+//! prices each of them once: a start reads its cycles and energy from a
+//! small table. Each start and each completion costs `O(log n)` heap work
+//! for `n` tasks, and each start pass costs `O(r)` for the `r` resources in
+//! use (at most `2 + 2·cores`), so a run costs
 //! `O((n + e) + n log n + passes · r)` for `e` dependency edges. The
+//! per-task arrays are kept per thread and reused by the next run. The
 //! executor does not call [`TaskGraph::validate`]: dependency ids are
 //! checked while the dependents table is built, and a cycle is found when
 //! the schedule stalls. The errors are still exactly those `validate`
 //! reports, and come before an unknown core; only a graph naming an
 //! unknown core pays for a `validate` call, to rank a cycle first.
+//!
+//! # Steady-state fast-forward
+//!
+//! The dataflow builders emit the same rounds over and over, so once a
+//! schedule settles, each period of it is the previous one shifted by `P`
+//! cycles and `S` tasks. [`Executor::run`] notices this and replays such
+//! periods instead of simulating them. Its results do not change: every
+//! report field, every energy bit and every trace entry equals
+//! event-by-event simulation, traced or not, and there is nothing to turn
+//! on or off.
+//!
+//! - **Checkpoints.** At the first visit of each instant, once 4,096 tasks
+//!   have started, the executor hashes its state relative to `now` and to
+//!   the lowest incomplete task (`lo`): the running tasks as
+//!   `(end − now, index − lo)` and the ready-queue lengths. Which slots are
+//!   busy, and until when, follows from the running tasks. A sampled share
+//!   of states is kept in a small table keyed by that hash.
+//! - **The repeat rule.** When a state `B` hashes like an earlier `A`, with
+//!   `P = now_B − now_A` and `S = lo_B − lo_A`, the executor checks that `B`
+//!   is `A` shifted. The tasks running at `B` ran at `A`, `S` lower, with as
+//!   long to go. Each task ready at `B` was ready at `A`, `S` lower, or
+//!   outranks nothing the skipped periods pop. Everything the period
+//!   touched (its starts, the tasks running or ready at `A`, their
+//!   dependents and their dependencies not complete at `A`) falls into
+//!   clusters of tasks. Over each cluster, shifted by every skipped period,
+//!   the graph is a copy. Each such task does the same work, each
+//!   dependency is shifted by `S` or is the same task complete at `A` (a
+//!   resident `K`/`V` preload, say), and the dependents are shifted by `S`.
+//!   Every task of the cluster is in the same state at `B` as its original
+//!   at `A`. By induction, each period after `B` then repeats the one
+//!   between `A` and `B`, shifted.
+//! - **How far.** The skip covers `m` whole periods. `m` is the largest
+//!   count for which every cluster, shifted `m − 1` more times, still lies
+//!   where the graph is a copy and in the matching state, and no ready task
+//!   outside the copy outranks a task those periods pop. The first task that
+//!   differs bounds `m`: the epilogue of a chunk, or a round unlike its
+//!   neighbours, ends the skip, and event-by-event simulation resumes
+//!   there, free to skip again once a new repeat shows.
+//! - **The replay.** The period's starts are recorded in start order and
+//!   replayed `m` times, shifted, through the same bookkeeping as the event
+//!   loop: each start adds its energy in that order, so every `f64` sum is
+//!   bit-identical; its MAC/VEC span and its trace entry (label read from
+//!   the graph for the shifted task) are recorded. Busy cycles add `m` times
+//!   the period's, each used slot's `busy_until` moves `m·P` on, the
+//!   dependency counts of the replayed completions are applied, and the
+//!   ready queues drop the replayed starts.
+//! - **Cost.** Looking costs a hash per instant and a bounded share of work
+//!   per start; a repeat's checks and its replay cost a few word reads and
+//!   writes per skipped task instead of the event loop's heap work. A
+//!   graph whose state never repeats is simulated event by event.
 //!
 //! # Track scheduling (continuous time)
 //!
@@ -76,15 +130,17 @@
 //!   candidate wins), so track-scheduled makespans are never worse than the
 //!   scalar model's on any launch sequence.
 
+use std::cell::Cell;
 use std::cmp::Reverse;
+
 use std::collections::BinaryHeap;
 
 use crate::config::HardwareConfig;
 use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::error::{Result, SimError};
-use crate::graph::TaskGraph;
+use crate::graph::{TaskGraph, Work};
 use crate::report::SimReport;
-use crate::task::{Resource, TaskId, TrackKind, TRACK_COUNT};
+use crate::task::{Resource, TaskId, TaskKind, TrackKind, TRACK_COUNT};
 use crate::timing::TimingModel;
 use crate::trace::{Trace, TraceEntry};
 
@@ -141,236 +197,792 @@ impl Executor {
     /// errors ([`SimError::UnknownDependency`], [`SimError::CyclicGraph`])
     /// exactly as [`TaskGraph::validate`] reports them,
     /// [`SimError::UnknownResource`] if a task names a core the device does
-    /// not have, or [`SimError::InvalidConfig`] for a bad configuration.
+    /// not have, or [`SimError::InvalidConfig`] for a bad configuration or a
+    /// graph of 2³¹ tasks or more.
     pub fn run(&self, graph: &TaskGraph) -> Result<SimReport> {
+        self.simulate(graph).map(|(report, _)| report)
+    }
+
+    /// [`Executor::run`], also returning how many tasks the event loop
+    /// started itself; the fast-forward replayed the others.
+    pub(crate) fn simulate(&self, graph: &TaskGraph) -> Result<(SimReport, usize)> {
         let hw = self.timing.hardware();
         hw.validate()?;
         if graph.is_empty() {
             return Err(SimError::EmptyGraph);
         }
         let n = graph.len();
+        // Task indices are kept in 32 bits, and priorities below `2n`.
+        if n > (u32::MAX >> 1) as usize {
+            return Err(SimError::InvalidConfig {
+                reason: format!("{n} tasks exceed the executor's 31-bit task index"),
+            });
+        }
+
+        // Each distinct work's cost: its slot once the slots are numbered,
+        // its cycles and its energy, computed once per run.
+        let works = graph.works();
+        let ids = graph.work_ids();
+        let mut costs: Vec<Cost> = works
+            .iter()
+            .map(|w| Cost {
+                resource: w.resource,
+                slot: 0,
+                dma: !w.resource.is_compute(),
+                cycles: self.timing.task_cycles(&w.kind),
+                energy: self.energy.task_energy(
+                    &w.kind,
+                    hw.element_bytes,
+                    hw.softmax_ops_per_element,
+                ),
+            })
+            .collect();
 
         // Dependents in CSR form: `dependents[offsets[i]..offsets[i + 1]]`
         // lists the tasks waiting on task `i` in program order, once per
         // dependency edge (a repeated dependency is counted twice on both
-        // sides). Dependency ids are checked while counting.
-        let mut offsets = vec![0usize; n + 1];
-        let mut unknown_core = None;
-        let mut max_core = 0;
-        for task in graph.iter() {
-            for dep in task.deps() {
+        // sides). Dependency ids are checked while counting; the rows are
+        // filled back to front, which leaves each offset at its row's start.
+        // The counting pass also counts each work's tasks, for the report's
+        // traffic and operation totals.
+        let Arrays {
+            mut offsets,
+            mut dependents,
+            mut remaining_deps,
+            mut seq,
+            mut end_at,
+            mut order,
+        } = SPARE.take();
+        offsets.clear();
+        offsets.resize(n + 1, 0);
+        let mut uses = vec![0u64; works.len()];
+        for (i, &w) in ids.iter().enumerate() {
+            for dep in graph.deps_of(i) {
                 if dep.index() >= n {
                     return Err(SimError::UnknownDependency {
-                        task: task.id,
+                        task: TaskId(i),
                         dependency: *dep,
                     });
                 }
-                offsets[dep.index() + 1] += 1;
+                offsets[dep.index()] += 1;
             }
-            if let Some(core) = task.resource.core() {
-                if core >= hw.cores {
-                    unknown_core.get_or_insert(task.resource);
-                }
-                max_core = max_core.max(core);
-            }
+            uses[w as usize] += 1;
         }
-        if let Some(resource) = unknown_core {
-            // A cycle is reported before an unknown core; only this error
-            // path pays for a separate validation pass.
+        let unknown = |w: &Work| w.resource.core().is_some_and(|core| core >= hw.cores);
+        if works.iter().any(unknown) {
+            // A cycle is reported before an unknown core, which is the
+            // first one in program order; only this error path pays for a
+            // separate validation pass.
             graph.validate()?;
+            let first = ids
+                .iter()
+                .find(|&&w| unknown(&works[w as usize]))
+                .expect("a task has the work");
             return Err(SimError::UnknownResource {
-                resource,
+                resource: works[*first as usize].resource,
                 cores: hw.cores,
             });
         }
-        for i in 0..n {
-            offsets[i + 1] += offsets[i];
+        for i in 1..=n {
+            offsets[i] += offsets[i - 1];
         }
-        let mut dependents = vec![0usize; offsets[n]];
-        let mut cursor = offsets.clone();
-        let mut remaining_deps = vec![0usize; n];
-        for task in graph.iter() {
-            let i = task.id.index();
-            remaining_deps[i] = task.deps().len();
-            for dep in task.deps() {
-                dependents[cursor[dep.index()]] = i;
-                cursor[dep.index()] += 1;
+        dependents.clear();
+        dependents.resize(offsets[n], 0);
+        remaining_deps.clear();
+        remaining_deps.resize(n, 0);
+        for i in (0..n).rev() {
+            let deps = graph.deps_of(i);
+            remaining_deps[i] = deps.len() as u32;
+            for dep in deps.iter().rev() {
+                offsets[dep.index()] -= 1;
+                dependents[offsets[dep.index()]] = i as u32;
             }
         }
-        let dependents_of = |i: usize| &dependents[offsets[i]..offsets[i + 1]];
-
-        // Resources become dense slots in display-name order, the order
-        // every start pass visits them. `dense` numbers every resource a
-        // checked graph can name: DMA-in, DMA-out, then MAC and VEC per core.
-        let dense = |resource: Resource| match resource {
-            Resource::DmaIn => 0,
-            Resource::DmaOut => 1,
-            Resource::Mac { core } => 2 + 2 * core,
-            Resource::Vec { core } => 3 + 2 * core,
+        let total = |f: &dyn Fn(&TaskKind) -> u64| -> u64 {
+            works.iter().zip(&uses).map(|(w, &u)| u * f(&w.kind)).sum()
         };
-        let mut seen = vec![false; 4 + 2 * max_core];
-        let mut resources = Vec::new();
-        for task in graph.iter() {
-            let d = dense(task.resource);
-            if !seen[d] {
-                seen[d] = true;
-                resources.push(task.resource);
+
+        // Resources become slots in display-name order, the order every
+        // start pass visits them.
+        let mut resources: Vec<Resource> = Vec::new();
+        for (w, &u) in works.iter().zip(&uses) {
+            if u > 0 && !resources.contains(&w.resource) {
+                resources.push(w.resource);
             }
         }
         resources.sort_by_cached_key(Resource::to_string);
-        let mut slot_of = vec![0; seen.len()];
-        for (slot, &resource) in resources.iter().enumerate() {
-            slot_of[dense(resource)] = slot;
+        for cost in &mut costs {
+            cost.slot = resources
+                .iter()
+                .position(|&r| r == cost.resource)
+                .unwrap_or(0);
         }
-        let slot: Vec<usize> = graph
-            .iter()
-            .map(|task| slot_of[dense(task.resource)])
-            .collect();
 
-        // Scheduling priority. Compute units issue their stream in program
-        // order (the order the dataflow intends). DMA channels are
-        // demand-driven: transfers whose consumer comes earliest in program
-        // order are served first, which models double-buffered prefetching
-        // that follows the compute streams instead of blindly following the
-        // order requests were queued.
-        let priority: Vec<usize> = graph
-            .iter()
-            .map(|task| {
-                let i = task.id.index();
-                match task.resource {
-                    Resource::DmaIn | Resource::DmaOut => dependents_of(i)
-                        .iter()
-                        .copied()
-                        .min()
-                        .unwrap_or(usize::MAX - n + i),
-                    _ => i,
-                }
-            })
-            .collect();
-
-        // Min-heaps: ready tasks per slot by (priority, program index), and
-        // running tasks by (end cycle, program index).
-        let mut ready: Vec<BinaryHeap<Reverse<(usize, usize)>>> =
-            vec![BinaryHeap::new(); resources.len()];
-        for (i, &deps) in remaining_deps.iter().enumerate() {
-            if deps == 0 {
-                ready[slot[i]].push(Reverse((priority[i], i)));
+        seq.clear();
+        seq.resize(n, u32::MAX);
+        end_at.clear();
+        end_at.resize(n, u64::MAX);
+        order.clear();
+        let mut run = Run {
+            graph,
+            offsets,
+            dependents,
+            remaining_deps,
+            work: ids,
+            costs,
+            ready: vec![BinaryHeap::new(); resources.len()],
+            running: BinaryHeap::new(),
+            busy_until: vec![0; resources.len()],
+            busy_cycles: vec![0; resources.len()],
+            trace: self.record_trace.then(Trace::new),
+            energy: EnergyBreakdown::zero(),
+            mac_spans: Vec::new(),
+            vec_spans: Vec::new(),
+            completed: 0,
+            now: 0,
+            seq,
+            end_at,
+            order,
+            lo: 0,
+            marks: Vec::new(),
+            retry_lo: 0,
+            copy_memo: Vec::new(),
+            replayed: 0,
+            spent: 0,
+        };
+        for i in 0..n {
+            if run.remaining_deps[i] == 0 {
+                run.make_ready(i);
             }
         }
-        let mut running: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        let mut busy_until = vec![0u64; resources.len()];
-        let mut busy_cycles = vec![0u64; resources.len()];
-        let mut trace = Trace::new();
-        let mut energy = EnergyBreakdown::zero();
-        let mut completed = 0usize;
-        let mut now: u64 = 0;
-        let mut mac_intervals: Vec<(u64, u64)> = Vec::new();
-        let mut vec_intervals: Vec<(u64, u64)> = Vec::new();
+        run.event_loop()?;
 
-        while completed < n {
+        let total_cycles = run.busy_until.iter().copied().max().unwrap_or(0);
+        let busy_cycles = resources
+            .iter()
+            .zip(&run.busy_cycles)
+            .map(|(resource, &cycles)| (resource.to_string(), cycles))
+            .collect();
+        let report = SimReport {
+            total_cycles,
+            total_seconds: hw.cycles_to_seconds(total_cycles),
+            energy: run.energy,
+            dram_read_bytes: total(&TaskKind::dram_read_bytes),
+            dram_write_bytes: total(&TaskKind::dram_write_bytes),
+            mac_ops: total(&TaskKind::mac_ops),
+            vec_ops: total(&|kind| kind.vec_ops(hw.softmax_ops_per_element)),
+            busy_cycles,
+            tasks_executed: n,
+            mac_vec_overlap_cycles: overlap(&run.mac_spans, &run.vec_spans),
+            trace: run.trace.take(),
+        };
+        let loop_starts = n - run.replayed;
+        SPARE.set(Arrays {
+            offsets: run.offsets,
+            dependents: run.dependents,
+            remaining_deps: run.remaining_deps,
+            seq: run.seq,
+            end_at: run.end_at,
+            order: run.order,
+        });
+        Ok((report, loop_starts))
+    }
+}
+
+/// The per-task arrays of a run. Each thread keeps its last run's arrays
+/// for its next run, so a sweep of runs reuses their memory instead of
+/// faulting in fresh pages for every graph.
+#[derive(Debug, Default)]
+struct Arrays {
+    offsets: Vec<usize>,
+    dependents: Vec<u32>,
+    remaining_deps: Vec<u32>,
+    seq: Vec<u32>,
+    end_at: Vec<u64>,
+    order: Vec<u32>,
+}
+
+/// What starting a task of one work costs: the slot it occupies, whether
+/// that slot is a DMA channel, and its cycles and energy.
+#[derive(Debug, Clone, Copy)]
+struct Cost {
+    resource: Resource,
+    slot: usize,
+    dma: bool,
+    cycles: u64,
+    energy: EnergyBreakdown,
+}
+
+thread_local! {
+    static SPARE: Cell<Arrays> = Cell::new(Arrays::default());
+}
+
+/// Buckets and ways of the table of checkpoints a repeat is looked up in,
+/// and the share of checkpoints (one in `MARK_SAMPLE`) entered in it.
+const MARK_BUCKETS: usize = 64;
+const MARK_WAYS: usize = 4;
+const MARK_SAMPLE: u64 = 4;
+/// Starts before the first checkpoint.
+const LOOK_AFTER: usize = 4096;
+/// Scanned runs of copied tasks remembered per run.
+const COPY_MEMO: usize = 8;
+/// [`Run::status`] of a task not started, and of a complete one.
+const WAITING: u64 = u64::MAX;
+const DONE: u64 = u64::MAX - 1;
+
+/// The executor's state at a checkpoint, as the fast-forward compares it.
+#[derive(Debug, Clone, Copy, Default)]
+struct Mark {
+    /// Hash of the running tasks and queue lengths relative to
+    /// `(now, lo)`, with the lowest bit set; 0 marks an empty entry.
+    key: u64,
+    now: u64,
+    lo: usize,
+    /// Tasks running at the checkpoint.
+    running: usize,
+    /// Tasks started before the checkpoint (the length of the start order).
+    started: usize,
+    completed: usize,
+}
+
+/// One simulation in progress: the dense state the scheduling contract
+/// needs, plus the start record the steady-state fast-forward reads back.
+struct Run<'a> {
+    graph: &'a TaskGraph,
+    offsets: Vec<usize>,
+    /// Task indices and dependency counts are stored as `u32`.
+    dependents: Vec<u32>,
+    remaining_deps: Vec<u32>,
+    /// Each task's work ([`TaskGraph`] numbers them) and each work's cost.
+    work: &'a [u32],
+    costs: Vec<Cost>,
+    /// Ready tasks per slot by (priority, program index).
+    ready: Vec<BinaryHeap<Reverse<u64>>>,
+    /// Running tasks by (end cycle, program index).
+    running: BinaryHeap<Reverse<(u64, usize)>>,
+    busy_until: Vec<u64>,
+    busy_cycles: Vec<u64>,
+    trace: Option<Trace>,
+    energy: EnergyBreakdown,
+    /// The union of MAC and of VEC busy time, as disjoint ascending spans.
+    mac_spans: Vec<(u64, u64)>,
+    vec_spans: Vec<(u64, u64)>,
+    completed: usize,
+    now: u64,
+    /// Each task's place in the start order and end cycle (`MAX` before
+    /// it starts).
+    seq: Vec<u32>,
+    end_at: Vec<u64>,
+    /// Started tasks in start order.
+    order: Vec<u32>,
+    /// Every task below `lo` is complete.
+    lo: usize,
+    marks: Vec<Mark>,
+    /// No repeat is looked for again before `lo` reaches this index.
+    retry_lo: usize,
+    /// `(shift, from, end)`: tasks `from..end` are copied `shift` later.
+    copy_memo: Vec<(usize, usize, usize)>,
+    /// Tasks started by the fast-forward rather than the event loop.
+    replayed: usize,
+    /// Work spent looking for repeats, in tasks and queue entries visited.
+    spent: usize,
+}
+
+impl Run<'_> {
+    fn cost(&self, i: usize) -> Cost {
+        self.costs[self.work[i] as usize]
+    }
+
+    fn dependents_of(&self, i: usize) -> &[u32] {
+        &self.dependents[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// Task `i`'s scheduling priority. Compute units issue their stream in
+    /// program order (the order the dataflow intends). DMA channels are
+    /// demand-driven: transfers whose consumer comes earliest in program
+    /// order are served first, which models double-buffered prefetching
+    /// that follows the compute streams instead of blindly following the
+    /// order requests were queued. A transfer nothing consumes ranks after
+    /// every consumed one.
+    fn priority(&self, i: usize) -> usize {
+        if !self.cost(i).dma {
+            return i;
+        }
+        // Dependents are listed in program order: the first is the earliest.
+        self.dependents_of(i)
+            .first()
+            .map_or(self.work.len() + i, |&d| d as usize)
+    }
+
+    fn make_ready(&mut self, i: usize) {
+        let entry = Reverse(ready_key(self.priority(i), i));
+        let slot = self.cost(i).slot;
+        self.ready[slot].push(entry);
+    }
+
+    fn event_loop(&mut self) -> Result<()> {
+        let n = self.work.len();
+        let mut marked = u64::MAX;
+        while self.completed < n {
+            // The first visit of each instant is a checkpoint, which may
+            // skip whole periods ahead.
+            if self.now != marked {
+                let skipped = self.checkpoint();
+                marked = self.now;
+                if skipped {
+                    continue;
+                }
+            }
+
             // Start every task that can start at the current time: one per
             // idle slot per pass, until a pass starts nothing.
             let mut started_any = true;
             while started_any {
                 started_any = false;
-                for (s, queue) in ready.iter_mut().enumerate() {
-                    if busy_until[s] > now {
+                for s in 0..self.ready.len() {
+                    if self.busy_until[s] > self.now {
                         continue;
                     }
-                    let Some(Reverse((_, index))) = queue.pop() else {
+                    let Some(Reverse(key)) = self.ready[s].pop() else {
                         continue;
                     };
-                    let task = graph.get(TaskId(index)).expect("task exists");
-                    let duration = self.timing.task_cycles(&task.kind);
-                    let end = now + duration;
-                    busy_until[s] = end;
-                    busy_cycles[s] += duration;
-                    running.push(Reverse((end, index)));
-                    energy.accumulate(&self.energy.task_energy(
-                        &task.kind,
-                        hw.element_bytes,
-                        hw.softmax_ops_per_element,
-                    ));
-                    if duration > 0 {
-                        match task.resource {
-                            Resource::Mac { .. } => mac_intervals.push((now, end)),
-                            Resource::Vec { .. } => vec_intervals.push((now, end)),
-                            _ => {}
-                        }
-                    }
-                    if self.record_trace {
-                        trace.push(TraceEntry {
-                            task: task.id,
-                            label: task.label.clone(),
-                            resource: task.resource,
-                            start_cycle: now,
-                            end_cycle: end,
-                        });
-                    }
+                    let index = ready_index(key);
+                    self.start(s, index);
                     started_any = true;
                 }
             }
 
             // Advance time to the next completion and retire every task
             // ending then before the next start pass.
-            let Some(&Reverse((next_end, _))) = running.peek() else {
+            let Some(&Reverse((next_end, _))) = self.running.peek() else {
                 // Nothing runs and nothing could start: every remaining
                 // task waits, directly or not, on a dependency cycle.
                 return Err(SimError::CyclicGraph {
-                    unscheduled: n - completed,
+                    unscheduled: n - self.completed,
                 });
             };
-            now = next_end;
-            while let Some(&Reverse((end, index))) = running.peek() {
-                if end > now {
+            self.now = next_end;
+            while let Some(&Reverse((end, index))) = self.running.peek() {
+                if end > self.now {
                     break;
                 }
-                running.pop();
-                completed += 1;
-                for &waiting in dependents_of(index) {
-                    remaining_deps[waiting] -= 1;
-                    if remaining_deps[waiting] == 0 {
-                        ready[slot[waiting]].push(Reverse((priority[waiting], waiting)));
+                self.running.pop();
+                self.completed += 1;
+                for k in self.offsets[index]..self.offsets[index + 1] {
+                    let waiting = self.dependents[k] as usize;
+                    self.remaining_deps[waiting] -= 1;
+                    if self.remaining_deps[waiting] == 0 {
+                        self.make_ready(waiting);
                     }
                 }
             }
         }
+        Ok(())
+    }
 
-        let total_cycles = busy_until.iter().copied().max().unwrap_or(0);
-        let overlap = interval_overlap(&mut mac_intervals, &mut vec_intervals);
-        let busy_cycles = resources
+    /// Starts ready task `index` on idle slot `s` at the current time.
+    fn start(&mut self, s: usize, index: usize) {
+        let cost = self.cost(index);
+        let end = self.now + cost.cycles;
+        self.busy_until[s] = end;
+        self.busy_cycles[s] += cost.cycles;
+        self.running.push(Reverse((end, index)));
+        self.energy.accumulate(&cost.energy);
+        self.record(index, cost.resource, self.now, end);
+    }
+
+    /// Records a start of task `index` on `resource` over `[start, end)`:
+    /// its place in the start order, its end, the MAC/VEC spans and the
+    /// trace entry. The event loop and the fast-forward both record every
+    /// start here.
+    fn record(&mut self, index: usize, resource: Resource, start: u64, end: u64) {
+        self.seq[index] = self.order.len() as u32;
+        self.order.push(index as u32);
+        self.end_at[index] = end;
+        if end > start {
+            match resource {
+                Resource::Mac { .. } => add_span(&mut self.mac_spans, start, end),
+                Resource::Vec { .. } => add_span(&mut self.vec_spans, start, end),
+                _ => {}
+            }
+        }
+        if let Some(trace) = &mut self.trace {
+            trace.push(TraceEntry {
+                task: TaskId(index),
+                label: self
+                    .graph
+                    .get(TaskId(index))
+                    .expect("task exists")
+                    .label
+                    .clone(),
+                resource,
+                start_cycle: start,
+                end_cycle: end,
+            });
+        }
+    }
+
+    /// Task `x`'s state at the checkpoint at cycle `t`, before which
+    /// `started` tasks had started: [`WAITING`], [`DONE`] or running for
+    /// that many more cycles.
+    fn status(&self, x: usize, started: usize, t: u64) -> u64 {
+        if self.seq[x] as usize >= started {
+            WAITING
+        } else if self.end_at[x] <= t {
+            DONE
+        } else {
+            self.end_at[x] - t
+        }
+    }
+
+    /// Records a checkpoint at the current instant, or fast-forwards when
+    /// an earlier checkpoint had the same state (module docs) and returns
+    /// whether it did.
+    fn checkpoint(&mut self) -> bool {
+        // A short run cannot repay looking.
+        if self.order.len() < LOOK_AFTER {
+            return false;
+        }
+        let n = self.work.len();
+        while self.lo < n && self.end_at[self.lo] <= self.now {
+            self.lo += 1;
+        }
+        // Only states whose first-ending task (or, with none running, whose
+        // queue lengths) give a sample hash that is a multiple of
+        // `MARK_SAMPLE` are kept: the rule depends on the state alone, so
+        // every period still holds some, while most instants cost one hash.
+        let relative =
+            |end: u64, index: usize| (((index - self.lo) as u64) << 32) ^ (end - self.now);
+        let sample = match self.running.peek() {
+            Some(&Reverse((end, index))) => relative(end, index),
+            None => self
+                .ready
+                .iter()
+                .fold(1u64 << 63, |h, q| h.rotate_left(7) ^ q.len() as u64),
+        };
+        if !mix(sample).is_multiple_of(MARK_SAMPLE) {
+            return false;
+        }
+        // Which slots are busy, and until when, follows from the running
+        // tasks: a slot is busy exactly while its last task runs. The
+        // queue lengths only sharpen the key.
+        let mut key = self.running.len() as u64;
+        for &Reverse((end, index)) in self.running.iter() {
+            key = key.wrapping_add(mix(relative(end, index)));
+        }
+        for queue in &self.ready {
+            key = key.rotate_left(7) ^ queue.len() as u64;
+        }
+        let key = mix(key);
+        if self.marks.is_empty() {
+            self.marks = vec![Mark::default(); MARK_BUCKETS * MARK_WAYS];
+        }
+        let bucket = (key >> 1) as usize % MARK_BUCKETS * MARK_WAYS;
+        let key = key | 1;
+        // Looking for a repeat costs at most a few units of work per start.
+        let allowance = (2 * self.order.len()).saturating_sub(self.spent);
+        if self.lo >= self.retry_lo && allowance > 0 {
+            for way in bucket..bucket + MARK_WAYS {
+                let earlier = self.marks[way];
+                if earlier.key == key && earlier.lo < self.lo {
+                    if self.fast_forward(&earlier, allowance) {
+                        self.marks.fill(Mark::default());
+                        return true;
+                    }
+                    // Look again one period later at the earliest.
+                    self.retry_lo = self.retry_lo.max(2 * self.lo - earlier.lo);
+                }
+            }
+        }
+        self.marks
+            .copy_within(bucket..bucket + MARK_WAYS - 1, bucket + 1);
+        self.marks[bucket] = Mark {
+            key,
+            now: self.now,
+            lo: self.lo,
+            running: self.running.len(),
+            started: self.order.len(),
+            completed: self.completed,
+        };
+        false
+    }
+
+    /// Whether task `x + shift` is a copy of task `x` shifted by `shift`
+    /// for a fast-forward from checkpoint `a`: same kind and resource, each
+    /// dependency shifted too or the same task complete at `a`, and the
+    /// same dependents shifted.
+    fn copies(&self, x: usize, shift: usize, a: &Mark) -> bool {
+        let y = x + shift;
+        let (dx, dy) = (self.graph.deps_of(x), self.graph.deps_of(y));
+        let (wx, wy) = (self.dependents_of(x), self.dependents_of(y));
+        self.work[x] == self.work[y]
+            && dx.len() == dy.len()
+            && dx.iter().zip(dy).all(|(d, e)| {
+                e.index() == d.index() + shift
+                    || (e == d && self.status(d.index(), a.started, a.now) == DONE)
+            })
+            && wx.len() == wy.len()
+            && wx
+                .iter()
+                .zip(wy)
+                .all(|(&d, &e)| e as usize == d as usize + shift)
+    }
+
+    /// The first task from `from` on that is not copied `shift` later
+    /// ([`Run::copies`]); every task in between is. Scanned runs are
+    /// remembered, since a dependency complete at `a` stays complete, so a
+    /// run is scanned once per shift however often it is asked about.
+    fn copy_end(&mut self, from: usize, shift: usize, a: &Mark) -> usize {
+        let known = self
+            .copy_memo
             .iter()
-            .zip(busy_cycles)
-            .map(|(resource, cycles)| (resource.to_string(), cycles))
+            .find(|&&(s, start, end)| s == shift && (start..=end).contains(&from));
+        if let Some(&(_, _, end)) = known {
+            return end;
+        }
+        let n = self.work.len();
+        let mut end = from;
+        while end + shift < n && self.copies(end, shift, a) {
+            end += 1;
+        }
+        if self.copy_memo.len() == COPY_MEMO {
+            self.copy_memo.remove(0);
+        }
+        self.copy_memo.push((shift, from, end));
+        end
+    }
+
+    /// Skips whole periods when the state now (`B`) is the state at the
+    /// earlier checkpoint `a` shifted by `P` cycles and `S` tasks, and
+    /// returns whether it did (module docs).
+    fn fast_forward(&mut self, a: &Mark, allowance: usize) -> bool {
+        let n = self.work.len();
+        let (period, shift) = (self.now - a.now, self.lo - a.lo);
+        let started = self.order.len();
+        let status_now = |run: &Self, x: usize| run.status(x, started, run.now);
+        let status_at_a = |run: &Self, x: usize| run.status(x, a.started, a.now);
+        // The first look, up to the region scans, must fit the allowance.
+        let queued: usize = self.ready.iter().map(BinaryHeap::len).sum();
+        let first_look = self.running.len() + (started - a.started) + queued;
+        if first_look > allowance {
+            return false;
+        }
+        self.spent += first_look;
+
+        // The tasks running now ran at `a`, shifted, with as long to go.
+        if self.running.len() != a.running
+            || self
+                .running
+                .iter()
+                .any(|&Reverse((end, y))| status_at_a(self, y - shift) != end - self.now)
+        {
+            return false;
+        }
+        let running_at_a: Vec<usize> = self
+            .running
+            .iter()
+            .map(|&Reverse((_, y))| y - shift)
             .collect();
 
-        Ok(SimReport {
-            total_cycles,
-            total_seconds: hw.cycles_to_seconds(total_cycles),
-            energy,
-            dram_read_bytes: graph.dram_read_bytes(),
-            dram_write_bytes: graph.dram_write_bytes(),
-            mac_ops: graph.total_mac_ops(),
-            vec_ops: graph.total_vec_ops(hw.softmax_ops_per_element),
-            busy_cycles,
-            tasks_executed: n,
-            mac_vec_overlap_cycles: overlap,
-            trace: if self.record_trace { Some(trace) } else { None },
-        })
+        // The period's starts in order, with what replaying one costs, and
+        // per slot the largest priority it popped and the cycles it added.
+        let mut starts = Vec::with_capacity(started - a.started);
+        let mut top = vec![None; self.ready.len()];
+        let mut added = vec![0u64; self.ready.len()];
+        for &x in &self.order[a.started..] {
+            let x = x as usize;
+            let cost = self.cost(x);
+            let s = cost.slot;
+            top[s] = top[s].max(Some(self.priority(x)));
+            added[s] += cost.cycles;
+            starts.push((x, self.end_at[x] - cost.cycles, cost));
+        }
+
+        // Each task ready now was ready at `a`, shifted, or else outranks
+        // nothing the skipped periods pop: its priority exceeds the
+        // period's largest on the slot, `rounds` periods on.
+        let mut rounds = usize::MAX;
+        let mut touched: Vec<usize> = starts
+            .iter()
+            .map(|s| s.0)
+            .chain(running_at_a.iter().copied())
+            .collect();
+        for (s, queue) in self.ready.iter().enumerate() {
+            for &Reverse(key) in queue.iter() {
+                let (p, y) = ((key >> 32) as usize, ready_index(key));
+                let was_ready = y.checked_sub(shift).filter(|&x| {
+                    self.cost(x).slot == s
+                        && status_at_a(self, x) == WAITING
+                        && self
+                            .graph
+                            .get(TaskId(x))
+                            .expect("task exists")
+                            .deps()
+                            .iter()
+                            .all(|d| status_at_a(self, d.index()) == DONE)
+                });
+                match (was_ready, top[s]) {
+                    (Some(x), _) => touched.push(x),
+                    (None, Some(top)) if p > top => rounds = rounds.min((p - top - 1) / shift),
+                    _ => return false,
+                }
+            }
+        }
+        if rounds == 0 {
+            return false;
+        }
+
+        // What the period touched: its starts, the tasks running or ready
+        // at `a`, their dependents and the dependencies of all of these
+        // not complete at `a`. A period whose tasks fan out to far more
+        // tasks (a preload every round reads, say) is not looked into.
+        let limit = (16 * touched.len() + 64).min(allowance);
+        for k in 0..touched.len() {
+            let x = touched[k];
+            if touched.len() + self.dependents_of(x).len() > limit {
+                self.spent += touched.len();
+                return false;
+            }
+            touched.extend(self.dependents_of(x).iter().map(|&d| d as usize));
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        for k in 0..touched.len() {
+            let deps = self.graph.deps_of(touched[k]);
+            if touched.len() + deps.len() > 2 * limit {
+                self.spent += touched.len();
+                return false;
+            }
+            touched.extend(deps.iter().map(|d| d.index()).filter(|&d| d >= a.lo));
+        }
+        self.spent += 2 * touched.len();
+        touched.sort_unstable();
+        touched.dedup();
+        if !touched
+            .iter()
+            .all(|&x| x + shift < n && self.copies(x, shift, a))
+        {
+            return false;
+        }
+
+        // Touched tasks fall into clusters no gap wider than `S` splits.
+        // Each cluster must be copied, and in the same state shifted, over
+        // the skipped periods: tasks `first..=last + (rounds - 1)·S`.
+        let mut clusters: Vec<(usize, usize)> = Vec::new();
+        for &x in &touched {
+            match clusters.last_mut() {
+                Some((_, last)) if x <= *last + shift => *last = x,
+                _ => clusters.push((x, x)),
+            }
+        }
+        for &(first, last) in &clusters {
+            let end = self.copy_end(first, shift, a);
+            if end <= last {
+                return false;
+            }
+            rounds = rounds.min((end - 1 - last) / shift + 1);
+        }
+        for &(first, last) in &clusters {
+            let upto = last + (rounds - 1) * shift;
+            let differs =
+                (first..=upto).find(|&x| status_now(self, x + shift) != status_at_a(self, x));
+            if let Some(x) = differs {
+                if x <= last {
+                    return false;
+                }
+                rounds = rounds.min((x - 1 - last) / shift + 1);
+            }
+        }
+        let done: Vec<usize> = touched
+            .iter()
+            .copied()
+            .filter(|&x| status_now(self, x) == DONE && status_at_a(self, x) != DONE)
+            .collect();
+
+        // Replay the starts, period after period, in the recorded order.
+        for k in 1..=rounds {
+            let (dt, di) = (k as u64 * period, k * shift);
+            for &(x, start, cost) in &starts {
+                self.energy.accumulate(&cost.energy);
+                self.record(x + di, cost.resource, start + dt, self.end_at[x] + dt);
+            }
+        }
+        let (dt, di) = (rounds as u64 * period, rounds * shift);
+        for (s, top) in top.iter().enumerate() {
+            if top.is_some() {
+                self.busy_until[s] += dt;
+                self.busy_cycles[s] += rounds as u64 * added[s];
+            }
+        }
+
+        // Replay the completions' dependency counts; a task they make ready
+        // and no replayed start took joins its queue, and the queues drop
+        // the replayed starts.
+        for k in 1..=rounds {
+            for &x in &done {
+                for j in self.offsets[x + k * shift]..self.offsets[x + k * shift + 1] {
+                    let waiting = self.dependents[j] as usize;
+                    self.remaining_deps[waiting] -= 1;
+                    if self.remaining_deps[waiting] == 0 && self.seq[waiting] == u32::MAX {
+                        self.make_ready(waiting);
+                    }
+                }
+            }
+        }
+        let seq = &self.seq;
+        for (queue, top) in self.ready.iter_mut().zip(&top) {
+            if top.is_some() {
+                queue.retain(|&Reverse(key)| seq[ready_index(key)] == u32::MAX);
+            }
+        }
+        self.running = self
+            .running
+            .drain()
+            .map(|Reverse((end, i))| Reverse((end + dt, i + di)))
+            .collect();
+        self.completed += rounds * (self.completed - a.completed);
+        self.now += dt;
+        self.replayed += rounds * starts.len();
+        true
     }
 }
 
-/// Computes the number of cycles covered by both interval sets (union of set A
-/// intersected with union of set B).
-fn interval_overlap(a: &mut [(u64, u64)], b: &mut [(u64, u64)]) -> u64 {
-    let merged_a = merge_intervals(a);
-    let merged_b = merge_intervals(b);
-    let mut i = 0;
-    let mut j = 0;
-    let mut total = 0u64;
-    while i < merged_a.len() && j < merged_b.len() {
-        let (sa, ea) = merged_a[i];
-        let (sb, eb) = merged_b[j];
+/// A ready queue's key: priority, then program index, in one word.
+fn ready_key(priority: usize, index: usize) -> u64 {
+    ((priority as u64) << 32) | index as u64
+}
+
+fn ready_index(key: u64) -> usize {
+    (key & u64::from(u32::MAX)) as usize
+}
+
+/// A 64-bit mixer (the SplitMix64 finaliser), so a sum of mixed values
+/// hashes a set.
+fn mix(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// Adds `[start, end)` to a union kept as disjoint ascending spans. Starts
+/// arrive in non-decreasing order, so the new span can only extend the last.
+fn add_span(spans: &mut Vec<(u64, u64)>, start: u64, end: u64) {
+    debug_assert!(spans.last().is_none_or(|last| last.0 <= start));
+    if let Some(last) = spans.last_mut() {
+        if start <= last.1 {
+            last.1 = last.1.max(end);
+            return;
+        }
+    }
+    spans.push((start, end));
+}
+
+/// Cycles covered by both unions of spans.
+fn overlap(a: &[(u64, u64)], b: &[(u64, u64)]) -> u64 {
+    let (mut i, mut j, mut total) = (0, 0, 0u64);
+    while i < a.len() && j < b.len() {
+        let (sa, ea) = a[i];
+        let (sb, eb) = b[j];
         let start = sa.max(sb);
         let end = ea.min(eb);
         if end > start {
@@ -383,21 +995,6 @@ fn interval_overlap(a: &mut [(u64, u64)], b: &mut [(u64, u64)]) -> u64 {
         }
     }
     total
-}
-
-fn merge_intervals(v: &mut [(u64, u64)]) -> Vec<(u64, u64)> {
-    v.sort_unstable();
-    let mut out: Vec<(u64, u64)> = Vec::with_capacity(v.len());
-    for &(s, e) in v.iter() {
-        if let Some(last) = out.last_mut() {
-            if s <= last.1 {
-                last.1 = last.1.max(e);
-                continue;
-            }
-        }
-        out.push((s, e));
-    }
-    out
 }
 
 /// Configuration of the overlap-aware track executor: how a launch's
@@ -624,7 +1221,7 @@ impl DeviceTracks {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::TaskKind;
+    use crate::task::Label;
 
     fn executor() -> Executor {
         Executor::new(HardwareConfig::edge_default(), EnergyModel::edge_16nm())
@@ -898,14 +1495,106 @@ mod tests {
         assert_eq!(entries[1].label, "second");
     }
 
+    /// A hand-built periodic graph: resident `K` and `V`, then 1,000
+    /// rounds, each loading a query row, multiplying it with 64 key tiles
+    /// after the previous round's last value product, taking one softmax,
+    /// multiplying with 64 value tiles and storing the row.
+    fn thousand_round_graph() -> TaskGraph {
+        let mut g = TaskGraph::new();
+        let load = |bytes| TaskKind::DramLoad { bytes };
+        let mm = TaskKind::MatMul { m: 1, k: 64, n: 64 };
+        let k = g.add_task("load K", Resource::DmaIn, load(65_536), &[]);
+        let v = g.add_task("load V", Resource::DmaIn, load(65_536), &[]);
+        let mut gate = None;
+        for r in 0..1000 {
+            let q = g.add_task(
+                Label::new("r{0}: load Q", [r]),
+                Resource::DmaIn,
+                load(128),
+                &[],
+            );
+            let mut deps = vec![q, k];
+            deps.extend(gate);
+            let scores: Vec<TaskId> = (0..64)
+                .map(|j| {
+                    g.add_task(
+                        Label::new("r{0}: C{1}", [r, j]),
+                        Resource::Mac { core: 0 },
+                        mm,
+                        &deps,
+                    )
+                })
+                .collect();
+            let p = g.add_task(
+                Label::new("r{0}: softmax", [r]),
+                Resource::Vec { core: 0 },
+                TaskKind::Softmax {
+                    rows: 1,
+                    cols: 4096,
+                },
+                &scores,
+            );
+            let outs: Vec<TaskId> = (0..64)
+                .map(|j| {
+                    g.add_task(
+                        Label::new("r{0}: O{1}", [r, j]),
+                        Resource::Mac { core: 0 },
+                        mm,
+                        &[p, v],
+                    )
+                })
+                .collect();
+            g.add_task(
+                Label::new("r{0}: store O", [r]),
+                Resource::DmaOut,
+                TaskKind::DramStore { bytes: 128 },
+                &outs,
+            );
+            gate = outs.last().copied();
+        }
+        g
+    }
+
+    #[test]
+    fn repeating_rounds_are_fast_forwarded() {
+        let g = thousand_round_graph();
+        let exec = executor();
+        let (traced, loop_starts) = exec.simulate(&g).unwrap();
+        assert!(
+            loop_starts * 20 < g.len(),
+            "{loop_starts} of {} tasks started through the event loop",
+            g.len()
+        );
+        // Every start is recorded, in start order, whatever started it.
+        let entries = traced.trace.as_ref().expect("trace recorded").entries();
+        assert_eq!(entries.len(), g.len());
+        assert!(entries
+            .windows(2)
+            .all(|e| e[0].start_cycle <= e[1].start_cycle));
+        let untraced = exec.clone().without_trace().run(&g).unwrap();
+        assert_eq!(
+            untraced,
+            SimReport {
+                trace: None,
+                ..traced
+            }
+        );
+    }
+
     #[test]
     fn interval_overlap_helper() {
-        let mut a = vec![(0u64, 10u64), (20, 30)];
-        let mut b = vec![(5u64, 25u64)];
-        assert_eq!(interval_overlap(&mut a, &mut b), 10);
-        let mut c = vec![(0u64, 5u64), (3, 8)];
-        let mut d = vec![(0u64, 8u64)];
-        assert_eq!(interval_overlap(&mut c, &mut d), 8);
+        let spans = |intervals: &[(u64, u64)]| {
+            let mut spans = Vec::new();
+            for &(start, end) in intervals {
+                add_span(&mut spans, start, end);
+            }
+            spans
+        };
+        let (a, b) = (spans(&[(0, 10), (20, 30)]), spans(&[(5, 25)]));
+        assert_eq!(overlap(&a, &b), 10);
+        let (c, d) = (spans(&[(0, 5), (3, 8)]), spans(&[(0, 8)]));
+        assert_eq!(c, [(0, 8)]);
+        assert_eq!(overlap(&c, &d), 8);
     }
 
     // ---- track executor ----

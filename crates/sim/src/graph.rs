@@ -8,20 +8,24 @@
 //!
 //! Adding a task allocates nothing of its own: the task's label is stored
 //! unrendered ([`Label`]) and its dependencies are appended to one flat
-//! array shared by the whole graph (compressed sparse rows). Tasks are read
-//! back as borrowed [`Task`] views.
+//! array shared by the whole graph (compressed sparse rows). Each distinct
+//! resource and kind is stored once, and a task keeps its index, so a
+//! simulation reads four bytes of a task where the label lives apart.
+//! Tasks are read back as borrowed [`Task`] views.
+
+use std::cell::Cell;
 
 use serde::{Deserialize, Serialize};
 
 use crate::error::{Result, SimError};
 use crate::task::{Label, Resource, Task, TaskId, TaskKind, TrackKind, TRACK_COUNT};
 
-/// What the graph stores per task besides its dependencies.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct Node {
-    label: Label,
-    resource: Resource,
-    kind: TaskKind,
+/// A resource and a kind of task: the graph stores each distinct pair
+/// once, and each task as an index into them.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub(crate) struct Work {
+    pub(crate) resource: Resource,
+    pub(crate) kind: TaskKind,
 }
 
 /// An append-only directed acyclic graph of tasks.
@@ -32,19 +36,89 @@ struct Node {
 /// 0.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TaskGraph {
-    nodes: Vec<Node>,
+    labels: Vec<Label>,
+    /// Each task's index into `works`.
+    work: Vec<u32>,
+    /// The distinct works, in order of first use.
+    works: Vec<Work>,
+    /// Open-addressing index into `works` by [`work_hash`] (0 is empty),
+    /// rebuilt on demand.
+    #[serde(skip)]
+    index: Vec<u32>,
     deps: Vec<TaskId>,
     offsets: Vec<usize>,
 }
 
+/// A dropped graph's per-task arrays, emptied.
+type Spare = (Vec<Label>, Vec<u32>, Vec<TaskId>, Vec<usize>);
+
+thread_local! {
+    /// The arrays of the largest graph this thread has dropped. The next
+    /// graph reuses them, so a sweep that builds and drops graph after
+    /// graph stops faulting in fresh pages for each one.
+    static SPARE: Cell<Option<Spare>> = const { Cell::new(None) };
+}
+
 impl Default for TaskGraph {
     fn default() -> Self {
+        let (labels, work, deps, mut offsets) = SPARE.take().unwrap_or_default();
+        offsets.push(0);
         Self {
-            nodes: Vec::new(),
-            deps: Vec::new(),
-            offsets: vec![0],
+            labels,
+            work,
+            works: Vec::new(),
+            index: Vec::new(),
+            deps,
+            offsets,
         }
     }
+}
+
+impl Drop for TaskGraph {
+    fn drop(&mut self) {
+        let mut mine = (
+            std::mem::take(&mut self.labels),
+            std::mem::take(&mut self.work),
+            std::mem::take(&mut self.deps),
+            std::mem::take(&mut self.offsets),
+        );
+        SPARE.with(|spare| {
+            let kept = match spare.take() {
+                Some(other) if other.0.capacity() >= mine.0.capacity() => other,
+                _ => {
+                    mine.0.clear();
+                    mine.1.clear();
+                    mine.2.clear();
+                    mine.3.clear();
+                    mine
+                }
+            };
+            spare.set(Some(kept));
+        });
+    }
+}
+
+/// A hash of a resource and a task kind.
+fn work_hash(work: Work) -> u64 {
+    let place = match work.resource {
+        Resource::DmaIn => 0,
+        Resource::DmaOut => 1,
+        Resource::Mac { core } => (core as u64).wrapping_mul(2).wrapping_add(2),
+        Resource::Vec { core } => (core as u64).wrapping_mul(2).wrapping_add(3),
+    };
+    let (tag, a, b, c) = match work.kind {
+        TaskKind::MatMul { m, k, n } => (0, m, k, n),
+        TaskKind::Softmax { rows, cols } => (1, rows, cols, 0),
+        TaskKind::VecOp { elements, passes } => (2, elements, passes, 0),
+        TaskKind::DramLoad { bytes } => (3, bytes, 0, 0),
+        TaskKind::DramStore { bytes } => (4, bytes, 0, 0),
+        TaskKind::Barrier => (5, 0, 0, 0),
+    };
+    let mut h = place.wrapping_mul(8).wrapping_add(tag);
+    for x in [a, b, c] {
+        h = h.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(x as u64);
+    }
+    h ^ (h >> 29)
 }
 
 impl TaskGraph {
@@ -69,15 +143,47 @@ impl TaskGraph {
         kind: TaskKind,
         deps: &[TaskId],
     ) -> TaskId {
-        let id = TaskId(self.nodes.len());
-        self.nodes.push(Node {
-            label: label.into(),
-            resource,
-            kind,
-        });
+        let id = TaskId(self.work.len());
+        let work = self.intern(Work { resource, kind });
+        self.labels.push(label.into());
+        self.work.push(work);
         self.deps.extend_from_slice(deps);
         self.offsets.push(self.deps.len());
         id
+    }
+
+    /// The index of `work` in `works`, added if new. Builders emit runs
+    /// of equal work, so the previous task's work is tried first.
+    fn intern(&mut self, work: Work) -> u32 {
+        if let Some(&last) = self.work.last() {
+            if self.works[last as usize] == work {
+                return last;
+            }
+        }
+        if 2 * (self.works.len() + 1) > self.index.len() {
+            let size = (4 * (self.works.len() + 1)).next_power_of_two().max(64);
+            self.index = vec![0; size];
+            for (id, &w) in self.works.iter().enumerate() {
+                let mut at = work_hash(w) as usize & (size - 1);
+                while self.index[at] != 0 {
+                    at = (at + 1) & (size - 1);
+                }
+                self.index[at] = id as u32 + 1;
+            }
+        }
+        let mask = self.index.len() - 1;
+        let mut at = work_hash(work) as usize & mask;
+        loop {
+            match self.index[at] {
+                0 => {
+                    self.works.push(work);
+                    self.index[at] = self.works.len() as u32;
+                    return self.works.len() as u32 - 1;
+                }
+                e if self.works[e as usize - 1] == work => return e - 1,
+                _ => at = (at + 1) & mask,
+            }
+        }
     }
 
     /// Appends a per-tile stage pipeline: for each stage, one task per
@@ -118,27 +224,29 @@ impl TaskGraph {
     /// Number of tasks in the graph.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.work.len()
     }
 
     /// Whether the graph has no tasks.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.work.is_empty()
     }
 
     /// Iterates over tasks in insertion order.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = Task<'_>> {
-        self.nodes
+        self.work
             .iter()
+            .zip(&self.labels)
             .zip(self.offsets.windows(2))
             .enumerate()
-            .map(|(i, (node, range))| {
+            .map(|(i, ((&work, label), range))| {
+                let work = self.works[work as usize];
                 Task::new(
                     TaskId(i),
-                    &node.label,
-                    node.resource,
-                    node.kind,
+                    label,
+                    work.resource,
+                    work.kind,
                     &self.deps[range[0]..range[1]],
                 )
             })
@@ -147,41 +255,62 @@ impl TaskGraph {
     /// Returns the task with the given id, if present.
     #[must_use]
     pub fn get(&self, id: TaskId) -> Option<Task<'_>> {
-        let node = self.nodes.get(id.0)?;
+        let work = self.works[*self.work.get(id.0)? as usize];
         Some(Task::new(
             id,
-            &node.label,
-            node.resource,
-            node.kind,
+            &self.labels[id.0],
+            work.resource,
+            work.kind,
             &self.deps[self.offsets[id.0]..self.offsets[id.0 + 1]],
         ))
+    }
+
+    /// Task `i`'s dependencies, without reading the rest of the task.
+    pub(crate) fn deps_of(&self, i: usize) -> &[TaskId] {
+        &self.deps[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// Each task's index into [`TaskGraph::works`]; equal indices mean
+    /// equal work.
+    pub(crate) fn work_ids(&self) -> &[u32] {
+        &self.work
+    }
+
+    /// The graph's distinct works.
+    pub(crate) fn works(&self) -> &[Work] {
+        &self.works
+    }
+
+    /// The sum over tasks of `f` of each task's kind.
+    fn total(&self, f: impl Fn(&TaskKind) -> u64) -> u64 {
+        self.work
+            .iter()
+            .map(|&w| f(&self.works[w as usize].kind))
+            .sum()
     }
 
     /// Total bytes read from DRAM across all tasks.
     #[must_use]
     pub fn dram_read_bytes(&self) -> u64 {
-        self.nodes.iter().map(|t| t.kind.dram_read_bytes()).sum()
+        self.total(TaskKind::dram_read_bytes)
     }
 
     /// Total bytes written to DRAM across all tasks.
     #[must_use]
     pub fn dram_write_bytes(&self) -> u64 {
-        self.nodes.iter().map(|t| t.kind.dram_write_bytes()).sum()
+        self.total(TaskKind::dram_write_bytes)
     }
 
     /// Total multiply-accumulate operations across all tasks.
     #[must_use]
     pub fn total_mac_ops(&self) -> u64 {
-        self.nodes.iter().map(|t| t.kind.mac_ops()).sum()
+        self.total(TaskKind::mac_ops)
     }
 
     /// Total VEC-lane operations across all tasks for a given softmax cost.
     #[must_use]
     pub fn total_vec_ops(&self, softmax_ops_per_element: usize) -> u64 {
-        self.nodes
-            .iter()
-            .map(|t| t.kind.vec_ops(softmax_ops_per_element))
-            .sum()
+        self.total(|kind| kind.vec_ops(softmax_ops_per_element))
     }
 
     /// Validates that every dependency refers to an existing task and that
