@@ -12,7 +12,9 @@ use mas_sim::task::{Label, TaskId};
 use mas_sim::HardwareConfig;
 
 use crate::kind::DataflowKind;
-use crate::schedule::{kv_can_stay_resident, plan_chunks, BuildStats, Emitter, Schedule};
+use crate::schedule::{
+    emit_rounds, kv_can_stay_resident, plan_chunks, BuildStats, Emitter, Schedule,
+};
 use crate::tiling::Tiling;
 use crate::workload::AttentionWorkload;
 
@@ -43,9 +45,11 @@ pub(crate) fn build(
         let chunk = plan.index;
         let (k_resident, v_resident) = resident[plan.index];
         let mut round_gate: Option<TaskId> = core_gate[core];
+        rounds_total += plan.query_blocks;
 
-        for i in 0..plan.query_blocks {
-            rounds_total += 1;
+        // Round `i` waits on round `i - 1`; every round but the ragged last
+        // does the same work.
+        let round = |em: &mut Emitter, round_gate: &mut Option<TaskId>, i: usize| {
             let q_rows = plan.q_rows(workload, tiling, i);
             let rows = q_rows * plan.slices;
             let q_bytes = plan.slices * q_rows * embed * eb;
@@ -67,7 +71,7 @@ pub(crate) fn build(
                         &[],
                     )
                 });
-                let deps: &[TaskId] = match round_gate {
+                let deps: &[TaskId] = match *round_gate {
                     Some(gate) => &[load_q, k, gate],
                     None => &[load_q, k],
                 };
@@ -118,8 +122,17 @@ pub(crate) fn build(
                 o_bytes,
                 &pv_tasks,
             );
-            round_gate = pv_tasks.last().copied();
-        }
+            *round_gate = pv_tasks.last().copied();
+        };
+        emit_rounds(
+            &mut em,
+            &mut round_gate,
+            0..plan.query_blocks,
+            1..plan.query_blocks - 1,
+            1,
+            round,
+            |gate, moved| *gate = gate.map(|id| moved.id(id)),
+        );
         core_gate[core] = round_gate;
     }
 

@@ -18,7 +18,9 @@ use mas_sim::task::{Label, TaskId};
 use mas_sim::HardwareConfig;
 
 use crate::kind::DataflowKind;
-use crate::schedule::{kv_can_stay_resident, plan_chunks, BuildStats, Emitter, Schedule};
+use crate::schedule::{
+    emit_rounds, kv_can_stay_resident, plan_chunks, BuildStats, Emitter, Schedule,
+};
 use crate::tiling::Tiling;
 use crate::workload::AttentionWorkload;
 
@@ -47,8 +49,10 @@ pub(crate) fn build(
         let chunk = plan.index;
         let (k_resident, v_resident) = resident[plan.index];
 
-        for i in 0..plan.query_blocks {
-            rounds_total += 1;
+        rounds_total += plan.query_blocks;
+        // Rounds are independent; every round but the ragged last does the
+        // same work.
+        let round = |em: &mut Emitter, _: &mut (), i: usize| {
             let q_rows = plan.q_rows(workload, tiling, i);
             let rows = q_rows * plan.slices;
             let q_bytes = plan.slices * q_rows * embed * eb;
@@ -149,7 +153,16 @@ pub(crate) fn build(
                 o_bytes,
                 &[normalize],
             );
-        }
+        };
+        emit_rounds(
+            &mut em,
+            &mut (),
+            0..plan.query_blocks,
+            0..plan.query_blocks - 1,
+            1,
+            round,
+            |_, _| {},
+        );
     }
 
     let stats = BuildStats {

@@ -11,7 +11,9 @@ use mas_sim::task::{Label, TaskId};
 use mas_sim::HardwareConfig;
 
 use crate::kind::DataflowKind;
-use crate::schedule::{kv_can_stay_resident, plan_chunks, BuildStats, Emitter, Schedule};
+use crate::schedule::{
+    emit_rounds, kv_can_stay_resident, plan_chunks, BuildStats, Emitter, Schedule,
+};
 use crate::tiling::Tiling;
 use crate::workload::AttentionWorkload;
 
@@ -39,8 +41,8 @@ pub(crate) fn build(
         } else {
             None
         };
-        for i in 0..plan.query_blocks {
-            rounds_total += 1;
+        rounds_total += plan.query_blocks;
+        let round = |em: &mut Emitter, last: &mut Vec<TaskId>, i: usize| {
             let q_rows = plan.q_rows(workload, tiling, i);
             let rows = q_rows * plan.slices;
             let q_bytes = plan.slices * q_rows * embed * eb;
@@ -71,12 +73,21 @@ pub(crate) fn build(
                 ));
             }
             let c_bytes = plan.slices * q_rows * workload.seq_len * eb;
-            phase1_last.push(em.store(
+            last.push(em.store(
                 Label::new("c{0} r{1}: store C_{1}", [chunk, i]),
                 c_bytes,
                 &qk,
             ));
-        }
+        };
+        emit_rounds(
+            &mut em,
+            &mut phase1_last,
+            0..plan.query_blocks,
+            0..plan.query_blocks - 1,
+            1,
+            round,
+            crate::schedule::push_moved_last,
+        );
     }
     let phase1_done = em.barrier("operator boundary: C complete", 0, &phase1_last);
 
@@ -85,7 +96,7 @@ pub(crate) fn build(
     for plan in &plans {
         let core = plan.core;
         let chunk = plan.index;
-        for i in 0..plan.query_blocks {
+        let round = |em: &mut Emitter, last: &mut Vec<TaskId>, i: usize| {
             let q_rows = plan.q_rows(workload, tiling, i);
             let rows = q_rows * plan.slices;
             let c_bytes = plan.slices * q_rows * workload.seq_len * eb;
@@ -101,12 +112,21 @@ pub(crate) fn build(
                 workload.seq_len,
                 &[load_c],
             );
-            phase2_last.push(em.store(
+            last.push(em.store(
                 Label::new("c{0} r{1}: store P_{1}", [chunk, i]),
                 c_bytes,
                 &[sm],
             ));
-        }
+        };
+        emit_rounds(
+            &mut em,
+            &mut phase2_last,
+            0..plan.query_blocks,
+            0..plan.query_blocks - 1,
+            1,
+            round,
+            crate::schedule::push_moved_last,
+        );
     }
     let phase2_done = em.barrier("operator boundary: P complete", 0, &phase2_last);
 
@@ -120,7 +140,7 @@ pub(crate) fn build(
         } else {
             None
         };
-        for i in 0..plan.query_blocks {
+        let round = |em: &mut Emitter, _: &mut (), i: usize| {
             let q_rows = plan.q_rows(workload, tiling, i);
             let rows = q_rows * plan.slices;
             let p_bytes = plan.slices * q_rows * workload.seq_len * eb;
@@ -156,7 +176,16 @@ pub(crate) fn build(
                 o_bytes,
                 &pv,
             );
-        }
+        };
+        emit_rounds(
+            &mut em,
+            &mut (),
+            0..plan.query_blocks,
+            0..plan.query_blocks - 1,
+            1,
+            round,
+            |_, _| {},
+        );
     }
 
     let stats = BuildStats {

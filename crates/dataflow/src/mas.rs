@@ -24,7 +24,7 @@ use mas_sim::HardwareConfig;
 
 use crate::kind::DataflowKind;
 use crate::overwrite::{residency_plan, victim_for_round, OverwriteVictim, ResidencyPlan};
-use crate::schedule::{plan_chunks, BuildStats, ChunkPlan, Emitter, Schedule};
+use crate::schedule::{emit_rounds, plan_chunks, BuildStats, ChunkPlan, Emitter, Schedule};
 use crate::tiling::Tiling;
 use crate::workload::AttentionWorkload;
 
@@ -55,8 +55,7 @@ pub(crate) fn build(
 
     for plan in &plans {
         let (k_resident, v_resident) = resident[plan.index];
-        let mut chunk_builder = ChunkBuilder {
-            em: &mut em,
+        let chunk_builder = ChunkBuilder {
             workload,
             tiling,
             plan,
@@ -66,7 +65,7 @@ pub(crate) fn build(
             k_resident,
             v_resident,
         };
-        let outcome = chunk_builder.emit();
+        let outcome = chunk_builder.emit(&mut em);
         rounds_total += plan.query_blocks;
         overwrite_events += outcome.overwrite_events;
         reload_bytes += outcome.reload_bytes;
@@ -93,15 +92,22 @@ pub(crate) fn build(
 }
 
 /// Per-chunk emission outcome.
+#[derive(Debug, Clone, Copy, Default)]
 struct ChunkOutcome {
     overwrite_events: usize,
     reload_bytes: u64,
     redo_mac_ops: u64,
 }
 
+/// What iteration `i` of the main loop reads from the iterations before
+/// it: `C_{i-1}`'s sub-tiles and `P_{i-2}`.
+struct Handles {
+    qk: Vec<TaskId>,
+    sm: Option<TaskId>,
+}
+
 /// Emits Algorithm 1 for one `(B_b, H_h)` chunk.
 struct ChunkBuilder<'a> {
-    em: &'a mut Emitter,
     workload: &'a AttentionWorkload,
     tiling: &'a Tiling,
     plan: &'a ChunkPlan,
@@ -113,83 +119,93 @@ struct ChunkBuilder<'a> {
 }
 
 impl ChunkBuilder<'_> {
-    fn emit(&mut self) -> ChunkOutcome {
+    fn emit(&self, em: &mut Emitter) -> ChunkOutcome {
         let qb = self.plan.query_blocks;
-        let mut outcome = ChunkOutcome {
-            overwrite_events: 0,
-            reload_bytes: 0,
-            redo_mac_ops: 0,
-        };
-
-        // Resident K/V loads were prefetched by the caller (None when the
-        // chunk streams its sub-tiles instead).
-        let k_resident = self.k_resident;
-        let v_resident = self.v_resident;
-
-        // Per-round task handles.
-        let mut qk_tasks: Vec<Vec<TaskId>> = vec![Vec::new(); qb];
-        let mut sm_tasks: Vec<Option<TaskId>> = vec![None; qb];
-        let mut pv_last: Vec<Option<TaskId>> = vec![None; qb];
-
         // Warm-up: C_0 = Q_0 K^T (Algorithm 1, line 5).
-        qk_tasks[0] = self.emit_qk(0, k_resident, None);
-
-        for i in 1..qb {
-            // VEC stream: P_{i-1} = softmax(C_{i-1}).
-            sm_tasks[i - 1] = Some(self.emit_softmax(i - 1, &qk_tasks[i - 1]));
-
-            // Proactive overwrite: producing P_{i-1} may need the space of
-            // the resident K/V tile (§4.3). The victim is reloaded and the
-            // interrupted MatMul sub-tile redone before the MAC stream
-            // consumes it again.
-            let mut reload_gate: Option<TaskId> = None;
-            if self.plan_kind == ResidencyPlan::OverwriteKv {
-                let victim = victim_for_round(i - 1);
-                let (gate, bytes, redo) = self.emit_overwrite(i - 1, victim, sm_tasks[i - 1]);
-                reload_gate = Some(gate);
-                outcome.overwrite_events += 1;
-                outcome.reload_bytes += bytes;
-                outcome.redo_mac_ops += redo;
-            }
-
-            // MAC stream, steady state (i >= 2): O_{i-2} = P_{i-2} V.
-            if i >= 2 {
-                let pv = self.emit_pv(i - 2, sm_tasks[i - 2], v_resident, reload_gate);
-                pv_last[i - 2] = pv.last().copied();
-                self.emit_store_o(i - 2, &pv);
-            }
-
-            // MAC stream: C_i = Q_i K^T, gated on the completion of O_{i-2}
-            // (Algorithm 1, line 16) but *not* on the concurrent softmax.
-            let gate = if i >= 2 { pv_last[i - 2] } else { None };
-            qk_tasks[i] = self.emit_qk(i, k_resident, gate.or(reload_gate));
-        }
+        let mut h = Handles {
+            qk: self.emit_qk(em, 0, None),
+            sm: None,
+        };
+        // Iteration `i` emits rounds `i - 2` to `i`. From iteration 3 on it
+        // emits iteration `i - 1`'s tasks one round later, until the ragged
+        // last round enters at `qb - 1`; the overwrite victim alternates, so
+        // that period is two iterations.
+        let period = if self.plan_kind == ResidencyPlan::OverwriteKv {
+            2
+        } else {
+            1
+        };
+        emit_rounds(
+            em,
+            &mut h,
+            1..qb,
+            3..qb.saturating_sub(1),
+            period,
+            |em, h, i| self.iteration(em, h, i),
+            |h, moved| {
+                for id in &mut h.qk {
+                    *id = moved.id(*id);
+                }
+                h.sm = h.sm.map(|id| moved.id(id));
+            },
+        );
 
         // Finalize (Algorithm 1, lines 21–26).
-        sm_tasks[qb - 1] = Some(self.emit_softmax(qb - 1, &qk_tasks[qb - 1]));
+        let sm_last = self.emit_softmax(em, qb - 1, &h.qk);
         if qb >= 2 {
-            let pv = self.emit_pv(qb - 2, sm_tasks[qb - 2], v_resident, None);
-            self.emit_store_o(qb - 2, &pv);
+            let pv = self.emit_pv(em, qb - 2, h.sm, None);
+            self.emit_store_o(em, qb - 2, &pv);
         }
-        let pv = self.emit_pv(qb - 1, sm_tasks[qb - 1], v_resident, None);
-        self.emit_store_o(qb - 1, &pv);
+        let pv = self.emit_pv(em, qb - 1, Some(sm_last), None);
+        self.emit_store_o(em, qb - 1, &pv);
 
+        // Iterations 1 to `qb - 1` each overwrite once, repeated or not.
+        let mut outcome = ChunkOutcome::default();
+        if self.plan_kind == ResidencyPlan::OverwriteKv {
+            for i in 1..qb {
+                let (bytes, (m, k, n)) = self.overwrite_work(i - 1, victim_for_round(i - 1));
+                outcome.overwrite_events += 1;
+                outcome.reload_bytes += bytes as u64;
+                outcome.redo_mac_ops += (m * k * n) as u64;
+            }
+        }
         outcome
     }
 
+    /// Iteration `i` of Algorithm 1's main loop (`1 <= i < qb`).
+    fn iteration(&self, em: &mut Emitter, h: &mut Handles, i: usize) {
+        // VEC stream: P_{i-1} = softmax(C_{i-1}).
+        let sm = self.emit_softmax(em, i - 1, &h.qk);
+
+        // Proactive overwrite: producing P_{i-1} may need the space of the
+        // resident K/V tile (§4.3). The victim is reloaded and the
+        // interrupted MatMul sub-tile redone before the MAC stream consumes
+        // it again.
+        let reload_gate = (self.plan_kind == ResidencyPlan::OverwriteKv)
+            .then(|| self.emit_overwrite(em, i - 1, victim_for_round(i - 1), sm));
+
+        // MAC stream, steady state (i >= 2): O_{i-2} = P_{i-2} V.
+        let mut gate = None;
+        if i >= 2 {
+            let pv = self.emit_pv(em, i - 2, h.sm, reload_gate);
+            gate = pv.last().copied();
+            self.emit_store_o(em, i - 2, &pv);
+        }
+
+        // MAC stream: C_i = Q_i K^T, gated on the completion of O_{i-2}
+        // (Algorithm 1, line 16) but *not* on the concurrent softmax.
+        h.qk = self.emit_qk(em, i, gate.or(reload_gate));
+        h.sm = Some(sm);
+    }
+
     /// Emits the Algorithm-2 sweep producing `C_i`.
-    fn emit_qk(
-        &mut self,
-        i: usize,
-        k_resident: Option<TaskId>,
-        gate: Option<TaskId>,
-    ) -> Vec<TaskId> {
+    fn emit_qk(&self, em: &mut Emitter, i: usize, gate: Option<TaskId>) -> Vec<TaskId> {
         let chunk = self.plan.index;
         let core = self.plan.core;
         let q_rows = self.plan.q_rows(self.workload, self.tiling, i);
         let rows = q_rows * self.plan.slices;
         let q_bytes = self.plan.slices * q_rows * self.embed * self.eb;
-        let load_q = self.em.load(
+        let load_q = em.load(
             Label::new("c{0} r{1}: load Q_{1}", [chunk, i]),
             q_bytes,
             &[],
@@ -197,9 +213,9 @@ impl ChunkBuilder<'_> {
         let mut tasks = Vec::with_capacity(self.plan.kv_tiles);
         for j in 0..self.plan.kv_tiles {
             let kv_cols = self.plan.kv_cols(self.workload, self.tiling, j);
-            let k = k_resident.unwrap_or_else(|| {
+            let k = self.k_resident.unwrap_or_else(|| {
                 let bytes = self.plan.slices * kv_cols * self.embed * self.eb;
-                self.em.load(
+                em.load(
                     Label::new("c{0} r{1}: load K_{2}", [chunk, i, j]),
                     bytes,
                     &[],
@@ -209,7 +225,7 @@ impl ChunkBuilder<'_> {
                 Some(g) => &[load_q, k, g],
                 None => &[load_q, k],
             };
-            tasks.push(self.em.matmul(
+            tasks.push(em.matmul(
                 Label::new("c{0} r{1}: C_{1},{2} = Q_{1} K_{2}^T", [chunk, i, j]),
                 core,
                 rows,
@@ -222,12 +238,12 @@ impl ChunkBuilder<'_> {
     }
 
     /// Emits the Algorithm-3 softmax for round `i`.
-    fn emit_softmax(&mut self, i: usize, qk: &[TaskId]) -> TaskId {
+    fn emit_softmax(&self, em: &mut Emitter, i: usize, qk: &[TaskId]) -> TaskId {
         let chunk = self.plan.index;
         let core = self.plan.core;
         let q_rows = self.plan.q_rows(self.workload, self.tiling, i);
         let rows = q_rows * self.plan.slices;
-        self.em.softmax(
+        em.softmax(
             Label::new("c{0} r{1}: P_{1} = softmax(C_{1})", [chunk, i]),
             core,
             rows,
@@ -238,10 +254,10 @@ impl ChunkBuilder<'_> {
 
     /// Emits the Algorithm-4 sweep producing `O_i`.
     fn emit_pv(
-        &mut self,
+        &self,
+        em: &mut Emitter,
         i: usize,
         sm: Option<TaskId>,
-        v_resident: Option<TaskId>,
         extra_gate: Option<TaskId>,
     ) -> Vec<TaskId> {
         let chunk = self.plan.index;
@@ -251,9 +267,9 @@ impl ChunkBuilder<'_> {
         let mut tasks = Vec::with_capacity(self.plan.kv_tiles);
         for j in 0..self.plan.kv_tiles {
             let kv_cols = self.plan.kv_cols(self.workload, self.tiling, j);
-            let v = v_resident.unwrap_or_else(|| {
+            let v = self.v_resident.unwrap_or_else(|| {
                 let bytes = self.plan.slices * kv_cols * self.embed * self.eb;
-                self.em.load(
+                em.load(
                     Label::new("c{0} r{1}: load V_{2}", [chunk, i, j]),
                     bytes,
                     &[],
@@ -265,7 +281,7 @@ impl ChunkBuilder<'_> {
                 (None, Some(g)) => &[v, g],
                 (None, None) => &[v],
             };
-            tasks.push(self.em.matmul(
+            tasks.push(em.matmul(
                 Label::new("c{0} r{1}: O_{1} += P_{1},{2} V_{2}", [chunk, i, j]),
                 core,
                 rows,
@@ -278,31 +294,46 @@ impl ChunkBuilder<'_> {
     }
 
     /// Emits the DRAM store of `O_i`.
-    fn emit_store_o(&mut self, i: usize, pv: &[TaskId]) {
+    fn emit_store_o(&self, em: &mut Emitter, i: usize, pv: &[TaskId]) {
         let chunk = self.plan.index;
         let q_rows = self.plan.q_rows(self.workload, self.tiling, i);
         let o_bytes = self.plan.slices * q_rows * self.embed * self.eb;
-        self.em.store(
+        em.store(
             Label::new("c{0} r{1}: store O_{1}", [chunk, i]),
             o_bytes,
             pv,
         );
     }
 
-    /// Emits one proactive-overwrite event for round `i`: the victim tile is
-    /// reloaded from DRAM after `P_i` is complete, and the interrupted MatMul
-    /// sub-tile is redone. Returns the gate task the MAC stream must wait on,
-    /// plus the reload bytes and redone MAC operations.
-    fn emit_overwrite(
-        &mut self,
-        i: usize,
-        victim: OverwriteVictim,
-        sm: Option<TaskId>,
-    ) -> (TaskId, u64, u64) {
-        let chunk = self.plan.index;
-        let core = self.plan.core;
+    /// What one proactive-overwrite event of round `i` costs: the reloaded
+    /// bytes and the `(m, k, n)` of the redone MatMul sub-tile.
+    fn overwrite_work(&self, i: usize, victim: OverwriteVictim) -> (usize, (usize, usize, usize)) {
         let kv_cols = self.plan.kv_cols(self.workload, self.tiling, 0);
         let bytes = self.plan.slices * kv_cols * self.embed * self.eb;
+        let rows = self.plan.q_rows(self.workload, self.tiling, i) * self.plan.slices;
+        let mkn = match victim {
+            // Interrupted O = P V sub-tile.
+            OverwriteVictim::V => (rows, kv_cols, self.embed),
+            // Interrupted C = Q K^T sub-tile.
+            OverwriteVictim::K => (rows, self.embed, kv_cols),
+        };
+        (bytes, mkn)
+    }
+
+    /// Emits one proactive-overwrite event for round `i`: the victim tile is
+    /// reloaded from DRAM after `P_i` (task `sm`) is complete, and the
+    /// interrupted MatMul sub-tile is redone. Returns the gate task the MAC
+    /// stream must wait on.
+    fn emit_overwrite(
+        &self,
+        em: &mut Emitter,
+        i: usize,
+        victim: OverwriteVictim,
+        sm: TaskId,
+    ) -> TaskId {
+        let chunk = self.plan.index;
+        let core = self.plan.core;
+        let (bytes, (m, k, n)) = self.overwrite_work(i, victim);
         let (reload_label, redo_label) = match victim {
             OverwriteVictim::V => (
                 "c{0} r{1}: reload V tile after overwrite",
@@ -313,22 +344,9 @@ impl ChunkBuilder<'_> {
                 "c{0} r{1}: redo interrupted MatMul (K)",
             ),
         };
-        let reload = self
-            .em
-            .load(Label::new(reload_label, [chunk, i]), bytes, sm.as_slice());
+        let reload = em.load(Label::new(reload_label, [chunk, i]), bytes, &[sm]);
         // The interrupted MatMul sub-tile is redone once the operand is back.
-        let q_rows = self.plan.q_rows(self.workload, self.tiling, i);
-        let rows = q_rows * self.plan.slices;
-        let (m, k, n) = match victim {
-            // Interrupted O = P V sub-tile.
-            OverwriteVictim::V => (rows, kv_cols, self.embed),
-            // Interrupted C = Q K^T sub-tile.
-            OverwriteVictim::K => (rows, self.embed, kv_cols),
-        };
-        let redo = self
-            .em
-            .matmul(Label::new(redo_label, [chunk, i]), core, m, k, n, &[reload]);
-        (redo, bytes as u64, (m * k * n) as u64)
+        em.matmul(Label::new(redo_label, [chunk, i]), core, m, k, n, &[reload])
     }
 }
 

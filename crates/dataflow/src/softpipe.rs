@@ -10,7 +10,9 @@ use mas_sim::task::{Label, TaskId};
 use mas_sim::HardwareConfig;
 
 use crate::kind::DataflowKind;
-use crate::schedule::{kv_can_stay_resident, plan_chunks, BuildStats, Emitter, Schedule};
+use crate::schedule::{
+    emit_rounds, kv_can_stay_resident, plan_chunks, BuildStats, Emitter, Schedule,
+};
 use crate::tiling::Tiling;
 use crate::workload::AttentionWorkload;
 
@@ -38,8 +40,8 @@ pub(crate) fn build(
         } else {
             None
         };
-        for i in 0..plan.query_blocks {
-            rounds_total += 1;
+        rounds_total += plan.query_blocks;
+        let round = |em: &mut Emitter, last: &mut Vec<TaskId>, i: usize| {
             let q_rows = plan.q_rows(workload, tiling, i);
             let rows = q_rows * plan.slices;
             let q_bytes = plan.slices * q_rows * embed * eb;
@@ -79,12 +81,21 @@ pub(crate) fn build(
                 &qk,
             );
             let p_bytes = plan.slices * q_rows * workload.seq_len * eb;
-            stage_a_last.push(em.store(
+            last.push(em.store(
                 Label::new("c{0} r{1}: store P_{1}", [chunk, i]),
                 p_bytes,
                 &[sm],
             ));
-        }
+        };
+        emit_rounds(
+            &mut em,
+            &mut stage_a_last,
+            0..plan.query_blocks,
+            0..plan.query_blocks - 1,
+            1,
+            round,
+            crate::schedule::push_moved_last,
+        );
     }
     let stage_a_done = em.barrier("stage boundary: P complete", 0, &stage_a_last);
 
@@ -98,7 +109,7 @@ pub(crate) fn build(
         } else {
             None
         };
-        for i in 0..plan.query_blocks {
+        let round = |em: &mut Emitter, _: &mut (), i: usize| {
             let q_rows = plan.q_rows(workload, tiling, i);
             let rows = q_rows * plan.slices;
             let p_bytes = plan.slices * q_rows * workload.seq_len * eb;
@@ -134,7 +145,16 @@ pub(crate) fn build(
                 o_bytes,
                 &pv,
             );
-        }
+        };
+        emit_rounds(
+            &mut em,
+            &mut (),
+            0..plan.query_blocks,
+            0..plan.query_blocks - 1,
+            1,
+            round,
+            |_, _| {},
+        );
     }
 
     let stats = BuildStats {

@@ -21,9 +21,19 @@ use mas_sim::task::{Label, TaskId};
 use mas_sim::HardwareConfig;
 
 use crate::kind::DataflowKind;
-use crate::schedule::{kv_can_stay_resident, plan_chunks, BuildStats, Emitter, Schedule};
+use crate::schedule::{
+    emit_rounds, kv_can_stay_resident, plan_chunks, BuildStats, Emitter, Schedule,
+};
 use crate::tiling::Tiling;
 use crate::workload::AttentionWorkload;
+
+/// What step `s` of a chunk's pipeline reads from the step before: its
+/// stage barrier, `C_{s-1}`'s sub-tiles and `P_{s-2}`.
+struct Pipe {
+    barrier: Option<TaskId>,
+    qk: Vec<TaskId>,
+    sm: Option<TaskId>,
+}
 
 /// Builds the TileFlow-style schedule.
 pub(crate) fn build(
@@ -52,13 +62,19 @@ pub(crate) fn build(
         rounds_total += qb;
         let (k_resident, v_resident) = resident[plan.index];
 
-        let mut qk_tasks: Vec<Vec<TaskId>> = vec![Vec::new(); qb];
-        let mut sm_tasks: Vec<Option<TaskId>> = vec![None; qb];
-        let mut barrier: Option<TaskId> = core_barrier[core];
+        let mut pipe = Pipe {
+            barrier: core_barrier[core],
+            qk: Vec::new(),
+            sm: None,
+        };
 
-        // Pipeline steps: step s runs C_s, softmax_{s-1} and PV_{s-2}.
-        for s in 0..qb + 2 {
+        // Pipeline steps: step s runs C_s, softmax_{s-1} and PV_{s-2}. From
+        // step 3 on a step emits the step before's tasks one round later,
+        // until the ragged last round enters at step `qb - 1`.
+        let step = |em: &mut Emitter, pipe: &mut Pipe, s: usize| {
+            let barrier = pipe.barrier;
             let mut step_tasks: Vec<TaskId> = Vec::new();
+            let mut qk = Vec::new();
 
             // Stage 1: C_s = Q_s K^T.
             if s < qb {
@@ -95,17 +111,18 @@ pub(crate) fn build(
                         kv_cols,
                         deps,
                     );
-                    qk_tasks[s].push(id);
+                    qk.push(id);
                     step_tasks.push(id);
                 }
             }
 
             // Stage 2: P_{s-1} = softmax(C_{s-1}).
+            let mut sm_new = None;
             if s >= 1 && s - 1 < qb {
                 let i = s - 1;
                 let q_rows = plan.q_rows(workload, tiling, i);
                 let rows = q_rows * plan.slices;
-                let mut deps = std::mem::take(&mut qk_tasks[i]);
+                let mut deps = std::mem::take(&mut pipe.qk);
                 if let Some(b) = barrier {
                     deps.push(b);
                 }
@@ -116,7 +133,7 @@ pub(crate) fn build(
                     workload.seq_len,
                     &deps,
                 );
-                sm_tasks[i] = Some(sm);
+                sm_new = Some(sm);
                 step_tasks.push(sm);
             }
 
@@ -136,7 +153,7 @@ pub(crate) fn build(
                             barrier.as_slice(),
                         )
                     });
-                    let deps: &[TaskId] = match (sm_tasks[i], barrier) {
+                    let deps: &[TaskId] = match (pipe.sm, barrier) {
                         (Some(sm), Some(b)) => &[sm, v, b],
                         (Some(sm), None) => &[sm, v],
                         (None, Some(b)) => &[v, b],
@@ -164,14 +181,31 @@ pub(crate) fn build(
             // Stage barrier: every stage of this step must finish before the
             // next step starts.
             if !step_tasks.is_empty() {
-                barrier = Some(em.barrier(
+                pipe.barrier = Some(em.barrier(
                     Label::new("c{0} s{1}: stage barrier", [chunk, s]),
                     core,
                     &step_tasks,
                 ));
             }
-        }
-        core_barrier[core] = barrier;
+            pipe.qk = qk;
+            pipe.sm = sm_new;
+        };
+        emit_rounds(
+            &mut em,
+            &mut pipe,
+            0..qb + 2,
+            3..qb.saturating_sub(1),
+            1,
+            step,
+            |pipe, moved| {
+                pipe.barrier = pipe.barrier.map(|id| moved.id(id));
+                for id in &mut pipe.qk {
+                    *id = moved.id(*id);
+                }
+                pipe.sm = pipe.sm.map(|id| moved.id(id));
+            },
+        );
+        core_barrier[core] = pipe.barrier;
     }
 
     let stats = BuildStats {

@@ -57,6 +57,30 @@ impl Tiling {
         }
     }
 
+    /// Checks that every factor lies between 1 and its dimension's extent,
+    /// as [`Tiling::new`] makes it. The fields are public, so a tiling
+    /// built field by field may not: a zero factor divides by zero and a
+    /// factor past its extent would schedule work that does not exist.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`mas_sim::SimError::InvalidConfig`] naming the first
+    /// factor out of range.
+    pub fn check(&self, workload: &AttentionWorkload) -> mas_sim::Result<()> {
+        let factors = [
+            ("B_b", self.b_b, workload.batch),
+            ("H_h", self.h_h, workload.heads),
+            ("N_Q", self.n_q, workload.seq_len),
+            ("N_KV", self.n_kv, workload.seq_len),
+        ];
+        match factors.iter().find(|(_, v, extent)| *v == 0 || v > extent) {
+            Some((name, value, extent)) => Err(mas_sim::SimError::InvalidConfig {
+                reason: format!("tiling factor {name} = {value} is outside 1..={extent}"),
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// The most naive tiling: one row of one head at a time with the smallest
     /// key/value sub-tile the MAC array supports. This is the (deliberately
     /// poor) starting point of the search-convergence experiment (Figure 7).

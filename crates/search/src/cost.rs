@@ -6,13 +6,16 @@
 //! the search algorithms can revisit points for free, and invalid tilings
 //! (working set exceeding L1) are rejected up front.
 //!
-//! The simulator replays the repeating rounds of a schedule instead of
-//! simulating them event by event (the "Steady-state fast-forward" of
-//! `mas_sim::executor`), with identical results. A candidate's simulation
-//! therefore costs one pass over its graph plus event-by-event work only
-//! for the part of its schedule that does not repeat: its warm-up, its
-//! chunk boundaries and its epilogue. Many-round tilings such as
-//! [`Tiling::naive`] gain the most.
+//! A candidate costs its non-repeating part. The dataflow builders store
+//! one period of each chunk's rounds with a repeat count
+//! (`mas_sim::TaskGraph::repeat`), so building a candidate costs its
+//! prologues, one period per chunk and its epilogues, however many rounds
+//! it has. The simulator replays the repeating rounds of a schedule
+//! instead of simulating them event by event (the "Steady-state
+//! fast-forward" of `mas_sim::executor`), with identical results: it
+//! simulates the warm-up, the chunk boundaries and the epilogues event by
+//! event, and each replayed task costs a few word writes and its energy
+//! sum. Many-round tilings such as [`Tiling::naive`] gain the most.
 //!
 //! Simulating one candidate is a pure function of `(method, workload,
 //! hardware, tiling)`, so a batch of uncached candidates — a GA generation, a
@@ -144,10 +147,13 @@ impl CostModel {
         self.evaluations
     }
 
-    /// Whether a tiling's working set fits the device L1 for this method.
+    /// Whether a tiling's factors lie within the workload's extents
+    /// ([`Tiling::check`]) and its working set fits the device L1 for this
+    /// method.
     #[must_use]
     pub fn is_valid(&self, tiling: &Tiling) -> bool {
-        tiling_fits(self.kind, &self.workload, tiling, &self.hw)
+        tiling.check(&self.workload).is_ok()
+            && tiling_fits(self.kind, &self.workload, tiling, &self.hw)
     }
 
     /// Exports the evaluation cache as a deterministically ordered list of
@@ -297,6 +303,39 @@ mod tests {
             evals,
             "second evaluation must hit the cache"
         );
+    }
+
+    #[test]
+    fn out_of_range_factors_are_invalid_for_every_method() {
+        let w = AttentionWorkload::new("toy", 1, 2, 64, 32);
+        let valid = Tiling::new(1, 1, 16, 32, &w);
+        let cases = [
+            Tiling { b_b: 0, ..valid },
+            Tiling { h_h: 0, ..valid },
+            Tiling { n_q: 0, ..valid },
+            Tiling { n_kv: 0, ..valid },
+            Tiling {
+                b_b: 5,
+                h_h: 9,
+                n_q: 1000,
+                n_kv: 1000,
+            },
+            Tiling { n_q: 65, ..valid },
+        ];
+        for kind in DataflowKind::all() {
+            let mut m = CostModel::new(
+                kind,
+                w.clone(),
+                HardwareConfig::edge_default(),
+                Objective::Latency,
+            );
+            assert!(m.is_valid(&valid), "{kind}");
+            for tiling in cases {
+                assert!(!m.is_valid(&tiling), "{kind} {tiling:?}");
+                assert_eq!(m.evaluate(&tiling), None, "{kind} {tiling:?}");
+            }
+            assert_eq!(m.evaluations(), 0, "{kind}");
+        }
     }
 
     #[test]

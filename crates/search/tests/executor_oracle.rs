@@ -1,18 +1,19 @@
 //! Differential oracle for the cycle simulator's list scheduler.
 //!
 //! [`reference_run`] is the list scheduler `mas_sim::Executor::run` was
-//! first written as, kept here verbatim apart from the lookups that need
+//! first written as, kept here apart from the lookups that need
 //! crate-private items: it re-sorts the resources by display name on every
-//! start pass, keeps each ready queue as a sorted `VecDeque` filled by
-//! linear-scan insertion, and validates the graph with a separate Kahn pass.
-//! It is quadratic on long DMA queues but plainly follows the scheduling
-//! contract of the `mas_sim::executor` docs. The executor must reproduce its
+//! start pass, keeps each ready queue as an ordered set of
+//! `(priority, program index)` pairs, reads every task of the expanded
+//! graph ([`TaskGraph::iter`]) and validates it with a separate Kahn pass.
+//! It plainly follows the scheduling contract of the `mas_sim::executor`
+//! docs. The executor must reproduce its
 //! `SimReport` exactly — cycles, seconds and every energy component bit for
 //! bit, per-resource busy cycles, MAC/VEC overlap and every trace entry in
 //! order — and its errors. The oracle is built only on public `mas_sim`
 //! items.
 
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 
 use mas_dataflow::footprint::tiling_fits;
 use mas_dataflow::{build_dataflow, AttentionWorkload, DataflowKind, Tiling};
@@ -79,17 +80,12 @@ fn reference_run(
     }
 
     // Ready queues per resource, ordered by (priority, program order).
-    let mut ready: HashMap<Resource, VecDeque<usize>> = HashMap::new();
+    let mut ready: HashMap<Resource, BTreeSet<(usize, usize)>> = HashMap::new();
     for task in graph.iter() {
         ready.entry(task.resource).or_default();
     }
-    let enqueue = |queue: &mut VecDeque<usize>, priority: &[usize], index: usize| {
-        let key = (priority[index], index);
-        let pos = queue
-            .iter()
-            .position(|&other| (priority[other], other) > key)
-            .unwrap_or(queue.len());
-        queue.insert(pos, index);
+    let enqueue = |queue: &mut BTreeSet<(usize, usize)>, priority: &[usize], index: usize| {
+        queue.insert((priority[index], index));
     };
     // Seed initially-ready tasks.
     for task in graph.iter() {
@@ -142,9 +138,8 @@ fn reference_run(
                     continue;
                 }
                 let queue = ready.get_mut(&resource).expect("resource queue exists");
-                if let Some(&index) = queue.front() {
-                    queue.pop_front();
-                    let task = tasks[index];
+                if let Some((_, index)) = queue.pop_first() {
+                    let task = &tasks[index];
                     let duration = timing.task_cycles(&task.kind);
                     let start = now;
                     let end = start + duration;
@@ -166,7 +161,7 @@ fn reference_run(
                     if record_trace {
                         trace.push(TraceEntry {
                             task: task.id,
-                            label: task.label.clone(),
+                            label: task.label.clone().into_owned(),
                             resource,
                             start_cycle: start,
                             end_cycle: end,
@@ -194,7 +189,7 @@ fn reference_run(
                     for &dep_index in &dependents[index] {
                         remaining_deps[dep_index] -= 1;
                         if remaining_deps[dep_index] == 0 {
-                            let task = tasks[dep_index];
+                            let task = &tasks[dep_index];
                             let queue = ready
                                 .get_mut(&task.resource)
                                 .expect("resource queue exists");
@@ -406,12 +401,19 @@ const WARMUP: usize = 4_200;
 /// A random periodic graph, the shape the steady-state fast-forward
 /// skips over: a zero-cycle warm-up and a prologue of 0–3 transfers, then
 /// a random round template of 2–10 tasks repeated 8–300 times per chunk,
-/// one chunk per core, laid out chunk after chunk or round by round. A template task runs on a DMA
-/// channel or on its chunk's MAC or VEC unit, may take zero cycles, and
-/// waits on earlier tasks of its round, on tasks one or two rounds back
-/// and on prologue tasks; DMA tasks may or may not have consumers. One
-/// task of one round, at a random place, does different work, so a repeat
-/// must stop there and may resume after it.
+/// one chunk per core, laid out chunk after chunk or round by round. A
+/// template task runs on a DMA channel or on its chunk's MAC or VEC unit,
+/// may take zero cycles, and waits on earlier tasks of its round, on tasks
+/// one or two rounds back and on prologue tasks; DMA tasks may or may not
+/// have consumers. One task of one round, at a random place, does
+/// different work.
+///
+/// The rounds are added through the template API: a period is two rounds
+/// of every chunk laid out together, and after each period from the third
+/// on, the periods that follow up to the odd round (or the end) are
+/// repeated ([`TaskGraph::repeat`]). The graph refuses the repeat when the
+/// two periods it compares differ, so the stored form stops at the odd
+/// round and resumes after it.
 fn periodic_graph(rng: &mut StdRng, cores: usize) -> TaskGraph {
     let pick = |rng: &mut StdRng, menu: &[usize]| menu[rng.gen_range(0..menu.len())];
     let kind = |rng: &mut StdRng| match rng.gen_range(0..7u32) {
@@ -504,43 +506,78 @@ fn periodic_graph(rng: &mut StdRng, cores: usize) -> TaskGraph {
     };
     let mut ids = vec![vec![Vec::with_capacity(size); rounds]; cores];
     let chunk_major = rng.gen_range(0..2u32) == 0;
-    let order: Vec<(usize, usize)> = if chunk_major {
+    let runs: Vec<Vec<(usize, usize)>> = if chunk_major {
         (0..cores)
-            .flat_map(|c| (0..rounds).map(move |r| (c, r)))
+            .map(|c| (0..rounds).map(|r| (c, r)).collect())
             .collect()
     } else {
-        (0..rounds)
+        vec![(0..rounds)
             .flat_map(|r| (0..cores).map(move |c| (c, r)))
-            .collect()
+            .collect()]
     };
-    for (c, r) in order {
-        for (pos, step) in template.iter().enumerate() {
-            let resource = match step.unit {
-                0 => Resource::DmaIn,
-                1 => Resource::DmaOut,
-                2 => Resource::Mac { core: c },
-                _ => Resource::Vec { core: c },
-            };
-            let mut deps: Vec<TaskId> = step.fixed.clone();
-            deps.extend(step.same_round.iter().map(|&p| ids[c][r][p]));
-            deps.extend(
-                step.back
-                    .iter()
-                    .filter(|&&(lag, _)| r >= lag)
-                    .map(|&(lag, p)| ids[c][r - lag][p]),
-            );
-            let kind = if (c, r, pos) == odd {
-                odd_kind
-            } else {
-                step.kind
-            };
-            let id = g.add_task(
-                Label::new("c{0} r{1} t{2}", [c, r, pos]),
-                resource,
-                kind,
-                &deps,
-            );
-            ids[c][r].push(id);
+    let per_period = 2 * runs[0].len() / rounds;
+    for units in runs {
+        let periods = units.len() / per_period;
+        let odd_period = units.iter().position(|&(c, r)| (c, r) == (odd.0, odd.1));
+        let mut p = 0;
+        let mut u = 0;
+        while u < units.len() {
+            let start = g.next_id();
+            for &(c, r) in &units[u..(u + per_period).min(units.len())] {
+                for (pos, step) in template.iter().enumerate() {
+                    let resource = match step.unit {
+                        0 => Resource::DmaIn,
+                        1 => Resource::DmaOut,
+                        2 => Resource::Mac { core: c },
+                        _ => Resource::Vec { core: c },
+                    };
+                    let mut deps: Vec<TaskId> = step.fixed.clone();
+                    deps.extend(step.same_round.iter().map(|&p| ids[c][r][p]));
+                    deps.extend(
+                        step.back
+                            .iter()
+                            .filter(|&&(lag, _)| r >= lag)
+                            .map(|&(lag, p)| ids[c][r - lag][p]),
+                    );
+                    let kind = if (c, r, pos) == odd {
+                        odd_kind
+                    } else {
+                        step.kind
+                    };
+                    let id = g.add_task(
+                        Label::new("c{0} r{1} t{2}", [c, r, pos]),
+                        resource,
+                        kind,
+                        &deps,
+                    );
+                    ids[c][r].push(id);
+                }
+            }
+            u += per_period;
+            p += 1;
+            // Repeat this period over the whole periods before the odd one.
+            let until = odd_period.map_or(periods, |at| {
+                if at / per_period >= p {
+                    at / per_period
+                } else {
+                    periods
+                }
+            });
+            if p < 3 || until <= p {
+                continue;
+            }
+            let times = until - p;
+            if let Some(len) = g.repeat(start, times) {
+                for k in 1..=times {
+                    for v in 0..per_period {
+                        let (c0, r0) = units[u - per_period + v];
+                        let (c, r) = units[u - per_period + v + k * per_period];
+                        ids[c][r] = ids[c0][r0].iter().map(|id| id.later(k * len)).collect();
+                    }
+                }
+                u += times * per_period;
+                p += times;
+            }
         }
     }
     g
@@ -561,7 +598,7 @@ proptest! {
         let hw = device(cores);
         let energy = EnergyModel::edge_16nm();
         let traced = Executor::new(hw, energy);
-        let want = reference_run(traced.timing(), &energy, true, &graph).expect("simulates");
+        let want = reference_run(traced.timing(), &energy, true, &graph.expand()).expect("simulates");
         let what = format!("periodic seed {seed}, {cores} cores");
         assert_identical(&traced.run(&graph).expect("simulates"), &want, &what);
         let untraced = traced.without_trace().run(&graph).expect("simulates");

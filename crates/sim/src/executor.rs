@@ -34,32 +34,52 @@
 //! - **Accounting.** Energy accumulates, and trace entries are recorded, in
 //!   start order.
 //!
-//! The per-run state is dense: resources become slots numbered once, each
+//! # Reading the stored form
+//!
+//! A graph stores each repeated period once ([`TaskGraph::repeat`]), and a
+//! run reads it in that form. Resources become slots numbered once, each
 //! slot has a binary-heap ready queue keyed by one word (priority, then
-//! program index), dependents are one CSR array inverted from the graph's
-//! own CSR dependency array ([`TaskGraph`]), and busy time is a `u64` per
-//! slot. The graph stores each distinct resource and kind once, so a run
-//! prices each of them once: a start reads its cycles and energy from a
-//! small table. Each start and each completion costs `O(log n)` heap work
-//! for `n` tasks, and each start pass costs `O(r)` for the `r` resources in
-//! use (at most `2 + 2·cores`), so a run costs
-//! `O((n + e) + n log n + passes · r)` for `e` dependency edges. The
-//! per-task arrays are kept per thread and reused by the next run. The
-//! executor does not call [`TaskGraph::validate`]: dependency ids are
-//! checked while the dependents table is built, and a cycle is found when
-//! the schedule stalls. The errors are still exactly those `validate`
-//! reports, and come before an unknown core; only a graph naming an
-//! unknown core pays for a `validate` call, to rank a cycle first.
+//! program index), and busy time is a `u64` per slot. The graph stores each
+//! distinct resource and kind once, so a run prices each of them once: a
+//! start reads its cycles and energy from a small table. Dependents are
+//! inverted from the stored dependency array, one row per stored task:
+//!
+//! - a plain task's row lists its dependents' program indices, in program
+//!   order; the instances of a template task that wait on it as a fixed
+//!   dependency (a resident `K`/`V` preload, say) are one arithmetic span;
+//! - a template task's row lists how far after it each dependent lies,
+//!   the same for every instance, valid while that stays inside its
+//!   repeat; the few tasks added after a repeat that wait on one of its
+//!   instances are listed apart.
+//!
+//! A graph with no repeats gets the per-task rows of a plain CSR inversion,
+//! indexed by program index: read through the stored-form path above, a
+//! repeat-free graph simulates ~10–20% slower. What a run still keeps per
+//! task, instance or not, is its dependency count, its place in the start
+//! order and its end cycle. Each
+//! start and each completion costs `O(log n)` heap work for `n` tasks, and
+//! each start pass costs `O(r)` for the `r` resources in use (at most
+//! `2 + 2·cores`). The per-run arrays are kept per thread and reused by the
+//! next run.
+//!
+//! The executor does not call [`TaskGraph::validate`]. A repeat's
+//! dependencies were checked when it was made (they point backwards and
+//! name existing tasks); the plain tasks' dependency ids are checked while
+//! the rows are built, and a cycle is found when the schedule stalls. The
+//! errors are still exactly those `validate` reports, and come before an
+//! unknown core; only a graph naming an unknown core pays for a `validate`
+//! call, to rank a cycle first.
 //!
 //! # Steady-state fast-forward
 //!
-//! The dataflow builders emit the same rounds over and over, so once a
-//! schedule settles, each period of it is the previous one shifted by `P`
-//! cycles and `S` tasks. [`Executor::run`] notices this and replays such
-//! periods instead of simulating them. Its results do not change: every
-//! report field, every energy bit and every trace entry equals
-//! event-by-event simulation, traced or not, and there is nothing to turn
-//! on or off.
+//! Once a schedule settles, each period of it is the previous one shifted
+//! by `P` cycles and `S` tasks. [`Executor::run`] notices this and replays
+//! such periods instead of simulating them. Its results do not change:
+//! every report field, every energy bit and every trace entry equals
+//! event-by-event simulation of the expanded graph ([`TaskGraph::expand`]),
+//! traced or not, and there is nothing to turn on or off. Only instances of
+//! a repeated period are ever skipped, so a graph with no repeats is
+//! simulated event by event and never looked at.
 //!
 //! - **Checkpoints.** At the first visit of each instant, once 4,096 tasks
 //!   have started, the executor hashes its state relative to `now` and to
@@ -69,33 +89,40 @@
 //!   of states is kept in a small table keyed by that hash.
 //! - **The repeat rule.** When a state `B` hashes like an earlier `A`, with
 //!   `P = now_B − now_A` and `S = lo_B − lo_A`, the executor checks that `B`
-//!   is `A` shifted. The tasks running at `B` ran at `A`, `S` lower, with as
-//!   long to go. Each task ready at `B` was ready at `A`, `S` lower, or
+//!   is `A` shifted. Every task the period started is an instance of a
+//!   repeated period. The tasks running at `B` ran at `A`, `S` lower, with
+//!   as long to go. Each task ready at `B` was ready at `A`, `S` lower, or
 //!   outranks nothing the skipped periods pop. Everything the period
 //!   touched (its starts, the tasks running or ready at `A`, their
 //!   dependents and their dependencies not complete at `A`) falls into
-//!   clusters of tasks. Over each cluster, shifted by every skipped period,
-//!   the graph is a copy. Each such task does the same work, each
-//!   dependency is shifted by `S` or is the same task complete at `A` (a
-//!   resident `K`/`V` preload, say), and the dependents are shifted by `S`.
-//!   Every task of the cluster is in the same state at `B` as its original
-//!   at `A`. By induction, each period after `B` then repeats the one
-//!   between `A` and `B`, shifted.
+//!   clusters of tasks, and each cluster, shifted by every skipped period,
+//!   must stay a copy of itself. The template says where that holds without
+//!   scanning the graph: task `x + S` copies task `x` when both are
+//!   instances of one repeat whose period divides `S`, at least two periods
+//!   before its end (so both have all of the template's dependents), when
+//!   no task added after the repeat waits on either, and when every fixed
+//!   dependency of the template is complete at `A`. Finding where a
+//!   cluster's copy ends costs `O(log n + f)`: binary searches over the
+//!   repeats and the extras, and one state read for each of the `f`
+//!   distinct fixed tasks its repeat waits on, listed once per run. Every
+//!   task of a cluster must also be in the same state at `B` as its
+//!   original at `A`, which is checked task by task. By induction, each
+//!   period after `B` then repeats the one between `A` and `B`, shifted.
 //! - **How far.** The skip covers `m` whole periods. `m` is the largest
 //!   count for which every cluster, shifted `m − 1` more times, still lies
 //!   where the graph is a copy and in the matching state, and no ready task
-//!   outside the copy outranks a task those periods pop. The first task that
-//!   differs bounds `m`: the epilogue of a chunk, or a round unlike its
-//!   neighbours, ends the skip, and event-by-event simulation resumes
-//!   there, free to skip again once a new repeat shows.
+//!   outside the copy outranks a task those periods pop. The end of a
+//!   repeat, or a task that differs, bounds `m`: the chunk's epilogue ends
+//!   the skip, and event-by-event simulation resumes there, free to skip
+//!   again once a new repeat shows.
 //! - **The replay.** The period's starts are recorded in start order and
 //!   replayed `m` times, shifted, through the same bookkeeping as the event
 //!   loop: each start adds its energy in that order, so every `f64` sum is
-//!   bit-identical; its MAC/VEC span and its trace entry (label read from
-//!   the graph for the shifted task) are recorded. Busy cycles add `m` times
-//!   the period's, each used slot's `busy_until` moves `m·P` on, the
-//!   dependency counts of the replayed completions are applied, and the
-//!   ready queues drop the replayed starts.
+//!   bit-identical; its MAC/VEC span and its trace entry (label computed
+//!   from the template for the shifted task) are recorded. Busy cycles add
+//!   `m` times the period's, each used slot's `busy_until` moves `m·P` on,
+//!   the replayed completions' dependents (their template rows, shifted)
+//!   count them, and the ready queues drop the replayed starts.
 //! - **Cost.** Looking costs a hash per instant and a bounded share of work
 //!   per start; a repeat's checks and its replay cost a few word reads and
 //!   writes per skipped task instead of the event loop's heap work. A
@@ -138,7 +165,7 @@ use std::collections::BinaryHeap;
 use crate::config::HardwareConfig;
 use crate::energy::{EnergyBreakdown, EnergyModel};
 use crate::error::{Result, SimError};
-use crate::graph::{TaskGraph, Work};
+use crate::graph::{At, TaskGraph, Work};
 use crate::report::SimReport;
 use crate::task::{Resource, TaskId, TaskKind, TrackKind, TRACK_COUNT};
 use crate::timing::TimingModel;
@@ -204,8 +231,13 @@ impl Executor {
     }
 
     /// [`Executor::run`], also returning how many tasks the event loop
-    /// started itself; the fast-forward replayed the others.
-    pub(crate) fn simulate(&self, graph: &TaskGraph) -> Result<(SimReport, usize)> {
+    /// started itself; the steady-state fast-forward (module docs) replayed
+    /// the others. The report is the one [`Executor::run`] returns.
+    ///
+    /// # Errors
+    ///
+    /// As [`Executor::run`].
+    pub fn simulate(&self, graph: &TaskGraph) -> Result<(SimReport, usize)> {
         let hw = self.timing.hardware();
         hw.validate()?;
         if graph.is_empty() {
@@ -238,36 +270,22 @@ impl Executor {
             })
             .collect();
 
-        // Dependents in CSR form: `dependents[offsets[i]..offsets[i + 1]]`
-        // lists the tasks waiting on task `i` in program order, once per
-        // dependency edge (a repeated dependency is counted twice on both
-        // sides). Dependency ids are checked while counting; the rows are
-        // filled back to front, which leaves each offset at its row's start.
-        // The counting pass also counts each work's tasks, for the report's
-        // traffic and operation totals.
+        // Dependents are read from the stored form (`Links`); dependency
+        // ids are checked while it is built. Each work's tasks are counted
+        // for the report's traffic and operation totals.
+        let mut spare = SPARE.take();
+        let links = Links::new(graph, &mut spare)?;
         let Arrays {
-            mut offsets,
-            mut dependents,
-            mut remaining_deps,
+            remaining_deps,
             mut seq,
             mut end_at,
             mut order,
-        } = SPARE.take();
-        offsets.clear();
-        offsets.resize(n + 1, 0);
+            ..
+        } = spare;
         let mut uses = vec![0u64; works.len()];
-        for (i, &w) in ids.iter().enumerate() {
-            for dep in graph.deps_of(i) {
-                if dep.index() >= n {
-                    return Err(SimError::UnknownDependency {
-                        task: TaskId(i),
-                        dependency: *dep,
-                    });
-                }
-                offsets[dep.index()] += 1;
-            }
-            uses[w as usize] += 1;
-        }
+        graph.for_each_stored(|s, _, repeat| {
+            uses[ids[s] as usize] += repeat.map_or(1, |r| r.count) as u64;
+        });
         let unknown = |w: &Work| w.resource.core().is_some_and(|core| core >= hw.cores);
         if works.iter().any(unknown) {
             // A cycle is reported before an unknown core, which is the
@@ -282,21 +300,6 @@ impl Executor {
                 resource: works[*first as usize].resource,
                 cores: hw.cores,
             });
-        }
-        for i in 1..=n {
-            offsets[i] += offsets[i - 1];
-        }
-        dependents.clear();
-        dependents.resize(offsets[n], 0);
-        remaining_deps.clear();
-        remaining_deps.resize(n, 0);
-        for i in (0..n).rev() {
-            let deps = graph.deps_of(i);
-            remaining_deps[i] = deps.len() as u32;
-            for dep in deps.iter().rev() {
-                offsets[dep.index()] -= 1;
-                dependents[offsets[dep.index()]] = i as u32;
-            }
         }
         let total = |f: &dyn Fn(&TaskKind) -> u64| -> u64 {
             works.iter().zip(&uses).map(|(w, &u)| u * f(&w.kind)).sum()
@@ -324,17 +327,16 @@ impl Executor {
         end_at.resize(n, u64::MAX);
         order.clear();
         let mut run = Run {
-            graph,
-            offsets,
-            dependents,
-            remaining_deps,
+            links: &links,
             work: ids,
+            stored_of: &links.stored_of,
+            remaining_deps,
             costs,
             ready: vec![BinaryHeap::new(); resources.len()],
             running: BinaryHeap::new(),
             busy_until: vec![0; resources.len()],
             busy_cycles: vec![0; resources.len()],
-            trace: self.record_trace.then(Trace::new),
+            trace: self.record_trace.then(|| Trace::with_capacity(n)),
             energy: EnergyBreakdown::zero(),
             mac_spans: Vec::new(),
             vec_spans: Vec::new(),
@@ -342,19 +344,23 @@ impl Executor {
             now: 0,
             seq,
             end_at,
+            started: 0,
             order,
+            order_base: 0,
             lo: 0,
             marks: Vec::new(),
             retry_lo: 0,
-            copy_memo: Vec::new(),
             replayed: 0,
             spent: 0,
         };
-        for i in 0..n {
-            if run.remaining_deps[i] == 0 {
-                run.make_ready(i);
+        graph.for_each_stored(|s, first, repeat| {
+            if graph.stored_deps(s).is_empty() {
+                let (count, step) = repeat.map_or((1, 0), |r| (r.count, r.len));
+                for k in 0..count {
+                    run.make_ready(first + k * step);
+                }
             }
-        }
+        });
         run.event_loop()?;
 
         let total_cycles = run.busy_until.iter().copied().max().unwrap_or(0);
@@ -377,25 +383,22 @@ impl Executor {
             trace: run.trace.take(),
         };
         let loop_starts = n - run.replayed;
-        SPARE.set(Arrays {
-            offsets: run.offsets,
-            dependents: run.dependents,
-            remaining_deps: run.remaining_deps,
-            seq: run.seq,
-            end_at: run.end_at,
-            order: run.order,
-        });
+        let (remaining_deps, seq, end_at, order) =
+            (run.remaining_deps, run.seq, run.end_at, run.order);
+        SPARE.set(links.into_arrays(remaining_deps, seq, end_at, order));
         Ok((report, loop_starts))
     }
 }
 
-/// The per-task arrays of a run. Each thread keeps its last run's arrays
-/// for its next run, so a sweep of runs reuses their memory instead of
-/// faulting in fresh pages for every graph.
+/// The per-task and per-stored-task arrays of a run. Each thread keeps its
+/// last run's arrays for its next run, so a sweep of runs reuses their
+/// memory instead of faulting in fresh pages for every graph.
 #[derive(Debug, Default)]
 struct Arrays {
+    stored_of: Vec<u32>,
     offsets: Vec<usize>,
     dependents: Vec<u32>,
+    meta: Vec<Meta>,
     remaining_deps: Vec<u32>,
     seq: Vec<u32>,
     end_at: Vec<u64>,
@@ -417,6 +420,405 @@ thread_local! {
     static SPARE: Cell<Arrays> = Cell::new(Arrays::default());
 }
 
+/// Every instance of a template task that waits on the same fixed task:
+/// instances `first`, `first + step`, … (`count` of them).
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    /// The stored index of the fixed task they wait on.
+    target: usize,
+    first: usize,
+    count: usize,
+    step: usize,
+}
+
+/// A graph's dependency structure as a run reads it, built from the stored
+/// form ([`TaskGraph`]): a stored task's dependents are listed once, however
+/// many instances it has.
+///
+/// - A plain task's row lists its dependents' program indices; the
+///   instances of a template task that wait on it as a fixed dependency
+///   are one [`Span`].
+/// - A template task's row lists how far after it each dependent lies
+///   (the same for every instance), valid while that stays inside its
+///   repeat; tasks added after the repeat that wait on a particular
+///   instance are `extras`.
+struct Links<'g> {
+    graph: &'g TaskGraph,
+    /// Each task's stored index; empty for a graph with no repeats, where
+    /// it is the program index.
+    stored_of: Vec<u32>,
+    offsets: Vec<usize>,
+    dependents: Vec<u32>,
+    meta: Vec<Meta>,
+    /// Sorted by target.
+    spans: Vec<Span>,
+    /// `(instance, dependent)` pairs, sorted.
+    extras: Vec<(usize, usize)>,
+    /// `(repeat, task)` pairs, sorted and distinct: the fixed tasks each
+    /// repeat's template waits on, by program index.
+    fixed: Vec<(usize, usize)>,
+}
+
+/// What a run reads of a stored task besides its row; a graph with no
+/// repeats has none.
+#[derive(Debug, Clone, Copy, Default)]
+struct Meta {
+    /// For a template task, one past its repeat's last task; 0 for a
+    /// plain task.
+    bound: u32,
+    /// Whether spans (of a plain task) or extras (of a template task's
+    /// instances) list more dependents.
+    more: bool,
+}
+
+impl<'g> Links<'g> {
+    /// Builds the links of `graph` in the arrays of `spare`, and each
+    /// task's dependency count in `spare.remaining_deps`, or reports the
+    /// first dependency, in program order, that names no task.
+    fn new(graph: &'g TaskGraph, spare: &mut Arrays) -> Result<Self> {
+        let m = graph.stored_len();
+        let repeats = graph.repeats();
+        let mut stored_of = std::mem::take(&mut spare.stored_of);
+        let counts = &mut spare.remaining_deps;
+        stored_of.clear();
+        counts.clear();
+        let mut s = 0;
+        for r in repeats {
+            stored_of.extend(s as u32..r.stored as u32);
+            counts.extend(graph.deps_counts(s..r.stored));
+            for _ in 0..r.count {
+                stored_of.extend(r.stored as u32..(r.stored + r.len) as u32);
+                counts.extend(graph.deps_counts(r.stored..r.stored + r.len));
+            }
+            s = r.stored + r.len;
+        }
+        counts.extend(graph.deps_counts(s..m));
+        if repeats.is_empty() {
+            return Self::plain(graph, spare, stored_of);
+        }
+        stored_of.extend(s as u32..m as u32);
+        // Row `t`'s entries are counted at `offsets[t + 2]`; after the
+        // prefix sum `offsets[t + 1]` is the row's start, and filling moves
+        // it to the row's end, so rows list dependents in program order of
+        // their first instances.
+        let mut offsets = std::mem::take(&mut spare.offsets);
+        offsets.clear();
+        offsets.resize(m + 2, 0);
+        let mut meta = std::mem::take(&mut spare.meta);
+        meta.clear();
+        meta.resize(m, Meta::default());
+        let mut fixed = Vec::new();
+        for (k, r) in repeats.iter().enumerate() {
+            let template = r.stored..r.stored + r.len;
+            for (t, m) in template.clone().zip(&mut meta[template]) {
+                m.bound = r.end() as u32;
+                let deps = graph.stored_deps(t).iter().map(|d| d.index());
+                fixed.extend(deps.filter(|&d| !r.shifts(d)).map(|d| (k, d)));
+            }
+        }
+        fixed.sort_unstable();
+        fixed.dedup();
+        let mut spans = Vec::new();
+        let mut extras = Vec::new();
+        let mut unknown = None;
+        edges(graph, |edge| match edge {
+            Edge::Row(t, _) => offsets[t + 2] += 1,
+            Edge::Span(span) => spans.push(span),
+            Edge::Extra(x, dependent) => extras.push((x, dependent)),
+            Edge::Unknown(task, dependency) => {
+                unknown.get_or_insert(SimError::UnknownDependency { task, dependency });
+            }
+        });
+        if let Some(e) = unknown {
+            spare.stored_of = stored_of;
+            spare.offsets = offsets;
+            spare.meta = meta;
+            return Err(e);
+        }
+        for t in 2..m + 2 {
+            offsets[t] += offsets[t - 1];
+        }
+        let mut dependents = std::mem::take(&mut spare.dependents);
+        dependents.clear();
+        dependents.resize(offsets[m + 1], 0);
+        edges(graph, |edge| {
+            if let Edge::Row(t, value) = edge {
+                dependents[offsets[t + 1]] = value as u32;
+                offsets[t + 1] += 1;
+            }
+        });
+        offsets.pop();
+        spans.sort_unstable_by_key(|span: &Span| span.target);
+        for span in &spans {
+            meta[span.target].more = true;
+        }
+        extras.sort_unstable();
+        for &(x, _) in &extras {
+            meta[stored_of[x] as usize].more = true;
+        }
+        Ok(Self {
+            graph,
+            stored_of,
+            offsets,
+            dependents,
+            meta,
+            spans,
+            extras,
+            fixed,
+        })
+    }
+
+    /// [`Links::new`] for a graph with no repeats, whose rows are indexed
+    /// by program index: each row lists its dependents in program order.
+    /// Read through the stored-form rows instead (a stored index per task,
+    /// a bound and a flag per row), the heuristic Table 1 sweep, which has
+    /// no repeats, simulated ~10–20% slower.
+    fn plain(graph: &'g TaskGraph, spare: &mut Arrays, stored_of: Vec<u32>) -> Result<Self> {
+        let n = graph.len();
+        let mut offsets = std::mem::take(&mut spare.offsets);
+        offsets.clear();
+        offsets.resize(n + 1, 0);
+        for i in 0..n {
+            for dep in graph.stored_deps(i) {
+                if dep.index() >= n {
+                    spare.offsets = offsets;
+                    spare.stored_of = stored_of;
+                    return Err(SimError::UnknownDependency {
+                        task: TaskId(i),
+                        dependency: *dep,
+                    });
+                }
+                offsets[dep.index()] += 1;
+            }
+        }
+        for i in 1..=n {
+            offsets[i] += offsets[i - 1];
+        }
+        // Filled back to front, which leaves each offset at its row's start.
+        let mut dependents = std::mem::take(&mut spare.dependents);
+        dependents.clear();
+        dependents.resize(offsets[n], 0);
+        for i in (0..n).rev() {
+            for dep in graph.stored_deps(i).iter().rev() {
+                offsets[dep.index()] -= 1;
+                dependents[offsets[dep.index()]] = i as u32;
+            }
+        }
+        let mut meta = std::mem::take(&mut spare.meta);
+        meta.clear();
+        Ok(Self {
+            graph,
+            stored_of,
+            offsets,
+            dependents,
+            meta,
+            spans: Vec::new(),
+            extras: Vec::new(),
+            fixed: Vec::new(),
+        })
+    }
+
+    /// Whether the task at program index `x` is an instance of a
+    /// repeated period; asked only of a graph with repeats.
+    fn repeated(&self, x: usize) -> bool {
+        self.meta[self.stored(x)].bound > 0
+    }
+
+    /// The stored index of the task at program index `x`.
+    fn stored(&self, x: usize) -> usize {
+        stored_index(&self.stored_of, x)
+    }
+
+    /// Task `x`'s row: for a template task, how far after it each of its
+    /// dependents in its repeat lies.
+    fn row(&self, x: usize) -> &[u32] {
+        let s = self.stored(x);
+        &self.dependents[self.offsets[s]..self.offsets[s + 1]]
+    }
+
+    /// Calls `f` with each task waiting on task `x`, once per dependency
+    /// edge.
+    #[inline]
+    fn for_each_dependent(&self, x: usize, mut f: impl FnMut(usize)) {
+        if self.meta.is_empty() {
+            let row = &self.dependents[self.offsets[x]..self.offsets[x + 1]];
+            return row.iter().for_each(|&d| f(d as usize));
+        }
+        let s = self.stored(x);
+        let meta = self.meta[s];
+        let row = &self.dependents[self.offsets[s]..self.offsets[s + 1]];
+        match meta.bound as usize {
+            0 => row.iter().for_each(|&d| f(d as usize)),
+            bound => {
+                for &d in row {
+                    let y = x + d as usize;
+                    if y < bound {
+                        f(y);
+                    }
+                }
+            }
+        }
+        if meta.more {
+            let (spans, extras) = self.more(s, x);
+            for span in spans {
+                (0..span.count).for_each(|k| f(span.first + k * span.step));
+            }
+            extras.iter().for_each(|e| f(e.1));
+        }
+    }
+
+    /// Hands the arrays back for the next run.
+    fn into_arrays(
+        self,
+        remaining_deps: Vec<u32>,
+        seq: Vec<u32>,
+        end_at: Vec<u64>,
+        order: Vec<u32>,
+    ) -> Arrays {
+        Arrays {
+            stored_of: self.stored_of,
+            offsets: self.offsets,
+            dependents: self.dependents,
+            meta: self.meta,
+            remaining_deps,
+            seq,
+            end_at,
+            order,
+        }
+    }
+
+    /// The spans of plain task `s`, or the extras of instance `x` of
+    /// template task `s`.
+    fn more(&self, s: usize, x: usize) -> (&[Span], &[(usize, usize)]) {
+        if self.meta[s].bound == 0 {
+            let from = self.spans.partition_point(|span| span.target < s);
+            let to = from + self.spans[from..].partition_point(|span| span.target == s);
+            (&self.spans[from..to], &[])
+        } else {
+            let from = self.extras.partition_point(|e| e.0 < x);
+            let to = from + self.extras[from..].partition_point(|e| e.0 == x);
+            (&[], &self.extras[from..to])
+        }
+    }
+
+    /// The earliest task waiting on task `x`, if any. A plain task's row
+    /// is in program order; a template task's nearest dependent in its
+    /// repeat comes before any added after it.
+    fn first_dependent(&self, x: usize) -> Option<usize> {
+        if self.meta.is_empty() {
+            return self.dependents[self.offsets[x]..self.offsets[x + 1]]
+                .first()
+                .map(|&d| d as usize);
+        }
+        let s = self.stored(x);
+        let meta = self.meta[s];
+        let row = &self.dependents[self.offsets[s]..self.offsets[s + 1]];
+        match meta.bound as usize {
+            0 => {
+                let first = row.first().map(|&d| d as usize);
+                match meta.more {
+                    false => first,
+                    true => first
+                        .into_iter()
+                        .chain(self.more(s, x).0.iter().map(|span| span.first))
+                        .min(),
+                }
+            }
+            bound => row
+                .iter()
+                .map(|&d| x + d as usize)
+                .min()
+                .filter(|&y| y < bound)
+                .or_else(|| meta.more.then(|| self.more(s, x).1.first().map(|e| e.1))?),
+        }
+    }
+
+    /// Task `x`'s dependencies, in the order they were given.
+    fn deps(&self, x: usize) -> impl Iterator<Item = usize> + '_ {
+        self.graph.deps_at(self.graph.locate(x)).map(TaskId::index)
+    }
+}
+
+/// The stored index of the task at program index `x`, given each task's
+/// stored index (`Links::stored_of`, empty for a graph with no repeats).
+fn stored_index(stored_of: &[u32], x: usize) -> usize {
+    if stored_of.is_empty() {
+        x
+    } else {
+        stored_of[x] as usize
+    }
+}
+
+/// One dependency edge of a graph as [`Links`] stores it.
+enum Edge {
+    /// An entry of stored task `.0`'s row: a dependent's program index, or
+    /// for a template task its distance.
+    Row(usize, usize),
+    /// The instances of a template task waiting on a fixed task.
+    Span(Span),
+    /// Task `.1`, added after a repeat, waits on instance `.0`.
+    Extra(usize, usize),
+    /// Task `.0` names task `.1`, which does not exist.
+    Unknown(TaskId, TaskId),
+}
+
+/// Calls `f` with every dependency edge of `graph`'s stored form, in
+/// program order of the waiting tasks' first instances.
+#[inline(always)]
+fn edges(graph: &TaskGraph, mut f: impl FnMut(Edge)) {
+    let n = graph.len();
+    // Each repeat follows a stretch of plain tasks, stored `extra` places
+    // before their program indices; the last stretch follows no repeat.
+    let (mut s, mut extra) = (0, 0);
+    for r in graph.repeats().iter().map(Some).chain([None]) {
+        let tail = s + extra;
+        for s in s..r.map_or(graph.stored_len(), |r| r.stored) {
+            let first = s + extra;
+            for dep in graph.stored_deps(s) {
+                let d = dep.index();
+                if (tail..first).contains(&d) {
+                    f(Edge::Row(d - extra, first));
+                } else if d >= n {
+                    f(Edge::Unknown(TaskId(first), *dep));
+                } else {
+                    match graph.locate(d) {
+                        At::Plain(t) => f(Edge::Row(t, first)),
+                        At::Repeated { .. } => f(Edge::Extra(d, first)),
+                    }
+                }
+            }
+        }
+        let Some(r) = r else { break };
+        // Instance 0 starts `r.first - r.stored` places after its stored
+        // index, and so does the plain stretch before it.
+        let at = r.first - r.stored;
+        for t in r.stored..r.stored + r.len {
+            let first = t + at;
+            for d in graph.stored_deps(t).iter().map(|d| d.index()) {
+                if !r.shifts(d) {
+                    let At::Plain(target) = graph.locate(d) else {
+                        unreachable!("a fixed dependency is a plain task");
+                    };
+                    f(Edge::Span(Span {
+                        target,
+                        first,
+                        count: r.count,
+                        step: r.len,
+                    }));
+                } else if d >= r.first {
+                    f(Edge::Row(d - at, first - d));
+                } else {
+                    // A task of instance −1 is stored as it is; its
+                    // counterpart in the template serves instances 1 on.
+                    f(Edge::Row(d - at, first));
+                    f(Edge::Row(d + r.len - at, first - d));
+                }
+            }
+        }
+        (s, extra) = (r.stored + r.len, r.extra);
+    }
+}
+
 /// Buckets and ways of the table of checkpoints a repeat is looked up in,
 /// and the share of checkpoints (one in `MARK_SAMPLE`) entered in it.
 const MARK_BUCKETS: usize = 64;
@@ -424,8 +826,6 @@ const MARK_WAYS: usize = 4;
 const MARK_SAMPLE: u64 = 4;
 /// Starts before the first checkpoint.
 const LOOK_AFTER: usize = 4096;
-/// Scanned runs of copied tasks remembered per run.
-const COPY_MEMO: usize = 8;
 /// [`Run::status`] of a task not started, and of a complete one.
 const WAITING: u64 = u64::MAX;
 const DONE: u64 = u64::MAX - 1;
@@ -448,13 +848,15 @@ struct Mark {
 /// One simulation in progress: the dense state the scheduling contract
 /// needs, plus the start record the steady-state fast-forward reads back.
 struct Run<'a> {
-    graph: &'a TaskGraph,
-    offsets: Vec<usize>,
-    /// Task indices and dependency counts are stored as `u32`.
-    dependents: Vec<u32>,
-    remaining_deps: Vec<u32>,
-    /// Each task's work ([`TaskGraph`] numbers them) and each work's cost.
+    links: &'a Links<'a>,
+    /// Each stored task's work, and `links`' stored index of each task:
+    /// read here, the cost lookup of every start skips a load through
+    /// `links` (reading it through `links` made runs ~6% slower).
     work: &'a [u32],
+    stored_of: &'a [u32],
+    /// Dependency counts are stored as `u32`.
+    remaining_deps: Vec<u32>,
+    /// Each work's cost ([`TaskGraph`] numbers the works).
     costs: Vec<Cost>,
     /// Ready tasks per slot by (priority, program index).
     ready: Vec<BinaryHeap<Reverse<u64>>>,
@@ -473,15 +875,17 @@ struct Run<'a> {
     /// it starts).
     seq: Vec<u32>,
     end_at: Vec<u64>,
-    /// Started tasks in start order.
+    /// Tasks started so far.
+    started: usize,
+    /// The tasks the event loop started since the last fast-forward, in
+    /// start order; the first had place `order_base` in it.
     order: Vec<u32>,
+    order_base: usize,
     /// Every task below `lo` is complete.
     lo: usize,
     marks: Vec<Mark>,
     /// No repeat is looked for again before `lo` reaches this index.
     retry_lo: usize,
-    /// `(shift, from, end)`: tasks `from..end` are copied `shift` later.
-    copy_memo: Vec<(usize, usize, usize)>,
     /// Tasks started by the fast-forward rather than the event loop.
     replayed: usize,
     /// Work spent looking for repeats, in tasks and queue entries visited.
@@ -489,12 +893,8 @@ struct Run<'a> {
 }
 
 impl Run<'_> {
-    fn cost(&self, i: usize) -> Cost {
-        self.costs[self.work[i] as usize]
-    }
-
-    fn dependents_of(&self, i: usize) -> &[u32] {
-        &self.dependents[self.offsets[i]..self.offsets[i + 1]]
+    fn cost(&self, i: usize) -> &Cost {
+        &self.costs[self.work[stored_index(self.stored_of, i)] as usize]
     }
 
     /// Task `i`'s scheduling priority. Compute units issue their stream in
@@ -508,10 +908,9 @@ impl Run<'_> {
         if !self.cost(i).dma {
             return i;
         }
-        // Dependents are listed in program order: the first is the earliest.
-        self.dependents_of(i)
-            .first()
-            .map_or(self.work.len() + i, |&d| d as usize)
+        self.links
+            .first_dependent(i)
+            .unwrap_or(self.remaining_deps.len() + i)
     }
 
     fn make_ready(&mut self, i: usize) {
@@ -521,7 +920,8 @@ impl Run<'_> {
     }
 
     fn event_loop(&mut self) -> Result<()> {
-        let n = self.work.len();
+        let n = self.remaining_deps.len();
+        let links = self.links;
         let mut marked = u64::MAX;
         while self.completed < n {
             // The first visit of each instant is a checkpoint, which may
@@ -568,13 +968,12 @@ impl Run<'_> {
                 }
                 self.running.pop();
                 self.completed += 1;
-                for k in self.offsets[index]..self.offsets[index + 1] {
-                    let waiting = self.dependents[k] as usize;
+                links.for_each_dependent(index, |waiting| {
                     self.remaining_deps[waiting] -= 1;
                     if self.remaining_deps[waiting] == 0 {
                         self.make_ready(waiting);
                     }
-                }
+                });
             }
         }
         Ok(())
@@ -582,22 +981,23 @@ impl Run<'_> {
 
     /// Starts ready task `index` on idle slot `s` at the current time.
     fn start(&mut self, s: usize, index: usize) {
-        let cost = self.cost(index);
+        let cost = *self.cost(index);
         let end = self.now + cost.cycles;
         self.busy_until[s] = end;
         self.busy_cycles[s] += cost.cycles;
         self.running.push(Reverse((end, index)));
         self.energy.accumulate(&cost.energy);
+        self.order.push(index as u32);
         self.record(index, cost.resource, self.now, end);
     }
 
     /// Records a start of task `index` on `resource` over `[start, end)`:
     /// its place in the start order, its end, the MAC/VEC spans and the
     /// trace entry. The event loop and the fast-forward both record every
-    /// start here.
+    /// start here; the event loop also lists it in `order`.
     fn record(&mut self, index: usize, resource: Resource, start: u64, end: u64) {
-        self.seq[index] = self.order.len() as u32;
-        self.order.push(index as u32);
+        self.seq[index] = self.started as u32;
+        self.started += 1;
         self.end_at[index] = end;
         if end > start {
             match resource {
@@ -609,12 +1009,7 @@ impl Run<'_> {
         if let Some(trace) = &mut self.trace {
             trace.push(TraceEntry {
                 task: TaskId(index),
-                label: self
-                    .graph
-                    .get(TaskId(index))
-                    .expect("task exists")
-                    .label
-                    .clone(),
+                label: self.links.graph.label(self.links.graph.locate(index)),
                 resource,
                 start_cycle: start,
                 end_cycle: end,
@@ -639,11 +1034,12 @@ impl Run<'_> {
     /// an earlier checkpoint had the same state (module docs) and returns
     /// whether it did.
     fn checkpoint(&mut self) -> bool {
-        // A short run cannot repay looking.
-        if self.order.len() < LOOK_AFTER {
+        // A short run cannot repay looking, and only instances of a
+        // repeated period are ever skipped.
+        if self.started < LOOK_AFTER || self.links.graph.repeats().is_empty() {
             return false;
         }
-        let n = self.work.len();
+        let n = self.remaining_deps.len();
         while self.lo < n && self.end_at[self.lo] <= self.now {
             self.lo += 1;
         }
@@ -680,7 +1076,7 @@ impl Run<'_> {
         let bucket = (key >> 1) as usize % MARK_BUCKETS * MARK_WAYS;
         let key = key | 1;
         // Looking for a repeat costs at most a few units of work per start.
-        let allowance = (2 * self.order.len()).saturating_sub(self.spent);
+        let allowance = (2 * self.started).saturating_sub(self.spent);
         if self.lo >= self.retry_lo && allowance > 0 {
             for way in bucket..bucket + MARK_WAYS {
                 let earlier = self.marks[way];
@@ -701,64 +1097,57 @@ impl Run<'_> {
             now: self.now,
             lo: self.lo,
             running: self.running.len(),
-            started: self.order.len(),
+            started: self.started,
             completed: self.completed,
         };
         false
     }
 
-    /// Whether task `x + shift` is a copy of task `x` shifted by `shift`
-    /// for a fast-forward from checkpoint `a`: same kind and resource, each
-    /// dependency shifted too or the same task complete at `a`, and the
-    /// same dependents shifted.
-    fn copies(&self, x: usize, shift: usize, a: &Mark) -> bool {
-        let y = x + shift;
-        let (dx, dy) = (self.graph.deps_of(x), self.graph.deps_of(y));
-        let (wx, wy) = (self.dependents_of(x), self.dependents_of(y));
-        self.work[x] == self.work[y]
-            && dx.len() == dy.len()
-            && dx.iter().zip(dy).all(|(d, e)| {
-                e.index() == d.index() + shift
-                    || (e == d && self.status(d.index(), a.started, a.now) == DONE)
-            })
-            && wx.len() == wy.len()
-            && wx
-                .iter()
-                .zip(wy)
-                .all(|(&d, &e)| e as usize == d as usize + shift)
-    }
-
-    /// The first task from `from` on that is not copied `shift` later
-    /// ([`Run::copies`]); every task in between is. Scanned runs are
-    /// remembered, since a dependency complete at `a` stays complete, so a
-    /// run is scanned once per shift however often it is asked about.
-    fn copy_end(&mut self, from: usize, shift: usize, a: &Mark) -> usize {
-        let known = self
-            .copy_memo
+    /// The first task from `from` on that is not copied `shift` later for
+    /// a fast-forward from checkpoint `a`; every task in between is. Task
+    /// `x + shift` is a copy of `x` when both are instances of one repeated
+    /// period whose length divides `shift`, far enough from its end that
+    /// both have the template's dependents, neither has a dependent added
+    /// after the repeat, and every fixed dependency of the template is
+    /// complete at `a`.
+    fn copy_end(&self, from: usize, shift: usize, a: &Mark) -> usize {
+        let graph = self.links.graph;
+        let At::Repeated { repeat, .. } = graph.locate(from) else {
+            return from;
+        };
+        let r = graph.repeats()[repeat];
+        let fixed = &self.links.fixed;
+        let fixed_done = fixed[fixed.partition_point(|f| f.0 < repeat)..]
             .iter()
-            .find(|&&(s, start, end)| s == shift && (start..=end).contains(&from));
-        if let Some(&(_, _, end)) = known {
-            return end;
+            .take_while(|f| f.0 == repeat)
+            .all(|&(_, d)| self.status(d, a.started, a.now) == DONE);
+        if !shift.is_multiple_of(r.len) || !fixed_done {
+            return from;
         }
-        let n = self.work.len();
-        let mut end = from;
-        while end + shift < n && self.copies(end, shift, a) {
-            end += 1;
+        // A template dependent lies less than two periods on.
+        let mut end = (r.end() + 1).saturating_sub(shift + 2 * r.len);
+        let extras = &self.links.extras;
+        let first_extra = |at: usize| {
+            extras
+                .get(extras.partition_point(|e| e.0 < at))
+                .map(|e| e.0)
+        };
+        if let Some(x) = first_extra(from) {
+            end = end.min(x);
         }
-        if self.copy_memo.len() == COPY_MEMO {
-            self.copy_memo.remove(0);
+        if let Some(x) = first_extra(from + shift) {
+            end = end.min(x - shift);
         }
-        self.copy_memo.push((shift, from, end));
-        end
+        end.max(from)
     }
 
     /// Skips whole periods when the state now (`B`) is the state at the
     /// earlier checkpoint `a` shifted by `P` cycles and `S` tasks, and
     /// returns whether it did (module docs).
     fn fast_forward(&mut self, a: &Mark, allowance: usize) -> bool {
-        let n = self.work.len();
+        let links = self.links;
         let (period, shift) = (self.now - a.now, self.lo - a.lo);
-        let started = self.order.len();
+        let started = self.started;
         let status_now = |run: &Self, x: usize| run.status(x, started, run.now);
         let status_at_a = |run: &Self, x: usize| run.status(x, a.started, a.now);
         // The first look, up to the region scans, must fit the allowance.
@@ -789,9 +1178,13 @@ impl Run<'_> {
         let mut starts = Vec::with_capacity(started - a.started);
         let mut top = vec![None; self.ready.len()];
         let mut added = vec![0u64; self.ready.len()];
-        for &x in &self.order[a.started..] {
+        for &x in &self.order[a.started - self.order_base..] {
             let x = x as usize;
-            let cost = self.cost(x);
+            // Only an instance of a repeated period can be skipped.
+            if !links.repeated(x) {
+                return false;
+            }
+            let cost = *self.cost(x);
             let s = cost.slot;
             top[s] = top[s].max(Some(self.priority(x)));
             added[s] += cost.cycles;
@@ -813,13 +1206,7 @@ impl Run<'_> {
                 let was_ready = y.checked_sub(shift).filter(|&x| {
                     self.cost(x).slot == s
                         && status_at_a(self, x) == WAITING
-                        && self
-                            .graph
-                            .get(TaskId(x))
-                            .expect("task exists")
-                            .deps()
-                            .iter()
-                            .all(|d| status_at_a(self, d.index()) == DONE)
+                        && links.deps(x).all(|d| status_at_a(self, d) == DONE)
                 });
                 match (was_ready, top[s]) {
                     (Some(x), _) => touched.push(x),
@@ -839,31 +1226,29 @@ impl Run<'_> {
         let limit = (16 * touched.len() + 64).min(allowance);
         for k in 0..touched.len() {
             let x = touched[k];
-            if touched.len() + self.dependents_of(x).len() > limit {
+            links.for_each_dependent(x, |y| {
+                if touched.len() <= limit {
+                    touched.push(y);
+                }
+            });
+            if touched.len() > limit {
                 self.spent += touched.len();
                 return false;
             }
-            touched.extend(self.dependents_of(x).iter().map(|&d| d as usize));
         }
         touched.sort_unstable();
         touched.dedup();
         for k in 0..touched.len() {
-            let deps = self.graph.deps_of(touched[k]);
-            if touched.len() + deps.len() > 2 * limit {
+            let room = (2 * limit + 1).saturating_sub(touched.len());
+            touched.extend(links.deps(touched[k]).filter(|&d| d >= a.lo).take(room));
+            if touched.len() > 2 * limit {
                 self.spent += touched.len();
                 return false;
             }
-            touched.extend(deps.iter().map(|d| d.index()).filter(|&d| d >= a.lo));
         }
         self.spent += 2 * touched.len();
         touched.sort_unstable();
         touched.dedup();
-        if !touched
-            .iter()
-            .all(|&x| x + shift < n && self.copies(x, shift, a))
-        {
-            return false;
-        }
 
         // Touched tasks fall into clusters no gap wider than `S` splits.
         // Each cluster must be copied, and in the same state shifted, over
@@ -918,10 +1303,15 @@ impl Run<'_> {
         // Replay the completions' dependency counts; a task they make ready
         // and no replayed start took joins its queue, and the queues drop
         // the replayed starts.
-        for k in 1..=rounds {
-            for &x in &done {
-                for j in self.offsets[x + k * shift]..self.offsets[x + k * shift + 1] {
-                    let waiting = self.dependents[j] as usize;
+        // Each replayed completion is an instance of a template task whose
+        // dependents all lie in its repeat and none was added after it
+        // (`Run::copy_end`): they are its template row, shifted.
+        for &x in &done {
+            let row = links.row(x);
+            for k in 1..=rounds {
+                let at = x + k * shift;
+                for &d in row {
+                    let waiting = at + d as usize;
                     self.remaining_deps[waiting] -= 1;
                     if self.remaining_deps[waiting] == 0 && self.seq[waiting] == u32::MAX {
                         self.make_ready(waiting);
@@ -943,6 +1333,10 @@ impl Run<'_> {
         self.completed += rounds * (self.completed - a.completed);
         self.now += dt;
         self.replayed += rounds * starts.len();
+        // Every checkpoint is dropped, so no later look reads the starts so
+        // far.
+        self.order.clear();
+        self.order_base = self.started;
         true
     }
 }
@@ -1498,15 +1892,15 @@ mod tests {
     /// A hand-built periodic graph: resident `K` and `V`, then 1,000
     /// rounds, each loading a query row, multiplying it with 64 key tiles
     /// after the previous round's last value product, taking one softmax,
-    /// multiplying with 64 value tiles and storing the row.
+    /// multiplying with 64 value tiles and storing the row. Rounds 0 to 2
+    /// are stored; rounds 3 to 999 repeat round 2.
     fn thousand_round_graph() -> TaskGraph {
         let mut g = TaskGraph::new();
         let load = |bytes| TaskKind::DramLoad { bytes };
         let mm = TaskKind::MatMul { m: 1, k: 64, n: 64 };
         let k = g.add_task("load K", Resource::DmaIn, load(65_536), &[]);
         let v = g.add_task("load V", Resource::DmaIn, load(65_536), &[]);
-        let mut gate = None;
-        for r in 0..1000 {
+        let round = |g: &mut TaskGraph, r: usize, gate: Option<TaskId>| {
             let q = g.add_task(
                 Label::new("r{0}: load Q", [r]),
                 Resource::DmaIn,
@@ -1550,8 +1944,16 @@ mod tests {
                 TaskKind::DramStore { bytes: 128 },
                 &outs,
             );
-            gate = outs.last().copied();
+            outs.last().copied()
+        };
+        let mut gate = None;
+        for r in 0..2 {
+            gate = round(&mut g, r, gate);
         }
+        let start = TaskId(g.len());
+        round(&mut g, 2, gate);
+        assert_eq!(g.repeat(start, 997), Some(g.stored_len() - start.0));
+        assert_eq!(g.len(), 2 + 1000 * 131);
         g
     }
 
@@ -1560,6 +1962,7 @@ mod tests {
         let g = thousand_round_graph();
         let exec = executor();
         let (traced, loop_starts) = exec.simulate(&g).unwrap();
+        assert_eq!(traced, exec.simulate(&g.expand()).unwrap().0);
         assert!(
             loop_starts * 20 < g.len(),
             "{loop_starts} of {} tasks started through the event loop",

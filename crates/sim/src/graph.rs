@@ -11,9 +11,47 @@
 //! array shared by the whole graph (compressed sparse rows). Each distinct
 //! resource and kind is stored once, and a task keeps its index, so a
 //! simulation reads four bytes of a task where the label lives apart.
-//! Tasks are read back as borrowed [`Task`] views.
+//! Tasks are read back as [`Task`] views.
+//!
+//! # Repeated periods
+//!
+//! A builder's rounds repeat: round `i + 1` does the work of round `i`,
+//! waits on the tasks one round later and carries labels whose round
+//! arguments moved on by one. [`TaskGraph::repeat`] stores such a stretch
+//! once. The caller adds one period of tasks twice, back to back, and asks
+//! for `times` more instances of the second; the graph keeps the second
+//! instance as the *template* and a repeat count, and every further
+//! instance exists only as a program-index range. What a repeat
+//! guarantees:
+//!
+//! - **A checked first copy.** `repeat` compares the two instances the
+//!   caller added, task by task, and refuses (returning `None`, storing nothing)
+//!   unless each task of the second does the same work on the same
+//!   resource as its counterpart in the first, its label is the same
+//!   template (or text) with each argument moved by a fixed step, and each
+//!   dependency is either *shifted* — the counterpart's dependency one
+//!   period later, reaching back at most one period and never forward — or
+//!   *fixed* — the very same task, stored before both instances and outside
+//!   every earlier repeat.
+//! - **Trusted later instances.** Nothing checks instances 1 and on
+//!   against what the caller would have added: that each further period
+//!   is one more copy is the caller's claim. A dataflow builder makes it
+//!   through the rounds it calls regular (a ragged last round is not), and
+//!   only its tests, which build each graph both ways and compare them
+//!   task by task, check that claim.
+//! - **Exact expansion.** Instance `k` of template task `t` has program
+//!   index `first + k·len + t`, the label arguments of `t` plus `k` steps,
+//!   each shifted dependency moved `k·len` on and each fixed one kept.
+//!   [`TaskGraph::len`], [`TaskGraph::iter`] and [`TaskGraph::get`] read the
+//!   graph in that expanded form, and [`TaskGraph::expand`] writes it out
+//!   as a graph with no repeats; a builder that repeats its rounds and one
+//!   that adds every round describe the same graph.
+//! - **Tasks added later** get program indices after the last instance,
+//!   and may depend on any instance by its program index.
 
+use std::borrow::Cow;
 use std::cell::Cell;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -28,16 +66,62 @@ pub(crate) struct Work {
     pub(crate) kind: TaskKind,
 }
 
+/// One repeated period ([`TaskGraph::repeat`]).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub(crate) struct Repeat {
+    /// The stored index of the template's first task.
+    pub(crate) stored: usize,
+    /// The program index of the first task of instance 0.
+    pub(crate) first: usize,
+    /// Tasks per instance.
+    pub(crate) len: usize,
+    /// Instances, at least 2.
+    pub(crate) count: usize,
+    /// Tasks this and every earlier repeat add beyond their template.
+    pub(crate) extra: usize,
+    /// Where the template's label steps start in `TaskGraph::deltas`.
+    delta_at: usize,
+}
+
+impl Repeat {
+    /// One past the program index of the last instance's last task.
+    pub(crate) fn end(&self) -> usize {
+        self.first + self.count * self.len
+    }
+
+    /// Whether dependency `dep` of a template task is shifted with its
+    /// instance rather than fixed: shifted dependencies reach back at most
+    /// one period, fixed ones lie before that.
+    pub(crate) fn shifts(&self, dep: usize) -> bool {
+        dep + self.len >= self.first
+    }
+}
+
+/// Where a program index lives in the stored form.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum At {
+    /// A task stored as it is, at this stored index.
+    Plain(usize),
+    /// Instance `instance` of the template task stored at `stored`, in
+    /// repeat `repeat`.
+    Repeated {
+        repeat: usize,
+        stored: usize,
+        instance: usize,
+    },
+}
+
 /// An append-only directed acyclic graph of tasks.
 ///
-/// Dependencies are stored in compressed sparse rows: task `i` depends on
-/// `deps[offsets[i]..offsets[i + 1]]`, in the order they were given, where
-/// `deps` holds every task's dependencies back to back and `offsets[0]` is
-/// 0.
+/// Dependencies are stored in compressed sparse rows: stored task `i`
+/// depends on `deps[offsets[i]..offsets[i + 1]]`, in the order they were
+/// given, where `deps` holds every stored task's dependencies back to back
+/// and `offsets[0]` is 0. A repeated period stores one instance (module
+/// docs).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TaskGraph {
     labels: Vec<Label>,
-    /// Each task's index into `works`.
+    /// Each stored task's index into `works`.
     work: Vec<u32>,
     /// The distinct works, in order of first use.
     works: Vec<Work>,
@@ -47,6 +131,12 @@ pub struct TaskGraph {
     index: Vec<u32>,
     deps: Vec<TaskId>,
     offsets: Vec<usize>,
+    /// The repeated periods, in program order.
+    repeats: Vec<Repeat>,
+    /// Each template task's label step per instance.
+    deltas: Vec<[usize; 4]>,
+    /// Tasks the repeats add beyond their templates.
+    extra: usize,
 }
 
 /// A dropped graph's per-task arrays, emptied.
@@ -70,6 +160,9 @@ impl Default for TaskGraph {
             index: Vec::new(),
             deps,
             offsets,
+            repeats: Vec::new(),
+            deltas: Vec::new(),
+            extra: 0,
         }
     }
 }
@@ -143,13 +236,72 @@ impl TaskGraph {
         kind: TaskKind,
         deps: &[TaskId],
     ) -> TaskId {
-        let id = TaskId(self.work.len());
+        let id = TaskId(self.len());
         let work = self.intern(Work { resource, kind });
         self.labels.push(label.into());
         self.work.push(work);
         self.deps.extend_from_slice(deps);
         self.offsets.push(self.deps.len());
         id
+    }
+
+    /// Repeats the period that starts at `start`: the tasks from `start` to
+    /// the end of the graph (`len` of them, instance 0) must be a copy of
+    /// the `len` tasks before `start` (instance −1) in the sense of the
+    /// module docs, and `times` more instances of it are appended without
+    /// being stored. Returns the period length `len`, so that instance `k`
+    /// of a task with id `t` in instance 0 has id `t + k·len`; tasks added
+    /// afterwards follow the last instance.
+    ///
+    /// Returns `None` and changes nothing when the two instances are not
+    /// such copies, when either overlaps an earlier repeat, or when the
+    /// program indices would overflow; the caller then adds the rounds
+    /// itself. Only instance 0 is compared with instance −1: that the
+    /// `times` instances after it are what the caller would have added is
+    /// the caller's claim, unchecked here.
+    pub fn repeat(&mut self, start: TaskId, times: usize) -> Option<usize> {
+        let first = start.0;
+        let len = self.len().checked_sub(first).filter(|&len| len > 0)?;
+        let tail = self.repeats.last().map_or(0, Repeat::end);
+        if first < tail + len {
+            return None;
+        }
+        if times == 0 {
+            return Some(len);
+        }
+        let total = self.len().checked_add(times.checked_mul(len)?)?;
+        let stored = first - self.extra;
+        let delta_at = self.deltas.len();
+        for t in 0..len {
+            let (x, y) = (stored - len + t, stored + t);
+            let copy = self.work[x] == self.work[y] && {
+                let (dx, dy) = (self.stored_deps(x), self.stored_deps(y));
+                dx.len() == dy.len()
+                    && dx.iter().zip(dy).all(|(d, e)| {
+                        let shifted = e.0 == d.0 + len && e.0 + len >= first && e.0 < first + t;
+                        let fixed =
+                            e == d && e.0 + len < first && matches!(self.locate(e.0), At::Plain(_));
+                        shifted || fixed
+                    })
+            };
+            match self.labels[y].delta_from(&self.labels[x]) {
+                Some(delta) if copy => self.deltas.push(delta),
+                _ => {
+                    self.deltas.truncate(delta_at);
+                    return None;
+                }
+            }
+        }
+        self.extra = total - self.work.len();
+        self.repeats.push(Repeat {
+            stored,
+            first,
+            len,
+            count: times + 1,
+            extra: self.extra,
+            delta_at,
+        });
+        Some(len)
     }
 
     /// The index of `work` in `works`, added if new. Builders emit runs
@@ -221,9 +373,23 @@ impl TaskGraph {
         ids
     }
 
-    /// Number of tasks in the graph.
+    /// The id the next added task gets.
+    #[must_use]
+    pub fn next_id(&self) -> TaskId {
+        TaskId(self.len())
+    }
+
+    /// Number of tasks in the graph, every instance of a repeated period
+    /// counted.
     #[must_use]
     pub fn len(&self) -> usize {
+        self.work.len() + self.extra
+    }
+
+    /// Number of tasks the graph stores: a repeated period's template is
+    /// stored once, however many instances it has.
+    #[must_use]
+    pub fn stored_len(&self) -> usize {
         self.work.len()
     }
 
@@ -233,45 +399,81 @@ impl TaskGraph {
         self.work.is_empty()
     }
 
-    /// Iterates over tasks in insertion order.
+    /// Iterates over tasks in insertion order, every instance of a
+    /// repeated period expanded.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = Task<'_>> {
-        self.work
-            .iter()
-            .zip(&self.labels)
-            .zip(self.offsets.windows(2))
-            .enumerate()
-            .map(|(i, ((&work, label), range))| {
-                let work = self.works[work as usize];
-                Task::new(
-                    TaskId(i),
-                    label,
-                    work.resource,
-                    work.kind,
-                    &self.deps[range[0]..range[1]],
-                )
-            })
+        (0..self.len()).map(|i| self.get(TaskId(i)).expect("index in range"))
     }
 
     /// Returns the task with the given id, if present.
     #[must_use]
     pub fn get(&self, id: TaskId) -> Option<Task<'_>> {
-        let work = self.works[*self.work.get(id.0)? as usize];
-        Some(Task::new(
-            id,
-            &self.labels[id.0],
-            work.resource,
-            work.kind,
-            &self.deps[self.offsets[id.0]..self.offsets[id.0 + 1]],
-        ))
+        if id.0 >= self.len() {
+            return None;
+        }
+        let at = self.locate(id.0);
+        let (At::Plain(stored) | At::Repeated { stored, .. }) = at;
+        let work = self.works[self.work[stored] as usize];
+        let (label, deps) = match at {
+            At::Repeated { instance, .. } if instance > 0 => (
+                Cow::Owned(self.label(at)),
+                Cow::Owned(self.deps_at(at).collect()),
+            ),
+            _ => (
+                Cow::Borrowed(&self.labels[stored]),
+                Cow::Borrowed(self.stored_deps(stored)),
+            ),
+        };
+        Some(Task::new(id, label, work.resource, work.kind, deps))
     }
 
-    /// Task `i`'s dependencies, without reading the rest of the task.
-    pub(crate) fn deps_of(&self, i: usize) -> &[TaskId] {
-        &self.deps[self.offsets[i]..self.offsets[i + 1]]
+    /// The graph with every instance of every repeated period stored: the
+    /// same tasks, labels and dependencies in the same order, and no
+    /// repeats.
+    #[must_use]
+    pub fn expand(&self) -> TaskGraph {
+        let mut graph = TaskGraph::new();
+        for task in self.iter() {
+            graph.add_task(
+                Label::clone(&task.label),
+                task.resource,
+                task.kind,
+                task.deps(),
+            );
+        }
+        graph
     }
 
-    /// Each task's index into [`TaskGraph::works`]; equal indices mean
-    /// equal work.
+    /// Where program index `i` (below [`TaskGraph::len`]) is stored.
+    pub(crate) fn locate(&self, i: usize) -> At {
+        let after = self.repeats.partition_point(|r| r.first <= i);
+        let Some(r) = after.checked_sub(1).map(|k| (k, &self.repeats[k])) else {
+            return At::Plain(i);
+        };
+        match r {
+            (repeat, rep) if i < rep.end() => At::Repeated {
+                repeat,
+                stored: rep.stored + (i - rep.first) % rep.len,
+                instance: (i - rep.first) / rep.len,
+            },
+            (_, rep) => At::Plain(i - rep.extra),
+        }
+    }
+
+    /// Stored task `s`'s dependencies; a template task's are those of its
+    /// instance 0.
+    pub(crate) fn stored_deps(&self, s: usize) -> &[TaskId] {
+        &self.deps[self.offsets[s]..self.offsets[s + 1]]
+    }
+
+    /// The number of dependencies of each of the stored tasks `stored`.
+    pub(crate) fn deps_counts(&self, stored: Range<usize>) -> impl Iterator<Item = u32> + '_ {
+        let offsets = &self.offsets[stored.start..=stored.end];
+        offsets.windows(2).map(|w| (w[1] - w[0]) as u32)
+    }
+
+    /// Each stored task's index into [`TaskGraph::works`]; equal indices
+    /// mean equal work.
     pub(crate) fn work_ids(&self) -> &[u32] {
         &self.work
     }
@@ -281,12 +483,73 @@ impl TaskGraph {
         &self.works
     }
 
+    /// The repeated periods, in program order.
+    pub(crate) fn repeats(&self) -> &[Repeat] {
+        &self.repeats
+    }
+
+    /// The dependencies of the task at `at`, each shifted dependency moved
+    /// to its instance.
+    pub(crate) fn deps_at(&self, at: At) -> impl Iterator<Item = TaskId> + '_ {
+        let (stored, shift) = match at {
+            At::Plain(s) => (s, None),
+            At::Repeated {
+                repeat,
+                stored,
+                instance,
+            } => (stored, Some((self.repeats[repeat], instance))),
+        };
+        self.stored_deps(stored).iter().map(move |&d| match shift {
+            Some((r, k)) if r.shifts(d.0) => TaskId(d.0 + k * r.len),
+            _ => d,
+        })
+    }
+
+    /// The label of the task stored at `at`.
+    pub(crate) fn label(&self, at: At) -> Label {
+        match at {
+            At::Plain(s) => self.labels[s].clone(),
+            At::Repeated {
+                repeat,
+                stored,
+                instance,
+            } => {
+                let r = &self.repeats[repeat];
+                self.labels[stored].advanced(&self.deltas[r.delta_at + stored - r.stored], instance)
+            }
+        }
+    }
+
+    /// Calls `f(stored, first, repeat)` for every stored task in order,
+    /// with the program index of its first instance and, for a template
+    /// task, the repeat it belongs to.
+    #[inline(always)]
+    pub(crate) fn for_each_stored(&self, mut f: impl FnMut(usize, usize, Option<&Repeat>)) {
+        let mut s = 0;
+        let mut extra = 0;
+        for r in &self.repeats {
+            for s in s..r.stored {
+                f(s, s + extra, None);
+            }
+            for t in 0..r.len {
+                f(r.stored + t, r.first + t, Some(r));
+            }
+            s = r.stored + r.len;
+            extra = r.extra;
+        }
+        for s in s..self.work.len() {
+            f(s, s + extra, None);
+        }
+    }
+
     /// The sum over tasks of `f` of each task's kind.
     fn total(&self, f: impl Fn(&TaskKind) -> u64) -> u64 {
-        self.work
-            .iter()
-            .map(|&w| f(&self.works[w as usize].kind))
-            .sum()
+        let mut sum = 0;
+        self.for_each_stored(|s, _, repeat| {
+            let instances = repeat.map_or(1, |r| r.count) as u64;
+            sum += instances * f(&self.works[self.work[s] as usize].kind);
+        });
+        sum
     }
 
     /// Total bytes read from DRAM across all tasks.
@@ -317,10 +580,11 @@ impl TaskGraph {
     /// the graph is acyclic.
     ///
     /// When every dependency points to an earlier task — always the case
-    /// for the dataflow builders' graphs — each names an existing task and
-    /// no cycle can close, so this returns `Ok` after one pass over the
-    /// dependency array that allocates nothing. Any other graph is checked
-    /// in full with Kahn's algorithm.
+    /// for the dataflow builders' graphs, and for every repeated period by
+    /// construction ([`TaskGraph::repeat`]) — each names an existing task
+    /// and no cycle can close, so this returns `Ok` after one pass over the
+    /// stored dependency array that allocates nothing. Any other graph is
+    /// checked in full with Kahn's algorithm, over every task.
     ///
     /// # Errors
     ///
@@ -328,11 +592,10 @@ impl TaskGraph {
     /// insertion order, that names no task, or else [`SimError::CyclicGraph`]
     /// if some tasks lie on or behind a cycle.
     pub fn validate(&self) -> Result<()> {
-        let backward = self
-            .offsets
-            .windows(2)
-            .enumerate()
-            .all(|(i, range)| self.deps[range[0]..range[1]].iter().all(|dep| dep.0 < i));
+        let mut backward = true;
+        self.for_each_stored(|s, first, _| {
+            backward &= self.stored_deps(s).iter().all(|dep| dep.0 < first);
+        });
         if backward {
             return Ok(());
         }
@@ -493,6 +756,150 @@ mod tests {
         let _c = g.add_task("c", Resource::Mac { core: 0 }, mm(1), &[b]);
         let _d = g.add_task("d", Resource::Vec { core: 0 }, TaskKind::Barrier, &[a]);
         assert_eq!(g.critical_path_len(), 3);
+    }
+
+    /// A preload, then `rounds` rounds of a load and a product that waits
+    /// on it, on the preload and on the previous round's product.
+    fn rounds(g: &mut TaskGraph, rounds: std::ops::Range<usize>, gate: &mut Option<TaskId>) {
+        let preload = TaskId(0);
+        for r in rounds {
+            let load = g.add_task(
+                Label::new("r{0}: load", [r]),
+                Resource::DmaIn,
+                TaskKind::DramLoad { bytes: 64 },
+                &[],
+            );
+            let mut deps = vec![load, preload];
+            deps.extend(*gate);
+            *gate = Some(g.add_task(
+                Label::new("r{0}: mm", [r]),
+                Resource::Mac { core: 0 },
+                mm(4),
+                &deps,
+            ));
+        }
+    }
+
+    #[test]
+    fn a_repeat_reads_like_every_round_added() {
+        let mut plain = TaskGraph::new();
+        plain.add_task(
+            "preload",
+            Resource::DmaIn,
+            TaskKind::DramLoad { bytes: 8 },
+            &[],
+        );
+        rounds(&mut plain, 0..10, &mut None);
+
+        let mut g = TaskGraph::new();
+        g.add_task(
+            "preload",
+            Resource::DmaIn,
+            TaskKind::DramLoad { bytes: 8 },
+            &[],
+        );
+        let mut gate = None;
+        rounds(&mut g, 0..2, &mut gate);
+        let start = g.next_id();
+        rounds(&mut g, 2..3, &mut gate);
+        assert_eq!(g.repeat(start, 6), Some(2));
+        // Round 2's product, moved on to round 8's.
+        let mut gate = gate.map(|id| id.later(6 * 2));
+        rounds(&mut g, 9..10, &mut gate);
+
+        assert_eq!((g.len(), g.stored_len()), (21, 9));
+        g.validate().unwrap();
+        assert_eq!(g.dram_read_bytes(), plain.dram_read_bytes());
+        assert_eq!(g.total_mac_ops(), plain.total_mac_ops());
+        assert_eq!(g.critical_path_len(), plain.critical_path_len());
+        let expanded = g.expand();
+        assert_eq!(expanded.stored_len(), 21);
+        for ((a, b), c) in g.iter().zip(plain.iter()).zip(expanded.iter()) {
+            assert_eq!(
+                (a.id, a.label.to_string(), a.deps()),
+                (b.id, b.label.to_string(), b.deps())
+            );
+            assert_eq!(
+                (c.id, c.label.to_string(), c.deps()),
+                (b.id, b.label.to_string(), b.deps())
+            );
+        }
+        assert_eq!(*g.get(TaskId(14)).unwrap().label, "r6: mm");
+        assert!(g.get(TaskId(21)).is_none());
+    }
+
+    #[test]
+    fn repeat_refuses_periods_that_are_not_copies() {
+        let fresh = || {
+            let mut g = TaskGraph::new();
+            g.add_task(
+                "preload",
+                Resource::DmaIn,
+                TaskKind::DramLoad { bytes: 8 },
+                &[],
+            );
+            g
+        };
+        // Different work in the second instance.
+        let mut g = fresh();
+        let mut gate = None;
+        rounds(&mut g, 0..2, &mut gate);
+        let start = g.next_id();
+        g.add_task(
+            Label::new("r{0}: load", [2]),
+            Resource::DmaIn,
+            TaskKind::DramLoad { bytes: 64 },
+            &[],
+        );
+        g.add_task(
+            Label::new("r{0}: mm", [2]),
+            Resource::Mac { core: 0 },
+            mm(8),
+            &[TaskId(5), TaskId(0), gate.unwrap()],
+        );
+        assert_eq!(g.repeat(start, 3), None);
+        // Another label template.
+        let mut g = fresh();
+        let mut gate = None;
+        rounds(&mut g, 0..2, &mut gate);
+        let start = g.next_id();
+        g.add_task(
+            Label::new("r{0}: Load", [2]),
+            Resource::DmaIn,
+            TaskKind::DramLoad { bytes: 64 },
+            &[],
+        );
+        g.add_task(
+            Label::new("r{0}: mm", [2]),
+            Resource::Mac { core: 0 },
+            mm(4),
+            &[TaskId(5), TaskId(0), gate.unwrap()],
+        );
+        assert_eq!(g.repeat(start, 3), None);
+        // A dependency two periods back.
+        let mut g = fresh();
+        let mut gate = None;
+        rounds(&mut g, 0..3, &mut gate);
+        let start = g.next_id();
+        g.add_task(
+            Label::new("r{0}: load", [3]),
+            Resource::DmaIn,
+            TaskKind::DramLoad { bytes: 64 },
+            &[],
+        );
+        g.add_task(
+            Label::new("r{0}: mm", [3]),
+            Resource::Mac { core: 0 },
+            mm(4),
+            &[TaskId(7), TaskId(0), TaskId(2)],
+        );
+        assert_eq!(g.repeat(start, 3), None);
+        // Nothing before the period to compare with.
+        let mut g = fresh();
+        rounds(&mut g, 0..1, &mut None);
+        assert_eq!(g.repeat(TaskId(1), 3), None);
+        assert_eq!(g.len(), 3);
+        assert!(g.repeats.is_empty() && g.deltas.is_empty());
     }
 
     #[test]

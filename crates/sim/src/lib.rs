@@ -35,14 +35,20 @@
 //!   only printing or exporting a trace ([`trace::TraceEntry`] keeps the
 //!   label unrendered too) does. Plain `&'static str` and `String` labels
 //!   are accepted as they are.
-//! - **Dependencies are stored in CSR form.** The graph keeps every task's
-//!   dependencies back to back in one array, with one offset per task, and
-//!   hands out borrowed [`task::Task`] views whose `deps()` slice points
+//! - **Dependencies are stored in CSR form.** The graph keeps every stored
+//!   task's dependencies back to back in one array, with one offset per
+//!   task, and hands out [`task::Task`] views whose `deps()` slice points
 //!   into it. Adding a task allocates nothing of its own.
+//! - **Repeated rounds are stored once.** [`graph::TaskGraph::repeat`]
+//!   keeps one period of a builder's rounds with a repeat count; every
+//!   further instance exists only as a range of program indices, and the
+//!   executor reads the template rather than per-instance rows. The graph
+//!   still reads as every task in order ([`graph::TaskGraph::iter`],
+//!   [`graph::TaskGraph::expand`]).
 //! - **Validation is a single pass for builder graphs.**
 //!   [`graph::TaskGraph::validate`] returns `Ok` after one allocation-free
-//!   pass when every dependency points to an earlier task, which the
-//!   dataflow builders guarantee. Other graphs get the full check (unknown
+//!   pass over the stored tasks when every dependency points to an earlier
+//!   task, which the dataflow builders and every repeat guarantee. Other graphs get the full check (unknown
 //!   ids, then Kahn's algorithm), with the same errors.
 //!
 //! ## Example

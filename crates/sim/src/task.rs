@@ -7,6 +7,7 @@
 //! schedule) into streams of tasks with dependencies.
 
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Identifier of a task within a [`crate::graph::TaskGraph`].
@@ -18,6 +19,12 @@ impl TaskId {
     #[must_use]
     pub fn index(self) -> usize {
         self.0
+    }
+
+    /// The id `tasks` places later in program order.
+    #[must_use]
+    pub fn later(self, tasks: usize) -> TaskId {
+        TaskId(self.0 + tasks)
     }
 }
 
@@ -268,6 +275,31 @@ impl Label {
         Self(LabelRepr::Template(template, all))
     }
 
+    /// How far each template argument moved from `earlier` to this label,
+    /// so that `earlier.advanced(delta, 1)` renders like this label; `None`
+    /// when the two are different templates, or different plain texts.
+    pub(crate) fn delta_from(&self, earlier: &Label) -> Option<[usize; 4]> {
+        match (&self.0, &earlier.0) {
+            (LabelRepr::Template(t, a), LabelRepr::Template(u, b)) if t == u => {
+                Some(std::array::from_fn(|k| a[k].wrapping_sub(b[k])))
+            }
+            (LabelRepr::Template(..), _) | (_, LabelRepr::Template(..)) => None,
+            _ => (self == earlier).then_some([0; 4]),
+        }
+    }
+
+    /// This label with each template argument moved `times` steps of
+    /// `delta` on (plain text is returned as it is).
+    pub(crate) fn advanced(&self, delta: &[usize; 4], times: usize) -> Label {
+        match &self.0 {
+            LabelRepr::Template(template, args) => Self(LabelRepr::Template(
+                template,
+                std::array::from_fn(|k| args[k].wrapping_add(delta[k].wrapping_mul(times))),
+            )),
+            _ => self.clone(),
+        }
+    }
+
     /// Whether the label renders exactly `text`, compared as it renders.
     fn renders(&self, text: &str) -> bool {
         /// Consumes the expected text as the label writes it.
@@ -325,7 +357,10 @@ impl From<String> for Label {
 
 impl PartialEq for Label {
     fn eq(&self, other: &Self) -> bool {
-        self.renders(&other.to_string())
+        match (&self.0, &other.0) {
+            (LabelRepr::Template(t, a), LabelRepr::Template(u, b)) if t == u && a == b => true,
+            _ => self.renders(&other.to_string()),
+        }
     }
 }
 
@@ -337,28 +372,31 @@ impl PartialEq<&str> for Label {
     }
 }
 
-/// A task of a [`crate::graph::TaskGraph`], borrowed from the graph
-/// ([`crate::graph::TaskGraph::iter`], [`crate::graph::TaskGraph::get`]).
-#[derive(Debug, Clone, Copy)]
+/// A task of a [`crate::graph::TaskGraph`] ([`crate::graph::TaskGraph::iter`],
+/// [`crate::graph::TaskGraph::get`]). A stored task's label and
+/// dependencies are borrowed from the graph; a task of a repeated period
+/// past its first instance gets them computed
+/// ([`crate::graph::TaskGraph::repeat`]).
+#[derive(Debug, Clone)]
 pub struct Task<'g> {
     /// Identifier (index in insertion order).
     pub id: TaskId,
     /// Human-readable label, rendered only when displayed.
-    pub label: &'g Label,
+    pub label: Cow<'g, Label>,
     /// The resource this task occupies.
     pub resource: Resource,
     /// What the task does.
     pub kind: TaskKind,
-    deps: &'g [TaskId],
+    deps: Cow<'g, [TaskId]>,
 }
 
 impl<'g> Task<'g> {
     pub(crate) fn new(
         id: TaskId,
-        label: &'g Label,
+        label: Cow<'g, Label>,
         resource: Resource,
         kind: TaskKind,
-        deps: &'g [TaskId],
+        deps: Cow<'g, [TaskId]>,
     ) -> Self {
         Self {
             id,
@@ -372,8 +410,8 @@ impl<'g> Task<'g> {
     /// Tasks that must complete before this one starts, in the order they
     /// were given (repeats kept).
     #[must_use]
-    pub fn deps(&self) -> &'g [TaskId] {
-        self.deps
+    pub fn deps(&self) -> &[TaskId] {
+        &self.deps
     }
 }
 
@@ -458,6 +496,19 @@ mod tests {
         assert_ne!(template, Label::new("t{0}", [1]));
         assert_ne!(template, "t1");
         assert_ne!(template, "t123");
+    }
+
+    #[test]
+    fn labels_advance_by_their_argument_deltas() {
+        let earlier = Label::new("c{0} r{1}", [3, 7]);
+        let later = Label::new("c{0} r{1}", [3, 9]);
+        let delta = later.delta_from(&earlier).unwrap();
+        assert_eq!(earlier.advanced(&delta, 1), later);
+        assert_eq!(earlier.advanced(&delta, 5), "c3 r17");
+        assert_eq!(Label::new("x{0}", [1]).delta_from(&earlier), None);
+        assert_eq!(Label::from("t").delta_from(&Label::from("t")), Some([0; 4]));
+        assert_eq!(Label::from("t").delta_from(&Label::from("u")), None);
+        assert_eq!(Label::from("t").advanced(&[1; 4], 3), "t");
     }
 
     #[test]

@@ -52,6 +52,13 @@ impl Trace {
         Self::default()
     }
 
+    /// An empty trace with room for `entries` entries.
+    pub(crate) fn with_capacity(entries: usize) -> Self {
+        Self {
+            entries: Vec::with_capacity(entries),
+        }
+    }
+
     /// Appends an entry.
     pub fn push(&mut self, entry: TraceEntry) {
         self.entries.push(entry);
