@@ -38,6 +38,6 @@ pub mod report;
 pub mod verify;
 
 pub use mas_dataflow::DataflowKind as Method;
-pub use planner::{PlannedRun, Planner, PlannerConfig, RunResult, TilingCache};
+pub use planner::{PlannedRun, Planner, PlannerConfig, RunResult};
 pub use report::{ComparisonReport, MethodRow};
 pub use verify::{verify_decode, verify_decode_paged, verify_method};

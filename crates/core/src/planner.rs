@@ -54,37 +54,6 @@ pub struct PlannedRun {
     pub method: DataflowKind,
     /// The chosen tiling.
     pub tiling: Tiling,
-    /// Whether the tiling came from a [`TilingCache`] hit rather than the
-    /// planner's strategy (heuristic or search).
-    pub from_cache: bool,
-}
-
-/// Hook for external tiling caches consulted by [`Planner::plan_cached`].
-///
-/// Implementors key on whatever identity they consider equivalent (for
-/// example the workload *shape* plus a hardware fingerprint, so renamed but
-/// identical workloads share plans). This is the lightweight hook for
-/// callers that only want to memoize tiling decisions; `mas-serve` goes
-/// further and memoizes the whole plan *and* its simulation outcome in its
-/// `ScheduleCache`, built on the [`Planner::plan`] / [`Planner::execute`]
-/// split below.
-pub trait TilingCache {
-    /// Returns a previously planned tiling for the triple, if known.
-    fn get(
-        &self,
-        method: DataflowKind,
-        workload: &AttentionWorkload,
-        hardware: &HardwareConfig,
-    ) -> Option<Tiling>;
-
-    /// Records a freshly planned tiling for the triple.
-    fn put(
-        &mut self,
-        method: DataflowKind,
-        workload: &AttentionWorkload,
-        hardware: &HardwareConfig,
-        tiling: Tiling,
-    );
 }
 
 /// Result of running one method on one workload.
@@ -187,31 +156,7 @@ impl Planner {
         PlannedRun {
             method,
             tiling: self.plan_tiling(method, workload),
-            from_cache: false,
         }
-    }
-
-    /// Like [`Planner::plan`], but consults (and on a miss, populates) an
-    /// external [`TilingCache`] before invoking the planning strategy —
-    /// the hook for callers that keep their own tiling store (see the
-    /// [`TilingCache`] docs for how this relates to `mas-serve`'s richer
-    /// schedule cache).
-    pub fn plan_cached(
-        &self,
-        method: DataflowKind,
-        workload: &AttentionWorkload,
-        cache: &mut dyn TilingCache,
-    ) -> PlannedRun {
-        if let Some(tiling) = cache.get(method, workload, &self.config.hardware) {
-            return PlannedRun {
-                method,
-                tiling,
-                from_cache: true,
-            };
-        }
-        let planned = self.plan(method, workload);
-        cache.put(method, workload, &self.config.hardware, planned.tiling);
-        planned
     }
 
     /// Executes a previously produced plan (builds the schedule and
@@ -375,48 +320,10 @@ mod tests {
         let planner = Planner::edge_default();
         let w = toy();
         let plan = planner.plan(DataflowKind::MasAttention, &w);
-        assert!(!plan.from_cache);
         let split = planner.execute(&plan, &w).unwrap();
         let fused = planner.run(DataflowKind::MasAttention, &w).unwrap();
         assert_eq!(split.tiling, fused.tiling);
         assert_eq!(split.report.total_cycles, fused.report.total_cycles);
-    }
-
-    #[test]
-    fn plan_cached_consults_and_populates_the_hook() {
-        use std::collections::HashMap;
-
-        #[derive(Default)]
-        struct MapCache(HashMap<(DataflowKind, String), Tiling>);
-        impl TilingCache for MapCache {
-            fn get(
-                &self,
-                method: DataflowKind,
-                workload: &AttentionWorkload,
-                _hw: &HardwareConfig,
-            ) -> Option<Tiling> {
-                self.0.get(&(method, workload.name.clone())).copied()
-            }
-            fn put(
-                &mut self,
-                method: DataflowKind,
-                workload: &AttentionWorkload,
-                _hw: &HardwareConfig,
-                tiling: Tiling,
-            ) {
-                self.0.insert((method, workload.name.clone()), tiling);
-            }
-        }
-
-        let planner = Planner::edge_default();
-        let w = toy();
-        let mut cache = MapCache::default();
-        let first = planner.plan_cached(DataflowKind::Flat, &w, &mut cache);
-        assert!(!first.from_cache);
-        assert_eq!(cache.0.len(), 1);
-        let second = planner.plan_cached(DataflowKind::Flat, &w, &mut cache);
-        assert!(second.from_cache);
-        assert_eq!(second.tiling, first.tiling);
     }
 
     #[test]

@@ -1,33 +1,32 @@
-//! Stream-demand cost glue shared by the serving layer's merged launch path.
+//! The one demand record the serving layer prices attention work with.
 //!
-//! A device launch — whether it carries a merged prefill batch or a batched
-//! set of decode steps — is bounded by the same three streams: MAC work,
-//! VEC (softmax) work and DRAM traffic. [`StreamDemand`] is the common
-//! currency: both work classes lower into it, demands of co-launched work
-//! items add component-wise, and [`StreamDemand::bound_seconds`] turns the
-//! sum into the physical service-time bound on a given device. The serve
-//! engine's unified prefill+decode timeline costs every launch through this
-//! one type, so the two traffic classes are comparable by construction.
+//! A device launch — whether it carries a merged prefill batch, a prefill
+//! chunk or a batched set of decode steps — is bounded by the same streams:
+//! MAC work, VEC (softmax) work and DRAM traffic. [`TrackDemand`] is the
+//! record: it holds them as exact integer counts with the DRAM traffic split
+//! by direction, demands of co-launched work items add component-wise
+//! ([`TrackDemand::accumulate`]), and it is built from exactly two closed
+//! forms — [`PrefillChunk`]'s for causal rows (a [`DecodeStep`] is the
+//! one-row chunk) and [`AttentionWorkload`]'s for non-causal prefill.
 //!
-//! The arithmetic is deliberately bit-for-bit identical to the historical
-//! per-class formulas (prefill admission's service-time lower bound and the
-//! decode launch cost model): each component is computed per item in `f64`,
-//! accumulated in item order, and divided by the device rate once at the
-//! end. Refactoring the call sites onto this type therefore changes no
-//! report anywhere.
+//! [`StreamDemand`] is its three-stream view ([`TrackDemand::stream`]), and
+//! [`StreamDemand::bound_seconds`] turns it into the physical service-time
+//! bound on a given device; its constructors are one-line delegations to
+//! [`TrackDemand`]'s. Counts convert to `f64` exactly below 2⁵³, so the bound
+//! of a summed record equals the bound of the per-item `f64` sums bit for
+//! bit there. Above 2⁵³ the conversion rounds, and a count past `u64::MAX`
+//! saturates (see [`crate::decode`]), so a price never falls as the work
+//! grows.
 
 use mas_sim::HardwareConfig;
 
 use crate::decode::{DecodeStep, PrefillChunk};
 use crate::workload::AttentionWorkload;
 
-/// The three-stream resource demand of one unit of attention work (a
-/// prefill workload or a decode step), in device-independent units:
-/// multiply-accumulates, VEC-lane operations and DRAM bytes.
-///
-/// Demands of work items sharing a launch add component-wise
-/// ([`StreamDemand::accumulate`]); the launch's physical service-time bound
-/// on a device is the binding component ([`StreamDemand::bound_seconds`]).
+/// The three-stream view of a [`TrackDemand`] in device-independent units:
+/// multiply-accumulates, VEC-lane operations and DRAM bytes (both
+/// directions). A launch's physical service-time bound on a device is the
+/// binding component ([`StreamDemand::bound_seconds`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StreamDemand {
     /// Multiply-accumulate operations.
@@ -40,66 +39,22 @@ pub struct StreamDemand {
 }
 
 impl StreamDemand {
-    /// The demand of one fixed-shape prefill attention workload: its full
-    /// MAC count, its softmax elements at the device's VEC cost per
-    /// element, and its minimum DRAM traffic.
+    /// The demand of one fixed-shape prefill attention workload
+    /// ([`TrackDemand::of_prefill`]).
     #[must_use]
     pub fn of_prefill(workload: &AttentionWorkload, hw: &HardwareConfig) -> Self {
-        Self {
-            mac_ops: workload.total_mac_ops() as f64,
-            vec_ops: workload.softmax_elements() as f64 * hw.softmax_ops_per_element as f64,
-            dram_bytes: workload.min_dram_traffic_bytes(hw.element_bytes) as f64,
-        }
+        TrackDemand::of_prefill(workload, hw).stream()
     }
 
-    /// The demand of one decode step: linear-in-context MAC and softmax
-    /// work plus the KV-cache stream and new-token rows, with the KV terms
-    /// of the DRAM traffic priced at `kv_element_bytes`
-    /// ([`DecodeStep::min_dram_traffic_bytes_split`]; pass
-    /// `hw.element_bytes` for KV stored at the compute width): a narrower KV
-    /// dtype shrinks the cache stream — and so the DRAM-bound service time —
-    /// but leaves MAC and softmax work untouched (compute widens to f32).
+    /// The demand of one decode step with the KV terms priced at
+    /// `kv_element_bytes` ([`TrackDemand::of_decode_step_with_kv`]).
     #[must_use]
     pub fn of_decode_step_with_kv(
         step: &DecodeStep,
         hw: &HardwareConfig,
         kv_element_bytes: usize,
     ) -> Self {
-        Self {
-            mac_ops: step.mac_ops() as f64,
-            vec_ops: step.softmax_elements() as f64 * hw.softmax_ops_per_element as f64,
-            dram_bytes: step.min_dram_traffic_bytes_split(hw.element_bytes, kv_element_bytes)
-                as f64,
-        }
-    }
-
-    /// The demand of one chunk of a chunked prefill with the KV terms
-    /// priced at `kv_element_bytes`: the decode cost split
-    /// ([`StreamDemand::of_decode_step_with_kv`]) summed in closed form over
-    /// the chunk's causal query rows ([`PrefillChunk`]). A chunk covering a
-    /// whole prompt therefore prices identically to the per-token decode
-    /// chain it replaces, up to the per-launch issue overhead.
-    #[must_use]
-    pub fn of_prefill_chunk_with_kv(
-        chunk: &PrefillChunk,
-        hw: &HardwareConfig,
-        kv_element_bytes: usize,
-    ) -> Self {
-        Self {
-            mac_ops: chunk.mac_ops() as f64,
-            vec_ops: chunk.softmax_elements() as f64 * hw.softmax_ops_per_element as f64,
-            dram_bytes: chunk.min_dram_traffic_bytes_split(hw.element_bytes, kv_element_bytes)
-                as f64,
-        }
-    }
-
-    /// Adds another work item's demand component-wise (work items sharing a
-    /// launch each stream their own operands and compute their own rows, so
-    /// demands sum).
-    pub fn accumulate(&mut self, other: &Self) {
-        self.mac_ops += other.mac_ops;
-        self.vec_ops += other.vec_ops;
-        self.dram_bytes += other.dram_bytes;
+        TrackDemand::of_decode_step_with_kv(step, hw, kv_element_bytes).stream()
     }
 
     /// Physical lower bound on the service time of this demand on an idle
@@ -115,19 +70,18 @@ impl StreamDemand {
     }
 }
 
-/// The four-track resource demand of one unit of attention work: the
-/// [`StreamDemand`] streams with the DRAM traffic split by direction, in
-/// exact integer units. This is the currency the overlap-aware track
-/// executor schedules — operand/KV streaming rides the DMA-in queue,
-/// MAC and VEC work ride the two compute queues, and result rows ride the
-/// writeback queue, so a launch's stages can overlap across queues instead
-/// of collapsing to the scalar `max` bound.
+/// The four-track resource demand of attention work: MAC and VEC work plus
+/// the DRAM traffic split by direction, in exact integer units. This is the
+/// only demand record that is built or summed. The overlap-aware track
+/// executor schedules it directly — operand/KV streaming rides the DMA-in
+/// queue, MAC and VEC work ride the two compute queues, and result rows
+/// ride the writeback queue, so a launch's stages can overlap across queues
+/// instead of collapsing to the scalar `max` bound — and the scalar model
+/// reads its [`StreamDemand`] view.
 ///
-/// Components are integers by construction (op and byte counts), which
-/// makes [`TrackDemand::split_stages`] exact: the per-stage demands of a
-/// tiled launch telescope back to the monolithic demand with zero rounding
-/// drift, and [`TrackDemand::stream`] reproduces the closed-form
-/// [`StreamDemand`] bit-for-bit.
+/// Integer components make [`TrackDemand::split_stages`] exact: the
+/// per-stage demands of a tiled launch telescope back to the monolithic
+/// demand with zero rounding drift.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrackDemand {
     /// Read-direction DRAM bytes (operand / KV-cache streaming in).
@@ -142,8 +96,8 @@ pub struct TrackDemand {
 }
 
 impl TrackDemand {
-    /// The four-track demand of one fixed-shape prefill attention workload:
-    /// reads `Q`/`K`/`V`, computes, writes `O`.
+    /// The demand of one fixed-shape (non-causal) prefill attention
+    /// workload: reads `Q`/`K`/`V`, computes, writes `O`.
     #[must_use]
     pub fn of_prefill(workload: &AttentionWorkload, hw: &HardwareConfig) -> Self {
         let total = workload.min_dram_traffic_bytes(hw.element_bytes);
@@ -156,65 +110,59 @@ impl TrackDemand {
         }
     }
 
-    /// The four-track demand of one decode step with KV terms priced at
-    /// `kv_element_bytes`: streams the cached `K`/`V` plus the `q` row in,
-    /// writes the appended `k`/`v` rows and the `o` row back.
+    /// The demand of one decode step with KV terms priced at
+    /// `kv_element_bytes`: its one-row chunk's ([`DecodeStep::to_chunk`]),
+    /// which streams the cached `K`/`V` plus the `q` row in and writes the
+    /// appended `k`/`v` rows and the `o` row back.
     #[must_use]
     pub fn of_decode_step_with_kv(
         step: &DecodeStep,
         hw: &HardwareConfig,
         kv_element_bytes: usize,
     ) -> Self {
-        let total = step.min_dram_traffic_bytes_split(hw.element_bytes, kv_element_bytes);
-        let write = step.min_dram_write_bytes_split(hw.element_bytes, kv_element_bytes);
-        Self {
-            dma_in_bytes: total - write,
-            mac_ops: step.mac_ops(),
-            vec_ops: step.softmax_elements() * hw.softmax_ops_per_element as u64,
-            writeback_bytes: write,
-        }
+        Self::of_prefill_chunk_with_kv(&step.to_chunk(), hw, kv_element_bytes)
     }
 
-    /// The four-track demand of one chunk of a chunked prefill — the decode
-    /// split summed in closed form over the chunk's causal rows, exactly as
-    /// [`StreamDemand::of_prefill_chunk_with_kv`].
+    /// The demand of one chunk of causal rows with the KV terms (the KV
+    /// stream and the appended `k`/`v` rows) priced at `kv_element_bytes`
+    /// and the activation rows at the device's element size (pass
+    /// `hw.element_bytes` for KV stored at the compute width): a narrower KV
+    /// dtype shrinks the DRAM terms but leaves MAC and softmax work
+    /// untouched (compute widens to the device dtype).
     #[must_use]
     pub fn of_prefill_chunk_with_kv(
         chunk: &PrefillChunk,
         hw: &HardwareConfig,
         kv_element_bytes: usize,
     ) -> Self {
-        let total = chunk.min_dram_traffic_bytes_split(hw.element_bytes, kv_element_bytes);
-        let write = chunk.min_dram_write_bytes_split(hw.element_bytes, kv_element_bytes);
         Self {
-            dma_in_bytes: total - write,
+            dma_in_bytes: chunk.min_dram_read_bytes_split(hw.element_bytes, kv_element_bytes),
             mac_ops: chunk.mac_ops(),
-            vec_ops: chunk.softmax_elements() * hw.softmax_ops_per_element as u64,
-            writeback_bytes: write,
+            vec_ops: chunk
+                .softmax_elements()
+                .saturating_mul(hw.softmax_ops_per_element as u64),
+            writeback_bytes: chunk.min_dram_write_bytes_split(hw.element_bytes, kv_element_bytes),
         }
     }
 
     /// Adds another work item's demand component-wise (co-launched items
-    /// each stream their own operands, so demands sum, exactly as
-    /// [`StreamDemand::accumulate`]).
+    /// each stream their own operands and compute their own rows, so
+    /// demands sum), saturating at `u64::MAX`.
     pub fn accumulate(&mut self, other: &Self) {
-        self.dma_in_bytes += other.dma_in_bytes;
-        self.mac_ops += other.mac_ops;
-        self.vec_ops += other.vec_ops;
-        self.writeback_bytes += other.writeback_bytes;
+        self.dma_in_bytes = self.dma_in_bytes.saturating_add(other.dma_in_bytes);
+        self.mac_ops = self.mac_ops.saturating_add(other.mac_ops);
+        self.vec_ops = self.vec_ops.saturating_add(other.vec_ops);
+        self.writeback_bytes = self.writeback_bytes.saturating_add(other.writeback_bytes);
     }
 
-    /// Collapses the four tracks back to the three-stream closed form. The
-    /// result is bit-identical to the corresponding [`StreamDemand`]
-    /// constructor: both DMA directions re-merge into one DRAM-byte stream,
-    /// and all counts are integers below 2^53 so the `u64 → f64` casts are
-    /// exact.
+    /// The three-stream view: both DMA directions merge into one DRAM-byte
+    /// stream. Counts below 2⁵³ convert to `f64` exactly.
     #[must_use]
     pub fn stream(&self) -> StreamDemand {
         StreamDemand {
             mac_ops: self.mac_ops as f64,
             vec_ops: self.vec_ops as f64,
-            dram_bytes: (self.dma_in_bytes + self.writeback_bytes) as f64,
+            dram_bytes: self.dma_in_bytes.saturating_add(self.writeback_bytes) as f64,
         }
     }
 
@@ -222,20 +170,39 @@ impl TrackDemand {
     /// to `self` *exactly*. Stage `k` of `S` receives
     /// `⌊c·(k+1)/S⌋ − ⌊c·k/S⌋` of each component `c` — the telescoping
     /// floors partition every integer count with zero remainder, so the
-    /// stage-split schedule conserves work by construction (no component
-    /// exceeds ~2^53, so the intermediate `c·S` products cannot overflow).
+    /// stage-split schedule conserves work by construction. With
+    /// `c = q·S + r` that share is `q` plus one whenever the running sum of
+    /// `r` wraps past `S`, which is how it is computed: one division per
+    /// component, and no intermediate exceeds `2·S`, so even a saturated
+    /// count splits without overflow.
     #[must_use]
     pub fn split_stages(&self, stages: usize) -> Vec<Self> {
-        let stages = stages.max(1);
-        let share = |c: u64, k: usize| -> u64 {
-            c * (k as u64 + 1) / stages as u64 - c * k as u64 / stages as u64
-        };
+        let stages = stages.max(1) as u64;
+        let mut shares = [
+            self.dma_in_bytes,
+            self.mac_ops,
+            self.vec_ops,
+            self.writeback_bytes,
+        ]
+        .map(|c| (c / stages, c % stages, 0));
         (0..stages)
-            .map(|k| Self {
-                dma_in_bytes: share(self.dma_in_bytes, k),
-                mac_ops: share(self.mac_ops, k),
-                vec_ops: share(self.vec_ops, k),
-                writeback_bytes: share(self.writeback_bytes, k),
+            .map(|_| {
+                let [dma_in_bytes, mac_ops, vec_ops, writeback_bytes] =
+                    shares.each_mut().map(|(q, r, wrapped)| {
+                        *wrapped += *r;
+                        if *wrapped >= stages {
+                            *wrapped -= stages;
+                            *q + 1
+                        } else {
+                            *q
+                        }
+                    });
+                Self {
+                    dma_in_bytes,
+                    mac_ops,
+                    vec_ops,
+                    writeback_bytes,
+                }
             })
             .collect()
     }
@@ -312,34 +279,44 @@ mod tests {
         // Equal pricing is exactly the unsplit traffic.
         assert_eq!(
             full.dram_bytes,
-            step.min_dram_traffic_bytes(hw.element_bytes) as f64
+            step.to_chunk()
+                .min_dram_traffic_bytes_split(hw.element_bytes, hw.element_bytes)
+                as f64
         );
     }
 
     #[test]
     fn accumulation_sums_components_in_order() {
         let hw = hw();
-        let a = StreamDemand::of_decode_step_with_kv(
-            &DecodeStep::new("a", 1, 8, 100, 64),
-            &hw,
-            hw.element_bytes,
-        );
-        let b = StreamDemand::of_decode_step_with_kv(
-            &DecodeStep::new("b", 1, 8, 200, 64),
-            &hw,
-            hw.element_bytes,
-        );
-        let mut sum = StreamDemand::default();
+        let of =
+            |t| TrackDemand::of_decode_step_with_kv(&DecodeStep::new("s", 1, 8, t, 64), &hw, 2);
+        let (a, b) = (of(100), of(200));
+        let mut sum = TrackDemand::default();
         sum.accumulate(&a);
         sum.accumulate(&b);
         assert_eq!(sum.mac_ops, a.mac_ops + b.mac_ops);
         assert_eq!(sum.vec_ops, a.vec_ops + b.vec_ops);
-        assert_eq!(sum.dram_bytes, a.dram_bytes + b.dram_bytes);
-        // Accumulating from the zero demand is exact (0.0 + x == x), so the
-        // fold over a one-item launch equals the item's own demand.
-        let mut one = StreamDemand::default();
+        assert_eq!(sum.dma_in_bytes, a.dma_in_bytes + b.dma_in_bytes);
+        assert_eq!(sum.writeback_bytes, a.writeback_bytes + b.writeback_bytes);
+        // Below 2^53 the summed record's view equals the per-item f64 sums
+        // bit for bit, and accumulating from zero is the item itself.
+        let (sa, sb, ss) = (a.stream(), b.stream(), sum.stream());
+        assert_eq!(ss.mac_ops.to_bits(), (sa.mac_ops + sb.mac_ops).to_bits());
+        assert_eq!(ss.vec_ops.to_bits(), (sa.vec_ops + sb.vec_ops).to_bits());
+        assert_eq!(
+            ss.dram_bytes.to_bits(),
+            (sa.dram_bytes + sb.dram_bytes).to_bits()
+        );
+        let mut one = TrackDemand::default();
         one.accumulate(&a);
         assert_eq!(one, a);
+        // Past u64::MAX a sum saturates instead of wrapping.
+        let mut full = TrackDemand {
+            mac_ops: u64::MAX,
+            ..a
+        };
+        full.accumulate(&b);
+        assert_eq!(full.mac_ops, u64::MAX);
     }
 
     #[test]
@@ -365,46 +342,39 @@ mod tests {
         );
     }
 
-    #[test]
-    fn chunk_demand_sums_its_decode_steps() {
-        // A chunk's demand must equal the accumulated demand of the decode
-        // steps it fuses, for any KV pricing — this is what makes chunked
-        // prefill cost-neutral relative to the decode timeline it shares.
-        let hw = hw();
-        let chunk = PrefillChunk::new(1, 8, 100, 32, 64).with_kv_heads(2);
-        for kv_eb in [hw.element_bytes, hw.element_bytes / 2] {
-            let direct = StreamDemand::of_prefill_chunk_with_kv(&chunk, &hw, kv_eb);
-            let mut summed = StreamDemand::default();
-            for s in chunk.decode_steps() {
-                summed.accumulate(&StreamDemand::of_decode_step_with_kv(&s, &hw, kv_eb));
-            }
-            assert_eq!(direct.mac_ops, summed.mac_ops);
-            assert_eq!(direct.vec_ops, summed.vec_ops);
-            assert_eq!(direct.dram_bytes, summed.dram_bytes);
-        }
-    }
+    // A chunk's demand equals the accumulated demand of the decode steps it
+    // fuses, for any shape and KV pricing — this is what makes chunked
+    // prefill cost-neutral relative to the decode timeline it shares — and
+    // so does the bound of its scalar view.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
 
-    #[test]
-    fn track_demand_stream_matches_the_closed_form_bitwise() {
-        // The four-track split must collapse back to the exact StreamDemand
-        // the scalar model computes — this is what keeps the degenerate
-        // one-track executor bit-identical to `bound_seconds`.
-        let hw = hw();
-        let w = AttentionWorkload::new("toy", 2, 8, 192, 64);
-        assert_eq!(
-            TrackDemand::of_prefill(&w, &hw).stream(),
-            StreamDemand::of_prefill(&w, &hw)
-        );
-        let step = DecodeStep::new("d", 1, 8, 300, 64).with_kv_heads(2);
-        let chunk = PrefillChunk::new(1, 8, 100, 32, 64).with_kv_heads(2);
-        for kv_eb in [hw.element_bytes, hw.element_bytes / 2] {
-            assert_eq!(
-                TrackDemand::of_decode_step_with_kv(&step, &hw, kv_eb).stream(),
-                StreamDemand::of_decode_step_with_kv(&step, &hw, kv_eb)
-            );
-            assert_eq!(
-                TrackDemand::of_prefill_chunk_with_kv(&chunk, &hw, kv_eb).stream(),
-                StreamDemand::of_prefill_chunk_with_kv(&chunk, &hw, kv_eb)
+        #[test]
+        fn chunk_demand_sums_its_decode_steps(
+            batch in 1usize..4,
+            heads in 1usize..17,
+            group in 0usize..5,
+            prefilled in 0usize..2048,
+            tokens in 1usize..65,
+            embed in 1usize..257,
+            act_eb in 1usize..5,
+            kv_eb in 1usize..5,
+        ) {
+            let mut hw = hw();
+            hw.element_bytes = act_eb;
+            let divisors: Vec<usize> = (1..=heads).filter(|d| heads.is_multiple_of(*d)).collect();
+            let kv_heads = divisors[group % divisors.len()];
+            let chunk = PrefillChunk::new(batch, heads, prefilled, tokens, embed)
+                .with_kv_heads(kv_heads);
+            let direct = TrackDemand::of_prefill_chunk_with_kv(&chunk, &hw, kv_eb);
+            let mut summed = TrackDemand::default();
+            for s in chunk.decode_steps() {
+                summed.accumulate(&TrackDemand::of_decode_step_with_kv(&s, &hw, kv_eb));
+            }
+            proptest::prop_assert_eq!(direct, summed);
+            proptest::prop_assert_eq!(
+                direct.stream().bound_seconds(&hw).to_bits(),
+                summed.stream().bound_seconds(&hw).to_bits()
             );
         }
     }
@@ -412,16 +382,14 @@ mod tests {
     #[test]
     fn track_demand_dma_directions_partition_the_traffic() {
         let hw = hw();
-        let step = DecodeStep::new("d", 1, 8, 513, 64);
-        let d = TrackDemand::of_decode_step_with_kv(&step, &hw, hw.element_bytes);
+        let rows = DecodeStep::new("d", 1, 8, 513, 64).to_chunk();
+        let eb = hw.element_bytes;
+        let d = TrackDemand::of_prefill_chunk_with_kv(&rows, &hw, eb);
         assert_eq!(
             d.dma_in_bytes + d.writeback_bytes,
-            step.min_dram_traffic_bytes(hw.element_bytes)
+            rows.min_dram_traffic_bytes_split(eb, eb)
         );
-        assert_eq!(
-            d.writeback_bytes,
-            step.min_dram_write_bytes_split(hw.element_bytes, hw.element_bytes)
-        );
+        assert_eq!(d.writeback_bytes, rows.min_dram_write_bytes_split(eb, eb));
         // Both directions are non-trivial: a decode step always writes its
         // appended rows and always streams the cache in.
         assert!(d.dma_in_bytes > 0 && d.writeback_bytes > 0);
@@ -439,15 +407,30 @@ mod tests {
                 sum.accumulate(s);
             }
             assert_eq!(sum, d, "stage split must conserve work at S={stages}");
-            // No stage exceeds its even share by more than one unit per
-            // component (floors differ by at most one).
-            for s in &split {
+            // Stage k gets ⌊c·(k+1)/S⌋ − ⌊c·k/S⌋ of each component c, so no
+            // stage exceeds its even share by more than one unit.
+            let floors = |c: u64, k: u64| c * (k + 1) / stages as u64 - c * k / stages as u64;
+            for (k, s) in (0u64..).zip(&split) {
+                assert_eq!(s.dma_in_bytes, floors(d.dma_in_bytes, k));
+                assert_eq!(s.mac_ops, floors(d.mac_ops, k));
+                assert_eq!(s.vec_ops, floors(d.vec_ops, k));
+                assert_eq!(s.writeback_bytes, floors(d.writeback_bytes, k));
                 assert!(s.mac_ops <= d.mac_ops / stages as u64 + 1);
-                assert!(s.dma_in_bytes <= d.dma_in_bytes / stages as u64 + 1);
             }
         }
         // Degenerate split: zero stages clamps to one.
         assert_eq!(d.split_stages(0), vec![d]);
+        // Saturated counts split without overflowing.
+        let full = TrackDemand {
+            mac_ops: u64::MAX,
+            ..d
+        };
+        let split = full.split_stages(7);
+        let mut sum = TrackDemand::default();
+        for s in &split {
+            sum.accumulate(s);
+        }
+        assert_eq!(sum, full);
     }
 
     #[test]

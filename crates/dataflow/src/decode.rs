@@ -16,6 +16,25 @@
 //!    `4·B·H·E` elements, independent of `t`. Prefill re-reads and re-writes
 //!    full `N×E` operands every time.
 //!
+//! # One closed form
+//!
+//! Causal attention work is counted in one place, [`PrefillChunk`]: a chunk
+//! of `c` query rows after `p` cached tokens. A decode step at context `t`
+//! *is* the chunk `(p = t − 1, c = 1)` ([`DecodeStep::to_chunk`]), and at
+//! that shape every count equals the step's as an integer, so a step keeps
+//! only its KV-residency accessors (`kv_cache_bytes`, `kv_block_bytes`,
+//! `paged_kv_bytes`, `shared_kv_bytes`). Non-causal prefill keeps its own
+//! counters on [`AttentionWorkload`]. [`crate::cost`] turns either into the
+//! one demand record the serving layer prices.
+//!
+//! The counts are `u64` and exact up to `u64::MAX`; a shape whose count
+//! would exceed it (a 10⁸-token recompute over thousands of heads, say)
+//! saturates at `u64::MAX` instead of wrapping, so a price never falls as
+//! the work grows. The demand record converts counts to `f64`, which is
+//! exact below 2⁵³ — so summing per-item `f64` values and converting a
+//! `u64` sum agree bit for bit there — and rounds to the nearest `f64`
+//! above it.
+//!
 //! [`decode_footprint`] gives the L1 working set of the streaming decode
 //! kernel (FuseMax-like: score strip + running statistics, no `N×N`
 //! intermediate), used by the serving layer to screen steps against the
@@ -116,33 +135,22 @@ impl DecodeStep {
         self.batch * self.heads
     }
 
-    /// Multiply-accumulate operations of one step: the single query row's
-    /// `q·Kᵀ` scores plus the `p·V` accumulation — `2 · B · H · t · E`,
-    /// linear in the context.
+    /// The one-row prefill chunk this step is: its query row attends
+    /// causally over the `t − 1` cached tokens plus its own, so every work
+    /// and traffic count of the step — MAC ops, softmax elements, the KV
+    /// stream, the `q`/`o` rows and the appended `k`/`v` rows — is the
+    /// chunk's, from the one closed form in [`PrefillChunk`]. A step at
+    /// context `0` is the empty chunk and prices as zero work.
     #[must_use]
-    pub fn mac_ops(&self) -> u64 {
-        2 * self.slices() as u64 * self.context_len as u64 * self.embed as u64
-    }
-
-    /// Softmax elements of one step (`B · H · t`).
-    #[must_use]
-    pub fn softmax_elements(&self) -> u64 {
-        self.slices() as u64 * self.context_len as u64
-    }
-
-    /// Bytes of one *query-head-wide* new-token operand row set (`q` or
-    /// `o`): `B · H · E` elements — independent of the context length.
-    #[must_use]
-    pub fn new_token_bytes(&self, element_bytes: usize) -> u64 {
-        self.slices() as u64 * self.embed as u64 * element_bytes as u64
-    }
-
-    /// Bytes of one *KV-head-wide* new-token row set (`k` or `v`):
-    /// `B · H_kv · E` elements — grouped-query sharing shrinks the appended
-    /// rows along with the cache.
-    #[must_use]
-    pub fn new_kv_token_bytes(&self, element_bytes: usize) -> u64 {
-        self.batch as u64 * self.kv_heads as u64 * self.embed as u64 * element_bytes as u64
+    pub fn to_chunk(&self) -> PrefillChunk {
+        PrefillChunk {
+            batch: self.batch,
+            heads: self.heads,
+            kv_heads: self.kv_heads,
+            prefilled_len: self.context_len.saturating_sub(1),
+            chunk_tokens: self.context_len.min(1),
+            embed: self.embed,
+        }
     }
 
     /// Bytes of the resident KV cache attended this step
@@ -217,65 +225,6 @@ impl DecodeStep {
         1.0 - self.context_len as f64 / slots as f64
     }
 
-    /// Minimum DRAM traffic of one KV-cached step: stream the cached `K`/`V`
-    /// rows in once, read the new `q` row and write the appended `k`/`v`
-    /// rows and the output row. Only the new-token operands appear beyond
-    /// the unavoidable cache streaming — contrast
-    /// [`DecodeStep::recompute_dram_traffic_bytes`]. Grouped-query sharing
-    /// shrinks both the cache stream and the appended rows.
-    #[must_use]
-    pub fn min_dram_traffic_bytes(&self, element_bytes: usize) -> u64 {
-        // Reads: cached K/V (includes the just-appended rows) + q row.
-        // Writes: appended k/v rows + o row.
-        self.kv_cache_bytes(element_bytes)
-            + 2 * self.new_token_bytes(element_bytes)
-            + 2 * self.new_kv_token_bytes(element_bytes)
-    }
-
-    /// [`DecodeStep::min_dram_traffic_bytes`] with the KV-resident terms
-    /// (the cache stream and the appended `k`/`v` rows) priced at
-    /// `kv_element_bytes` while the activation rows (`q` in, `o` out) stay
-    /// at `activation_element_bytes` — the traffic of a runtime storing its
-    /// KV cache in a narrower dtype than its activations (f16 KV under f32
-    /// compute halves every KV term). Equal element sizes reduce to the
-    /// unsplit formula.
-    #[must_use]
-    pub fn min_dram_traffic_bytes_split(
-        &self,
-        activation_element_bytes: usize,
-        kv_element_bytes: usize,
-    ) -> u64 {
-        self.kv_cache_bytes(kv_element_bytes)
-            + 2 * self.new_token_bytes(activation_element_bytes)
-            + 2 * self.new_kv_token_bytes(kv_element_bytes)
-    }
-
-    /// The write-direction share of [`DecodeStep::min_dram_traffic_bytes_split`]:
-    /// the appended `k`/`v` rows (KV dtype) and the output row (activation
-    /// dtype). The remainder of the split traffic — the cache stream plus
-    /// the `q` row — is read-direction. The track executor puts the two
-    /// directions on separate DMA queues, so the split must partition the
-    /// total exactly.
-    #[must_use]
-    pub fn min_dram_write_bytes_split(
-        &self,
-        activation_element_bytes: usize,
-        kv_element_bytes: usize,
-    ) -> u64 {
-        self.new_token_bytes(activation_element_bytes)
-            + 2 * self.new_kv_token_bytes(kv_element_bytes)
-    }
-
-    /// Minimum DRAM traffic of the recompute-per-step baseline: re-running
-    /// full prefill over the `t`-token sequence (read `Q`, `K`, `V`, write
-    /// `O` — all `t × E` per head), which is what a runtime without a KV
-    /// cache pays every step.
-    #[must_use]
-    pub fn recompute_dram_traffic_bytes(&self, element_bytes: usize) -> u64 {
-        self.prefill_equivalent()
-            .min_dram_traffic_bytes(element_bytes)
-    }
-
     /// The prefill workload whose final query row computes the same
     /// attention as this step: `t` queries over `t` keys. This is both the
     /// recompute-per-step baseline's workload and the oracle shape of the
@@ -319,9 +268,10 @@ impl fmt::Display for DecodeStep {
 
 /// One chunk of a chunked (Sarathi-style) prefill: `chunk_tokens` new query
 /// rows attending causally over the `prefilled_len` tokens already in the
-/// KV cache plus the chunk itself. The cost model is the decode model
-/// generalized from one query row to `chunk_tokens` rows: the chunk is
-/// arithmetically identical to the sum of the decode steps at contexts
+/// KV cache plus the chunk itself. Its counters are the one closed form for
+/// causal attention work: a [`DecodeStep`] is the one-row chunk
+/// ([`DecodeStep::to_chunk`]), and a chunk is arithmetically identical to
+/// the sum of the decode steps at contexts
 /// `prefilled_len + 1 ..= prefilled_len + chunk_tokens`, fused into one
 /// launch (one issue overhead, one kernel).
 ///
@@ -394,87 +344,111 @@ impl PrefillChunk {
     /// Summed context length over the chunk's query rows under causal
     /// attention: row `i` (zero-based) attends `prefilled_len + i + 1`
     /// tokens, so the total is
-    /// `Σ_{t = p+1}^{p+c} t = c·p + c·(c+1)/2`.
+    /// `Σ_{t = p+1}^{p+c} t = c·p + c·(c+1)/2` (saturating at `u64::MAX`).
     #[must_use]
     pub fn token_span(&self) -> u64 {
-        let p = self.prefilled_len as u64;
-        let c = self.chunk_tokens as u64;
-        c * p + c * (c + 1) / 2
+        let (p, c) = (self.prefilled_len as u128, self.chunk_tokens as u128);
+        u64::try_from((c * p).saturating_add(c * (c + 1) / 2)).unwrap_or(u64::MAX)
     }
 
-    /// Multiply-accumulate operations of the chunk: each query row pays the
-    /// decode-step `2·B·H·t·E` at its own causal context, summed —
-    /// `2 · B · H · token_span · E`.
+    /// Multiply-accumulate operations of the chunk: each query row pays
+    /// `2·B·H·t·E` (its `q·Kᵀ` scores and `p·V` accumulation) at its own
+    /// causal context `t`, summed — `2 · B · H · token_span · E`.
     #[must_use]
     pub fn mac_ops(&self) -> u64 {
-        2 * self.batch as u64 * self.heads as u64 * self.token_span() * self.embed as u64
+        count([
+            2,
+            self.slices(self.heads),
+            self.embed as u64,
+            self.token_span(),
+        ])
     }
 
     /// Softmax elements of the chunk (`B · H · token_span`).
     #[must_use]
     pub fn softmax_elements(&self) -> u64 {
-        self.batch as u64 * self.heads as u64 * self.token_span()
+        count([self.slices(self.heads), self.token_span()])
     }
 
     /// Bytes of the chunk's *query-head-wide* new rows (`q` in or `o` out):
     /// `B · H · chunk_tokens · E` elements.
     #[must_use]
     pub fn new_row_bytes(&self, element_bytes: usize) -> u64 {
-        self.batch as u64
-            * self.heads as u64
-            * self.chunk_tokens as u64
-            * self.embed as u64
-            * element_bytes as u64
+        self.rows(self.heads, self.chunk_tokens as u64, element_bytes)
     }
 
     /// Bytes of the chunk's *KV-head-wide* appended rows (`k` or `v`):
     /// `B · H_kv · chunk_tokens · E` elements.
     #[must_use]
     pub fn new_kv_row_bytes(&self, element_bytes: usize) -> u64 {
-        self.batch as u64
-            * self.kv_heads as u64
-            * self.chunk_tokens as u64
-            * self.embed as u64
-            * element_bytes as u64
+        self.rows(self.kv_heads, self.chunk_tokens as u64, element_bytes)
     }
 
-    /// Minimum DRAM traffic of the chunk with the KV terms priced at
-    /// `kv_element_bytes` and the activation rows at
-    /// `activation_element_bytes` — exactly the decode cost split
-    /// ([`DecodeStep::min_dram_traffic_bytes_split`]) summed over the
-    /// chunk's rows: the incremental KV stream
-    /// (`2 · B · H_kv · token_span · E`), the `q`/`o` activation rows and
-    /// the appended `k`/`v` rows.
+    /// The read-direction DRAM traffic of the chunk: the incremental KV
+    /// stream (every row streams the cached `K`/`V` it attends,
+    /// `2 · B · H_kv · token_span · E` elements at `kv_element_bytes`) plus
+    /// the `q` rows at `activation_element_bytes`.
     #[must_use]
-    pub fn min_dram_traffic_bytes_split(
+    pub fn min_dram_read_bytes_split(
         &self,
         activation_element_bytes: usize,
         kv_element_bytes: usize,
     ) -> u64 {
-        let kv_stream = 2
-            * self.batch as u64
-            * self.kv_heads as u64
-            * self.token_span()
-            * self.embed as u64
-            * kv_element_bytes as u64;
-        kv_stream
-            + 2 * self.new_row_bytes(activation_element_bytes)
-            + 2 * self.new_kv_row_bytes(kv_element_bytes)
+        let kv_stream = count([
+            2,
+            self.bytes_per_token(self.kv_heads, kv_element_bytes),
+            self.token_span(),
+        ]);
+        kv_stream.saturating_add(self.new_row_bytes(activation_element_bytes))
     }
 
-    /// The write-direction share of
-    /// [`PrefillChunk::min_dram_traffic_bytes_split`]: the chunk's output
-    /// rows (activation dtype) plus its appended `k`/`v` rows (KV dtype).
-    /// Reads are the incremental KV stream and the `q` rows — the split
-    /// partitions the total exactly, mirroring
-    /// [`DecodeStep::min_dram_write_bytes_split`] summed over the chunk.
+    /// The write-direction DRAM traffic of the chunk: its `o` rows
+    /// (activation dtype) plus its appended `k`/`v` rows (KV dtype). The
+    /// track executor puts the two directions on separate DMA queues, and
+    /// the split partitions [`PrefillChunk::min_dram_traffic_bytes_split`]
+    /// exactly.
     #[must_use]
     pub fn min_dram_write_bytes_split(
         &self,
         activation_element_bytes: usize,
         kv_element_bytes: usize,
     ) -> u64 {
-        self.new_row_bytes(activation_element_bytes) + 2 * self.new_kv_row_bytes(kv_element_bytes)
+        count([2, self.new_kv_row_bytes(kv_element_bytes)])
+            .saturating_add(self.new_row_bytes(activation_element_bytes))
+    }
+
+    /// Minimum DRAM traffic of the chunk with the KV terms (the KV stream
+    /// and the appended `k`/`v` rows) priced at `kv_element_bytes` and the
+    /// activation rows (`q` in, `o` out) at `activation_element_bytes` — the
+    /// traffic of a runtime storing its KV cache in a narrower dtype than
+    /// its activations (f16 KV under f32 compute halves every KV term).
+    #[must_use]
+    pub fn min_dram_traffic_bytes_split(
+        &self,
+        activation_element_bytes: usize,
+        kv_element_bytes: usize,
+    ) -> u64 {
+        let read = self.min_dram_read_bytes_split(activation_element_bytes, kv_element_bytes);
+        read.saturating_add(
+            self.min_dram_write_bytes_split(activation_element_bytes, kv_element_bytes),
+        )
+    }
+
+    /// `B · heads` (batch, head) slices.
+    fn slices(&self, heads: usize) -> u64 {
+        count([self.batch as u64, heads as u64])
+    }
+
+    /// Bytes of `B · heads · tokens · E` elements.
+    fn rows(&self, heads: usize, tokens: u64, element_bytes: usize) -> u64 {
+        count([self.bytes_per_token(heads, element_bytes), tokens])
+    }
+
+    /// Bytes of one token's `B · heads · E` elements. Shape factors multiply
+    /// before token counts, so a caller pricing one shape at many contexts
+    /// can hoist them.
+    fn bytes_per_token(&self, heads: usize, element_bytes: usize) -> u64 {
+        count([self.slices(heads), self.embed as u64, element_bytes as u64])
     }
 
     /// The decode steps this chunk fuses: one per new token, at the causal
@@ -512,6 +486,12 @@ impl fmt::Display for PrefillChunk {
     }
 }
 
+/// The product of `factors`, saturating at `u64::MAX`: a count past the
+/// `u64` range prices as the largest one instead of wrapping to a small one.
+fn count<const N: usize>(factors: [u64; N]) -> u64 {
+    factors.into_iter().fold(1, u64::saturating_mul)
+}
+
 /// L1 working set of the streaming decode kernel for one `(batch, head)`
 /// slice processed at a time, with the cached `K`/`V` rows streamed through
 /// in `kv_tile_rows`-row sub-tiles (double buffered): the query row, two
@@ -535,7 +515,7 @@ pub fn decode_footprint(step: &DecodeStep, kv_tile_rows: usize, element_bytes: u
 /// Whether one decode step can run on the device: the streaming working set
 /// fits L1 and the step's DRAM-resident bytes (the KV cache plus the
 /// new-token operand rows, with the KV terms priced at `kv_element_bytes`;
-/// see [`DecodeStep::min_dram_traffic_bytes_split`]) fit device DRAM. The
+/// see [`PrefillChunk::min_dram_traffic_bytes_split`]) fit device DRAM. The
 /// L1 working set does not depend on the KV dtype: the kernel widens KV
 /// tiles to the compute dtype before streaming them, so scratch tiles stay
 /// at `hw.element_bytes`.
@@ -547,7 +527,9 @@ pub fn decode_step_fits_with_kv(
     kv_element_bytes: usize,
 ) -> bool {
     decode_footprint(step, kv_tile_rows, hw.element_bytes).fits(hw.l1_bytes)
-        && step.min_dram_traffic_bytes_split(hw.element_bytes, kv_element_bytes)
+        && step
+            .to_chunk()
+            .min_dram_traffic_bytes_split(hw.element_bytes, kv_element_bytes)
             <= hw.dram_bytes as u64
 }
 
@@ -563,11 +545,11 @@ mod tests {
     fn op_counts_are_linear_in_context() {
         let s = step();
         assert_eq!(s.slices(), 8);
-        assert_eq!(s.mac_ops(), 2 * 8 * 256 * 64);
-        assert_eq!(s.softmax_elements(), 8 * 256);
-        let doubled = s.with_context(512);
-        assert_eq!(doubled.mac_ops(), 2 * s.mac_ops());
-        assert_eq!(doubled.softmax_elements(), 2 * s.softmax_elements());
+        let (one, two) = (s.to_chunk(), s.with_context(512).to_chunk());
+        assert_eq!(one.mac_ops(), 2 * 8 * 256 * 64);
+        assert_eq!(one.softmax_elements(), 8 * 256);
+        assert_eq!(two.mac_ops(), 2 * one.mac_ops());
+        assert_eq!(two.softmax_elements(), 2 * one.softmax_elements());
     }
 
     #[test]
@@ -576,36 +558,37 @@ mod tests {
         let prefill = s.prefill_equivalent();
         assert_eq!(prefill.seq_len, 256);
         // Prefill runs t query rows where decode runs one.
-        assert_eq!(prefill.total_mac_ops(), s.context_len as u64 * s.mac_ops());
+        assert_eq!(
+            prefill.total_mac_ops(),
+            s.context_len as u64 * s.to_chunk().mac_ops()
+        );
     }
 
     #[test]
     fn new_token_bytes_are_context_independent() {
         let s = step();
-        assert_eq!(
-            s.new_token_bytes(2),
-            s.with_context(4096).new_token_bytes(2)
-        );
-        assert_eq!(s.new_token_bytes(2), 8 * 64 * 2);
+        let row = s.to_chunk().new_row_bytes(2);
+        assert_eq!(row, s.with_context(4096).to_chunk().new_row_bytes(2));
+        assert_eq!(row, 8 * 64 * 2);
     }
 
     #[test]
     fn dram_traffic_counts_cache_stream_plus_new_token_rows() {
+        let traffic = |s: &DecodeStep| s.to_chunk().min_dram_traffic_bytes_split(2, 2);
+        let recompute = |s: &DecodeStep| s.prefill_equivalent().min_dram_traffic_bytes(2);
         let s = step();
         assert_eq!(
-            s.min_dram_traffic_bytes(2),
-            s.kv_cache_bytes(2) + 4 * s.new_token_bytes(2)
+            traffic(&s),
+            s.kv_cache_bytes(2) + 4 * s.to_chunk().new_row_bytes(2)
         );
         // The KV-cached step moves far less than the recompute baseline
         // (which re-reads full Q/K/V and re-writes full O).
-        assert!(s.recompute_dram_traffic_bytes(2) > s.min_dram_traffic_bytes(2));
+        assert!(recompute(&s) > traffic(&s));
         // And the advantage grows with context: recompute is 4·t·E per head
         // per operand, decode stays at cache-stream + O(1) rows.
         let long = s.with_context(4096);
-        let ratio_short =
-            s.recompute_dram_traffic_bytes(2) as f64 / s.min_dram_traffic_bytes(2) as f64;
-        let ratio_long =
-            long.recompute_dram_traffic_bytes(2) as f64 / long.min_dram_traffic_bytes(2) as f64;
+        let ratio_short = recompute(&s) as f64 / traffic(&s) as f64;
+        let ratio_long = recompute(&long) as f64 / traffic(&long) as f64;
         assert!(ratio_long >= ratio_short);
     }
 
@@ -661,21 +644,26 @@ mod tests {
         let gqa = step().with_kv_heads(2);
         let mqa = step().with_kv_heads(1);
         assert_eq!(gqa.group_size(), 4);
+        let (mha_rows, gqa_rows) = (mha.to_chunk(), gqa.to_chunk());
         // Compute is per query head: unchanged.
-        assert_eq!(gqa.mac_ops(), mha.mac_ops());
-        assert_eq!(gqa.softmax_elements(), mha.softmax_elements());
+        assert_eq!(gqa_rows.mac_ops(), mha_rows.mac_ops());
+        assert_eq!(gqa_rows.softmax_elements(), mha_rows.softmax_elements());
         // Residency and appended K/V rows shrink by kv_heads / heads.
         assert_eq!(gqa.kv_cache_bytes(2), mha.kv_cache_bytes(2) / 4);
         assert_eq!(mqa.kv_cache_bytes(2), mha.kv_cache_bytes(2) / 8);
-        assert_eq!(gqa.new_kv_token_bytes(2), mha.new_kv_token_bytes(2) / 4);
+        assert_eq!(
+            gqa_rows.new_kv_row_bytes(2),
+            mha_rows.new_kv_row_bytes(2) / 4
+        );
         // q/o rows stay query-head-wide.
-        assert_eq!(gqa.new_token_bytes(2), mha.new_token_bytes(2));
+        assert_eq!(gqa_rows.new_row_bytes(2), mha_rows.new_row_bytes(2));
         // DRAM traffic shrinks accordingly, and the MHA formula reduces to
         // the historical 4-row form.
-        assert!(gqa.min_dram_traffic_bytes(2) < mha.min_dram_traffic_bytes(2));
+        let traffic = |c: &PrefillChunk| c.min_dram_traffic_bytes_split(2, 2);
+        assert!(traffic(&gqa_rows) < traffic(&mha_rows));
         assert_eq!(
-            mha.min_dram_traffic_bytes(2),
-            mha.kv_cache_bytes(2) + 4 * mha.new_token_bytes(2)
+            traffic(&mha_rows),
+            mha.kv_cache_bytes(2) + 4 * mha_rows.new_row_bytes(2)
         );
         // kv_heads survives context sweeps.
         assert_eq!(gqa.with_context(512).kv_heads, 2);
@@ -723,23 +711,33 @@ mod tests {
 
     #[test]
     fn split_traffic_reduces_to_unsplit_at_equal_element_sizes() {
-        let s = step();
-        for eb in [1usize, 2, 4] {
-            assert_eq!(
-                s.min_dram_traffic_bytes_split(eb, eb),
-                s.min_dram_traffic_bytes(eb)
-            );
+        // At one element size the split traffic is the cache stream plus
+        // the q/o and k/v rows, whatever the head grouping.
+        for s in [step(), step().with_kv_heads(2)] {
+            let rows = s.to_chunk();
+            for eb in [1usize, 2, 4] {
+                assert_eq!(
+                    rows.min_dram_traffic_bytes_split(eb, eb),
+                    s.kv_cache_bytes(eb)
+                        + 2 * rows.new_row_bytes(eb)
+                        + 2 * rows.new_kv_row_bytes(eb)
+                );
+            }
         }
     }
 
     #[test]
     fn f16_kv_halves_exactly_the_kv_terms_of_the_traffic() {
         let s = step().with_kv_heads(2);
-        let kv_terms_f32 = s.kv_cache_bytes(4) + 2 * s.new_kv_token_bytes(4);
-        let split = s.min_dram_traffic_bytes_split(4, 2);
+        let rows = s.to_chunk();
+        let kv_terms_f32 = s.kv_cache_bytes(4) + 2 * rows.new_kv_row_bytes(4);
+        let split = rows.min_dram_traffic_bytes_split(4, 2);
         // Activation rows unchanged, every KV term exactly halved.
-        assert_eq!(split, s.min_dram_traffic_bytes(4) - kv_terms_f32 / 2);
-        assert_eq!(split - 2 * s.new_token_bytes(4), kv_terms_f32 / 2);
+        assert_eq!(
+            split,
+            rows.min_dram_traffic_bytes_split(4, 4) - kv_terms_f32 / 2
+        );
+        assert_eq!(split - 2 * rows.new_row_bytes(4), kv_terms_f32 / 2);
     }
 
     #[test]
@@ -785,20 +783,20 @@ mod tests {
                 chunk.token_span(),
                 steps.iter().map(|s| s.context_len as u64).sum::<u64>()
             );
+            let rows: Vec<PrefillChunk> = steps.iter().map(DecodeStep::to_chunk).collect();
             assert_eq!(
                 chunk.mac_ops(),
-                steps.iter().map(DecodeStep::mac_ops).sum::<u64>()
+                rows.iter().map(PrefillChunk::mac_ops).sum::<u64>()
             );
             assert_eq!(
                 chunk.softmax_elements(),
-                steps.iter().map(DecodeStep::softmax_elements).sum::<u64>()
+                rows.iter().map(PrefillChunk::softmax_elements).sum::<u64>()
             );
             for (act_eb, kv_eb) in [(4usize, 4usize), (4, 2), (2, 2)] {
                 assert_eq!(
                     chunk.min_dram_traffic_bytes_split(act_eb, kv_eb),
-                    steps
-                        .iter()
-                        .map(|s| s.min_dram_traffic_bytes_split(act_eb, kv_eb))
+                    rows.iter()
+                        .map(|r| r.min_dram_traffic_bytes_split(act_eb, kv_eb))
                         .sum::<u64>()
                 );
             }
@@ -818,6 +816,48 @@ mod tests {
             p += c;
         }
         assert_eq!(covered, (n as u64) * (n as u64 + 1) / 2);
+    }
+
+    #[test]
+    fn a_decode_step_is_a_one_row_chunk() {
+        // Every count of a step at context t is the chunk (t − 1, 1)'s,
+        // and a zero context is the empty chunk: zero work, no underflow.
+        let s = step().with_kv_heads(2);
+        let rows = s.to_chunk();
+        assert_eq!((rows.prefilled_len, rows.chunk_tokens), (255, 1));
+        assert_eq!(rows.token_span(), 256);
+        assert_eq!(
+            rows.min_dram_read_bytes_split(4, 2),
+            s.kv_cache_bytes(2) + rows.new_row_bytes(4)
+        );
+        let empty = DecodeStep {
+            context_len: 0,
+            ..step()
+        }
+        .to_chunk();
+        assert_eq!(empty.mac_ops(), 0);
+        assert_eq!(empty.softmax_elements(), 0);
+        assert_eq!(empty.min_dram_traffic_bytes_split(4, 2), 0);
+    }
+
+    #[test]
+    fn overflowing_counts_saturate_instead_of_wrapping() {
+        // A 10⁸-token recompute over 4,096 heads needs ~4·10¹⁹ MACs, past
+        // u64::MAX: the count saturates, so it never prices below a
+        // smaller chunk's.
+        let chunk = |tokens| PrefillChunk::new(1, 4096, 0, tokens, 1).with_kv_heads(1);
+        let (big, half) = (chunk(100_000_001), chunk(50_000_000));
+        assert_eq!(big.mac_ops(), u64::MAX);
+        assert!(half.mac_ops() < u64::MAX);
+        assert!(big.softmax_elements() >= half.softmax_elements());
+        assert!(big.min_dram_traffic_bytes_split(4, 2) > half.min_dram_traffic_bytes_split(4, 2));
+        let huge = PrefillChunk::new(usize::MAX, usize::MAX, usize::MAX, usize::MAX, usize::MAX);
+        assert_eq!(huge.token_span(), u64::MAX);
+        assert_eq!(huge.mac_ops(), u64::MAX);
+        assert_eq!(
+            huge.min_dram_traffic_bytes_split(usize::MAX, usize::MAX),
+            u64::MAX
+        );
     }
 
     #[test]

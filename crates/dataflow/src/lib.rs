@@ -29,12 +29,14 @@
 //! golden-data checks live in [`numeric`].
 //!
 //! Beyond the paper's fixed-shape prefill layers, [`decode`] models
-//! autoregressive *decode* steps ([`DecodeStep`]): one new token attending
-//! over the session's KV cache, with per-step cost linear in the context and
-//! DRAM footprint math that counts only the new-token operands beyond the
-//! unavoidable cache streaming, and [`cost`] provides the [`StreamDemand`]
-//! three-stream cost currency both prefill workloads and decode steps lower
-//! into — the glue the serving layer's unified prefill+decode launch
+//! autoregressive *decode* steps ([`DecodeStep`]) and chunked prefill
+//! ([`PrefillChunk`]): query rows attending causally over the session's KV
+//! cache, counted by one closed form (a decode step is a one-row chunk),
+//! with per-step cost linear in the context and DRAM traffic that counts
+//! only the new-token operands beyond the unavoidable cache streaming.
+//! [`cost`] provides [`TrackDemand`], the one demand record prefill
+//! workloads, chunks and decode steps lower into, and its three-stream view
+//! [`StreamDemand`] — what the serving layer's unified prefill+decode launch
 //! timeline is costed with.
 //!
 //! ## Example

@@ -19,6 +19,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use mas_dataflow::footprint::live_cp_blocks;
 use mas_dataflow::{AttentionWorkload, DataflowKind};
 
 use crate::device::{NpuCore, NpuDevice};
@@ -77,12 +78,7 @@ impl NpuModel {
         let n = workload.seq_len;
         let e = workload.embed;
         // Live C/P row blocks the method keeps on-chip simultaneously.
-        let cp_blocks = match kind {
-            DataflowKind::LayerWise | DataflowKind::Flat => 1,
-            DataflowKind::SoftPipe | DataflowKind::MasAttention => 2,
-            DataflowKind::TileFlow => 3,
-            DataflowKind::FuseMax => 0,
-        };
+        let cp_blocks = live_cp_blocks(kind);
         let mut candidates: Vec<usize> = Vec::new();
         let mut v = 16usize.min(n);
         while v < n {
@@ -109,8 +105,6 @@ impl NpuModel {
     pub fn estimate(&self, kind: DataflowKind, workload: &AttentionWorkload) -> NpuLatency {
         let eb = self.device.element_bytes;
         let heads_per_core = self.device.partition_heads(workload.slices());
-        let n = workload.seq_len as f64;
-        let e = workload.embed as f64;
 
         let mut per_core_seconds = Vec::with_capacity(self.device.cores.len());
         let mut tile_n_q = workload.seq_len;
@@ -119,17 +113,25 @@ impl NpuModel {
                 per_core_seconds.push(0.0);
                 continue;
             }
-            let h = heads as f64;
+            // The core's share of the layer: its `heads` (batch, head)
+            // slices over the full sequence.
+            let share = AttentionWorkload {
+                name: String::new(),
+                batch: 1,
+                heads,
+                ..*workload
+            };
             let n_q = self.grid_search_n_q(kind, workload, core);
             if per_core_seconds.is_empty() || tile_n_q == workload.seq_len {
                 tile_n_q = n_q;
             }
             let rounds = (workload.seq_len.div_ceil(n_q) * heads) as f64;
 
-            let mac_time = 2.0 * h * n * n * e / core.peak_macs_per_second();
+            let mac_time = share.total_mac_ops() as f64 / core.peak_macs_per_second();
             let qk_time = mac_time / 2.0;
             let pv_time = mac_time / 2.0;
-            let vec_time = h * n * n * self.device.softmax_ops_per_element as f64
+            let vec_time = share.softmax_elements() as f64
+                * self.device.softmax_ops_per_element as f64
                 / core.peak_vector_ops_per_second();
             let launch = self.device.kernel_launch_overhead_s;
 

@@ -31,11 +31,13 @@
 //!   workload). Batching amortizes the per-launch issue overhead — the
 //!   dominant cost of single-token kernels.
 //! * **Decode cost model** — a launch's service time is the physical bound
-//!   of its summed per-step work (MAC, VEC and DRAM components from
-//!   [`DecodeStep`], each linear in the member's context length) plus one
-//!   issue overhead, replayed on the earliest-free virtual device exactly
-//!   like prefill batches. One crate-private price prices the deadline
-//!   screen, every decode launch and the split of a chunked prefill batch.
+//!   of its summed per-step work plus one issue overhead, replayed on the
+//!   earliest-free virtual device exactly like prefill batches. Each step
+//!   is its one-row [`PrefillChunk`] ([`DecodeStep::to_chunk`]), so its MAC,
+//!   VEC and DRAM terms, linear in the member's context length, come from
+//!   the same closed form as a prefill chunk's, summed as one
+//!   [`TrackDemand`]. One crate-private price prices the deadline screen,
+//!   every decode launch and the split of a chunked prefill batch.
 //!
 //! The numerical kernel this models is `mas_tensor::decode::decode_attention`
 //! over a `mas_tensor::decode::KvCache` (contiguous) or
@@ -46,7 +48,7 @@
 use serde::{Deserialize, Serialize};
 
 use mas_dataflow::decode::{DecodeStep, PrefillChunk};
-use mas_dataflow::{KvDtype, StreamDemand, TrackDemand};
+use mas_dataflow::{KvDtype, TrackDemand};
 use mas_sim::HardwareConfig;
 
 use crate::metrics::{percentile, LatencyStats};
@@ -207,47 +209,29 @@ pub(crate) fn issue_s(hw: &HardwareConfig) -> f64 {
     hw.issue_overhead_cycles as f64 / hw.frequency_hz
 }
 
-/// The closed-form demand of one launch: the summed work of its decode
-/// steps and prefill chunks, each streaming its own KV cache at the
+/// The closed-form demand of one launch: the summed [`TrackDemand`] of its
+/// decode steps and prefill chunks, each streaming its own KV cache at the
 /// policy's KV element size. It prices the decode deadline screen, every
 /// decode launch (recompute resumes included) and the split of a chunked
-/// prefill batch, so those never disagree. Prefill admission keeps
+/// prefill batch, so those never disagree, and the track executor places
+/// the same record. Prefill admission keeps
 /// [`service_time_lower_bound_s`](crate::queue::service_time_lower_bound_s),
 /// which leaves the issue overhead out.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct LaunchDemand {
-    stream: StreamDemand,
-    /// The same work split by direction, summed only for the track
-    /// executor.
-    pub(crate) tracks: Option<TrackDemand>,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LaunchDemand(pub(crate) TrackDemand);
 
 impl LaunchDemand {
-    /// An empty launch; `tracks` also sums the four-track demand.
-    pub(crate) fn new(tracks: bool) -> Self {
-        Self {
-            stream: StreamDemand::default(),
-            tracks: tracks.then(TrackDemand::default),
-        }
-    }
-
     /// Adds one decode step.
     pub(crate) fn add_step(&mut self, step: &DecodeStep, hw: &HardwareConfig, kv_bytes: usize) {
-        self.stream
-            .accumulate(&StreamDemand::of_decode_step_with_kv(step, hw, kv_bytes));
-        if let Some(t) = self.tracks.as_mut() {
-            t.accumulate(&TrackDemand::of_decode_step_with_kv(step, hw, kv_bytes));
-        }
+        self.0
+            .accumulate(&TrackDemand::of_decode_step_with_kv(step, hw, kv_bytes));
     }
 
     /// Adds one prefill chunk: the exact closed-form sum of the decode
     /// steps it fuses.
     pub(crate) fn add_chunk(&mut self, chunk: &PrefillChunk, hw: &HardwareConfig, kv_bytes: usize) {
-        self.stream
-            .accumulate(&StreamDemand::of_prefill_chunk_with_kv(chunk, hw, kv_bytes));
-        if let Some(t) = self.tracks.as_mut() {
-            t.accumulate(&TrackDemand::of_prefill_chunk_with_kv(chunk, hw, kv_bytes));
-        }
+        self.0
+            .accumulate(&TrackDemand::of_prefill_chunk_with_kv(chunk, hw, kv_bytes));
     }
 
     /// The launch's service time on an idle device: the binding component
@@ -255,7 +239,7 @@ impl LaunchDemand {
     /// traffic time) plus one issue overhead. Queueing only adds to it, so
     /// a step whose deadline is below its solo price can never meet it.
     pub(crate) fn service_s(&self, hw: &HardwareConfig) -> f64 {
-        self.stream.bound_seconds(hw) + issue_s(hw)
+        self.0.stream().bound_seconds(hw) + issue_s(hw)
     }
 }
 
@@ -531,7 +515,7 @@ mod tests {
     /// The price of a launch of `steps` at `kv_bytes` per KV element.
     fn price(steps: &[DecodeStep], kv_bytes: usize) -> f64 {
         let hw = hw();
-        let mut demand = LaunchDemand::new(false);
+        let mut demand = LaunchDemand::default();
         for step in steps {
             demand.add_step(step, &hw, kv_bytes);
         }
@@ -908,7 +892,7 @@ mod tests {
         let hw = hw();
         let chunk = PrefillChunk::new(1, 8, 64, 16, 64);
         for kv_eb in [hw.element_bytes, hw.element_bytes / 2] {
-            let mut fused = LaunchDemand::new(false);
+            let mut fused = LaunchDemand::default();
             fused.add_chunk(&chunk, &hw, kv_eb);
             let (fused, chain) = (fused.service_s(&hw), price(&chunk.decode_steps(), kv_eb));
             assert!((fused - chain).abs() < 1e-15, "fused {fused} chain {chain}");
@@ -921,7 +905,7 @@ mod tests {
         // one issue overhead per extra chunk.
         let hw = hw();
         let chunk_price = |prefilled: usize, tokens: usize| {
-            let mut demand = LaunchDemand::new(false);
+            let mut demand = LaunchDemand::default();
             let chunk = PrefillChunk::new(1, 8, prefilled, tokens, 64);
             demand.add_chunk(&chunk, &hw, hw.element_bytes);
             demand.service_s(&hw)

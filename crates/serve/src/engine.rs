@@ -163,10 +163,7 @@ use crate::decode::{issue_s, DecodePolicy, DecodeRejectReason, DecodeReport, Lau
 use crate::key::{BatchKey, ChunkKey, DecodeKey, LaunchKey, WorkClass};
 use crate::ledger::{Completion, Ledger};
 use crate::metrics::{LatencyStats, RejectedRequest, ServeReport};
-use crate::queue::{
-    service_time_lower_bound_s, workload_is_feasible, AdmissionPolicy, BacklogEstimator,
-    RejectReason,
-};
+use crate::queue::{workload_is_feasible, AdmissionPolicy, BacklogEstimator, RejectReason};
 use crate::request::ServeRequest;
 use crate::telemetry::{EventKind, MemOwner, PreemptVictim, SealCause, Telemetry, TelemetryConfig};
 
@@ -1092,9 +1089,8 @@ struct Launch {
 }
 
 /// What the track executor places a launch by: its four-track demand and
-/// the issue overhead its service time carries (`None` with the executor
-/// off).
-type Profile = Option<(TrackDemand, f64)>;
+/// the issue overhead its service time carries.
+type Profile = (TrackDemand, f64);
 
 /// What a launch completes into.
 enum Payload<'a> {
@@ -1370,7 +1366,7 @@ impl<'a> EngineRun<'a> {
     ///   clocks — when the stage DAG beats the scalar span strictly.
     /// * Returns `None` — and barriers the track clocks behind
     ///   `scalar_completion_s` — when the scalar candidate wins (ties go to
-    ///   scalar), the demand profile is missing, or its bound is zero.
+    ///   scalar) or the demand's bound is zero.
     ///
     /// The stage durations spread the launch's *modeled* service time (not
     /// just the roofline bound) over the streams: each track's ideal
@@ -1386,14 +1382,11 @@ impl<'a> EngineRun<'a> {
         ready_s: f64,
         scalar_service_s: f64,
         scalar_completion_s: f64,
-        profile: Option<&(TrackDemand, f64)>,
+        (demand, issue_s): &Profile,
     ) -> Option<TrackPlacement> {
         let cfg = self.config.tracks?;
-        let stage_s: Option<Vec<[f64; TRACK_COUNT]>> = profile.and_then(|(demand, issue_s)| {
-            let bound = demand.stream().bound_seconds(&self.hw);
-            if bound <= 0.0 {
-                return None;
-            }
+        let bound = demand.stream().bound_seconds(&self.hw);
+        let stage_s: Option<Vec<[f64; TRACK_COUNT]>> = (bound > 0.0).then(|| {
             let stretch = ((scalar_service_s - issue_s) / bound).max(1.0);
             let mut stages: Vec<[f64; TRACK_COUNT]> = demand
                 .split_stages(cfg.stages)
@@ -1409,7 +1402,7 @@ impl<'a> EngineRun<'a> {
             if *issue_s > 0.0 {
                 stages[0][TrackKind::Mac.index()] += *issue_s;
             }
-            Some(stages)
+            stages
         });
         let dev = &mut self.tracks.as_mut()?[device];
         if let Some(stage_s) = stage_s {
@@ -1620,7 +1613,7 @@ impl<'a> EngineRun<'a> {
                 launch.ready_s,
                 launch.service_s,
                 span.completion_s,
-                profile.as_ref(),
+                &profile,
             ) {
                 span.start_s = p.start_s;
                 span.completion_s = p.completion_s;
@@ -2005,7 +1998,7 @@ impl<'a> EngineRun<'a> {
         // the step's price as a solo launch: queueing only adds to it.
         let decode_key = DecodeKey::of(session.spec);
         if let Some(deadline) = self.config.decode.step_deadline_s {
-            let mut solo = LaunchDemand::new(false);
+            let mut solo = LaunchDemand::default();
             let step = decode_step(decode_key, context_len);
             solo.add_step(&step, &self.hw, self.kv_element_bytes);
             if deadline < solo.service_s(&self.hw) {
@@ -2347,7 +2340,7 @@ impl<'a> EngineRun<'a> {
                         let (heads, embed) = (batch_key.heads, batch_key.embed);
                         let chunk = PrefillChunk::new(total_batch, heads, prefilled, tokens, embed);
                         prefilled += tokens;
-                        let mut demand = LaunchDemand::new(self.tracks.is_some());
+                        let mut demand = LaunchDemand::default();
                         demand.add_chunk(&chunk, &self.hw, self.kv_element_bytes);
                         demand
                     })
@@ -2357,7 +2350,7 @@ impl<'a> EngineRun<'a> {
                     .map(|(k, d)| {
                         let issue = if k > 0 { issue_s(&self.hw) } else { 0.0 };
                         let share = plan.seconds * d.service_s(&self.hw) / raw_sum;
-                        (share + issue, d.tracks.map(|t| (t, issue)))
+                        (share + issue, (d.0, issue))
                     })
                     .collect();
                 self.chunk_chains.insert(
@@ -2380,14 +2373,14 @@ impl<'a> EngineRun<'a> {
         }
 
         let members = requests.len() as u32;
-        let est_service_s = service_time_lower_bound_s(&merged, &self.hw);
-        // A monolithic batch's plan already amortizes its issue cost into
-        // `plan.seconds`; the whole modeled service spreads over the
-        // streams via the stretch factor.
-        let profile = self
-            .tracks
-            .is_some()
-            .then(|| (TrackDemand::of_prefill(&merged, &self.hw), 0.0));
+        // One demand feeds the backlog estimate (the merged workload's
+        // service lower bound) and the track profile. A monolithic batch's
+        // plan already amortizes its issue cost into `plan.seconds`; the
+        // whole modeled service spreads over the streams via the stretch
+        // factor.
+        let demand = TrackDemand::of_prefill(&merged, &self.hw);
+        let est_service_s = demand.stream().bound_seconds(&self.hw);
+        let profile = (demand, 0.0);
         let launch = Launch {
             launch_id,
             key: LaunchKey::Prefill(batch_key),
@@ -2428,7 +2421,7 @@ impl<'a> EngineRun<'a> {
         // overhead a separate term the flow-shop can hide under the KV
         // stream.
         let (hw, kv_bytes) = (&self.hw, self.kv_element_bytes);
-        let mut demand = LaunchDemand::new(self.tracks.is_some());
+        let mut demand = LaunchDemand::default();
         let mut step = decode_step(decode_key, 1);
         for (p, _) in &steps {
             step.context_len = p.context_len;
@@ -2441,7 +2434,7 @@ impl<'a> EngineRun<'a> {
             demand.add_chunk(&chunk, hw, kv_bytes);
         }
         let service_s = demand.service_s(hw);
-        let profile = demand.tracks.map(|t| (t, issue_s(hw)));
+        let profile = (demand.0, issue_s(hw));
         let mut victim = None;
         if let (true, Some(deadline)) = (
             self.staging_active() && now_s.is_finite(),

@@ -23,7 +23,7 @@
 use serde::{Deserialize, Serialize};
 
 use mas_dataflow::footprint::tiling_fits;
-use mas_dataflow::{AttentionWorkload, DataflowKind, StreamDemand, Tiling};
+use mas_dataflow::{AttentionWorkload, DataflowKind, Tiling, TrackDemand};
 use mas_sim::HardwareConfig;
 
 /// Why a request was refused admission.
@@ -173,11 +173,13 @@ pub fn workload_is_feasible(
 /// Physical lower bound on the service time of one workload on an idle
 /// device: the largest of peak-throughput MAC time, peak-throughput VEC
 /// (softmax) time and minimum DRAM traffic time (the workload's
-/// [`StreamDemand`]). Queueing and tiling overheads only add to this, so
+/// [`TrackDemand`]). Queueing and tiling overheads only add to this, so
 /// any deadline below it is hopeless.
 #[must_use]
 pub fn service_time_lower_bound_s(workload: &AttentionWorkload, hw: &HardwareConfig) -> f64 {
-    StreamDemand::of_prefill(workload, hw).bound_seconds(hw)
+    TrackDemand::of_prefill(workload, hw)
+        .stream()
+        .bound_seconds(hw)
 }
 
 /// Tracks an estimated device timeline during admission so load can be shed

@@ -545,6 +545,75 @@ fn kv_pressure_swaps_idle_session_and_resumes_it() {
     assert_eq!(step_latency(&recompute, 0), step_latency(&hold, 0));
 }
 
+/// A recompute resume re-prices the evicted context as one prefill chunk.
+/// Over a 10⁸-token context and 4,096 query heads its MAC and softmax
+/// counts pass `u64::MAX`: they must saturate, not panic (debug) or wrap
+/// to a smaller price (release), so the resumed step never costs less than
+/// the resume of a shorter context.
+#[test]
+fn recompute_resume_of_a_huge_context_prices_without_overflow() {
+    let resumed_service_s = |prompt_len: usize| {
+        let spec = |id, start_s, heads, prompt_len| DecodeSessionSpec {
+            id,
+            network: Network::BertSmall,
+            start_s,
+            heads,
+            kv_heads: 1,
+            embed: 1,
+            prompt_len,
+            steps: 2,
+            prefix_group: None,
+            shared_prefix_len: 0,
+        };
+        let step = |session_id, step_index, arrival_s| DecodeStepEvent {
+            session_id,
+            step_index,
+            arrival_s,
+        };
+        // The budget is the huge session's first-step blocks plus one
+        // block, so the small session's growth at 1.1 s evicts it.
+        let decode = DecodePolicy {
+            kv_dtype: Some(KvDtype::F16),
+            window_s: 0.0,
+            ..DecodePolicy::default()
+        };
+        let first = DecodeStep::new("a", 1, 4096, prompt_len + 1, 1).with_kv_heads(1);
+        let bt = decode.kv_block_tokens;
+        let budget = first.paged_kv_bytes(bt, 2) + first.kv_block_bytes(bt, 2);
+        let trace = DecodeTrace {
+            sessions: vec![spec(1, 0.0, 4096, prompt_len), spec(0, 1.0, 1, 15)],
+            steps: vec![
+                step(1, 0, 0.0),
+                step(0, 0, 1.0),
+                step(0, 1, 1.1),
+                step(1, 1, 100.0),
+            ],
+        };
+        let report = ServeEngine::new(EngineConfig {
+            decode,
+            preempt: Some(PreemptMode::Recompute),
+            shared_budget_bytes: Some(budget),
+            ..EngineConfig::default()
+        })
+        .run(&[], &trace)
+        .unwrap();
+        assert_eq!(report.preemptions_decode, 1, "{}", report.summary());
+        assert_eq!(report.decode.completed(), 4, "{}", report.summary());
+        let resumed = (report.decode.outcomes.iter())
+            .find(|o| o.session_id == 1 && o.step_index == 1)
+            .expect("the resumed step completes");
+        resumed.service_s
+    };
+    let (shorter, full) = (
+        resumed_service_s(90_000_000),
+        resumed_service_s(100_000_000),
+    );
+    assert!(
+        full >= shorter,
+        "a 10^8-token resume priced {full} s, below a 9*10^7-token one's {shorter} s"
+    );
+}
+
 /// A zero batching window disables coalescing, and chunked prefill must
 /// preserve that: each request lowers into its own chunk chain whose
 /// launches dispatch in chain order (indices 0..of ascending, starts

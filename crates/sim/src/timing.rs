@@ -17,9 +17,16 @@
 //!   cycles; inbound and outbound channels are modelled as separate resources
 //!   that each see the full DRAM bandwidth (the paper's dataflows never
 //!   saturate both directions simultaneously — stores are only final outputs).
+//!
+//! The model prices one task at a time and nothing larger. A schedule's
+//! makespan comes from running its graph on the [`crate::Executor`] (or, in
+//! continuous time, from [`crate::DeviceTracks::plan`]), and the closed-form
+//! work of a whole attention layer or serving launch — MAC, softmax and DRAM
+//! counts — is stated once, in `mas_dataflow`'s `PrefillChunk` (causal
+//! rows) and `AttentionWorkload` (non-causal prefill).
 
 use crate::config::HardwareConfig;
-use crate::task::{TaskKind, TRACK_COUNT};
+use crate::task::TaskKind;
 
 /// Timing model derived from a [`HardwareConfig`].
 #[derive(Debug, Clone)]
@@ -98,53 +105,6 @@ impl TimingModel {
             base
         }
     }
-
-    /// Makespan in cycles of a stage pipeline
-    /// ([`crate::graph::TaskGraph::stage_pipeline`]) under per-track FIFO
-    /// flow-shop scheduling: stage `k`'s task on track `t` starts at the
-    /// later of the track's clock and the completion of stage `k`'s task on
-    /// the previous track. This closed form equals the event-driven
-    /// executor's makespan on the lowered graph — it is the cycle-level
-    /// counterpart of the continuous-time `DeviceTracks::plan` recurrence.
-    #[must_use]
-    pub fn pipeline_makespan_cycles(&self, stages: &[[Option<TaskKind>; TRACK_COUNT]]) -> u64 {
-        let mut clocks = [0u64; TRACK_COUNT];
-        let mut makespan = 0u64;
-        for stage in stages {
-            let mut dep_done = 0u64;
-            for (t, kind) in stage.iter().enumerate() {
-                let Some(kind) = kind else { continue };
-                let start = clocks[t].max(dep_done);
-                let end = start + self.task_cycles(kind);
-                clocks[t] = end;
-                dep_done = end;
-                makespan = makespan.max(end);
-            }
-        }
-        makespan
-    }
-
-    /// Ideal (roofline) cycles for a full attention layer on this device:
-    /// the larger of the MAC-stream time (both MatMuls, spread over all
-    /// cores) and the VEC-stream time (softmax, spread over all cores). This
-    /// is the lower bound MAS-Attention approaches with perfect pipelining
-    /// and balanced tiling, useful for sanity checks and search-result
-    /// normalization.
-    #[must_use]
-    pub fn attention_roofline_cycles(
-        &self,
-        batch: usize,
-        heads: usize,
-        seq: usize,
-        embed: usize,
-    ) -> u64 {
-        let slices = (batch * heads) as u64;
-        let mac_ops = 2 * slices * (seq as u64) * (seq as u64) * (embed as u64);
-        let vec_ops = slices * (seq as u64) * (seq as u64) * self.hw.softmax_ops_per_element as u64;
-        let mac_cycles = mac_ops.div_ceil(self.hw.macs_per_cycle_total() as u64);
-        let vec_cycles = vec_ops.div_ceil(self.hw.vec_ops_per_cycle_total() as u64);
-        mac_cycles.max(vec_cycles)
-    }
 }
 
 #[cfg(test)]
@@ -205,29 +165,5 @@ mod tests {
         let ld = TaskKind::DramLoad { bytes: 800 };
         assert_eq!(t.task_cycles(&ld), 100);
         assert_eq!(t.task_cycles(&TaskKind::Barrier), 0);
-    }
-
-    #[test]
-    fn roofline_is_mac_bound_for_e64_and_above() {
-        let t = model();
-        // BERT-Base attention: H=12, N=512, E=64.
-        let roof = t.attention_roofline_cycles(1, 12, 512, 64);
-        let mac = 2u64 * 12 * 512 * 512 * 64 / 512;
-        assert_eq!(
-            roof, mac,
-            "with the default calibration the MAC stream dominates"
-        );
-        // The roofline is monotone in every dimension.
-        assert!(t.attention_roofline_cycles(1, 12, 512, 128) > roof);
-        assert!(t.attention_roofline_cycles(2, 12, 512, 64) > roof);
-    }
-
-    #[test]
-    fn roofline_becomes_vec_bound_for_tiny_embedding() {
-        let t = model();
-        // E = 16 makes the softmax stream dominate (64 ops/elem vs 2*16 MACs).
-        let roof = t.attention_roofline_cycles(1, 1, 256, 16);
-        let vec = 256u64 * 256 * 64 / 512;
-        assert_eq!(roof, vec);
     }
 }

@@ -179,13 +179,14 @@ proptest! {
     ) {
         let step = DecodeStep::new("prop-cost", batch, heads, context, e);
         let prefill = step.prefill_equivalent();
+        let row = step.to_chunk();
         // One decode step is exactly one query row of the prefill layer.
-        prop_assert_eq!(prefill.total_mac_ops(), context as u64 * step.mac_ops());
-        prop_assert_eq!(prefill.softmax_elements(), context as u64 * step.softmax_elements());
+        prop_assert_eq!(prefill.total_mac_ops(), context as u64 * row.mac_ops());
+        prop_assert_eq!(prefill.softmax_elements(), context as u64 * row.softmax_elements());
         // KV-cached DRAM traffic never exceeds the recompute baseline's.
         prop_assert!(
-            step.min_dram_traffic_bytes(2) <= step.recompute_dram_traffic_bytes(2)
-                + 4 * step.new_token_bytes(2)
+            row.min_dram_traffic_bytes_split(2, 2) <= prefill.min_dram_traffic_bytes(2)
+                + 4 * row.new_row_bytes(2)
         );
         // The KV cache is the K/V halves of the prefill operands.
         prop_assert_eq!(step.kv_cache_bytes(2), 2 * prefill.operand_bytes(2));
