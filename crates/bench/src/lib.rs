@@ -103,19 +103,8 @@ pub fn fmt_pct(f: f64) -> String {
     format!("{:.2}%", f * 100.0)
 }
 
-/// Prints a Markdown-style table row.
-pub fn print_row(cells: &[String], widths: &[usize]) {
-    let row: Vec<String> = cells
-        .iter()
-        .zip(widths)
-        .map(|(c, w)| format!("{c:>w$}", w = w))
-        .collect();
-    println!("| {} |", row.join(" | "));
-}
-
-/// Formats one network's comparison report as a single-line JSON record
-/// (hand-rolled: the offline build vendors a marker-only serde shim, so
-/// machine-readable output is emitted directly from the typed report).
+/// Formats one network's comparison report as a single-line JSON record,
+/// written directly from the typed report.
 #[must_use]
 pub fn report_json(network: &str, report: &ComparisonReport) -> String {
     let mut cycles = Vec::new();

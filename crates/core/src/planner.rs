@@ -1,7 +1,5 @@
 //! High-level planning and execution API.
 
-use serde::{Deserialize, Serialize};
-
 use mas_dataflow::{build_dataflow, AttentionWorkload, BuildStats, DataflowKind, Tiling};
 use mas_search::tuner::{AutoTuner, TunerConfig};
 use mas_sim::{EnergyModel, Executor, HardwareConfig, Result, SimReport};
@@ -9,7 +7,7 @@ use mas_sim::{EnergyModel, Executor, HardwareConfig, Result, SimReport};
 use crate::report::ComparisonReport;
 
 /// How the planner chooses tiling factors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TilingStrategy {
     /// The hand-written heuristic tiling (fast, no search).
     #[default]
@@ -48,7 +46,7 @@ impl Default for PlannerConfig {
 /// A tiling decision for one `(method, workload)` pair, produced without
 /// simulating — the plan half of the plan/execute split used by serving
 /// runtimes that cache plans across requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlannedRun {
     /// The method the plan targets.
     pub method: DataflowKind,

@@ -1,6 +1,5 @@
 //! Comparison reports in the layout of the paper's Tables 2 and 3.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use mas_dataflow::{AttentionWorkload, DataflowKind};
@@ -9,7 +8,7 @@ use mas_sim::report::geometric_mean;
 use crate::planner::RunResult;
 
 /// Per-method summary extracted from a [`RunResult`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MethodRow {
     /// Execution cycles.
     pub cycles: u64,
@@ -28,7 +27,7 @@ pub struct MethodRow {
 }
 
 /// Comparison of several methods on one workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ComparisonReport {
     /// The workload the comparison was run on.
     pub workload: AttentionWorkload,

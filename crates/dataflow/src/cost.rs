@@ -105,7 +105,9 @@ impl TrackDemand {
         Self {
             dma_in_bytes: total - write,
             mac_ops: workload.total_mac_ops(),
-            vec_ops: workload.softmax_elements() * hw.softmax_ops_per_element as u64,
+            vec_ops: workload
+                .softmax_elements()
+                .saturating_mul(hw.softmax_ops_per_element as u64),
             writeback_bytes: write,
         }
     }

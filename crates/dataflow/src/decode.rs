@@ -42,13 +42,12 @@
 //! [`AttentionWorkload`] a recompute-per-step baseline would run — the same
 //! conversion the differential decode-vs-prefill tests exploit.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use mas_sim::HardwareConfig;
 
 use crate::footprint::Footprint;
-use crate::workload::AttentionWorkload;
+use crate::workload::{count, AttentionWorkload};
 
 /// One autoregressive decode step: a single new token per sequence, whose
 /// query row attends over `context_len` cached tokens (the new token's own
@@ -58,7 +57,7 @@ use crate::workload::AttentionWorkload;
 /// has `kv_heads ≤ heads` shared K/V heads: compute is unchanged (every
 /// query head still scores `t` keys) but KV residency and cache-stream
 /// traffic shrink by `kv_heads / heads`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct DecodeStep {
     /// Human-readable name, e.g. `"llama3-decode"`.
     pub name: String,
@@ -279,7 +278,7 @@ impl fmt::Display for DecodeStep {
 /// prefill launch can occupy a device, which is what lets a serving layer
 /// interleave decode steps at chunk granularity instead of stalling them
 /// for a full prompt length.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PrefillChunk {
     /// Number of sequences prefilled together.
     pub batch: usize,
@@ -486,12 +485,6 @@ impl fmt::Display for PrefillChunk {
     }
 }
 
-/// The product of `factors`, saturating at `u64::MAX`: a count past the
-/// `u64` range prices as the largest one instead of wrapping to a small one.
-fn count<const N: usize>(factors: [u64; N]) -> u64 {
-    factors.into_iter().fold(1, u64::saturating_mul)
-}
-
 /// L1 working set of the streaming decode kernel for one `(batch, head)`
 /// slice processed at a time, with the cached `K`/`V` rows streamed through
 /// in `kv_tile_rows`-row sub-tiles (double buffered): the query row, two
@@ -501,7 +494,7 @@ fn count<const N: usize>(factors: [u64; N]) -> u64 {
 /// never materializes a `t`-wide intermediate.
 #[must_use]
 pub fn decode_footprint(step: &DecodeStep, kv_tile_rows: usize, element_bytes: usize) -> Footprint {
-    let kv_tile_rows = kv_tile_rows.clamp(1, step.context_len);
+    let kv_tile_rows = kv_tile_rows.clamp(1, step.context_len.max(1));
     let row = step.embed * element_bytes;
     Footprint {
         q_bytes: row,
@@ -628,6 +621,21 @@ mod tests {
         let long = decode_footprint(&step().with_context(1 << 20), 64, hw.element_bytes);
         assert_eq!(short.total_bytes(), long.total_bytes());
         assert!(decode_step_fits_with_kv(&step(), 64, &hw, hw.element_bytes));
+    }
+
+    #[test]
+    fn zero_context_step_has_the_one_row_footprint() {
+        let hw = HardwareConfig::edge_default();
+        let empty = DecodeStep {
+            context_len: 0,
+            ..DecodeStep::new("s", 1, 8, 1, 64)
+        };
+        let one_row = DecodeStep::new("s", 1, 8, 1, 64);
+        assert_eq!(
+            decode_footprint(&empty, 64, hw.element_bytes),
+            decode_footprint(&one_row, 64, hw.element_bytes)
+        );
+        assert!(decode_step_fits_with_kv(&empty, 64, &hw, hw.element_bytes));
     }
 
     #[test]

@@ -11,8 +11,6 @@
 //!    `K`/`V` tile is sacrificed while `P_i` is produced), and
 //! 3. the §5.6 maximum-sequence-length analysis ([`crate::max_seqlen`]).
 
-use serde::{Deserialize, Serialize};
-
 use mas_sim::HardwareConfig;
 
 use crate::kind::DataflowKind;
@@ -20,7 +18,7 @@ use crate::tiling::Tiling;
 use crate::workload::AttentionWorkload;
 
 /// Byte sizes of the tiles a method keeps live simultaneously in L1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Footprint {
     /// Bytes of resident `Q` blocks (current plus any prefetched block).
     pub q_bytes: usize,

@@ -1,11 +1,10 @@
 //! Enumeration of the evaluated attention dataflows.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The attention execution methods compared in the paper's evaluation
 /// (Tables 2–3, Figures 5–7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DataflowKind {
     /// Unfused baseline: `C`, `P` round-trip DRAM between operators.
     LayerWise,

@@ -9,8 +9,6 @@
 //! `N` whose minimum working set (single-row tiling, smallest key/value
 //! sub-tiles) still fits L1.
 
-use serde::{Deserialize, Serialize};
-
 use mas_sim::HardwareConfig;
 
 use crate::footprint::footprint;
@@ -19,7 +17,7 @@ use crate::tiling::Tiling;
 use crate::workload::AttentionWorkload;
 
 /// Result of the maximum-sequence-length search for one method.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MaxSeqLen {
     /// The method analysed.
     pub kind: DataflowKind,

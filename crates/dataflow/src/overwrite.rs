@@ -13,8 +13,6 @@
 //! sacrificed in a given round. The MAS builder ([`crate::mas`]) turns these
 //! decisions into reload and redo tasks.
 
-use serde::{Deserialize, Serialize};
-
 use mas_sim::HardwareConfig;
 
 use crate::footprint::{footprint, resident_kv_bytes};
@@ -23,7 +21,7 @@ use crate::tiling::Tiling;
 use crate::workload::AttentionWorkload;
 
 /// How the MAS builder should manage `K`/`V` residency for one chunk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResidencyPlan {
     /// The full working set (resident `K`/`V` + two `C`/`P` blocks) fits:
     /// no overwrites are needed.
@@ -38,7 +36,7 @@ pub enum ResidencyPlan {
 }
 
 /// The operand sacrificed in one overwrite event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverwriteVictim {
     /// The `V` tile is overwritten while the MAC runs `P_{i-1} V` (Figure 2).
     V,

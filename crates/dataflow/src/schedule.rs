@@ -16,8 +16,6 @@
 
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize};
-
 use mas_sim::task::{Label, Resource, TaskId, TaskKind};
 use mas_sim::{HardwareConfig, Result, TaskGraph};
 
@@ -27,7 +25,7 @@ use crate::tiling::Tiling;
 use crate::workload::AttentionWorkload;
 
 /// Structural statistics recorded while building a schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BuildStats {
     /// The dataflow that was built.
     pub kind: DataflowKind,

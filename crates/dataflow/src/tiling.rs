@@ -10,7 +10,6 @@
 //! `mas-search`, and validated against the workload and the hardware's
 //! shared L1 capacity via [`crate::footprint`].
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use mas_sim::HardwareConfig;
@@ -18,7 +17,7 @@ use mas_sim::HardwareConfig;
 use crate::workload::AttentionWorkload;
 
 /// L1-level tiling factors `(B_b, H_h, N_Q, N_{K,V})`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Tiling {
     /// Batch chunk `B_b` (how many batch elements are processed per round).
     pub b_b: usize,

@@ -1,6 +1,5 @@
 //! Attention-layer workload descriptions.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One multi-head attention layer to be executed on the accelerator.
@@ -9,7 +8,7 @@ use std::fmt;
 /// `H`, the sequence length `N` and the per-head embedding size `E` (its
 /// `Emb_{K,V}` column); the batch size `B` is 1 for single-request edge
 /// inference but kept explicit for generality.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AttentionWorkload {
     /// Human-readable name, e.g. `"BERT-Base"`.
     pub name: String,
@@ -58,35 +57,45 @@ impl AttentionWorkload {
     }
 
     /// Total multiply-accumulate operations for both MatMuls
-    /// (`QKᵀ` and `PV`): `2 · B · H · N² · E`.
+    /// (`QKᵀ` and `PV`): `2 · B · H · N² · E`, saturating at `u64::MAX`.
     #[must_use]
     pub fn total_mac_ops(&self) -> u64 {
-        2 * self.slices() as u64 * (self.seq_len as u64) * (self.seq_len as u64) * self.embed as u64
+        count([2, self.embed as u64, self.softmax_elements()])
     }
 
-    /// Number of softmax elements (`B · H · N²`).
+    /// Number of softmax elements (`B · H · N²`), saturating at `u64::MAX`.
     #[must_use]
     pub fn softmax_elements(&self) -> u64 {
-        self.slices() as u64 * (self.seq_len as u64) * (self.seq_len as u64)
+        let (b, h, n) = (self.batch as u64, self.heads as u64, self.seq_len as u64);
+        count([b, h, n, n])
     }
 
-    /// Bytes of one `Q`/`K`/`V`/`O` operand at `element_bytes` per element.
+    /// Bytes of one `Q`/`K`/`V`/`O` operand at `element_bytes` per element,
+    /// saturating at `u64::MAX`.
     #[must_use]
     pub fn operand_bytes(&self, element_bytes: usize) -> u64 {
-        self.slices() as u64 * self.seq_len as u64 * self.embed as u64 * element_bytes as u64
+        count([
+            self.batch as u64,
+            self.heads as u64,
+            self.seq_len as u64,
+            self.embed as u64,
+            element_bytes as u64,
+        ])
     }
 
-    /// Bytes of the full intermediate `C` (or `P`) matrix.
+    /// Bytes of the full intermediate `C` (or `P`) matrix, saturating at
+    /// `u64::MAX`.
     #[must_use]
     pub fn intermediate_bytes(&self, element_bytes: usize) -> u64 {
-        self.softmax_elements() * element_bytes as u64
+        count([self.softmax_elements(), element_bytes as u64])
     }
 
     /// Minimum DRAM traffic for exact attention with fused intermediates:
-    /// read `Q`, `K`, `V` once and write `O` once.
+    /// read `Q`, `K`, `V` once and write `O` once (saturating at
+    /// `u64::MAX`).
     #[must_use]
     pub fn min_dram_traffic_bytes(&self, element_bytes: usize) -> u64 {
-        4 * self.operand_bytes(element_bytes)
+        count([4, self.operand_bytes(element_bytes)])
     }
 
     /// The write-direction share of
@@ -109,6 +118,12 @@ impl AttentionWorkload {
             ..self.clone()
         }
     }
+}
+
+/// The product of `factors`, saturating at `u64::MAX`: a count past the
+/// `u64` range prices as the largest one instead of wrapping to a small one.
+pub(crate) fn count<const N: usize>(factors: [u64; N]) -> u64 {
+    factors.into_iter().fold(1, u64::saturating_mul)
 }
 
 impl fmt::Display for AttentionWorkload {

@@ -1,9 +1,7 @@
 //! DaVinci-like NPU device description.
 
-use serde::{Deserialize, Serialize};
-
 /// One NPU core (a DaVinci "AI core").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NpuCore {
     /// Core name (e.g. `"ascend-lite-0"`).
     pub name: String,
@@ -33,7 +31,7 @@ impl NpuCore {
 }
 
 /// The whole NPU: a set of heterogeneous cores sharing LPDDR memory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NpuDevice {
     /// Device name.
     pub name: String,

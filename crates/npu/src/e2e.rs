@@ -11,15 +11,13 @@
 //! roughly a fifth of the UNet under the baseline, which is what makes a
 //! ~29 % attention gain translate into a ~6 % end-to-end gain).
 
-use serde::{Deserialize, Serialize};
-
 use mas_dataflow::DataflowKind;
 use mas_workloads::sdunet::{largest_unit, SdAttentionUnit};
 
 use crate::model::NpuModel;
 
 /// Configuration of the end-to-end estimate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct E2eConfig {
     /// Fraction of the *baseline* (Layer-Wise) end-to-end latency spent
     /// outside attention blocks.
@@ -35,7 +33,7 @@ impl Default for E2eConfig {
 }
 
 /// Result of the end-to-end comparison of one method against Layer-Wise.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E2eReport {
     /// The method compared against Layer-Wise.
     pub kind: DataflowKind,

@@ -17,15 +17,13 @@
 //! Tile sizes (the query row-block per round) are chosen by **grid search**
 //! over each core's unified buffer, as the paper does on this device.
 
-use serde::{Deserialize, Serialize};
-
 use mas_dataflow::footprint::live_cp_blocks;
 use mas_dataflow::{AttentionWorkload, DataflowKind};
 
 use crate::device::{NpuCore, NpuDevice};
 
 /// Latency estimate for one method on one workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NpuLatency {
     /// The method.
     pub kind: DataflowKind,

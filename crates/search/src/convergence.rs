@@ -5,10 +5,8 @@
 //! [`ConvergenceHistory`] so the figure can be regenerated, and §5.5's
 //! "cycle improvement" factors (naive → tuned) can be computed.
 
-use serde::{Deserialize, Serialize};
-
 /// One sample of a search's progress.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvergencePoint {
     /// Search iteration at which the sample was taken (1-based).
     pub iteration: usize,
@@ -19,7 +17,7 @@ pub struct ConvergencePoint {
 }
 
 /// Best-so-far trajectory of one search run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ConvergenceHistory {
     points: Vec<ConvergencePoint>,
 }

@@ -26,7 +26,6 @@
 use std::collections::{HashMap, HashSet};
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use mas_dataflow::footprint::tiling_fits;
 use mas_dataflow::{build_dataflow, AttentionWorkload, DataflowKind, Tiling};
@@ -37,7 +36,7 @@ use mas_sim::{EnergyModel, Executor, HardwareConfig};
 /// The paper's search minimizes latency ("our objective in the search
 /// framework was to minimize latency rather than energy", §5.3); the other
 /// objectives are provided for ablations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Objective {
     /// Minimize execution cycles.
     #[default]
@@ -49,7 +48,7 @@ pub enum Objective {
 }
 
 /// Cost of one evaluated tiling.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cost {
     /// Simulated execution cycles.
     pub cycles: u64,
@@ -182,12 +181,6 @@ impl CostModel {
         for (tiling, cost) in entries {
             self.cache.entry(tiling).or_insert(cost);
         }
-    }
-
-    /// Number of cached `(tiling, cost)` entries (evaluated or imported).
-    #[must_use]
-    pub fn cached_entries(&self) -> usize {
-        self.cache.len()
     }
 
     /// Simulates one tiling without touching the cache or counters: the pure

@@ -7,14 +7,12 @@
 //! multiples of the MAC array width. The space is the cartesian product of
 //! the four axes.
 
-use serde::{Deserialize, Serialize};
-
 use mas_dataflow::{AttentionWorkload, Tiling};
 use mas_sim::HardwareConfig;
 use rand::Rng;
 
 /// Candidate values for each tiling dimension.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SearchSpace {
     /// Candidates for the batch chunk `B_b`.
     pub b_b: Vec<usize>,

@@ -6,8 +6,6 @@
 //! [`AutoTuner`] mirrors that pipeline on top of the `mas-sim` cost model
 //! and records the combined convergence history used by Figure 7.
 
-use serde::{Deserialize, Serialize};
-
 use mas_dataflow::{AttentionWorkload, DataflowKind, Tiling};
 use mas_sim::HardwareConfig;
 
@@ -18,7 +16,7 @@ use crate::mcts::MctsSearch;
 use crate::space::SearchSpace;
 
 /// Budget configuration of the auto-tuner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TunerConfig {
     /// MCTS playouts.
     pub mcts_iterations: usize,

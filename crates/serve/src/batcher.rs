@@ -13,12 +13,10 @@
 //! whichever comes first. [`ServeEngine`](crate::ServeEngine)'s event loop
 //! is the one place this policy is applied.
 
-use serde::{Deserialize, Serialize};
-
 pub use crate::key::BatchKey;
 
 /// Micro-batching configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchPolicy {
     /// Maximum number of member requests per batch; a batch dispatches as
     /// soon as it reaches this size.

@@ -26,10 +26,6 @@
 //! instead of panicking or silently dropping entries (pinned by property
 //! test, `tests/cache_robustness.rs`).
 //!
-//! The `#[derive(Serialize, Deserialize)]` markers are inert: the vendored
-//! serde shim is marker-only, and the text format above is the persistence
-//! path.
-//!
 //! [`to_text`]: ScheduleCache::to_text
 //! [`from_text`]: ScheduleCache::from_text
 //! [`save`]: ScheduleCache::save
@@ -39,8 +35,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
-
-use serde::{Deserialize, Serialize};
 
 use mas_attention::planner::TilingStrategy;
 use mas_attention::PlannerConfig;
@@ -157,7 +151,7 @@ pub fn planning_fingerprint(config: &PlannerConfig) -> u64 {
 
 /// Identity of one cached plan: the method, the workload *shape* and the
 /// [`planning_fingerprint`] of the configuration that produced it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CacheKey {
     /// The dataflow method.
     pub method: DataflowKind,
@@ -193,7 +187,7 @@ impl CacheKey {
 /// One memoized plan: the chosen tiling plus the simulation outcome of the
 /// schedule it produces (the quantities the serving runtime replays without
 /// re-planning).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CachedPlan {
     /// The tiling the planner chose.
     pub tiling: Tiling,
@@ -267,7 +261,7 @@ impl From<std::io::Error> for CacheError {
 /// The shared schedule cache. Equality compares entries only, so two caches
 /// built by different processes (or via different merge orders) compare
 /// equal when they memoize the same plans.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScheduleCache {
     entries: BTreeMap<CacheKey, CachedPlan>,
 }

@@ -45,8 +45,6 @@
 //! bit-identical); the differential test harnesses pin both step-by-step
 //! against the full-prefill oracle.
 
-use serde::{Deserialize, Serialize};
-
 use mas_dataflow::decode::{DecodeStep, PrefillChunk};
 use mas_dataflow::{KvDtype, TrackDemand};
 use mas_sim::HardwareConfig;
@@ -54,7 +52,7 @@ use mas_sim::HardwareConfig;
 use crate::metrics::{percentile, LatencyStats};
 
 /// Why a decode session or step was refused.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecodeRejectReason {
     /// The session's step working set cannot run on the device at all
     /// (streaming footprint over L1, KV cache over device DRAM, or an
@@ -110,7 +108,7 @@ impl std::fmt::Display for DecodeRejectReason {
 }
 
 /// Decode admission and batching configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecodePolicy {
     /// Device bytes available for resident KV caches. `None` defaults to
     /// half of device DRAM (the other half is headroom for operands and
@@ -148,7 +146,6 @@ pub struct DecodePolicy {
     /// element — halving residency charges relative to f32 activations and
     /// admitting ~2× the sessions under the same budget. The compute dtype
     /// is unchanged (kernels widen KV tiles to f32).
-    #[serde(default)]
     pub kv_dtype: Option<KvDtype>,
     /// Cross-session KV prefix sharing. When `true` and a session declares a
     /// prefix group (`DecodeSessionSpec::prefix_group`), the whole blocks of
@@ -156,7 +153,6 @@ pub struct DecodePolicy {
     /// against the budget *once per group* instead of once per session —
     /// modeling the pool-level radix index + copy-on-write block tables of
     /// `mas_tensor::paged`. Default `false`: fully private residency.
-    #[serde(default)]
     pub prefix_share: bool,
 }
 
@@ -244,7 +240,7 @@ impl LaunchDemand {
 }
 
 /// The fate of one completed decode step.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecodeStepOutcome {
     /// The session the step belongs to.
     pub session_id: u64,
@@ -282,7 +278,7 @@ impl DecodeStepOutcome {
 
 /// A decode step refused at admission (with its session's reason when the
 /// whole session was rejected).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RejectedDecodeStep {
     /// The session the step belongs to.
     pub session_id: u64,
@@ -296,7 +292,7 @@ pub struct RejectedDecodeStep {
 
 /// Aggregate result of replaying one decode trace. A pure function of the
 /// trace, the policy and the hardware.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DecodeReport {
     /// Completed steps in launch order (members in arrival order).
     pub outcomes: Vec<DecodeStepOutcome>,
@@ -321,16 +317,13 @@ pub struct DecodeReport {
     /// Seconds each virtual device spent busy with decode launches, indexed
     /// by device. Empty when no decode launch dispatched (so prefill-only
     /// runs keep this report equal to its default).
-    #[serde(default)]
     pub device_busy_s: Vec<f64>,
     /// Peak bytes of group-shared prefix blocks resident at once (charged
     /// once per prefix group). Zero unless `DecodePolicy::prefix_share` is
     /// on and some admitted session declared a prefix group.
-    #[serde(default)]
     pub kv_shared_peak_bytes: u64,
     /// Sessions admitted with prefix sharing active (their shared prefix
     /// blocks were charged group-wide rather than privately).
-    #[serde(default)]
     pub shared_sessions: usize,
 }
 

@@ -145,8 +145,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use mas_attention::planner::TilingStrategy;
 use mas_attention::{Planner, PlannerConfig};
 use mas_dataflow::decode::{decode_step_fits_with_kv, DecodeStep, PrefillChunk};
@@ -169,7 +167,7 @@ use crate::telemetry::{EventKind, MemOwner, PreemptVictim, SealCause, Telemetry,
 
 /// Which queue feeds the launch slots when launches of both classes are
 /// ready at the same stream instant (iteration-level scheduling).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SchedulePolicy {
     /// Pending decode launches dispatch before pending prefill launches:
     /// protects per-token latency under prefill bursts.
@@ -210,7 +208,7 @@ impl std::fmt::Display for SchedulePolicy {
 /// batch whose sequence length exceeds the per-chunk token budget lowers
 /// into a chain of chunk launches instead of one monolithic launch, so
 /// decode work can slot into the gaps between chunks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChunkPolicy {
     /// Token budget per chunk: each chunk covers at most this many query
     /// rows of the prompt. `0` disables chunking (every batch stays one
@@ -245,7 +243,7 @@ impl ChunkPolicy {
 
 /// What happens to a decode session's KV residency when the session is
 /// preempted under shared-pool pressure ([`EngineConfig::preempt`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PreemptMode {
     /// Swap: the evicted KV is held host-side and its resident-token bytes
     /// are restored when the session's next step arrives. The host
@@ -383,7 +381,7 @@ impl EngineConfig {
 
 /// Aggregate result of replaying one mixed trace: the per-class breakdowns
 /// plus the shared-timeline and shared-budget figures.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineReport {
     /// The scheduling policy the replay ran under.
     pub policy: SchedulePolicy,
@@ -419,7 +417,7 @@ pub struct EngineReport {
 }
 
 /// Utilization of one virtual device over a replay's timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DeviceUtil {
     /// Seconds the device spent in service (sum of launch service times,
     /// both classes).

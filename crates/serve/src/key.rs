@@ -8,15 +8,13 @@
 //! (launch maps and deterministic dispatch ordering) and `Display` (report
 //! readability).
 
-use serde::{Deserialize, Serialize};
-
 use mas_dataflow::DataflowKind;
 use mas_workloads::DecodeSessionSpec;
 
 use crate::request::ServeRequest;
 
 /// The two traffic classes the unified engine schedules on one timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum WorkClass {
     /// Fixed-shape prefill attention requests.
     Prefill,
@@ -36,7 +34,7 @@ impl std::fmt::Display for WorkClass {
 /// The coalescing identity of a prefill request: requests merge only when
 /// they ask for the same method on the same attention shape (the batch
 /// dimension is what merging sums over).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BatchKey {
     /// Requested dataflow method.
     pub method: DataflowKind,
@@ -74,7 +72,7 @@ impl std::fmt::Display for BatchKey {
 /// The coalescing identity of a decode step: launches merge only steps
 /// whose kernels share the per-head geometry, including the grouped-query
 /// KV head count (which changes the cache-stream traffic per step).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DecodeKey {
     /// Query attention heads.
     pub heads: usize,
@@ -107,7 +105,7 @@ impl std::fmt::Display for DecodeKey {
 /// part of the identity precisely so chunks of *different* requests can
 /// never merge into one launch, and the index pins each chunk's position in
 /// its chain (dispatch is strictly `index` order within a chain).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChunkKey {
     /// Id of the chunk chain (the launch id of the chain's first chunk).
     pub chain: u64,
@@ -129,7 +127,7 @@ impl std::fmt::Display for ChunkKey {
 /// `BTreeMap<LaunchKey, _>` coalesces both traffic classes with one
 /// mechanism while keeping their launches disjoint. Chunk keys carry their
 /// chain id, so they are never shared across requests and never coalesce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LaunchKey {
     /// A prefill micro-batch shape.
     Prefill(BatchKey),

@@ -1,7 +1,5 @@
 //! Per-request outcomes and aggregate serving metrics.
 
-use serde::Serialize;
-
 use mas_dataflow::DataflowKind;
 
 use crate::queue::RejectReason;
@@ -43,7 +41,7 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> Option<f64> {
 /// [`percentile`] definition. Built once from a latency set
 /// ([`LatencyStats::of`]) instead of re-deriving each figure ad hoc — the
 /// prefill and decode reports and the engine report all share this type.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyStats {
     /// Number of latency samples.
     pub count: usize,
@@ -90,7 +88,7 @@ impl std::fmt::Display for LatencyStats {
 }
 
 /// The fate of one completed (admitted and executed) request.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestOutcome {
     /// The request id.
     pub id: u64,
@@ -132,7 +130,7 @@ impl RequestOutcome {
 }
 
 /// A request refused at admission.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RejectedRequest {
     /// The request id.
     pub id: u64,
@@ -148,7 +146,7 @@ pub struct RejectedRequest {
 ///
 /// Every field is a deterministic function of the trace and the engine
 /// configuration, so reports can be compared exactly across runs.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServeReport {
     /// Completed requests in device launch order (batch order, members in
     /// arrival order).
@@ -168,7 +166,6 @@ pub struct ServeReport {
     /// Seconds each virtual device spent busy with *this class* of launches,
     /// indexed by device. Empty when the class never dispatched, so a
     /// single-class replay leaves the absent class's report at its default.
-    #[serde(default)]
     pub device_busy_s: Vec<f64>,
 }
 

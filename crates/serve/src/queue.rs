@@ -20,14 +20,12 @@
 //!    sustained overload, where batches dispatch promptly but the device
 //!    cannot drain them.
 
-use serde::{Deserialize, Serialize};
-
 use mas_dataflow::footprint::tiling_fits;
 use mas_dataflow::{AttentionWorkload, DataflowKind, Tiling, TrackDemand};
 use mas_sim::HardwareConfig;
 
 /// Why a request was refused admission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
     /// The workload cannot run on the device with the requested method at
     /// any tiling (operands exceed DRAM, or even the naive tiling overflows
@@ -73,7 +71,7 @@ impl std::fmt::Display for RejectReason {
 }
 
 /// Admission-control configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdmissionPolicy {
     /// Maximum number of admitted-but-not-yet-dispatched requests the
     /// batcher may hold; arrivals beyond this are rejected with
@@ -336,6 +334,22 @@ mod tests {
         let large = AttentionWorkload::new("l", 1, 16, 1024, 64);
         assert!(
             service_time_lower_bound_s(&large, &hw()) > service_time_lower_bound_s(&small, &hw())
+        );
+    }
+
+    #[test]
+    fn lower_bound_saturates_past_the_u64_range() {
+        // B·H·N² = 2⁶⁴: the counts saturate instead of overflowing, and
+        // the price does not fall below that of a 4x smaller shape.
+        let huge = AttentionWorkload::new("huge", 1, 1 << 20, 1 << 22, 1);
+        let quarter = AttentionWorkload::new("quarter", 1, 1 << 20, 1 << 21, 1);
+        let (huge_s, quarter_s) = (
+            service_time_lower_bound_s(&huge, &hw()),
+            service_time_lower_bound_s(&quarter, &hw()),
+        );
+        assert!(
+            huge_s.is_finite() && huge_s >= quarter_s,
+            "{huge_s} < {quarter_s}"
         );
     }
 }

@@ -1,13 +1,11 @@
 //! Inference requests entering the serving runtime.
 
-use serde::{Deserialize, Serialize};
-
 use mas_dataflow::{AttentionWorkload, DataflowKind};
 use mas_workloads::TraceEvent;
 
 /// One attention inference request: a workload, the dataflow to run it with,
 /// an arrival timestamp and an optional latency SLO.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeRequest {
     /// Caller-assigned request id, unique within one trace.
     pub id: u64,

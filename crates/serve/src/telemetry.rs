@@ -107,8 +107,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::Serialize;
-
 use mas_dataflow::DataflowKind;
 use mas_sim::{TrackKind, TRACK_COUNT};
 
@@ -121,11 +119,11 @@ use crate::queue::RejectReason;
 
 /// Opt-in telemetry configuration ([`crate::engine::EngineConfig::telemetry`]).
 /// Setting it turns recording on; the log has no options.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TelemetryConfig {}
 
 /// Which memory-budget holder a charge or release belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MemOwner {
     /// A prefill launch's summed activation charge, by launch id.
     PrefillLaunch(u64),
@@ -147,7 +145,7 @@ impl std::fmt::Display for MemOwner {
 }
 
 /// Why an open launch was sealed and dispatched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SealCause {
     /// Its batching window expired.
     Window,
@@ -206,7 +204,7 @@ pub enum Track {
 
 /// One typed lifecycle event. The sequence number is the event's index in
 /// [`Telemetry::events`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EngineEvent {
     /// Virtual-time stamp in seconds (monotone per [`Track`]).
     pub t_s: f64,
@@ -215,7 +213,7 @@ pub struct EngineEvent {
 }
 
 /// The event taxonomy (see the module docs for when each fires).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum EventKind {
     /// Replay started: the configuration snapshot reconstruction needs.
     RunStart {
@@ -447,7 +445,7 @@ pub enum EventKind {
 }
 
 /// What an [`EventKind::Preempted`] displaced.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PreemptVictim {
     /// A scheduled-but-unstarted (staged) launch was pushed back behind a
     /// deadline-pressed decode launch. No device span was emitted for the
@@ -1205,7 +1203,7 @@ fn tally(labels: impl Iterator<Item = &'static str>) -> BTreeMap<&'static str, u
 }
 
 /// Conservation tallies returned by [`Telemetry::conservation_check`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ConservationStats {
     /// Prefill requests that arrived.
     pub prefill_arrivals: usize,
@@ -1223,7 +1221,7 @@ pub struct ConservationStats {
 
 /// The shared-budget occupancy peak with its holders, from
 /// [`Telemetry::peak_attribution`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PeakAttribution {
     /// Peak bytes charged at once.
     pub peak_bytes: u64,
@@ -1239,7 +1237,7 @@ pub struct PeakAttribution {
 }
 
 /// A timestamped value series (gauges over virtual time).
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimeSeries<T> {
     /// `(t_s, value)` points in time order.
     pub points: Vec<(f64, T)>,
@@ -1290,7 +1288,7 @@ pub const LOG_HISTOGRAM_MIN_EXP: i32 = -24;
 /// cluster layer needs to aggregate per-shard latency without raw samples.
 /// Quantiles come back as bucket upper bounds (≤ one octave of error),
 /// coexisting with the exact [`crate::metrics::LatencyStats`] figures.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogHistogram {
     counts: [u64; LOG_HISTOGRAM_BUCKETS],
     count: u64,
@@ -1563,7 +1561,7 @@ impl Replay {
 // ---------------------------------------------------------------------------
 
 /// Summary of a validated Chrome trace, from [`validate_chrome_trace`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChromeTraceStats {
     /// Total trace events.
     pub total_events: usize,

@@ -6,8 +6,6 @@
 //! scratchpad connected to a 30 GB/s, 6 GB DRAM, and per-core L0 register
 //! files.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Result, SimError};
 
 /// Number of bytes in one mebibyte.
@@ -16,7 +14,7 @@ pub const MIB: usize = 1024 * 1024;
 pub const GIB: usize = 1024 * 1024 * 1024;
 
 /// Static description of the simulated accelerator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HardwareConfig {
     /// Human-readable name of the configuration (used in reports).
     pub name: String,

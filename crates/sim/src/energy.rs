@@ -13,12 +13,10 @@
 //! schedules, PE energy invariant across schedules (§5.3.3) — is what the
 //! reproduction relies on.
 
-use serde::{Deserialize, Serialize};
-
 use crate::task::TaskKind;
 
 /// Per-component energy costs in picojoules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Energy per byte transferred to/from DRAM.
     pub dram_pj_per_byte: f64,
@@ -116,7 +114,7 @@ impl Default for EnergyModel {
 }
 
 /// Energy broken down into the five components of the paper's Figure 6.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyBreakdown {
     /// Off-chip DRAM access energy (pJ).
     pub dram_pj: f64,

@@ -36,22 +36,6 @@ pub enum SimError {
         /// Description of the invalid parameter.
         reason: String,
     },
-    /// An on-chip buffer request exceeded the total L1 capacity.
-    BufferOverflow {
-        /// Name of the allocation that failed.
-        allocation: String,
-        /// Requested size in bytes.
-        requested: usize,
-        /// Free bytes at the time of the request.
-        available: usize,
-        /// Total L1 capacity in bytes.
-        capacity: usize,
-    },
-    /// An operation referenced a buffer allocation that does not exist.
-    UnknownAllocation {
-        /// Name of the missing allocation.
-        allocation: String,
-    },
     /// The simulation produced an empty schedule (no tasks).
     EmptyGraph,
 }
@@ -59,10 +43,9 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::UnknownDependency { task, dependency } => write!(
-                f,
-                "task {task} depends on unknown task {dependency}"
-            ),
+            SimError::UnknownDependency { task, dependency } => {
+                write!(f, "task {task} depends on unknown task {dependency}")
+            }
             SimError::CyclicGraph { unscheduled } => write!(
                 f,
                 "task graph contains a dependency cycle ({unscheduled} tasks left unscheduled)"
@@ -73,18 +56,6 @@ impl fmt::Display for SimError {
             ),
             SimError::InvalidConfig { reason } => {
                 write!(f, "invalid hardware configuration: {reason}")
-            }
-            SimError::BufferOverflow {
-                allocation,
-                requested,
-                available,
-                capacity,
-            } => write!(
-                f,
-                "on-chip buffer overflow allocating `{allocation}`: requested {requested} B, {available} B free of {capacity} B"
-            ),
-            SimError::UnknownAllocation { allocation } => {
-                write!(f, "unknown on-chip allocation `{allocation}`")
             }
             SimError::EmptyGraph => write!(f, "task graph is empty"),
         }
@@ -99,16 +70,19 @@ mod tests {
 
     #[test]
     fn display_messages_are_informative() {
-        let e = SimError::BufferOverflow {
-            allocation: "P_i".to_string(),
-            requested: 4096,
-            available: 1024,
-            capacity: 8192,
+        let e = SimError::UnknownResource {
+            resource: Resource::Mac { core: 5 },
+            cores: 4,
         };
         let msg = e.to_string();
-        assert!(msg.contains("P_i"));
-        assert!(msg.contains("4096"));
-        assert!(msg.contains("1024"));
+        assert!(msg.contains("MAC5"), "{msg}");
+        assert!(msg.contains("only 4 cores"), "{msg}");
+        let e = SimError::UnknownDependency {
+            task: TaskId(3),
+            dependency: TaskId(7),
+        };
+        let msg = e.to_string();
+        assert!(msg.contains("#3") && msg.contains("#7"), "{msg}");
     }
 
     #[test]

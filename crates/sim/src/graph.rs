@@ -53,21 +53,19 @@ use std::borrow::Cow;
 use std::cell::Cell;
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Result, SimError};
 use crate::task::{Label, Resource, Task, TaskId, TaskKind, TrackKind, TRACK_COUNT};
 
 /// A resource and a kind of task: the graph stores each distinct pair
 /// once, and each task as an index into them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Work {
     pub(crate) resource: Resource,
     pub(crate) kind: TaskKind,
 }
 
 /// One repeated period ([`TaskGraph::repeat`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Repeat {
     /// The stored index of the template's first task.
     pub(crate) stored: usize,
@@ -118,7 +116,7 @@ pub(crate) enum At {
 /// given, where `deps` holds every stored task's dependencies back to back
 /// and `offsets[0]` is 0. A repeated period stores one instance (module
 /// docs).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TaskGraph {
     labels: Vec<Label>,
     /// Each stored task's index into `works`.
@@ -127,7 +125,6 @@ pub struct TaskGraph {
     works: Vec<Work>,
     /// Open-addressing index into `works` by [`work_hash`] (0 is empty),
     /// rebuilt on demand.
-    #[serde(skip)]
     index: Vec<u32>,
     deps: Vec<TaskId>,
     offsets: Vec<usize>,

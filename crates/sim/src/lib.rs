@@ -83,7 +83,6 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod buffer;
 pub mod config;
 pub mod energy;
 pub mod error;

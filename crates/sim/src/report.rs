@@ -5,7 +5,6 @@
 //! breakdown (Table 3 / Figure 6), DRAM read/write traffic (§5.4) and
 //! per-unit utilization (the pipelining quality MAS-Attention optimizes).
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use crate::energy::EnergyBreakdown;
@@ -13,7 +12,7 @@ use crate::task::Resource;
 use crate::trace::Trace;
 
 /// Aggregated results of simulating one task graph on one device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Total execution time in cycles (makespan of the schedule).
     pub total_cycles: u64,
@@ -37,7 +36,6 @@ pub struct SimReport {
     /// simultaneously — the parallelism MAS-Attention introduces.
     pub mac_vec_overlap_cycles: u64,
     /// The execution trace (present unless tracing was disabled).
-    #[serde(skip)]
     pub trace: Option<Trace>,
 }
 

@@ -6,12 +6,11 @@
 //! `mas-dataflow` translate Algorithms 1–4 of the paper (and each baseline's
 //! schedule) into streams of tasks with dependencies.
 
-use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
 use std::fmt;
 
 /// Identifier of a task within a [`crate::graph::TaskGraph`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskId(pub(crate) usize);
 
 impl TaskId {
@@ -35,7 +34,7 @@ impl fmt::Display for TaskId {
 }
 
 /// A hardware resource that executes tasks serially.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Resource {
     /// The MAC (matrix multiply-accumulate) unit of one core.
     Mac {
@@ -92,7 +91,7 @@ impl fmt::Display for Resource {
 /// The numeric order ([`TrackKind::index`]) is the dataflow order of one
 /// tile — stream in, multiply, reduce, write back — and is also the
 /// per-device thread ordering used by the Chrome trace exporter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TrackKind {
     /// Inbound DMA queue (DRAM → L1 operand/KV streaming).
     DmaIn,
@@ -152,7 +151,7 @@ impl fmt::Display for TrackKind {
 }
 
 /// The kind of work a task performs; drives both timing and energy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskKind {
     /// A tiled matrix multiplication `[m × k] · [k × n]` executed on a MAC
     /// unit (`m·k·n` multiply-accumulates).
@@ -255,10 +254,10 @@ impl TaskKind {
 /// braces included, renders as written. Plain text (a `&'static str` or an
 /// owned `String`) converts into a label unchanged. Two labels are equal
 /// when they render the same text, whatever their form.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct Label(LabelRepr);
 
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 enum LabelRepr {
     Text(&'static str),
     Owned(Box<str>),

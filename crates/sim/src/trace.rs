@@ -5,12 +5,10 @@
 //! that MAS-Attention's MAC and VEC streams really overlap while FLAT's do
 //! not) and drive the per-resource utilization statistics in the report.
 
-use serde::{Deserialize, Serialize};
-
 use crate::task::{Label, Resource, TaskId};
 
 /// One scheduled task occurrence.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEntry {
     /// The task that ran.
     pub task: TaskId,
@@ -40,7 +38,7 @@ impl TraceEntry {
 }
 
 /// A full execution trace.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Trace {
     entries: Vec<TraceEntry>,
 }

@@ -39,8 +39,6 @@
 //! ([`fused_online_attention`](crate::tiled::fused_online_attention)) within
 //! [`golden_check`](crate::golden::golden_check) tolerance.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Result, TensorError};
 use crate::half::{f32_to_f16_bits_saturating, KvDtype};
 use crate::matmul::{axpy, dot};
@@ -171,7 +169,7 @@ impl<'a> OnlineDecodeState<'a> {
 /// [`KvDtype::F16`] rows live in the `u16` arenas as binary16 bits (written
 /// through [`f32_to_f16_bits_saturating`], 2 bytes/element) and the decode
 /// sweep widens them back to f32 in [`F16_TILE_TOKENS`]-token runs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KvCache {
     heads: usize,
     kv_heads: usize,

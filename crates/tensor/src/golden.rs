@@ -7,8 +7,6 @@
 //! both absolute and relative tolerances, and a structured verdict is
 //! returned so experiment harnesses can record it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::Result;
 use crate::tensor::Tensor;
 
@@ -19,7 +17,7 @@ use crate::tensor::Tensor;
 /// numerical test suites. Defaults are generous enough for f32 accumulation
 /// order differences between dataflows but tight enough to catch any actual
 /// algorithmic error (which produces O(1) discrepancies).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tolerance {
     /// Absolute tolerance floor.
     pub abs_tol: f32,
@@ -70,7 +68,7 @@ impl Tolerance {
 }
 
 /// Result of a golden-data check.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GoldenReport {
     /// Whether every element matched within tolerance.
     pub passed: bool,

@@ -11,7 +11,6 @@
 //! in hardware.
 
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Element type used for KV-cache *storage* (as opposed to the f32 compute
 /// type every kernel consumes).
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// tile inside the decode sweep — the same place a device DMA engine would
 /// widen the stream. This halves the resident KV bytes and the decode-step
 /// DRAM traffic relative to [`F32`](KvDtype::F32).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KvDtype {
     /// Full-precision storage: K/V rows are kept as `f32` (4 bytes/element).
     #[default]

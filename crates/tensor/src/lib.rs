@@ -12,8 +12,6 @@
 //!   `(batch, heads, rows, cols)` — the `B × H × N × E` layout used throughout
 //!   the paper,
 //! * the numerical kernels attention is built from ([`matmul`], [`softmax`]),
-//!   including the *online* (streaming) softmax used by FuseMax-style
-//!   decompositions,
 //! * a reference attention implementation ([`attention::reference_attention`]),
 //! * tiled numerical executors mirroring Algorithms 1–4 of the paper and each
 //!   baseline's blocking structure ([`tiled`]),
@@ -100,7 +98,6 @@
 
 pub mod attention;
 pub mod decode;
-pub mod dtype;
 pub mod error;
 pub mod golden;
 pub mod half;
@@ -113,7 +110,6 @@ pub mod softmax;
 pub mod tensor;
 pub mod tiled;
 
-pub use dtype::DType;
 pub use error::{Result, TensorError};
 pub use shape::Shape;
 pub use tensor::Tensor;

@@ -91,8 +91,6 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 use crate::decode::{check_head_grouping, sweep_f16_rows, OnlineDecodeState, F16_TILE_TOKENS};
 use crate::error::{Result, TensorError};
 use crate::half::{f32_to_f16_bits_saturating, KvDtype};
@@ -108,7 +106,7 @@ static NEXT_POOL_ID: AtomicU64 = AtomicU64::new(1);
 ///
 /// Ids are indices into the pool's arena; they are only meaningful for the
 /// pool that allocated them and may be reused after [`KvBlockPool::free`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BlockId(usize);
 
 impl BlockId {
@@ -126,7 +124,7 @@ impl BlockId {
 /// Allocation policy: freed blocks are always reused (free-list pop) before
 /// the arena grows; growth beyond an optional `max_blocks` bound fails with
 /// [`TensorError::BlockPoolExhausted`] instead of allocating.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KvBlockPool {
     /// Unique identity token (see [`NEXT_POOL_ID`]); clones share it, since
     /// a clone holds the same arena contents and its block ids stay valid.
@@ -137,7 +135,6 @@ pub struct KvBlockPool {
     max_blocks: Option<usize>,
     /// Storage dtype of the arenas. Exactly one pair of arenas (`k`/`v` for
     /// [`KvDtype::F32`], `k16`/`v16` for [`KvDtype::F16`]) is populated.
-    #[serde(default)]
     dtype: KvDtype,
     /// Arena of key rows: `total_blocks × kv_heads × block_tokens × embed`,
     /// block-major then head-major (invariant 2 of the module docs).
@@ -146,17 +143,14 @@ pub struct KvBlockPool {
     v: Vec<f32>,
     /// f16 key arena (same layout as `k`, one `u16` of f16 bits per
     /// element); used instead of `k` under [`KvDtype::F16`].
-    #[serde(default)]
     k16: Vec<u16>,
     /// f16 value arena, same layout as `k16`.
-    #[serde(default)]
     v16: Vec<u16>,
     /// Indices of freed blocks, reused LIFO.
     free: Vec<usize>,
     /// Per-block reference counts, parallel to the arena. A block is live
     /// iff its refcount is non-zero; [`KvBlockPool::free`] is a decref and
     /// only returns the block to the free list at zero (module invariant 5).
-    #[serde(default)]
     refs: Vec<u32>,
     live: usize,
     peak_live: usize,
@@ -291,13 +285,6 @@ impl KvBlockPool {
     #[must_use]
     pub fn block_bytes(&self, element_bytes: usize) -> usize {
         2 * self.block_stride() * element_bytes
-    }
-
-    /// Bytes of all live blocks — what a serving layer charges against its
-    /// KV budget under block-granular accounting.
-    #[must_use]
-    pub fn live_bytes(&self, element_bytes: usize) -> usize {
-        self.live * self.block_bytes(element_bytes)
     }
 
     /// `K` plus `V` bytes of one block at the pool's own storage dtype
@@ -548,7 +535,7 @@ fn hash_tokens(tokens: &[u64]) -> u64 {
 /// The pool identity and storage dtype a [`PrefixIndex`] is bound to (set
 /// at first use): block ids and row bytes are only meaningful within one
 /// pool, so cross-pool or cross-dtype use is a typed error, never a match.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct IndexBinding {
     pool_id: u64,
     dtype: KvDtype,
@@ -557,7 +544,7 @@ struct IndexBinding {
 /// One radix node: a full block's token ids, the physical block holding
 /// their rows (the index holds one refcount on it), and hash-keyed child
 /// buckets for the next block of deeper prefixes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct PrefixNode {
     /// Exactly `block_tokens` token ids — the block's verified content.
     tokens: Vec<u64>,
@@ -590,7 +577,7 @@ struct ResolvedPrefix {
 /// own full prompt blocks as they fill via
 /// [`PagedKvCache::append_with_prefix`]; under pool pressure,
 /// least-recently-used index-only leaves are evicted to make room.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrefixIndex {
     block_tokens: usize,
     bound: Option<IndexBinding>,
@@ -925,7 +912,7 @@ fn alloc_with_reclaim(pool: &mut KvBlockPool, index: Option<&mut PrefixIndex>) -
 /// [`PagedKvCache::append`] and [`decode_attention_paged`], mirroring the
 /// block-table / physical-memory split of paged-attention serving systems
 /// (many sessions, one pool).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PagedKvCache {
     heads: usize,
     kv_heads: usize,
@@ -949,12 +936,10 @@ pub struct PagedKvCache {
     /// partially-filled shared tail triggers copy-on-write, and window
     /// eviction past a shared front just drops the session's reference
     /// (module invariant 7).
-    #[serde(default)]
     shared_blocks: usize,
     /// Publishing state while the session's own prompt blocks are being
     /// appended and inserted into the prefix index; `None` once the prompt
     /// is exhausted (decode tokens are never published).
-    #[serde(default)]
     publish: Option<PublishState>,
 }
 
@@ -962,7 +947,7 @@ pub struct PagedKvCache {
 /// [`PagedKvCache::open_with_prefix`]: the unmatched prompt tail still to
 /// append, the token ids accumulated into the current tail block, and the
 /// radix node to chain the next published block under.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct PublishState {
     /// Prompt tokens not yet appended; `pending[cursor..]` remain.
     pending: Vec<u64>,

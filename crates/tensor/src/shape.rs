@@ -1,6 +1,5 @@
 //! Four-dimensional tensor shapes in the paper's `B × H × N × E` layout.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::error::{Result, TensorError};
@@ -11,7 +10,7 @@ use crate::error::{Result, TensorError};
 /// the intermediates `C, P ∈ R^{B×H×N×N}`. We keep the four dimensions
 /// explicit rather than using a general N-d shape because every kernel in the
 /// reproduction operates on exactly this layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Shape {
     batch: usize,
     heads: usize,
@@ -114,15 +113,6 @@ impl Shape {
     #[must_use]
     pub const fn offset_unchecked(&self, b: usize, h: usize, r: usize, c: usize) -> usize {
         ((b * self.heads + h) * self.rows + r) * self.cols + c
-    }
-
-    /// Returns a shape with the same `B, H` but different row/col extents.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ZeroDimension`] if `rows` or `cols` is zero.
-    pub fn with_matrix(&self, rows: usize, cols: usize) -> Result<Self> {
-        Shape::new(self.batch, self.heads, rows, cols)
     }
 }
 

@@ -2,22 +2,18 @@
 //!
 //! The paper applies softmax "to every row of `QKᵀ`" (§4, Eq. 2) and stresses
 //! that softmax's row-wise nature drives the row-granularity tiling of `C`
-//! and `P` (Algorithm 3). Two implementations are provided:
+//! and `P` (Algorithm 3). [`softmax_rows`] is the classic
+//! max/exp-sum/normalize kernel applied independently to every row (what the
+//! VEC unit executes per tile). Each pass runs over the contiguous row slice
+//! ([`softmax_row`]), and the `(batch, head)` slices fan out across threads.
 //!
-//! * [`softmax_rows`] — the classic max/exp-sum/normalize kernel applied
-//!   independently to every row (what the VEC unit executes per tile). Each
-//!   pass runs over the contiguous row slice ([`softmax_row`]), and the
-//!   `(batch, head)` slices fan out across threads.
-//! * [`OnlineSoftmax`] — a streaming (single-pass over chunks) softmax with
-//!   running max/denominator correction, the decomposition FuseMax-style
-//!   pipelines use when the row arrives in pieces.
-//!
-//! Both produce identical results up to floating-point rounding; property
-//! tests assert this equivalence.
+//! The FuseMax-style online (running max and denominator) decomposition is
+//! not a separate kernel here: it runs inline in
+//! [`crate::tiled::fused_online_attention`] and [`crate::decode`], where the
+//! row arrives in pieces.
 
 use rayon::prelude::*;
 
-use crate::error::{Result, TensorError};
 use crate::simd;
 use crate::tensor::Tensor;
 
@@ -83,138 +79,6 @@ pub fn softmax_rows(t: &Tensor) -> Tensor {
             }
         });
     out
-}
-
-/// Streaming softmax over one logical row delivered in chunks.
-///
-/// This mirrors the "online softmax" decomposition used by FuseMax-style
-/// pipelines: as each chunk of logits arrives, the running maximum `m` and
-/// running denominator `d` are updated, and previously emitted unnormalized
-/// weights are rescaled by `exp(m_old - m_new)`. After all chunks have been
-/// absorbed, [`OnlineSoftmax::finalize`] produces the normalized
-/// probabilities for the whole row. Every pass (chunk max, history rescale,
-/// weight emission) runs over contiguous slices.
-///
-/// ```
-/// use mas_tensor::softmax::OnlineSoftmax;
-///
-/// let mut online = OnlineSoftmax::new();
-/// online.absorb(&[1.0, 2.0]);
-/// online.absorb(&[3.0]);
-/// let p = online.finalize();
-/// let total: f32 = p.iter().sum();
-/// assert!((total - 1.0).abs() < 1e-6);
-/// ```
-#[derive(Debug, Clone)]
-pub struct OnlineSoftmax {
-    running_max: f32,
-    running_denom: f32,
-    /// Unnormalized weights emitted so far, already referenced to
-    /// `running_max`.
-    weights: Vec<f32>,
-}
-
-impl Default for OnlineSoftmax {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl OnlineSoftmax {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            running_max: f32::NEG_INFINITY,
-            running_denom: 0.0,
-            weights: Vec::new(),
-        }
-    }
-
-    /// Absorbs the next chunk of logits for this row.
-    pub fn absorb(&mut self, chunk: &[f32]) {
-        if chunk.is_empty() {
-            return;
-        }
-        let chunk_max = simd::slice_max(chunk);
-        let new_max = self.running_max.max(chunk_max);
-        // Rescale history to the new reference maximum (one slice pass).
-        if self.running_max.is_finite() && new_max > self.running_max {
-            let correction = (self.running_max - new_max).exp();
-            self.running_denom *= correction;
-            simd::scale(correction, &mut self.weights);
-        }
-        self.running_max = new_max;
-        // Emit the chunk's weights (one slice pass over the new tail).
-        let start = self.weights.len();
-        self.weights
-            .extend(chunk.iter().map(|&x| (x - new_max).exp()));
-        self.running_denom += simd::sum8(&self.weights[start..]);
-    }
-
-    /// Number of logits absorbed so far.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// Whether any logits have been absorbed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.weights.is_empty()
-    }
-
-    /// Current running maximum (`-inf` before any chunk is absorbed).
-    #[must_use]
-    pub fn running_max(&self) -> f32 {
-        self.running_max
-    }
-
-    /// Produces the normalized probabilities for the absorbed row.
-    ///
-    /// Returns an empty vector if nothing was absorbed.
-    #[must_use]
-    pub fn finalize(&self) -> Vec<f32> {
-        if self.weights.is_empty() {
-            return Vec::new();
-        }
-        let inv = 1.0 / self.running_denom;
-        self.weights.iter().map(|&w| w * inv).collect()
-    }
-}
-
-/// Applies softmax to every row of `t` using the online (chunked) algorithm
-/// with the given chunk width, primarily to validate that the streaming
-/// decomposition is exact. Chunks are borrowed directly from the contiguous
-/// row slices — no per-element staging buffer.
-///
-/// # Errors
-///
-/// Returns [`TensorError::InvalidTile`] if `chunk` is zero.
-pub fn softmax_rows_online(t: &Tensor, chunk: usize) -> Result<Tensor> {
-    if chunk == 0 {
-        return Err(TensorError::InvalidTile {
-            dim: "softmax chunk",
-            tile: chunk,
-            extent: t.shape().cols(),
-        });
-    }
-    let [_, h_n, r_n, c_n] = t.shape().dims();
-    let mut out = Tensor::zeros(*t.shape());
-    out.data_mut()
-        .par_chunks_mut(r_n * c_n)
-        .enumerate()
-        .for_each(|(s, dst_mat)| {
-            let (bi, hi) = (s / h_n, s % h_n);
-            for (r, dst_row) in dst_mat.chunks_exact_mut(c_n).enumerate() {
-                let mut online = OnlineSoftmax::new();
-                for piece in t.row(bi, hi, r).chunks(chunk) {
-                    online.absorb(piece);
-                }
-                dst_row.copy_from_slice(&online.finalize());
-            }
-        });
-    Ok(out)
 }
 
 /// The pre-slice scalar softmax, retained verbatim as the oracle for the
@@ -317,46 +181,5 @@ mod tests {
         let p = softmax_rows(&t);
         assert!(p.data().iter().all(|v| v.is_finite()));
         assert!(p.data().iter().all(|&v| (0.0..=1.0).contains(&v)));
-    }
-
-    #[test]
-    fn online_matches_naive_for_various_chunks() {
-        let t = random_tensor(shape(1, 2, 5, 17), 3.0, 21);
-        let reference = softmax_rows(&t);
-        for chunk in [1, 2, 3, 5, 16, 17, 64] {
-            let online = softmax_rows_online(&t, chunk).unwrap();
-            assert!(
-                reference.max_abs_diff(&online).unwrap() < 1e-5,
-                "chunk {chunk} diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn online_zero_chunk_rejected() {
-        let t = random_tensor(shape(1, 1, 2, 4), 1.0, 1);
-        assert!(softmax_rows_online(&t, 0).is_err());
-    }
-
-    #[test]
-    fn online_accumulator_tracks_length_and_max() {
-        let mut o = OnlineSoftmax::new();
-        assert!(o.is_empty());
-        o.absorb(&[1.0, 5.0]);
-        o.absorb(&[]);
-        o.absorb(&[-2.0]);
-        assert_eq!(o.len(), 3);
-        assert_eq!(o.running_max(), 5.0);
-        let p = o.finalize();
-        assert_eq!(p.len(), 3);
-        assert!((p.iter().sum::<f32>() - 1.0).abs() < 1e-6);
-        // The largest logit gets the largest probability.
-        assert!(p[1] > p[0] && p[1] > p[2]);
-    }
-
-    #[test]
-    fn empty_online_finalizes_to_empty() {
-        let o = OnlineSoftmax::new();
-        assert!(o.finalize().is_empty());
     }
 }

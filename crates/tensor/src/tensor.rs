@@ -1,7 +1,5 @@
 //! Dense 4-D tensor storage with block (tile) extraction and insertion.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::{Result, TensorError};
 use crate::shape::Shape;
 
@@ -12,7 +10,7 @@ use crate::shape::Shape;
 /// precision is modelled separately (see [`crate::half`]) since the paper's
 /// workloads use FP16 *storage* but the numerical comparisons in this
 /// reproduction are made in single precision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,

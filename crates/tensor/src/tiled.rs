@@ -23,7 +23,6 @@
 //! Independent `(batch, head)` slices are processed in parallel.
 
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::error::{Result, TensorError};
 use crate::matmul::{axpy, dot};
@@ -36,7 +35,7 @@ use crate::tensor::Tensor;
 /// (Algorithm 1 divides `Q` into `⌈N/N_Q⌉` blocks); `n_kv` is the number of
 /// key/value rows per inner sub-tile (Algorithms 2 and 4 divide `K`/`V` into
 /// `⌈N/N_{K,V}⌉` blocks).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TileSizes {
     /// Query-row block size `N_Q` (≥ 1).
     pub n_q: usize,

@@ -7,8 +7,6 @@
 //!   (BERT, T5, Llama3-8B, ViT and XLM variants),
 //! * [`sdunet`] — the reduced Stable Diffusion 1.5 UNet used for the
 //!   end-to-end on-device experiment (§5.2.2), and
-//! * [`generator`] — a seeded synthetic workload generator for stress tests
-//!   and property-based testing, and
 //! * [`traffic`] — deterministic Poisson/burst request-trace generation for
 //!   the `mas-serve` streaming runtime, autoregressive decode traces
 //!   (sessions with prompts and per-token step arrivals) for its KV-cached
@@ -29,7 +27,6 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod generator;
 pub mod networks;
 pub mod sdunet;
 pub mod traffic;

@@ -7,7 +7,6 @@
 //! the paper accelerates); the attention workload is defined by
 //! `(heads, seq, embed)`.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use mas_dataflow::AttentionWorkload;
@@ -16,7 +15,7 @@ use mas_dataflow::AttentionWorkload;
 ///
 /// Networks that share an attention configuration are represented by a single
 /// variant, exactly as the paper groups them (e.g. "BERT-Base & T5-Base").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Network {
     /// BERT-Base & T5-Base: 12 heads, 512 tokens, hidden 768, embed 64.
     BertBase,
@@ -45,7 +44,7 @@ pub enum Network {
 }
 
 /// Static description of one Table 1 row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetworkConfig {
     /// Display name used in the paper's tables.
     pub name: &'static str,

@@ -9,12 +9,10 @@
 //! reconstructs a 15-unit suite with exactly that structure and the paper's
 //! stated largest unit.
 
-use serde::{Deserialize, Serialize};
-
 use mas_dataflow::AttentionWorkload;
 
 /// One attention unit of the reduced UNet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SdAttentionUnit {
     /// Name of the unit (block and resolution).
     pub name: String,

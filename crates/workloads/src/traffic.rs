@@ -17,14 +17,13 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use mas_dataflow::AttentionWorkload;
 
 use crate::networks::Network;
 
 /// How request arrival times are spaced.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Poisson process: exponential inter-arrival times at `rate_rps`
     /// requests per second.
@@ -48,7 +47,7 @@ pub enum ArrivalProcess {
 }
 
 /// Configuration of one generated trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// Arrival process shaping the request timestamps.
     pub arrivals: ArrivalProcess,
@@ -99,7 +98,7 @@ impl TraceConfig {
 }
 
 /// One timestamped request of a generated trace.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Arrival time in seconds from the start of the trace (non-decreasing).
     pub arrival_s: f64,
@@ -170,7 +169,7 @@ pub fn request_trace(config: &TraceConfig) -> Vec<TraceEvent> {
 /// at Poisson times, each with a prompt length and a step count drawn from
 /// configured ranges, and the session's decode steps arrive at jittered
 /// inter-token gaps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecodeTraceConfig {
     /// Networks whose head count / embedding size sessions draw from
     /// (uniformly at random). Must be non-empty.
@@ -196,7 +195,6 @@ pub struct DecodeTraceConfig {
     /// per-model system prompt. `None` (default) generates fully private
     /// sessions — and leaves the sampled trace byte-identical to configs
     /// predating this field.
-    #[serde(default)]
     pub system_prompt_len: Option<usize>,
 }
 
@@ -230,7 +228,7 @@ impl DecodeTraceConfig {
 
 /// One decode session of a generated trace: its shape, prompt and step
 /// budget.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecodeSessionSpec {
     /// Session id, unique within the trace.
     pub id: u64,
@@ -254,12 +252,10 @@ pub struct DecodeSessionSpec {
     /// share the whole KV blocks of their common prompt prefix when the
     /// serving policy enables prefix sharing. `None` (default) keeps the
     /// session fully private.
-    #[serde(default)]
     pub prefix_group: Option<u64>,
     /// Length in tokens of the prompt prefix shared with the group (already
     /// clamped to `prompt_len` by the generator). Only whole KV blocks of
     /// it are charged group-wide; `0` without a group.
-    #[serde(default)]
     pub shared_prefix_len: usize,
 }
 
@@ -273,7 +269,7 @@ impl DecodeSessionSpec {
 }
 
 /// One timestamped decode-step request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecodeStepEvent {
     /// The session requesting the step.
     pub session_id: u64,
@@ -285,7 +281,7 @@ pub struct DecodeStepEvent {
 
 /// A generated decode trace: session specs plus their step requests in
 /// global arrival order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecodeTrace {
     /// Sessions in start order (ids are their indices).
     pub sessions: Vec<DecodeSessionSpec>,
@@ -396,7 +392,7 @@ pub fn decode_trace(config: &DecodeTraceConfig) -> DecodeTrace {
 
 /// Configuration of a mixed prefill+decode trace: the two generated legs a
 /// unified serving replay interleaves on one timeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MixedTraceConfig {
     /// The prefill request leg.
     pub prefill: TraceConfig,
@@ -453,7 +449,7 @@ impl MixedTraceConfig {
 /// classes on one timeline (the serve engine) merges them by arrival time —
 /// the deterministic interleaving is a property of the timestamps, not of a
 /// combined event list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MixedTrace {
     /// Prefill request events in arrival order.
     pub prefill: Vec<TraceEvent>,
@@ -493,7 +489,7 @@ pub fn mixed_trace(config: &MixedTraceConfig) -> MixedTrace {
 /// session starts are uniformly staggered, decode steps arrive at a fixed
 /// inter-token gap, and every burst prefill lands at the same instant, so
 /// the trace (and any replay of it) is reproducible term by term.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverloadBurstConfig {
     /// Network supplying the attention shape of both legs.
     pub network: Network,
