@@ -5,12 +5,14 @@
 //! half of the contract: that dispatch actually pays. It times the scalar
 //! reference (`simd::scalar`) against the dispatched entry points on a
 //! dot-dominated attention score pass (one query row against a key matrix,
-//! the shape `matmul_nt` feeds `dot_many`) plus the axpy accumulation and
-//! softmax row passes, prints the selected backend and the speedups, and
-//! asserts the dispatched path is never slower than scalar. With a SIMD
-//! backend selected (AVX2/NEON) the score pass is expected well above the
-//! bar — the batched `dot_many` hides the add-latency chain that caps a
-//! single vectorized dot.
+//! the shape `matmul_nt` and the decode step feed `dot_many`), the
+//! value-block accumulation (one output row from a probability-weighted
+//! value matrix, the shape the decode step and `tiled_attention` feed
+//! `axpy_many`) plus the axpy and softmax row passes, prints the selected
+//! backend and the speedups, and asserts the dispatched path is never
+//! slower than scalar. With a SIMD backend selected (AVX2/NEON) the score
+//! pass is expected well above the bar — the batched `dot_many` hides the
+//! add-latency chain that caps a single vectorized dot.
 
 use std::hint::black_box;
 
@@ -50,6 +52,14 @@ fn main() {
             *s = simd::scalar::dot(black_box(&q), &keys[i * EMBED..(i + 1) * EMBED]);
         }
     });
+    let mut out = vec![0.0f32; EMBED];
+    let dispatched_axpy_many = time_per_call(|| {
+        simd::axpy_many(black_box(&row), black_box(&keys), &mut out);
+    });
+    let scalar_axpy_many = time_per_call(|| {
+        simd::scalar::axpy_many(black_box(&row), black_box(&keys), &mut out);
+    });
+    black_box(&out);
     let dispatched_axpy = time_per_call(|| {
         simd::axpy(black_box(0.5), black_box(&row), &mut acc);
     });
@@ -78,6 +88,11 @@ fn main() {
     println!("|---|---|---|---|");
     let rows = [
         ("score pass (dot_many)", scalar_score, dispatched_score),
+        (
+            "value block (axpy_many)",
+            scalar_axpy_many,
+            dispatched_axpy_many,
+        ),
         ("axpy", scalar_axpy, dispatched_axpy),
         ("softmax row passes", scalar_softmax, dispatched_softmax),
     ];
@@ -90,8 +105,10 @@ fn main() {
         );
     }
 
-    // With a SIMD backend the dot-dominated score pass must win outright —
-    // it is the kernel dispatch exists for. Axpy and the softmax row passes
+    // With a SIMD backend the dot-dominated score pass and the value-block
+    // accumulation (which keeps its output row in registers across the
+    // 2048 value rows) must win outright — they are the kernels dispatch
+    // exists for. Axpy and the softmax row passes
     // are memory-bound at this row length (and the exp loop is identical
     // scalar code on both sides), so they are parity kernels kept for
     // bit-compatibility: their bar only guards against a real regression
@@ -104,6 +121,12 @@ fn main() {
             "score pass (dot_many)",
             scalar_score,
             dispatched_score,
+            strict,
+        ),
+        (
+            "value block (axpy_many)",
+            scalar_axpy_many,
+            dispatched_axpy_many,
             strict,
         ),
         ("axpy", scalar_axpy, dispatched_axpy, parity),

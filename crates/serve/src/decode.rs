@@ -42,8 +42,11 @@
 //! The numerical kernel this models is `mas_tensor::decode::decode_attention`
 //! over a `mas_tensor::decode::KvCache` (contiguous) or
 //! `mas_tensor::paged::decode_attention_paged` over a block table (paged,
-//! bit-identical); the differential test harnesses pin both step-by-step
-//! against the full-prefill oracle.
+//! bit-identical). Both run the one-row case of tiled attention — per KV
+//! head, score the cached rows (MAC), softmax each query head's score row
+//! (VEC), accumulate the value rows (MAC) — which is why a decode step is
+//! priced as the one-row chunk `(t − 1, 1)`; the test harnesses pin every
+//! step bitwise to the last row of `tiled_attention` over its prefix.
 
 use mas_dataflow::decode::{DecodeStep, PrefillChunk};
 use mas_dataflow::{KvDtype, TrackDemand};

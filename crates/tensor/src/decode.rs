@@ -4,18 +4,40 @@
 //! against all `N` key/value rows in one kernel. Autoregressive *decode*
 //! instead produces one token per step: the new token's `K`/`V` rows are
 //! appended to a per-session cache and the single new query row attends over
-//! every cached row. With FlashAttention-style online softmax the step is a
-//! single sweep over the cache — `O(t·E)` work at context length `t`, versus
-//! `O(t²·E)` for re-running prefill over the whole sequence each step.
+//! every cached row — `O(t·E)` work at context length `t`, versus `O(t²·E)`
+//! for re-running prefill over the whole sequence each step.
 //!
 //! Two pieces implement that here:
 //!
 //! * [`KvCache`] — appendable per-head `K`/`V` row storage with optional
 //!   sliding-window capacity and eviction accounting. Rows are contiguous
-//!   per head, so the decode kernel runs on the same [`dot`]/[`axpy`] slice
-//!   primitives as the prefill executors in [`crate::tiled`].
-//! * [`decode_attention`] — one decode step: for each head, an
-//!   online-softmax sweep of the single query row over the cached rows.
+//!   per head, so the decode kernel runs on the same block primitives as
+//!   the prefill executors in [`crate::tiled`].
+//! * [`decode_attention`] — one decode step, the one-row case of
+//!   [`tiled_attention`](crate::tiled::tiled_attention).
+//!
+//! ## The decode step: score, softmax, accumulate
+//!
+//! A step runs the paper's three algorithm steps on tiles of cached rows,
+//! once per KV head for the whole group of query heads that reads it:
+//!
+//! 1. **Scores (Alg. 2).** Each query row of the group is dotted with a
+//!    tile of up to [`F16_TILE_TOKENS`] key rows by one
+//!    [`dot_many`](crate::simd::dot_many), filling the group's score rows.
+//! 2. **Softmax (Alg. 3).** Each query head's full score row becomes its
+//!    probabilities in place ([`softmax_row_in_place`]).
+//! 3. **Accumulate (Alg. 4).** Each query head's probabilities for a tile
+//!    of value rows go into its zeroed output row by one
+//!    [`axpy_many`](crate::simd::axpy_many).
+//!
+//! f16 rows are widened to f32 once per tile and pass for the whole group
+//! ([`crate::simd::f16_to_f32_slice`]). Every score is one `dot` of the
+//! query with a key row, the softmax sees the whole row, and every output
+//! element is accumulated row by row in cache order, so the result does not
+//! depend on how the rows are stored or split into tiles: decode over `t`
+//! cached tokens equals row `t − 1` of
+//! [`tiled_attention`](crate::tiled::tiled_attention) over those tokens bit
+//! for bit, at any tile size (`crates/tensor/tests/decode_vs_tiled.rs`).
 //!
 //! ## Grouped-query head sharing (GQA / MQA)
 //!
@@ -31,24 +53,25 @@
 //!
 //! Block-granular (paged) KV storage lives in [`crate::paged`]; its
 //! [`decode_attention_paged`](crate::paged::decode_attention_paged) kernel
-//! shares the per-row online-softmax sweep ([`OnlineDecodeState`]) with
-//! [`decode_attention`], which is why the two paths are bit-identical.
+//! runs the same step over one row run per block instead of one per cache.
+//! The step is layout-independent, so the two paths are bit-identical.
 //!
-//! The differential harness in `tests/decode_vs_prefill.rs` pins every decode
-//! step against the full-prefill oracle
+//! The differential harness in `tests/decode_vs_prefill.rs` also pins every
+//! decode step against the online-softmax prefill
 //! ([`fused_online_attention`](crate::tiled::fused_online_attention)) within
 //! [`golden_check`](crate::golden::golden_check) tolerance.
 
 use crate::error::{Result, TensorError};
 use crate::half::{f32_to_f16_bits_saturating, KvDtype};
-use crate::matmul::{axpy, dot};
 use crate::simd;
+use crate::softmax::softmax_row_in_place;
 use crate::tensor::Tensor;
 
-/// Tokens widened per scratch refill when sweeping an f16 cache: the stored
-/// `u16` rows are expanded to f32 in runs of this many tokens (the unit a
-/// device DMA engine would stream), bounding scratch at
-/// `2 × F16_TILE_TOKENS × embed` floats per decode call.
+/// Rows per tile of the decode step: key and value rows are scored and
+/// accumulated this many tokens at a time, and f16 rows are widened to f32
+/// in tiles of this size (the unit a device DMA engine would stream),
+/// bounding the widening scratch at `F16_TILE_TOKENS × embed` floats per
+/// decode call.
 pub const F16_TILE_TOKENS: usize = 64;
 
 /// Validates a grouped-query head configuration.
@@ -87,68 +110,6 @@ pub fn expand_kv_heads(src: &Tensor, heads: usize) -> Result<Tensor> {
     Ok(out)
 }
 
-/// Running online-softmax state of one query row's sweep over cached
-/// `K`/`V` rows: the running maximum, the softmax denominator and the
-/// unnormalized output accumulator.
-///
-/// Both the contiguous ([`decode_attention`]) and the paged
-/// ([`crate::paged::decode_attention_paged`]) decode kernels drive this
-/// state row by row in cache order, which makes them bit-identical: the
-/// arithmetic is a pure function of the visited row sequence, not of the
-/// storage layout. It is the same rescaling recurrence as
-/// [`fused_online_attention`](crate::tiled::fused_online_attention) with a
-/// one-row query block and single-row sub-tiles.
-#[derive(Debug)]
-pub struct OnlineDecodeState<'a> {
-    q_row: &'a [f32],
-    o_row: &'a mut [f32],
-    row_max: f32,
-    denom: f32,
-}
-
-impl<'a> OnlineDecodeState<'a> {
-    /// Starts a sweep for one query row, clearing the output accumulator.
-    pub fn new(q_row: &'a [f32], o_row: &'a mut [f32]) -> Self {
-        o_row.fill(0.0);
-        Self {
-            q_row,
-            o_row,
-            row_max: f32::NEG_INFINITY,
-            denom: 0.0,
-        }
-    }
-
-    /// Feeds a contiguous run of `K`/`V` rows (`len × embed` each, oldest
-    /// first) into the sweep.
-    pub fn update(&mut self, keys: &[f32], vals: &[f32]) {
-        let embed = self.q_row.len();
-        debug_assert_eq!(keys.len(), vals.len());
-        debug_assert!(keys.len().is_multiple_of(embed));
-        for t in 0..keys.len() / embed {
-            let score = dot(self.q_row, &keys[t * embed..(t + 1) * embed]);
-            if score > self.row_max {
-                let correction = if self.row_max.is_finite() {
-                    (self.row_max - score).exp()
-                } else {
-                    0.0
-                };
-                self.denom *= correction;
-                simd::scale(correction, self.o_row);
-                self.row_max = score;
-            }
-            let w = (score - self.row_max).exp();
-            self.denom += w;
-            axpy(w, &vals[t * embed..(t + 1) * embed], self.o_row);
-        }
-    }
-
-    /// Normalizes the accumulator by the softmax denominator, finishing the
-    /// sweep.
-    pub fn finish(self) {
-        simd::scale(1.0 / self.denom, self.o_row);
-    }
-}
-
 /// Appendable per-session key/value cache for autoregressive decode.
 ///
 /// Storage is one contiguous row-major `len × embed` matrix per KV head for
@@ -168,7 +129,7 @@ impl<'a> OnlineDecodeState<'a> {
 /// Storage precision is selectable with [`KvCache::with_dtype`]: under
 /// [`KvDtype::F16`] rows live in the `u16` arenas as binary16 bits (written
 /// through [`f32_to_f16_bits_saturating`], 2 bytes/element) and the decode
-/// sweep widens them back to f32 in [`F16_TILE_TOKENS`]-token runs.
+/// step widens them back to f32 in [`F16_TILE_TOKENS`]-token tiles.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KvCache {
     heads: usize,
@@ -473,42 +434,136 @@ impl KvCache {
     }
 }
 
-/// Drives `state` over an f16 row arena by widening [`F16_TILE_TOKENS`]-token
-/// runs into the borrowed scratch tiles. Shared by the contiguous and paged
-/// decode sweeps, so both visit identical f32 row sequences.
-pub(crate) fn sweep_f16_rows(
-    state: &mut OnlineDecodeState<'_>,
-    key_bits: &[u16],
-    val_bits: &[u16],
-    k_tile: &mut [f32],
-    v_tile: &mut [f32],
+/// A contiguous run of one KV head's cached `K` or `V` rows, oldest first,
+/// as stored.
+#[derive(Clone, Copy)]
+pub(crate) enum Rows<'a> {
+    /// f32 rows, read in place.
+    F32(&'a [f32]),
+    /// binary16 bit patterns, widened tile by tile.
+    F16(&'a [u16]),
+}
+
+impl<'a> Rows<'a> {
+    fn elements(self) -> usize {
+        match self {
+            Rows::F32(rows) => rows.len(),
+            Rows::F16(bits) => bits.len(),
+        }
+    }
+
+    /// Elements `range` as f32: borrowed in place, or widened into `tile`.
+    fn view<'t>(self, range: std::ops::Range<usize>, tile: &'t mut [f32]) -> &'t [f32]
+    where
+        'a: 't,
+    {
+        match self {
+            Rows::F32(rows) => &rows[range],
+            Rows::F16(bits) => {
+                let tile = &mut tile[..range.len()];
+                simd::f16_to_f32_slice(&bits[range], tile);
+                tile
+            }
+        }
+    }
+}
+
+/// Calls `f(token, rows)` for each tile of up to [`F16_TILE_TOKENS`] rows of
+/// `runs` in order, where `token` counts the rows before the tile.
+fn for_each_tile<'a>(
+    runs: impl Iterator<Item = Rows<'a>>,
+    embed: usize,
+    tile: &mut [f32],
+    mut f: impl FnMut(usize, &[f32]),
 ) {
-    let tile = k_tile.len();
-    debug_assert_eq!(key_bits.len(), val_bits.len());
-    let mut off = 0;
-    while off < key_bits.len() {
-        let end = (off + tile).min(key_bits.len());
-        let n = end - off;
-        simd::f16_to_f32_slice(&key_bits[off..end], &mut k_tile[..n]);
-        simd::f16_to_f32_slice(&val_bits[off..end], &mut v_tile[..n]);
-        state.update(&k_tile[..n], &v_tile[..n]);
-        off = end;
+    let mut token = 0;
+    for run in runs {
+        let rows = run.elements() / embed;
+        let mut off = 0;
+        while off < rows {
+            let n = F16_TILE_TOKENS.min(rows - off);
+            f(token, run.view(off * embed..(off + n) * embed, tile));
+            off += n;
+            token += n;
+        }
+    }
+}
+
+/// One decode step over every KV head of a cache, shared by
+/// [`decode_attention`] and
+/// [`decode_attention_paged`](crate::paged::decode_attention_paged).
+///
+/// `runs(kv_head)` yields the head's attended `(K, V)` row runs oldest
+/// first (one run for a contiguous cache, one per block for a paged one),
+/// `attended` rows in all. For each KV head and the group of query heads
+/// reading it, the step runs the three algorithm steps of
+/// [`tiled_attention`](crate::tiled::tiled_attention) on tiles of up to
+/// [`F16_TILE_TOKENS`] rows:
+///
+/// 1. scores: each query row against a `K` tile with one [`simd::dot_many`];
+/// 2. softmax: [`softmax_row_in_place`] over each query head's full score
+///    row;
+/// 3. accumulate: each query head's probabilities for a `V` tile with one
+///    [`simd::axpy_many`] into its zeroed output row.
+///
+/// f16 rows are widened once per tile and pass for the whole group. No step
+/// depends on how the rows are split into runs or tiles, so the output is a
+/// pure function of the attended row sequence.
+pub(crate) fn decode_step<'a, I>(
+    runs: impl Fn(usize) -> I,
+    attended: usize,
+    dtype: KvDtype,
+    group: usize,
+    embed: usize,
+    q_step: &[f32],
+    out: &mut [f32],
+) where
+    I: Iterator<Item = (Rows<'a>, Rows<'a>)>,
+{
+    let mut scores = vec![0.0f32; group * attended];
+    let mut tile = match dtype {
+        KvDtype::F32 => Vec::new(),
+        KvDtype::F16 => vec![0.0f32; F16_TILE_TOKENS * embed],
+    };
+    let width = group * embed;
+    let groups = q_step.chunks_exact(width).zip(out.chunks_exact_mut(width));
+    for (kv_h, (q_group, o_group)) in groups.enumerate() {
+        // Algorithm 2: the group's score rows, one K tile at a time.
+        let keys = runs(kv_h).map(|(keys, _)| keys);
+        for_each_tile(keys, embed, &mut tile, |token, k_tile| {
+            for (g, q_row) in q_group.chunks_exact(embed).enumerate() {
+                let at = g * attended + token;
+                simd::dot_many(q_row, k_tile, &mut scores[at..at + k_tile.len() / embed]);
+            }
+        });
+        // Algorithm 3: each score row becomes its probabilities.
+        for p_row in scores.chunks_exact_mut(attended) {
+            softmax_row_in_place(p_row);
+        }
+        // Algorithm 4: the group's output rows, one V tile at a time.
+        o_group.fill(0.0);
+        let vals = runs(kv_h).map(|(_, vals)| vals);
+        for_each_tile(vals, embed, &mut tile, |token, v_tile| {
+            for (g, o_row) in o_group.chunks_exact_mut(embed).enumerate() {
+                let at = g * attended + token;
+                simd::axpy_many(&scores[at..at + v_tile.len() / embed], v_tile, o_row);
+            }
+        });
     }
 }
 
 /// One autoregressive decode step: the single query row of each query head
-/// attends over every cached `K`/`V` row of its (possibly shared) KV head
-/// with an online softmax, writing the attention output into `out`.
+/// attends over every cached `K`/`V` row of its (possibly shared) KV head,
+/// writing the attention output into `out`.
 ///
 /// `q_step` and `out` are head-major `heads × embed` slices — the *query*
 /// head count, even for grouped caches whose [`KvCache::append`] takes
-/// `kv_heads × embed` rows. The sweep keeps a running maximum `m` and
-/// denominator `d` per head and rescales the output accumulator by
-/// `exp(m_old − m_new)` whenever the maximum grows — identical arithmetic to
-/// [`fused_online_attention`](crate::tiled::fused_online_attention) with a
-/// one-row query block and single-row sub-tiles, which is why the two agree
-/// within floating-point tolerance (pinned by the differential harness).
-/// Cost is `O(len · embed)` per query head.
+/// `kv_heads × embed` rows. For each KV head, the step scores the cached
+/// rows against every query head of its group, applies a softmax to each
+/// score row and accumulates the value rows (module docs): the one-row case
+/// of [`tiled_attention`](crate::tiled::tiled_attention), whose row `t − 1`
+/// over the cached `t` tokens it equals bit for bit, at any `n_kv`. Cost is
+/// `O(len · embed)` per query head.
 ///
 /// # Errors
 ///
@@ -531,31 +586,21 @@ pub fn decode_attention(cache: &KvCache, q_step: &[f32], out: &mut [f32]) -> Res
     if cache.is_empty() {
         return Err(TensorError::ZeroDimension { dim: "kv_cache" });
     }
-    let group = cache.group_size();
-    let mut scratch = match cache.dtype() {
-        KvDtype::F32 => Vec::new(),
-        KvDtype::F16 => vec![0.0f32; 2 * F16_TILE_TOKENS * embed],
+    let runs = |h| {
+        std::iter::once(match cache.dtype() {
+            KvDtype::F32 => (Rows::F32(cache.key_rows(h)), Rows::F32(cache.value_rows(h))),
+            KvDtype::F16 => (Rows::F16(cache.key_bits(h)), Rows::F16(cache.value_bits(h))),
+        })
     };
-    for h in 0..heads {
-        let q_row = &q_step[h * embed..(h + 1) * embed];
-        let o_row = &mut out[h * embed..(h + 1) * embed];
-        let kv_h = h / group;
-        let mut state = OnlineDecodeState::new(q_row, o_row);
-        match cache.dtype() {
-            KvDtype::F32 => state.update(cache.key_rows(kv_h), cache.value_rows(kv_h)),
-            KvDtype::F16 => {
-                let (k_tile, v_tile) = scratch.split_at_mut(F16_TILE_TOKENS * embed);
-                sweep_f16_rows(
-                    &mut state,
-                    cache.key_bits(kv_h),
-                    cache.value_bits(kv_h),
-                    k_tile,
-                    v_tile,
-                );
-            }
-        }
-        state.finish();
-    }
+    decode_step(
+        runs,
+        cache.len(),
+        cache.dtype(),
+        cache.group_size(),
+        embed,
+        q_step,
+        out,
+    );
     Ok(())
 }
 

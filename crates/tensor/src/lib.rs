@@ -17,18 +17,20 @@
 //!   baseline's blocking structure ([`tiled`]),
 //! * KV-cache streaming for autoregressive decode ([`decode`]): an
 //!   appendable per-session [`decode::KvCache`] plus the incremental
-//!   [`decode::decode_attention`] kernel — a single-query online-softmax
-//!   sweep over the cached rows, `O(t)` per step instead of the `O(t²)`
-//!   full-prefill recompute, pinned step-by-step against
-//!   [`tiled::fused_online_attention`] by a differential test harness, with
-//!   grouped-query/multi-query head sharing (`kv_heads ≤ heads`,
+//!   [`decode::decode_attention`] kernel — the one-row case of
+//!   [`tiled::tiled_attention`]: per KV head, the group's query rows are
+//!   scored against tiles of cached key rows, each score row goes through
+//!   one softmax, and the value rows are accumulated tile by tile. A step
+//!   is `O(t)` instead of the `O(t²)` full-prefill recompute and equals the
+//!   last row of `tiled_attention` over the cached tokens bit for bit,
+//!   with grouped-query/multi-query head sharing (`kv_heads ≤ heads`,
 //!   [`decode::KvCache::grouped`]),
 //! * block-granular (paged, vLLM-style) KV storage ([`paged`]): a shared
 //!   [`paged::KvBlockPool`] block allocator plus per-session
 //!   [`paged::PagedKvCache`] block tables and the
-//!   [`paged::decode_attention_paged`] kernel, bit-identical to the
-//!   contiguous decode path (see the module docs for the block-table layout
-//!   invariants), and
+//!   [`paged::decode_attention_paged`] kernel, the same decode step fed one
+//!   row run per block and so bit-identical to the contiguous path (see the
+//!   module docs for the block-table layout invariants), and
 //! * the golden-data checker ([`golden`]) and deterministic input generation
 //!   ([`init`]).
 //!
@@ -48,8 +50,9 @@
 //! [`half::f32_to_f16_bits_saturating`] (finite overflow clamps to
 //! ±[`half::F16_MAX`] so one outsized logit cannot poison a session's softmax
 //! with `inf`) and widened back to `f32` a row tile at a time inside the
-//! decode sweep via [`simd::f16_to_f32_slice`] — the point where a device DMA
-//! engine would expand the stream. Storage accounting (`kv_bytes`,
+//! decode step via [`simd::f16_to_f32_slice`], once per tile for the whole
+//! query-head group — the point where a device DMA engine would expand the
+//! stream. Storage accounting (`kv_bytes`,
 //! `block_bytes`, the serve engine's budget charging) scales by
 //! `KvDtype::element_bytes`, so f16 sessions charge exactly half the bytes of
 //! f32 ones.
@@ -68,10 +71,11 @@
 //!    is what lets kernels partition `data_mut()` into disjoint
 //!    `rows * cols` chunks and process them in parallel.
 //! 3. **Kernels never index per element on the hot path.** Inner loops are
-//!    dot products ([`matmul::dot`]), AXPY updates ([`matmul::axpy`]) and
-//!    single-row softmax passes ([`softmax::softmax_row`]) over `&[f32]`,
-//!    which bounds-check once per row and run on the explicitly vectorized
-//!    [`simd`] kernels. The scalar element accessors (`get`/`set`) remain
+//!    block primitives over tiles of rows — one query row against many key
+//!    rows ([`simd::dot_many`]), many weighted value rows into one output
+//!    row ([`simd::axpy_many`]) — and single-row softmax passes
+//!    ([`softmax::softmax_row`]) over `&[f32]`, which bounds-check once per
+//!    tile or row and run on the explicitly vectorized [`simd`] kernels. The scalar element accessors (`get`/`set`) remain
 //!    for tests and one-off edits.
 //! 4. **Accumulation order is fixed but not left-to-right.** Reductions
 //!    follow the explicit 8-lane contract of the [`simd`] module (eight

@@ -15,7 +15,8 @@
 //!
 //! The inner loops run on contiguous row slices (see [`Tensor::row`]): the NT
 //! form reduces to batched row·row dot products ([`crate::simd::dot_many`])
-//! and the NN form to rank-1 AXPY updates ([`axpy`]) in `ikj` order, both
+//! and the NN form to rank-1 AXPY updates in `ikj` order, one
+//! [`crate::simd::axpy_many`] per output row, both
 //! executed by the runtime-dispatched [`crate::simd`] kernels. The
 //! `(batch, head)` slices are independent and fan out across threads with
 //! rayon. The pre-slice scalar implementations are retained under
@@ -72,6 +73,9 @@ pub(crate) fn matmul_nt_slice(a: &[f32], b: &[f32], c: &mut [f32], m: usize, n: 
 }
 
 /// Slice-level NN kernel in `ikj` order: `c[m × n] += a[m × k] · b[k × n]`.
+///
+/// Each output row is one [`simd::axpy_many`] over all `k` rows of `b`,
+/// bit-identical to `k` successive [`axpy`] updates.
 #[inline]
 pub(crate) fn matmul_nn_slice_acc(
     a: &[f32],
@@ -84,9 +88,7 @@ pub(crate) fn matmul_nn_slice_acc(
     for i in 0..m {
         let a_row = &a[i * k..(i + 1) * k];
         let c_row = &mut c[i * n..(i + 1) * n];
-        for (p, &av) in a_row.iter().enumerate() {
-            axpy(av, &b[p * n..(p + 1) * n], c_row);
-        }
+        simd::axpy_many(a_row, &b[..k * n], c_row);
     }
 }
 

@@ -22,12 +22,14 @@
 //!   whose prompts share a block-aligned prefix map the same physical
 //!   blocks via [`PagedKvCache::open_with_prefix`], with copy-on-write on
 //!   divergence and LRU eviction of index-only blocks under pool pressure.
-//! * [`decode_attention_paged`] — the decode kernel generalized to sweep a
-//!   block table. It drives the same per-row online-softmax recurrence
-//!   ([`OnlineDecodeState`]) as the contiguous
-//!   [`decode_attention`](crate::decode::decode_attention) over
-//!   the same rows in the same order, so the two paths are **bit-identical**
-//!   (pinned by `tests/paged_vs_contiguous.rs`).
+//! * [`decode_attention_paged`] — the decode kernel over a block table. It
+//!   runs the same grouped score/softmax/accumulate step as the contiguous
+//!   [`decode_attention`](crate::decode::decode_attention) (see
+//!   [`crate::decode`]), fed one row run per block instead of one per
+//!   cache. The step's result depends only on the attended rows and their
+//!   order, not on where runs or tiles split them, so the two paths are
+//!   **bit-identical** (pinned by `tests/paged_vs_contiguous.rs` and
+//!   `crates/tensor/tests/decode_vs_tiled.rs`).
 //!
 //! ## Block-table layout invariants
 //!
@@ -40,11 +42,11 @@
 //!    and restarts the resident stream at slot 0 of the next block.
 //! 2. **Rows are contiguous per `(block, kv_head)`.** Inside a block, the
 //!    `block_tokens` K rows of one KV head are one contiguous
-//!    `block_tokens × embed` slice (likewise V), so the kernel sweeps each
-//!    block with the same [`dot`](crate::matmul::dot)/
-//!    [`axpy`](crate::matmul::axpy) slice primitives as the contiguous
-//!    cache — a block is to the paged kernel what the whole cache is to the
-//!    contiguous one.
+//!    `block_tokens × embed` slice (likewise V), so the kernel scores and
+//!    accumulates each block with the same
+//!    [`dot_many`](crate::simd::dot_many)/[`axpy_many`](crate::simd::axpy_many)
+//!    block primitives as the contiguous cache — a block is to the paged
+//!    kernel what the whole cache is to the contiguous one.
 //! 3. **Only the tail block is partially filled.** Every table entry except
 //!    possibly the last holds exactly `block_tokens` tokens; the attended
 //!    range within the table is `[window_start, appended)` and never
@@ -91,7 +93,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::decode::{check_head_grouping, sweep_f16_rows, OnlineDecodeState, F16_TILE_TOKENS};
+use crate::decode::{check_head_grouping, decode_step, Rows};
 use crate::error::{Result, TensorError};
 use crate::half::{f32_to_f16_bits_saturating, KvDtype};
 
@@ -1410,9 +1412,10 @@ impl PagedKvCache {
 
 /// One autoregressive decode step over a paged cache: each query head's
 /// single query row attends over the attended-window rows of its shared KV
-/// head, swept block by block through the session's block table with the
-/// same online-softmax recurrence as the contiguous kernel — the visited
-/// row sequence is identical, so the result is bit-identical to
+/// head, read block by block through the session's block table by the same
+/// score/softmax/accumulate step as the contiguous kernel (see
+/// [`crate::decode`]). The attended row sequence is identical, so the
+/// result is bit-identical to
 /// [`decode_attention`](crate::decode::decode_attention) on a contiguous
 /// cache holding the same tokens.
 ///
@@ -1453,47 +1456,36 @@ pub fn decode_attention_paged(
     let end = cache.resident_tokens();
     let start = end - attended;
     let block_tokens = cache.block_tokens();
-    let group = cache.group_size();
-    // f16 pools widen each slot run through the same fixed-size scratch
-    // tiles as the contiguous kernel (`sweep_f16_rows`), so paged and
-    // contiguous f16 decode visit identical f32 row sequences.
-    let mut scratch = match pool.dtype() {
-        KvDtype::F32 => Vec::new(),
-        KvDtype::F16 => vec![0.0f32; 2 * F16_TILE_TOKENS * embed],
-    };
-    for h in 0..heads {
-        let q_row = &q_step[h * embed..(h + 1) * embed];
-        let o_row = &mut out[h * embed..(h + 1) * embed];
-        let kv_h = h / group;
-        let mut state = OnlineDecodeState::new(q_row, o_row);
-        // Sweep the block table oldest-first, one contiguous slot run per
-        // block (invariant 2: rows per (block, head) are contiguous).
-        let mut token = start;
-        while token < end {
-            let block_index = token / block_tokens;
-            let slot_start = token % block_tokens;
-            let slot_end = (end - block_index * block_tokens).min(block_tokens);
-            let id = cache.block_table()[block_index];
+    let table = cache.block_table();
+    let (first, last) = (start / block_tokens, (end - 1) / block_tokens);
+    // One contiguous slot run per block, oldest first (invariant 2: rows
+    // per (block, head) are contiguous).
+    let runs = |h| {
+        (first..=last).map(move |b| {
+            let base = b * block_tokens;
+            let (lo, hi) = (start.max(base) - base, (end - base).min(block_tokens));
+            let id = table[b];
             match pool.dtype() {
-                KvDtype::F32 => state.update(
-                    pool.key_rows(id, kv_h, slot_start, slot_end),
-                    pool.value_rows(id, kv_h, slot_start, slot_end),
+                KvDtype::F32 => (
+                    Rows::F32(pool.key_rows(id, h, lo, hi)),
+                    Rows::F32(pool.value_rows(id, h, lo, hi)),
                 ),
-                KvDtype::F16 => {
-                    let (k_tile, v_tile) = scratch.split_at_mut(F16_TILE_TOKENS * embed);
-                    sweep_f16_rows(
-                        &mut state,
-                        pool.key_bits(id, kv_h, slot_start, slot_end),
-                        pool.value_bits(id, kv_h, slot_start, slot_end),
-                        k_tile,
-                        v_tile,
-                    );
-                }
+                KvDtype::F16 => (
+                    Rows::F16(pool.key_bits(id, h, lo, hi)),
+                    Rows::F16(pool.value_bits(id, h, lo, hi)),
+                ),
             }
-            token = block_index * block_tokens + slot_end;
-        }
-        state.finish();
-    }
+        })
+    };
+    decode_step(
+        runs,
+        attended,
+        pool.dtype(),
+        cache.group_size(),
+        embed,
+        q_step,
+        out,
+    );
     Ok(())
 }
 
@@ -1653,7 +1645,7 @@ mod tests {
         // the two f16 paths must agree bitwise, just like the f32 ones.
         // `t` crosses F16_TILE_TOKENS to exercise contiguous tiling.
         let (heads, embed, seed) = (3, 8, 41);
-        let t = F16_TILE_TOKENS + 9;
+        let t = crate::decode::F16_TILE_TOKENS + 9;
         for block_tokens in [1usize, 7, 16, 64] {
             let (q, k, v) = random_qkv(1, heads, t, embed, seed);
             let mut contiguous = KvCache::new(heads, embed).with_dtype(KvDtype::F16);

@@ -2,8 +2,12 @@
 //!
 //! The paper's roofline places edge attention on the vector/MAC pipes and the
 //! DRAM stream; this module supplies the explicit `std::arch` inner loops the
-//! tiled and fused executors run on, replacing reliance on LLVM
-//! autovectorization. Three backends exist:
+//! tiled, fused and decode kernels run on, replacing reliance on LLVM
+//! autovectorization. Besides the one-row kernels there are two block
+//! primitives, which take a whole tile of rows per call the way the MAC
+//! stream takes a tile: [`dot_many`] (one row against many, the `Q·Kᵀ`
+//! scores) and [`axpy_many`] (many weighted rows into one, the `P·V`
+//! accumulation). Three backends exist:
 //!
 //! * **AVX2** on `x86_64` (plus an F16C fast path for widening stored f16 KV
 //!   rows),
@@ -36,10 +40,14 @@
 //!
 //! Elementwise kernels ([`axpy`], [`scale`]) perform the same single-rounding
 //! operation per element in every backend, so they are trivially
-//! bit-identical. [`slice_max`] is reduced in a different association
-//! (pairwise in the vector backends) which is value-equal for every input
-//! without NaNs; like hardware min/max trees, it does not define NaN
-//! propagation order. Property tests in `tests/simd_bitcompat.rs` pin the
+//! bit-identical. The block kernels are defined by their one-row forms:
+//! [`dot_many`] is `dot` per row and [`axpy_many`] is [`axpy`] per row in
+//! row order, so each output element sees exactly the roundings of the
+//! one-row loop however a backend groups rows or holds `out` in registers
+//! (the NEON backend runs `axpy_many` as that loop). [`slice_max`] is
+//! reduced in a different association (pairwise in the vector backends)
+//! which is value-equal for every input without NaNs; like hardware min/max
+//! trees, it does not define NaN propagation order. Property tests in `tests/simd_bitcompat.rs` pin the
 //! dispatched backend to [`scalar`] bit-for-bit.
 
 use std::sync::OnceLock;
@@ -198,6 +206,44 @@ pub fn axpy(a: f32, x: &[f32], out: &mut [f32]) {
     scalar::axpy(a, x, out);
 }
 
+/// `out += weights[r] * row_r` for every row `r` of `rows` in order, where
+/// `rows` holds `weights.len()` consecutive rows of `out.len()` elements:
+/// the `P·V` accumulation of a whole tile of value rows into one output row.
+///
+/// Every element receives the same multiply-then-add roundings in the same
+/// row order as repeated [`axpy`], so the result is bit-identical to
+/// `for r in rows { axpy(weights[r], row_r, out) }` in every backend. The
+/// AVX2 backend holds `out` in registers across all rows, in strips of up to
+/// eight vectors, instead of loading and storing it once per row.
+///
+/// # Panics
+///
+/// Panics if `rows.len() != weights.len() * out.len()`.
+#[inline]
+pub fn axpy_many(weights: &[f32], rows: &[f32], out: &mut [f32]) {
+    assert_eq!(
+        rows.len(),
+        weights.len() * out.len(),
+        "axpy_many rows must hold weights.len() rows of out.len() elements"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if caps().avx2 {
+        // SAFETY: AVX2 support was verified by the cached feature detection.
+        unsafe { x86::axpy_many(weights, rows, out) };
+        return;
+    }
+    #[cfg(target_arch = "aarch64")]
+    if caps().neon {
+        let n = out.len();
+        for (r, &w) in weights.iter().enumerate() {
+            // SAFETY: NEON support was verified by the cached feature detection.
+            unsafe { neon::axpy(w, &rows[r * n..(r + 1) * n], out) };
+        }
+        return;
+    }
+    scalar::axpy_many(weights, rows, out);
+}
+
 /// Maximum value of a slice (`-inf` when empty). Value-equal across backends
 /// for NaN-free input; the reduction association is backend-defined.
 #[must_use]
@@ -314,6 +360,15 @@ pub mod scalar {
         }
     }
 
+    /// Reference block AXPY: repeated [`axpy`] over the rows in order.
+    #[inline]
+    pub fn axpy_many(weights: &[f32], rows: &[f32], out: &mut [f32]) {
+        let n = out.len();
+        for (r, &w) in weights.iter().enumerate() {
+            axpy(w, &rows[r * n..(r + 1) * n], out);
+        }
+    }
+
     /// Reference maximum: a left-to-right `f32::max` fold (`-inf` when
     /// empty).
     #[must_use]
@@ -412,16 +467,77 @@ mod x86 {
             }
         }
         let split = chunks * LANES;
+        let mut tails = [0.0f32; K];
+        for (k, tail) in tails.iter_mut().enumerate() {
+            let row = &rows[k * n..(k + 1) * n];
+            for (xa, ya) in x[split..].iter().zip(&row[split..]) {
+                *tail += xa * ya;
+            }
+        }
+        if K == LANES {
+            transposed_lane_sums(&acc, &tails, out);
+            return;
+        }
         for (k, a) in acc.iter().enumerate() {
             let mut lanes = [0.0f32; LANES];
             _mm256_storeu_ps(lanes.as_mut_ptr(), *a);
-            let row = &rows[k * n..(k + 1) * n];
-            let mut tail = 0.0f32;
-            for (xa, ya) in x[split..].iter().zip(&row[split..]) {
-                tail += xa * ya;
-            }
-            out[k] = lanes.iter().sum::<f32>() + tail;
+            out[k] = lanes.iter().sum::<f32>() + tails[k];
         }
+    }
+
+    /// `out[k] = (Σ lanes of acc[k], left to right) + tails[k]` for eight
+    /// rows at once. After an 8×8 transpose, vector `i` holds lane `i` of
+    /// every row's accumulator, so adding the vectors in lane order performs
+    /// each row's left-to-right lane sum in its own lane — the same
+    /// additions in the same order as the per-row reduction in `dotn`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2; `acc`, `tails` and `out` hold 8 elements each.
+    #[target_feature(enable = "avx2")]
+    unsafe fn transposed_lane_sums(acc: &[__m256], tails: &[f32], out: &mut [f32]) {
+        let (t0, t1) = (
+            _mm256_unpacklo_ps(acc[0], acc[1]),
+            _mm256_unpackhi_ps(acc[0], acc[1]),
+        );
+        let (t2, t3) = (
+            _mm256_unpacklo_ps(acc[2], acc[3]),
+            _mm256_unpackhi_ps(acc[2], acc[3]),
+        );
+        let (t4, t5) = (
+            _mm256_unpacklo_ps(acc[4], acc[5]),
+            _mm256_unpackhi_ps(acc[4], acc[5]),
+        );
+        let (t6, t7) = (
+            _mm256_unpacklo_ps(acc[6], acc[7]),
+            _mm256_unpackhi_ps(acc[6], acc[7]),
+        );
+        let u0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let u1 = _mm256_shuffle_ps::<0xee>(t0, t2);
+        let u2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let u3 = _mm256_shuffle_ps::<0xee>(t1, t3);
+        let u4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let u5 = _mm256_shuffle_ps::<0xee>(t4, t6);
+        let u6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let u7 = _mm256_shuffle_ps::<0xee>(t5, t7);
+        let lanes = [
+            _mm256_permute2f128_ps::<0x20>(u0, u4),
+            _mm256_permute2f128_ps::<0x20>(u1, u5),
+            _mm256_permute2f128_ps::<0x20>(u2, u6),
+            _mm256_permute2f128_ps::<0x20>(u3, u7),
+            _mm256_permute2f128_ps::<0x31>(u0, u4),
+            _mm256_permute2f128_ps::<0x31>(u1, u5),
+            _mm256_permute2f128_ps::<0x31>(u2, u6),
+            _mm256_permute2f128_ps::<0x31>(u3, u7),
+        ];
+        // The per-row reduction is `lanes.iter().sum()`, a left fold from
+        // `f32`'s empty sum; start from that same value.
+        let mut sum = _mm256_set1_ps(core::iter::empty::<f32>().sum());
+        for lane in lanes {
+            sum = _mm256_add_ps(sum, lane);
+        }
+        sum = _mm256_add_ps(sum, _mm256_loadu_ps(tails.as_ptr()));
+        _mm256_storeu_ps(out.as_mut_ptr(), sum);
     }
 
     /// # Safety
@@ -429,10 +545,10 @@ mod x86 {
     /// Requires AVX2; `rows.len() == out.len() * x.len()`.
     #[target_feature(enable = "avx2")]
     pub unsafe fn dot_many(x: &[f32], rows: &[f32], out: &mut [f32]) {
-        // Six rows in flight: enough independent accumulators to hide the
-        // vaddps latency chain without spilling (measured fastest of 2/4/6/8
-        // on AVX2 hosts).
-        const GROUP: usize = 6;
+        // Eight rows in flight: enough independent accumulators to hide the
+        // vaddps latency chain, and one per lane for the transposed lane
+        // reduction.
+        const GROUP: usize = 8;
         let k = x.len();
         let n = out.len();
         let mut r = 0;
@@ -448,6 +564,8 @@ mod x86 {
             3 => dotn::<3>(x, rows, out),
             4 => dotn::<4>(x, rows, out),
             5 => dotn::<5>(x, rows, out),
+            6 => dotn::<6>(x, rows, out),
+            7 => dotn::<7>(x, rows, out),
             _ => {}
         }
     }
@@ -470,6 +588,79 @@ mod x86 {
         let split = chunks * LANES;
         for (o, &v) in out[split..].iter_mut().zip(&x[split..]) {
             *o += a * v;
+        }
+    }
+
+    /// Adds `w_r · row_r[col..col + V·8]` for every row into the `V`
+    /// vectors of `out` starting at `col`, holding them in registers across
+    /// the rows.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2; `rows` must hold `weights.len()` rows of `n` elements
+    /// and `col + V·8 <= n`, `out` `n` elements.
+    #[target_feature(enable = "avx2")]
+    unsafe fn axpy_strip<const V: usize>(
+        weights: &[f32],
+        rows: *const f32,
+        n: usize,
+        col: usize,
+        out: *mut f32,
+    ) {
+        let mut acc = [_mm256_setzero_ps(); V];
+        for (v, a) in acc.iter_mut().enumerate() {
+            *a = _mm256_loadu_ps(out.add(col + v * LANES));
+        }
+        for (r, &w) in weights.iter().enumerate() {
+            let wv = _mm256_set1_ps(w);
+            let rp = rows.add(r * n + col);
+            for (v, a) in acc.iter_mut().enumerate() {
+                let xv = _mm256_loadu_ps(rp.add(v * LANES));
+                // add(mul(...)) per row, as in `axpy`: never a fused multiply-add.
+                *a = _mm256_add_ps(*a, _mm256_mul_ps(wv, xv));
+            }
+        }
+        for (v, a) in acc.iter().enumerate() {
+            _mm256_storeu_ps(out.add(col + v * LANES), *a);
+        }
+    }
+
+    /// # Safety
+    ///
+    /// Requires AVX2; `rows.len() == weights.len() * out.len()`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn axpy_many(weights: &[f32], rows: &[f32], out: &mut [f32]) {
+        // Eight accumulators per strip: with the broadcast weight and one
+        // load in flight they fit the sixteen ymm registers without spills.
+        const STRIP: usize = 8;
+        let n = out.len();
+        let vectors = n / LANES;
+        let rp = rows.as_ptr();
+        let op = out.as_mut_ptr();
+        let mut v = 0;
+        while v + STRIP <= vectors {
+            axpy_strip::<STRIP>(weights, rp, n, v * LANES, op);
+            v += STRIP;
+        }
+        let col = v * LANES;
+        match vectors - v {
+            1 => axpy_strip::<1>(weights, rp, n, col, op),
+            2 => axpy_strip::<2>(weights, rp, n, col, op),
+            3 => axpy_strip::<3>(weights, rp, n, col, op),
+            4 => axpy_strip::<4>(weights, rp, n, col, op),
+            5 => axpy_strip::<5>(weights, rp, n, col, op),
+            6 => axpy_strip::<6>(weights, rp, n, col, op),
+            7 => axpy_strip::<7>(weights, rp, n, col, op),
+            _ => {}
+        }
+        let split = vectors * LANES;
+        if split < n {
+            for (r, &w) in weights.iter().enumerate() {
+                let row = &rows[r * n + split..(r + 1) * n];
+                for (o, &x) in out[split..].iter_mut().zip(row) {
+                    *o += w * x;
+                }
+            }
         }
     }
 
@@ -749,6 +940,37 @@ mod tests {
             scalar::axpy(1.7, &x, &mut slow);
             for (f, s) in fast.iter().zip(&slow) {
                 assert_eq!(f.to_bits(), s.to_bits(), "len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn dispatched_axpy_many_matches_repeated_scalar_axpy_bitwise() {
+        for (rows, n) in [
+            (0, 5),
+            (1, 1),
+            (3, 7),
+            (6, 8),
+            (9, 63),
+            (64, 64),
+            (17, 65),
+            (5, 130),
+        ] {
+            let (x, base) = vecs(rows * n, 19 + n as u32);
+            let mut weights = base[..rows].to_vec();
+            if rows > 2 {
+                weights[0] = 0.0;
+                weights[1] = -f32::MIN_POSITIVE / 4.0;
+            }
+            let (start, _) = vecs(n, 23);
+            let mut fast = start.clone();
+            let mut slow = start;
+            axpy_many(&weights, &x, &mut fast);
+            for (r, &w) in weights.iter().enumerate() {
+                scalar::axpy(w, &x[r * n..(r + 1) * n], &mut slow);
+            }
+            for (i, (f, s)) in fast.iter().zip(&slow).enumerate() {
+                assert_eq!(f.to_bits(), s.to_bits(), "rows {rows} n {n} element {i}");
             }
         }
     }

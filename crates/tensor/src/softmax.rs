@@ -7,10 +7,13 @@
 //! VEC unit executes per tile). Each pass runs over the contiguous row slice
 //! ([`softmax_row`]), and the `(batch, head)` slices fan out across threads.
 //!
-//! The FuseMax-style online (running max and denominator) decomposition is
-//! not a separate kernel here: it runs inline in
-//! [`crate::tiled::fused_online_attention`] and [`crate::decode`], where the
-//! row arrives in pieces.
+//! [`softmax_row_in_place`] is the VEC step of every tiled kernel: it
+//! normalizes the on-chip `C_i` rows of
+//! [`crate::tiled::tiled_attention`] and each query head's full score row
+//! in the decode step of [`crate::decode`]. The FuseMax-style online
+//! (running max and denominator) decomposition is not a separate kernel: it
+//! runs inline in [`crate::tiled::fused_online_attention`], where the row
+//! arrives in pieces.
 
 use rayon::prelude::*;
 

@@ -17,15 +17,23 @@
 //! block `n_q` and the sub-matrix key/value block `n_kv` — the same
 //! `N_Q`/`N_{K,V}` parameters that the tiling search optimizes.
 //!
-//! The inner loops work exclusively on contiguous row slices: tile logits are
-//! row·row [`dot`] products, probability×value accumulation is an [`axpy`]
-//! over the output row, and softmax runs in place on the on-chip `C_i` rows.
-//! Independent `(batch, head)` slices are processed in parallel.
+//! The inner loops work on whole tiles of contiguous rows: a query row's
+//! logits against a `K` sub-tile are one [`dot_many`], its probability×value
+//! update over a `V` sub-tile is one [`axpy_many`] into the output row, and
+//! softmax runs in place on the on-chip `C_i` rows. Both block primitives
+//! are bit-identical to their one-row loops (the [`crate::simd`] contract),
+//! so the tile sizes never change a result bit. Independent `(batch, head)`
+//! slices are processed in parallel.
+//!
+//! A decode step is the one-row case of [`tiled_attention`]: the kernels in
+//! [`crate::decode`] and [`crate::paged`] run the same three steps over the
+//! cached rows and equal the last row of [`tiled_attention`] over the
+//! step's prefix bit for bit.
 
 use rayon::prelude::*;
 
 use crate::error::{Result, TensorError};
-use crate::matmul::{axpy, dot};
+use crate::simd::{axpy_many, dot_many, scale};
 use crate::softmax::{slice_max, softmax_row_in_place};
 use crate::tensor::Tensor;
 
@@ -146,13 +154,11 @@ fn tiled_attention_slice(
         let mut kj_start = 0;
         while kj_start < n {
             let kj_len = tiles.n_kv.min(n - kj_start);
+            let k_tile = &k_mat[kj_start * e..(kj_start + kj_len) * e];
             for r in 0..qi_len {
                 let q_row = &q_mat[(qi_start + r) * e..(qi_start + r + 1) * e];
                 let c_row = &mut c_block[r * n + kj_start..r * n + kj_start + kj_len];
-                for (c, cv) in c_row.iter_mut().enumerate() {
-                    let k_row = &k_mat[(kj_start + c) * e..(kj_start + c + 1) * e];
-                    *cv = dot(q_row, k_row);
-                }
+                dot_many(q_row, k_tile, c_row);
             }
             kj_start += kj_len;
         }
@@ -165,13 +171,11 @@ fn tiled_attention_slice(
         let mut vj_start = 0;
         while vj_start < n {
             let vj_len = tiles.n_kv.min(n - vj_start);
+            let v_tile = &v_mat[vj_start * e..(vj_start + vj_len) * e];
             for r in 0..qi_len {
                 let p_row = &c_block[r * n + vj_start..r * n + vj_start + vj_len];
                 let o_row = &mut o_mat[(qi_start + r) * e..(qi_start + r + 1) * e];
-                for (p, &w) in p_row.iter().enumerate() {
-                    let v_row = &v_mat[(vj_start + p) * e..(vj_start + p + 1) * e];
-                    axpy(w, v_row, o_row);
-                }
+                axpy_many(p_row, v_tile, o_row);
             }
             vj_start += vj_len;
         }
@@ -240,15 +244,15 @@ fn fused_online_attention_slice(
         let mut kj_start = 0;
         while kj_start < n {
             let kj_len = tiles.n_kv.min(n - kj_start);
+            let k_tile = &k_mat[kj_start * e..(kj_start + kj_len) * e];
+            let v_tile = &v_mat[kj_start * e..(kj_start + kj_len) * e];
             for r in 0..qi_len {
                 let q_row = &q_mat[(qi_start + r) * e..(qi_start + r + 1) * e];
                 let o_row = &mut o_mat[(qi_start + r) * e..(qi_start + r + 1) * e];
-                // Scores of this sub-tile for row r (slice of dot products).
+                // Scores of this sub-tile for row r, turned into weights in
+                // place so the P·V update is one block accumulation.
                 let tile_scores = &mut scores[..kj_len];
-                for (c, sv) in tile_scores.iter_mut().enumerate() {
-                    let k_row = &k_mat[(kj_start + c) * e..(kj_start + c + 1) * e];
-                    *sv = dot(q_row, k_row);
-                }
+                dot_many(q_row, k_tile, tile_scores);
                 let tile_max = slice_max(tile_scores);
                 let new_max = row_max[r].max(tile_max);
                 let correction = if row_max[r].is_finite() {
@@ -257,25 +261,19 @@ fn fused_online_attention_slice(
                     0.0
                 };
                 row_denom[r] *= correction;
-                for ov in o_row.iter_mut() {
-                    *ov *= correction;
-                }
+                scale(correction, o_row);
                 row_max[r] = new_max;
-                for (c, &sv) in tile_scores.iter().enumerate() {
-                    let w = (sv - new_max).exp();
-                    row_denom[r] += w;
-                    let v_row = &v_mat[(kj_start + c) * e..(kj_start + c + 1) * e];
-                    axpy(w, v_row, o_row);
+                for sv in tile_scores.iter_mut() {
+                    *sv = (*sv - new_max).exp();
+                    row_denom[r] += *sv;
                 }
+                axpy_many(tile_scores, v_tile, o_row);
             }
             kj_start += kj_len;
         }
         for r in 0..qi_len {
-            let inv = 1.0 / row_denom[r];
             let o_row = &mut o_mat[(qi_start + r) * e..(qi_start + r + 1) * e];
-            for ov in o_row.iter_mut() {
-                *ov *= inv;
-            }
+            scale(1.0 / row_denom[r], o_row);
         }
         qi_start += qi_len;
     }

@@ -80,6 +80,39 @@ proptest! {
     }
 
     #[test]
+    fn dispatched_axpy_many_is_bitwise_equal_to_repeated_scalar_axpy(
+        rows in 0usize..71,
+        n in 1usize..131,
+        seed in 0u64..10_000,
+    ) {
+        // axpy_many keeps `out` in registers across rows; every element must
+        // still see one multiply and one add per row, rows in order.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let weights: Vec<f32> = (0..rows)
+            .map(|_| match rng.gen_range(0u32..4) {
+                0 => 0.0,
+                1 => -rng.gen_range(0.0f32..4.0),
+                2 => {
+                    let subnormal = f32::from_bits(rng.gen_range(1u32..0x0080_0000));
+                    if rng.gen_bool(0.5) { -subnormal } else { subnormal }
+                }
+                _ => rng.gen_range(-4.0f32..4.0),
+            })
+            .collect();
+        let x = vec_of(rows * n, &mut rng);
+        let base = vec_of(n, &mut rng);
+        let mut got = base.clone();
+        let mut want = base;
+        simd::axpy_many(&weights, &x, &mut got);
+        for (r, &w) in weights.iter().enumerate() {
+            simd::scalar::axpy(w, &x[r * n..(r + 1) * n], &mut want);
+        }
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            prop_assert_eq!(g.to_bits(), w.to_bits(), "element {} of {}, {} rows", i, n, rows);
+        }
+    }
+
+    #[test]
     fn dispatched_sum8_and_scale_are_bitwise_equal_to_scalar(
         len in 0usize..133,
         seed in 0u64..10_000,
