@@ -17,7 +17,9 @@
 //! buffer-overwrite strategy** (§4.3, [`crate::overwrite`]) sacrifices the
 //! resident `K` or `V` tile to guarantee space for `P_i`, reloads it from
 //! DRAM afterwards and redoes the interrupted MatMul sub-tile. The builder
-//! records every such event in [`BuildStats`].
+//! records every such event in [`BuildStats`]. In this model the strategy
+//! keeps MAS running but leaves it slightly slower than FLAT on the
+//! long-context shapes measured in [`crate::overwrite`].
 
 use mas_sim::task::{Label, TaskId};
 use mas_sim::HardwareConfig;

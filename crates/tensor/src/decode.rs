@@ -25,7 +25,9 @@
 //!    tile of up to [`F16_TILE_TOKENS`] key rows by one
 //!    [`dot_many`](crate::simd::dot_many), filling the group's score rows.
 //! 2. **Softmax (Alg. 3).** Each query head's full score row becomes its
-//!    probabilities in place ([`softmax_row_in_place`]).
+//!    probabilities in place ([`softmax_row_in_place`]): a vector max, one
+//!    [`exp_sum`](crate::simd::exp_sum) pass that writes the exponentials
+//!    eight lanes at a time and returns their sum, and a vector normalize.
 //! 3. **Accumulate (Alg. 4).** Each query head's probabilities for a tile
 //!    of value rows go into its zeroed output row by one
 //!    [`axpy_many`](crate::simd::axpy_many).
@@ -501,8 +503,8 @@ fn for_each_tile<'a>(
 /// [`F16_TILE_TOKENS`] rows:
 ///
 /// 1. scores: each query row against a `K` tile with one [`simd::dot_many`];
-/// 2. softmax: [`softmax_row_in_place`] over each query head's full score
-///    row;
+/// 2. softmax: [`softmax_row_in_place`] (max, [`simd::exp_sum`], scale)
+///    over each query head's full score row;
 /// 3. accumulate: each query head's probabilities for a `V` tile with one
 ///    [`simd::axpy_many`] into its zeroed output row.
 ///

@@ -74,9 +74,11 @@
 //!    block primitives over tiles of rows — one query row against many key
 //!    rows ([`simd::dot_many`]), many weighted value rows into one output
 //!    row ([`simd::axpy_many`]) — and single-row softmax passes
-//!    ([`softmax::softmax_row`]) over `&[f32]`, which bounds-check once per
-//!    tile or row and run on the explicitly vectorized [`simd`] kernels. The scalar element accessors (`get`/`set`) remain
-//!    for tests and one-off edits.
+//!    ([`softmax::softmax_row`]: a vector max, one fused vector
+//!    exponent-and-sum [`simd::exp_sum`], a vector normalize) over `&[f32]`,
+//!    which bounds-check once per tile or row and run on the explicitly
+//!    vectorized [`simd`] kernels. The scalar element accessors
+//!    (`get`/`set`) remain for tests and one-off edits.
 //! 4. **Accumulation order is fixed but not left-to-right.** Reductions
 //!    follow the explicit 8-lane contract of the [`simd`] module (eight
 //!    independent accumulator lanes, scalar tail, fixed lane-reduction

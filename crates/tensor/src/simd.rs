@@ -49,6 +49,41 @@
 //! which is value-equal for every input without NaNs; like hardware min/max
 //! trees, it does not define NaN propagation order. Property tests in `tests/simd_bitcompat.rs` pin the
 //! dispatched backend to [`scalar`] bit-for-bit.
+//!
+//! ### `exp` and `exp_sum`
+//!
+//! Softmax's exponential is part of the contract too: [`exp`] is one fixed
+//! sequence of f32 operations, each rounded once (never a fused
+//! multiply-add), and every backend's lanes and tails run exactly that
+//! sequence, so a vector `exp` is bit-identical to the scalar one:
+//!
+//! 1. **Clamp** `x` to `[−104, 90]`, as `max(−104, x)` then `min(90, x)`
+//!    with a NaN `x` passed through (NaN in, NaN out; the payload is not
+//!    specified). Below about −103.97 the true result rounds to `+0.0`,
+//!    and the clamped input yields exactly `+0.0`, so `exp(−inf) = 0`.
+//!    Above `ln(f32::MAX)` ≈ 88.72 the true result overflows, and the
+//!    clamped input yields `+inf`.
+//! 2. `fx = floor(x·log2e + 0.5)`, the nearest power of two, as a multiply
+//!    then an add.
+//! 3. `r = (x − fx·C1) − fx·C2`, the Cephes two-constant split of ln 2
+//!    (`C1 = 0.693359375` is exact in few bits, `C2 = −2.12194440e-4`).
+//! 4. The degree-5 Cephes polynomial `y = ((((p0·r + p1)·r + p2)·r + p3)·r
+//!    + p4)·r + p5`, each step a multiply then an add.
+//! 5. `y = (y·r² + r) + 1`.
+//! 6. Scale by `2^n` (`n = fx`) as two factors, `(y·2^(n>>1))·2^(n − (n>>1))`,
+//!    each built from exponent bits. One factor `2^n` would have no
+//!    exponent field for `n = 128` (`x` in (88.03, 88.72], where the true
+//!    result is finite) and the split also rounds subnormal results once,
+//!    correctly.
+//!
+//! The result is within 1 ulp of a correctly rounded `exp` wherever that
+//! is a normal f32 (the unit tests sweep [−87.3, 88.7] against libm).
+//! [`exp_sum`] runs `x − shift` then [`exp`] on every element in place and
+//! sums the results in the reduction order above, so it is bit-identical
+//! to [`exp`] per element followed by [`scalar::sum8`]. The AVX2 backend
+//! runs eight lanes of `exp` per instruction; the NEON backend runs the
+//! scalar [`scalar::exp_sum`], which is the contract by definition (a NEON
+//! polynomial waits for an aarch64 host that can verify it bit for bit).
 
 use std::sync::OnceLock;
 
@@ -57,6 +92,25 @@ use crate::half::f16_bits_to_f32;
 /// Number of independent accumulator lanes in every reduction (one 256-bit
 /// f32 vector; NEON splits them into two 128-bit registers).
 pub const LANES: usize = 8;
+
+/// The clamp of [`exp`]: at or below `EXP_LO` the result is `+0.0`, at or
+/// above `EXP_HI` it is `+inf`.
+const EXP_LO: f32 = -104.0;
+const EXP_HI: f32 = 90.0;
+/// The Cephes two-constant split of ln 2: `EXP_C1 = 355/512` is exact in
+/// nine bits, so `fx·EXP_C1` rounds for no `fx` the clamp allows.
+const EXP_C1: f32 = 355.0 / 512.0;
+const EXP_C2: f32 = -2.121_944_4e-4;
+/// The Cephes `expf` polynomial, highest degree first (Cephes's published
+/// coefficients, written as their f32 values).
+const EXP_P: [f32; 6] = [
+    1.987_569_1e-4,
+    1.398_199_9e-3,
+    8.333_452e-3,
+    4.166_579_6e-2,
+    1.666_666_6e-1,
+    5e-1,
+];
 
 #[derive(Clone, Copy)]
 struct Caps {
@@ -262,22 +316,48 @@ pub fn slice_max(x: &[f32]) -> f32 {
     scalar::slice_max(x)
 }
 
-/// Sum of a slice under the module's fixed 8-lane accumulation order (the
-/// softmax denominator pass).
+/// `e^x` under the module's fixed operation sequence ("`exp` and
+/// `exp_sum`" in the module docs): within 1 ulp of a correctly rounded
+/// `exp` wherever that is a normal f32, `+0.0` for `x ≤ −104` (so
+/// `exp(−inf) = 0`), `+inf` past `ln(f32::MAX)`, NaN for NaN. Every
+/// backend's vector lanes compute exactly these bits.
 #[must_use]
 #[inline]
-pub fn sum8(x: &[f32]) -> f32 {
+pub fn exp(x: f32) -> f32 {
+    let x = if EXP_LO > x { EXP_LO } else { x };
+    let x = if EXP_HI < x { EXP_HI } else { x };
+    let fx = (x * std::f32::consts::LOG2_E + 0.5).floor();
+    let r = (x - fx * EXP_C1) - fx * EXP_C2;
+    let mut y = EXP_P[0];
+    for &p in &EXP_P[1..] {
+        y = y * r + p;
+    }
+    let y = (y * (r * r) + r) + 1.0;
+    let n = fx as i32;
+    let half = n >> 1;
+    (y * pow2(half)) * pow2(n - half)
+}
+
+/// `2^n` from exponent bits, for `n` in the normal range `[−126, 127]`.
+#[inline]
+fn pow2(n: i32) -> f32 {
+    f32::from_bits(((n + 127) as u32) << 23)
+}
+
+/// Writes `xs[i] = exp(xs[i] − shift)` in place and returns the sum of the
+/// results under the module's fixed 8-lane accumulation order: the
+/// softmax exponent and denominator passes in one sweep. Bit-identical to
+/// `xs[i] = exp(xs[i] − shift)` per element followed by
+/// [`scalar::sum8`]; the AVX2 backend computes eight exponentials per
+/// instruction.
+#[inline]
+pub fn exp_sum(shift: f32, xs: &mut [f32]) -> f32 {
     #[cfg(target_arch = "x86_64")]
     if caps().avx2 {
         // SAFETY: AVX2 support was verified by the cached feature detection.
-        return unsafe { x86::sum8(x) };
+        return unsafe { x86::exp_sum(shift, xs) };
     }
-    #[cfg(target_arch = "aarch64")]
-    if caps().neon {
-        // SAFETY: NEON support was verified by the cached feature detection.
-        return unsafe { neon::sum8(x) };
-    }
-    scalar::sum8(x)
+    scalar::exp_sum(shift, xs)
 }
 
 /// Multiplies every element of `xs` by `s` in place (the softmax normalize
@@ -329,6 +409,10 @@ pub fn f16_to_f32_slice(bits: &[u16], out: &mut [f32]) {
 pub mod scalar {
     use super::{f16_bits_to_f32, LANES};
 
+    /// Reference `exp`: the module's single element-wise definition, which
+    /// every backend's lanes and tails follow.
+    pub use super::exp;
+
     /// Reference dot product: 8 independent lanes, scalar tail, fixed
     /// left-to-right lane reduction.
     #[must_use]
@@ -378,7 +462,7 @@ pub mod scalar {
     }
 
     /// Reference sum: 8 independent lanes, scalar tail, fixed left-to-right
-    /// lane reduction.
+    /// lane reduction (the sum [`exp_sum`] returns).
     #[must_use]
     #[inline]
     pub fn sum8(x: &[f32]) -> f32 {
@@ -394,6 +478,16 @@ pub mod scalar {
             tail += v;
         }
         lanes.iter().sum::<f32>() + tail
+    }
+
+    /// Reference fused exponent and sum, by its definition: `xs[i] =
+    /// exp(xs[i] − shift)` for every element, then [`sum8`] of the results.
+    #[inline]
+    pub fn exp_sum(shift: f32, xs: &mut [f32]) -> f32 {
+        for v in xs.iter_mut() {
+            *v = exp(*v - shift);
+        }
+        sum8(xs)
     }
 
     /// Reference in-place scale: `xs[i] *= s`, one rounding per element.
@@ -415,7 +509,7 @@ pub mod scalar {
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{f16_bits_to_f32, LANES};
+    use super::{exp, f16_bits_to_f32, EXP_C1, EXP_C2, EXP_HI, EXP_LO, EXP_P, LANES};
     use core::arch::x86_64::*;
 
     /// # Safety
@@ -685,23 +779,77 @@ mod x86 {
         m
     }
 
+    /// [`super::exp`] in eight lanes: the same operations in the same order,
+    /// one rounding each. `max_ps(lo, x)` and `min_ps(hi, x)` return their
+    /// second operand when it is NaN, as the scalar clamp does.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn exp8(x: __m256) -> __m256 {
+        let x = _mm256_max_ps(_mm256_set1_ps(EXP_LO), x);
+        let x = _mm256_min_ps(_mm256_set1_ps(EXP_HI), x);
+        let fx = _mm256_floor_ps(_mm256_add_ps(
+            _mm256_mul_ps(x, _mm256_set1_ps(core::f32::consts::LOG2_E)),
+            _mm256_set1_ps(0.5),
+        ));
+        let r = _mm256_sub_ps(
+            _mm256_sub_ps(x, _mm256_mul_ps(fx, _mm256_set1_ps(EXP_C1))),
+            _mm256_mul_ps(fx, _mm256_set1_ps(EXP_C2)),
+        );
+        let mut y = _mm256_set1_ps(EXP_P[0]);
+        for &p in &EXP_P[1..] {
+            y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(p));
+        }
+        let y = _mm256_add_ps(
+            _mm256_add_ps(_mm256_mul_ps(y, _mm256_mul_ps(r, r)), r),
+            _mm256_set1_ps(1.0),
+        );
+        let n = _mm256_cvttps_epi32(fx);
+        let half = _mm256_srai_epi32::<1>(n);
+        _mm256_mul_ps(
+            _mm256_mul_ps(y, pow2(half)),
+            pow2(_mm256_sub_epi32(n, half)),
+        )
+    }
+
+    /// `2^n` per lane from exponent bits, for `n` in `[−126, 127]`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn pow2(n: __m256i) -> __m256 {
+        _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(
+            n,
+            _mm256_set1_epi32(127),
+        )))
+    }
+
     /// # Safety
     ///
     /// Requires AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn sum8(x: &[f32]) -> f32 {
-        let n = x.len();
+    pub unsafe fn exp_sum(shift: f32, xs: &mut [f32]) -> f32 {
+        let n = xs.len();
         let chunks = n / LANES;
-        let xp = x.as_ptr();
+        let sv = _mm256_set1_ps(shift);
+        let p = xs.as_mut_ptr();
         let mut acc = _mm256_setzero_ps();
         for c in 0..chunks {
-            acc = _mm256_add_ps(acc, _mm256_loadu_ps(xp.add(c * LANES)));
+            let e = exp8(_mm256_sub_ps(_mm256_loadu_ps(p.add(c * LANES)), sv));
+            _mm256_storeu_ps(p.add(c * LANES), e);
+            acc = _mm256_add_ps(acc, e);
         }
         let mut lanes = [0.0f32; LANES];
         _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
         let mut tail = 0.0f32;
-        for &v in &x[chunks * LANES..] {
-            tail += v;
+        for v in &mut xs[chunks * LANES..] {
+            *v = exp(*v - shift);
+            tail += *v;
         }
         lanes.iter().sum::<f32>() + tail
     }
@@ -843,30 +991,6 @@ mod neon {
     ///
     /// Requires NEON.
     #[target_feature(enable = "neon")]
-    pub unsafe fn sum8(x: &[f32]) -> f32 {
-        let n = x.len();
-        let chunks = n / LANES;
-        let xp = x.as_ptr();
-        let mut lo = vdupq_n_f32(0.0);
-        let mut hi = vdupq_n_f32(0.0);
-        for c in 0..chunks {
-            lo = vaddq_f32(lo, vld1q_f32(xp.add(c * LANES)));
-            hi = vaddq_f32(hi, vld1q_f32(xp.add(c * LANES + 4)));
-        }
-        let mut lanes = [0.0f32; LANES];
-        vst1q_f32(lanes.as_mut_ptr(), lo);
-        vst1q_f32(lanes.as_mut_ptr().add(4), hi);
-        let mut tail = 0.0f32;
-        for &v in &x[chunks * LANES..] {
-            tail += v;
-        }
-        lanes.iter().sum::<f32>() + tail
-    }
-
-    /// # Safety
-    ///
-    /// Requires NEON.
-    #[target_feature(enable = "neon")]
     pub unsafe fn scale(s: f32, xs: &mut [f32]) {
         let n = xs.len();
         let chunks = n / LANES;
@@ -978,9 +1102,71 @@ mod tests {
     #[test]
     fn dispatched_reductions_match_scalar() {
         for len in [0, 1, 7, 8, 9, 16, 31, 64, 129] {
-            let (x, _) = vecs(len, 11 + len as u32);
-            assert_eq!(sum8(&x).to_bits(), scalar::sum8(&x).to_bits(), "len {len}");
+            let (mut x, _) = vecs(len, 11 + len as u32);
             assert_eq!(slice_max(&x), scalar::slice_max(&x), "len {len}");
+            // exp_sum is `exp` per element, then the 8-lane sum.
+            x.iter_mut().step_by(5).for_each(|v| *v = f32::NEG_INFINITY);
+            let exps: Vec<f32> = x.iter().map(|&v| exp(v - 1.5)).collect();
+            let sum = exp_sum(1.5, &mut x);
+            assert_eq!(sum.to_bits(), scalar::sum8(&exps).to_bits(), "len {len}");
+            for (f, s) in x.iter().zip(&exps) {
+                assert_eq!(f.to_bits(), s.to_bits(), "len {len}");
+            }
+        }
+    }
+
+    fn ulps(a: f32, b: f32) -> u32 {
+        (a.to_bits() as i32).abs_diff(b.to_bits() as i32)
+    }
+
+    #[test]
+    fn exp_is_within_one_ulp_of_libm_where_libm_is_normal() {
+        // Every 4093rd bit pattern (dense near zero) and a uniform 1e-4 grid
+        // (dense at large magnitudes) over [-87.3, 88.7].
+        let patterns = (0..0x42b1_999a_u32)
+            .step_by(4093)
+            .flat_map(|b| [f32::from_bits(b), -f32::from_bits(b)])
+            .filter(|x| (-87.3..=88.7).contains(x));
+        let grid = (0..1_760_000).map(|i| -87.3 + i as f32 * 1e-4);
+        let mut checked = 0;
+        for x in patterns.chain(grid) {
+            let want = x.exp();
+            if want.is_normal() {
+                assert!(
+                    ulps(exp(x), want) <= 1,
+                    "exp({x}) = {} vs libm {want}",
+                    exp(x)
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked > 2_000_000, "only {checked} points checked");
+    }
+
+    #[test]
+    fn exp_pins_its_special_values() {
+        assert_eq!(exp(f32::NEG_INFINITY).to_bits(), 0.0f32.to_bits());
+        assert_eq!(exp(-1e30).to_bits(), 0.0f32.to_bits());
+        assert_eq!(exp(0.0), 1.0);
+        assert_eq!(exp(-0.0), 1.0);
+        assert!(exp(f32::NAN).is_nan());
+        // The largest input whose libm result is finite.
+        let mut ln_max = f32::MAX.ln();
+        while ln_max.exp().is_infinite() {
+            ln_max = ln_max.next_down();
+        }
+        for x in [ln_max.next_up(), 88.8, 89.0, 90.0, 1e30, f32::INFINITY] {
+            assert_eq!(exp(x), f32::INFINITY, "exp({x})");
+        }
+        // Where the true result is finite but a one-factor 2^128 would not
+        // be: (88.03, ln(f32::MAX)].
+        for x in [88.05, 88.5, 88.7, ln_max] {
+            assert!(exp(x).is_finite() && ulps(exp(x), x.exp()) <= 1, "exp({x})");
+        }
+        // Below the normal range: subnormal or zero, never negative.
+        for x in [-87.4, -88.4, -95.0, -103.0, -103.9, -104.0, -110.0] {
+            let e = exp(x);
+            assert!((0.0..f32::MIN_POSITIVE).contains(&e), "exp({x}) = {e:e}");
         }
     }
 

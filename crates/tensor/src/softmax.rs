@@ -32,10 +32,12 @@ pub fn slice_max(x: &[f32]) -> f32 {
 /// Σ exp(src - max(src))`. `src` and `dst` may not alias; use
 /// [`softmax_row_in_place`] to normalize a row in its own storage.
 ///
-/// The three row passes run on the dispatched [`crate::simd`] kernels: a
-/// vector max, an elementwise `exp` (shared scalar code in every backend),
-/// and an 8-lane denominator sum followed by a vector normalize — so SIMD
-/// and scalar dispatch produce bit-identical probabilities.
+/// The row runs on the dispatched [`crate::simd`] kernels in three passes:
+/// a vector max, one fused [`simd::exp_sum`] that writes every
+/// `exp(src[j] − max)` and returns their 8-lane sum, and a vector
+/// normalize. The exponential is the module's fixed-sequence
+/// [`simd::exp`], so SIMD and scalar dispatch produce bit-identical
+/// probabilities.
 ///
 /// # Panics
 ///
@@ -43,22 +45,15 @@ pub fn slice_max(x: &[f32]) -> f32 {
 #[inline]
 pub fn softmax_row(src: &[f32], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "softmax row length mismatch");
-    let row_max = simd::slice_max(src);
-    for (d, &x) in dst.iter_mut().zip(src) {
-        *d = (x - row_max).exp();
-    }
-    let denom = simd::sum8(dst);
-    simd::scale(1.0 / denom, dst);
+    dst.copy_from_slice(src);
+    softmax_row_in_place(dst);
 }
 
 /// In-place variant of [`softmax_row`].
 #[inline]
 pub fn softmax_row_in_place(row: &mut [f32]) {
     let row_max = simd::slice_max(row);
-    for v in row.iter_mut() {
-        *v = (*v - row_max).exp();
-    }
-    let denom = simd::sum8(row);
+    let denom = simd::exp_sum(row_max, row);
     simd::scale(1.0 / denom, row);
 }
 

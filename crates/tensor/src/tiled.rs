@@ -33,7 +33,7 @@
 use rayon::prelude::*;
 
 use crate::error::{Result, TensorError};
-use crate::simd::{axpy_many, dot_many, scale};
+use crate::simd::{axpy_many, dot_many, exp, exp_sum, scale};
 use crate::softmax::{slice_max, softmax_row_in_place};
 use crate::tensor::Tensor;
 
@@ -189,8 +189,10 @@ fn tiled_attention_slice(
 ///
 /// For each query row-block, the accumulator state per row is
 /// `(m, d, o_acc[E])`; absorbing sub-tile `j` rescales the accumulator by
-/// `exp(m_old − m_new)` and adds the new contributions. The final output is
-/// `o_acc / d`. `(batch, head)` slices are processed in parallel.
+/// [`exp`]`(m_old − m_new)`, turns the tile's scores into weights and their
+/// sum with one [`exp_sum`] (added to `d`) and accumulates the weighted
+/// value rows with one [`axpy_many`]. The final output is `o_acc / d`.
+/// `(batch, head)` slices are processed in parallel.
 ///
 /// # Errors
 ///
@@ -256,17 +258,14 @@ fn fused_online_attention_slice(
                 let tile_max = slice_max(tile_scores);
                 let new_max = row_max[r].max(tile_max);
                 let correction = if row_max[r].is_finite() {
-                    (row_max[r] - new_max).exp()
+                    exp(row_max[r] - new_max)
                 } else {
                     0.0
                 };
                 row_denom[r] *= correction;
                 scale(correction, o_row);
                 row_max[r] = new_max;
-                for sv in tile_scores.iter_mut() {
-                    *sv = (*sv - new_max).exp();
-                    row_denom[r] += *sv;
-                }
+                row_denom[r] += exp_sum(new_max, tile_scores);
                 axpy_many(tile_scores, v_tile, o_row);
             }
             kj_start += kj_len;

@@ -7,7 +7,9 @@
 //! (biased to cover every tail residue) and random finite values through
 //! both paths and require identical bits, so a vectorized backend that
 //! reassociates the accumulation (or sneaks in an FMA) fails loudly on any
-//! host where it is selected. `slice_max` is the documented exception: it
+//! host where it is selected. `exp_sum` is driven through its whole
+//! clamp as well: `-inf`, inputs whose result underflows or overflows, and
+//! zeros. `slice_max` is the documented exception: it
 //! is value-equal, not bit-equal, and softmax outputs built on it must
 //! still match bitwise (max is subtracted, so its association cannot leak
 //! into the result).
@@ -113,16 +115,12 @@ proptest! {
     }
 
     #[test]
-    fn dispatched_sum8_and_scale_are_bitwise_equal_to_scalar(
+    fn dispatched_scale_is_bitwise_equal_to_scalar(
         len in 0usize..133,
         seed in 0u64..10_000,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let x = vec_of(len, &mut rng);
-        prop_assert_eq!(
-            simd::sum8(&x).to_bits(),
-            simd::scalar::sum8(&x).to_bits()
-        );
         let s = rng.gen_range(-2.0f32..2.0);
         let mut got = x.clone();
         let mut want = x;
@@ -130,6 +128,42 @@ proptest! {
         simd::scalar::scale(s, &mut want);
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
             prop_assert_eq!(g.to_bits(), w.to_bits(), "element {}", i);
+        }
+    }
+
+    #[test]
+    fn dispatched_exp_sum_is_bitwise_equal_to_the_scalar_reference(
+        len in 0usize..71,
+        seed in 0u64..10_000,
+    ) {
+        // Values across the whole clamp: -inf, below the zero edge (-88.4
+        // and lower), zeros, ordinary logits and the overflow edge, under
+        // an arbitrary finite shift.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let xs: Vec<f32> = (0..len)
+            .map(|_| match rng.gen_range(0u32..6) {
+                0 => f32::NEG_INFINITY,
+                1 => rng.gen_range(-120.0f32..-88.4),
+                2 => if rng.gen_bool(0.5) { 0.0 } else { -0.0 },
+                3 => rng.gen_range(87.5f32..91.0),
+                _ => rng.gen_range(-30.0f32..30.0),
+            })
+            .collect();
+        let shift = match rng.gen_range(0u32..3) {
+            0 => 0.0,
+            1 => rng.gen_range(-4.0f32..4.0),
+            _ => rng.gen_range(-100.0f32..100.0),
+        };
+        let mut got = xs.clone();
+        let mut want = xs.clone();
+        let got_sum = simd::exp_sum(shift, &mut got);
+        let want_sum = simd::scalar::exp_sum(shift, &mut want);
+        prop_assert_eq!(
+            got_sum.to_bits(), want_sum.to_bits(),
+            "sum of {} (shift {}) on backend {}", len, shift, simd::backend()
+        );
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            prop_assert_eq!(g.to_bits(), w.to_bits(), "element {} = {}", i, xs[i]);
         }
     }
 
@@ -153,13 +187,15 @@ proptest! {
         // The full softmax row pass (max, shift+exp, 8-lane denominator,
         // normalize) must produce identical bits however its inner kernels
         // dispatch: the max is subtracted out, and every other pass is
-        // bitwise-pinned above.
+        // bitwise-pinned above. The exponential is the module's own
+        // `simd::scalar::exp`, which the contract defines; libm's `exp` is
+        // only its accuracy oracle.
         let mut rng = StdRng::seed_from_u64(seed);
         let x = vec_of(len, &mut rng);
         let mut got = vec![0.0f32; len];
         softmax_row(&x, &mut got);
         let row_max = simd::scalar::slice_max(&x);
-        let mut want: Vec<f32> = x.iter().map(|&v| (v - row_max).exp()).collect();
+        let mut want: Vec<f32> = x.iter().map(|&v| simd::scalar::exp(v - row_max)).collect();
         let denom = simd::scalar::sum8(&want);
         simd::scalar::scale(1.0 / denom, &mut want);
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
