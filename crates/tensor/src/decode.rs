@@ -19,7 +19,9 @@
 //! ## The decode step: score, softmax, accumulate
 //!
 //! A step runs the paper's three algorithm steps on tiles of cached rows,
-//! once per KV head for the whole group of query heads that reads it:
+//! once per KV head for the whole group of query heads that reads it. Each
+//! KV head's group is one job on the rayon pool, with its own score rows
+//! and f16 tile, so the heads of a step run in parallel:
 //!
 //! 1. **Scores (Alg. 2).** Each query row of the group is dotted with a
 //!    tile of up to [`F16_TILE_TOKENS`] key rows by one
@@ -40,6 +42,9 @@
 //! cached tokens equals row `t − 1` of
 //! [`tiled_attention`](crate::tiled::tiled_attention) over those tokens bit
 //! for bit, at any tile size (`crates/tensor/tests/decode_vs_tiled.rs`).
+//! A head's arithmetic is the same whichever thread runs it, so the bits do
+//! not depend on the thread count either, nor on whether the step is itself
+//! called from a pool job (`crates/tensor/tests/decode_nested.rs`).
 //!
 //! ## Grouped-query head sharing (GQA / MQA)
 //!
@@ -63,6 +68,8 @@
 //! ([`fused_online_attention`](crate::tiled::fused_online_attention)) within
 //! [`golden_check`](crate::golden::golden_check) tolerance.
 
+use rayon::prelude::*;
+
 use crate::error::{Result, TensorError};
 use crate::half::{f32_to_f16_bits_saturating, KvDtype};
 use crate::simd;
@@ -73,7 +80,7 @@ use crate::tensor::Tensor;
 /// accumulated this many tokens at a time, and f16 rows are widened to f32
 /// in tiles of this size (the unit a device DMA engine would stream),
 /// bounding the widening scratch at `F16_TILE_TOKENS × embed` floats per
-/// decode call.
+/// KV head of a decode call.
 pub const F16_TILE_TOKENS: usize = 64;
 
 /// Validates a grouped-query head configuration.
@@ -497,8 +504,9 @@ fn for_each_tile<'a>(
 ///
 /// `runs(kv_head)` yields the head's attended `(K, V)` row runs oldest
 /// first (one run for a contiguous cache, one per block for a paged one),
-/// `attended` rows in all. For each KV head and the group of query heads
-/// reading it, the step runs the three algorithm steps of
+/// `attended` rows in all. Each KV head and the group of query heads
+/// reading it is one job on the rayon pool, with its own score rows and f16
+/// tile; the job runs the three algorithm steps of
 /// [`tiled_attention`](crate::tiled::tiled_attention) on tiles of up to
 /// [`F16_TILE_TOKENS`] rows:
 ///
@@ -509,10 +517,11 @@ fn for_each_tile<'a>(
 ///    [`simd::axpy_many`] into its zeroed output row.
 ///
 /// f16 rows are widened once per tile and pass for the whole group. No step
-/// depends on how the rows are split into runs or tiles, so the output is a
-/// pure function of the attended row sequence.
+/// depends on how the rows are split into runs or tiles, or on which thread
+/// runs a head, so the output is a pure function of the attended row
+/// sequence.
 pub(crate) fn decode_step<'a, I>(
-    runs: impl Fn(usize) -> I,
+    runs: impl Fn(usize) -> I + Sync,
     attended: usize,
     dtype: KvDtype,
     group: usize,
@@ -522,36 +531,38 @@ pub(crate) fn decode_step<'a, I>(
 ) where
     I: Iterator<Item = (Rows<'a>, Rows<'a>)>,
 {
-    let mut scores = vec![0.0f32; group * attended];
-    let mut tile = match dtype {
-        KvDtype::F32 => Vec::new(),
-        KvDtype::F16 => vec![0.0f32; F16_TILE_TOKENS * embed],
-    };
     let width = group * embed;
-    let groups = q_step.chunks_exact(width).zip(out.chunks_exact_mut(width));
-    for (kv_h, (q_group, o_group)) in groups.enumerate() {
-        // Algorithm 2: the group's score rows, one K tile at a time.
-        let keys = runs(kv_h).map(|(keys, _)| keys);
-        for_each_tile(keys, embed, &mut tile, |token, k_tile| {
-            for (g, q_row) in q_group.chunks_exact(embed).enumerate() {
-                let at = g * attended + token;
-                simd::dot_many(q_row, k_tile, &mut scores[at..at + k_tile.len() / embed]);
+    out.par_chunks_mut(width)
+        .enumerate()
+        .for_each(|(kv_h, o_group)| {
+            let q_group = &q_step[kv_h * width..(kv_h + 1) * width];
+            let mut scores = vec![0.0f32; group * attended];
+            let mut tile = match dtype {
+                KvDtype::F32 => Vec::new(),
+                KvDtype::F16 => vec![0.0f32; F16_TILE_TOKENS * embed],
+            };
+            // Algorithm 2: the group's score rows, one K tile at a time.
+            let keys = runs(kv_h).map(|(keys, _)| keys);
+            for_each_tile(keys, embed, &mut tile, |token, k_tile| {
+                for (g, q_row) in q_group.chunks_exact(embed).enumerate() {
+                    let at = g * attended + token;
+                    simd::dot_many(q_row, k_tile, &mut scores[at..at + k_tile.len() / embed]);
+                }
+            });
+            // Algorithm 3: each score row becomes its probabilities.
+            for p_row in scores.chunks_exact_mut(attended) {
+                softmax_row_in_place(p_row);
             }
+            // Algorithm 4: the group's output rows, one V tile at a time.
+            o_group.fill(0.0);
+            let vals = runs(kv_h).map(|(_, vals)| vals);
+            for_each_tile(vals, embed, &mut tile, |token, v_tile| {
+                for (g, o_row) in o_group.chunks_exact_mut(embed).enumerate() {
+                    let at = g * attended + token;
+                    simd::axpy_many(&scores[at..at + v_tile.len() / embed], v_tile, o_row);
+                }
+            });
         });
-        // Algorithm 3: each score row becomes its probabilities.
-        for p_row in scores.chunks_exact_mut(attended) {
-            softmax_row_in_place(p_row);
-        }
-        // Algorithm 4: the group's output rows, one V tile at a time.
-        o_group.fill(0.0);
-        let vals = runs(kv_h).map(|(_, vals)| vals);
-        for_each_tile(vals, embed, &mut tile, |token, v_tile| {
-            for (g, o_row) in o_group.chunks_exact_mut(embed).enumerate() {
-                let at = g * attended + token;
-                simd::axpy_many(&scores[at..at + v_tile.len() / embed], v_tile, o_row);
-            }
-        });
-    }
 }
 
 /// One autoregressive decode step: the single query row of each query head
@@ -565,7 +576,8 @@ pub(crate) fn decode_step<'a, I>(
 /// score row and accumulates the value rows (module docs): the one-row case
 /// of [`tiled_attention`](crate::tiled::tiled_attention), whose row `t − 1`
 /// over the cached `t` tokens it equals bit for bit, at any `n_kv`. Cost is
-/// `O(len · embed)` per query head.
+/// `O(len · embed)` per query head. Each KV head's query group is one job on
+/// the rayon pool, and the output bits do not depend on the thread count.
 ///
 /// # Errors
 ///

@@ -35,7 +35,8 @@
 //!   ([`init`]).
 //!
 //! The crate is deliberately dependency-light (`rand` for input generation,
-//! `rayon` for the per-`(batch, head)` kernel fan-out) and uses `f32`
+//! `rayon` for the kernel fan-out: one job per `(batch, head)` slice of a
+//! prefill, one per KV head's query group of a decode step) and uses `f32`
 //! arithmetic with an `f16` *storage* emulation ([`half`]) for footprint
 //! analyses.
 //!

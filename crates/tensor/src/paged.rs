@@ -1417,7 +1417,8 @@ impl PagedKvCache {
 /// [`crate::decode`]). The attended row sequence is identical, so the
 /// result is bit-identical to
 /// [`decode_attention`](crate::decode::decode_attention) on a contiguous
-/// cache holding the same tokens.
+/// cache holding the same tokens. Each KV head's query group is one job on
+/// the rayon pool, and the output bits do not depend on the thread count.
 ///
 /// `q_step` and `out` are head-major `heads × embed` slices.
 ///
