@@ -177,8 +177,10 @@ pub fn verify_decode_paged(
     let (t, heads, kv_heads, embed, q, k, v, k_full, v_full) = decode_inputs(step, seed)?;
 
     let mut contiguous = KvCache::grouped(heads, kv_heads, embed)?;
-    let mut pool = KvBlockPool::new(block_tokens, kv_heads, embed);
+    // The cache checks the block geometry, so it is built before the pool,
+    // whose constructor would panic on it.
     let mut paged = PagedKvCache::new(heads, kv_heads, embed, block_tokens)?;
+    let mut pool = KvBlockPool::new(block_tokens, kv_heads, embed);
     let mut decoded_contig = Tensor::zeros(*q.shape());
     let mut decoded_paged = Tensor::zeros(*q.shape());
     let mut q_in = vec![0.0f32; heads * embed];
@@ -307,5 +309,16 @@ mod tests {
         // Paged GQA too.
         let gqa = DecodeStep::new("paged-gqa", 1, 4, 25, 8).with_kv_heads(2);
         assert!(verify_decode_paged(&gqa, 7, 31).unwrap().passed);
+    }
+
+    #[test]
+    fn zero_block_size_is_a_typed_error() {
+        let step = DecodeStep::new("paged-verify", 1, 3, 40, 16);
+        assert_eq!(
+            verify_decode_paged(&step, 0, 29).unwrap_err(),
+            mas_tensor::TensorError::ZeroDimension {
+                dim: "block_tokens"
+            }
+        );
     }
 }

@@ -199,9 +199,9 @@ impl DecodeStep {
     /// Bytes of this step's allocated KV blocks that are *shared* with
     /// sibling sessions under cross-session prefix sharing: only whole
     /// blocks fully inside the shared prefix count (the floor — a partially
-    /// shared tail block is private after copy-on-write), clamped to the
-    /// session's own context. A serving layer charges these bytes once per
-    /// prefix group, not once per session, so effective residency is
+    /// filled tail block is charged to each session privately), clamped to
+    /// the session's own context. A serving layer charges these bytes once
+    /// per prefix group, not once per session, so effective residency is
     /// `paged_kv_bytes − shared_kv_bytes` plus one group-wide copy.
     #[must_use]
     pub fn shared_kv_bytes(
@@ -600,7 +600,7 @@ mod tests {
     fn shared_kv_bytes_count_whole_prefix_blocks_clamped_to_context() {
         let s = step(); // context 256
                         // 100 shared tokens at 16-token blocks: 6 whole blocks, the partial
-                        // 7th is private (copy-on-write makes it so).
+                        // 7th is private.
         assert_eq!(s.shared_kv_bytes(16, 100, 2), 6 * s.kv_block_bytes(16, 2));
         // Block-aligned prefix shares exactly its blocks.
         assert_eq!(s.shared_kv_bytes(16, 96, 2), 6 * s.kv_block_bytes(16, 2));

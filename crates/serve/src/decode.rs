@@ -151,11 +151,12 @@ pub struct DecodePolicy {
     /// is unchanged (kernels widen KV tiles to f32).
     pub kv_dtype: Option<KvDtype>,
     /// Cross-session KV prefix sharing. When `true` and a session declares a
-    /// prefix group (`DecodeSessionSpec::prefix_group`), the whole blocks of
+    /// prefix group (`DecodeSessionSpec::prefix_group`), the full blocks of
     /// its shared prefix ([`DecodeStep::shared_kv_bytes`]) are charged
-    /// against the budget *once per group* instead of once per session —
-    /// modeling the pool-level radix index + copy-on-write block tables of
-    /// `mas_tensor::paged`. Default `false`: fully private residency.
+    /// against the budget *once per group* instead of once per session, and
+    /// released with the group's last session; a partially filled tail
+    /// block and every decode block stay private to the session. Default
+    /// `false`: fully private residency.
     pub prefix_share: bool,
 }
 

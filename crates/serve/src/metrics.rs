@@ -7,14 +7,16 @@ use crate::queue::RejectReason;
 /// Nearest-rank percentile of a set of values: the smallest value whose rank
 /// is at least `⌈p/100 · n⌉`. `None` for an empty set. The single percentile
 /// definition used by every latency figure in this crate (aggregate and
-/// per-network rollups alike).
+/// per-network rollups alike). Values are ranked by [`f64::total_cmp`], so
+/// a NaN sorts to one end (the top for a positive sign bit) instead of
+/// panicking.
 #[must_use]
 pub fn percentile(values: &[f64], p: f64) -> Option<f64> {
     if values.is_empty() {
         return None;
     }
     let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("percentile values are finite"));
+    sorted.sort_by(f64::total_cmp);
     percentile_sorted(&sorted, p)
 }
 
@@ -64,7 +66,7 @@ impl LatencyStats {
         // order is part of the pinned bit-exact report contract.
         let sum: f64 = latencies.iter().sum();
         let mut sorted = latencies.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latency values are finite"));
+        sorted.sort_by(f64::total_cmp);
         Some(Self {
             count: latencies.len(),
             mean_s: sum / latencies.len() as f64,
@@ -386,6 +388,16 @@ mod tests {
         let v: Vec<f64> = (1..=25).map(f64::from).collect();
         assert_eq!(percentile(&v, 28.0), Some(7.0), "p28 of 25 is rank 7");
         assert_eq!(percentile(&v, 56.0), Some(14.0), "p56 of 25 is rank 14");
+    }
+
+    #[test]
+    fn nan_latencies_rank_last_instead_of_panicking() {
+        let v = [0.3, f64::NAN, 0.1, 0.2];
+        assert_eq!(percentile(&v, 50.0), Some(0.2));
+        assert!(percentile(&v, 100.0).unwrap().is_nan());
+        let stats = LatencyStats::of(&v).unwrap();
+        assert_eq!((stats.count, stats.p50_s), (4, 0.2));
+        assert!(stats.p99_s.is_nan() && stats.mean_s.is_nan());
     }
 
     #[test]

@@ -119,6 +119,18 @@ pub fn expand_kv_heads(src: &Tensor, heads: usize) -> Result<Tensor> {
     Ok(out)
 }
 
+/// Checks that every named dimension is non-zero.
+///
+/// # Errors
+///
+/// Returns [`TensorError::ZeroDimension`] naming the first zero dimension.
+pub(crate) fn check_nonzero(dims: &[(&'static str, usize)]) -> Result<()> {
+    match dims.iter().find(|&&(_, n)| n == 0) {
+        Some(&(dim, _)) => Err(TensorError::ZeroDimension { dim }),
+        None => Ok(()),
+    }
+}
+
 /// Appendable per-session key/value cache for autoregressive decode.
 ///
 /// Storage is one contiguous row-major `len × embed` matrix per KV head for
@@ -136,24 +148,19 @@ pub fn expand_kv_heads(src: &Tensor, heads: usize) -> Result<Tensor> {
 /// while [`decode_attention`] still takes `heads · embed`-wide queries.
 ///
 /// Storage precision is selectable with [`KvCache::with_dtype`]: under
-/// [`KvDtype::F16`] rows live in the `u16` arenas as binary16 bits (written
-/// through [`f32_to_f16_bits_saturating`], 2 bytes/element) and the decode
-/// step widens them back to f32 in [`F16_TILE_TOKENS`]-token tiles.
+/// [`KvDtype::F16`] rows are kept as binary16 bits (written through
+/// [`f32_to_f16_bits_saturating`], 2 bytes/element) and the decode step
+/// widens them back to f32 in [`F16_TILE_TOKENS`]-token tiles.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KvCache {
     heads: usize,
     kv_heads: usize,
     embed: usize,
     capacity_tokens: Option<usize>,
-    dtype: KvDtype,
-    /// Per-KV-head contiguous `len × embed` key rows (`F32` storage).
-    k: Vec<Vec<f32>>,
-    /// Per-KV-head contiguous `len × embed` value rows (`F32` storage).
-    v: Vec<Vec<f32>>,
-    /// Per-KV-head contiguous key rows as binary16 bits (`F16` storage).
-    k16: Vec<Vec<u16>>,
-    /// Per-KV-head contiguous value rows as binary16 bits (`F16` storage).
-    v16: Vec<Vec<u16>>,
+    /// Per-KV-head contiguous `len × embed` key rows.
+    k: Vec<RowStore>,
+    /// Per-KV-head contiguous `len × embed` value rows.
+    v: Vec<RowStore>,
     appended_tokens: usize,
     evicted_tokens: usize,
 }
@@ -167,23 +174,7 @@ impl KvCache {
     /// Panics if `heads` or `embed` is zero.
     #[must_use]
     pub fn new(heads: usize, embed: usize) -> Self {
-        assert!(
-            heads > 0 && embed > 0,
-            "KV cache dimensions must be non-zero"
-        );
-        Self {
-            heads,
-            kv_heads: heads,
-            embed,
-            capacity_tokens: None,
-            dtype: KvDtype::F32,
-            k: vec![Vec::new(); heads],
-            v: vec![Vec::new(); heads],
-            k16: vec![Vec::new(); heads],
-            v16: vec![Vec::new(); heads],
-            appended_tokens: 0,
-            evicted_tokens: 0,
-        }
+        Self::grouped(heads, heads, embed).expect("KV cache dimensions must be non-zero")
     }
 
     /// Creates an unbounded grouped-query cache: `kv_heads` shared K/V heads
@@ -192,41 +183,27 @@ impl KvCache {
     ///
     /// # Errors
     ///
-    /// Returns [`TensorError::InvalidHeadGrouping`] if `kv_heads` is zero,
+    /// Returns [`TensorError::ZeroDimension`] if `heads` or `embed` is zero,
+    /// and [`TensorError::InvalidHeadGrouping`] if `kv_heads` is zero,
     /// exceeds `heads` or does not divide it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `heads` or `embed` is zero.
     pub fn grouped(heads: usize, kv_heads: usize, embed: usize) -> Result<Self> {
-        assert!(
-            heads > 0 && embed > 0,
-            "KV cache dimensions must be non-zero"
-        );
+        check_nonzero(&[("heads", heads), ("embed", embed)])?;
         check_head_grouping(heads, kv_heads)?;
+        let empty = vec![RowStore::new(KvDtype::F32); kv_heads];
         Ok(Self {
+            heads,
             kv_heads,
-            k: vec![Vec::new(); kv_heads],
-            v: vec![Vec::new(); kv_heads],
-            k16: vec![Vec::new(); kv_heads],
-            v16: vec![Vec::new(); kv_heads],
-            ..Self::new(heads, embed)
+            embed,
+            capacity_tokens: None,
+            k: empty.clone(),
+            v: empty,
+            appended_tokens: 0,
+            evicted_tokens: 0,
         })
     }
 
-    /// Creates a sliding-window MHA cache holding at most `capacity_tokens`
-    /// tokens; appends beyond the capacity evict the oldest rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any dimension or the capacity is zero.
-    #[must_use]
-    pub fn with_capacity(heads: usize, embed: usize, capacity_tokens: usize) -> Self {
-        Self::new(heads, embed).with_window(capacity_tokens)
-    }
-
     /// Turns the cache into a sliding window of at most `capacity_tokens`
-    /// tokens (applies to grouped caches too).
+    /// tokens; appends beyond the capacity evict the oldest rows.
     ///
     /// # Panics
     ///
@@ -250,14 +227,15 @@ impl KvCache {
             self.appended_tokens == 0,
             "KV storage dtype must be chosen before the first append"
         );
-        self.dtype = dtype;
+        self.k = vec![RowStore::new(dtype); self.kv_heads];
+        self.v = self.k.clone();
         self
     }
 
     /// The storage precision of the cached rows.
     #[must_use]
     pub fn dtype(&self) -> KvDtype {
-        self.dtype
+        self.k[0].dtype()
     }
 
     /// Number of query heads served by the cache.
@@ -293,19 +271,13 @@ impl KvCache {
     /// Number of tokens currently resident.
     #[must_use]
     pub fn len(&self) -> usize {
-        match self.dtype {
-            KvDtype::F32 => self.k[0].len() / self.embed,
-            KvDtype::F16 => self.k16[0].len() / self.embed,
-        }
+        self.k[0].len() / self.embed
     }
 
     /// Whether no tokens are cached yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        match self.dtype {
-            KvDtype::F32 => self.k[0].is_empty(),
-            KvDtype::F16 => self.k16[0].is_empty(),
-        }
+        self.len() == 0
     }
 
     /// Total tokens ever appended (resident plus evicted).
@@ -335,7 +307,7 @@ impl KvCache {
     /// [`KvDtype::F16`].
     #[must_use]
     pub fn storage_bytes(&self) -> usize {
-        self.kv_bytes(self.dtype.element_bytes())
+        self.kv_bytes(self.dtype().element_bytes())
     }
 
     /// Appends one token: `k_step` and `v_step` hold the new row for every
@@ -356,90 +328,19 @@ impl KvCache {
                 });
             }
         }
-        if let Some(capacity) = self.capacity_tokens {
-            if self.len() == capacity {
-                for h in 0..self.kv_heads {
-                    match self.dtype {
-                        KvDtype::F32 => {
-                            self.k[h].drain(..self.embed);
-                            self.v[h].drain(..self.embed);
-                        }
-                        KvDtype::F16 => {
-                            self.k16[h].drain(..self.embed);
-                            self.v16[h].drain(..self.embed);
-                        }
-                    }
-                }
-                self.evicted_tokens += 1;
+        if self.capacity_tokens == Some(self.len()) {
+            for rows in self.k.iter_mut().chain(&mut self.v) {
+                rows.drain_front(self.embed);
             }
+            self.evicted_tokens += 1;
         }
-        for h in 0..self.kv_heads {
-            let k_row = &k_step[h * self.embed..(h + 1) * self.embed];
-            let v_row = &v_step[h * self.embed..(h + 1) * self.embed];
-            match self.dtype {
-                KvDtype::F32 => {
-                    self.k[h].extend_from_slice(k_row);
-                    self.v[h].extend_from_slice(v_row);
-                }
-                KvDtype::F16 => {
-                    self.k16[h].extend(k_row.iter().map(|&x| f32_to_f16_bits_saturating(x)));
-                    self.v16[h].extend(v_row.iter().map(|&x| f32_to_f16_bits_saturating(x)));
-                }
-            }
+        let embed = self.embed;
+        for (h, (k, v)) in self.k.iter_mut().zip(&mut self.v).enumerate() {
+            k.extend(&k_step[h * embed..(h + 1) * embed]);
+            v.extend(&v_step[h * embed..(h + 1) * embed]);
         }
         self.appended_tokens += 1;
         Ok(())
-    }
-
-    /// The contiguous `len × embed` key rows of KV head `h` (oldest first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h` is out of range (`0..kv_heads`) or the cache stores
-    /// [`KvDtype::F16`] (use [`KvCache::key_bits`]).
-    #[must_use]
-    pub fn key_rows(&self, h: usize) -> &[f32] {
-        assert_eq!(self.dtype, KvDtype::F32, "f16 caches expose key_bits");
-        &self.k[h]
-    }
-
-    /// The contiguous `len × embed` value rows of KV head `h` (oldest
-    /// first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h` is out of range (`0..kv_heads`) or the cache stores
-    /// [`KvDtype::F16`] (use [`KvCache::value_bits`]).
-    #[must_use]
-    pub fn value_rows(&self, h: usize) -> &[f32] {
-        assert_eq!(self.dtype, KvDtype::F32, "f16 caches expose value_bits");
-        &self.v[h]
-    }
-
-    /// The contiguous `len × embed` key rows of KV head `h` as binary16 bits
-    /// (oldest first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h` is out of range (`0..kv_heads`) or the cache stores
-    /// [`KvDtype::F32`] (use [`KvCache::key_rows`]).
-    #[must_use]
-    pub fn key_bits(&self, h: usize) -> &[u16] {
-        assert_eq!(self.dtype, KvDtype::F16, "f32 caches expose key_rows");
-        &self.k16[h]
-    }
-
-    /// The contiguous `len × embed` value rows of KV head `h` as binary16
-    /// bits (oldest first).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h` is out of range (`0..kv_heads`) or the cache stores
-    /// [`KvDtype::F32`] (use [`KvCache::value_rows`]).
-    #[must_use]
-    pub fn value_bits(&self, h: usize) -> &[u16] {
-        assert_eq!(self.dtype, KvDtype::F16, "f32 caches expose value_rows");
-        &self.v16[h]
     }
 }
 
@@ -472,6 +373,100 @@ impl<'a> Rows<'a> {
                 let tile = &mut tile[..range.len()];
                 simd::f16_to_f32_slice(&bits[range], tile);
                 tile
+            }
+        }
+    }
+}
+
+/// One `K` or `V` arena in its storage dtype: f32 values, or binary16 bits
+/// written through the saturating f16 store
+/// ([`f32_to_f16_bits_saturating`]). [`KvCache`] keeps one per KV head and
+/// [`KvBlockPool`](crate::paged::KvBlockPool) one per arena, so the storage
+/// dtype of every cached row is decided here.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum RowStore {
+    /// f32 elements.
+    F32(Vec<f32>),
+    /// binary16 bit patterns.
+    F16(Vec<u16>),
+}
+
+impl RowStore {
+    /// An empty store of `dtype`.
+    pub(crate) fn new(dtype: KvDtype) -> Self {
+        match dtype {
+            KvDtype::F32 => Self::F32(Vec::new()),
+            KvDtype::F16 => Self::F16(Vec::new()),
+        }
+    }
+
+    /// The storage dtype.
+    pub(crate) fn dtype(&self) -> KvDtype {
+        match self {
+            Self::F32(_) => KvDtype::F32,
+            Self::F16(_) => KvDtype::F16,
+        }
+    }
+
+    /// Stored elements.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Self::F32(rows) => rows.len(),
+            Self::F16(bits) => bits.len(),
+        }
+    }
+
+    /// Elements `range` as the decode step reads them.
+    pub(crate) fn rows(&self, range: std::ops::Range<usize>) -> Rows<'_> {
+        match self {
+            Self::F32(rows) => Rows::F32(&rows[range]),
+            Self::F16(bits) => Rows::F16(&bits[range]),
+        }
+    }
+
+    /// Appends `src` at the end.
+    pub(crate) fn extend(&mut self, src: &[f32]) {
+        match self {
+            Self::F32(rows) => rows.extend_from_slice(src),
+            Self::F16(bits) => bits.extend(src.iter().map(|&x| f32_to_f16_bits_saturating(x))),
+        }
+    }
+
+    /// Overwrites the elements from `at` on with `src`.
+    pub(crate) fn write(&mut self, at: usize, src: &[f32]) {
+        match self {
+            Self::F32(rows) => rows[at..at + src.len()].copy_from_slice(src),
+            Self::F16(bits) => {
+                for (dst, &x) in bits[at..at + src.len()].iter_mut().zip(src) {
+                    *dst = f32_to_f16_bits_saturating(x);
+                }
+            }
+        }
+    }
+
+    /// Zeroes the elements of `range`, growing the store with zeros when
+    /// `range` ends past it.
+    pub(crate) fn zero(&mut self, range: std::ops::Range<usize>) {
+        match self {
+            Self::F32(rows) => {
+                rows.resize(rows.len().max(range.end), 0.0);
+                rows[range].fill(0.0);
+            }
+            Self::F16(bits) => {
+                bits.resize(bits.len().max(range.end), 0);
+                bits[range].fill(0);
+            }
+        }
+    }
+
+    /// Removes the first `n` elements.
+    pub(crate) fn drain_front(&mut self, n: usize) {
+        match self {
+            Self::F32(rows) => {
+                rows.drain(..n);
+            }
+            Self::F16(bits) => {
+                bits.drain(..n);
             }
         }
     }
@@ -600,12 +595,8 @@ pub fn decode_attention(cache: &KvCache, q_step: &[f32], out: &mut [f32]) -> Res
     if cache.is_empty() {
         return Err(TensorError::ZeroDimension { dim: "kv_cache" });
     }
-    let runs = |h| {
-        std::iter::once(match cache.dtype() {
-            KvDtype::F32 => (Rows::F32(cache.key_rows(h)), Rows::F32(cache.value_rows(h))),
-            KvDtype::F16 => (Rows::F16(cache.key_bits(h)), Rows::F16(cache.value_bits(h))),
-        })
-    };
+    let len = cache.k[0].len();
+    let runs = |h: usize| std::iter::once((cache.k[h].rows(0..len), cache.v[h].rows(0..len)));
     decode_step(
         runs,
         cache.len(),
@@ -621,8 +612,17 @@ pub fn decode_attention(cache: &KvCache, q_step: &[f32], out: &mut [f32]) -> Res
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::half::f16_bits_to_f32;
     use crate::init::random_qkv;
     use crate::tiled::{fused_online_attention, TileSizes};
+
+    /// The stored rows of one arena, widened to f32.
+    fn stored(rows: &RowStore) -> Vec<f32> {
+        match rows {
+            RowStore::F32(rows) => rows.clone(),
+            RowStore::F16(bits) => bits.iter().map(|&b| f16_bits_to_f32(b)).collect(),
+        }
+    }
 
     /// Runs `t` decode steps over the rows of seeded `(1, H, t, E)` tensors,
     /// returning the stacked per-step outputs.
@@ -654,8 +654,11 @@ mod tests {
         assert_eq!(cache.appended_tokens(), 2);
         assert_eq!(cache.evicted_tokens(), 0);
         assert_eq!(cache.kv_bytes(2), 2 * 2 * 2 * 4 * 2);
-        assert_eq!(cache.key_rows(0), &[1.0, 1.0, 1.0, 1.0, 3.0, 3.0, 3.0, 3.0]);
-        assert_eq!(cache.value_rows(1).len(), 8);
+        assert_eq!(
+            stored(&cache.k[0]),
+            [1.0, 1.0, 1.0, 1.0, 3.0, 3.0, 3.0, 3.0]
+        );
+        assert_eq!(cache.v[1].len(), 8);
     }
 
     #[test]
@@ -673,7 +676,7 @@ mod tests {
 
     #[test]
     fn sliding_window_evicts_oldest_rows() {
-        let mut cache = KvCache::with_capacity(1, 2, 2);
+        let mut cache = KvCache::new(1, 2).with_window(2);
         for t in 0..4 {
             let row = [t as f32, t as f32];
             cache.append(&row, &row).unwrap();
@@ -682,7 +685,7 @@ mod tests {
         assert_eq!(cache.appended_tokens(), 4);
         assert_eq!(cache.evicted_tokens(), 2);
         // Only the two newest tokens remain, oldest first.
-        assert_eq!(cache.key_rows(0), &[2.0, 2.0, 3.0, 3.0]);
+        assert_eq!(stored(&cache.k[0]), [2.0, 2.0, 3.0, 3.0]);
     }
 
     #[test]
@@ -719,6 +722,18 @@ mod tests {
         assert_eq!(KvCache::grouped(8, 8, 4).unwrap().group_size(), 1); // MHA
         assert_eq!(KvCache::grouped(8, 1, 4).unwrap().group_size(), 8); // MQA
         assert_eq!(KvCache::grouped(8, 2, 4).unwrap().group_size(), 4); // GQA
+    }
+
+    #[test]
+    fn zero_dimensions_are_typed_errors_not_panics() {
+        assert_eq!(
+            KvCache::grouped(0, 1, 4).unwrap_err(),
+            TensorError::ZeroDimension { dim: "heads" }
+        );
+        assert_eq!(
+            KvCache::grouped(4, 2, 0).unwrap_err(),
+            TensorError::ZeroDimension { dim: "embed" }
+        );
     }
 
     #[test]
@@ -818,7 +833,7 @@ mod tests {
         assert_eq!(f16c.len(), f32c.len());
         assert_eq!(f32c.storage_bytes(), f32c.kv_bytes(4));
         assert_eq!(f16c.storage_bytes() * 2, f32c.storage_bytes());
-        assert_eq!(f16c.key_bits(0).len(), 12);
+        assert_eq!(f16c.k[0], RowStore::F16(vec![0x3e00; 12]));
     }
 
     #[test]
@@ -857,10 +872,7 @@ mod tests {
         let mut cache = KvCache::new(1, 4).with_dtype(KvDtype::F16);
         cache.append(&[1e6; 4], &[1.0; 4]).unwrap();
         cache.append(&[0.5; 4], &[2.0; 4]).unwrap();
-        assert!(cache
-            .key_bits(0)
-            .iter()
-            .all(|&b| crate::half::f16_bits_to_f32(b).is_finite()));
+        assert!(stored(&cache.k[0]).iter().all(|x| x.is_finite()));
         let mut out = [0.0f32; 4];
         decode_attention(&cache, &[1.0; 4], &mut out).unwrap();
         assert!(out.iter().all(|v| v.is_finite()), "out {out:?}");
@@ -868,19 +880,15 @@ mod tests {
 
     #[test]
     fn f16_sliding_window_evicts_oldest_rows() {
-        let mut cache = KvCache::with_capacity(1, 2, 2).with_dtype(KvDtype::F16);
+        let mut cache = KvCache::new(1, 2).with_window(2).with_dtype(KvDtype::F16);
         for t in 0..4 {
             let row = [t as f32, t as f32];
             cache.append(&row, &row).unwrap();
         }
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evicted_tokens(), 2);
-        let resident: Vec<f32> = cache
-            .key_bits(0)
-            .iter()
-            .map(|&b| crate::half::f16_bits_to_f32(b))
-            .collect();
-        assert_eq!(resident, vec![2.0, 2.0, 3.0, 3.0]);
+        assert_eq!(cache.k[0].dtype(), KvDtype::F16);
+        assert_eq!(stored(&cache.k[0]), [2.0, 2.0, 3.0, 3.0]);
     }
 
     #[test]

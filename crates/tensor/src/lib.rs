@@ -26,11 +26,12 @@
 //!   with grouped-query/multi-query head sharing (`kv_heads ≤ heads`,
 //!   [`decode::KvCache::grouped`]),
 //! * block-granular (paged, vLLM-style) KV storage ([`paged`]): a shared
-//!   [`paged::KvBlockPool`] block allocator plus per-session
-//!   [`paged::PagedKvCache`] block tables and the
-//!   [`paged::decode_attention_paged`] kernel, the same decode step fed one
-//!   row run per block and so bit-identical to the contiguous path (see the
-//!   module docs for the block-table layout invariants), and
+//!   [`paged::KvBlockPool`] block allocator whose every live block belongs
+//!   to one session, per-session [`paged::PagedKvCache`] block tables with
+//!   whole-block window eviction, and the [`paged::decode_attention_paged`]
+//!   kernel, the same decode step fed one row run per block and so
+//!   bit-identical to the contiguous path (see the module docs for the
+//!   block-table layout invariants), and
 //! * the golden-data checker ([`golden`]) and deterministic input generation
 //!   ([`init`]).
 //!
@@ -43,10 +44,12 @@
 //! ## f16 KV storage layout
 //!
 //! Compute is always `f32`; KV-cache *storage* is selectable per cache via
-//! [`half::KvDtype`]. Under `KvDtype::F16` both the contiguous
-//! [`decode::KvCache`] and the paged [`paged::KvBlockPool`] keep their K/V
-//! rows as raw binary16 bit patterns (`u16`, same `kv_heads × tokens × embed`
-//! row-major layout as the `f32` arenas — 2 bytes per element instead of 4).
+//! [`half::KvDtype`]. Both the contiguous [`decode::KvCache`] and the paged
+//! [`paged::KvBlockPool`] keep each K and V arena in one crate-private row
+//! store that holds either `f32` values or, under `KvDtype::F16`, raw
+//! binary16 bit patterns (`u16`, the same `kv_heads × tokens × embed`
+//! row-major layout — 2 bytes per element instead of 4), so the storage
+//! dtype is decided in that one type.
 //! Rows are written through the saturating converter
 //! [`half::f32_to_f16_bits_saturating`] (finite overflow clamps to
 //! ±[`half::F16_MAX`] so one outsized logit cannot poison a session's softmax

@@ -5,35 +5,12 @@
 //! (`free + live == total` after every operation), reuse freed blocks
 //! before growing the arena, and track a peak-live count that matches an
 //! independent reference counter.
-//!
-//! Under cross-session prefix sharing (refcounted blocks + `PrefixIndex`),
-//! conservation is over *unique* physical blocks: arbitrary
-//! open-with-prefix/append/diverge/release interleavings preserve
-//! `free + Σunique(live) == total`, refcounts hit zero exactly when the
-//! last referencing holder releases, a copy-on-write clone never mutates
-//! the source block's bytes, and LRU eviction never frees a block with a
-//! session reference.
-
-use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use mas_tensor::half::KvDtype;
-use mas_tensor::paged::{BlockId, KvBlockPool, PagedKvCache, PrefixIndex};
-
-/// Deterministic K/V rows per token id, so every session appending the same
-/// token writes identical bytes.
-fn token_rows(token: u64, kv_heads: usize, embed: usize) -> (Vec<f32>, Vec<f32>) {
-    let k = (0..kv_heads * embed)
-        .map(|i| (token as f32 * 0.11 + i as f32 * 0.013).sin())
-        .collect();
-    let v = (0..kv_heads * embed)
-        .map(|i| (token as f32 * 0.07 + i as f32 * 0.019).cos())
-        .collect();
-    (k, v)
-}
+use mas_tensor::paged::{BlockId, KvBlockPool, PagedKvCache};
 
 /// Pool conservation: live + free must always equal the arena size.
 fn assert_conserved(pool: &KvBlockPool) {
@@ -186,294 +163,6 @@ proptest! {
         prop_assert!(pool.alloc().is_ok());
         prop_assert!(pool.alloc().is_err());
         prop_assert_eq!(pool.peak_live_blocks(), capacity);
-        assert_conserved(&pool);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    // Prefix-sharing interleavings: arbitrary open-with-prefix / append /
-    // diverge / release / index-eviction sequences over one pool conserve
-    // *unique* physical blocks (`free + Σunique(live) == total`), keep
-    // every mapped block's refcount positive, and drain to an empty pool
-    // once every session releases and the index evicts.
-    #[test]
-    fn shared_prefix_interleavings_conserve_unique_blocks(
-        seed in 0u64..10_000,
-        ops in 20usize..120,
-        block_tokens in 1usize..8,
-    ) {
-        let (heads, kv_heads, embed) = (2usize, 1usize, 2usize);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut pool = KvBlockPool::new(block_tokens, kv_heads, embed);
-        let mut index = PrefixIndex::new(block_tokens);
-        // Prompt families share a common base prefix so opens exercise
-        // full-block matches, partial-tail matches (the truncated family)
-        // and divergent suffixes (CoW once decode tokens land).
-        let base_len = 2 * block_tokens;
-        let mut prompts: Vec<Vec<u64>> = (0..3u64)
-            .map(|f| {
-                let mut p: Vec<u64> = (0..base_len as u64).collect();
-                p.extend((0..f * block_tokens as u64 + f).map(|i| 1_000 * (f + 1) + i));
-                p
-            })
-            .collect();
-        if block_tokens > 1 {
-            // A mid-block truncation of family 2: opening it after family 2
-            // published resolves a partial tail into a shared block.
-            let mut t = prompts[2].clone();
-            t.truncate(base_len + block_tokens + 1);
-            prompts.push(t);
-        }
-        // (cache, prompt script, tokens already in cache)
-        let mut sessions: Vec<(PagedKvCache, Vec<u64>, usize)> = Vec::new();
-        let mut next_decode = 1_000_000u64;
-        for _ in 0..ops {
-            match rng.gen_range(0..100usize) {
-                0..=24 => {
-                    let mut cache =
-                        PagedKvCache::new(heads, kv_heads, embed, block_tokens).unwrap();
-                    if rng.gen_range(0..3usize) == 0 {
-                        cache = cache.with_window(rng.gen_range(1..3 * block_tokens + 1));
-                    }
-                    let prompt = prompts[rng.gen_range(0..prompts.len())].clone();
-                    let matched = cache
-                        .open_with_prefix(&mut pool, &mut index, &prompt)
-                        .unwrap();
-                    prop_assert!(matched <= prompt.len());
-                    prop_assert_eq!(cache.appended_tokens(), matched);
-                    sessions.push((cache, prompt, matched));
-                }
-                25..=79 if !sessions.is_empty() => {
-                    let i = rng.gen_range(0..sessions.len());
-                    for _ in 0..rng.gen_range(1..2 * block_tokens + 1) {
-                        let (cache, prompt, appended) = &mut sessions[i];
-                        // Finish the prompt script first, then unique decode
-                        // tokens (deterministic rows per token id, so shared
-                        // blocks are byte-equal to privately-written ones).
-                        let token = if *appended < prompt.len() {
-                            prompt[*appended]
-                        } else {
-                            next_decode += 1;
-                            next_decode
-                        };
-                        *appended += 1;
-                        let (k, v) = token_rows(token, kv_heads, embed);
-                        cache
-                            .append_with_prefix(&mut pool, &mut index, &k, &v)
-                            .unwrap();
-                    }
-                }
-                80..=89 if !sessions.is_empty() => {
-                    let i = rng.gen_range(0..sessions.len());
-                    let (mut cache, ..) = sessions.swap_remove(i);
-                    cache.release(&mut pool);
-                    prop_assert_eq!(cache.allocated_blocks(), 0);
-                }
-                _ => {
-                    // Pressure: drop index-only blocks; must never touch a
-                    // block any session still maps.
-                    index.evict_unreferenced(&mut pool);
-                }
-            }
-            // Conservation over unique physical blocks.
-            assert_conserved(&pool);
-            let mapped: Vec<BlockId> = sessions
-                .iter()
-                .flat_map(|(c, ..)| c.block_table().iter().copied())
-                .collect();
-            let unique: BTreeSet<usize> = mapped.iter().map(|b| b.index()).collect();
-            for &b in &mapped {
-                prop_assert!(pool.refcount(b) > 0, "mapped block must be live");
-            }
-            // Live = session-mapped blocks ∪ index-held blocks: at least the
-            // unique mapped set, at most that plus one block per index node.
-            prop_assert!(pool.live_blocks() >= unique.len());
-            prop_assert!(pool.live_blocks() <= unique.len() + index.len());
-            for (c, ..) in &sessions {
-                let slots = c.allocated_blocks() * block_tokens;
-                prop_assert!(slots >= c.resident_tokens());
-                prop_assert!(slots < c.resident_tokens() + block_tokens);
-                prop_assert!(c.shared_blocks() <= c.allocated_blocks());
-            }
-        }
-        // Drain: sessions release, index evicts, nothing leaks.
-        for (mut c, ..) in sessions {
-            c.release(&mut pool);
-        }
-        index.evict_unreferenced(&mut pool);
-        prop_assert_eq!(pool.live_blocks(), 0);
-        prop_assert_eq!(index.len(), 0);
-        assert_conserved(&pool);
-    }
-
-    // Refcounts hit zero exactly when the last referencing holder releases:
-    // N sessions share one published prompt; every release before the last
-    // keeps the shared blocks live, and only the final index eviction frees
-    // them.
-    #[test]
-    fn refcounts_reach_zero_exactly_at_last_release(
-        sessions in 2usize..6,
-        block_tokens in 1usize..6,
-        prompt_blocks in 1usize..4,
-    ) {
-        let (heads, kv_heads, embed) = (2usize, 1usize, 2usize);
-        let mut pool = KvBlockPool::new(block_tokens, kv_heads, embed);
-        let mut index = PrefixIndex::new(block_tokens);
-        let prompt: Vec<u64> = (0..(prompt_blocks * block_tokens) as u64).collect();
-        let mut caches = Vec::new();
-        // First session publishes the prompt; the rest share it whole.
-        for s in 0..sessions {
-            let mut c = PagedKvCache::new(heads, kv_heads, embed, block_tokens).unwrap();
-            let matched = c.open_with_prefix(&mut pool, &mut index, &prompt).unwrap();
-            if s == 0 {
-                prop_assert_eq!(matched, 0);
-                for &t in &prompt {
-                    let (k, v) = token_rows(t, kv_heads, embed);
-                    c.append_with_prefix(&mut pool, &mut index, &k, &v).unwrap();
-                }
-            } else {
-                prop_assert_eq!(matched, prompt.len());
-            }
-            caches.push(c);
-        }
-        let shared: Vec<BlockId> = caches[1].block_table().to_vec();
-        prop_assert_eq!(shared.len(), prompt_blocks);
-        for &b in &shared {
-            // Every session + the index holds each shared block.
-            prop_assert_eq!(pool.refcount(b), sessions as u32 + 1);
-        }
-        prop_assert_eq!(pool.live_blocks(), prompt_blocks);
-        while let Some(mut c) = caches.pop() {
-            c.release(&mut pool);
-            let holders = caches.len() as u32 + 1; // remaining sessions + index
-            for &b in &shared {
-                prop_assert_eq!(pool.refcount(b), holders);
-            }
-            // Releasing a sharing session never frees a sibling's blocks.
-            prop_assert_eq!(pool.live_blocks(), prompt_blocks);
-        }
-        // With sessions gone the index is the sole holder; eviction is what
-        // finally returns the blocks.
-        prop_assert_eq!(index.evict_unreferenced(&mut pool), prompt_blocks);
-        for &b in &shared {
-            prop_assert_eq!(pool.refcount(b), 0);
-        }
-        prop_assert_eq!(pool.live_blocks(), 0);
-        assert_conserved(&pool);
-    }
-
-    // A copy-on-write clone never mutates the source block's bytes, for
-    // both storage dtypes and any partial fill.
-    #[test]
-    fn cow_clone_never_mutates_the_source_block(
-        block_tokens in 2usize..10,
-        kv_heads in 1usize..3,
-        f16 in 0usize..2,
-        seed in 0u64..10_000,
-    ) {
-        let f16 = f16 == 1;
-        let embed = 3;
-        let heads = 2 * kv_heads;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let filled = rng.gen_range(1..block_tokens + 1);
-        let dtype = if f16 { KvDtype::F16 } else { KvDtype::F32 };
-        let mut pool = KvBlockPool::new(block_tokens, kv_heads, embed).with_dtype(dtype);
-        let mut cache = PagedKvCache::new(heads, kv_heads, embed, block_tokens).unwrap();
-        for t in 0..filled as u64 {
-            let (k, v) = token_rows(t, kv_heads, embed);
-            cache.append(&mut pool, &k, &v).unwrap();
-        }
-        let src = cache.block_table()[0];
-        let snapshot: Vec<u32> = (0..kv_heads)
-            .flat_map(|h| match dtype {
-                KvDtype::F32 => pool
-                    .key_rows(src, h, 0, filled)
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .chain(pool.value_rows(src, h, 0, filled).iter().map(|x| x.to_bits()))
-                    .collect::<Vec<u32>>(),
-                KvDtype::F16 => pool
-                    .key_bits(src, h, 0, filled)
-                    .iter()
-                    .map(|&b| u32::from(b))
-                    .chain(pool.value_bits(src, h, 0, filled).iter().map(|&b| u32::from(b)))
-                    .collect::<Vec<u32>>(),
-            })
-            .collect();
-        let dst = pool.clone_block(src, filled).unwrap();
-        prop_assert_ne!(dst, src);
-        let read_back = |pool: &KvBlockPool, id: BlockId| -> Vec<u32> {
-            (0..kv_heads)
-                .flat_map(|h| match dtype {
-                    KvDtype::F32 => pool
-                        .key_rows(id, h, 0, filled)
-                        .iter()
-                        .map(|x| x.to_bits())
-                        .chain(pool.value_rows(id, h, 0, filled).iter().map(|x| x.to_bits()))
-                        .collect::<Vec<u32>>(),
-                    KvDtype::F16 => pool
-                        .key_bits(id, h, 0, filled)
-                        .iter()
-                        .map(|&b| u32::from(b))
-                        .chain(pool.value_bits(id, h, 0, filled).iter().map(|&b| u32::from(b)))
-                        .collect::<Vec<u32>>(),
-                })
-                .collect()
-        };
-        // The clone carries the source's bits and the source is untouched.
-        prop_assert_eq!(read_back(&pool, dst), snapshot.clone());
-        prop_assert_eq!(read_back(&pool, src), snapshot);
-        prop_assert_eq!(pool.refcount(src), 1);
-        prop_assert_eq!(pool.refcount(dst), 1);
-        pool.free(dst);
-        cache.release(&mut pool);
-        assert_conserved(&pool);
-    }
-
-    // LRU eviction under pool pressure never frees a block a session still
-    // references: while sharers are live, eviction finds nothing; once they
-    // release, it frees exactly the index-held blocks.
-    #[test]
-    fn lru_eviction_never_frees_referenced_blocks(
-        sharers in 1usize..4,
-        block_tokens in 1usize..6,
-        prompt_blocks in 1usize..4,
-    ) {
-        let (heads, kv_heads, embed) = (2usize, 1usize, 2usize);
-        let mut pool = KvBlockPool::new(block_tokens, kv_heads, embed);
-        let mut index = PrefixIndex::new(block_tokens);
-        let prompt: Vec<u64> = (0..(prompt_blocks * block_tokens) as u64).collect();
-        let mut publisher = PagedKvCache::new(heads, kv_heads, embed, block_tokens).unwrap();
-        publisher.open_with_prefix(&mut pool, &mut index, &prompt).unwrap();
-        for &t in &prompt {
-            let (k, v) = token_rows(t, kv_heads, embed);
-            publisher
-                .append_with_prefix(&mut pool, &mut index, &k, &v)
-                .unwrap();
-        }
-        let mut caches = vec![publisher];
-        for _ in 0..sharers {
-            let mut c = PagedKvCache::new(heads, kv_heads, embed, block_tokens).unwrap();
-            prop_assert_eq!(
-                c.open_with_prefix(&mut pool, &mut index, &prompt).unwrap(),
-                prompt.len()
-            );
-            caches.push(c);
-        }
-        // Every indexed block has session holders, so LRU finds no victim.
-        prop_assert_eq!(index.evict_lru(&mut pool), None);
-        prop_assert_eq!(index.evict_unreferenced(&mut pool), 0);
-        prop_assert_eq!(index.len(), prompt_blocks);
-        prop_assert_eq!(pool.live_blocks(), prompt_blocks);
-        for mut c in caches {
-            c.release(&mut pool);
-        }
-        // Now index-only: eviction frees exactly those blocks, oldest first.
-        prop_assert_eq!(index.evict_unreferenced(&mut pool), prompt_blocks);
-        prop_assert_eq!(index.len(), 0);
-        prop_assert_eq!(pool.live_blocks(), 0);
         assert_conserved(&pool);
     }
 }

@@ -120,7 +120,7 @@ proptest! {
     ) {
         let capacity = capacity.min(t);
         let (q, k, v) = random_qkv(1, heads, t, e, seed);
-        let mut cache = KvCache::with_capacity(heads, e, capacity);
+        let mut cache = KvCache::new(heads, e).with_window(capacity);
         let mut out = vec![0.0f32; heads * e];
         for i in 0..t {
             cache.append(&gather_step(&k, i), &gather_step(&v, i)).unwrap();

@@ -10,16 +10,8 @@
 //! float drift — and must match the prefill oracle
 //! (`fused_online_attention` over each step's context prefix) within
 //! `golden_check` tolerance.
-//!
-//! The shared-prefix differential oracle extends this to cross-session KV
-//! prefix sharing: N sessions opened from one prefix with random divergent
-//! suffixes must decode **bitwise-equal** to N fully-private paged caches at
-//! every step — across copy-on-write divergence points, window eviction into
-//! the shared region, GQA groupings and both `KvDtype`s.
 
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use mas::api::verify_decode_paged;
 use mas::dataflow::DecodeStep;
@@ -27,7 +19,7 @@ use mas::tensor::decode::{decode_attention, KvCache};
 use mas::tensor::golden::{golden_check, Tolerance};
 use mas::tensor::half::KvDtype;
 use mas::tensor::init::random_qkv;
-use mas::tensor::paged::{decode_attention_paged, KvBlockPool, PagedKvCache, PrefixIndex};
+use mas::tensor::paged::{decode_attention_paged, KvBlockPool, PagedKvCache};
 use mas::tensor::tiled::{fused_online_attention, TileSizes};
 use mas::tensor::Tensor;
 
@@ -35,27 +27,6 @@ use mas::tensor::Tensor;
 fn gather_step(src: &Tensor, r: usize) -> Vec<f32> {
     let [_, heads, _, _] = src.shape().dims();
     (0..heads).flat_map(|h| src.row(0, h, r).to_vec()).collect()
-}
-
-/// Deterministic K/V rows per token id (head-major, `kv_heads × embed`), so
-/// a shared block holds exactly the bytes a private session would write for
-/// the same token.
-fn token_rows(token: u64, kv_heads: usize, embed: usize) -> (Vec<f32>, Vec<f32>) {
-    let k = (0..kv_heads * embed)
-        .map(|i| (token as f32 * 0.11 + i as f32 * 0.013).sin())
-        .collect();
-    let v = (0..kv_heads * embed)
-        .map(|i| (token as f32 * 0.07 + i as f32 * 0.019).cos())
-        .collect();
-    (k, v)
-}
-
-/// Deterministic per-(session, step) query row, identical across the shared
-/// and private decode paths.
-fn query_row(session: usize, step: usize, heads: usize, embed: usize) -> Vec<f32> {
-    (0..heads * embed)
-        .map(|i| ((session * 131 + step * 17 + i) as f32 * 0.0137).sin())
-        .collect()
 }
 
 /// Runs `t` decode steps through both the contiguous and the paged path,
@@ -179,7 +150,7 @@ proptest! {
     ) {
         let capacity = capacity.min(t);
         let (q, k, v) = random_qkv(1, heads, t, e, seed);
-        let mut contiguous = KvCache::with_capacity(heads, e, capacity);
+        let mut contiguous = KvCache::new(heads, e).with_window(capacity);
         let mut pool = KvBlockPool::new(block_tokens, heads, e);
         let mut paged = PagedKvCache::new(heads, heads, e, block_tokens)
             .unwrap()
@@ -234,146 +205,6 @@ proptest! {
         );
     }
 
-    // The shared-prefix differential oracle: a publisher session plus N
-    // sharers opened from one common prefix with divergent suffixes decode
-    // bitwise-equal to fully-private paged sessions at every single step —
-    // through partial-tail shares, CoW divergence, and window eviction into
-    // the shared region — for random GQA groupings and both KV dtypes.
-    #[test]
-    fn shared_prefix_decode_is_bitwise_equal_to_fully_private_sessions(
-        groups in 1usize..3,
-        kv_heads in 1usize..3,
-        e in 2usize..9,
-        block_tokens in 1usize..10,
-        prefix_len in 1usize..25,
-        sharers in 1usize..4,
-        f16 in 0usize..2,
-        seed in 0u64..1000,
-    ) {
-        let heads = groups * kv_heads;
-        let dtype = if f16 == 1 { KvDtype::F16 } else { KvDtype::F32 };
-        let mut rng = StdRng::seed_from_u64(seed);
-
-        // Shared world: one pool + radix index across every session.
-        // Private world: an identically shaped pool, no sharing at all.
-        let mut shared_pool = KvBlockPool::new(block_tokens, kv_heads, e).with_dtype(dtype);
-        let mut private_pool = KvBlockPool::new(block_tokens, kv_heads, e).with_dtype(dtype);
-        let mut index = PrefixIndex::new(block_tokens);
-        let prefix: Vec<u64> = (0..prefix_len as u64).collect();
-
-        struct Sess {
-            shared: PagedKvCache,
-            private: PagedKvCache,
-            tokens: Vec<u64>,
-            pos: usize,
-        }
-        let open = |s: usize,
-                        shared_pool: &mut KvBlockPool,
-                        private_pool: &mut KvBlockPool,
-                        index: &mut PrefixIndex,
-                        rng: &mut StdRng|
-         -> Sess {
-            let suffix_len = rng.gen_range(0..2 * block_tokens + 4);
-            let mut tokens = prefix.clone();
-            tokens.extend((0..suffix_len as u64).map(|j| 10_000 + s as u64 * 1_000 + j));
-            let window = (rng.gen_range(0..3usize) == 0)
-                .then(|| rng.gen_range(1..tokens.len() + 1));
-            let mut shared = PagedKvCache::new(heads, kv_heads, e, block_tokens).unwrap();
-            let mut private = PagedKvCache::new(heads, kv_heads, e, block_tokens).unwrap();
-            if let Some(w) = window {
-                shared = shared.with_window(w);
-                private = private.with_window(w);
-            }
-            let matched = shared.open_with_prefix(shared_pool, index, &tokens).unwrap();
-            prop_assert!(matched <= tokens.len());
-            // A sharer must actually share once the publisher has published
-            // at least one full block of the common prefix.
-            if s > 0 && prefix_len >= block_tokens {
-                prop_assert!(matched >= block_tokens, "sharer {} matched nothing", s);
-            }
-            // Fast-forward the private twin over the shared region, then
-            // check the pure shared read before any private append.
-            for &t in &tokens[..matched] {
-                let (k, v) = token_rows(t, kv_heads, e);
-                private.append(private_pool, &k, &v).unwrap();
-            }
-            prop_assert_eq!(shared.len(), private.len());
-            if !shared.is_empty() {
-                let q = query_row(s, matched, heads, e);
-                let mut out_s = vec![0.0f32; heads * e];
-                let mut out_p = vec![0.0f32; heads * e];
-                decode_attention_paged(shared_pool, &shared, &q, &mut out_s).unwrap();
-                decode_attention_paged(private_pool, &private, &q, &mut out_p).unwrap();
-                prop_assert!(
-                    out_s == out_p,
-                    "session {} diverged bitwise on the pure shared read", s
-                );
-            }
-            Sess { shared, private, tokens, pos: matched }
-        };
-
-        // The publisher runs its whole script first so the prefix lands in
-        // the index; every step is decode-checked against its private twin.
-        let mut sessions = vec![open(0, &mut shared_pool, &mut private_pool, &mut index, &mut rng)];
-        let step = |s: usize, sess: &mut Sess,
-                    shared_pool: &mut KvBlockPool,
-                    private_pool: &mut KvBlockPool,
-                    index: &mut PrefixIndex| {
-            let t = sess.tokens[sess.pos];
-            sess.pos += 1;
-            let (k, v) = token_rows(t, kv_heads, e);
-            sess.shared.append_with_prefix(shared_pool, index, &k, &v).unwrap();
-            sess.private.append(private_pool, &k, &v).unwrap();
-            let q = query_row(s, sess.pos, heads, e);
-            let mut out_s = vec![0.0f32; heads * e];
-            let mut out_p = vec![0.0f32; heads * e];
-            decode_attention_paged(shared_pool, &sess.shared, &q, &mut out_s).unwrap();
-            decode_attention_paged(private_pool, &sess.private, &q, &mut out_p).unwrap();
-            prop_assert!(
-                out_s == out_p,
-                "session {} diverged bitwise from its private twin at token {}", s, sess.pos
-            );
-            prop_assert_eq!(sess.shared.len(), sess.private.len());
-            prop_assert_eq!(sess.shared.evicted_tokens(), sess.private.evicted_tokens());
-        };
-        while sessions[0].pos < sessions[0].tokens.len() {
-            step(0, &mut sessions[0], &mut shared_pool, &mut private_pool, &mut index);
-        }
-
-        // Sharers open against the published prefix, then advance
-        // round-robin so CoW divergence points interleave across sessions.
-        for s in 1..=sharers {
-            sessions.push(open(s, &mut shared_pool, &mut private_pool, &mut index, &mut rng));
-        }
-        loop {
-            let mut progressed = false;
-            for (s, sess) in sessions.iter_mut().enumerate() {
-                if sess.pos >= sess.tokens.len() {
-                    continue;
-                }
-                progressed = true;
-                step(s, sess, &mut shared_pool, &mut private_pool, &mut index);
-            }
-            if !progressed {
-                break;
-            }
-        }
-
-        // Drain both worlds: refcounted release + index eviction leaks
-        // nothing, and the private pool empties symmetrically.
-        for sess in &mut sessions {
-            sess.shared.release(&mut shared_pool);
-            sess.private.release(&mut private_pool);
-        }
-        index.evict_unreferenced(&mut shared_pool);
-        prop_assert_eq!(shared_pool.live_blocks(), 0);
-        prop_assert_eq!(private_pool.live_blocks(), 0);
-        prop_assert_eq!(
-            shared_pool.live_blocks() + shared_pool.free_blocks(),
-            shared_pool.total_blocks()
-        );
-    }
-
     #[test]
     fn paged_residency_is_within_one_block_of_token_bytes(
         heads in 1usize..5,
@@ -389,80 +220,6 @@ proptest! {
         prop_assert!(paged >= exact);
         prop_assert!(paged < exact + step.kv_block_bytes(block_tokens, 2));
         prop_assert!(step.kv_fragmentation(block_tokens) < 1.0);
-    }
-}
-
-/// Regression pin for the refcount-aware `release`: two sessions share a
-/// prefix, one releases, and the survivor must keep decoding bitwise-equal
-/// to a fully-private session — releasing a sharing session must not free
-/// (or allow reuse of) blocks its sibling still maps.
-#[test]
-fn release_of_a_sharing_session_leaves_sibling_decode_bit_identical() {
-    let (heads, kv_heads, e, block_tokens) = (4usize, 2usize, 6usize, 4usize);
-    let prefix: Vec<u64> = (0..2 * block_tokens as u64).collect();
-    let mut shared_pool = KvBlockPool::new(block_tokens, kv_heads, e);
-    let mut private_pool = KvBlockPool::new(block_tokens, kv_heads, e);
-    let mut index = PrefixIndex::new(block_tokens);
-
-    // Publisher fills the prefix, sibling + doomed session share it whole.
-    let mut publisher = PagedKvCache::new(heads, kv_heads, e, block_tokens).unwrap();
-    publisher
-        .open_with_prefix(&mut shared_pool, &mut index, &prefix)
-        .unwrap();
-    for &t in &prefix {
-        let (k, v) = token_rows(t, kv_heads, e);
-        publisher
-            .append_with_prefix(&mut shared_pool, &mut index, &k, &v)
-            .unwrap();
-    }
-    let mut sibling = PagedKvCache::new(heads, kv_heads, e, block_tokens).unwrap();
-    let mut doomed = PagedKvCache::new(heads, kv_heads, e, block_tokens).unwrap();
-    assert_eq!(
-        sibling
-            .open_with_prefix(&mut shared_pool, &mut index, &prefix)
-            .unwrap(),
-        prefix.len()
-    );
-    assert_eq!(
-        doomed
-            .open_with_prefix(&mut shared_pool, &mut index, &prefix)
-            .unwrap(),
-        prefix.len()
-    );
-
-    // Private twin of the sibling, sharing nothing.
-    let mut private = PagedKvCache::new(heads, kv_heads, e, block_tokens).unwrap();
-    for &t in &prefix {
-        let (k, v) = token_rows(t, kv_heads, e);
-        private.append(&mut private_pool, &k, &v).unwrap();
-    }
-
-    // Release one sharer, then churn allocations so any wrongly-freed block
-    // would be reused and overwritten.
-    doomed.release(&mut shared_pool);
-    let mut churn = PagedKvCache::new(heads, kv_heads, e, block_tokens).unwrap();
-    for t in 500..500 + 2 * block_tokens as u64 {
-        let (k, v) = token_rows(t, kv_heads, e);
-        churn.append(&mut shared_pool, &k, &v).unwrap();
-    }
-
-    // The survivor decodes its prefix + fresh suffix bitwise-equal to the
-    // private twin at every step.
-    for (i, t) in (100..100 + block_tokens as u64 + 1).enumerate() {
-        let (k, v) = token_rows(t, kv_heads, e);
-        sibling
-            .append_with_prefix(&mut shared_pool, &mut index, &k, &v)
-            .unwrap();
-        private.append(&mut private_pool, &k, &v).unwrap();
-        let q = query_row(7, i, heads, e);
-        let mut out_s = vec![0.0f32; heads * e];
-        let mut out_p = vec![0.0f32; heads * e];
-        decode_attention_paged(&shared_pool, &sibling, &q, &mut out_s).unwrap();
-        decode_attention_paged(&private_pool, &private, &q, &mut out_p).unwrap();
-        assert_eq!(
-            out_s, out_p,
-            "sibling decode diverged after release at step {i}"
-        );
     }
 }
 
