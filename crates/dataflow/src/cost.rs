@@ -168,45 +168,55 @@ impl TrackDemand {
         }
     }
 
-    /// Splits the demand into `stages` per-tile stage demands that sum back
-    /// to `self` *exactly*. Stage `k` of `S` receives
+    /// The demand split into `stages` per-tile stage demands (`stages`
+    /// clamps to ≥ 1), in stage order. Stage `k` of `S` receives
     /// `⌊c·(k+1)/S⌋ − ⌊c·k/S⌋` of each component `c` — the telescoping
     /// floors partition every integer count with zero remainder, so the
-    /// stage-split schedule conserves work by construction. With
-    /// `c = q·S + r` that share is `q` plus one whenever the running sum of
-    /// `r` wraps past `S`, which is how it is computed: one division per
-    /// component, and no intermediate exceeds `2·S`, so even a saturated
-    /// count splits without overflow.
-    #[must_use]
-    pub fn split_stages(&self, stages: usize) -> Vec<Self> {
-        let stages = stages.max(1) as u64;
-        let mut shares = [
+    /// stage-split schedule conserves work by construction, and any two
+    /// shares differ by at most one. With `c = q·S + r` the share is
+    /// `q + ⌊(k+1)·r/S⌋ − ⌊k·r/S⌋`: `q` plus one exactly when
+    /// `(k+1)·r mod S < r`, which is how each stage is computed, from `q`
+    /// and `r` taken once per component. `r` and `k` are below `S`, so no
+    /// intermediate exceeds `S²` and even a saturated count splits without
+    /// overflow. Every stage stands alone, so a placement writes its
+    /// stages straight into a reused buffer.
+    pub fn stage_shares(&self, stages: usize) -> impl ExactSizeIterator<Item = Self> {
+        let stages = stages.max(1);
+        let n = stages as u64;
+        let [dma_in, mac, vec, writeback] = [
             self.dma_in_bytes,
             self.mac_ops,
             self.vec_ops,
             self.writeback_bytes,
         ]
-        .map(|c| (c / stages, c % stages, 0));
-        (0..stages)
-            .map(|_| {
-                let [dma_in_bytes, mac_ops, vec_ops, writeback_bytes] =
-                    shares.each_mut().map(|(q, r, wrapped)| {
-                        *wrapped += *r;
-                        if *wrapped >= stages {
-                            *wrapped -= stages;
-                            *q + 1
-                        } else {
-                            *q
-                        }
-                    });
-                Self {
-                    dma_in_bytes,
-                    mac_ops,
-                    vec_ops,
-                    writeback_bytes,
-                }
-            })
-            .collect()
+        .map(|c| (c / n, c % n));
+        let share = move |(q, r): (u64, u64), j: u64| {
+            if r == 0 {
+                return q;
+            }
+            // `j·r < n²`: in `u64` unless the stage count is past 2³².
+            let wrapped = match r.checked_mul(j) {
+                Some(p) => p % n,
+                None => (u128::from(r) * u128::from(j) % u128::from(n)) as u64,
+            };
+            q + u64::from(wrapped < r)
+        };
+        (0..stages).map(move |k| {
+            let j = k as u64 + 1;
+            Self {
+                dma_in_bytes: share(dma_in, j),
+                mac_ops: share(mac, j),
+                vec_ops: share(vec, j),
+                writeback_bytes: share(writeback, j),
+            }
+        })
+    }
+
+    /// Splits the demand into `stages` per-tile stage demands that sum back
+    /// to `self` *exactly*: [`TrackDemand::stage_shares`], collected.
+    #[must_use]
+    pub fn split_stages(&self, stages: usize) -> Vec<Self> {
+        self.stage_shares(stages).collect()
     }
 
     /// Per-track ideal seconds on `hw`, indexed
@@ -433,6 +443,66 @@ mod tests {
             sum.accumulate(s);
         }
         assert_eq!(sum, full);
+    }
+
+    /// The accumulated-remainder split that [`TrackDemand::stage_shares`]'s
+    /// closed form replaced: `c = q·S + r`, and a stage takes `q` plus one
+    /// whenever the running sum of `r` wraps past `S`.
+    fn wrapping_split(count: u64, stages: u64) -> Vec<u64> {
+        let (q, r) = (count / stages, count % stages);
+        let mut wrapped = 0;
+        (0..stages)
+            .map(|_| {
+                wrapped += r;
+                if wrapped >= stages {
+                    wrapped -= stages;
+                    q + 1
+                } else {
+                    q
+                }
+            })
+            .collect()
+    }
+
+    // The closed-form per-stage share equals the accumulated-remainder
+    // split element by element, on edge counts and random ones alike.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn stage_shares_equal_the_wrapping_split(
+            stages in 1u64..65,
+            random in 0u64..u64::MAX,
+            small in 0u64..1_000_000,
+        ) {
+            for count in [0, 1, stages - 1, stages, u64::MAX, random, small] {
+                let d = TrackDemand {
+                    dma_in_bytes: count,
+                    mac_ops: count.wrapping_add(1),
+                    vec_ops: count / 3,
+                    writeback_bytes: u64::MAX - count,
+                };
+                let n = stages as usize;
+                let shares: Vec<TrackDemand> = d.stage_shares(n).collect();
+                proptest::prop_assert_eq!(&shares, &d.split_stages(n));
+                let components: [fn(&TrackDemand) -> u64; 4] = [
+                    |t| t.dma_in_bytes,
+                    |t| t.mac_ops,
+                    |t| t.vec_ops,
+                    |t| t.writeback_bytes,
+                ];
+                for component in components {
+                    let c = component(&d);
+                    let got: Vec<u64> = shares.iter().map(component).collect();
+                    let reference = wrapping_split(c, stages);
+                    proptest::prop_assert_eq!(&got, &reference, "count {c} over {stages}");
+                    let sum = (got.iter()).try_fold(0u64, |sum, &s| sum.checked_add(s));
+                    proptest::prop_assert_eq!(sum, Some(c));
+                    let (lo, hi) = (got.iter().min().unwrap(), got.iter().max().unwrap());
+                    proptest::prop_assert!(hi - lo <= 1, "shares {got:?}");
+                }
+            }
+        }
     }
 
     #[test]

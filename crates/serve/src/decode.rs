@@ -47,8 +47,10 @@
 //! (VEC), accumulate the value rows (MAC) — which is why a decode step is
 //! priced as the one-row chunk `(t − 1, 1)`; the test harnesses pin every
 //! step bitwise to the last row of `tiled_attention` over its prefix.
+//!
+//! [`DecodeStep::to_chunk`]: mas_dataflow::decode::DecodeStep::to_chunk
 
-use mas_dataflow::decode::{DecodeStep, PrefillChunk};
+use mas_dataflow::decode::PrefillChunk;
 use mas_dataflow::{KvDtype, TrackDemand};
 use mas_sim::HardwareConfig;
 
@@ -157,6 +159,8 @@ pub struct DecodePolicy {
     /// released with the group's last session; a partially filled tail
     /// block and every decode block stay private to the session. Default
     /// `false`: fully private residency.
+    ///
+    /// [`DecodeStep::shared_kv_bytes`]: mas_dataflow::decode::DecodeStep::shared_kv_bytes
     pub prefix_share: bool,
 }
 
@@ -214,19 +218,17 @@ pub(crate) fn issue_s(hw: &HardwareConfig) -> f64 {
 /// policy's KV element size. It prices the decode deadline screen, every
 /// decode launch (recompute resumes included) and the split of a chunked
 /// prefill batch, so those never disagree, and the track executor places
-/// the same record. Prefill admission keeps
+/// the same record. A decode step is priced once, when it arrives: the
+/// screen wraps the step's own demand as a solo launch, and its open
+/// launch adds it as the step joins with [`TrackDemand::accumulate`]
+/// (saturating integer addition, so the sum is the same whenever it is
+/// taken). Prefill admission keeps
 /// [`service_time_lower_bound_s`](crate::queue::service_time_lower_bound_s),
 /// which leaves the issue overhead out.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct LaunchDemand(pub(crate) TrackDemand);
 
 impl LaunchDemand {
-    /// Adds one decode step.
-    pub(crate) fn add_step(&mut self, step: &DecodeStep, hw: &HardwareConfig, kv_bytes: usize) {
-        self.0
-            .accumulate(&TrackDemand::of_decode_step_with_kv(step, hw, kv_bytes));
-    }
-
     /// Adds one prefill chunk: the exact closed-form sum of the decode
     /// steps it fuses.
     pub(crate) fn add_chunk(&mut self, chunk: &PrefillChunk, hw: &HardwareConfig, kv_bytes: usize) {
@@ -451,6 +453,7 @@ impl DecodeReport {
 mod tests {
     use super::*;
     use crate::engine::{EngineConfig, ServeEngine};
+    use mas_dataflow::decode::DecodeStep;
     use mas_workloads::{
         decode_trace, DecodeSessionSpec, DecodeStepEvent, DecodeTrace, DecodeTraceConfig, Network,
     };
@@ -514,7 +517,7 @@ mod tests {
         let hw = hw();
         let mut demand = LaunchDemand::default();
         for step in steps {
-            demand.add_step(step, &hw, kv_bytes);
+            (demand.0).accumulate(&TrackDemand::of_decode_step_with_kv(step, &hw, kv_bytes));
         }
         demand.service_s(&hw)
     }

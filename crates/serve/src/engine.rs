@@ -117,12 +117,26 @@
 //! finds its slot once, through an id → slot table (a binary search when
 //! ids are sparse), and its launch carries the slot to completion. Open
 //! launches sit in slots indexed by an interned launch key, and a session
-//! caches its decode key's slot at admission. The chunk, window and
-//! release stages keep a lower bound on their next due instant and scan
-//! only when `now` reaches it. An event therefore costs O(1) plus the work
-//! it triggers and a pass over the devices; a due chunk scans the chains, a
-//! window end the open launches, a due release the pending releases, and
-//! an eviction the sessions.
+//! caches its decode key's slot at admission. Chains with chunks left sit
+//! in a min-heap by `(ready, chain id)` of their next chunk, so finding
+//! the next ready chunk reads the heap's top and placing it costs
+//! `O(log chains)`; an entry goes stale when its chain places another
+//! chunk (a per-chain generation, bumped at every placement, a displaced
+//! chunk's re-placement included), and stale entries are dropped as they
+//! reach the top. The window and release stages keep a lower bound on
+//! their next due instant and scan only when `now` reaches it. An event
+//! therefore costs O(1) plus the work it triggers and a pass over the
+//! devices; a window end scans the open launches, a due release the
+//! pending releases, and an eviction the sessions.
+//!
+//! Each unit of work is priced once: a decode step at arrival (its open
+//! launch adds the price as the step joins), a chunk when its chain is
+//! sealed. Placing a launch allocates only when the flow-shop commits it
+//! (its stage spans are copied out of a buffer the run reuses, for the
+//! log); the stage demands also go to a reused buffer, and a decode
+//! launch's member list goes back to its launch slot. What still
+//! allocates per launch is sealing a prefill batch: its member list and,
+//! for a chain, its chunk layout.
 //!
 //! ## Single-class streams and planning
 //!
@@ -143,7 +157,8 @@
 //! [`DecodeRejectReason::KvPoolExhausted`]: crate::decode::DecodeRejectReason::KvPoolExhausted
 //! [`RejectReason::MemoryPressure`]: crate::queue::RejectReason::MemoryPressure
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 
 use mas_attention::planner::TilingStrategy;
 use mas_attention::{Planner, PlannerConfig};
@@ -655,12 +670,14 @@ impl ServeEngine {
             sessions,
             releases: Releases::default(),
             chunk_chains: BTreeMap::new(),
-            next_chunk_s: f64::INFINITY,
+            ready_chunks: BinaryHeap::new(),
             staged: (0..self.config.devices.max(1)).map(|_| None).collect(),
             tracks: self
                 .config
                 .tracks
                 .map(|_| vec![DeviceTracks::new(); self.config.devices.max(1)]),
+            stage_s: Vec::new(),
+            stage_spans: Vec::new(),
             estimator: BacklogEstimator::new(self.config.devices),
             prefix_groups: BTreeMap::new(),
             active_sessions: 0,
@@ -867,6 +884,9 @@ struct OpenLaunch<'a> {
     requests: Vec<&'a ServeRequest>,
     /// Decode members with their session slots, for a decode key.
     steps: Vec<(DecodeStepItem, usize)>,
+    /// The decode members' summed demand, each step priced once as it
+    /// joins; dispatch takes it.
+    demand: TrackDemand,
 }
 
 /// The run's launch slots, indexed by interned key.
@@ -893,6 +913,7 @@ impl<'a> Launches<'a> {
                 first_arrival_s: 0.0,
                 requests: Vec::new(),
                 steps: Vec::new(),
+                demand: TrackDemand::default(),
             });
         }
         slot
@@ -1053,12 +1074,32 @@ struct ChunkChain<'a> {
     /// Earliest instant the next chunk may start: the batch's ready time
     /// for chunk 0, then the previous chunk's completion.
     next_ready_s: f64,
+    /// Bumped at every placement of one of the chain's chunks (a displaced
+    /// chunk's re-placement included), so only the newest of the chain's
+    /// [`ReadyChunk`] entries is current.
+    generation: u64,
     /// The completed chunks folded into the chain's completion, in chunk
     /// order (chunks complete in start order, and chain starts ascend);
     /// member outcomes close on it.
     done: Option<Completion>,
     /// Chunks completed so far; the members complete at `chunks.len()`.
     done_chunks: usize,
+}
+
+/// A chain's next chunk in the ready-chunk queue: the chain's
+/// `next_ready_s` and the chain's generation when it was queued. Entries
+/// are never removed early: one is current only while its chain is live,
+/// has chunks left and still has that generation, and a stale one is
+/// dropped when it reaches the top. Ordered by `(ready, chain id)`, the
+/// order ready chunks place in (the generation only splits a stale entry
+/// from a current one).
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct ReadyChunk {
+    /// `next_ready_s`'s bits. Times are never negative and `-0.0` is
+    /// stored as `0.0`, so the bits order as the times do.
+    ready_bits: u64,
+    chain: u64,
+    generation: u64,
 }
 
 /// The record of one launch of any kind — a monolithic prefill batch, one
@@ -1327,9 +1368,9 @@ struct EngineRun<'a> {
     /// In-flight chunked-prefill chains by chain id
     /// ([`EngineConfig::chunked_prefill`]).
     chunk_chains: BTreeMap<u64, ChunkChain<'a>>,
-    /// A lower bound on the earliest ready instant of a chain with chunks
-    /// left to place: ready-chunk scans run only once `now` reaches it.
-    next_chunk_s: f64,
+    /// Every chain with chunks left to place, by `(ready, chain id)` of
+    /// its next chunk, plus stale entries dropped lazily.
+    ready_chunks: BinaryHeap<Reverse<ReadyChunk>>,
     /// At most one staged (placed, effects-deferred, displaceable)
     /// prefill-class span per device. Always empty unless slot preemption
     /// is active ([`EngineConfig::preempt`] under
@@ -1340,6 +1381,12 @@ struct EngineRun<'a> {
     /// flow-shop schedule here or barriers the clocks behind its scalar
     /// span, so the clocks always cover everything committed to `free_at`.
     tracks: Option<Vec<DeviceTracks>>,
+    /// The per-stage, per-track seconds of the launch being placed on the
+    /// tracks, reused across launches.
+    stage_s: Vec<[f64; TRACK_COUNT]>,
+    /// The stage spans of the launch being placed on the tracks, reused
+    /// across launches and copied out only when the flow-shop commits.
+    stage_spans: Vec<StageSpan>,
     estimator: BacklogEstimator,
     /// Live prefix groups under [`DecodePolicy::prefix_share`].
     prefix_groups: BTreeMap<u64, PrefixGroupState>,
@@ -1361,7 +1408,8 @@ impl<'a> EngineRun<'a> {
     /// `device` and commits whichever candidate completes earlier:
     ///
     /// * Returns `Some(placement)` — and commits it to the device's track
-    ///   clocks — when the stage DAG beats the scalar span strictly.
+    ///   clocks — when the stage DAG beats the scalar span strictly. Its
+    ///   stage spans are then in `self.stage_spans`.
     /// * Returns `None` — and barriers the track clocks behind
     ///   `scalar_completion_s` — when the scalar candidate wins (ties go to
     ///   scalar) or the demand's bound is zero.
@@ -1374,6 +1422,12 @@ impl<'a> EngineRun<'a> {
     /// it can hide under the first tile's DMA. With
     /// [`TrackConfig::degenerate`] the serialized DAG is provably ≥ the
     /// scalar span, so scalar always wins and replays stay bit-identical.
+    ///
+    /// The stage demands ([`TrackDemand::stage_shares`]) go straight into
+    /// the run's reused `stage_s` buffer, and [`DeviceTracks::plan`] writes
+    /// the spans into the reused `stage_spans`, so trying a placement
+    /// allocates nothing; [`EngineRun::place`] copies the spans out only
+    /// for a flow-shop commit.
     fn try_track_placement(
         &mut self,
         device: usize,
@@ -1383,28 +1437,23 @@ impl<'a> EngineRun<'a> {
         (demand, issue_s): &Profile,
     ) -> Option<TrackPlacement> {
         let cfg = self.config.tracks?;
-        let bound = demand.stream().bound_seconds(&self.hw);
-        let stage_s: Option<Vec<[f64; TRACK_COUNT]>> = (bound > 0.0).then(|| {
-            let stretch = ((scalar_service_s - issue_s) / bound).max(1.0);
-            let mut stages: Vec<[f64; TRACK_COUNT]> = demand
-                .split_stages(cfg.stages)
-                .iter()
-                .map(|d| {
-                    let mut s = d.track_seconds(&self.hw);
-                    for v in &mut s {
-                        *v *= stretch;
-                    }
-                    s
-                })
-                .collect();
-            if *issue_s > 0.0 {
-                stages[0][TrackKind::Mac.index()] += *issue_s;
-            }
-            stages
-        });
         let dev = &mut self.tracks.as_mut()?[device];
-        if let Some(stage_s) = stage_s {
-            let placement = dev.plan(ready_s, &stage_s, cfg.fused_queue);
+        let bound = demand.stream().bound_seconds(&self.hw);
+        if bound > 0.0 {
+            let stretch = ((scalar_service_s - issue_s) / bound).max(1.0);
+            let stage_s = &mut self.stage_s;
+            stage_s.clear();
+            stage_s.extend(demand.stage_shares(cfg.stages).map(|d| {
+                let mut s = d.track_seconds(&self.hw);
+                for v in &mut s {
+                    *v *= stretch;
+                }
+                s
+            }));
+            if *issue_s > 0.0 {
+                stage_s[0][TrackKind::Mac.index()] += *issue_s;
+            }
+            let placement = dev.plan(ready_s, stage_s, cfg.fused_queue, &mut self.stage_spans);
             if placement.completion_s < scalar_completion_s {
                 dev.commit(&placement);
                 return Some(placement);
@@ -1414,7 +1463,7 @@ impl<'a> EngineRun<'a> {
             // per-track busy figures expose the workload's regime
             // (DMA-bound vs MAC-bound) on either commit path.
             let mut seconds = [0.0; TRACK_COUNT];
-            for durs in &stage_s {
+            for durs in stage_s.iter() {
                 for (sum, d) in seconds.iter_mut().zip(durs) {
                     *sum += d;
                 }
@@ -1490,9 +1539,21 @@ impl<'a> EngineRun<'a> {
     /// `(ready, chain id)` order. Chunk `k+1` becomes ready only at chunk
     /// `k`'s completion, so the loop walks each chain at most one virtual
     /// completion at a time — the lazy dispatch that lets decode launches
-    /// slot between chunks.
+    /// slot between chunks. The next chunk is the top of `ready_chunks`
+    /// once stale entries are dropped, so a call that places nothing reads
+    /// the top and returns, and a placement costs `O(log chains)`.
     fn dispatch_ready_chunks(&mut self, now_s: f64) {
-        while now_s >= self.next_chunk_s {
+        while let Some(&Reverse(next)) = self.ready_chunks.peek() {
+            let current = (self.chunk_chains.get(&next.chain)).is_some_and(|chain| {
+                chain.generation == next.generation && chain.next_index < chain.chunks.len()
+            });
+            if !current {
+                self.ready_chunks.pop();
+                continue;
+            }
+            if f64::from_bits(next.ready_bits) > now_s {
+                return;
+            }
             if self.staging_active() {
                 // With preemption on, keep the committed horizon to one
                 // running span plus one displaceable staged span per
@@ -1506,32 +1567,23 @@ impl<'a> EngineRun<'a> {
                     return;
                 }
             }
-            let next = (self.chunk_chains.iter())
-                .filter(|(_, chain)| {
-                    chain.next_index < chain.chunks.len() && chain.next_ready_s <= now_s
-                })
-                .map(|(id, chain)| (chain.next_ready_s, *id))
-                .min_by(|a, b| a.partial_cmp(b).expect("ready times are finite"));
-            let Some((_, chain_id)) = next else {
-                // Nothing is ready: raise the bound to the earliest chunk left.
-                self.next_chunk_s = (self.chunk_chains.values())
-                    .filter(|chain| chain.next_index < chain.chunks.len())
-                    .fold(f64::INFINITY, |bound, chain| bound.min(chain.next_ready_s));
-                return;
-            };
-            self.place_chunk(chain_id, SealCause::Chain);
+            self.ready_chunks.pop();
+            self.place_chunk(next.chain, SealCause::Chain);
         }
     }
 
-    /// Places one chunk of a chain on the earliest-free device. `cause` is
-    /// the batch's real seal cause for chunk 0 and [`SealCause::Chain`]
-    /// for every later chunk.
+    /// Places one chunk of a chain on the earliest-free device, then queues
+    /// the chain's next chunk, if it has one, at this chunk's completion.
+    /// `cause` is the batch's real seal cause for chunk 0 and
+    /// [`SealCause::Chain`] for every later chunk.
     fn place_chunk(&mut self, chain_id: u64, cause: SealCause) {
         let chain = self.chunk_chains.get_mut(&chain_id).expect("chain exists");
         let index = chain.next_index;
         let (service_s, profile) = chain.chunks[index];
         let of = chain.chunks.len();
         chain.next_index = index + 1;
+        // Whatever the queue holds for the chain is stale from here on.
+        chain.generation += 1;
         // Chunk 0 reuses the chain id (it *is* the sealed batch's launch);
         // later chunks draw fresh ids from the shared launch-id space.
         let launch_id = if index == 0 {
@@ -1572,7 +1624,13 @@ impl<'a> EngineRun<'a> {
         // update is moot then.
         if let Some(chain) = self.chunk_chains.get_mut(&chain_id) {
             chain.next_ready_s = completion_s;
-            self.next_chunk_s = self.next_chunk_s.min(completion_s);
+            if chain.next_index < of {
+                self.ready_chunks.push(Reverse(ReadyChunk {
+                    ready_bits: (completion_s + 0.0).to_bits(),
+                    chain: chain_id,
+                    generation: chain.generation,
+                }));
+            }
         }
     }
 
@@ -1616,7 +1674,7 @@ impl<'a> EngineRun<'a> {
                 span.start_s = p.start_s;
                 span.completion_s = p.completion_s;
                 span.service_s = p.completion_s - p.start_s;
-                span.stages = Some(p.stages);
+                span.stages = Some(self.stage_spans.clone());
             }
         }
         let completion_s = span.completion_s;
@@ -1992,14 +2050,18 @@ impl<'a> EngineRun<'a> {
             return;
         }
 
-        // Per-step deadline screening at this step's context length, against
-        // the step's price as a solo launch: queueing only adds to it.
+        // The step's demand at its context length, priced once: the deadline
+        // screen reads it as a solo launch and its launch adds it on join.
         let decode_key = DecodeKey::of(session.spec);
+        let demand = TrackDemand::of_decode_step_with_kv(
+            &decode_step(decode_key, context_len),
+            &self.hw,
+            self.kv_element_bytes,
+        );
+        // Per-step deadline screening against the step's price as a solo
+        // launch: queueing only adds to it.
         if let Some(deadline) = self.config.decode.step_deadline_s {
-            let mut solo = LaunchDemand::default();
-            let step = decode_step(decode_key, context_len);
-            solo.add_step(&step, &self.hw, self.kv_element_bytes);
-            if deadline < solo.service_s(&self.hw) {
+            if deadline < LaunchDemand(demand).service_s(&self.hw) {
                 session.rejected_steps += 1;
                 // A session whose every remaining step is screened out
                 // must still release its KV residency.
@@ -2095,6 +2157,7 @@ impl<'a> EngineRun<'a> {
             recompute_tokens,
         };
         launch.steps.push((item, slot));
+        launch.demand.accumulate(&demand);
         let (launch_id, members) = (launch.id, launch.steps.len());
         self.events.emit(
             now_s,
@@ -2361,6 +2424,7 @@ impl<'a> EngineRun<'a> {
                         chunks,
                         next_index: 0,
                         next_ready_s: ready_s,
+                        generation: 0,
                         done: None,
                         done_chunks: 0,
                     },
@@ -2414,17 +2478,12 @@ impl<'a> EngineRun<'a> {
         // Borrowed out of the slot and handed back, cleared, at completion:
         // dispatching never joins a launch.
         let steps = std::mem::take(&mut self.launches.slots[k].steps);
-        // Member steps, then the evicted context of recompute-priced
-        // resumes as prefill-chunk work. The track profile keeps the issue
-        // overhead a separate term the flow-shop can hide under the KV
-        // stream.
+        // Member steps (summed as they joined), then the evicted context of
+        // recompute-priced resumes as prefill-chunk work. The track profile
+        // keeps the issue overhead a separate term the flow-shop can hide
+        // under the KV stream.
         let (hw, kv_bytes) = (&self.hw, self.kv_element_bytes);
-        let mut demand = LaunchDemand::default();
-        let mut step = decode_step(decode_key, 1);
-        for (p, _) in &steps {
-            step.context_len = p.context_len;
-            demand.add_step(&step, hw, kv_bytes);
-        }
+        let mut demand = LaunchDemand(std::mem::take(&mut self.launches.slots[k].demand));
         for (p, _) in steps.iter().filter(|(p, _)| p.recompute_tokens > 0) {
             let chunk =
                 PrefillChunk::new(1, decode_key.heads, 0, p.recompute_tokens, decode_key.embed)

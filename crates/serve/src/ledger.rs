@@ -19,6 +19,7 @@
 //! [`Telemetry::report`]: crate::telemetry::Telemetry::report
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use mas_dataflow::DataflowKind;
 
@@ -162,6 +163,35 @@ impl Completion {
     }
 }
 
+/// The owner map's hasher: one rotate, xor and multiply per word (the
+/// FxHash step). Owners are integer session and prefix-group ids, and
+/// SipHash's flooding resistance would only guard a replay's time against
+/// ids chosen to collide, never its results, while its hashing was most
+/// of a map access on the per-charge path. Deterministic, and no output
+/// depends on the map's order anyway: peak snapshots sort its entries.
+#[derive(Default, Clone, Copy)]
+struct OwnerHasher(u64);
+
+impl Hasher for OwnerHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+}
+
 /// The report under construction plus the shared budget's occupancy.
 #[derive(Debug, Clone)]
 pub(crate) struct Ledger {
@@ -186,8 +216,9 @@ pub(crate) struct Ledger {
     /// while a KV eviction holds its bytes at zero, so a release for an
     /// owner missing here is a duplicate. Hashed, not ordered: it is read
     /// per charge and release on the engine's hot path, and only peak
-    /// snapshots list it (sorted).
-    owners: HashMap<MemOwner, u64>,
+    /// snapshots list it (sorted). Session ids are labels, possibly sparse,
+    /// so the map is keyed by id rather than indexed by it.
+    owners: HashMap<MemOwner, u64, BuildHasherDefault<OwnerHasher>>,
     /// The live charges of prefill launches, indexed by launch id (`None`
     /// = not live), under the same rules as `owners`. The engine numbers
     /// launches from zero, so the ids are dense.
@@ -216,7 +247,7 @@ impl Ledger {
             blocks_in_use: 0,
             kv_shared_in_use: 0,
             peak: MemPeak::default(),
-            owners: HashMap::new(),
+            owners: HashMap::default(),
             launch_charges: Vec::new(),
             launch_floor: 0,
             preemptions_prefill: 0,

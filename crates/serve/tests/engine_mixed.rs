@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use mas_dataflow::{AttentionWorkload, DataflowKind, DecodeStep};
 use mas_serve::{
-    BatchPolicy, ChunkPolicy, DecodePolicy, EngineConfig, EventKind, KvDtype, LaunchKey,
+    BatchPolicy, ChunkKey, ChunkPolicy, DecodePolicy, EngineConfig, EventKind, KvDtype, LaunchKey,
     PreemptMode, PreemptVictim, RejectReason, SchedulePolicy, ServeEngine, ServeRequest,
     TelemetryConfig, TrackConfig,
 };
@@ -813,5 +813,135 @@ fn sparse_session_ids_replay_like_dense_ones() {
             *id = dense(*id);
         }
         assert_eq!(report, expected, "{label}");
+    }
+}
+
+/// Chunk chains keep their order when a chunk is displaced. Under decode
+/// priority with `Hold` preemption and the track executor, an overloaded
+/// mixed trace keeps several chains live at once while decode launches
+/// displace staged chunks mid-chain. From the event log (one device, so
+/// every prefill-class placement hardens the staged incumbent first and
+/// the log lists chunk launches in placement order):
+///
+/// * each chain's chunks dispatch in index order, each ready no earlier
+///   than its predecessor's completion;
+/// * chunks after a chain's first, which place from the ready-chunk queue,
+///   dispatch in strictly ascending `(ready, chain id)` order: none places
+///   while another chain's chunk that was ready earlier, or at the same
+///   instant with a lower chain id, is still waiting. (Chunk 0 places with
+///   its batch, by window or fill, and is not ordered against the queue.)
+#[test]
+fn chunk_chains_keep_their_order_when_a_chunk_is_displaced() {
+    let trace = mixed_trace(
+        &MixedTraceConfig::poisson(
+            vec![Network::BertSmall, Network::T5Mini, Network::Llama3_8B],
+            300,
+            3_000.0,
+            60,
+            1_000.0,
+            42,
+        )
+        .with_shared_system_prompt(64),
+    );
+    let stream =
+        ServeRequest::stream_from_trace(&trace.prefill, DataflowKind::MasAttention, Some(0.05));
+    let mut engine = ServeEngine::new(EngineConfig {
+        policy: SchedulePolicy::DecodePriority,
+        decode: DecodePolicy {
+            step_deadline_s: Some(0.003),
+            ..DecodePolicy::default()
+        },
+        chunked_prefill: Some(ChunkPolicy::new(64)),
+        preempt: Some(PreemptMode::Hold),
+        tracks: Some(TrackConfig::default()),
+        telemetry: Some(TelemetryConfig::default()),
+        ..EngineConfig::default()
+    });
+    let report = engine.run(&stream, &trace.decode).unwrap();
+    assert_eq!(report.device_util.len(), 1);
+    assert!(report.preemptions_prefill > 0, "{}", report.summary());
+
+    // Every chunk launch in log order, and how many chunks were displaced
+    // while their chain still had chunks after them.
+    struct ChunkLaunch {
+        key: ChunkKey,
+        ready_s: f64,
+        start_s: f64,
+        completion_s: f64,
+    }
+    let mut chunks: Vec<ChunkLaunch> = Vec::new();
+    let mut displaced_mid_chain = 0;
+    for event in engine.telemetry().unwrap().events() {
+        match event.kind {
+            EventKind::LaunchDispatched {
+                key: LaunchKey::PrefillChunk(key),
+                ready_s,
+                start_s,
+                completion_s,
+                ..
+            } => chunks.push(ChunkLaunch {
+                key,
+                ready_s,
+                start_s,
+                completion_s,
+            }),
+            EventKind::Preempted {
+                victim:
+                    PreemptVictim::Launch {
+                        key: LaunchKey::PrefillChunk(key),
+                        ..
+                    },
+            } if key.index + 1 < key.of => displaced_mid_chain += 1,
+            _ => {}
+        }
+    }
+    assert!(displaced_mid_chain > 0, "no chunk was displaced mid-chain");
+
+    // Per chain: indices 0..of in order, each ready at or after its
+    // predecessor's completion; and chains overlap in time.
+    let mut per_chain: std::collections::BTreeMap<u64, Vec<&ChunkLaunch>> =
+        std::collections::BTreeMap::new();
+    for chunk in &chunks {
+        per_chain.entry(chunk.key.chain).or_default().push(chunk);
+    }
+    for (chain, launches) in &per_chain {
+        assert_eq!(launches.len(), launches[0].key.of as usize, "chain {chain}");
+        for (position, pair) in launches.windows(2).enumerate() {
+            let (index, next) = (pair[0].key.index, pair[1].key.index);
+            assert_eq!((index, next), (position as u32, position as u32 + 1));
+            assert!(
+                pair[1].ready_s >= pair[0].completion_s,
+                "chain {chain}: chunk {next} ready at {} before chunk {index} completes",
+                pair[1].ready_s
+            );
+        }
+    }
+    let lives: Vec<(f64, f64)> = (per_chain.values())
+        .map(|launches| {
+            (
+                launches[0].start_s,
+                launches[launches.len() - 1].completion_s,
+            )
+        })
+        .collect();
+    let overlapping = (lives.iter().enumerate())
+        .any(|(i, a)| lives[i + 1..].iter().any(|b| a.0 < b.1 && b.0 < a.1));
+    assert!(overlapping, "no two chains were live at once");
+
+    // Queued chunks dispatch in strictly ascending (ready, chain id).
+    let queued: Vec<(f64, u64)> = (chunks.iter())
+        .filter(|c| c.key.index > 0)
+        .map(|c| (c.ready_s, c.key.chain))
+        .collect();
+    assert!(queued.len() > per_chain.len());
+    for pair in queued.windows(2) {
+        assert!(
+            pair[0].0 < pair[1].0 || (pair[0].0 == pair[1].0 && pair[0].1 < pair[1].1),
+            "chunk of chain {} (ready {}) dispatched before chain {}'s (ready {})",
+            pair[0].1,
+            pair[0].0,
+            pair[1].1,
+            pair[1].0
+        );
     }
 }

@@ -1445,8 +1445,10 @@ pub struct StageSpan {
 }
 
 /// The flow-shop schedule of one launch over a device's tracks, produced by
-/// [`DeviceTracks::plan`] and applied by [`DeviceTracks::commit`].
-#[derive(Debug, Clone, PartialEq)]
+/// [`DeviceTracks::plan`] and applied by [`DeviceTracks::commit`]. Plain
+/// `Copy` data: the stage spans go to the caller's buffer, so a placement
+/// the scalar clamp rejects allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrackPlacement {
     /// When the launch's first stage begins (≥ the launch ready time).
     pub start_s: f64,
@@ -1456,8 +1458,6 @@ pub struct TrackPlacement {
     clocks_after: [f64; TRACK_COUNT],
     /// Per-track busy seconds this placement adds.
     busy_added: [f64; TRACK_COUNT],
-    /// Every non-empty stage span, in schedule order.
-    pub stages: Vec<StageSpan>,
 }
 
 /// Per-device continuous-time track state: one FIFO clock per queue plus
@@ -1513,17 +1513,22 @@ impl DeviceTracks {
 
     /// Flow-shop schedules `stage_s` (per stage, per track, seconds) onto
     /// this device's tracks for a launch ready at `ready_s`, without
-    /// mutating any state. Stage `k`'s span on track `t` starts at
+    /// mutating the device. Stage `k`'s span on track `t` starts at
     /// `max(track clock, ready, completion of stage k on track t−1)` —
     /// with `fused` queues every span instead chains on one serial clock.
-    /// Returns the placement; apply it with [`DeviceTracks::commit`].
+    /// `spans` is cleared and receives every non-empty stage span in
+    /// schedule order: a caller that plans every launch reuses one buffer
+    /// and copies the spans out only for placements it commits. Returns
+    /// the placement; apply it with [`DeviceTracks::commit`].
     #[must_use]
     pub fn plan(
         &self,
         ready_s: f64,
         stage_s: &[[f64; TRACK_COUNT]],
         fused: bool,
+        spans: &mut Vec<StageSpan>,
     ) -> TrackPlacement {
+        spans.clear();
         let mut clocks = self.clocks;
         if fused {
             // One serial queue: collapse the clocks to their max once, then
@@ -1532,7 +1537,6 @@ impl DeviceTracks {
             clocks = [serial; TRACK_COUNT];
         }
         let mut busy_added = [0.0; TRACK_COUNT];
-        let mut stages = Vec::new();
         let mut start_s = f64::INFINITY;
         let mut completion_s = ready_s;
         for (k, durs) in stage_s.iter().enumerate() {
@@ -1558,7 +1562,7 @@ impl DeviceTracks {
                 start_s = start_s.min(s);
                 completion_s = completion_s.max(e);
                 dep_done = e;
-                stages.push(StageSpan {
+                spans.push(StageSpan {
                     track: TrackKind::ALL[t],
                     stage: k,
                     start_s: s,
@@ -1575,7 +1579,6 @@ impl DeviceTracks {
             completion_s,
             clocks_after: clocks,
             busy_added,
-            stages,
         }
     }
 
@@ -2007,17 +2010,28 @@ mod tests {
         vec![[1.0, 1.0, 0.0, 1.0]; 2]
     }
 
+    /// Plans into a fresh span buffer and returns the placement with it.
+    fn plan_spans(
+        dev: &DeviceTracks,
+        ready_s: f64,
+        stage_s: &[[f64; TRACK_COUNT]],
+        fused: bool,
+    ) -> (TrackPlacement, Vec<StageSpan>) {
+        let mut spans = Vec::new();
+        let p = dev.plan(ready_s, stage_s, fused, &mut spans);
+        (p, spans)
+    }
+
     #[test]
     fn flow_shop_overlaps_successive_stages() {
         let dev = DeviceTracks::new();
-        let p = dev.plan(0.0, &two_stage_demo(), false);
+        let (p, spans) = plan_spans(&dev, 0.0, &two_stage_demo(), false);
         // Stage 0: dma 0-1, mac 1-2, wb 2-3. Stage 1: dma 1-2 (hides under
         // stage 0's mac), mac 2-3, wb 3-4. Serial would be 6.
         assert_eq!(p.start_s, 0.0);
         assert_eq!(p.completion_s, 4.0);
-        assert_eq!(p.stages.len(), 6);
-        let dma1 = p
-            .stages
+        assert_eq!(spans.len(), 6);
+        let dma1 = spans
             .iter()
             .find(|s| s.track == TrackKind::DmaIn && s.stage == 1)
             .unwrap();
@@ -2027,12 +2041,12 @@ mod tests {
     #[test]
     fn fused_queue_serializes_to_the_sum() {
         let dev = DeviceTracks::new();
-        let p = dev.plan(0.5, &two_stage_demo(), true);
+        let (p, spans) = plan_spans(&dev, 0.5, &two_stage_demo(), true);
         assert_eq!(p.start_s, 0.5);
         assert_eq!(p.completion_s, 0.5 + 6.0);
         // Spans keep their logical track attribution but chain serially:
         // each starts exactly where the previous one ended.
-        for pair in p.stages.windows(2) {
+        for pair in spans.windows(2) {
             assert_eq!(pair[1].start_s, pair[0].end_s);
         }
     }
@@ -2041,7 +2055,7 @@ mod tests {
     fn placement_bounds_and_monotonicity() {
         let dev = DeviceTracks::new();
         let stages = vec![[3.0, 2.0, 1.0, 0.5], [1.0, 4.0, 0.0, 0.25]];
-        let p = dev.plan(0.0, &stages, false);
+        let (p, _) = plan_spans(&dev, 0.0, &stages, false);
         let per_track: Vec<f64> = (0..TRACK_COUNT)
             .map(|t| stages.iter().map(|s| s[t]).sum())
             .collect();
@@ -2054,7 +2068,7 @@ mod tests {
             for t in 0..TRACK_COUNT {
                 let mut grown = stages.clone();
                 grown[k][t] += 0.5;
-                assert!(dev.plan(0.0, &grown, false).completion_s >= p.completion_s);
+                assert!(plan_spans(&dev, 0.0, &grown, false).0.completion_s >= p.completion_s);
             }
         }
     }
@@ -2062,7 +2076,7 @@ mod tests {
     #[test]
     fn commit_installs_clocks_and_busy_time() {
         let mut dev = DeviceTracks::new();
-        let p = dev.plan(0.0, &two_stage_demo(), false);
+        let (p, _) = plan_spans(&dev, 0.0, &two_stage_demo(), false);
         dev.commit(&p);
         assert_eq!(dev.overlap_launches, 1);
         let busy = dev.busy_s();
@@ -2073,7 +2087,7 @@ mod tests {
         // The next launch's DMA can start at the dma clock (2.0), well
         // before the previous completion (4.0) — cross-launch overlap.
         assert_eq!(dev.clocks()[TrackKind::DmaIn.index()], 2.0);
-        let next = dev.plan(0.0, &two_stage_demo(), false);
+        let (next, _) = plan_spans(&dev, 0.0, &two_stage_demo(), false);
         assert!(next.start_s < p.completion_s);
     }
 
@@ -2083,17 +2097,49 @@ mod tests {
         dev.barrier(7.0);
         assert_eq!(dev.scalar_launches, 1);
         assert!(dev.clocks().iter().all(|&c| c == 7.0));
-        let p = dev.plan(0.0, &two_stage_demo(), false);
+        let (p, _) = plan_spans(&dev, 0.0, &two_stage_demo(), false);
         assert_eq!(p.start_s, 7.0);
     }
 
     #[test]
     fn empty_demand_places_a_zero_span_at_ready() {
         let dev = DeviceTracks::new();
-        let p = dev.plan(3.0, &[[0.0; TRACK_COUNT]], false);
+        let (p, spans) = plan_spans(&dev, 3.0, &[[0.0; TRACK_COUNT]], false);
         assert_eq!(p.start_s, 3.0);
         assert_eq!(p.completion_s, 3.0);
-        assert!(p.stages.is_empty());
+        assert!(spans.is_empty());
+    }
+
+    #[test]
+    fn a_reused_span_buffer_plans_like_a_fresh_one() {
+        // A placement must not read what an earlier one left in the buffer:
+        // same placement (start, completion, clocks after, busy added) and
+        // same spans, fresh or dirty, split or fused, on a busy device too.
+        let mut dev = DeviceTracks::new();
+        let (first, _) = plan_spans(&dev, 0.0, &two_stage_demo(), false);
+        dev.commit(&first);
+        let launch = [
+            [0.5, 2.0, 0.25, 0.0],
+            [0.0, 1.0, 0.0, 0.75],
+            [1.0, 0.0, 0.5, 0.5],
+        ];
+        let other = vec![[3.0, 1.0, 1.0, 1.0]; 5];
+        for fused in [false, true] {
+            let (fresh, fresh_spans) = plan_spans(&dev, 1.5, &launch, fused);
+            let mut dirty = Vec::new();
+            let _ = dev.plan(0.0, &other, !fused, &mut dirty);
+            assert!(dirty.len() > fresh_spans.len());
+            let reused = dev.plan(1.5, &launch, fused, &mut dirty);
+            assert_eq!(reused, fresh);
+            assert_eq!(reused.clocks_after, fresh.clocks_after);
+            assert_eq!(reused.busy_added, fresh.busy_added);
+            assert_eq!(dirty, fresh_spans);
+            // Committing either installs the same device state.
+            let (mut a, mut b) = (dev, dev);
+            a.commit(&fresh);
+            b.commit(&reused);
+            assert_eq!(a, b);
+        }
     }
 
     #[test]
@@ -2148,7 +2194,7 @@ mod tests {
                 s
             })
             .collect();
-        let p = DeviceTracks::new().plan(0.0, &stage_s, false);
+        let (p, _) = plan_spans(&DeviceTracks::new(), 0.0, &stage_s, false);
         let expect_cycles = (p.completion_s * hw.frequency_hz).round() as u64;
         assert_eq!(report.total_cycles, expect_cycles);
     }
