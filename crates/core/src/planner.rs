@@ -325,6 +325,16 @@ mod tests {
     }
 
     #[test]
+    fn run_rejects_operands_over_dram_before_building() {
+        let planner = Planner::edge_default();
+        let huge = AttentionWorkload::new("huge", 1, 32, 1 << 20, 128);
+        assert!(matches!(
+            planner.run(DataflowKind::MasAttention, &huge),
+            Err(mas_sim::SimError::InvalidConfig { .. })
+        ));
+    }
+
+    #[test]
     fn verify_passes_for_all_methods() {
         let planner = Planner::edge_default();
         let w = AttentionWorkload::new("tiny", 1, 1, 32, 16);

@@ -84,7 +84,11 @@ impl Schedule {
 /// # Errors
 ///
 /// Returns a [`mas_sim::SimError`] if the hardware configuration is invalid
-/// or the resulting graph fails validation.
+/// or the resulting graph fails validation, and
+/// [`mas_sim::SimError::InvalidConfig`] before emitting any task if the
+/// tiling is out of range or the four `Q`/`K`/`V`/`O` operands exceed the
+/// device DRAM (such a graph could not run, and building it could exhaust
+/// host memory).
 pub fn build_dataflow(
     kind: DataflowKind,
     workload: &AttentionWorkload,
@@ -93,6 +97,15 @@ pub fn build_dataflow(
 ) -> Result<Schedule> {
     hw.validate()?;
     tiling.check(workload)?;
+    let operands = workload.operand_bytes(hw.element_bytes).saturating_mul(4);
+    if operands > hw.dram_bytes as u64 {
+        return Err(mas_sim::SimError::InvalidConfig {
+            reason: format!(
+                "the four operands need {operands} bytes, over the {} bytes of DRAM",
+                hw.dram_bytes
+            ),
+        });
+    }
     let schedule = match kind {
         DataflowKind::LayerWise => crate::layerwise::build(workload, tiling, hw),
         DataflowKind::SoftPipe => crate::softpipe::build(workload, tiling, hw),
@@ -702,6 +715,21 @@ mod tests {
                     }
                     other => panic!("{kind} {tiling:?}: {:?}", other.map(|s| s.stats().rounds)),
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn operands_over_dram_are_invalid_config() {
+        let hw = HardwareConfig::edge_default();
+        // ~34 GB of Q/K/V/O against 6 GiB of DRAM.
+        let w = AttentionWorkload::new("huge", 1, 32, 1 << 20, 128);
+        for kind in DataflowKind::all() {
+            match build_dataflow(kind, &w, &Tiling::heuristic(&w, &hw), &hw) {
+                Err(mas_sim::SimError::InvalidConfig { reason }) => {
+                    assert!(reason.contains("DRAM"), "{kind}: {reason}");
+                }
+                other => panic!("{kind}: {:?}", other.map(|s| s.stats().rounds)),
             }
         }
     }

@@ -3,13 +3,10 @@
 //! The paper deploys MAS-Attention inside a reduced SD-1.5 UNet on the
 //! mobile device and reports, versus the Layer-Wise method: a 29.4 % runtime
 //! reduction on the largest attention unit and a 6 % reduction in end-to-end
-//! model latency. The end-to-end number depends on how much of the UNet's
-//! time is spent outside the attention blocks (convolutions, projections,
-//! norms), which the paper does not break down; this module models that
-//! remainder as a fixed fraction of the Layer-Wise end-to-end time
-//! ([`E2eConfig::non_attention_fraction`], default 0.78 — i.e. attention is
-//! roughly a fifth of the UNet under the baseline, which is what makes a
-//! ~29 % attention gain translate into a ~6 % end-to-end gain).
+//! model latency. The end-to-end number depends on the UNet's time outside
+//! the attention blocks (convolutions, projections, norms), which the paper
+//! does not break down; this module models it as a fixed fraction of the
+//! Layer-Wise end-to-end time ([`E2eConfig::non_attention_fraction`]).
 
 use mas_dataflow::DataflowKind;
 use mas_workloads::sdunet::{largest_unit, SdAttentionUnit};
@@ -20,7 +17,8 @@ use crate::model::NpuModel;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct E2eConfig {
     /// Fraction of the *baseline* (Layer-Wise) end-to-end latency spent
-    /// outside attention blocks.
+    /// outside attention blocks. The default 0.78 is fitted, not measured:
+    /// it turns the paper's 29.4% attention reduction into its ~6% end to end.
     pub non_attention_fraction: f64,
 }
 
@@ -56,8 +54,19 @@ pub fn sd_unet_report(
     kind: DataflowKind,
     config: E2eConfig,
 ) -> E2eReport {
-    let time_for = |method: DataflowKind, unit: &SdAttentionUnit| {
-        model.estimate(method, &unit.workload).seconds * unit.repeats as f64
+    // Units repeat a few shapes: price each (method, shape) once.
+    let mut priced: Vec<(DataflowKind, [usize; 4], f64)> = Vec::new();
+    let mut time_for = |method: DataflowKind, unit: &SdAttentionUnit| {
+        let w = &unit.workload;
+        let key = (method, [w.batch, w.heads, w.seq_len, w.embed]);
+        let i = priced
+            .iter()
+            .position(|p| (p.0, p.1) == key)
+            .unwrap_or_else(|| {
+                priced.push((method, key.1, model.estimate(method, w).seconds));
+                priced.len() - 1
+            });
+        priced[i].2 * unit.repeats as f64
     };
 
     let baseline_attention_s: f64 = units
@@ -125,6 +134,20 @@ mod tests {
             report.end_to_end_reduction
         );
         assert!(report.end_to_end_reduction < report.largest_unit_reduction);
+    }
+
+    #[test]
+    fn mas_reproduces_the_papers_sd_unet_rows() {
+        // The paper reports 29.4 % on the largest unit and 6 % end to end.
+        let report = sd_unet_report(
+            &NpuModel::kirin990(),
+            &sd15_reduced_unet(1),
+            DataflowKind::MasAttention,
+            E2eConfig::default(),
+        );
+        let (unit, e2e) = (report.largest_unit_reduction, report.end_to_end_reduction);
+        assert!((0.25..=0.35).contains(&unit), "largest unit {unit}");
+        assert!((0.04..=0.09).contains(&e2e), "end to end {e2e}");
     }
 
     #[test]

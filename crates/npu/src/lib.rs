@@ -7,16 +7,16 @@
 //! The real device exposes three NPU cores — two Ascend Lite cores and one
 //! Ascend Tiny core — each with a cube (matrix) unit, a vector unit and
 //! dedicated on-chip memory. No public cycle-accurate simulator of the
-//! DaVinci architecture exists, so this crate models the device analytically:
+//! DaVinci architecture exists, so this crate lowers each core to the
+//! `mas-sim` edge device and prices it there:
 //!
 //! * [`device::NpuDevice`] describes the cores (cube throughput, vector
 //!   throughput, unified-buffer capacity, clock),
-//! * [`model::NpuModel`] estimates per-method attention latency by
-//!   partitioning heads across the heterogeneous cores and applying the same
-//!   structural differences between methods as `mas-dataflow` (serialized
-//!   MAC/VEC for Layer-Wise/FLAT, off-chip `P` for Soft-Pipe, overlapped
-//!   streams for MAS-Attention), with tile sizes chosen by grid search over
-//!   each core's buffer (the paper uses grid search on this device),
+//! * [`model::NpuModel`] partitions heads across the heterogeneous cores,
+//!   lowers each core to a one-core `mas_sim::HardwareConfig` and runs its
+//!   head share's `mas-dataflow` graph — the graphs Tables 2/3 simulate —
+//!   on the cycle simulator, with the query row-block chosen by grid search
+//!   over the core's buffer (the paper uses grid search on this device),
 //! * [`numeric`] gives the model a numeric golden check: attention computed
 //!   with the modelled core partition and row-block structure on the
 //!   `mas-tensor` slice kernels (`dot` / `softmax_row` / `axpy`), compared

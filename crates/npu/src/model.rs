@@ -1,24 +1,17 @@
-//! Analytical latency model for attention dataflows on the DaVinci-like NPU.
+//! Attention latency on the DaVinci-like NPU, priced on the cycle simulator.
 //!
-//! Attention heads are partitioned across the heterogeneous cores; each core
-//! runs the method's kernel over its heads, and the device latency is the
-//! maximum over cores (cores run concurrently) bounded below by the shared
-//! DRAM traffic time. The structural differences between methods are the
-//! same as in `mas-dataflow`:
-//!
-//! * **Layer-Wise** — cube and vector time add up, and the `C`/`P`
-//!   intermediates round-trip DRAM.
-//! * **Soft-Pipe** — `QKᵀ` overlaps with softmax, `P` round-trips DRAM, `PV`
-//!   runs afterwards.
-//! * **FLAT** — everything on-chip, cube and vector strictly serialized.
-//! * **MAS-Attention** — cube and vector overlap; the longer of the two
-//!   streams bounds the round, plus a per-round semi-synchronous handshake.
-//!
-//! Tile sizes (the query row-block per round) are chosen by **grid search**
-//! over each core's unified buffer, as the paper does on this device.
+//! Heads are partitioned across the heterogeneous cores. Each core is
+//! lowered to a one-core [`HardwareConfig`] (its MAC mesh, vector lanes,
+//! clock and unified buffer; the device's softmax cost, DRAM bandwidth and
+//! element size), and its head share's graph — the one Tables 2/3 simulate —
+//! runs on [`Executor`] at the query row-block a grid search over the
+//! buffer picks, as the paper does on this device. The latency is the
+//! slowest core, bounded below by the four operands' DRAM time, plus one
+//! kernel launch.
 
-use mas_dataflow::footprint::live_cp_blocks;
-use mas_dataflow::{AttentionWorkload, DataflowKind};
+use mas_dataflow::footprint::tiling_fits;
+use mas_dataflow::{build_dataflow, AttentionWorkload, DataflowKind, Tiling};
+use mas_sim::{EnergyModel, Executor, HardwareConfig};
 
 use crate::device::{NpuCore, NpuDevice};
 
@@ -38,7 +31,7 @@ pub struct NpuLatency {
     pub tile_n_q: usize,
 }
 
-/// The analytical NPU model.
+/// The NPU model: each core priced on the cycle simulator.
 #[derive(Debug, Clone)]
 pub struct NpuModel {
     device: NpuDevice,
@@ -63,8 +56,28 @@ impl NpuModel {
         &self.device
     }
 
-    /// Grid search for the largest query row-block whose working set fits a
-    /// core's unified buffer for the given method (the §4.2 grid search).
+    /// The one-core simulator configuration `core` is priced on, named after
+    /// the device so that cores that compute alike lower to equal ones.
+    fn lower(&self, core: &NpuCore) -> HardwareConfig {
+        let side = core.cube_macs_per_cycle.isqrt();
+        HardwareConfig {
+            name: self.device.name.clone(),
+            frequency_hz: core.frequency_hz,
+            cores: 1,
+            mac_array_rows: side,
+            mac_array_cols: side,
+            vec_lanes: core.vector_lanes,
+            softmax_ops_per_element: self.device.softmax_ops_per_element,
+            l1_bytes: core.buffer_bytes,
+            dram_bandwidth_bytes_per_s: self.device.dram_bandwidth_bytes_per_s,
+            element_bytes: self.device.element_bytes,
+            ..HardwareConfig::edge_default()
+        }
+    }
+
+    /// Grid search (§4.2) for the largest query row-block, of 16, 32, …
+    /// capped at the sequence length, whose working set with the core's
+    /// heuristic key/value sub-tile fits its unified buffer for the method.
     #[must_use]
     pub fn grid_search_n_q(
         &self,
@@ -72,103 +85,80 @@ impl NpuModel {
         workload: &AttentionWorkload,
         core: &NpuCore,
     ) -> usize {
-        let eb = self.device.element_bytes;
+        let hw = self.lower(core);
         let n = workload.seq_len;
-        let e = workload.embed;
-        // Live C/P row blocks the method keeps on-chip simultaneously.
-        let cp_blocks = live_cp_blocks(kind);
-        let mut candidates: Vec<usize> = Vec::new();
-        let mut v = 16usize.min(n);
-        while v < n {
-            candidates.push(v);
-            v *= 2;
-        }
-        candidates.push(n);
-        let mut best = candidates[0];
-        for &n_q in &candidates {
-            // Working set: Q block, K/V sub-tile, C/P blocks, O block.
-            let working = n_q * e * eb          // Q_i
-                + 2 * 128.min(n) * e * eb       // double-buffered K/V sub-tile
-                + cp_blocks * n_q * n * eb      // C/P row blocks
-                + n_q * e * eb; // O_i
-            if working <= core.buffer_bytes {
-                best = n_q;
-            }
-        }
-        best
+        let n_kv = Tiling::heuristic(workload, &hw).n_kv;
+        std::iter::successors(Some(16.min(n)), |&v| (v < n).then(|| (2 * v).min(n)))
+            .filter(|&n_q| {
+                tiling_fits(kind, workload, &Tiling::new(1, 1, n_q, n_kv, workload), &hw)
+            })
+            .last()
+            .unwrap_or(16.min(n))
+    }
+
+    /// Simulated seconds of `heads` slices of `workload` on `core`, and the
+    /// query row-block they ran at.
+    fn price_share(
+        &self,
+        kind: DataflowKind,
+        workload: &AttentionWorkload,
+        core: &NpuCore,
+        heads: usize,
+    ) -> (f64, usize) {
+        let hw = self.lower(core);
+        let n_q = self.grid_search_n_q(kind, workload, core);
+        let share = AttentionWorkload {
+            name: String::new(),
+            batch: 1,
+            heads,
+            ..*workload
+        };
+        let tiling = Tiling::new(1, 1, n_q, Tiling::heuristic(&share, &hw).n_kv, &share);
+        let report = build_dataflow(kind, &share, &tiling, &hw)
+            .and_then(|schedule| {
+                Executor::new(hw.clone(), EnergyModel::edge_16nm())
+                    .without_trace()
+                    .run(schedule.graph())
+            })
+            .unwrap_or_else(|e| panic!("{kind} on {heads} heads: {e}"));
+        (report.total_seconds, n_q)
     }
 
     /// Estimates the latency of one method on one workload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a core's share cannot be built or simulated: a zero
+    /// dimension, or operands larger than the simulated DRAM.
     #[must_use]
     pub fn estimate(&self, kind: DataflowKind, workload: &AttentionWorkload) -> NpuLatency {
-        let eb = self.device.element_bytes;
         let heads_per_core = self.device.partition_heads(workload.slices());
-
-        let mut per_core_seconds = Vec::with_capacity(self.device.cores.len());
-        let mut tile_n_q = workload.seq_len;
+        // (configuration, heads, seconds, n_q) of each distinct share priced.
+        let mut priced: Vec<(HardwareConfig, usize, f64, usize)> = Vec::new();
+        let mut per_core_seconds = Vec::with_capacity(heads_per_core.len());
         for (core, &heads) in self.device.cores.iter().zip(&heads_per_core) {
-            if heads == 0 {
-                per_core_seconds.push(0.0);
-                continue;
-            }
-            // The core's share of the layer: its `heads` (batch, head)
-            // slices over the full sequence.
-            let share = AttentionWorkload {
-                name: String::new(),
-                batch: 1,
-                heads,
-                ..*workload
+            let hw = self.lower(core);
+            let seconds = if heads == 0 {
+                0.0
+            } else if let Some(p) = priced.iter().find(|p| p.0 == hw && p.1 == heads) {
+                p.2
+            } else {
+                let (seconds, n_q) = self.price_share(kind, workload, core, heads);
+                priced.push((hw, heads, seconds, n_q));
+                seconds
             };
-            let n_q = self.grid_search_n_q(kind, workload, core);
-            if per_core_seconds.is_empty() || tile_n_q == workload.seq_len {
-                tile_n_q = n_q;
-            }
-            let rounds = (workload.seq_len.div_ceil(n_q) * heads) as f64;
-
-            let mac_time = share.total_mac_ops() as f64 / core.peak_macs_per_second();
-            let qk_time = mac_time / 2.0;
-            let pv_time = mac_time / 2.0;
-            let vec_time = share.softmax_elements() as f64
-                * self.device.softmax_ops_per_element as f64
-                / core.peak_vector_ops_per_second();
-            let launch = self.device.kernel_launch_overhead_s;
-
-            let compute = match kind {
-                DataflowKind::LayerWise => mac_time + vec_time + 3.0 * launch,
-                DataflowKind::SoftPipe => {
-                    qk_time.max(vec_time) + pv_time + 2.0 * launch + rounds * launch * 0.1
-                }
-                DataflowKind::Flat => mac_time + vec_time + rounds * launch * 0.2 + launch,
-                DataflowKind::TileFlow => mac_time.max(vec_time) + rounds * launch * 0.3 + launch,
-                DataflowKind::FuseMax => {
-                    mac_time.max(vec_time * 1.4) + rounds * launch * 0.2 + launch
-                }
-                DataflowKind::MasAttention => {
-                    mac_time.max(vec_time) + rounds * launch * 0.1 + launch
-                }
-            };
-            per_core_seconds.push(compute);
+            per_core_seconds.push(seconds);
         }
 
-        // Shared DRAM traffic.
-        let operand_bytes = workload.operand_bytes(eb) as f64;
-        let intermediate_bytes = workload.intermediate_bytes(eb) as f64;
-        let dram_bytes = match kind {
-            DataflowKind::LayerWise => 4.0 * operand_bytes + 4.0 * intermediate_bytes,
-            DataflowKind::SoftPipe => 4.0 * operand_bytes + 2.0 * intermediate_bytes,
-            _ => 4.0 * operand_bytes,
-        };
-        let dram_seconds = dram_bytes / self.device.dram_bandwidth_bytes_per_s;
-
+        let operand_bytes = workload.operand_bytes(self.device.element_bytes) as f64;
+        let dram_seconds = 4.0 * operand_bytes / self.device.dram_bandwidth_bytes_per_s;
         let compute_max = per_core_seconds.iter().copied().fold(0.0f64, f64::max);
-        let seconds = compute_max.max(dram_seconds) + self.device.kernel_launch_overhead_s;
-
         NpuLatency {
             kind,
-            seconds,
+            seconds: compute_max.max(dram_seconds) + self.device.kernel_launch_overhead_s,
             per_core_seconds,
             dram_seconds,
-            tile_n_q,
+            tile_n_q: priced.first().map_or(workload.seq_len, |p| p.3),
         }
     }
 

@@ -1,8 +1,8 @@
 //! Numeric golden check of the NPU execution structure.
 //!
-//! The analytical model in [`crate::model`] predicts *timing*; this module
-//! computes *values*, mirroring how the device executes attention: heads are
-//! partitioned across the heterogeneous cores
+//! The simulator-priced model in [`crate::model`] predicts *timing*; this
+//! module computes *values*, mirroring how the device executes attention:
+//! heads are partitioned across the heterogeneous cores
 //! ([`crate::device::NpuDevice::partition_heads`]) and each core accumulates
 //! its `P·V` partial products at the granularity of its grid-searched tile
 //! ([`NpuModel::grid_search_n_q`]), flushing one tile's partial block into

@@ -83,11 +83,6 @@ pub struct AdmissionPolicy {
     /// this are rejected with [`RejectReason::QueueFull`] — the bound that
     /// engages under sustained overload. `None` disables it.
     pub max_est_queue_s: Option<f64>,
-    /// Whether to reject workloads that cannot run on the device at all.
-    pub check_feasibility: bool,
-    /// Whether to reject deadlines below the physical service-time lower
-    /// bound.
-    pub screen_deadlines: bool,
 }
 
 impl Default for AdmissionPolicy {
@@ -95,21 +90,18 @@ impl Default for AdmissionPolicy {
         Self {
             max_queue_depth: Some(1024),
             max_est_queue_s: Some(0.25),
-            check_feasibility: true,
-            screen_deadlines: true,
         }
     }
 }
 
 impl AdmissionPolicy {
-    /// A policy that admits everything (useful for offline replay).
+    /// A policy with no backlog bound (useful for offline replay): it
+    /// still rejects infeasible workloads and impossible deadlines.
     #[must_use]
     pub fn admit_all() -> Self {
         Self {
             max_queue_depth: None,
             max_est_queue_s: None,
-            check_feasibility: false,
-            screen_deadlines: false,
         }
     }
 
@@ -128,14 +120,12 @@ impl AdmissionPolicy {
         est_queue_s: f64,
         hw: &HardwareConfig,
     ) -> Result<(), RejectReason> {
-        if self.check_feasibility && !workload_is_feasible(method, workload, hw) {
+        if !workload_is_feasible(method, workload, hw) {
             return Err(RejectReason::InfeasibleWorkload);
         }
-        if self.screen_deadlines {
-            if let Some(deadline) = deadline_s {
-                if deadline < service_time_lower_bound_s(workload, hw) {
-                    return Err(RejectReason::DeadlineImpossible);
-                }
+        if let Some(deadline) = deadline_s {
+            if deadline < service_time_lower_bound_s(workload, hw) {
+                return Err(RejectReason::DeadlineImpossible);
             }
         }
         if let Some(depth) = self.max_queue_depth {
@@ -161,7 +151,7 @@ pub fn workload_is_feasible(
     workload: &AttentionWorkload,
     hw: &HardwareConfig,
 ) -> bool {
-    let operands = 4 * workload.operand_bytes(hw.element_bytes);
+    let operands = workload.operand_bytes(hw.element_bytes).saturating_mul(4);
     if operands > hw.dram_bytes as u64 {
         return false;
     }
@@ -292,23 +282,6 @@ mod tests {
         assert_eq!(
             policy.admit(DataflowKind::Flat, &bert(), None, 2, 0.0, &hw()),
             Err(RejectReason::QueueFull)
-        );
-    }
-
-    #[test]
-    fn admit_all_never_rejects() {
-        let policy = AdmissionPolicy::admit_all();
-        let huge = AttentionWorkload::new("huge", 1, 32, 1 << 20, 128);
-        assert_eq!(
-            policy.admit(
-                DataflowKind::MasAttention,
-                &huge,
-                Some(1e-12),
-                10_000,
-                1e9,
-                &hw()
-            ),
-            Ok(())
         );
     }
 

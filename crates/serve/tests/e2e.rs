@@ -203,3 +203,33 @@ fn mixed_traffic_accounting_is_consistent() {
     // batch size; the cache stays compact.
     assert!(engine.cache().len() <= report.batches);
 }
+
+/// A request whose operands overflow device DRAM is rejected at admission
+/// as infeasible even under the unbounded `admit_all` policy, so it never
+/// reaches planning, and the rest of the stream completes.
+#[test]
+fn an_over_dram_request_is_rejected_and_the_rest_complete() {
+    use mas_dataflow::AttentionWorkload;
+    use mas_serve::RejectReason;
+    let mut requests = stream(12, 5);
+    let at = requests[6].arrival_s;
+    requests.insert(
+        6,
+        ServeRequest::new(
+            1000,
+            at,
+            DataflowKind::MasAttention,
+            AttentionWorkload::new("huge", 1, 32, 1 << 20, 128),
+            None,
+        ),
+    );
+    let config = EngineConfig {
+        admission: AdmissionPolicy::admit_all(),
+        ..EngineConfig::default()
+    };
+    let report = replay(&mut ServeEngine::new(config), &requests);
+    assert_eq!(report.rejected.len(), 1, "{}", report.summary());
+    assert_eq!(report.rejected[0].id, 1000);
+    assert_eq!(report.rejected[0].reason, RejectReason::InfeasibleWorkload);
+    assert_eq!(report.completed(), 12);
+}

@@ -12,6 +12,13 @@
 //! Accelergy tables; the breakdown *shape* — DRAM dominating for unfused
 //! schedules, PE energy invariant across schedules (§5.3.3) — is what the
 //! reproduction relies on.
+//!
+//! Energy counts accesses and operations only; it has no time-proportional
+//! (static or leakage) term. Two schedules that move the same bytes and run
+//! the same operations cost the same energy whatever their makespan, so
+//! Table 3 reads exactly 0.00 % saving for MAS-Attention against FLAT and
+//! TileFlow on every network although MAS finishes ~1.4× sooner than FLAT.
+//! That zero is a modelling choice of this reproduction, not a result.
 
 use crate::task::TaskKind;
 
