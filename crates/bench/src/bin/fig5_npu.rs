@@ -16,7 +16,9 @@ fn main() {
     );
     let mut speedups: Vec<(f64, f64, f64)> = Vec::new();
     for (net, w) in table1_workloads() {
-        let rows = model.figure5_estimates(&w);
+        let rows = model
+            .figure5_estimates(&w)
+            .unwrap_or_else(|e| panic!("{}: {e}", net.name()));
         let get = |k: DataflowKind| rows.iter().find(|(m, _, _)| *m == k).unwrap();
         let lw = get(DataflowKind::LayerWise);
         let sp = get(DataflowKind::SoftPipe);

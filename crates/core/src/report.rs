@@ -177,6 +177,11 @@ mod tests {
             .energy_saving(DataflowKind::LayerWise, DataflowKind::MasAttention)
             .unwrap();
         assert!(saving > 0.0 && saving < 1.0);
+        // Negative when the candidate uses more energy than the baseline.
+        let reverse = r
+            .energy_saving(DataflowKind::MasAttention, DataflowKind::LayerWise)
+            .unwrap();
+        assert!(reverse < 0.0);
     }
 
     #[test]

@@ -46,28 +46,6 @@ impl Footprint {
     }
 }
 
-/// Number of `C`/`P` row blocks (`N_Q × N` each) a method must keep live
-/// simultaneously.
-///
-/// * FLAT — one: softmax runs in place on `C_i` before `PV` consumes it.
-/// * Soft-Pipe — two: `C_{i+1}` is produced while `P_i` is drained to DRAM.
-/// * TileFlow — three: its stage-synchronous pipeline holds `C_i`,
-///   `P_{i-1}` and `P_{i-2}` across the per-round barrier.
-/// * MAS-Attention — two: §5.6 derives that L1 must hold either
-///   `P_i` and `P_{i-1}` or `P_i` and `C_{i+1}`.
-/// * FuseMax — zero: the online decomposition never materializes a full
-///   `N`-wide row block, only an `N_Q × N_{K,V}` score tile.
-/// * Layer-Wise — one block in flight per operator phase.
-#[must_use]
-pub fn live_cp_blocks(kind: DataflowKind) -> usize {
-    match kind {
-        DataflowKind::LayerWise | DataflowKind::Flat => 1,
-        DataflowKind::SoftPipe | DataflowKind::MasAttention => 2,
-        DataflowKind::TileFlow => 3,
-        DataflowKind::FuseMax => 0,
-    }
-}
-
 /// Computes the L1 working set of `kind` under `tiling`, assuming `K` and
 /// `V` are streamed sub-tile by sub-tile (two sub-tiles resident for double
 /// buffering).
@@ -143,14 +121,6 @@ mod tests {
 
     fn bert() -> AttentionWorkload {
         AttentionWorkload::new("BERT-Base", 1, 12, 512, 64)
-    }
-
-    #[test]
-    fn live_block_counts_follow_the_paper() {
-        assert_eq!(live_cp_blocks(DataflowKind::Flat), 1);
-        assert_eq!(live_cp_blocks(DataflowKind::MasAttention), 2);
-        assert_eq!(live_cp_blocks(DataflowKind::TileFlow), 3);
-        assert_eq!(live_cp_blocks(DataflowKind::FuseMax), 0);
     }
 
     #[test]

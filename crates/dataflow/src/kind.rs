@@ -74,26 +74,6 @@ impl DataflowKind {
             DataflowKind::MasAttention => "MAS-Attention",
         }
     }
-
-    /// Whether the method keeps the `P = softmax(C)` intermediate entirely
-    /// on-chip (never writing it to DRAM).
-    #[must_use]
-    pub const fn keeps_p_on_chip(self) -> bool {
-        !matches!(self, DataflowKind::LayerWise | DataflowKind::SoftPipe)
-    }
-
-    /// Whether the method overlaps MAC and VEC work (heterogeneous
-    /// parallelism), the property MAS-Attention introduces for edge devices.
-    #[must_use]
-    pub const fn overlaps_mac_vec(self) -> bool {
-        matches!(
-            self,
-            DataflowKind::SoftPipe
-                | DataflowKind::FuseMax
-                | DataflowKind::MasAttention
-                | DataflowKind::TileFlow
-        )
-    }
 }
 
 impl fmt::Display for DataflowKind {
@@ -138,16 +118,5 @@ mod tests {
     fn names_match_paper_tables() {
         assert_eq!(DataflowKind::Flat.name(), "FLAT");
         assert_eq!(DataflowKind::MasAttention.to_string(), "MAS-Attention");
-    }
-
-    #[test]
-    fn structural_properties() {
-        assert!(!DataflowKind::LayerWise.keeps_p_on_chip());
-        assert!(!DataflowKind::SoftPipe.keeps_p_on_chip());
-        assert!(DataflowKind::Flat.keeps_p_on_chip());
-        assert!(DataflowKind::MasAttention.keeps_p_on_chip());
-        assert!(!DataflowKind::Flat.overlaps_mac_vec());
-        assert!(!DataflowKind::LayerWise.overlaps_mac_vec());
-        assert!(DataflowKind::MasAttention.overlaps_mac_vec());
     }
 }

@@ -167,15 +167,6 @@ impl Tiling {
     pub fn o_block_bytes(&self, workload: &AttentionWorkload, element_bytes: usize) -> usize {
         self.q_block_bytes(workload, element_bytes)
     }
-
-    /// Whether every factor divides its dimension exactly (no ragged tiles).
-    #[must_use]
-    pub fn is_exact(&self, workload: &AttentionWorkload) -> bool {
-        workload.batch.is_multiple_of(self.b_b)
-            && workload.heads.is_multiple_of(self.h_h)
-            && workload.seq_len.is_multiple_of(self.n_q)
-            && workload.seq_len.is_multiple_of(self.n_kv)
-    }
 }
 
 impl fmt::Display for Tiling {
@@ -248,9 +239,6 @@ mod tests {
         let t = Tiling::new(1, 1, 64, 64, &w);
         assert_eq!(t.query_blocks(&w), 4); // 196 / 64 -> 4 blocks
         assert_eq!(t.kv_tiles(&w), 4);
-        assert!(!t.is_exact(&w));
-        let exact = Tiling::new(1, 1, 49, 49, &w);
-        assert!(exact.is_exact(&w));
     }
 
     #[test]

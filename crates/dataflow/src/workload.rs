@@ -107,17 +107,6 @@ impl AttentionWorkload {
     pub fn min_dram_write_bytes(&self, element_bytes: usize) -> u64 {
         self.operand_bytes(element_bytes)
     }
-
-    /// Returns a copy with a different sequence length (used by sweeps such
-    /// as the §5.6 maximum-sequence-length analysis).
-    #[must_use]
-    pub fn with_seq_len(&self, seq_len: usize) -> Self {
-        Self {
-            name: format!("{}@N{seq_len}", self.name),
-            seq_len,
-            ..self.clone()
-        }
-    }
 }
 
 /// The product of `factors`, saturating at `u64::MAX`: a count past the
@@ -158,14 +147,6 @@ mod tests {
         assert_eq!(w.operand_bytes(2) * 2, w.operand_bytes(4));
         assert_eq!(w.intermediate_bytes(2), 12 * 512 * 512 * 2);
         assert_eq!(w.min_dram_traffic_bytes(2), 4 * w.operand_bytes(2));
-    }
-
-    #[test]
-    fn with_seq_len_changes_only_the_sequence() {
-        let w = bert_base().with_seq_len(1024);
-        assert_eq!(w.seq_len, 1024);
-        assert_eq!(w.heads, 12);
-        assert!(w.name.contains("N1024"));
     }
 
     #[test]

@@ -22,12 +22,6 @@ impl NpuCore {
     pub fn peak_macs_per_second(&self) -> f64 {
         self.cube_macs_per_cycle as f64 * self.frequency_hz
     }
-
-    /// Peak vector throughput in lane-operations per second.
-    #[must_use]
-    pub fn peak_vector_ops_per_second(&self) -> f64 {
-        self.vector_lanes as f64 * self.frequency_hz
-    }
 }
 
 /// The whole NPU: a set of heterogeneous cores sharing LPDDR memory.
@@ -161,7 +155,7 @@ mod tests {
         let d = NpuDevice::kirin990();
         assert!(d.total_peak_macs_per_second() > 0.0);
         for c in &d.cores {
-            assert!(c.peak_vector_ops_per_second() > 0.0);
+            assert!(c.peak_macs_per_second() > 0.0);
         }
     }
 }

@@ -47,6 +47,12 @@ pub struct E2eReport {
 
 /// Computes the §5.2.2 end-to-end comparison for `kind` versus Layer-Wise on
 /// the given UNet attention suite.
+///
+/// # Panics
+///
+/// Panics if `units` is empty, or if [`NpuModel::estimate`] refuses a unit
+/// (its operands exceed the simulated DRAM; no unit of
+/// `sd15_reduced_unet` does).
 #[must_use]
 pub fn sd_unet_report(
     model: &NpuModel,
@@ -63,7 +69,10 @@ pub fn sd_unet_report(
             .iter()
             .position(|p| (p.0, p.1) == key)
             .unwrap_or_else(|| {
-                priced.push((method, key.1, model.estimate(method, w).seconds));
+                let latency = model
+                    .estimate(method, w)
+                    .unwrap_or_else(|e| panic!("{method} on {}: {e}", w.name));
+                priced.push((method, key.1, latency.seconds));
                 priced.len() - 1
             });
         priced[i].2 * unit.repeats as f64

@@ -11,7 +11,7 @@
 
 use mas_dataflow::footprint::tiling_fits;
 use mas_dataflow::{build_dataflow, AttentionWorkload, DataflowKind, Tiling};
-use mas_sim::{EnergyModel, Executor, HardwareConfig};
+use mas_sim::{EnergyModel, Executor, HardwareConfig, Result};
 
 use crate::device::{NpuCore, NpuDevice};
 
@@ -104,7 +104,7 @@ impl NpuModel {
         workload: &AttentionWorkload,
         core: &NpuCore,
         heads: usize,
-    ) -> (f64, usize) {
+    ) -> Result<(f64, usize)> {
         let hw = self.lower(core);
         let n_q = self.grid_search_n_q(kind, workload, core);
         let share = AttentionWorkload {
@@ -114,24 +114,21 @@ impl NpuModel {
             ..*workload
         };
         let tiling = Tiling::new(1, 1, n_q, Tiling::heuristic(&share, &hw).n_kv, &share);
-        let report = build_dataflow(kind, &share, &tiling, &hw)
-            .and_then(|schedule| {
-                Executor::new(hw.clone(), EnergyModel::edge_16nm())
-                    .without_trace()
-                    .run(schedule.graph())
-            })
-            .unwrap_or_else(|e| panic!("{kind} on {heads} heads: {e}"));
-        (report.total_seconds, n_q)
+        let schedule = build_dataflow(kind, &share, &tiling, &hw)?;
+        let report = Executor::new(hw, EnergyModel::edge_16nm())
+            .without_trace()
+            .run(schedule.graph())?;
+        Ok((report.total_seconds, n_q))
     }
 
     /// Estimates the latency of one method on one workload.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a core's share cannot be built or simulated: a zero
-    /// dimension, or operands larger than the simulated DRAM.
-    #[must_use]
-    pub fn estimate(&self, kind: DataflowKind, workload: &AttentionWorkload) -> NpuLatency {
+    /// Returns the simulator's error if a core's share cannot be built or
+    /// simulated, such as [`mas_sim::SimError::InvalidConfig`] for operands
+    /// larger than the simulated DRAM.
+    pub fn estimate(&self, kind: DataflowKind, workload: &AttentionWorkload) -> Result<NpuLatency> {
         let heads_per_core = self.device.partition_heads(workload.slices());
         // (configuration, heads, seconds, n_q) of each distinct share priced.
         let mut priced: Vec<(HardwareConfig, usize, f64, usize)> = Vec::new();
@@ -143,7 +140,7 @@ impl NpuModel {
             } else if let Some(p) = priced.iter().find(|p| p.0 == hw && p.1 == heads) {
                 p.2
             } else {
-                let (seconds, n_q) = self.price_share(kind, workload, core, heads);
+                let (seconds, n_q) = self.price_share(kind, workload, core, heads)?;
                 priced.push((hw, heads, seconds, n_q));
                 seconds
             };
@@ -153,28 +150,35 @@ impl NpuModel {
         let operand_bytes = workload.operand_bytes(self.device.element_bytes) as f64;
         let dram_seconds = 4.0 * operand_bytes / self.device.dram_bandwidth_bytes_per_s;
         let compute_max = per_core_seconds.iter().copied().fold(0.0f64, f64::max);
-        NpuLatency {
+        Ok(NpuLatency {
             kind,
             seconds: compute_max.max(dram_seconds) + self.device.kernel_launch_overhead_s,
             per_core_seconds,
             dram_seconds,
             tile_n_q: priced.first().map_or(workload.seq_len, |p| p.3),
-        }
+        })
     }
 
     /// Estimates every Figure 5 method and returns `(method, seconds)` pairs
     /// in the paper's order, plus the normalization against the slowest
     /// method (Figure 5 plots normalized execution time).
-    #[must_use]
-    pub fn figure5_estimates(&self, workload: &AttentionWorkload) -> Vec<(DataflowKind, f64, f64)> {
-        let raw: Vec<(DataflowKind, f64)> = DataflowKind::npu_methods()
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error of [`NpuModel::estimate`].
+    pub fn figure5_estimates(
+        &self,
+        workload: &AttentionWorkload,
+    ) -> Result<Vec<(DataflowKind, f64, f64)>> {
+        let raw = DataflowKind::npu_methods()
             .into_iter()
-            .map(|kind| (kind, self.estimate(kind, workload).seconds))
-            .collect();
+            .map(|kind| Ok((kind, self.estimate(kind, workload)?.seconds)))
+            .collect::<Result<Vec<_>>>()?;
         let slowest = raw.iter().map(|(_, s)| *s).fold(0.0f64, f64::max);
-        raw.into_iter()
+        Ok(raw
+            .into_iter()
             .map(|(kind, s)| (kind, s, s / slowest))
-            .collect()
+            .collect())
     }
 }
 
@@ -192,6 +196,10 @@ mod tests {
         AttentionWorkload::new("BERT-Base", 1, 12, 512, 64)
     }
 
+    fn seconds(model: &NpuModel, kind: DataflowKind, w: &AttentionWorkload) -> f64 {
+        model.estimate(kind, w).unwrap().seconds
+    }
+
     #[test]
     fn ordering_matches_figure_5() {
         // Figure 5's robust orderings: MAS-Attention beats every baseline,
@@ -200,10 +208,10 @@ mod tests {
         // real device depending on how DRAM-bound the P round-trip is.)
         let model = NpuModel::kirin990();
         let w = bert();
-        let lw = model.estimate(DataflowKind::LayerWise, &w).seconds;
-        let sp = model.estimate(DataflowKind::SoftPipe, &w).seconds;
-        let flat = model.estimate(DataflowKind::Flat, &w).seconds;
-        let mas = model.estimate(DataflowKind::MasAttention, &w).seconds;
+        let lw = seconds(&model, DataflowKind::LayerWise, &w);
+        let sp = seconds(&model, DataflowKind::SoftPipe, &w);
+        let flat = seconds(&model, DataflowKind::Flat, &w);
+        let mas = seconds(&model, DataflowKind::MasAttention, &w);
         assert!(mas < flat, "MAS ({mas}) must beat FLAT ({flat})");
         assert!(mas < sp, "MAS ({mas}) must beat Soft-Pipe ({sp})");
         assert!(sp < lw, "Soft-Pipe ({sp}) must beat Layer-Wise ({lw})");
@@ -218,8 +226,8 @@ mod tests {
             AttentionWorkload::new("Llama", 1, 32, 512, 128),
             AttentionWorkload::new("ViT-H/16", 1, 16, 256, 80),
         ] {
-            let flat = model.estimate(DataflowKind::Flat, &net).seconds;
-            let mas = model.estimate(DataflowKind::MasAttention, &net).seconds;
+            let flat = seconds(&model, DataflowKind::Flat, &net);
+            let mas = seconds(&model, DataflowKind::MasAttention, &net);
             let speedup = flat / mas;
             assert!(
                 (1.1..=2.0).contains(&speedup),
@@ -232,7 +240,7 @@ mod tests {
     #[test]
     fn figure5_normalization_puts_the_slowest_method_at_one() {
         let model = NpuModel::kirin990();
-        let rows = model.figure5_estimates(&bert());
+        let rows = model.figure5_estimates(&bert()).unwrap();
         assert_eq!(rows.len(), 4);
         let max_norm = rows.iter().map(|(_, _, n)| *n).fold(0.0f64, f64::max);
         assert!((max_norm - 1.0).abs() < 1e-12);
@@ -259,7 +267,7 @@ mod tests {
     #[test]
     fn per_core_times_follow_the_head_partition() {
         let model = NpuModel::kirin990();
-        let est = model.estimate(DataflowKind::MasAttention, &bert());
+        let est = model.estimate(DataflowKind::MasAttention, &bert()).unwrap();
         assert_eq!(est.per_core_seconds.len(), 3);
         // The Tiny core (index 2) is slower per head but gets fewer heads, so
         // its busy time should not exceed twice a Lite core's busy time.

@@ -4,7 +4,7 @@
 
 use mas_dataflow::{build_dataflow, AttentionWorkload, DataflowKind, Tiling};
 use mas_npu::{NpuCore, NpuModel};
-use mas_sim::{EnergyModel, Executor, HardwareConfig};
+use mas_sim::{EnergyModel, Executor, HardwareConfig, SimError};
 use mas_workloads::sdunet::{largest_unit, sd15_reduced_unet};
 
 /// The lowering written out: a square mesh of the core's MACs, its lanes,
@@ -36,7 +36,7 @@ fn assert_priced_by_the_simulator(workload: &AttentionWorkload) {
     let model = NpuModel::kirin990();
     let heads = model.device().partition_heads(workload.slices());
     for kind in DataflowKind::all() {
-        let estimate = model.estimate(kind, workload);
+        let estimate = model.estimate(kind, workload).unwrap();
         for (i, core) in model.device().cores.iter().enumerate() {
             let priced = estimate.per_core_seconds[i];
             if heads[i] == 0 {
@@ -73,4 +73,18 @@ fn bert_base_is_priced_by_the_simulator() {
 fn the_largest_sd_unet_unit_is_priced_by_the_simulator() {
     let units = sd15_reduced_unet(1);
     assert_priced_by_the_simulator(&largest_unit(&units).unwrap().workload);
+}
+
+#[test]
+fn a_share_past_the_simulated_dram_is_a_typed_error() {
+    let model = NpuModel::kirin990();
+    let huge = AttentionWorkload::new("huge", 1, 32, 1 << 20, 128);
+    for kind in DataflowKind::npu_methods() {
+        let err = model.estimate(kind, &huge).unwrap_err();
+        assert!(
+            matches!(err, SimError::InvalidConfig { .. }),
+            "{kind}: {err}"
+        );
+    }
+    assert!(model.figure5_estimates(&huge).is_err());
 }

@@ -75,16 +75,6 @@ impl ConvergenceHistory {
         }
     }
 
-    /// Best-so-far value at a given iteration (step-function lookup).
-    #[must_use]
-    pub fn best_at(&self, iteration: usize) -> Option<f64> {
-        self.points
-            .iter()
-            .take_while(|p| p.iteration <= iteration)
-            .last()
-            .map(|p| p.best_objective)
-    }
-
     /// Merges another history that continues this one (e.g. the GA phase
     /// appended after the MCTS phase), shifting its iteration numbers.
     pub fn extend_from(&mut self, other: &ConvergenceHistory) {
@@ -137,16 +127,6 @@ mod tests {
         assert_eq!(h.final_best(), Some(50.0));
         assert_eq!(h.initial(), Some(100.0));
         assert_eq!(h.improvement_factor(), Some(2.0));
-    }
-
-    #[test]
-    fn best_at_is_a_step_function() {
-        let mut h = ConvergenceHistory::new();
-        h.record(1, 1, 100.0);
-        h.record(10, 10, 40.0);
-        assert_eq!(h.best_at(5), Some(100.0));
-        assert_eq!(h.best_at(10), Some(40.0));
-        assert_eq!(h.best_at(0), None);
     }
 
     #[test]

@@ -31,22 +31,6 @@ use mas_dataflow::footprint::tiling_fits;
 use mas_dataflow::{build_dataflow, AttentionWorkload, DataflowKind, Tiling};
 use mas_sim::{EnergyModel, Executor, HardwareConfig};
 
-/// Optimization objective of the search.
-///
-/// The paper's search minimizes latency ("our objective in the search
-/// framework was to minimize latency rather than energy", §5.3); the other
-/// objectives are provided for ablations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Objective {
-    /// Minimize execution cycles.
-    #[default]
-    Latency,
-    /// Minimize total energy.
-    Energy,
-    /// Minimize the energy-delay product.
-    EnergyDelay,
-}
-
 /// Cost of one evaluated tiling.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Cost {
@@ -56,18 +40,6 @@ pub struct Cost {
     pub energy_pj: f64,
 }
 
-impl Cost {
-    /// Scalar value of this cost under the given objective (lower is better).
-    #[must_use]
-    pub fn scalar(&self, objective: Objective) -> f64 {
-        match objective {
-            Objective::Latency => self.cycles as f64,
-            Objective::Energy => self.energy_pj,
-            Objective::EnergyDelay => self.energy_pj * self.cycles as f64,
-        }
-    }
-}
-
 /// Evaluates tilings for one `(method, workload, hardware)` triple.
 #[derive(Debug)]
 pub struct CostModel {
@@ -75,7 +47,6 @@ pub struct CostModel {
     workload: AttentionWorkload,
     hw: HardwareConfig,
     executor: Executor,
-    objective: Objective,
     cache: HashMap<Tiling, Option<Cost>>,
     evaluations: usize,
     parallel: bool,
@@ -84,19 +55,13 @@ pub struct CostModel {
 impl CostModel {
     /// Creates a cost model with the default energy model.
     #[must_use]
-    pub fn new(
-        kind: DataflowKind,
-        workload: AttentionWorkload,
-        hw: HardwareConfig,
-        objective: Objective,
-    ) -> Self {
+    pub fn new(kind: DataflowKind, workload: AttentionWorkload, hw: HardwareConfig) -> Self {
         let executor = Executor::new(hw.clone(), EnergyModel::edge_16nm()).without_trace();
         Self {
             kind,
             workload,
             hw,
             executor,
-            objective,
             cache: HashMap::new(),
             evaluations: 0,
             parallel: true,
@@ -110,34 +75,10 @@ impl CostModel {
         self.parallel = parallel;
     }
 
-    /// Whether batch evaluation fans out across threads.
-    #[must_use]
-    pub fn is_parallel(&self) -> bool {
-        self.parallel
-    }
-
-    /// The method being tuned.
-    #[must_use]
-    pub fn kind(&self) -> DataflowKind {
-        self.kind
-    }
-
     /// The workload being tuned.
     #[must_use]
     pub fn workload(&self) -> &AttentionWorkload {
         &self.workload
-    }
-
-    /// The hardware configuration used for evaluation.
-    #[must_use]
-    pub fn hardware(&self) -> &HardwareConfig {
-        &self.hw
-    }
-
-    /// The optimization objective.
-    #[must_use]
-    pub fn objective(&self) -> Objective {
-        self.objective
     }
 
     /// Number of *simulated* (non-cached) evaluations so far.
@@ -153,34 +94,6 @@ impl CostModel {
     pub fn is_valid(&self, tiling: &Tiling) -> bool {
         tiling.check(&self.workload).is_ok()
             && tiling_fits(self.kind, &self.workload, tiling, &self.hw)
-    }
-
-    /// Exports the evaluation cache as a deterministically ordered list of
-    /// `(tiling, cost)` pairs (`None` = invalid candidate), so whole tuning
-    /// jobs can be sharded across processes and their result caches merged
-    /// (the Figure 7-style sweep scale-out). This is the *candidate-level*
-    /// cache of one `(method, workload, hardware)` tuning job — the
-    /// complement of `mas-serve`'s `ScheduleCache`, which memoizes only the
-    /// final best plan per key.
-    #[must_use]
-    pub fn export_cache(&self) -> Vec<(Tiling, Option<Cost>)> {
-        let mut entries: Vec<(Tiling, Option<Cost>)> =
-            self.cache.iter().map(|(t, c)| (*t, *c)).collect();
-        entries.sort_by_key(|(t, _)| (t.b_b, t.h_h, t.n_q, t.n_kv));
-        entries
-    }
-
-    /// Pre-seeds the evaluation cache with previously exported entries.
-    ///
-    /// Because each cost is a pure function of `(method, workload, hardware,
-    /// tiling)`, importing entries produced by *the same* triple changes
-    /// nothing but the number of simulations spent: a warm-started search
-    /// follows the identical trajectory while answering repeated candidates
-    /// from the cache. Imported entries do not count as evaluations.
-    pub fn import_cache(&mut self, entries: impl IntoIterator<Item = (Tiling, Option<Cost>)>) {
-        for (tiling, cost) in entries {
-            self.cache.entry(tiling).or_insert(cost);
-        }
     }
 
     /// Simulates one tiling without touching the cache or counters: the pure
@@ -215,10 +128,11 @@ impl CostModel {
     /// tiling in order.
     ///
     /// Cached candidates are answered from the cache; the unique uncached
-    /// remainder is simulated — in parallel when [`CostModel::is_parallel`]
-    /// — and merged into the cache afterwards. Because each simulation is a
-    /// pure function of the tiling, the returned costs (and every subsequent
-    /// query) are identical whichever path ran.
+    /// remainder is simulated — in parallel unless
+    /// [`CostModel::set_parallel`] turned that off — and merged into the
+    /// cache afterwards. Because each simulation is a pure function of the
+    /// tiling, the returned costs (and every subsequent query) are identical
+    /// whichever path ran.
     pub fn evaluate_batch(&mut self, tilings: &[Tiling]) -> Vec<Option<Cost>> {
         let mut pending: Vec<Tiling> = Vec::new();
         let mut seen: HashSet<Tiling> = HashSet::new();
@@ -251,22 +165,25 @@ impl CostModel {
             .collect()
     }
 
-    /// Evaluates a tiling and reduces it to the scalar objective value
-    /// (`f64::INFINITY` for invalid candidates).
+    /// Evaluates a tiling and reduces it to the value the searches minimize:
+    /// its cycles (`f64::INFINITY` for invalid candidates).
     pub fn objective_value(&mut self, tiling: &Tiling) -> f64 {
-        self.evaluate(tiling)
-            .map_or(f64::INFINITY, |c| c.scalar(self.objective))
+        objective(self.evaluate(tiling))
     }
 
-    /// Batch counterpart of [`CostModel::objective_value`]: one scalar per
+    /// Batch counterpart of [`CostModel::objective_value`]: one value per
     /// input tiling, evaluated through [`CostModel::evaluate_batch`].
     pub fn objective_batch(&mut self, tilings: &[Tiling]) -> Vec<f64> {
-        let objective = self.objective;
         self.evaluate_batch(tilings)
             .into_iter()
-            .map(|cost| cost.map_or(f64::INFINITY, |c| c.scalar(objective)))
+            .map(objective)
             .collect()
     }
+}
+
+/// The searches minimize latency, not energy, as the paper's does (§5.3).
+fn objective(cost: Option<Cost>) -> f64 {
+    cost.map_or(f64::INFINITY, |c| c.cycles as f64)
 }
 
 #[cfg(test)]
@@ -278,7 +195,6 @@ mod tests {
             DataflowKind::MasAttention,
             AttentionWorkload::new("toy", 1, 2, 128, 64),
             HardwareConfig::edge_default(),
-            Objective::Latency,
         )
     }
 
@@ -316,12 +232,7 @@ mod tests {
             Tiling { n_q: 65, ..valid },
         ];
         for kind in DataflowKind::all() {
-            let mut m = CostModel::new(
-                kind,
-                w.clone(),
-                HardwareConfig::edge_default(),
-                Objective::Latency,
-            );
+            let mut m = CostModel::new(kind, w.clone(), HardwareConfig::edge_default());
             assert!(m.is_valid(&valid), "{kind}");
             for tiling in cases {
                 assert!(!m.is_valid(&tiling), "{kind} {tiling:?}");
@@ -337,7 +248,6 @@ mod tests {
             DataflowKind::TileFlow,
             AttentionWorkload::new("long", 1, 1, 65536, 64),
             HardwareConfig::edge_default(),
-            Objective::Latency,
         );
         let w = m.workload().clone();
         // A full-sequence row block of a 64k-token sequence cannot fit 5 MB.
@@ -413,17 +323,6 @@ mod tests {
         for (t, &v) in batch.iter().zip(&batched) {
             assert_eq!(fresh.objective_value(t), v);
         }
-    }
-
-    #[test]
-    fn objectives_order_candidates_differently() {
-        let c = Cost {
-            cycles: 100,
-            energy_pj: 5.0,
-        };
-        assert_eq!(c.scalar(Objective::Latency), 100.0);
-        assert_eq!(c.scalar(Objective::Energy), 5.0);
-        assert_eq!(c.scalar(Objective::EnergyDelay), 500.0);
     }
 
     #[test]

@@ -152,7 +152,6 @@ fn crossover<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::Objective;
     use mas_dataflow::{AttentionWorkload, DataflowKind};
     use mas_sim::HardwareConfig;
 
@@ -160,7 +159,7 @@ mod tests {
         let w = AttentionWorkload::new("toy", 1, 2, 64, 32);
         let hw = HardwareConfig::edge_default();
         let space = SearchSpace::for_workload(&w, &hw);
-        let model = CostModel::new(DataflowKind::MasAttention, w, hw, Objective::Latency);
+        let model = CostModel::new(DataflowKind::MasAttention, w, hw);
         (space, model)
     }
 

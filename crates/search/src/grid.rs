@@ -29,34 +29,11 @@ pub struct SearchOutcome {
     pub history: ConvergenceHistory,
 }
 
-/// Exhaustive sweep over the whole search space (optionally capped).
-#[derive(Debug, Clone)]
-pub struct GridSearch {
-    /// Maximum number of candidates to evaluate (`usize::MAX` for no cap).
-    pub max_candidates: usize,
-}
-
-impl Default for GridSearch {
-    fn default() -> Self {
-        Self {
-            max_candidates: usize::MAX,
-        }
-    }
-}
+/// Exhaustive sweep over the whole search space.
+#[derive(Debug, Clone, Copy)]
+pub struct GridSearch;
 
 impl GridSearch {
-    /// Creates an uncapped grid search.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a grid search that stops after `max_candidates` evaluations.
-    #[must_use]
-    pub fn with_cap(max_candidates: usize) -> Self {
-        Self { max_candidates }
-    }
-
     /// Candidates evaluated per [`CostModel::evaluate_batch`] call: enough to
     /// keep every worker thread busy without delaying the best-so-far fold.
     /// Convergence-history evaluation counts quantize to these boundaries —
@@ -71,7 +48,7 @@ impl GridSearch {
         let mut best_objective = f64::INFINITY;
         let mut history = ConvergenceHistory::new();
         let mut candidates = 0usize;
-        let sweep: Vec<Tiling> = space.iter(&workload).take(self.max_candidates).collect();
+        let sweep: Vec<Tiling> = space.iter(&workload).collect();
         for chunk in sweep.chunks(Self::BATCH) {
             let values = model.objective_batch(chunk);
             for (tiling, value) in chunk.iter().zip(values) {
@@ -97,7 +74,6 @@ impl GridSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::Objective;
     use mas_dataflow::{AttentionWorkload, DataflowKind};
     use mas_sim::HardwareConfig;
 
@@ -105,14 +81,14 @@ mod tests {
         let w = AttentionWorkload::new("toy", 1, 2, 64, 32);
         let hw = HardwareConfig::edge_default();
         let space = SearchSpace::for_workload(&w, &hw);
-        let model = CostModel::new(DataflowKind::MasAttention, w, hw, Objective::Latency);
+        let model = CostModel::new(DataflowKind::MasAttention, w, hw);
         (space, model)
     }
 
     #[test]
     fn grid_search_finds_the_global_optimum() {
         let (space, mut model) = setup();
-        let outcome = GridSearch::new().run(&space, &mut model);
+        let outcome = GridSearch.run(&space, &mut model);
         let best = outcome.best.expect("at least one valid tiling");
         // Verify optimality by re-checking every candidate.
         let workload = model.workload().clone();
@@ -127,16 +103,9 @@ mod tests {
     }
 
     #[test]
-    fn cap_limits_the_number_of_candidates() {
-        let (space, mut model) = setup();
-        let outcome = GridSearch::with_cap(3).run(&space, &mut model);
-        assert_eq!(outcome.candidates, 3);
-    }
-
-    #[test]
     fn history_is_monotone_non_increasing() {
         let (space, mut model) = setup();
-        let outcome = GridSearch::new().run(&space, &mut model);
+        let outcome = GridSearch.run(&space, &mut model);
         let points = outcome.history.points();
         assert!(!points.is_empty());
         for w in points.windows(2) {

@@ -6,7 +6,10 @@
 //! offline for every workload, method and hardware configuration, using
 //! Monte-Carlo Tree Search to pick tiling factors, a Genetic Algorithm to
 //! refine the resulting mappings, and Grid Search on the real NPU. This crate
-//! implements those searches against the `mas-sim` cost model:
+//! implements those searches against the `mas-sim` cost model. Every search
+//! minimizes simulated cycles and nothing else, as the paper's does ("our
+//! objective in the search framework was to minimize latency rather than
+//! energy", §5.3):
 //!
 //! * [`space::SearchSpace`] — enumerates the candidate factors per dimension,
 //! * [`cost::CostModel`] — builds the dataflow for a candidate tiling and
@@ -15,8 +18,8 @@
 //!   rollout batch — evaluate in parallel through
 //!   [`cost::CostModel::evaluate_batch`] with bit-identical results to the
 //!   serial path,
-//! * [`grid::GridSearch`], [`random::RandomSearch`] — exhaustive/sampling
-//!   baselines,
+//! * [`grid::GridSearch`] — the exhaustive sweep, used as the oracle the
+//!   heuristic searches are checked against,
 //! * [`mcts::MctsSearch`] — UCB-guided tree search over the per-dimension
 //!   tiling decisions,
 //! * [`genetic::GeneticSearch`] — population-based refinement,
@@ -46,11 +49,10 @@ pub mod cost;
 pub mod genetic;
 pub mod grid;
 pub mod mcts;
-pub mod random;
 pub mod space;
 pub mod tuner;
 
 pub use convergence::{ConvergenceHistory, ConvergencePoint};
-pub use cost::{Cost, CostModel, Objective};
+pub use cost::{Cost, CostModel};
 pub use space::SearchSpace;
 pub use tuner::{AutoTuner, TunerConfig, TuningResult};

@@ -220,7 +220,6 @@ impl MctsSearch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::Objective;
     use crate::grid::GridSearch;
     use mas_dataflow::{AttentionWorkload, DataflowKind};
     use mas_sim::HardwareConfig;
@@ -229,7 +228,7 @@ mod tests {
         let w = AttentionWorkload::new("toy", 1, 2, 64, 32);
         let hw = HardwareConfig::edge_default();
         let space = SearchSpace::for_workload(&w, &hw);
-        let model = CostModel::new(kind, w, hw, Objective::Latency);
+        let model = CostModel::new(kind, w, hw);
         (space, model)
     }
 
@@ -244,7 +243,7 @@ mod tests {
     #[test]
     fn mcts_approaches_the_grid_optimum_on_a_small_space() {
         let (space, mut model) = setup(DataflowKind::MasAttention);
-        let grid = GridSearch::new().run(&space, &mut model);
+        let grid = GridSearch.run(&space, &mut model);
         let mcts = MctsSearch::new(space.len() * 3, 13).run(&space, &mut model);
         let optimum = grid.best_objective;
         assert!(

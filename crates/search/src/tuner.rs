@@ -10,7 +10,7 @@ use mas_dataflow::{AttentionWorkload, DataflowKind, Tiling};
 use mas_sim::HardwareConfig;
 
 use crate::convergence::ConvergenceHistory;
-use crate::cost::{Cost, CostModel, Objective};
+use crate::cost::{Cost, CostModel};
 use crate::genetic::GeneticSearch;
 use crate::mcts::MctsSearch;
 use crate::space::SearchSpace;
@@ -27,8 +27,6 @@ pub struct TunerConfig {
     pub ga_population: usize,
     /// GA generations.
     pub ga_generations: usize,
-    /// Optimization objective.
-    pub objective: Objective,
     /// Whether candidate batches simulate across threads
     /// ([`CostModel::set_parallel`]); the serial path exists for baseline
     /// benchmarking and produces bit-identical results.
@@ -44,7 +42,6 @@ impl TunerConfig {
             mcts_rollout_batch: 4,
             ga_population: 8,
             ga_generations: 4,
-            objective: Objective::Latency,
             parallel: true,
         }
     }
@@ -59,7 +56,6 @@ impl TunerConfig {
             mcts_rollout_batch: 8,
             ga_population: 16,
             ga_generations: 10,
-            objective: Objective::Latency,
             parallel: true,
         }
     }
@@ -119,12 +115,6 @@ impl AutoTuner {
         Self { config, seed }
     }
 
-    /// The tuner's configuration.
-    #[must_use]
-    pub fn config(&self) -> &TunerConfig {
-        &self.config
-    }
-
     /// Tunes the tiling of `kind` for `workload` on `hw`.
     ///
     /// Returns `None` if no valid tiling exists (the workload cannot run on
@@ -135,46 +125,10 @@ impl AutoTuner {
         workload: &AttentionWorkload,
         hw: &HardwareConfig,
     ) -> Option<TuningResult> {
-        let space = SearchSpace::for_workload(workload, hw);
-        let mut model = CostModel::new(kind, workload.clone(), hw.clone(), self.config.objective);
+        let space = &SearchSpace::for_workload(workload, hw);
+        let model = &mut CostModel::new(kind, workload.clone(), hw.clone());
         model.set_parallel(self.config.parallel);
-        self.tune_model(kind, workload, hw, &space, &mut model)
-    }
 
-    /// Tunes like [`AutoTuner::tune`], but pre-seeds the cost model with a
-    /// previously exported evaluation cache and returns the (extended) cache
-    /// alongside the result.
-    ///
-    /// This is the shard-merge entry point: split a Figure 7-style sweep
-    /// across processes, export each shard's evaluations, and warm-start
-    /// follow-up jobs (or a serving runtime) with the merged entries. Warm
-    /// entries from the same `(method, workload, hardware)` triple never
-    /// change the search trajectory — costs are pure functions of the tiling
-    /// — they only remove duplicate simulator work.
-    pub fn tune_with_cache(
-        &mut self,
-        kind: DataflowKind,
-        workload: &AttentionWorkload,
-        hw: &HardwareConfig,
-        warm: &[(Tiling, Option<Cost>)],
-    ) -> (Option<TuningResult>, Vec<(Tiling, Option<Cost>)>) {
-        let space = SearchSpace::for_workload(workload, hw);
-        let mut model = CostModel::new(kind, workload.clone(), hw.clone(), self.config.objective);
-        model.set_parallel(self.config.parallel);
-        model.import_cache(warm.iter().copied());
-        let result = self.tune_model(kind, workload, hw, &space, &mut model);
-        let cache = model.export_cache();
-        (result, cache)
-    }
-
-    fn tune_model(
-        &mut self,
-        kind: DataflowKind,
-        workload: &AttentionWorkload,
-        hw: &HardwareConfig,
-        space: &SearchSpace,
-        model: &mut CostModel,
-    ) -> Option<TuningResult> {
         // Record the naive starting point (§5.5 improvement factors).
         let naive_cost = model.evaluate(&Tiling::naive(workload));
 
@@ -287,59 +241,6 @@ mod tests {
         assert_eq!(parallel.best_tiling, serial.best_tiling);
         assert_eq!(parallel.best_cost.cycles, serial.best_cost.cycles);
         assert_eq!(parallel.evaluations, serial.evaluations);
-    }
-
-    #[test]
-    fn warm_cache_reproduces_the_cold_result_with_fewer_simulations() {
-        let (w, hw) = toy();
-        let (cold, cache) = AutoTuner::new(TunerConfig::quick(), 17).tune_with_cache(
-            DataflowKind::MasAttention,
-            &w,
-            &hw,
-            &[],
-        );
-        let cold = cold.unwrap();
-        assert!(!cache.is_empty());
-
-        let (warm, warm_cache) = AutoTuner::new(TunerConfig::quick(), 17).tune_with_cache(
-            DataflowKind::MasAttention,
-            &w,
-            &hw,
-            &cache,
-        );
-        let warm = warm.unwrap();
-        assert_eq!(warm.best_tiling, cold.best_tiling);
-        assert_eq!(warm.best_cost.cycles, cold.best_cost.cycles);
-        assert_eq!(
-            warm.evaluations, 0,
-            "a fully warmed cache must answer every candidate"
-        );
-        assert_eq!(warm_cache, cache, "warm tuning adds no new entries");
-    }
-
-    #[test]
-    fn exported_cache_order_is_deterministic() {
-        let (w, hw) = toy();
-        let (_, a) = AutoTuner::new(TunerConfig::quick(), 5).tune_with_cache(
-            DataflowKind::Flat,
-            &w,
-            &hw,
-            &[],
-        );
-        let (_, b) = AutoTuner::new(TunerConfig::quick(), 5).tune_with_cache(
-            DataflowKind::Flat,
-            &w,
-            &hw,
-            &[],
-        );
-        assert_eq!(a, b);
-        let keys: Vec<_> = a
-            .iter()
-            .map(|(t, _)| (t.b_b, t.h_h, t.n_q, t.n_kv))
-            .collect();
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        assert_eq!(keys, sorted, "export order is sorted by tiling factors");
     }
 
     #[test]

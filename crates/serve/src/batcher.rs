@@ -23,22 +23,8 @@ pub struct BatchPolicy {
     pub max_batch: usize,
     /// Batching window in seconds: a batch dispatches at
     /// `first_arrival + window_s` at the latest. `0.0` disables coalescing
-    /// (every request is its own batch).
+    /// (every request is its own batch). Must be finite and `>= 0`.
     pub window_s: f64,
-}
-
-impl BatchPolicy {
-    /// How full a launch of `members` requests is relative to `max_batch`,
-    /// in `[0, 1]` (clamped above; `max_batch == 0` yields `0.0`). The
-    /// batch-fill gauge telemetry and reports express launch efficiency in
-    /// this unit.
-    #[must_use]
-    pub fn fill_fraction(&self, members: usize) -> f64 {
-        if self.max_batch == 0 {
-            return 0.0;
-        }
-        (members as f64 / self.max_batch as f64).min(1.0)
-    }
 }
 
 impl Default for BatchPolicy {
@@ -62,23 +48,6 @@ mod tests {
     use mas_sim::HardwareConfig;
     use mas_workloads::DecodeTrace;
     use std::collections::BTreeMap;
-
-    #[test]
-    fn fill_fraction_is_clamped_and_zero_safe() {
-        let p = BatchPolicy {
-            max_batch: 8,
-            window_s: 0.0,
-        };
-        assert_eq!(p.fill_fraction(0), 0.0);
-        assert_eq!(p.fill_fraction(2), 0.25);
-        assert_eq!(p.fill_fraction(8), 1.0);
-        assert_eq!(p.fill_fraction(20), 1.0, "overfull launches clamp to 1");
-        let degenerate = BatchPolicy {
-            max_batch: 0,
-            window_s: 0.0,
-        };
-        assert_eq!(degenerate.fill_fraction(3), 0.0);
-    }
 
     fn req(id: u64, arrival_s: f64, heads: usize, seq: usize) -> ServeRequest {
         ServeRequest::new(

@@ -39,7 +39,6 @@ use std::path::Path;
 use mas_attention::planner::TilingStrategy;
 use mas_attention::PlannerConfig;
 use mas_dataflow::{AttentionWorkload, DataflowKind, Tiling};
-use mas_search::cost::Objective;
 use mas_sim::HardwareConfig;
 
 /// Magic first line of the serialized cache format.
@@ -103,9 +102,9 @@ pub fn hardware_fingerprint(hw: &HardwareConfig) -> u64 {
 
 /// A 64-bit fingerprint of everything a cached plan's *values* depend on
 /// beyond the workload shape: the hardware, the energy model, the tiling
-/// strategy and (for the search strategy) the tuner budget, objective and
-/// seed. Two planner configurations with equal fingerprints produce
-/// identical plans for every key, so caches built under them may be merged;
+/// strategy and (for the search strategy) the tuner budget and seed. Two
+/// planner configurations with equal fingerprints produce identical plans
+/// for every key, so caches built under them may be merged;
 /// differing fingerprints keep their entries disjoint instead of silently
 /// mixing, say, heuristic plans into a search-tuned serving process.
 #[must_use]
@@ -126,7 +125,7 @@ pub fn planning_fingerprint(config: &PlannerConfig) -> u64 {
     match config.tiling {
         TilingStrategy::Heuristic => h.eat(b"heuristic"),
         TilingStrategy::Search => {
-            // The tuner budget, objective and seed all steer which tiling the
+            // The tuner budget and seed both steer which tiling the
             // search lands on; `parallel` does not (bit-identical by test)
             // and is deliberately excluded.
             h.eat(b"search");
@@ -138,11 +137,8 @@ pub fn planning_fingerprint(config: &PlannerConfig) -> u64 {
             ] {
                 h.eat_u64(v as u64);
             }
-            h.eat(match config.tuner.objective {
-                Objective::Latency => b"lat",
-                Objective::Energy => b"enr",
-                Objective::EnergyDelay => b"edp",
-            });
+            // The former latency-objective tag, kept so saved fingerprints stay valid.
+            h.eat(b"lat");
             h.eat_u64(config.seed);
         }
     }
@@ -323,13 +319,6 @@ impl ScheduleCache {
         for (key, plan) in &other.entries {
             self.insert(*key, *plan);
         }
-    }
-
-    /// Merges two caches into a new one.
-    #[must_use]
-    pub fn merged(mut a: ScheduleCache, b: &ScheduleCache) -> ScheduleCache {
-        a.merge(b);
-        a
     }
 
     /// Serializes the cache to the versioned text format. Deterministic:
@@ -670,6 +659,9 @@ mod tests {
             ..cfg()
         };
         assert_ne!(base, planning_fingerprint(&search));
+        // Saved caches stay valid only while these values hold.
+        assert_eq!(base, 0x5b95_1f37_0b3d_d8b4);
+        assert_eq!(planning_fingerprint(&search), 0x6876_6b74_228b_351e);
 
         // Under search, the tuner budget and seed steer the chosen tiling.
         let bigger_budget = PlannerConfig {
@@ -827,12 +819,17 @@ mod tests {
         c.insert(key(DataflowKind::Flat, 256), plan(100)); // duplicate of a
         c.insert(key(DataflowKind::TileFlow, 512), plan(400));
 
-        let ab = ScheduleCache::merged(a.clone(), &b);
-        let ba = ScheduleCache::merged(b.clone(), &a);
+        let merged = |x: &ScheduleCache, y: &ScheduleCache| {
+            let mut out = x.clone();
+            out.merge(y);
+            out
+        };
+        let ab = merged(&a, &b);
+        let ba = merged(&b, &a);
         assert_eq!(ab, ba, "merge(a,b) == merge(b,a)");
 
-        let ab_c = ScheduleCache::merged(ab.clone(), &c);
-        let a_bc = ScheduleCache::merged(a.clone(), &ScheduleCache::merged(b.clone(), &c));
+        let ab_c = merged(&ab, &c);
+        let a_bc = merged(&a, &merged(&b, &c));
         assert_eq!(ab_c, a_bc, "merge is associative");
 
         // The conflicting key resolved to the lower-cost plan on both sides.

@@ -124,7 +124,7 @@ pub struct DecodePolicy {
     pub max_sessions: Option<usize>,
     /// Step-coalescing window in seconds: a launch dispatches at
     /// `first_step_arrival + window_s` at the latest. `0.0` disables
-    /// batching (every step launches alone).
+    /// batching (every step launches alone). Must be finite and `>= 0`.
     pub window_s: f64,
     /// Maximum member steps per launch; a launch dispatches as soon as it
     /// reaches this size.

@@ -613,17 +613,18 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`], before any state changes, if a
-    /// prefill request or decode step has a non-finite or negative arrival
-    /// time, a prefill deadline or [`DecodePolicy::step_deadline_s`] is
-    /// NaN or negative, two prefill requests or two session specs share an
-    /// id, a session's prompt plus steps exceed `u32::MAX` tokens, or a
-    /// decode step's index is out of range or not above its session's
-    /// previous step's; otherwise a [`SimError`] if a prefill batch that
-    /// passed admission fails to plan or simulate. Decode-only streams
-    /// never plan.
+    /// Returns [`SimError::InvalidConfig`], before any state changes, if
+    /// [`BatchPolicy::window_s`] or [`DecodePolicy::window_s`] is NaN,
+    /// infinite or negative, a prefill request or decode step has a
+    /// non-finite or negative arrival time, a prefill deadline or
+    /// [`DecodePolicy::step_deadline_s`] is NaN or negative, two prefill
+    /// requests or two session specs share an id, a session's prompt plus
+    /// steps exceed `u32::MAX` tokens, or a decode step's index is out of
+    /// range or not above its session's previous step's; otherwise a
+    /// [`SimError`] if a prefill batch that passed admission fails to plan
+    /// or simulate. Decode-only streams never plan.
     pub fn run(&mut self, prefill: &[ServeRequest], decode: &DecodeTrace) -> Result<EngineReport> {
-        let sessions = validate_inputs(prefill, decode, self.config.decode.step_deadline_s)?;
+        let sessions = validate_inputs(prefill, decode, &self.config)?;
         let hw = self.planner.hardware().clone();
         let budget = self.config.budget(&hw);
         let recycled = self.telemetry.take();
@@ -739,8 +740,19 @@ impl ServeEngine {
 fn validate_inputs<'a>(
     prefill: &[ServeRequest],
     decode: &'a DecodeTrace,
-    step_deadline_s: Option<f64>,
+    config: &EngineConfig,
 ) -> Result<Sessions<'a>> {
+    for (name, window) in [
+        ("BatchPolicy::window_s", config.batching.window_s),
+        ("DecodePolicy::window_s", config.decode.window_s),
+    ] {
+        // Launches are sealed and ordered by `first arrival + window`.
+        if !(window.is_finite() && window >= 0.0) {
+            return Err(SimError::InvalidConfig {
+                reason: format!("{name} is {window} s; batching windows must be finite and >= 0"),
+            });
+        }
+    }
     let valid_arrival = |t: f64| t.is_finite() && t >= 0.0;
     // An infinite deadline is valid (it is never missed).
     let invalid_deadline = |d: Option<f64>| d.filter(|d| d.is_nan() || *d < 0.0);
@@ -776,7 +788,7 @@ fn validate_inputs<'a>(
             });
         }
     }
-    if let Some(deadline) = invalid_deadline(step_deadline_s) {
+    if let Some(deadline) = invalid_deadline(config.decode.step_deadline_s) {
         return Err(SimError::InvalidConfig {
             reason: format!(
                 "DecodePolicy::step_deadline_s is {deadline} s; deadlines must be >= 0"
@@ -3283,6 +3295,48 @@ mod tests {
             });
             engine.run(&prefill, &decode).unwrap();
         }
+    }
+
+    #[test]
+    fn hostile_batching_windows_are_rejected_before_any_state_changes() {
+        let decode = DecodeTrace {
+            sessions: vec![one_step_session(7)],
+            steps: vec![DecodeStepEvent {
+                session_id: 7,
+                step_index: 0,
+                arrival_s: 0.0,
+            }],
+        };
+        let with_windows = |prefill_window: f64, decode_window: f64| EngineConfig {
+            batching: BatchPolicy {
+                window_s: prefill_window,
+                ..BatchPolicy::default()
+            },
+            decode: DecodePolicy {
+                window_s: decode_window,
+                ..DecodePolicy::default()
+            },
+            ..EngineConfig::default()
+        };
+        for bad in [f64::NAN, -1e-3, f64::INFINITY] {
+            for (config, name) in [
+                (with_windows(bad, 0.0), "BatchPolicy::window_s"),
+                (with_windows(0.0, bad), "DecodePolicy::window_s"),
+            ] {
+                let mut engine = ServeEngine::new(config);
+                let err = engine.run(&reqs(2, 1e-4), &decode).unwrap_err();
+                assert!(
+                    matches!(&err, SimError::InvalidConfig { reason } if reason.contains(name)),
+                    "{err}"
+                );
+                assert!(engine.cache().is_empty());
+            }
+        }
+        let report = ServeEngine::new(with_windows(0.0, 0.0))
+            .run(&reqs(2, 1e-4), &decode)
+            .unwrap();
+        assert_eq!(report.prefill.completed(), 2);
+        assert_eq!(report.decode.completed(), 1);
     }
 
     #[test]

@@ -184,5 +184,5 @@ pub use request::ServeRequest;
 pub use telemetry::{
     validate_chrome_trace, ChromeTraceStats, ConservationStats, EngineEvent, EventKind,
     LogHistogram, MemOwner, PeakAttribution, PreemptVictim, SealCause, Telemetry, TelemetryConfig,
-    TimeSeries, Track,
+    Track,
 };

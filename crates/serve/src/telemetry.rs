@@ -76,11 +76,10 @@
 //! [`Telemetry::tracks_monotone`].
 //!
 //! One fold is behind every view. The Prometheus counters, gauges and
-//! latency histograms, [`Telemetry::latency_histogram`] and
-//! [`Telemetry::device_utilization`] all read the rebuilt report; the
-//! Chrome trace's `shared_budget_bytes` counter reads the ledger's
-//! occupancy as it folds the log; and the Chrome `queue_depth` counter and
-//! [`Telemetry::queue_depth`] apply one join/dispatch rule.
+//! latency histograms and [`Telemetry::latency_histogram`] all read the
+//! rebuilt report; the Chrome trace's `shared_budget_bytes` counter reads
+//! the ledger's occupancy as it folds the log; and the Chrome
+//! `queue_depth` counter counts `+1` per join and `-members` per dispatch.
 //!
 //! ## Exporter formats
 //!
@@ -111,7 +110,7 @@ use mas_dataflow::DataflowKind;
 use mas_sim::{TrackKind, TRACK_COUNT};
 
 use crate::decode::DecodeRejectReason;
-use crate::engine::{DeviceUtil, EngineReport, SchedulePolicy};
+use crate::engine::{EngineReport, SchedulePolicy};
 use crate::key::{LaunchKey, WorkClass};
 use crate::ledger::{Completion, Ledger};
 use crate::metrics::RejectedRequest;
@@ -552,14 +551,6 @@ impl Telemetry {
         Some(Replay::run(&self.events)?.ledger.into_report())
     }
 
-    /// Per-device utilization replayed from the event log. Empty when the
-    /// log never started.
-    #[must_use]
-    pub fn device_utilization(&self) -> Vec<DeviceUtil> {
-        self.report()
-            .map_or_else(Vec::new, |report| report.device_util)
-    }
-
     /// Shared-budget occupancy peak with attribution: which holders
     /// (prefill launches, sessions, prefix groups) held bytes at the peak
     /// instant. `None` when the log never started or the budget was never
@@ -567,53 +558,6 @@ impl Telemetry {
     #[must_use]
     pub fn peak_attribution(&self) -> Option<PeakAttribution> {
         Replay::run(&self.events)?.peak
-    }
-
-    /// Queue-depth gauge of a class: joined-but-undispatched members over
-    /// time (`+1` per join, `-members` per dispatch).
-    #[must_use]
-    pub fn queue_depth(&self, class: WorkClass) -> TimeSeries<i64> {
-        let mut series = TimeSeries::new();
-        let mut depth = 0i64;
-        for event in &self.events {
-            if let Some((_, delta)) = queue_delta(&event.kind).filter(|&(c, _)| c == class) {
-                depth += delta;
-                series.push(event.t_s, depth);
-            }
-        }
-        series
-    }
-
-    /// Mean batch fill of a class: dispatched members over the class's
-    /// member capacity, averaged across launches. `None` with no launches
-    /// (or no [`EventKind::RunStart`] to read capacities from).
-    #[must_use]
-    pub fn mean_batch_fill(&self, class: WorkClass) -> Option<f64> {
-        let capacity = self.events.iter().find_map(|e| match e.kind {
-            EventKind::RunStart {
-                max_batch,
-                max_steps_per_launch,
-                ..
-            } => Some(match class {
-                WorkClass::Prefill => max_batch,
-                WorkClass::Decode => max_steps_per_launch,
-            }),
-            _ => None,
-        })?;
-        let fills: Vec<f64> = self
-            .events
-            .iter()
-            .filter_map(|e| match &e.kind {
-                EventKind::LaunchDispatched { key, members, .. } if key.class() == class => {
-                    Some(f64::from(*members) / f64::from(capacity.max(1)))
-                }
-                _ => None,
-            })
-            .collect();
-        if fills.is_empty() {
-            return None;
-        }
-        Some(fills.iter().sum::<f64>() / fills.len() as f64)
     }
 
     /// Checks conservation: every arrival appears exactly once as completed
@@ -1234,44 +1178,6 @@ pub struct PeakAttribution {
     /// Every holder's charge at the peak instant, largest first (ties by
     /// owner identity).
     pub holders: Vec<(MemOwner, u64)>,
-}
-
-/// A timestamped value series (gauges over virtual time).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TimeSeries<T> {
-    /// `(t_s, value)` points in time order.
-    pub points: Vec<(f64, T)>,
-}
-
-impl<T> TimeSeries<T> {
-    /// An empty series.
-    #[must_use]
-    pub fn new() -> Self {
-        Self { points: Vec::new() }
-    }
-
-    /// Appends a point.
-    pub fn push(&mut self, t_s: f64, value: T) {
-        self.points.push((t_s, value));
-    }
-
-    /// The most recent value.
-    #[must_use]
-    pub fn last(&self) -> Option<&T> {
-        self.points.last().map(|(_, v)| v)
-    }
-
-    /// Number of points.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the series is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
 }
 
 /// Bucket count of [`LogHistogram`].
@@ -2028,17 +1934,6 @@ mod tests {
         let original = "span \"x\" \\ with\nnewline";
         let parsed = parse_json(&escape_json(original)).unwrap();
         assert!(matches!(parsed, JsonValue::String(s) if s == original));
-    }
-
-    #[test]
-    fn time_series_accumulates_points() {
-        let mut series = TimeSeries::new();
-        assert!(series.is_empty());
-        series.push(0.0, 1i64);
-        series.push(1.0, 3);
-        assert_eq!(series.len(), 2);
-        assert_eq!(series.last(), Some(&3));
-        assert_eq!(series.points[0], (0.0, 1));
     }
 
     #[test]

@@ -134,10 +134,10 @@ proptest! {
         // merging the originals.
         let a = build_cache(entries_a, seed);
         let b = build_cache(entries_b, seed.wrapping_add(1));
-        let a2 = ScheduleCache::from_text(&a.to_text()).unwrap();
-        let b2 = ScheduleCache::from_text(&b.to_text()).unwrap();
-        let direct = ScheduleCache::merged(a, &b);
-        let via_text = ScheduleCache::merged(a2, &b2);
+        let mut via_text = ScheduleCache::from_text(&a.to_text()).unwrap();
+        via_text.merge(&ScheduleCache::from_text(&b.to_text()).unwrap());
+        let mut direct = a;
+        direct.merge(&b);
         prop_assert_eq!(&direct, &via_text);
         prop_assert_eq!(direct.to_text(), via_text.to_text());
     }

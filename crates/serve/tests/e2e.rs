@@ -113,8 +113,10 @@ fn serialized_shard_caches_merge_into_the_jointly_built_cache() {
     std::fs::remove_file(&path_a).ok();
     std::fs::remove_file(&path_b).ok();
 
-    let ab = ScheduleCache::merged(loaded_a.clone(), &loaded_b);
-    let ba = ScheduleCache::merged(loaded_b.clone(), &loaded_a);
+    let mut ab = loaded_a.clone();
+    ab.merge(&loaded_b);
+    let mut ba = loaded_b;
+    ba.merge(&loaded_a);
     assert_eq!(ab, ba, "merge(a,b) == merge(b,a)");
     assert_eq!(ab, joint, "merged shards == jointly built cache");
 

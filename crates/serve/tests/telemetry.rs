@@ -160,7 +160,7 @@ fn per_device_utilization_is_attributed_and_consistent() {
     let telemetry = engine.telemetry().unwrap();
 
     assert_eq!(report.device_util.len(), 2);
-    assert_eq!(telemetry.device_utilization(), report.device_util);
+    assert_eq!(telemetry.report().unwrap().device_util, report.device_util);
     let total_launches: usize = report.device_util.iter().map(|d| d.launches).sum();
     assert_eq!(
         total_launches,
@@ -443,13 +443,27 @@ fn queue_depth_and_batch_fill_gauges_reflect_the_replay() {
     let report = engine.run(&prefill, &decode).unwrap();
     let telemetry = engine.telemetry().unwrap();
 
-    let depth = telemetry.queue_depth(WorkClass::Prefill);
-    assert!(!depth.is_empty());
-    // Every admission raises the depth and every dispatch empties its
-    // members; the walk ends at zero with no negative excursions.
-    assert_eq!(*depth.last().unwrap(), 0);
-    let fill = telemetry.mean_batch_fill(WorkClass::Prefill).unwrap();
-    assert!(fill > 0.0 && fill <= 1.0);
+    // Every join raises the prefill queue depth and every dispatch empties
+    // its members; the walk ends at zero with no negative excursions.
+    let mut depth = 0i64;
+    let mut joins = 0usize;
+    for event in telemetry.events() {
+        match &event.kind {
+            EventKind::PrefillJoin { .. } => {
+                depth += 1;
+                joins += 1;
+            }
+            EventKind::LaunchDispatched { key, members, .. }
+                if key.class() == WorkClass::Prefill =>
+            {
+                depth -= i64::from(*members);
+            }
+            _ => {}
+        }
+        assert!(depth >= 0, "negative queue depth at {}", event.t_s);
+    }
+    assert!(joins > 0);
+    assert_eq!(depth, 0);
     assert!(report.prefill.batches > 0);
 }
 

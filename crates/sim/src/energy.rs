@@ -148,19 +148,6 @@ impl EnergyBreakdown {
         self.dram_pj + self.l1_pj + self.l0_pj + self.mac_pe_pj + self.vec_pe_pj
     }
 
-    /// Combined processing-element energy (MAC + VEC), the component the
-    /// paper observes to be schedule-invariant (§5.3.3).
-    #[must_use]
-    pub fn pe_pj(&self) -> f64 {
-        self.mac_pe_pj + self.vec_pe_pj
-    }
-
-    /// Combined on-chip memory energy (L1 + L0).
-    #[must_use]
-    pub fn on_chip_pj(&self) -> f64 {
-        self.l1_pj + self.l0_pj
-    }
-
     /// Adds another breakdown component-wise.
     pub fn accumulate(&mut self, other: &EnergyBreakdown) {
         self.dram_pj += other.dram_pj;
@@ -197,8 +184,6 @@ mod tests {
             vec_pe_pj: 5.0,
         };
         assert!((b.total_pj() - 15.0).abs() < 1e-12);
-        assert!((b.pe_pj() - 9.0).abs() < 1e-12);
-        assert!((b.on_chip_pj() - 5.0).abs() < 1e-12);
         assert_eq!(b.components().len(), 5);
     }
 

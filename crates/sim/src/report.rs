@@ -66,28 +66,6 @@ impl SimReport {
             .unwrap_or(0);
         busy as f64 / self.total_cycles as f64
     }
-
-    /// Speedup of this report relative to a baseline (`baseline / self`).
-    #[must_use]
-    pub fn speedup_over(&self, baseline: &SimReport) -> f64 {
-        if self.total_cycles == 0 {
-            return f64::INFINITY;
-        }
-        baseline.total_cycles as f64 / self.total_cycles as f64
-    }
-
-    /// Energy saving of this report relative to a baseline, as a fraction in
-    /// `[-inf, 1]`: `1 − self/baseline`. Negative values mean this schedule
-    /// uses more energy than the baseline (as MAS-Attention does versus
-    /// FuseMax for some workloads in Table 3).
-    #[must_use]
-    pub fn energy_saving_over(&self, baseline: &SimReport) -> f64 {
-        let base = baseline.total_energy_pj();
-        if base == 0.0 {
-            return 0.0;
-        }
-        1.0 - self.total_energy_pj() / base
-    }
 }
 
 /// Geometric mean of a sequence of positive values; returns `None` for an
@@ -125,16 +103,6 @@ mod tests {
             mac_vec_overlap_cycles: 0,
             trace: None,
         }
-    }
-
-    #[test]
-    fn speedup_and_savings() {
-        let fast = report(100, 50.0);
-        let slow = report(250, 100.0);
-        assert!((fast.speedup_over(&slow) - 2.5).abs() < 1e-12);
-        assert!((fast.energy_saving_over(&slow) - 0.5).abs() < 1e-12);
-        // Negative savings when the candidate uses more energy.
-        assert!(slow.energy_saving_over(&fast) < 0.0);
     }
 
     #[test]

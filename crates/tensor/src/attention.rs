@@ -13,16 +13,15 @@
 //! the "golden data check" of §5.1.
 
 use crate::error::{Result, TensorError};
-use crate::matmul::{matmul_nn, matmul_nt, scale_in_place};
+use crate::matmul::{matmul_nn, matmul_nt};
 use crate::softmax::softmax_rows;
 use crate::tensor::Tensor;
 
 /// Computes exact attention output `O = softmax(Q Kᵀ) · V`.
 ///
 /// `q`, `k`, `v` must all have the same `B × H × N × E` shape. No logit
-/// scaling is applied (the paper's formulation, Eq. 1–3, omits the
-/// `1/sqrt(E)` factor; use [`reference_attention_scaled`] when a scaled
-/// variant is wanted).
+/// scaling is applied: the paper's formulation, Eq. 1–3, omits the
+/// `1/sqrt(E)` factor.
 ///
 /// # Errors
 ///
@@ -33,42 +32,6 @@ pub fn reference_attention(q: &Tensor, k: &Tensor, v: &Tensor) -> Result<Tensor>
     let c = matmul_nt(q, k)?;
     let p = softmax_rows(&c);
     matmul_nn(&p, v)
-}
-
-/// Computes scaled-dot-product attention `O = softmax(Q Kᵀ / sqrt(E)) · V`.
-///
-/// # Errors
-///
-/// Returns a [`TensorError`] if the operand shapes are inconsistent.
-pub fn reference_attention_scaled(q: &Tensor, k: &Tensor, v: &Tensor) -> Result<Tensor> {
-    check_same_shape(q, k, "reference_attention_scaled(q, k)")?;
-    check_same_shape(k, v, "reference_attention_scaled(k, v)")?;
-    let e = q.shape().cols() as f32;
-    let mut c = matmul_nt(q, k)?;
-    scale_in_place(&mut c, 1.0 / e.sqrt());
-    let p = softmax_rows(&c);
-    matmul_nn(&p, v)
-}
-
-/// Returns the intermediate attention matrices `(C, P, O)` for inspection.
-///
-/// Useful in tests that need to compare tiled intermediates (e.g. the on-chip
-/// `C_i`/`P_i` blocks of Algorithms 2–3) and not only the final output.
-///
-/// # Errors
-///
-/// Returns a [`TensorError`] if the operand shapes are inconsistent.
-pub fn reference_attention_intermediates(
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-) -> Result<(Tensor, Tensor, Tensor)> {
-    check_same_shape(q, k, "reference_attention_intermediates(q, k)")?;
-    check_same_shape(k, v, "reference_attention_intermediates(k, v)")?;
-    let c = matmul_nt(q, k)?;
-    let p = softmax_rows(&c);
-    let o = matmul_nn(&p, v)?;
-    Ok((c, p, o))
 }
 
 fn check_same_shape(a: &Tensor, b: &Tensor, op: &'static str) -> Result<()> {
@@ -123,26 +86,6 @@ mod tests {
             assert!((o.get(0, 0, r, 0).unwrap() - 10.0).abs() < 1e-3);
             assert!((o.get(0, 0, r, 1).unwrap() - 11.0).abs() < 1e-3);
         }
-    }
-
-    #[test]
-    fn scaled_and_unscaled_differ_but_are_both_valid() {
-        let (q, k, v) = random_qkv(1, 2, 8, 16, 3);
-        let o1 = reference_attention(&q, &k, &v).unwrap();
-        let o2 = reference_attention_scaled(&q, &k, &v).unwrap();
-        assert!(o1.max_abs_diff(&o2).unwrap() > 0.0);
-        assert!(o1.data().iter().all(|v| v.is_finite()));
-        assert!(o2.data().iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn intermediates_are_consistent() {
-        let (q, k, v) = random_qkv(1, 1, 6, 4, 5);
-        let (c, p, o) = reference_attention_intermediates(&q, &k, &v).unwrap();
-        assert_eq!(c.shape().dims(), [1, 1, 6, 6]);
-        assert_eq!(p.shape().dims(), [1, 1, 6, 6]);
-        let direct = reference_attention(&q, &k, &v).unwrap();
-        assert!(o.max_abs_diff(&direct).unwrap() < 1e-6);
     }
 
     #[test]

@@ -181,22 +181,6 @@ pub fn matmul_nn_acc(a: &Tensor, b: &Tensor, out: &mut Tensor) -> Result<()> {
     Ok(())
 }
 
-/// Scales every element of a tensor by `s` (used for the `1/sqrt(E)` logit
-/// scaling applied by some callers before softmax).
-#[must_use]
-pub fn scale(t: &Tensor, s: f32) -> Tensor {
-    let mut out = t.clone();
-    scale_in_place(&mut out, s);
-    out
-}
-
-/// Scales every element of `t` by `s` in place.
-pub fn scale_in_place(t: &mut Tensor, s: f32) {
-    for v in t.data_mut() {
-        *v *= s;
-    }
-}
-
 fn dims(t: &Tensor) -> (usize, usize, usize, usize) {
     let [b, h, r, c] = t.shape().dims();
     (b, h, r, c)
@@ -395,15 +379,5 @@ mod tests {
             matmul_nt(&a, &b),
             Err(TensorError::ShapeMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn scale_multiplies_every_element() {
-        let a = Tensor::from_vec(shape(1, 1, 1, 3), vec![1.0, -2.0, 4.0]).unwrap();
-        let s = scale(&a, 0.5);
-        assert_eq!(s.data(), &[0.5, -1.0, 2.0]);
-        let mut b = a.clone();
-        scale_in_place(&mut b, 0.5);
-        assert_eq!(b.data(), s.data());
     }
 }

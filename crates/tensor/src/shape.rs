@@ -85,12 +85,6 @@ impl Shape {
         self.batch * self.heads
     }
 
-    /// Size in bytes when stored with elements of `bytes_per_elem` bytes.
-    #[must_use]
-    pub const fn size_bytes(&self, bytes_per_elem: usize) -> usize {
-        self.volume() * bytes_per_elem
-    }
-
     /// Linear (row-major) offset of element `(b, h, r, c)`.
     ///
     /// # Errors
@@ -174,12 +168,6 @@ mod tests {
         let s = Shape::new(1, 1, 2, 2).unwrap();
         assert!(s.offset(0, 0, 2, 0).is_err());
         assert!(s.offset(1, 0, 0, 0).is_err());
-    }
-
-    #[test]
-    fn size_bytes_scales_with_dtype() {
-        let s = Shape::new(1, 2, 8, 16).unwrap();
-        assert_eq!(s.size_bytes(2) * 2, s.size_bytes(4));
     }
 
     #[test]

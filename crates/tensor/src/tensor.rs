@@ -219,35 +219,6 @@ impl Tensor {
         Ok(out)
     }
 
-    /// Writes a block produced by [`Tensor::block`] back at `start`, the
-    /// on-chip→DRAM store of an output tile.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::BlockOutOfBounds`] if the block does not fit.
-    pub fn set_block(&mut self, start: [usize; 4], block: &Tensor) -> Result<()> {
-        let [b0, h0, r0, c0] = start;
-        let [bl, hl, rl, cl] = block.shape.dims();
-        let [bn, hn, rn, cn] = self.shape.dims();
-        if b0 + bl > bn || h0 + hl > hn || r0 + rl > rn || c0 + cl > cn {
-            return Err(TensorError::BlockOutOfBounds {
-                start,
-                len: [bl, hl, rl, cl],
-                shape: self.shape,
-            });
-        }
-        for b in 0..bl {
-            for h in 0..hl {
-                for r in 0..rl {
-                    let dst = self.shape.offset_unchecked(b0 + b, h0 + h, r0 + r, c0);
-                    let src = block.shape.offset_unchecked(b, h, r, 0);
-                    self.data[dst..dst + cl].copy_from_slice(&block.data[src..src + cl]);
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Returns one `(batch, head)` matrix slice as a row-major `rows × cols`
     /// vector of values (the owning counterpart of [`Tensor::slice`]).
     ///
@@ -353,8 +324,11 @@ mod tests {
         assert_eq!(blk.get(0, 0, 0, 0).unwrap(), 120.0);
         assert_eq!(blk.get(0, 0, 2, 3).unwrap(), 143.0);
 
+        // Stored back row by row, the block lands where it came from.
         let mut dst = Tensor::zeros(*t.shape());
-        dst.set_block([0, 1, 2, 0], &blk).unwrap();
+        for r in 0..3 {
+            dst.row_mut(0, 1, 2 + r).copy_from_slice(blk.row(0, 0, r));
+        }
         assert_eq!(dst.get(0, 1, 3, 2).unwrap(), 132.0);
         assert_eq!(dst.get(0, 0, 0, 0).unwrap(), 0.0);
     }

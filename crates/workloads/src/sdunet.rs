@@ -66,15 +66,6 @@ pub fn largest_unit(units: &[SdAttentionUnit]) -> Option<&SdAttentionUnit> {
         .max_by_key(|u| u.workload.softmax_elements() * u.repeats as u64)
 }
 
-/// Total MAC operations of one UNet forward pass (attention blocks only).
-#[must_use]
-pub fn total_attention_mac_ops(units: &[SdAttentionUnit]) -> u64 {
-    units
-        .iter()
-        .map(|u| u.workload.total_mac_ops() * u.repeats as u64)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -113,7 +104,10 @@ mod tests {
     #[test]
     fn total_mac_ops_are_dominated_by_the_largest_units() {
         let units = sd15_reduced_unet(1);
-        let total = total_attention_mac_ops(&units);
+        let total: u64 = units
+            .iter()
+            .map(|u| u.workload.total_mac_ops() * u.repeats as u64)
+            .sum();
         let largest = largest_unit(&units).unwrap().workload.total_mac_ops();
         assert!(total > largest);
         // The 4096-token units account for well over half of all work.

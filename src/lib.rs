@@ -7,7 +7,7 @@
 //! * [`tensor`] — dense tensors, attention kernels and golden-data checking,
 //! * [`sim`] — the edge-accelerator simulator (timing + energy),
 //! * [`dataflow`] — the six attention dataflows including MAS-Attention,
-//! * [`search`] — tiling-factor search (grid, random, MCTS, genetic),
+//! * [`search`] — tiling-factor search (grid, MCTS, genetic),
 //! * [`workloads`] — Table 1 networks and the Stable Diffusion UNet suite,
 //! * [`npu`] — the DaVinci-like NPU model,
 //! * [`api`] — the high-level planner/comparison API from `mas-attention`,

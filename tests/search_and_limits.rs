@@ -3,7 +3,7 @@
 
 use mas::dataflow::max_seqlen::max_seq_len;
 use mas::dataflow::{AttentionWorkload, DataflowKind, Tiling};
-use mas::search::cost::{CostModel, Objective};
+use mas::search::cost::CostModel;
 use mas::search::tuner::{AutoTuner, TunerConfig};
 use mas::sim::HardwareConfig;
 
@@ -34,13 +34,8 @@ fn search_result_is_close_to_exhaustive_grid() {
     let hw = HardwareConfig::edge_default();
     let w = AttentionWorkload::new("toy", 1, 2, 128, 64);
     let space = SearchSpace::for_workload(&w, &hw);
-    let mut model = CostModel::new(
-        DataflowKind::MasAttention,
-        w.clone(),
-        hw.clone(),
-        Objective::Latency,
-    );
-    let grid = GridSearch::new().run(&space, &mut model);
+    let mut model = CostModel::new(DataflowKind::MasAttention, w.clone(), hw.clone());
+    let grid = GridSearch.run(&space, &mut model);
     let mut tuner = AutoTuner::new(TunerConfig::quick(), 23);
     let tuned = tuner.tune(DataflowKind::MasAttention, &w, &hw).unwrap();
     assert!(
@@ -73,7 +68,7 @@ fn max_sequence_length_limitation_matches_section_5_6() {
 fn invalid_tilings_are_rejected_by_the_cost_model() {
     let hw = HardwareConfig::edge_default();
     let w = AttentionWorkload::new("long", 1, 1, 1 << 17, 64);
-    let mut model = CostModel::new(DataflowKind::TileFlow, w.clone(), hw, Objective::Latency);
+    let mut model = CostModel::new(DataflowKind::TileFlow, w.clone(), hw);
     let too_big = Tiling::new(1, 1, 4096, 4096, &w);
     assert!(model.evaluate(&too_big).is_none());
 }
