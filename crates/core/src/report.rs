@@ -164,6 +164,27 @@ mod tests {
     }
 
     #[test]
+    fn speedup_and_savings() {
+        let row = |cycles: u64, energy_pj: f64| MethodRow {
+            cycles,
+            energy_pj,
+            dram_read_bytes: 0,
+            dram_write_bytes: 0,
+            energy_components: Vec::new(),
+            overwrite_events: 0,
+            reload_bytes: 0,
+        };
+        let mut r = ComparisonReport::new(AttentionWorkload::new("toy", 1, 1, 64, 32));
+        r.rows.insert(DataflowKind::MasAttention, row(100, 50.0));
+        r.rows.insert(DataflowKind::LayerWise, row(250, 100.0));
+        let (slow, fast) = (DataflowKind::LayerWise, DataflowKind::MasAttention);
+        assert!((r.speedup(slow, fast).unwrap() - 2.5).abs() < 1e-12);
+        assert!((r.energy_saving(slow, fast).unwrap() - 0.5).abs() < 1e-12);
+        // Negative savings when the candidate uses more energy.
+        assert!(r.energy_saving(fast, slow).unwrap() < 0.0);
+    }
+
+    #[test]
     fn speedups_and_savings_are_consistent_with_rows() {
         let r = report();
         let s = r
