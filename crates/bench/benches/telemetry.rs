@@ -11,7 +11,7 @@
 //!   measurement, the *absolute* recording cost stays under a per-event
 //!   nanosecond budget. A ratio would be meaningless here (the baseline is
 //!   a few tens of microseconds), but the absolute bound catches a bloated
-//!   event or a lost `reserve` immediately.
+//!   record or a lost `reserve` immediately.
 //!
 //! The recorded run is also checked for fidelity: the event-reconstructed
 //! report must equal the engine report exactly and the Chrome trace export
@@ -100,7 +100,7 @@ fn check_fidelity(prefill: &[ServeRequest], decode: &DecodeTrace) -> usize {
     telemetry.conservation_check().expect("conserved");
     telemetry.tracks_monotone().expect("monotone");
     validate_chrome_trace(&telemetry.chrome_trace_json()).expect("valid Chrome trace");
-    telemetry.events().len()
+    telemetry.len()
 }
 
 /// Interleaved min-of-N measurement of both overhead bounds. Min-of-N is
@@ -112,10 +112,11 @@ fn main() {
 
     // End-to-end bound: cold engine per round (construction + planning +
     // replay — what `serve_trace --trace-out` pays on a fresh process).
-    // Adaptive round count: each ~3 ms planning round sees ~10% scheduler
-    // jitter on a shared CI runner, and both minima only tighten with more
-    // rounds — so keep interleaving until the ratio is comfortably inside
-    // budget (or the cap is hit, at which point the overhead is real).
+    // Adaptive round count: each 0.22–0.46 ms cold round (2-vCPU AVX2
+    // host) sees scheduler jitter on a shared CI runner, and both minima only
+    // tighten with more rounds — so keep interleaving until the ratio is
+    // comfortably inside budget (or the cap is hit, at which point the
+    // overhead is real).
     const COLD_MIN_ROUNDS: usize = 12;
     const COLD_MAX_ROUNDS: usize = 96;
     let mut cold_off = f64::INFINITY;
@@ -174,8 +175,8 @@ fn main() {
         cold_off * 1e3,
         cold_on * 1e3,
     );
-    // ~14 ns/event measured; 60 allows CI-runner noise while still
-    // catching a bloated event or a lost buffer reservation (4x).
+    // 6–13 ns/event measured (2-vCPU AVX2 host); 60 allows CI-runner noise
+    // while still catching a bloated record or a lost buffer reservation.
     assert!(
         ns_per_event <= 60.0,
         "marginal recording cost {ns_per_event:.1} ns/event exceeds the 60 ns budget \

@@ -19,7 +19,8 @@
 //! `--trace-out` / `--metrics-out` enable structured telemetry recording
 //! (`mas_serve::telemetry`) and export the replay as Chrome trace-event
 //! JSON (open in Perfetto / `chrome://tracing`) and a Prometheus text
-//! snapshot respectively. The Chrome trace is validated before writing.
+//! snapshot respectively. The Chrome trace is validated before writing,
+//! and the recorded log's event count and encoded size are printed.
 //!
 //! Every replay runs through `ServeEngine` with its default shared memory
 //! budget. `--mixed` interleaves `--sessions` autoregressive decode sessions
@@ -164,6 +165,11 @@ fn export_telemetry(telemetry: Option<&Telemetry>, args: &Args) {
         return;
     }
     let telemetry = telemetry.expect("telemetry was enabled for export");
+    println!(
+        "event log: {} events in {} bytes",
+        telemetry.len(),
+        telemetry.encoded_bytes()
+    );
     if let Some(path) = &args.trace_out {
         let json = telemetry.chrome_trace_json();
         let stats = validate_chrome_trace(&json)

@@ -239,20 +239,17 @@ impl ChunkPolicy {
         Self { chunk_tokens }
     }
 
-    /// The chunk sizes covering a `seq_len`-token prompt: full chunks of
-    /// `chunk_tokens` rows plus one ragged tail. A single-element result
+    /// The chunk sizes covering a `seq_len`-token prompt, in order: full
+    /// chunks of `chunk_tokens` rows plus one ragged tail. A single size
     /// means the batch dispatches monolithically.
-    #[must_use]
-    pub fn chunk_sizes(&self, seq_len: usize) -> Vec<usize> {
-        if self.chunk_tokens == 0 || self.chunk_tokens >= seq_len {
-            return vec![seq_len];
-        }
-        let mut sizes = vec![self.chunk_tokens; seq_len / self.chunk_tokens];
-        let tail = seq_len % self.chunk_tokens;
-        if tail > 0 {
-            sizes.push(tail);
-        }
-        sizes
+    pub fn chunk_sizes(&self, seq_len: usize) -> impl Iterator<Item = usize> + Clone {
+        let (size, full, tail) = if self.chunk_tokens == 0 || self.chunk_tokens >= seq_len {
+            (seq_len, 1, 0)
+        } else {
+            let size = self.chunk_tokens;
+            (size, seq_len / size, seq_len % size)
+        };
+        std::iter::repeat_n(size, full).chain((tail > 0).then_some(tail))
     }
 }
 
@@ -629,13 +626,11 @@ impl ServeEngine {
         let budget = self.config.budget(&hw);
         let recycled = self.telemetry.take();
         let log = self.config.telemetry.map(|_| {
-            // Capacity hint: every work item produces a handful of events
-            // (arrival, join, dispatch share, completion) plus run overhead.
-            let hint = prefill.len() * 4 + decode.steps.len() * 4 + 64;
+            let hint = Telemetry::bytes_hint(prefill.len(), decode.steps.len());
             let mut log = Telemetry::recording(hint, recycled);
             log.record(
                 0.0,
-                EventKind::RunStart {
+                &EventKind::RunStart {
                     policy: self.config.policy,
                     devices: self.config.devices.max(1) as u32,
                     budget_bytes: budget,
@@ -672,6 +667,9 @@ impl ServeEngine {
             releases: Releases::default(),
             chunk_chains: BTreeMap::new(),
             ready_chunks: BinaryHeap::new(),
+            spare_members: Vec::new(),
+            spare_layouts: Vec::new(),
+            chunk_demands: Vec::new(),
             staged: (0..self.config.devices.max(1)).map(|_| None).collect(),
             tracks: self
                 .config
@@ -976,7 +974,7 @@ impl EventSink {
     fn emit(&mut self, t_s: f64, kind: EventKind) {
         self.ledger.apply(t_s, &kind);
         if let Some(log) = self.log.as_mut() {
-            log.record(t_s, kind);
+            log.record(t_s, &kind);
         }
     }
 
@@ -985,7 +983,22 @@ impl EventSink {
     /// only when recording.
     fn log(&mut self, t_s: f64, kind: impl FnOnce() -> EventKind) {
         if let Some(log) = self.log.as_mut() {
-            log.record(t_s, kind());
+            log.record(t_s, &kind());
+        }
+    }
+
+    /// Logs a prefill request's arrival when recording, without cloning its
+    /// workload name.
+    fn log_prefill_arrival(&mut self, request: &ServeRequest) {
+        if let Some(log) = self.log.as_mut() {
+            log.record_prefill_arrival(
+                request.arrival_s,
+                request.id,
+                &request.workload.name,
+                request.method,
+                request.workload.batch as u32,
+                request.deadline_s,
+            );
         }
     }
 
@@ -1383,6 +1396,14 @@ struct EngineRun<'a> {
     /// Every chain with chunks left to place, by `(ready, chain id)` of
     /// its next chunk, plus stale entries dropped lazily.
     ready_chunks: BinaryHeap<Reverse<ReadyChunk>>,
+    /// Emptied member lists of completed prefill batches: a sealing batch
+    /// hands its list on and takes one of these for the slot's next batch.
+    spare_members: Vec<Vec<&'a ServeRequest>>,
+    /// Emptied chunk layouts ([`ChunkChain::chunks`]) of finished chains.
+    spare_layouts: Vec<Vec<(f64, Profile)>>,
+    /// The per-chunk demands of the batch being chunked, reused across
+    /// batches.
+    chunk_demands: Vec<LaunchDemand>,
     /// At most one staged (placed, effects-deferred, displaceable)
     /// prefill-class span per device. Always empty unless slot preemption
     /// is active ([`EngineConfig::preempt`] under
@@ -1775,8 +1796,10 @@ impl<'a> EngineRun<'a> {
             cache_hit: launch.cache_hit,
         };
         match payload {
-            Payload::Monolithic { requests } => {
+            Payload::Monolithic { mut requests } => {
                 self.complete_requests(&requests, &done, done.launch_id);
+                requests.clear();
+                self.spare_members.push(requests);
             }
             Payload::Chunk { chain, .. } => self.complete_chunk(chain, done),
             Payload::Decode { slot, mut steps } => {
@@ -1831,8 +1854,12 @@ impl<'a> EngineRun<'a> {
         chain.done = Some(done);
         chain.done_chunks += 1;
         if chain.done_chunks == chain.chunks.len() {
-            let chain = self.chunk_chains.remove(&chain_id).expect("chain exists");
+            let mut chain = self.chunk_chains.remove(&chain_id).expect("chain exists");
             self.complete_requests(&chain.requests, &done, chain_id);
+            chain.requests.clear();
+            chain.chunks.clear();
+            self.spare_members.push(chain.requests);
+            self.spare_layouts.push(chain.chunks);
         }
     }
 
@@ -1929,13 +1956,7 @@ impl<'a> EngineRun<'a> {
     /// fill dispatch.
     fn on_prefill(&mut self, request: &'a ServeRequest) -> Result<()> {
         let now_s = request.arrival_s;
-        self.events.log(now_s, || EventKind::PrefillArrival {
-            id: request.id,
-            workload: request.workload.name.clone(),
-            method: request.method,
-            batch: request.workload.batch as u32,
-            deadline_s: request.deadline_s,
-        });
+        self.events.log_prefill_arrival(request);
 
         // A zero dimension leaves nothing to compute and no valid tiling:
         // screen it before any cost model or workload constructor sees it.
@@ -2354,7 +2375,8 @@ impl<'a> EngineRun<'a> {
     ) -> Result<()> {
         self.launches.close(k);
         let launch_id = self.launches.slots[k].id;
-        let requests = std::mem::take(&mut self.launches.slots[k].requests);
+        let spare = self.spare_members.pop().unwrap_or_default();
+        let requests = std::mem::replace(&mut self.launches.slots[k].requests, spare);
         let total_batch: usize = requests.iter().map(|r| r.workload.batch).sum();
         let mut merged = AttentionWorkload {
             name: String::new(),
@@ -2402,30 +2424,29 @@ impl<'a> EngineRun<'a> {
         // layout is a monolithic batch.
         if let Some(policy) = self.config.chunked_prefill {
             let chunk_sizes = policy.chunk_sizes(batch_key.seq_len);
-            if chunk_sizes.len() > 1 {
+            if chunk_sizes.clone().nth(1).is_some() {
                 let chain_id = launch_id;
                 // Split the monolithic plan's seconds across chunks in
                 // proportion to each chunk's price (later chunks re-stream
                 // more prior KV, so they cost more per token).
                 let mut prefilled = 0usize;
-                let demands: Vec<LaunchDemand> = (chunk_sizes.iter())
-                    .map(|&tokens| {
-                        let (heads, embed) = (batch_key.heads, batch_key.embed);
-                        let chunk = PrefillChunk::new(total_batch, heads, prefilled, tokens, embed);
-                        prefilled += tokens;
-                        let mut demand = LaunchDemand::default();
-                        demand.add_chunk(&chunk, &self.hw, self.kv_element_bytes);
-                        demand
-                    })
-                    .collect();
+                self.chunk_demands.clear();
+                self.chunk_demands.extend(chunk_sizes.map(|tokens| {
+                    let (heads, embed) = (batch_key.heads, batch_key.embed);
+                    let chunk = PrefillChunk::new(total_batch, heads, prefilled, tokens, embed);
+                    prefilled += tokens;
+                    let mut demand = LaunchDemand::default();
+                    demand.add_chunk(&chunk, &self.hw, self.kv_element_bytes);
+                    demand
+                }));
+                let demands = &self.chunk_demands;
                 let raw_sum: f64 = demands.iter().map(|d| d.service_s(&self.hw)).sum();
-                let chunks = (demands.iter().enumerate())
-                    .map(|(k, d)| {
-                        let issue = if k > 0 { issue_s(&self.hw) } else { 0.0 };
-                        let share = plan.seconds * d.service_s(&self.hw) / raw_sum;
-                        (share + issue, (d.0, issue))
-                    })
-                    .collect();
+                let mut chunks = self.spare_layouts.pop().unwrap_or_default();
+                chunks.extend((demands.iter().enumerate()).map(|(k, d)| {
+                    let issue = if k > 0 { issue_s(&self.hw) } else { 0.0 };
+                    let share = plan.seconds * d.service_s(&self.hw) / raw_sum;
+                    (share + issue, (d.0, issue))
+                }));
                 self.chunk_chains.insert(
                     chain_id,
                     ChunkChain {
@@ -2915,7 +2936,7 @@ mod tests {
             "{err}"
         );
         assert!(engine.cache().is_empty());
-        assert_eq!(engine.telemetry().map(|t| t.events().len()), Some(1));
+        assert_eq!(engine.telemetry().map(|t| t.len()), Some(1));
     }
 
     /// Two prefill requests sharing an id would fold into one request of
@@ -2940,7 +2961,7 @@ mod tests {
                 "{err}"
             );
             assert!(engine.cache().is_empty());
-            assert_eq!(engine.telemetry().map(|t| t.events().len()), Some(1));
+            assert_eq!(engine.telemetry().map(|t| t.len()), Some(1));
         }
 
         let mut prefill = reqs(4, 1e-4);
@@ -2996,7 +3017,7 @@ mod tests {
                 "{indices:?}: {err}"
             );
             assert!(engine.cache().is_empty());
-            assert_eq!(engine.telemetry().map(|t| t.events().len()), Some(1));
+            assert_eq!(engine.telemetry().map(|t| t.len()), Some(1));
         }
 
         let decode = trace(4, &[1, 3]);
@@ -3043,7 +3064,7 @@ mod tests {
                 "{indices:?}: {err}"
             );
             assert!(engine.cache().is_empty());
-            assert_eq!(engine.telemetry().map(|t| t.events().len()), Some(1));
+            assert_eq!(engine.telemetry().map(|t| t.len()), Some(1));
         }
         let report = engine.run(&[], &undeclared_steps(&[0, 2])).unwrap();
         assert_eq!(report.decode.rejected.len(), 2);
@@ -3342,14 +3363,15 @@ mod tests {
     #[test]
     fn chunk_policy_covers_every_token_exactly_once() {
         let p = ChunkPolicy::new(128);
-        assert_eq!(p.chunk_sizes(512), vec![128, 128, 128, 128]);
-        assert_eq!(p.chunk_sizes(300), vec![128, 128, 44]);
-        assert_eq!(p.chunk_sizes(100), vec![100], "budget >= prompt: one chunk");
-        assert_eq!(p.chunk_sizes(128), vec![128]);
+        let sizes = |p: ChunkPolicy, seq| p.chunk_sizes(seq).collect::<Vec<_>>();
+        assert_eq!(sizes(p, 512), vec![128, 128, 128, 128]);
+        assert_eq!(sizes(p, 300), vec![128, 128, 44]);
+        assert_eq!(sizes(p, 100), vec![100], "budget >= prompt: one chunk");
+        assert_eq!(sizes(p, 128), vec![128]);
         // A zero budget disables chunking rather than dividing by zero.
-        assert_eq!(ChunkPolicy::new(0).chunk_sizes(512), vec![512]);
+        assert_eq!(sizes(ChunkPolicy::new(0), 512), vec![512]);
         for seq in [1usize, 127, 128, 129, 1000, 4096] {
-            assert_eq!(p.chunk_sizes(seq).iter().sum::<usize>(), seq, "seq {seq}");
+            assert_eq!(p.chunk_sizes(seq).sum::<usize>(), seq, "seq {seq}");
         }
     }
 

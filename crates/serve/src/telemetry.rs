@@ -40,22 +40,39 @@
 //! timestamped in the future); sort by `(track, t_s)` — or feed
 //! [`Telemetry::chrome_trace_json`] to a viewer — for a wall-clock view.
 //!
+//! ## Storage
+//!
+//! The log is one byte buffer, not a `Vec` of [`EngineEvent`]s. Each event
+//! is appended as a fixed-layout record: a tag byte, the `f64` time, then
+//! the variant's fields at full width, little-endian (an `f64` as its raw
+//! bits). Nothing is narrowed, so decoding returns exactly the event
+//! recorded, every id and every `f64` bit included. A
+//! [`EventKind::PrefillArrival`]'s workload name is stored once per run in
+//! a name table, and its record carries the name's index. Records take
+//! 18–97 bytes, and the common ones 21–45. The `serve_overload` benchmark
+//! trace averages about 40 bytes per event, where an [`EngineEvent`] takes
+//! 104. [`Telemetry::events`] decodes the whole log into a `Vec`. The
+//! analyses and exporters decode one event at a time and never build it.
+//!
 //! ## Overhead contract
 //!
 //! Recording is **off by default**, and recording never changes the
 //! report: the engine emits the same [`EventKind`] values either way and
 //! builds its report by folding them through the crate's one accounting
-//! implementation (the ledger); recording only appends them to the log.
-//! Events that only the log needs (the run header, arrivals and track
-//! stages) are built only when recording. Enabled, the engine appends
-//! compact plain-data events to a pre-reserved (and across-runs recycled)
-//! `Vec`, and does nothing else: the log is the run's only record, with no
-//! cap and no live aggregates. The `telemetry` bench pins the contract
-//! from both ends: a cold replay of the mixed contention scenario (engine
-//! construction, planning, replay — the serving cost a user pays) stays
-//! within **5%**, and the marginal recording cost on a warm pure-replay
-//! loop stays under an absolute per-event bound, so neither a planning
-//! regression nor a bloated event can hide in the other's denominator.
+//! implementation (the ledger); recording only appends their records to
+//! the log. Events that only the log needs (the run header, arrivals and
+//! track stages) are built only when recording, and an arrival is encoded
+//! straight from its request, so its workload name is never cloned.
+//! Enabled, the engine appends to a byte buffer reserved from the run's
+//! item counts ([`Telemetry`] sizes it from the record layouts) and
+//! recycled across runs of one engine, and does nothing else: the log is
+//! the run's only record, with no cap and no live aggregates. The
+//! `telemetry` bench pins the contract from both ends: a cold replay of
+//! the mixed contention scenario (engine construction, planning, replay —
+//! the serving cost a user pays) stays within **5%**, and the marginal
+//! recording cost on a warm pure-replay loop stays under an absolute
+//! per-event bound, so neither a planning regression nor a bloated record
+//! can hide in the other's denominator.
 //!
 //! ## Replay fidelity
 //!
@@ -104,7 +121,7 @@
 //! [`EngineConfig::telemetry`]: crate::engine::EngineConfig::telemetry
 //! [`LatencyStats`]: crate::metrics::LatencyStats
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use mas_dataflow::DataflowKind;
 use mas_sim::{TrackKind, TRACK_COUNT};
@@ -115,6 +132,8 @@ use crate::key::{LaunchKey, WorkClass};
 use crate::ledger::{Completion, Ledger};
 use crate::metrics::RejectedRequest;
 use crate::queue::RejectReason;
+
+mod codec;
 
 /// Opt-in telemetry configuration ([`crate::engine::EngineConfig::telemetry`]).
 /// Setting it turns recording on; the log has no options.
@@ -479,36 +498,118 @@ pub enum PreemptVictim {
 /// The event log of one engine replay, with analysis and exporters. The
 /// engine appends to it during the run; read it from
 /// [`crate::engine::ServeEngine::telemetry`] after a run with
-/// [`TelemetryConfig`] set.
+/// [`TelemetryConfig`] set. Events are stored encoded (see "Storage" in the
+/// module docs); every view decodes them on the fly.
 #[derive(Debug, Clone)]
 pub struct Telemetry {
-    events: Vec<EngineEvent>,
+    /// The encoded events, back to back, in recording order.
+    bytes: Vec<u8>,
+    /// Events in `bytes`.
+    len: usize,
+    /// The run's distinct prefill workload names.
+    names: Names,
     release_drops: u64,
 }
 
+/// The distinct prefill workload names of a run, each stored once, by the
+/// index their arrival records carry.
+#[derive(Debug, Clone, Default)]
+struct Names {
+    list: Vec<String>,
+    /// Each name's index in `list`.
+    ids: HashMap<String, u32>,
+}
+
+impl Names {
+    /// The index of `name`, adding it on first sight.
+    fn intern(&mut self, name: &str) -> u32 {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = u32::try_from(self.list.len()).expect("under 2^32 workload names");
+        self.list.push(name.to_owned());
+        self.ids.insert(name.to_owned(), id);
+        id
+    }
+
+    fn clear(&mut self) {
+        self.list.clear();
+        self.ids.clear();
+    }
+}
+
 impl Telemetry {
-    /// An empty log with room for `capacity_hint` events. `recycle` donates
-    /// the event buffer of a previous run's log — reusing its allocation
-    /// keeps repeated replays on one warm engine from re-faulting a fresh
-    /// multi-hundred-KB buffer every run, which would dominate the
-    /// recording overhead.
-    pub(crate) fn recording(capacity_hint: usize, recycle: Option<Telemetry>) -> Self {
-        let want = capacity_hint.min(1 << 20);
-        let mut events = recycle.map(|log| log.events).unwrap_or_default();
-        events.clear();
-        if events.capacity() < want {
-            events.reserve(want - events.capacity());
-        }
-        Self {
-            events,
+    /// The log bytes to reserve for a replay of `prefill` requests and
+    /// `decode_steps` decode steps: each item's arrival, join and
+    /// completion records plus one largest launch record (every launch
+    /// carries a member, so this covers the launches of unchunked batches,
+    /// and stage records ride on the slack), and the run header.
+    pub(crate) fn bytes_hint(prefill: usize, decode_steps: usize) -> usize {
+        let prefill_item = codec::PREFILL_ARRIVAL_BYTES
+            + codec::PREFILL_JOIN_BYTES
+            + codec::PREFILL_COMPLETED_BYTES
+            + codec::MAX_RECORD_BYTES;
+        let decode_item = codec::DECODE_ARRIVAL_BYTES
+            + codec::DECODE_JOIN_BYTES
+            + codec::DECODE_COMPLETED_BYTES
+            + codec::MAX_RECORD_BYTES;
+        prefill * prefill_item + decode_steps * decode_item + codec::MAX_RECORD_BYTES
+    }
+
+    /// An empty log with room for `bytes_hint` bytes
+    /// ([`Telemetry::bytes_hint`], capped at 64 MiB). `recycle` donates the
+    /// buffers of a previous run's log — reusing its allocation keeps
+    /// repeated replays on one warm engine from re-faulting a fresh
+    /// multi-megabyte buffer every run, which would dominate the recording
+    /// overhead.
+    pub(crate) fn recording(bytes_hint: usize, recycle: Option<Telemetry>) -> Self {
+        let want = bytes_hint.min(64 << 20);
+        let mut log = recycle.unwrap_or_else(|| Self {
+            bytes: Vec::new(),
+            len: 0,
+            names: Names::default(),
             release_drops: 0,
+        });
+        log.bytes.clear();
+        log.len = 0;
+        log.names.clear();
+        log.release_drops = 0;
+        if log.bytes.capacity() < want {
+            log.bytes.reserve(want);
         }
+        log
     }
 
     /// Appends one event.
     #[inline]
-    pub(crate) fn record(&mut self, t_s: f64, kind: EventKind) {
-        self.events.push(EngineEvent { t_s, kind });
+    pub(crate) fn record(&mut self, t_s: f64, kind: &EventKind) {
+        codec::encode(&mut self.bytes, t_s, kind, |name| self.names.intern(name));
+        self.len += 1;
+    }
+
+    /// Appends a [`EventKind::PrefillArrival`] without building it, so the
+    /// caller need not clone the workload name.
+    #[inline]
+    pub(crate) fn record_prefill_arrival(
+        &mut self,
+        t_s: f64,
+        id: u64,
+        workload: &str,
+        method: DataflowKind,
+        batch: u32,
+        deadline_s: Option<f64>,
+    ) {
+        let workload = self.names.intern(workload);
+        codec::prefill_arrival(
+            &mut self.bytes,
+            t_s,
+            id,
+            workload,
+            method,
+            batch,
+            deadline_s,
+        );
+        self.len += 1;
     }
 
     /// Counts one rejected duplicate budget release (a release arriving for
@@ -517,10 +618,40 @@ impl Telemetry {
         self.release_drops += 1;
     }
 
-    /// The recorded events, in recording order (index = sequence number).
+    /// The recorded events, decoded into a new `Vec` in recording order
+    /// (index = sequence number). Each call decodes the whole log and the
+    /// `Vec` takes about 2.5 times the log's bytes
+    /// ([`Telemetry::encoded_bytes`]); the analyses and exporters below
+    /// decode as they go and never build it.
     #[must_use]
-    pub fn events(&self) -> &[EngineEvent] {
-        &self.events
+    pub fn events(&self) -> Vec<EngineEvent> {
+        let mut events = Vec::with_capacity(self.len);
+        events.extend(self.iter());
+        events
+    }
+
+    /// The number of recorded events.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no event was recorded.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The size of the encoded log in bytes (the run's workload names
+    /// excluded).
+    #[must_use]
+    pub fn encoded_bytes(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Decodes the log in recording order.
+    fn iter(&self) -> codec::Decoder<'_> {
+        codec::Decoder::new(&self.bytes, &self.names.list)
     }
 
     /// Duplicate budget releases the engine detected and rejected (a
@@ -548,7 +679,7 @@ impl Telemetry {
     /// has no [`EventKind::RunStart`].
     #[must_use]
     pub fn report(&self) -> Option<EngineReport> {
-        Some(Replay::run(&self.events)?.ledger.into_report())
+        Some(Replay::run(self.iter())?.ledger.into_report())
     }
 
     /// Shared-budget occupancy peak with attribution: which holders
@@ -557,7 +688,7 @@ impl Telemetry {
     /// charged.
     #[must_use]
     pub fn peak_attribution(&self) -> Option<PeakAttribution> {
-        Replay::run(&self.events)?.peak
+        Replay::run(self.iter())?.peak
     }
 
     /// Checks conservation: every arrival appears exactly once as completed
@@ -571,7 +702,7 @@ impl Telemetry {
         let mut prefill: BTreeMap<u64, u32> = BTreeMap::new();
         let mut decode: BTreeMap<(u64, u32), u32> = BTreeMap::new();
         let mut stats = ConservationStats::default();
-        for event in &self.events {
+        for event in self.iter() {
             match &event.kind {
                 EventKind::PrefillArrival { id, .. } => {
                     if prefill.insert(*id, 0).is_some() {
@@ -658,7 +789,7 @@ impl Telemetry {
     pub fn tracks_monotone(&self) -> Result<(), String> {
         let mut last: BTreeMap<Track, f64> = BTreeMap::new();
         let mut launch_device: BTreeMap<u64, u32> = BTreeMap::new();
-        for (seq, event) in self.events.iter().enumerate() {
+        for (seq, event) in self.iter().enumerate() {
             let track = match &event.kind {
                 EventKind::LaunchDispatched {
                     launch_id, device, ..
@@ -705,7 +836,6 @@ impl Telemetry {
     #[must_use]
     pub fn chrome_trace_json(&self) -> String {
         let devices = self
-            .events
             .iter()
             .find_map(|e| match e.kind {
                 EventKind::RunStart { devices, .. } => Some(devices),
@@ -723,7 +853,7 @@ impl Telemetry {
         // (device, track, stage, start_s, end_s)
         type StageSpanRow = (u32, TrackKind, u32, f64, f64);
         let mut stage_spans: BTreeMap<u64, Vec<StageSpanRow>> = BTreeMap::new();
-        for event in &self.events {
+        for event in self.iter() {
             if let EventKind::LaunchStage {
                 launch_id,
                 device,
@@ -740,7 +870,7 @@ impl Telemetry {
             }
         }
         let us = |t_s: f64| t_s * 1e6;
-        let mut out = String::with_capacity(256 + self.events.len() * 128);
+        let mut out = String::with_capacity(256 + self.len * 128);
         out.push('[');
         let mut first = true;
         let push = |out: &mut String, first: &mut bool, event: String| {
@@ -792,7 +922,7 @@ impl Telemetry {
         // run's policy, devices and budget do not matter here).
         let mut ledger = Ledger::new(SchedulePolicy::default(), 1, u64::MAX);
         let (mut prefill_depth, mut decode_depth) = (0i64, 0i64);
-        for event in &self.events {
+        for event in self.iter() {
             let t = event.t_s;
             if Ledger::moves_budget(&event.kind) {
                 ledger.apply(t, &event.kind);
@@ -1324,9 +1454,9 @@ struct Replay {
 impl Replay {
     /// Replays the full event stream; `None` without a `RunStart`, or when
     /// an event references a device, arrival or launch the log lacks.
-    fn run(events: &[EngineEvent]) -> Option<Self> {
+    fn run(events: codec::Decoder<'_>) -> Option<Self> {
         let (policy, devices, budget, step_deadline_s) =
-            events.iter().find_map(|e| match e.kind {
+            events.clone().find_map(|e| match e.kind {
                 EventKind::RunStart {
                     policy,
                     devices,
@@ -1346,25 +1476,28 @@ impl Replay {
         let mut chains: BTreeMap<u64, Completion> = BTreeMap::new();
         for event in events {
             let t = event.t_s;
-            match &event.kind {
-                EventKind::PrefillArrival {
+            // An arrival moves into the table; the ledger has no use for it.
+            if let EventKind::PrefillArrival {
+                id,
+                workload,
+                method,
+                batch,
+                deadline_s,
+            } = event.kind
+            {
+                arrivals.insert(
                     id,
-                    workload,
-                    method,
-                    batch,
-                    deadline_s,
-                } => {
-                    arrivals.insert(
-                        *id,
-                        ArrivalInfo {
-                            workload: workload.clone(),
-                            method: *method,
-                            batch: *batch,
-                            deadline_s: *deadline_s,
-                            arrival_s: t,
-                        },
-                    );
-                }
+                    ArrivalInfo {
+                        workload,
+                        method,
+                        batch,
+                        deadline_s,
+                        arrival_s: t,
+                    },
+                );
+                continue;
+            }
+            match &event.kind {
                 EventKind::PrefillRejected { id, reason } => {
                     let info = arrivals.get(id)?;
                     ledger.reject_prefill(RejectedRequest {

@@ -467,6 +467,48 @@ fn queue_depth_and_batch_fill_gauges_reflect_the_replay() {
     assert!(report.prefill.batches > 0);
 }
 
+/// The encoded log of a fixed overloaded mixed trace (shared-prefix
+/// sessions, chunked prefill, track stages and preemption on two devices)
+/// has a pinned event count and byte size, so a bloated encoding fails
+/// here. It decodes to as many events as it holds.
+#[test]
+fn the_log_of_a_fixed_mixed_trace_has_a_pinned_size() {
+    let trace = mixed_trace(
+        &MixedTraceConfig::poisson(
+            vec![Network::BertSmall, Network::T5Mini],
+            12,
+            2000.0,
+            4,
+            300.0,
+            7,
+        )
+        .with_shared_system_prompt(64),
+    );
+    let stream =
+        ServeRequest::stream_from_trace(&trace.prefill, DataflowKind::MasAttention, Some(0.05));
+    let mut engine = ServeEngine::new(EngineConfig {
+        decode: DecodePolicy {
+            prefix_share: true,
+            kv_dtype: Some(KvDtype::F16),
+            step_deadline_s: Some(0.004),
+            ..DecodePolicy::default()
+        },
+        chunked_prefill: Some(ChunkPolicy::new(64)),
+        preempt: Some(PreemptMode::Hold),
+        tracks: Some(TrackConfig::default()),
+        shared_budget_bytes: Some(4_000_000),
+        ..telemetry_config(SchedulePolicy::DecodePriority, 2)
+    });
+    engine.run(&stream, &trace.decode).unwrap();
+    let telemetry = engine.telemetry().unwrap();
+    assert_eq!(
+        (telemetry.len(), telemetry.encoded_bytes()),
+        (2_560, 109_493),
+        "events and log bytes"
+    );
+    assert_eq!(telemetry.events().len(), telemetry.len());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
