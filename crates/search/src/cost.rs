@@ -14,8 +14,8 @@
 //! instead of simulating them event by event (the "Steady-state
 //! fast-forward" of `mas_sim::executor`), with identical results: it
 //! simulates the warm-up, the chunk boundaries and the epilogues event by
-//! event, and each replayed task costs a few word writes and its energy
-//! sum. Many-round tilings such as [`Tiling::naive`] gain the most.
+//! event, and a skip costs the period it repeats plus one energy sum per
+//! skipped task. Many-round tilings such as [`Tiling::naive`] gain the most.
 //!
 //! Simulating one candidate is a pure function of `(method, workload,
 //! hardware, tiling)`, so a batch of uncached candidates — a GA generation, a

@@ -395,11 +395,10 @@ proptest! {
     }
 }
 
-/// Zero-cycle tasks ahead of every periodic graph's rounds.
-const WARMUP: usize = 4_200;
-
 /// A random periodic graph, the shape the steady-state fast-forward
-/// skips over: a zero-cycle warm-up and a prologue of 0–3 transfers, then
+/// skips over: a zero-cycle warm-up of none, a few or 4,200 tasks (so
+/// skips are checked from the first periods on and after a long start)
+/// and a prologue of 0–3 transfers, then
 /// a random round template of 2–10 tasks repeated 8–300 times per chunk,
 /// one chunk per core, laid out chunk after chunk or round by round. A
 /// template task runs on a DMA channel or on its chunk's MAC or VEC unit,
@@ -440,9 +439,13 @@ fn periodic_graph(rng: &mut StdRng, cores: usize) -> TaskGraph {
     };
     let mut g = TaskGraph::new();
     // Zero-cycle barriers on every compute unit all start at cycle 0, ahead
-    // of the rounds: the executor looks for repeats only once 4,096 tasks
-    // have started.
-    for i in 0..WARMUP {
+    // of the rounds.
+    let warmup = match rng.gen_range(0..3u32) {
+        0 => 0,
+        1 => rng.gen_range(1..16usize),
+        _ => 4_200,
+    };
+    for i in 0..warmup {
         let core = i / 2 % cores;
         let resource = if i % 2 == 0 {
             Resource::Mac { core }

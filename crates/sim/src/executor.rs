@@ -55,8 +55,10 @@
 //! A graph with no repeats gets the per-task rows of a plain CSR inversion,
 //! indexed by program index: read through the stored-form path above, a
 //! repeat-free graph simulates ~10–20% slower. What a run still keeps per
-//! task, instance or not, is its dependency count, its place in the start
-//! order and its end cycle. Each
+//! task, instance or not, is its dependency count and its end cycle. A
+//! template task with no dependencies has every instance ready from the
+//! start; only its next instance waits in the ready queue, and starting it
+//! readies the one after. Each
 //! start and each completion costs `O(log n)` heap work for `n` tasks, and
 //! each start pass costs `O(r)` for the `r` resources in use (at most
 //! `2 + 2·cores`). The per-run arrays are kept per thread and reused by the
@@ -81,52 +83,45 @@
 //! a repeated period are ever skipped, so a graph with no repeats is
 //! simulated event by event and never looked at.
 //!
-//! - **Checkpoints.** At the first visit of each instant, once 4,096 tasks
-//!   have started, the executor hashes its state relative to `now` and to
-//!   the lowest incomplete task (`lo`): the running tasks as
-//!   `(end − now, index − lo)` and the ready-queue lengths. Which slots are
-//!   busy, and until when, follows from the running tasks. A sampled share
-//!   of states is kept in a small table keyed by that hash.
-//! - **The repeat rule.** When a state `B` hashes like an earlier `A`, with
+//! - **Looks.** The executor looks only where a skip can begin: at the
+//!   first visit of an instant at which the lowest incomplete task (`lo`)
+//!   has entered a new instance of a repeat. A look hashes the running
+//!   tasks as `(end − now, index − lo)` and the ready-queue lengths, and
+//!   keeps the state in a map keyed by that hash until the next skip or
+//!   until `lo` leaves the repeat. A repeat-free graph is never looked at.
+//! - **The repeat rule.** When a look `B` hashes like an earlier `A`, with
 //!   `P = now_B − now_A` and `S = lo_B − lo_A`, the executor checks that `B`
-//!   is `A` shifted. Every task the period started is an instance of a
-//!   repeated period. The tasks running at `B` ran at `A`, `S` lower, with
-//!   as long to go. Each task ready at `B` was ready at `A`, `S` lower, or
-//!   outranks nothing the skipped periods pop. Everything the period
-//!   touched (its starts, the tasks running or ready at `A`, their
-//!   dependents and their dependencies not complete at `A`) falls into
-//!   clusters of tasks, and each cluster, shifted by every skipped period,
-//!   must stay a copy of itself. The template says where that holds without
-//!   scanning the graph: task `x + S` copies task `x` when both are
-//!   instances of one repeat whose period divides `S`, at least two periods
-//!   before its end (so both have all of the template's dependents), when
-//!   no task added after the repeat waits on either, and when every fixed
-//!   dependency of the template is complete at `A`. Finding where a
-//!   cluster's copy ends costs `O(log n + f)`: binary searches over the
-//!   repeats and the extras, and one state read for each of the `f`
-//!   distinct fixed tasks its repeat waits on, listed once per run. Every
-//!   task of a cluster must also be in the same state at `B` as its
-//!   original at `A`, which is checked task by task. By induction, each
-//!   period after `B` then repeats the one between `A` and `B`, shifted.
-//! - **How far.** The skip covers `m` whole periods. `m` is the largest
-//!   count for which every cluster, shifted `m − 1` more times, still lies
-//!   where the graph is a copy and in the matching state, and no ready task
-//!   outside the copy outranks a task those periods pop. The end of a
-//!   repeat, or a task that differs, bounds `m`: the chunk's epilogue ends
-//!   the skip, and event-by-event simulation resumes there, free to skip
-//!   again once a new repeat shows.
-//! - **The replay.** The period's starts are recorded in start order and
-//!   replayed `m` times, shifted, through the same bookkeeping as the event
-//!   loop: each start adds its energy in that order, so every `f64` sum is
-//!   bit-identical; its MAC/VEC span and its trace entry (label computed
-//!   from the template for the shifted task) are recorded. Busy cycles add
-//!   `m` times the period's, each used slot's `busy_until` moves `m·P` on,
-//!   the replayed completions' dependents (their template rows, shifted)
-//!   count them, and the ready queues drop the replayed starts.
-//! - **Cost.** Looking costs a hash per instant and a bounded share of work
-//!   per start; a repeat's checks and its replay cost a few word reads and
-//!   writes per skipped task instead of the event loop's heap work. A
-//!   graph whose state never repeats is simulated event by event.
+//!   is `A` shifted. The tasks running at `B` ran at `A`, `S` lower, with
+//!   as long to go. Every task the period started is an instance of a
+//!   repeat whose period divides `S`, and every fixed dependency of that
+//!   repeat was complete at `A`. Each ready task was ready at `A`, `S`
+//!   lower, or was ready at `A` itself and outranks everything the skipped
+//!   periods pop on its slot. The instances of each template task start in
+//!   order (the executor tracks the next one to start, and stops looking
+//!   for good if any starts out of turn), so a repeat's state is which
+//!   instance of each template task starts next plus the running tasks:
+//!   the state at `B` is the state at `A` shifted wherever each template
+//!   task started `S / len` instances in the period.
+//! - **How far.** The skip covers `m` whole periods: as long as the tasks
+//!   the periods reach stay before their repeat's end, before the first
+//!   instance a task added after the repeat waits on, before the first
+//!   instance of a template task that did not start `S / len` instances
+//!   in the period (a transfer prefetched far ahead, say), and below every
+//!   ready task that does not move with the period.
+//! - **What a skip does.** The running tasks and the ready tasks that move
+//!   with the period are shifted `m·P` cycles and `m·S` tasks on. Each
+//!   repeat's tasks below its new lowest incomplete task are complete (a
+//!   range of tasks no end cycle is written for), and only the window
+//!   above, up to what the period reaches, takes the end cycles and
+//!   dependency counts of the tasks `m` periods before it. Busy cycles add
+//!   `m` times the period's, and the MAC/VEC overlap adds `m` times the
+//!   period's. What a skip still does per skipped task is add its energy,
+//!   in start order, so every `f64` sum is bit-identical, and record its
+//!   trace entry on a traced run.
+//! - **Cost.** A look costs a hash and a map lookup per instance of a
+//!   repeat; checking a repeat costs the period's starts and the ready
+//!   tasks, and a skip the window plus one energy sum per skipped task.
+//!   A graph whose state never repeats is simulated event by event.
 //!
 //! # Track scheduling (continuous time)
 //!
@@ -160,7 +155,7 @@
 use std::cell::Cell;
 use std::cmp::Reverse;
 
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 
 use crate::config::HardwareConfig;
 use crate::energy::{EnergyBreakdown, EnergyModel};
@@ -277,8 +272,8 @@ impl Executor {
         let links = Links::new(graph, &mut spare)?;
         let Arrays {
             remaining_deps,
-            mut seq,
             mut end_at,
+            mut next_of,
             mut order,
             ..
         } = spare;
@@ -321,11 +316,18 @@ impl Executor {
                 .unwrap_or(0);
         }
 
-        seq.clear();
-        seq.resize(n, u32::MAX);
         end_at.clear();
         end_at.resize(n, u64::MAX);
+        next_of.clear();
         order.clear();
+        if !links.meta.is_empty() {
+            next_of.resize(graph.stored_len(), 0);
+            graph.for_each_stored(|s, first, repeat| {
+                if repeat.is_some() {
+                    next_of[s] = first as u32;
+                }
+            });
+        }
         let mut run = Run {
             links: &links,
             work: ids,
@@ -340,24 +342,33 @@ impl Executor {
             energy: EnergyBreakdown::zero(),
             mac_spans: Vec::new(),
             vec_spans: Vec::new(),
+            overlap_before: 0,
             completed: 0,
             now: 0,
-            seq,
             end_at,
+            next_of,
+            ordered: true,
             started: 0,
             order,
             order_base: 0,
             lo: 0,
-            marks: Vec::new(),
-            retry_lo: 0,
+            look_at: graph.repeats().first().map_or(usize::MAX, |r| r.first),
+            done: Vec::new(),
+            marks: HashMap::new(),
+            marks_in: usize::MAX,
             replayed: 0,
-            spent: 0,
         };
+        // A template task with no dependencies readies its chained
+        // instances one at a time (`Meta::chain_end`).
         graph.for_each_stored(|s, first, repeat| {
             if graph.stored_deps(s).is_empty() {
                 let (count, step) = repeat.map_or((1, 0), |r| (r.count, r.len));
+                let chain_end = links.meta.get(s).map_or(0, |m| m.chain_end as usize);
                 for k in 0..count {
-                    run.make_ready(first + k * step);
+                    let x = first + k * step;
+                    if k == 0 || x >= chain_end {
+                        run.make_ready(x);
+                    }
                 }
             }
         });
@@ -379,13 +390,13 @@ impl Executor {
             vec_ops: total(&|kind| kind.vec_ops(hw.softmax_ops_per_element)),
             busy_cycles,
             tasks_executed: n,
-            mac_vec_overlap_cycles: overlap(&run.mac_spans, &run.vec_spans),
+            mac_vec_overlap_cycles: run.overlap_before + overlap(&run.mac_spans, &run.vec_spans),
             trace: run.trace.take(),
         };
         let loop_starts = n - run.replayed;
-        let (remaining_deps, seq, end_at, order) =
-            (run.remaining_deps, run.seq, run.end_at, run.order);
-        SPARE.set(links.into_arrays(remaining_deps, seq, end_at, order));
+        let (remaining_deps, end_at, next_of, order) =
+            (run.remaining_deps, run.end_at, run.next_of, run.order);
+        SPARE.set(links.into_arrays(remaining_deps, end_at, next_of, order));
         Ok((report, loop_starts))
     }
 }
@@ -400,8 +411,8 @@ struct Arrays {
     dependents: Vec<u32>,
     meta: Vec<Meta>,
     remaining_deps: Vec<u32>,
-    seq: Vec<u32>,
     end_at: Vec<u64>,
+    next_of: Vec<u32>,
     order: Vec<u32>,
 }
 
@@ -466,6 +477,15 @@ struct Meta {
     /// For a template task, one past its repeat's last task; 0 for a
     /// plain task.
     bound: u32,
+    /// For a template task, its repeat's period length; 0 for a plain
+    /// task.
+    len: u32,
+    /// For a template task with no dependencies, one past its last
+    /// instance whose priority follows the instance before it: starting
+    /// one of these readies the next (the others are readied up front).
+    /// Every instance is then ready from the start, and the ready queue
+    /// pops them in order either way, so only the first waits in it.
+    chain_end: u32,
     /// Whether spans (of a plain task) or extras (of a template task's
     /// instances) list more dependents.
     more: bool,
@@ -512,6 +532,7 @@ impl<'g> Links<'g> {
             let template = r.stored..r.stored + r.len;
             for (t, m) in template.clone().zip(&mut meta[template]) {
                 m.bound = r.end() as u32;
+                m.len = r.len as u32;
                 let deps = graph.stored_deps(t).iter().map(|d| d.index());
                 fixed.extend(deps.filter(|&d| !r.shifts(d)).map(|d| (k, d)));
             }
@@ -548,6 +569,27 @@ impl<'g> Links<'g> {
             }
         });
         offsets.pop();
+        for r in repeats {
+            for t in r.stored..r.stored + r.len {
+                if !graph.stored_deps(t).is_empty() {
+                    continue;
+                }
+                let first = r.first + t - r.stored;
+                let work = graph.works()[graph.work_ids()[t] as usize];
+                let row = &dependents[offsets[t]..offsets[t + 1]];
+                // A DMA task ranks by its nearest dependent in the repeat,
+                // `first + k·len + d` for instance `k`, while that lies
+                // before the repeat's end.
+                let chained = if work.resource.is_compute() {
+                    r.count
+                } else {
+                    row.iter().min().map_or(0, |&d| {
+                        (r.end().saturating_sub(first + d as usize)).div_ceil(r.len)
+                    })
+                };
+                meta[t].chain_end = (first + chained.min(r.count) * r.len) as u32;
+            }
+        }
         spans.sort_unstable_by_key(|span: &Span| span.target);
         for span in &spans {
             meta[span.target].more = true;
@@ -618,22 +660,9 @@ impl<'g> Links<'g> {
         })
     }
 
-    /// Whether the task at program index `x` is an instance of a
-    /// repeated period; asked only of a graph with repeats.
-    fn repeated(&self, x: usize) -> bool {
-        self.meta[self.stored(x)].bound > 0
-    }
-
     /// The stored index of the task at program index `x`.
     fn stored(&self, x: usize) -> usize {
         stored_index(&self.stored_of, x)
-    }
-
-    /// Task `x`'s row: for a template task, how far after it each of its
-    /// dependents in its repeat lies.
-    fn row(&self, x: usize) -> &[u32] {
-        let s = self.stored(x);
-        &self.dependents[self.offsets[s]..self.offsets[s + 1]]
     }
 
     /// Calls `f` with each task waiting on task `x`, once per dependency
@@ -671,8 +700,8 @@ impl<'g> Links<'g> {
     fn into_arrays(
         self,
         remaining_deps: Vec<u32>,
-        seq: Vec<u32>,
         end_at: Vec<u64>,
+        next_of: Vec<u32>,
         order: Vec<u32>,
     ) -> Arrays {
         Arrays {
@@ -681,8 +710,8 @@ impl<'g> Links<'g> {
             dependents: self.dependents,
             meta: self.meta,
             remaining_deps,
-            seq,
             end_at,
+            next_of,
             order,
         }
     }
@@ -819,30 +848,37 @@ fn edges(graph: &TaskGraph, mut f: impl FnMut(Edge)) {
     }
 }
 
-/// Buckets and ways of the table of checkpoints a repeat is looked up in,
-/// and the share of checkpoints (one in `MARK_SAMPLE`) entered in it.
-const MARK_BUCKETS: usize = 64;
-const MARK_WAYS: usize = 4;
-const MARK_SAMPLE: u64 = 4;
-/// Starts before the first checkpoint.
-const LOOK_AFTER: usize = 4096;
 /// [`Run::status`] of a task not started, and of a complete one.
 const WAITING: u64 = u64::MAX;
 const DONE: u64 = u64::MAX - 1;
 
-/// The executor's state at a checkpoint, as the fast-forward compares it.
-#[derive(Debug, Clone, Copy, Default)]
+/// The executor's state at a look (module docs), as the fast-forward
+/// compares it; kept in a map keyed by a hash of the running tasks and
+/// queue lengths relative to `(now, lo)`.
+#[derive(Debug, Clone, Copy)]
 struct Mark {
-    /// Hash of the running tasks and queue lengths relative to
-    /// `(now, lo)`, with the lowest bit set; 0 marks an empty entry.
-    key: u64,
     now: u64,
     lo: usize,
-    /// Tasks running at the checkpoint.
+    /// Tasks running at the look.
     running: usize,
-    /// Tasks started before the checkpoint (the length of the start order).
+    /// Tasks started before the look (the length of the start order).
     started: usize,
     completed: usize,
+}
+
+/// What a fast-forward reads of one repeat the period touched.
+#[derive(Debug, Clone)]
+struct Touched {
+    repeat: usize,
+    /// The highest task the period reads or writes, counted before the
+    /// shift.
+    reach: usize,
+    /// One past the highest task that can be relied on to be a copy.
+    end: usize,
+    /// The lowest incomplete task of the repeat now.
+    lo: usize,
+    /// How many instances of each template task the period started.
+    count: Vec<u32>,
 }
 
 /// One simulation in progress: the dense state the scheduling contract
@@ -866,30 +902,40 @@ struct Run<'a> {
     busy_cycles: Vec<u64>,
     trace: Option<Trace>,
     energy: EnergyBreakdown,
-    /// The union of MAC and of VEC busy time, as disjoint ascending spans.
+    /// The union of MAC and of VEC busy time from the last fast-forward
+    /// on, as disjoint ascending spans, and their overlap before it.
     mac_spans: Vec<(u64, u64)>,
     vec_spans: Vec<(u64, u64)>,
+    overlap_before: u64,
     completed: usize,
     now: u64,
-    /// Each task's place in the start order and end cycle (`MAX` before
-    /// it starts).
-    seq: Vec<u32>,
+    /// Each task's end cycle (`MAX` before it starts). A fast-forward
+    /// writes it only past the new `lo` of each repeat it skips in; the
+    /// tasks below are in `done`.
     end_at: Vec<u64>,
+    /// For each template task, the program index of its next instance to
+    /// start; instances start in order while `ordered` holds.
+    next_of: Vec<u32>,
+    ordered: bool,
     /// Tasks started so far.
     started: usize,
     /// The tasks the event loop started since the last fast-forward, in
-    /// start order; the first had place `order_base` in it.
+    /// start order; the first had place `order_base` in it. Kept only for
+    /// a graph with repeats.
     order: Vec<u32>,
     order_base: usize,
     /// Every task below `lo` is complete.
     lo: usize,
-    marks: Vec<Mark>,
-    /// No repeat is looked for again before `lo` reaches this index.
-    retry_lo: usize,
+    /// The next look happens once `lo` reaches this index (`MAX`: never).
+    look_at: usize,
+    /// Ranges of tasks a fast-forward completed without writing their end
+    /// cycles, ascending, each above `lo`.
+    done: Vec<(usize, usize)>,
+    /// The looks since the last fast-forward in the repeat `lo` is in.
+    marks: HashMap<u64, Mark>,
+    marks_in: usize,
     /// Tasks started by the fast-forward rather than the event loop.
     replayed: usize,
-    /// Work spent looking for repeats, in tasks and queue entries visited.
-    spent: usize,
 }
 
 impl Run<'_> {
@@ -922,15 +968,18 @@ impl Run<'_> {
     fn event_loop(&mut self) -> Result<()> {
         let n = self.remaining_deps.len();
         let links = self.links;
-        let mut marked = u64::MAX;
+        let mut visited = u64::MAX;
         while self.completed < n {
-            // The first visit of each instant is a checkpoint, which may
-            // skip whole periods ahead.
-            if self.now != marked {
-                let skipped = self.checkpoint();
-                marked = self.now;
-                if skipped {
-                    continue;
+            // The first visit of an instant at which `lo` has entered a
+            // new instance of a repeat is a look, which may skip whole
+            // periods ahead.
+            if self.now != visited {
+                visited = self.now;
+                if self.look_at != usize::MAX {
+                    self.advance_lo();
+                    if self.lo >= self.look_at && self.look() {
+                        continue;
+                    }
                 }
             }
 
@@ -979,209 +1028,214 @@ impl Run<'_> {
         Ok(())
     }
 
-    /// Starts ready task `index` on idle slot `s` at the current time.
+    /// Starts ready task `index` on idle slot `s` at the current time:
+    /// its end, its slot's busy time, its energy, the MAC/VEC spans and
+    /// its trace entry. An instance of a template task also moves its
+    /// template's next instance on, and readies it when the template has
+    /// no dependencies (`Meta::chain_end`).
     fn start(&mut self, s: usize, index: usize) {
-        let cost = *self.cost(index);
-        let end = self.now + cost.cycles;
+        let stored = stored_index(self.stored_of, index);
+        let cost = self.costs[self.work[stored] as usize];
+        let (start, end) = (self.now, self.now + cost.cycles);
         self.busy_until[s] = end;
         self.busy_cycles[s] += cost.cycles;
         self.running.push(Reverse((end, index)));
         self.energy.accumulate(&cost.energy);
-        self.order.push(index as u32);
-        self.record(index, cost.resource, self.now, end);
-    }
-
-    /// Records a start of task `index` on `resource` over `[start, end)`:
-    /// its place in the start order, its end, the MAC/VEC spans and the
-    /// trace entry. The event loop and the fast-forward both record every
-    /// start here; the event loop also lists it in `order`.
-    fn record(&mut self, index: usize, resource: Resource, start: u64, end: u64) {
-        self.seq[index] = self.started as u32;
-        self.started += 1;
         self.end_at[index] = end;
+        self.started += 1;
         if end > start {
-            match resource {
+            match cost.resource {
                 Resource::Mac { .. } => add_span(&mut self.mac_spans, start, end),
                 Resource::Vec { .. } => add_span(&mut self.vec_spans, start, end),
                 _ => {}
             }
         }
         if let Some(trace) = &mut self.trace {
+            let graph = self.links.graph;
             trace.push(TraceEntry {
                 task: TaskId(index),
-                label: self.links.graph.label(self.links.graph.locate(index)),
-                resource,
+                label: graph.label(graph.locate(index)),
+                resource: cost.resource,
                 start_cycle: start,
                 end_cycle: end,
             });
         }
+        if let Some(meta) = self.links.meta.get(stored) {
+            self.order.push(index as u32);
+            if meta.len > 0 {
+                let next = index + meta.len as usize;
+                self.ordered &= self.next_of[stored] as usize == index;
+                self.next_of[stored] = next as u32;
+                if next < meta.chain_end as usize {
+                    self.make_ready(next);
+                }
+            }
+        }
     }
 
-    /// Task `x`'s state at the checkpoint at cycle `t`, before which
-    /// `started` tasks had started: [`WAITING`], [`DONE`] or running for
+    /// Moves `lo` past the complete tasks.
+    fn advance_lo(&mut self) {
+        let n = self.end_at.len();
+        while self.lo < n {
+            match self.done.first() {
+                Some(&(from, to)) if from <= self.lo => {
+                    self.lo = self.lo.max(to);
+                    self.done.remove(0);
+                }
+                _ if self.end_at[self.lo] <= self.now => self.lo += 1,
+                _ => break,
+            }
+        }
+    }
+
+    /// Task `x`'s state at mark `a`: [`WAITING`], [`DONE`] or running for
     /// that many more cycles.
-    fn status(&self, x: usize, started: usize, t: u64) -> u64 {
-        if self.seq[x] as usize >= started {
+    fn status(&self, x: usize, a: &Mark) -> u64 {
+        if x < a.lo || self.done.iter().any(|&(from, to)| (from..to).contains(&x)) {
+            return DONE;
+        }
+        let end = self.end_at[x];
+        if end == u64::MAX || end - self.cost(x).cycles >= a.now {
             WAITING
-        } else if self.end_at[x] <= t {
+        } else if end <= a.now {
             DONE
         } else {
-            self.end_at[x] - t
+            end - a.now
         }
     }
 
-    /// Records a checkpoint at the current instant, or fast-forwards when
-    /// an earlier checkpoint had the same state (module docs) and returns
+    /// Whether task `x` was ready at mark `a`: waiting, with every
+    /// dependency complete.
+    fn ready_at(&self, x: usize, a: &Mark) -> bool {
+        self.status(x, a) == WAITING && self.links.deps(x).all(|d| self.status(d, a) == DONE)
+    }
+
+    /// The repeat task `x` is an instance of, if any.
+    fn repeat_of(&self, x: usize) -> Option<usize> {
+        let repeats = self.links.graph.repeats();
+        let k = repeats.partition_point(|r| r.first <= x).checked_sub(1)?;
+        (x < repeats[k].end()).then_some(k)
+    }
+
+    /// The index `lo` must reach for the next look: the start of the next
+    /// instance of a repeat.
+    fn next_look(&self) -> usize {
+        let repeats = self.links.graph.repeats();
+        let k = repeats.partition_point(|r| r.first <= self.lo);
+        match k.checked_sub(1).map(|k| repeats[k]) {
+            Some(r) if self.lo < r.end() => {
+                let next = r.first + ((self.lo - r.first) / r.len + 1) * r.len;
+                if next < r.end() {
+                    return next;
+                }
+                repeats.get(k).map_or(usize::MAX, |r| r.first)
+            }
+            _ => repeats.get(k).map_or(usize::MAX, |r| r.first),
+        }
+    }
+
+    /// A look: keeps the state now, or fast-forwards when an earlier look
+    /// in the same repeat had the same state (module docs) and returns
     /// whether it did.
-    fn checkpoint(&mut self) -> bool {
-        // A short run cannot repay looking, and only instances of a
-        // repeated period are ever skipped.
-        if self.started < LOOK_AFTER || self.links.graph.repeats().is_empty() {
-            return false;
-        }
-        let n = self.remaining_deps.len();
-        while self.lo < n && self.end_at[self.lo] <= self.now {
-            self.lo += 1;
-        }
-        // Only states whose first-ending task (or, with none running, whose
-        // queue lengths) give a sample hash that is a multiple of
-        // `MARK_SAMPLE` are kept: the rule depends on the state alone, so
-        // every period still holds some, while most instants cost one hash.
-        let relative =
-            |end: u64, index: usize| (((index - self.lo) as u64) << 32) ^ (end - self.now);
-        let sample = match self.running.peek() {
-            Some(&Reverse((end, index))) => relative(end, index),
-            None => self
-                .ready
-                .iter()
-                .fold(1u64 << 63, |h, q| h.rotate_left(7) ^ q.len() as u64),
+    fn look(&mut self) -> bool {
+        self.look_at = if self.ordered {
+            self.next_look()
+        } else {
+            usize::MAX
         };
-        if !mix(sample).is_multiple_of(MARK_SAMPLE) {
+        let Some(repeat) = self.repeat_of(self.lo).filter(|_| self.ordered) else {
             return false;
-        }
+        };
         // Which slots are busy, and until when, follows from the running
         // tasks: a slot is busy exactly while its last task runs. The
         // queue lengths only sharpen the key.
         let mut key = self.running.len() as u64;
         for &Reverse((end, index)) in self.running.iter() {
-            key = key.wrapping_add(mix(relative(end, index)));
+            let relative = (((index - self.lo) as u64) << 32) ^ (end - self.now);
+            key = key.wrapping_add(mix(relative));
         }
         for queue in &self.ready {
             key = key.rotate_left(7) ^ queue.len() as u64;
         }
-        let key = mix(key);
-        if self.marks.is_empty() {
-            self.marks = vec![Mark::default(); MARK_BUCKETS * MARK_WAYS];
+        if self.marks_in != repeat {
+            self.marks.clear();
+            self.marks_in = repeat;
         }
-        let bucket = (key >> 1) as usize % MARK_BUCKETS * MARK_WAYS;
-        let key = key | 1;
-        // Looking for a repeat costs at most a few units of work per start.
-        let allowance = (2 * self.started).saturating_sub(self.spent);
-        if self.lo >= self.retry_lo && allowance > 0 {
-            for way in bucket..bucket + MARK_WAYS {
-                let earlier = self.marks[way];
-                if earlier.key == key && earlier.lo < self.lo {
-                    if self.fast_forward(&earlier, allowance) {
-                        self.marks.fill(Mark::default());
-                        return true;
-                    }
-                    // Look again one period later at the earliest.
-                    self.retry_lo = self.retry_lo.max(2 * self.lo - earlier.lo);
-                }
+        if let Some(a) = self.marks.get(&key).copied() {
+            if self.fast_forward(&a) {
+                self.marks.clear();
+                self.look_at = self.next_look();
+                return true;
             }
         }
-        self.marks
-            .copy_within(bucket..bucket + MARK_WAYS - 1, bucket + 1);
-        self.marks[bucket] = Mark {
+        self.marks.insert(
             key,
-            now: self.now,
-            lo: self.lo,
-            running: self.running.len(),
-            started: self.started,
-            completed: self.completed,
-        };
+            Mark {
+                now: self.now,
+                lo: self.lo,
+                running: self.running.len(),
+                started: self.started,
+                completed: self.completed,
+            },
+        );
         false
     }
 
-    /// The first task from `from` on that is not copied `shift` later for
-    /// a fast-forward from checkpoint `a`; every task in between is. Task
-    /// `x + shift` is a copy of `x` when both are instances of one repeated
-    /// period whose length divides `shift`, far enough from its end that
-    /// both have the template's dependents, neither has a dependent added
-    /// after the repeat, and every fixed dependency of the template is
-    /// complete at `a`.
-    fn copy_end(&self, from: usize, shift: usize, a: &Mark) -> usize {
-        let graph = self.links.graph;
-        let At::Repeated { repeat, .. } = graph.locate(from) else {
-            return from;
-        };
-        let r = graph.repeats()[repeat];
-        let fixed = &self.links.fixed;
-        let fixed_done = fixed[fixed.partition_point(|f| f.0 < repeat)..]
-            .iter()
-            .take_while(|f| f.0 == repeat)
-            .all(|&(_, d)| self.status(d, a.started, a.now) == DONE);
-        if !shift.is_multiple_of(r.len) || !fixed_done {
-            return from;
-        }
-        // A template dependent lies less than two periods on.
-        let mut end = (r.end() + 1).saturating_sub(shift + 2 * r.len);
-        let extras = &self.links.extras;
-        let first_extra = |at: usize| {
-            extras
-                .get(extras.partition_point(|e| e.0 < at))
-                .map(|e| e.0)
-        };
-        if let Some(x) = first_extra(from) {
-            end = end.min(x);
-        }
-        if let Some(x) = first_extra(from + shift) {
-            end = end.min(x - shift);
-        }
-        end.max(from)
-    }
-
     /// Skips whole periods when the state now (`B`) is the state at the
-    /// earlier checkpoint `a` shifted by `P` cycles and `S` tasks, and
-    /// returns whether it did (module docs).
-    fn fast_forward(&mut self, a: &Mark, allowance: usize) -> bool {
+    /// earlier look `a` shifted by `P` cycles and `S` tasks, and returns
+    /// whether it did (module docs).
+    fn fast_forward(&mut self, a: &Mark) -> bool {
         let links = self.links;
+        let repeats = links.graph.repeats();
         let (period, shift) = (self.now - a.now, self.lo - a.lo);
-        let started = self.started;
-        let status_now = |run: &Self, x: usize| run.status(x, started, run.now);
-        let status_at_a = |run: &Self, x: usize| run.status(x, a.started, a.now);
-        // The first look, up to the region scans, must fit the allowance.
-        let queued: usize = self.ready.iter().map(BinaryHeap::len).sum();
-        let first_look = self.running.len() + (started - a.started) + queued;
-        if first_look > allowance {
+        if self.running.len() != a.running {
             return false;
         }
-        self.spent += first_look;
+        let mut touched: Vec<Touched> = Vec::new();
+        let mut touch = |run: &Self, x: usize| -> bool {
+            let Some(k) = run.repeat_of(x) else {
+                return false;
+            };
+            let r = repeats[k];
+            match touched.iter_mut().find(|t| t.repeat == k) {
+                Some(t) => t.reach = t.reach.max(x + 2 * r.len),
+                None => {
+                    if !shift.is_multiple_of(r.len) {
+                        return false;
+                    }
+                    touched.push(Touched {
+                        repeat: k,
+                        reach: x + 2 * r.len,
+                        end: r.end(),
+                        lo: 0,
+                        count: Vec::new(),
+                    });
+                }
+            }
+            true
+        };
 
-        // The tasks running now ran at `a`, shifted, with as long to go.
-        if self.running.len() != a.running
-            || self
-                .running
-                .iter()
-                .any(|&Reverse((end, y))| status_at_a(self, y - shift) != end - self.now)
-        {
-            return false;
+        // The tasks running now ran at `a`, `S` lower, with as long to go.
+        for &Reverse((end, y)) in self.running.iter() {
+            let Some(x) = y.checked_sub(shift) else {
+                return false;
+            };
+            if self.repeat_of(y) != self.repeat_of(x)
+                || self.status(x, a) != end - self.now
+                || !touch(self, x)
+            {
+                return false;
+            }
         }
-        let running_at_a: Vec<usize> = self
-            .running
-            .iter()
-            .map(|&Reverse((_, y))| y - shift)
-            .collect();
 
-        // The period's starts in order, with what replaying one costs, and
+        // The period's starts in order, each an instance of a repeat, and
         // per slot the largest priority it popped and the cycles it added.
-        let mut starts = Vec::with_capacity(started - a.started);
+        let mut starts = Vec::with_capacity(self.started - a.started);
         let mut top = vec![None; self.ready.len()];
         let mut added = vec![0u64; self.ready.len()];
         for &x in &self.order[a.started - self.order_base..] {
             let x = x as usize;
-            // Only an instance of a repeated period can be skipped.
-            if !links.repeated(x) {
+            if !touch(self, x) {
                 return false;
             }
             let cost = *self.cost(x);
@@ -1190,106 +1244,116 @@ impl Run<'_> {
             added[s] += cost.cycles;
             starts.push((x, self.end_at[x] - cost.cycles, cost));
         }
+        if starts.is_empty() {
+            return false;
+        }
 
-        // Each task ready now was ready at `a`, shifted, or else outranks
-        // nothing the skipped periods pop: its priority exceeds the
-        // period's largest on the slot, `rounds` periods on.
-        let mut rounds = usize::MAX;
-        let mut touched: Vec<usize> = starts
-            .iter()
-            .map(|s| s.0)
-            .chain(running_at_a.iter().copied())
-            .collect();
+        // Each task ready now was ready at `a`, `S` lower (it is in the
+        // copied range and moves with it), or was ready at `a` itself and
+        // outranks everything the skipped periods pop on its slot.
+        let mut matched = Vec::new();
+        let mut far: Vec<(usize, usize, usize)> = Vec::new();
         for (s, queue) in self.ready.iter().enumerate() {
             for &Reverse(key) in queue.iter() {
                 let (p, y) = ((key >> 32) as usize, ready_index(key));
-                let was_ready = y.checked_sub(shift).filter(|&x| {
-                    self.cost(x).slot == s
-                        && status_at_a(self, x) == WAITING
-                        && links.deps(x).all(|d| status_at_a(self, d) == DONE)
+                let was = y.checked_sub(shift).filter(|&x| {
+                    self.repeat_of(x).is_some()
+                        && self.repeat_of(x) == self.repeat_of(y)
+                        && self.ready_at(x, a)
                 });
-                match (was_ready, top[s]) {
-                    (Some(x), _) => touched.push(x),
-                    (None, Some(top)) if p > top => rounds = rounds.min((p - top - 1) / shift),
+                match (was, top[s]) {
+                    (Some(x), _) => {
+                        if !touch(self, x) {
+                            return false;
+                        }
+                        matched.push(y);
+                    }
+                    (None, Some(top)) if self.ready_at(y, a) => far.push((y, p, top)),
                     _ => return false,
                 }
             }
         }
-        if rounds == 0 {
-            return false;
-        }
 
-        // What the period touched: its starts, the tasks running or ready
-        // at `a`, their dependents and the dependencies of all of these
-        // not complete at `a`. A period whose tasks fan out to far more
-        // tasks (a preload every round reads, say) is not looked into.
-        let limit = (16 * touched.len() + 64).min(allowance);
-        for k in 0..touched.len() {
-            let x = touched[k];
-            links.for_each_dependent(x, |y| {
-                if touched.len() <= limit {
-                    touched.push(y);
+        // How far each touched repeat stays a copy: before its end, before
+        // the first instance with a dependent added after the repeat,
+        // before a template task whose instances do not start one per
+        // period's worth, and only while its fixed dependencies were
+        // complete at `a`.
+        let extras = &links.extras;
+        for t in &mut touched {
+            let r = repeats[t.repeat];
+            let fixed = &links.fixed;
+            let fixed_done = fixed[fixed.partition_point(|f| f.0 < t.repeat)..]
+                .iter()
+                .take_while(|f| f.0 == t.repeat)
+                .all(|&(_, d)| self.status(d, a) == DONE);
+            if !fixed_done {
+                return false;
+            }
+            let per = (shift / r.len) as u32;
+            t.count = vec![0; r.len];
+            for &(x, ..) in starts.iter().filter(|s| (r.first..r.end()).contains(&s.0)) {
+                t.count[(x - r.first) % r.len] += 1;
+            }
+            t.lo = self
+                .running
+                .iter()
+                .map(|&Reverse((_, y))| y)
+                .filter(|&y| (r.first..r.end()).contains(&y))
+                .min()
+                .unwrap_or(usize::MAX);
+            for (s, &c) in (r.stored..).zip(&t.count) {
+                let next = self.next_of[s] as usize;
+                t.lo = t.lo.min(next);
+                if c != per {
+                    let before = next - c as usize * r.len;
+                    t.end = t.end.min(next.min(before + shift));
                 }
-            });
-            if touched.len() > limit {
-                self.spent += touched.len();
+            }
+            t.reach = t.reach.max(t.lo);
+            let low = t.lo.saturating_sub(shift);
+            if let Some(e) = extras.get(extras.partition_point(|e| e.0 < low)) {
+                t.end = t.end.min(e.0);
+            }
+        }
+        let mut rounds = usize::MAX;
+        for t in &touched {
+            if t.end <= t.reach + shift {
                 return false;
             }
+            rounds = rounds.min((t.end - 1 - t.reach) / shift);
         }
-        touched.sort_unstable();
-        touched.dedup();
-        for k in 0..touched.len() {
-            let room = (2 * limit + 1).saturating_sub(touched.len());
-            touched.extend(links.deps(touched[k]).filter(|&d| d >= a.lo).take(room));
-            if touched.len() > 2 * limit {
-                self.spent += touched.len();
+        for &(y, p, top) in &far {
+            if p <= top + shift {
                 return false;
             }
-        }
-        self.spent += 2 * touched.len();
-        touched.sort_unstable();
-        touched.dedup();
-
-        // Touched tasks fall into clusters no gap wider than `S` splits.
-        // Each cluster must be copied, and in the same state shifted, over
-        // the skipped periods: tasks `first..=last + (rounds - 1)·S`.
-        let mut clusters: Vec<(usize, usize)> = Vec::new();
-        for &x in &touched {
-            match clusters.last_mut() {
-                Some((_, last)) if x <= *last + shift => *last = x,
-                _ => clusters.push((x, x)),
-            }
-        }
-        for &(first, last) in &clusters {
-            let end = self.copy_end(first, shift, a);
-            if end <= last {
-                return false;
-            }
-            rounds = rounds.min((end - 1 - last) / shift + 1);
-        }
-        for &(first, last) in &clusters {
-            let upto = last + (rounds - 1) * shift;
-            let differs =
-                (first..=upto).find(|&x| status_now(self, x + shift) != status_at_a(self, x));
-            if let Some(x) = differs {
-                if x <= last {
+            rounds = rounds.min((p - top - 1) / shift);
+            if let Some(t) = touched.iter().find(|t| Some(t.repeat) == self.repeat_of(y)) {
+                if y <= t.reach + shift {
                     return false;
                 }
-                rounds = rounds.min((x - 1 - last) / shift + 1);
+                rounds = rounds.min((y - 1 - t.reach) / shift);
             }
         }
-        let done: Vec<usize> = touched
-            .iter()
-            .copied()
-            .filter(|&x| status_now(self, x) == DONE && status_at_a(self, x) != DONE)
-            .collect();
 
-        // Replay the starts, period after period, in the recorded order.
+        // Replay the starts' energy (and trace entries), period after
+        // period, in the recorded order, so every `f64` sum is unchanged.
         for k in 1..=rounds {
-            let (dt, di) = (k as u64 * period, k * shift);
-            for &(x, start, cost) in &starts {
+            for &(_, _, cost) in &starts {
                 self.energy.accumulate(&cost.energy);
-                self.record(x + di, cost.resource, start + dt, self.end_at[x] + dt);
+            }
+            if let Some(trace) = &mut self.trace {
+                let graph = links.graph;
+                let (dt, di) = (k as u64 * period, k * shift);
+                for &(x, start, cost) in &starts {
+                    trace.push(TraceEntry {
+                        task: TaskId(x + di),
+                        label: graph.label(graph.locate(x + di)),
+                        resource: cost.resource,
+                        start_cycle: start + dt,
+                        end_cycle: start + cost.cycles + dt,
+                    });
+                }
             }
         }
         let (dt, di) = (rounds as u64 * period, rounds * shift);
@@ -1299,30 +1363,33 @@ impl Run<'_> {
                 self.busy_cycles[s] += rounds as u64 * added[s];
             }
         }
-
-        // Replay the completions' dependency counts; a task they make ready
-        // and no replayed start took joins its queue, and the queues drop
-        // the replayed starts.
-        // Each replayed completion is an instance of a template task whose
-        // dependents all lie in its repeat and none was added after it
-        // (`Run::copy_end`): they are its template row, shifted.
-        for &x in &done {
-            let row = links.row(x);
-            for k in 1..=rounds {
-                let at = x + k * shift;
-                for &d in row {
-                    let waiting = at + d as usize;
-                    self.remaining_deps[waiting] -= 1;
-                    if self.remaining_deps[waiting] == 0 && self.seq[waiting] == u32::MAX {
-                        self.make_ready(waiting);
-                    }
-                }
+        // The MAC/VEC union between `a` and now repeats `rounds` times.
+        let repeated = overlap_within(&self.mac_spans, &self.vec_spans, a.now, self.now);
+        self.overlap_before += overlap_within(&self.mac_spans, &self.vec_spans, 0, self.now)
+            + rounds as u64 * repeated;
+        for spans in [&mut self.mac_spans, &mut self.vec_spans] {
+            spans.retain(|span| span.1 > self.now);
+            for span in spans.iter_mut() {
+                *span = (span.0.max(self.now) + dt, span.1 + dt);
             }
         }
-        let seq = &self.seq;
-        for (queue, top) in self.ready.iter_mut().zip(&top) {
-            if top.is_some() {
-                queue.retain(|&Reverse(key)| seq[ready_index(key)] == u32::MAX);
+
+        // Each touched repeat's tasks below its `lo`, shifted, are complete;
+        // above it, the window the period reaches takes the state of the
+        // tasks `rounds` periods before it.
+        for t in &touched {
+            for z in (t.lo + di..=t.reach + di).rev() {
+                self.end_at[z] = match self.end_at[z - di] {
+                    u64::MAX => u64::MAX,
+                    end => end + dt,
+                };
+                self.remaining_deps[z] = self.remaining_deps[z - di];
+            }
+            let at = self.done.partition_point(|d| d.0 < t.lo);
+            self.done.insert(at, (t.lo, t.lo + di));
+            let r = repeats[t.repeat];
+            for (s, &c) in (r.stored..).zip(&t.count) {
+                self.next_of[s] += (rounds * c as usize * r.len) as u32;
             }
         }
         self.running = self
@@ -1330,11 +1397,19 @@ impl Run<'_> {
             .drain()
             .map(|Reverse((end, i))| Reverse((end + dt, i + di)))
             .collect();
+        let far: Vec<usize> = far.iter().map(|f| f.0).collect();
+        for queue in &mut self.ready {
+            queue.retain(|&Reverse(key)| far.contains(&ready_index(key)));
+        }
+        for y in matched {
+            self.make_ready(y + di);
+        }
         self.completed += rounds * (self.completed - a.completed);
         self.now += dt;
+        self.lo += di;
+        self.started += rounds * starts.len();
         self.replayed += rounds * starts.len();
-        // Every checkpoint is dropped, so no later look reads the starts so
-        // far.
+        // Every mark is dropped, so no later look reads the starts so far.
         self.order.clear();
         self.order_base = self.started;
         true
@@ -1369,6 +1444,18 @@ fn add_span(spans: &mut Vec<(u64, u64)>, start: u64, end: u64) {
         }
     }
     spans.push((start, end));
+}
+
+/// Cycles within `[from, to)` covered by both unions of spans.
+fn overlap_within(a: &[(u64, u64)], b: &[(u64, u64)], from: u64, to: u64) -> u64 {
+    let clip = |spans: &[(u64, u64)]| -> Vec<(u64, u64)> {
+        spans
+            .iter()
+            .map(|&(start, end)| (start.max(from), end.min(to)))
+            .filter(|span| span.0 < span.1)
+            .collect()
+    };
+    overlap(&clip(a), &clip(b))
 }
 
 /// Cycles covered by both unions of spans.
