@@ -395,8 +395,8 @@ proptest! {
     }
 }
 
-/// A random periodic graph, the shape the steady-state fast-forward
-/// skips over: a zero-cycle warm-up of none, a few or 4,200 tasks (so
+/// A random periodic graph, the shape the steady-state fast-forward and
+/// a stream's stretches skip over: a zero-cycle warm-up of none, a few or 4,200 tasks (so
 /// skips are checked from the first periods on and after a long start)
 /// and a prologue of 0–3 transfers, then
 /// a random round template of 2–10 tasks repeated 8–300 times per chunk,
@@ -405,7 +405,9 @@ proptest! {
 /// may take zero cycles, and waits on earlier tasks of its round, on tasks
 /// one or two rounds back and on prologue tasks; DMA tasks may or may not
 /// have consumers. One task of one round, at a random place, does
-/// different work.
+/// different work. In half the graphs the first task of every other
+/// round is a short load with no dependencies, a stream the DMA runs ahead
+/// of the compute units in stretches.
 ///
 /// The rounds are added through the template API: a period is two rounds
 /// of every chunk laid out together, and after each period from the third
@@ -480,7 +482,7 @@ fn periodic_graph(rng: &mut StdRng, cores: usize) -> TaskGraph {
         fixed: Vec<TaskId>,
     }
     let size = rng.gen_range(2..11usize);
-    let template: Vec<Step> = (0..size)
+    let mut template: Vec<Step> = (0..size)
         .map(|pos| Step {
             unit: rng.gen_range(0..4u32),
             kind: kind(rng),
@@ -497,6 +499,21 @@ fn periodic_graph(rng: &mut StdRng, cores: usize) -> TaskGraph {
                 .collect(),
         })
         .collect();
+    // Half the graphs stream: the first task of each even round is a short
+    // load with no dependencies, like a query row the DMA prefetches (in an
+    // odd round it is a store), so each chunk streams one template task.
+    let streamed = rng.gen_range(0..2u32) == 0;
+    if streamed {
+        template[0] = Step {
+            unit: 0,
+            kind: TaskKind::DramLoad {
+                bytes: pick(rng, &[64, 512]),
+            },
+            same_round: Vec::new(),
+            back: Vec::new(),
+            fixed: Vec::new(),
+        };
+    }
     let rounds = rng.gen_range(8..301usize);
     let odd = (
         rng.gen_range(0..cores),
@@ -529,6 +546,7 @@ fn periodic_graph(rng: &mut StdRng, cores: usize) -> TaskGraph {
             for &(c, r) in &units[u..(u + per_period).min(units.len())] {
                 for (pos, step) in template.iter().enumerate() {
                     let resource = match step.unit {
+                        0 if streamed && pos == 0 && r % 2 == 1 => Resource::DmaOut,
                         0 => Resource::DmaIn,
                         1 => Resource::DmaOut,
                         2 => Resource::Mac { core: c },

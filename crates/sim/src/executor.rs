@@ -123,6 +123,23 @@
 //!   tasks, and a skip the window plus one energy sum per skipped task.
 //!   A graph whose state never repeats is simulated event by event.
 //!
+//! # Streams
+//!
+//! A template task with no dependencies is a stream, like the query rows
+//! the DMA prefetches: every instance is ready from the start, and only
+//! the next one waits in its slot's queue. While the task that ends next
+//! is an instance of a stream, ends alone, readies nothing and is followed
+//! at the head of its slot's queue by the stream's next instance, the
+//! executor starts that instance at once. No other slot can start a task
+//! before the next other task ends, so a start pass would start exactly
+//! that one. Such a stretch still costs, per task, its dependents' counts,
+//! its end cycle, its energy (in start order) and its trace entry, but no
+//! start pass and no heap work. It stops at the first end that readies a
+//! task, before the next end of any other task, and before an instance
+//! that another task ready on the slot outranks. A stretch does not need
+//! the schedule to repeat: the naive MAS-Attention graphs stream every
+//! query row before their schedules settle.
+//!
 //! # Track scheduling (continuous time)
 //!
 //! Alongside the cycle-level list scheduler, this module hosts the
@@ -226,8 +243,9 @@ impl Executor {
     }
 
     /// [`Executor::run`], also returning how many tasks the event loop
-    /// started itself; the steady-state fast-forward (module docs) replayed
-    /// the others. The report is the one [`Executor::run`] returns.
+    /// started through its start passes; the steady-state fast-forward
+    /// skipped the others, or a stream's stretch started them (module
+    /// docs). The report is the one [`Executor::run`] returns.
     ///
     /// # Errors
     ///
@@ -357,6 +375,7 @@ impl Executor {
             marks: HashMap::new(),
             marks_in: usize::MAX,
             replayed: 0,
+            stretched: 0,
         };
         // A template task with no dependencies readies its chained
         // instances one at a time (`Meta::chain_end`).
@@ -393,7 +412,7 @@ impl Executor {
             mac_vec_overlap_cycles: run.overlap_before + overlap(&run.mac_spans, &run.vec_spans),
             trace: run.trace.take(),
         };
-        let loop_starts = n - run.replayed;
+        let loop_starts = n - run.replayed - run.stretched;
         let (remaining_deps, end_at, next_of, order) =
             (run.remaining_deps, run.end_at, run.next_of, run.order);
         SPARE.set(links.into_arrays(remaining_deps, end_at, next_of, order));
@@ -577,15 +596,14 @@ impl<'g> Links<'g> {
                 let first = r.first + t - r.stored;
                 let work = graph.works()[graph.work_ids()[t] as usize];
                 let row = &dependents[offsets[t]..offsets[t + 1]];
-                // A DMA task ranks by its nearest dependent in the repeat,
-                // `first + k·len + d` for instance `k`, while that lies
-                // before the repeat's end.
+                // A DMA task ranks by its nearest dependent in the repeat
+                // (`Links::first_dependent`), which for instance `k` lies
+                // `k·len` after instance 0's, while before the repeat's end.
                 let chained = if work.resource.is_compute() {
                     r.count
                 } else {
-                    row.iter().min().map_or(0, |&d| {
-                        (r.end().saturating_sub(first + d as usize)).div_ceil(r.len)
-                    })
+                    nearest_in_repeat(row, first, r.end())
+                        .map_or(0, |y| (r.end() - y).div_ceil(r.len))
                 };
                 meta[t].chain_end = (first + chained.min(r.count) * r.len) as u32;
             }
@@ -753,11 +771,7 @@ impl<'g> Links<'g> {
                         .min(),
                 }
             }
-            bound => row
-                .iter()
-                .map(|&d| x + d as usize)
-                .min()
-                .filter(|&y| y < bound)
+            bound => nearest_in_repeat(row, x, bound)
                 .or_else(|| meta.more.then(|| self.more(s, x).1.first().map(|e| e.1))?),
         }
     }
@@ -766,6 +780,15 @@ impl<'g> Links<'g> {
     fn deps(&self, x: usize) -> impl Iterator<Item = usize> + '_ {
         self.graph.deps_at(self.graph.locate(x)).map(TaskId::index)
     }
+}
+
+/// The nearest dependent of instance `x` of a template task whose row is
+/// `row` (distances) that lies before its repeat's end `bound`.
+fn nearest_in_repeat(row: &[u32], x: usize, bound: usize) -> Option<usize> {
+    row.iter()
+        .map(|&d| x + d as usize)
+        .min()
+        .filter(|&y| y < bound)
 }
 
 /// The stored index of the task at program index `x`, given each task's
@@ -936,6 +959,8 @@ struct Run<'a> {
     marks_in: usize,
     /// Tasks started by the fast-forward rather than the event loop.
     replayed: usize,
+    /// Tasks started by a stream's stretch rather than a start pass.
+    stretched: usize,
 }
 
 impl Run<'_> {
@@ -1010,6 +1035,9 @@ impl Run<'_> {
                     unscheduled: n - self.completed,
                 });
             };
+            if self.stretch() {
+                continue;
+            }
             self.now = next_end;
             while let Some(&Reverse((end, index))) = self.running.peek() {
                 if end > self.now {
@@ -1028,18 +1056,28 @@ impl Run<'_> {
         Ok(())
     }
 
-    /// Starts ready task `index` on idle slot `s` at the current time:
-    /// its end, its slot's busy time, its energy, the MAC/VEC spans and
-    /// its trace entry. An instance of a template task also moves its
-    /// template's next instance on, and readies it when the template has
-    /// no dependencies (`Meta::chain_end`).
+    /// Starts ready task `index` on idle slot `s` at the current time
+    /// ([`Run::begin`]), and readies the next instance of a chained
+    /// template task (`Meta::chain_end`).
     fn start(&mut self, s: usize, index: usize) {
+        let end = self.begin(s, index);
+        self.running.push(Reverse((end, index)));
+        if let Some(next) = self.chained(index) {
+            self.make_ready(next);
+        }
+    }
+
+    /// What starting task `index` on slot `s` at the current time records:
+    /// its end, which it returns, its slot's busy time, its energy, the
+    /// MAC/VEC spans and its trace entry. An instance of a template task
+    /// also moves its template's next instance on.
+    #[inline]
+    fn begin(&mut self, s: usize, index: usize) -> u64 {
         let stored = stored_index(self.stored_of, index);
         let cost = self.costs[self.work[stored] as usize];
         let (start, end) = (self.now, self.now + cost.cycles);
         self.busy_until[s] = end;
         self.busy_cycles[s] += cost.cycles;
-        self.running.push(Reverse((end, index)));
         self.energy.accumulate(&cost.energy);
         self.end_at[index] = end;
         self.started += 1;
@@ -1063,11 +1101,82 @@ impl Run<'_> {
         if let Some(meta) = self.links.meta.get(stored) {
             self.order.push(index as u32);
             if meta.len > 0 {
-                let next = index + meta.len as usize;
                 self.ordered &= self.next_of[stored] as usize == index;
-                self.next_of[stored] = next as u32;
-                if next < meta.chain_end as usize {
-                    self.make_ready(next);
+                self.next_of[stored] = (index + meta.len as usize) as u32;
+            }
+        }
+        end
+    }
+
+    /// The instance after `index` when starting `index` readies it: both
+    /// are chained instances of a template task with no dependencies.
+    fn chained(&self, index: usize) -> Option<usize> {
+        let meta = self.links.meta.get(stored_index(self.stored_of, index))?;
+        let next = index + meta.len as usize;
+        (meta.len > 0 && next < meta.chain_end as usize).then_some(next)
+    }
+
+    /// A stream's stretch (module docs): while the task ending next is a
+    /// chained instance that ends alone, readies nothing and is followed
+    /// at the head of its slot's queue by the next instance, retires it
+    /// and starts that instance without a start pass or heap work. Returns
+    /// whether it retired a task.
+    fn stretch(&mut self) -> bool {
+        let links = self.links;
+        let heap = self.running.as_slice();
+        let Some(&Reverse((end, mut x))) = heap.first() else {
+            return false;
+        };
+        let after = heap[1..heap.len().min(3)]
+            .iter()
+            .map(|&Reverse((end, _))| end)
+            .min()
+            .unwrap_or(u64::MAX);
+        let Some(next) = self.chained(x) else {
+            return false;
+        };
+        let cost = *self.cost(x);
+        let queue = &mut self.ready[cost.slot];
+        if end >= after || queue.peek().map(|r| ready_index(r.0)) != Some(next) {
+            return false;
+        }
+        let Some(Reverse(mut head)) = queue.pop() else {
+            return false;
+        };
+        // The other tasks ready on the slot rank from `rest` on, and no
+        // other slot has a ready task it could start.
+        let rest = queue.peek().map_or(u64::MAX, |r| r.0);
+        self.running.pop();
+        self.now = end;
+        loop {
+            // `x` ends now, alone; `head` is the next instance's key.
+            self.completed += 1;
+            let mut readied = false;
+            links.for_each_dependent(x, |waiting| {
+                self.remaining_deps[waiting] -= 1;
+                if self.remaining_deps[waiting] == 0 {
+                    self.make_ready(waiting);
+                    readied = true;
+                }
+            });
+            if readied || head > rest {
+                self.ready[cost.slot].push(Reverse(head));
+                return true;
+            }
+            let y = ready_index(head);
+            let end = self.begin(cost.slot, y);
+            self.stretched += 1;
+            match self.chained(y) {
+                Some(following) if end < after => {
+                    head = ready_key(self.priority(following), following);
+                    (x, self.now) = (y, end);
+                }
+                following => {
+                    self.running.push(Reverse((end, y)));
+                    if let Some(following) = following {
+                        self.make_ready(following);
+                    }
+                    return true;
                 }
             }
         }
@@ -2071,6 +2180,78 @@ mod tests {
                 trace: None,
                 ..traced
             }
+        );
+    }
+
+    /// A stream of 1,000 query-row loads, each used by a softmax that also
+    /// waits on one long product and on the softmax before it: the loads
+    /// run while the product does, and `lo` stays at the product, so no
+    /// look happens and the stream runs in stretches; the softmaxes run
+    /// after it, where the fast-forward skips them. Round 500's softmax
+    /// also waits on a key load, ready from the start, which ranks before
+    /// that round's query load and so cuts the stream there.
+    #[test]
+    fn a_transfer_stream_runs_in_stretches() {
+        let mut g = TaskGraph::new();
+        let product = g.add_task(
+            "product",
+            Resource::Mac { core: 0 },
+            TaskKind::MatMul {
+                m: 512,
+                k: 512,
+                n: 512,
+            },
+            &[],
+        );
+        let key = g.add_task(
+            "load K",
+            Resource::DmaIn,
+            TaskKind::DramLoad { bytes: 4096 },
+            &[],
+        );
+        let round = |g: &mut TaskGraph, r: usize, before: TaskId| {
+            let q = g.add_task(
+                Label::new("r{0}: load Q", [r]),
+                Resource::DmaIn,
+                TaskKind::DramLoad { bytes: 128 },
+                &[],
+            );
+            let mut deps = vec![q, product, before];
+            deps.extend((r == 500).then_some(key));
+            g.add_task(
+                Label::new("r{0}: softmax", [r]),
+                Resource::Vec { core: 0 },
+                TaskKind::Softmax { rows: 1, cols: 64 },
+                &deps,
+            )
+        };
+        let mut before = product;
+        for (first, last) in [(0, 499), (500, 999)] {
+            for r in first..first + 2 {
+                before = round(&mut g, r, before);
+            }
+            let start = TaskId(g.len());
+            before = round(&mut g, first + 2, before);
+            let count = last - first - 2;
+            assert_eq!(g.repeat(start, count), Some(2));
+            before = before.later(2 * count);
+        }
+        assert_eq!(g.len(), 2 + 2 * 1000);
+        let exec = executor();
+        let (traced, loop_starts) = exec.simulate(&g).unwrap();
+        assert_eq!(traced, exec.simulate(&g.expand()).unwrap().0);
+        let (untraced, untraced_starts) = exec.clone().without_trace().simulate(&g).unwrap();
+        assert_eq!(
+            untraced,
+            SimReport {
+                trace: None,
+                ..traced
+            }
+        );
+        assert!(
+            loop_starts < 100 && untraced_starts == loop_starts,
+            "{loop_starts} of {} tasks started through the event loop",
+            g.len()
         );
     }
 
