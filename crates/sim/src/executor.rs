@@ -1127,14 +1127,14 @@ impl Run<'_> {
         let Some(&Reverse((end, mut x))) = heap.first() else {
             return false;
         };
+        let Some(next) = self.chained(x) else {
+            return false;
+        };
         let after = heap[1..heap.len().min(3)]
             .iter()
             .map(|&Reverse((end, _))| end)
             .min()
             .unwrap_or(u64::MAX);
-        let Some(next) = self.chained(x) else {
-            return false;
-        };
         let cost = *self.cost(x);
         let queue = &mut self.ready[cost.slot];
         if end >= after || queue.peek().map(|r| ready_index(r.0)) != Some(next) {
